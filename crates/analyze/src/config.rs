@@ -20,7 +20,12 @@ pub struct Config {
     pub p001_paths: Vec<String>,
     /// A001: files allowed to use `Ordering::Relaxed` (telemetry
     /// counters and other monotone stats whose readers tolerate
-    /// staleness).
+    /// staleness). `crates/nn/src/par.rs` is on the list for its
+    /// idle-core ledger as well as its counters: the busy count only
+    /// decides how many lanes a kernel starts and publishes no data —
+    /// the rows a lane writes reach the caller through `thread::scope`'s
+    /// join — so a stale read can mis-size one call by a lane and never
+    /// change a result (rationale in the file's module docs).
     pub a001_relaxed_allow: Vec<String>,
     /// A001: hot-path files where `SeqCst` (a full fence on every
     /// access) is flagged — use Acquire/Release or move the atomic out
@@ -74,6 +79,7 @@ impl Config {
                 "crates/serve/src/batch.rs",
                 "crates/sim/src/shard.rs",
                 "crates/solver/src/pop.rs",
+                "crates/nn/src/par.rs",
             ]),
             a001_seqcst_hot: v(&["crates/sim/src/", "crates/nn/src/", "crates/serve/src/batch.rs"]),
             f001_paths: v(&["crates/nn/src/", "crates/core/src/", "crates/rl/src/"]),

@@ -1131,6 +1131,19 @@ fn render_top(
             stats.recoveries, stats.degraded_sessions
         );
     }
+    // Intra-plan parallelism: attention calls that borrowed idle cores,
+    // were refused one (other plans in flight), or were too small to ask.
+    let par = |name: &str| snap.counter(name).unwrap_or(0);
+    println!(
+        "attention lanes: {} parallel calls (+{} lanes)   {} denied   {} under cutover   \
+         {}/{} cores busy",
+        par("nn_par_parallel_calls"),
+        par("nn_par_lanes_granted"),
+        par("nn_par_denied"),
+        par("nn_par_under_cutover"),
+        snap.gauge("nn_par_busy").unwrap_or(0),
+        snap.gauge("nn_par_cores").unwrap_or(0),
+    );
     println!();
     println!("{:<22} {:>9} {:>10} {:>10} {:>10}", "phase", "count", "p50", "p99", "p999");
     for name in [

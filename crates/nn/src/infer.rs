@@ -15,6 +15,7 @@
 //! `crates/nn/src/kernels.rs` and the `prop_fwdctx` suite).
 
 use crate::kernels;
+use crate::par::{self, AttnScratch};
 use crate::tensor::Tensor;
 
 /// Handle to an arena slot. Only valid for the [`FwdCtx`] that issued it,
@@ -61,6 +62,8 @@ pub struct FwdCtx {
     cursor: usize,
     /// Reusable flat scratch (per-tree attention scores).
     scratch: Vec<f64>,
+    /// Dense attention scratch: shared `kᵀ` plus one score tile per lane.
+    attn: AttnScratch<f64>,
 }
 
 impl FwdCtx {
@@ -327,24 +330,62 @@ impl FwdCtx {
         out
     }
 
+    /// Elements reserved by the arena — slots and scratch together
+    /// (steady-state growth checks).
+    pub fn reserved(&self) -> usize {
+        self.slots.iter().map(|t| t.capacity()).sum::<usize>()
+            + self.scratch.capacity()
+            + self.attn.capacity()
+    }
+
     /// Fused unmasked single-head attention (`softmax(q·kᵀ·scale)·v`)
-    /// through a cache-resident score tile — no n×n score or probability
+    /// through cache-resident score tiles — no n×n score or probability
     /// matrix is ever materialized. Bit-identical to the unfused kernel
-    /// chain (see [`kernels::attention_head_into`]).
+    /// chain (see [`kernels::attention_head_into`]). Large calls borrow idle
+    /// cores as extra row lanes ([`par::Budget::lanes_for`]); the result
+    /// does not depend on how many they get.
     pub fn attention_head(&mut self, q: FVar, k: FVar, v: FVar, scale: f64) -> FVar {
         let (m, dh) = (self.slots[q.0].rows(), self.slots[q.0].cols());
+        let _busy = par::forward();
+        let lease = par::global().lanes_for(m, self.slots[k.0].rows());
         let out = self.alloc(m, dh);
-        let FwdCtx { slots, scratch, .. } = self;
+        let FwdCtx { slots, attn, .. } = self;
         let (head, tail) = slots.split_at_mut(out.0);
         kernels::attention_head_into(
             &head[q.0],
             &head[k.0],
             &head[v.0],
             scale,
-            scratch,
+            1 + lease.helpers(),
+            attn,
             &mut tail[0],
         );
         out
+    }
+
+    /// Unfused unmasked single-head attention that keeps its
+    /// probabilities: returns `(softmax(q·kᵀ·scale)·v, softmax(q·kᵀ·scale))`
+    /// — the last block's cross stage, whose probability map feeds the
+    /// PM actor. Same kernels as `matmul_nt_scaled` → `masked_softmax` →
+    /// `matmul`, row-parallel like [`FwdCtx::attention_head`].
+    pub fn attention_head_probs(&mut self, q: FVar, k: FVar, v: FVar, scale: f64) -> (FVar, FVar) {
+        let (m, n) = (self.slots[q.0].rows(), self.slots[k.0].rows());
+        let _busy = par::forward();
+        let lease = par::global().lanes_for(m, n);
+        let scores = self.alloc(m, n);
+        let probs = self.alloc(m, n);
+        let out = self.alloc(m, self.slots[v.0].cols());
+        let (head, tail) = self.slots.split_at_mut(scores.0);
+        let [s, p, o, ..] = tail else { unreachable!("three slots were just allocated") };
+        kernels::attention_probs_into(
+            &head[q.0],
+            &head[k.0],
+            &head[v.0],
+            scale,
+            1 + lease.helpers(),
+            [s, p, o],
+        );
+        (out, probs)
     }
 
     /// Block-sparse multi-head attention over a combined sequence whose

@@ -14,6 +14,7 @@
 
 use crate::infer::TreeGroups;
 use crate::kernels_f32;
+use crate::par::{self, AttnScratch};
 use crate::tensor::Tensor;
 use crate::tensor32::Tensor32;
 
@@ -27,8 +28,10 @@ pub struct FVar32(usize);
 pub struct FwdCtx32 {
     slots: Vec<Tensor32>,
     cursor: usize,
-    /// Reusable flat scratch (attention score tiles).
+    /// Reusable flat scratch (per-tree attention scores).
     scratch: Vec<f32>,
+    /// Dense attention scratch: shared `kᵀ` plus one score tile per lane.
+    attn: AttnScratch<f32>,
 }
 
 impl FwdCtx32 {
@@ -295,22 +298,70 @@ impl FwdCtx32 {
         out
     }
 
-    /// Fused unmasked single-head attention through a cache-resident
-    /// score tile (see [`kernels_f32::attention_head_into`]).
+    /// Elements reserved by the arena — slots and scratch together
+    /// (steady-state growth checks).
+    pub fn reserved(&self) -> usize {
+        self.slots.iter().map(|t| t.capacity()).sum::<usize>()
+            + self.scratch.capacity()
+            + self.attn.capacity()
+    }
+
+    /// Fused unmasked single-head attention (`softmax(q·kᵀ·scale)·v`)
+    /// through cache-resident score tiles — no n×n score or probability
+    /// matrix is ever materialized. Same arithmetic as the unfused kernel
+    /// chain (see [`kernels_f32::attention_head_into`]). Large calls borrow idle
+    /// cores as extra row lanes ([`par::Budget::lanes_for`]); the result
+    /// does not depend on how many they get.
     pub fn attention_head(&mut self, q: FVar32, k: FVar32, v: FVar32, scale: f32) -> FVar32 {
         let (m, dh) = (self.slots[q.0].rows(), self.slots[q.0].cols());
+        let _busy = par::forward();
+        let lease = par::global().lanes_for(m, self.slots[k.0].rows());
         let out = self.alloc(m, dh);
-        let FwdCtx32 { slots, scratch, .. } = self;
+        let FwdCtx32 { slots, attn, .. } = self;
         let (head, tail) = slots.split_at_mut(out.0);
         kernels_f32::attention_head_into(
             &head[q.0],
             &head[k.0],
             &head[v.0],
             scale,
-            scratch,
+            1 + lease.helpers(),
+            attn,
             &mut tail[0],
         );
         out
+    }
+
+    /// Unfused unmasked single-head attention that keeps its
+    /// probabilities: returns `(softmax(q·kᵀ·scale)·v, softmax(q·kᵀ·scale))`
+    /// — the last block's cross stage, whose probability map feeds the
+    /// PM actor. Same kernels as `matmul_nt_scaled` → `masked_softmax` →
+    /// `matmul`, row-parallel like [`FwdCtx32::attention_head`].
+    pub fn attention_head_probs(
+        &mut self,
+        q: FVar32,
+        k: FVar32,
+        v: FVar32,
+        scale: f32,
+    ) -> (FVar32, FVar32) {
+        let (m, n) = (self.slots[q.0].rows(), self.slots[k.0].rows());
+        let _busy = par::forward();
+        let lease = par::global().lanes_for(m, n);
+        let scores = self.alloc(m, n);
+        let probs = self.alloc(m, n);
+        let out = self.alloc(m, self.slots[v.0].cols());
+        let FwdCtx32 { slots, attn, .. } = self;
+        let (head, tail) = slots.split_at_mut(scores.0);
+        let [s, p, o, ..] = tail else { unreachable!("three slots were just allocated") };
+        kernels_f32::attention_probs_into(
+            &head[q.0],
+            &head[k.0],
+            &head[v.0],
+            scale,
+            1 + lease.helpers(),
+            &mut attn.kt,
+            [s, p, o],
+        );
+        (out, probs)
     }
 
     /// Block-sparse multi-head attention over the PM-tree cliques (the

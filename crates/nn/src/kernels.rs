@@ -17,6 +17,7 @@
 //! non-negative-zero accumulator), which holds for attention
 //! probabilities — the only place it is used.
 
+use crate::par::{run_row_lanes, AttnScratch, HeadInputs};
 use crate::tensor::Tensor;
 
 /// Additive-mask entries at or below this threshold are treated as fully
@@ -44,24 +45,29 @@ pub fn matmul_into(a: &Tensor, b: &Tensor, out: &mut Tensor) {
     let (m, k, n) = (a.rows(), a.cols(), b.cols());
     assert_eq!(k, b.rows(), "matmul inner dimension mismatch");
     assert_eq!((out.rows(), out.cols()), (m, n), "matmul output shape mismatch");
-    let bd = b.data();
+    matmul_rows(a.data(), k, b.data(), n, out.data_mut());
+}
+
+/// [`matmul_into`] over row-major slices: `a` holds `out.len() / n` rows
+/// of width `k`. Rows are independent, so any contiguous row range of
+/// `a`/`out` yields the same bits it would inside the full product —
+/// the unit [`crate::par::run_row_lanes`] hands a lane.
+fn matmul_rows(a: &[f64], k: usize, bd: &[f64], n: usize, out: &mut [f64]) {
     if n <= 16 {
         // Narrow outputs (attention `probs · V` with a head-width n):
         // stack-resident accumulators, two rows of `a` per `b` pass.
         // Common head widths get a const-width instantiation so the
         // inner loops fully unroll; the math is identical either way.
         return match n {
-            8 => matmul_narrow::<8>(a, bd, out),
-            12 => matmul_narrow::<12>(a, bd, out),
-            16 => matmul_narrow::<16>(a, bd, out),
-            _ => matmul_narrow_dyn(a, bd, n, out),
+            8 => matmul_narrow::<8>(a, k, bd, out),
+            12 => matmul_narrow::<12>(a, k, bd, out),
+            16 => matmul_narrow::<16>(a, k, bd, out),
+            _ => matmul_narrow_dyn(a, k, bd, n, out),
         };
     }
-    for i in 0..m {
-        let a_row = a.row_slice(i);
-        let o_row = &mut out.data_mut()[i * n..(i + 1) * n];
+    for (i, o_row) in out.chunks_exact_mut(n).enumerate() {
         o_row.fill(0.0);
-        for (kk, &av) in a_row.iter().enumerate() {
+        for (kk, &av) in a[i * k..(i + 1) * k].iter().enumerate() {
             let b_row = &bd[kk * n..(kk + 1) * n];
             for (o, &bv) in o_row.iter_mut().zip(b_row) {
                 *o += av * bv;
@@ -74,12 +80,12 @@ pub fn matmul_into(a: &Tensor, b: &Tensor, out: &mut Tensor) {
 /// stack-accumulator pattern of [`matmul_narrow_dyn`] with fully
 /// unrollable inner loops. Per output element the accumulation order is
 /// identical to the dynamic version and to the wide i-k-j kernel.
-fn matmul_narrow<const N: usize>(a: &Tensor, bd: &[f64], out: &mut Tensor) {
-    let m = a.rows();
+fn matmul_narrow<const N: usize>(a: &[f64], k: usize, bd: &[f64], out: &mut [f64]) {
+    let m = out.len() / N;
     let mut i = 0;
     while i + 2 <= m {
-        let a0 = a.row_slice(i);
-        let a1 = a.row_slice(i + 1);
+        let a0 = &a[i * k..(i + 1) * k];
+        let a1 = &a[(i + 1) * k..(i + 2) * k];
         let mut acc0 = [0.0f64; N];
         let mut acc1 = [0.0f64; N];
         for (kk, (&x0, &x1)) in a0.iter().zip(a1).enumerate() {
@@ -89,12 +95,12 @@ fn matmul_narrow<const N: usize>(a: &Tensor, bd: &[f64], out: &mut Tensor) {
                 *o1 += x1 * bv;
             }
         }
-        out.data_mut()[i * N..(i + 1) * N].copy_from_slice(&acc0);
-        out.data_mut()[(i + 1) * N..(i + 2) * N].copy_from_slice(&acc1);
+        out[i * N..(i + 1) * N].copy_from_slice(&acc0);
+        out[(i + 1) * N..(i + 2) * N].copy_from_slice(&acc1);
         i += 2;
     }
     if i < m {
-        let a_row = a.row_slice(i);
+        let a_row = &a[i * k..(i + 1) * k];
         let mut acc = [0.0f64; N];
         for (kk, &av) in a_row.iter().enumerate() {
             let b_row: &[f64; N] = bd[kk * N..(kk + 1) * N].try_into().expect("width");
@@ -102,19 +108,19 @@ fn matmul_narrow<const N: usize>(a: &Tensor, bd: &[f64], out: &mut Tensor) {
                 *o += av * bv;
             }
         }
-        out.data_mut()[i * N..(i + 1) * N].copy_from_slice(&acc);
+        out[i * N..(i + 1) * N].copy_from_slice(&acc);
     }
 }
 
 /// Runtime-width fallback of [`matmul_narrow`] (same accumulation order).
-fn matmul_narrow_dyn(a: &Tensor, bd: &[f64], n: usize, out: &mut Tensor) {
-    let m = a.rows();
+fn matmul_narrow_dyn(a: &[f64], k: usize, bd: &[f64], n: usize, out: &mut [f64]) {
+    let m = out.len().checked_div(n).unwrap_or(0);
     let mut acc0 = [0.0f64; 16];
     let mut acc1 = [0.0f64; 16];
     let mut i = 0;
     while i + 2 <= m {
-        let a0 = a.row_slice(i);
-        let a1 = a.row_slice(i + 1);
+        let a0 = &a[i * k..(i + 1) * k];
+        let a1 = &a[(i + 1) * k..(i + 2) * k];
         acc0[..n].fill(0.0);
         acc1[..n].fill(0.0);
         for (kk, (&x0, &x1)) in a0.iter().zip(a1).enumerate() {
@@ -124,12 +130,12 @@ fn matmul_narrow_dyn(a: &Tensor, bd: &[f64], n: usize, out: &mut Tensor) {
                 *o1 += x1 * bv;
             }
         }
-        out.data_mut()[i * n..(i + 1) * n].copy_from_slice(&acc0[..n]);
-        out.data_mut()[(i + 1) * n..(i + 2) * n].copy_from_slice(&acc1[..n]);
+        out[i * n..(i + 1) * n].copy_from_slice(&acc0[..n]);
+        out[(i + 1) * n..(i + 2) * n].copy_from_slice(&acc1[..n]);
         i += 2;
     }
     if i < m {
-        let a_row = a.row_slice(i);
+        let a_row = &a[i * k..(i + 1) * k];
         acc0[..n].fill(0.0);
         for (kk, &av) in a_row.iter().enumerate() {
             let b_row = &bd[kk * n..(kk + 1) * n];
@@ -137,7 +143,7 @@ fn matmul_narrow_dyn(a: &Tensor, bd: &[f64], n: usize, out: &mut Tensor) {
                 *o += av * bv;
             }
         }
-        out.data_mut()[i * n..(i + 1) * n].copy_from_slice(&acc0[..n]);
+        out[i * n..(i + 1) * n].copy_from_slice(&acc0[..n]);
     }
 }
 
@@ -176,15 +182,19 @@ pub fn matmul_nt_scaled_into(a: &Tensor, b: &Tensor, alpha: f64, out: &mut Tenso
     let (m, k, n) = (a.rows(), a.cols(), b.rows());
     assert_eq!(k, b.cols(), "matmul_nt inner dimension mismatch");
     assert_eq!((out.rows(), out.cols()), (m, n), "matmul_nt output shape mismatch");
+    nt_scaled_rows(a.data(), k, b.data(), n, alpha, out.data_mut());
+}
+
+/// [`matmul_nt_scaled_into`] over row-major slices (`a` holds
+/// `out.len() / n` rows of width `k`; see [`matmul_rows`]).
+fn nt_scaled_rows(a: &[f64], k: usize, bd: &[f64], n: usize, alpha: f64, out: &mut [f64]) {
     /// Rows of `b` per tile (tile bytes ≈ 64 · k · 8; k is a head width
     /// here, so tiles stay well inside L1).
     const JB: usize = 64;
-    let bd = b.data();
     for jb in (0..n).step_by(JB) {
         let jh = (jb + JB).min(n);
-        for i in 0..m {
-            let a_row = a.row_slice(i);
-            let o_row = &mut out.data_mut()[i * n..(i + 1) * n];
+        for (i, o_row) in out.chunks_exact_mut(n).enumerate() {
+            let a_row = &a[i * k..(i + 1) * k];
             // Eight *independent* dot products at a time: each keeps its
             // own single sequential accumulator, so every output element
             // still matches the transpose-then-matmul path bit-for-bit —
@@ -228,87 +238,129 @@ pub fn matmul_nt_scaled_into(a: &Tensor, b: &Tensor, alpha: f64, out: &mut Tenso
     }
 }
 
+/// Score rows from a materialized `kᵀ` (`dh × n`, row-major):
+/// `s[r][j] = (Σ_kk q[r][kk] · kᵀ[kk][j]) · scale` for the `q.len() / dh`
+/// query rows in `q`. A 2-query × 8-key register tile in i-k-j order:
+/// the eight keys of a step are contiguous in every `kᵀ` row, so the
+/// lane loop is packed arithmetic where the strided eight-dot block of
+/// [`nt_scaled_rows`] is scalar. Each element still owns one accumulator
+/// fed in ascending `kk`, then one multiply by `scale` — bit-identical
+/// to [`matmul_nt_scaled_into`].
+fn scores_from_kt(q: &[f64], dh: usize, kt: &[f64], n: usize, scale: f64, s: &mut [f64]) {
+    /// Score columns per block: `dh` kᵀ row segments of 2 KiB stay
+    /// L1-resident across the tile's query rows.
+    const JB: usize = 256;
+    for jb in (0..n).step_by(JB) {
+        let jh = (jb + JB).min(n);
+        let mut rows = q.chunks_exact(dh).zip(s.chunks_exact_mut(n));
+        while let Some((q0, s0)) = rows.next() {
+            match rows.next() {
+                Some((q1, s1)) => score_block([q0, q1], kt, n, jb..jh, scale, [s0, s1]),
+                None => score_block([q0], kt, n, jb..jh, scale, [s0]),
+            }
+        }
+    }
+}
+
+/// One column block of [`scores_from_kt`] for `R` query rows at once.
+fn score_block<const R: usize>(
+    q: [&[f64]; R],
+    kt: &[f64],
+    n: usize,
+    cols: std::ops::Range<usize>,
+    scale: f64,
+    s: [&mut [f64]; R],
+) {
+    let dh = q[0].len();
+    let mut j = cols.start;
+    while j + 8 <= cols.end {
+        let mut acc = [[0.0f64; 8]; R];
+        for kk in 0..dh {
+            let b: &[f64; 8] = kt[kk * n + j..kk * n + j + 8].try_into().expect("chunk");
+            for r in 0..R {
+                let x = q[r][kk];
+                for l in 0..8 {
+                    acc[r][l] += x * b[l];
+                }
+            }
+        }
+        for r in 0..R {
+            for l in 0..8 {
+                s[r][j + l] = acc[r][l] * scale;
+            }
+        }
+        j += 8;
+    }
+    for jr in j..cols.end {
+        for r in 0..R {
+            let mut acc = 0.0;
+            for (kk, &x) in q[r].iter().enumerate() {
+                acc += x * kt[kk * n + jr];
+            }
+            s[r][jr] = acc * scale;
+        }
+    }
+}
+
 /// Fused single-head attention without materialized score/probability
 /// matrices: `out = softmax(q·kᵀ·scale)·v`, computed in row tiles that
-/// stay cache-resident (`tile` is the reusable scratch). For a sequence
-/// of length n the unfused pipeline round-trips three n×n matrices
-/// through memory; this never holds more than `TILE_ROWS` score rows.
+/// stay cache-resident. For a sequence of length n the unfused pipeline
+/// round-trips three n×n matrices through memory; this never holds more
+/// than `L1_TILE` score rows per lane.
+///
+/// Row-parallel: the query rows are split over `lanes` lanes by
+/// [`crate::par::run_row_lanes`] (`lanes = 1` starts no thread), each
+/// with its own score tile from `scratch`; `kᵀ` is materialized there
+/// once and shared. The output is the same for every lane count.
 ///
 /// Bit-identical to `matmul_nt_scaled_into` → unmasked
-/// [`masked_softmax_into`] → [`matmul_into`]: each stage reuses the same
-/// per-row helpers and accumulation orders, tiling only changes *when*
-/// a row is processed, not how.
+/// [`masked_softmax_into`] → [`matmul_into`]: each stage keeps the same
+/// per-element accumulation orders, tiling only changes *when* (and on
+/// which lane) a row is processed, not how.
 pub fn attention_head_into(
     q: &Tensor,
     k: &Tensor,
     v: &Tensor,
     scale: f64,
-    tile: &mut Vec<f64>,
+    lanes: usize,
+    scratch: &mut AttnScratch<f64>,
     out: &mut Tensor,
 ) {
     let (m, dh, n) = (q.rows(), q.cols(), k.rows());
     assert_eq!(dh, k.cols(), "attention q/k width mismatch");
     assert_eq!((v.rows(), v.cols()), (n, dh), "attention v shape mismatch");
     assert_eq!((out.rows(), out.cols()), (m, dh), "attention output shape mismatch");
-    assert!(dh <= 16, "fused attention head supports widths up to 16");
-    /// Score rows held at once (`TILE_ROWS · n` scratch f64s).
-    const TILE_ROWS: usize = L1_TILE;
-    /// `k`/`v` rows per inner tile (stays L1-resident across the rows).
-    const KB: usize = 64;
+    assert!((1..=16).contains(&dh), "fused attention head supports widths 1 to 16");
+    let AttnScratch { kt, tiles } = scratch;
+    kt.clear();
+    kt.resize(dh * n, 0.0);
+    transpose_rows(k.data(), n, dh, kt);
+    // The driver clamps to the row-tile count; surplus tiles stay empty.
+    let lanes = lanes.max(1);
+    if tiles.len() < lanes {
+        tiles.resize_with(lanes, Vec::new);
+    }
+    let head = HeadInputs { kt, v: v.data(), n, dh, scale };
+    let qd = q.data();
+    run_row_lanes(m, [(out.data_mut(), dh)], tiles[..lanes].iter_mut(), |rows, [o], tile| {
+        attention_rows(&head, &qd[rows.start * dh..rows.end * dh], tile, o);
+    });
+}
+
+/// The fused head over one lane's query rows: score tile → in-place
+/// softmax → probability-weighted value sums, [`L1_TILE`] rows at a time.
+fn attention_rows(head: &HeadInputs<f64>, q: &[f64], tile: &mut Vec<f64>, out: &mut [f64]) {
+    let HeadInputs { kt, v, n, dh, scale } = *head;
+    let m = q.len() / dh;
     tile.clear();
-    tile.resize(TILE_ROWS * n, 0.0);
-    let kd = k.data();
-    let vd = v.data();
-    for ib in (0..m).step_by(TILE_ROWS) {
-        let ih = (ib + TILE_ROWS).min(m);
-        // Scores: k-tile outer, query rows inner, so each k tile is read
-        // once per row tile instead of once per row. Same dots, same
-        // order per element as `matmul_nt_scaled_into`.
-        for jb in (0..n).step_by(KB) {
-            let jh = (jb + KB).min(n);
-            for i in ib..ih {
-                let a_row = q.row_slice(i);
-                let s_row = &mut tile[(i - ib) * n..(i - ib + 1) * n];
-                let mut j = jb;
-                while j + 8 <= jh {
-                    let b0 = &kd[j * dh..(j + 1) * dh];
-                    let b1 = &kd[(j + 1) * dh..(j + 2) * dh];
-                    let b2 = &kd[(j + 2) * dh..(j + 3) * dh];
-                    let b3 = &kd[(j + 3) * dh..(j + 4) * dh];
-                    let b4 = &kd[(j + 4) * dh..(j + 5) * dh];
-                    let b5 = &kd[(j + 5) * dh..(j + 6) * dh];
-                    let b6 = &kd[(j + 6) * dh..(j + 7) * dh];
-                    let b7 = &kd[(j + 7) * dh..(j + 8) * dh];
-                    let mut acc = [0.0f64; 8];
-                    for (kk, &x) in a_row.iter().enumerate() {
-                        acc[0] += x * b0[kk];
-                        acc[1] += x * b1[kk];
-                        acc[2] += x * b2[kk];
-                        acc[3] += x * b3[kk];
-                        acc[4] += x * b4[kk];
-                        acc[5] += x * b5[kk];
-                        acc[6] += x * b6[kk];
-                        acc[7] += x * b7[kk];
-                    }
-                    for (step, &a) in acc.iter().enumerate() {
-                        s_row[j + step] = a * scale;
-                    }
-                    j += 8;
-                }
-                for jr in j..jh {
-                    let b_row = &kd[jr * dh..(jr + 1) * dh];
-                    let mut acc = 0.0;
-                    for (&x, &y) in a_row.iter().zip(b_row) {
-                        acc += x * y;
-                    }
-                    s_row[jr] = acc * scale;
-                }
-            }
-        }
+    tile.resize(L1_TILE.min(m) * n, 0.0);
+    for ib in (0..m).step_by(L1_TILE) {
+        let ih = (ib + L1_TILE).min(m);
+        let tile = &mut tile[..(ih - ib) * n];
+        scores_from_kt(&q[ib * dh..ih * dh], dh, kt, n, scale, tile);
         // Softmax each score row in place (same helpers as the unmasked
         // kernel path).
-        for ti in 0..(ih - ib) {
-            let s_row = &mut tile[ti * n..(ti + 1) * n];
+        for s_row in tile.chunks_exact_mut(n.max(1)) {
             let mx = row_max(s_row);
             if !mx.is_finite() || mx <= MASK_NEG_THRESHOLD {
                 s_row.fill(0.0);
@@ -327,12 +379,44 @@ pub fn attention_head_into(
         // unchanged, `v` traffic is quartered). Common head widths get a
         // const-width instantiation so the inner loops fully unroll.
         match dh {
-            8 => weighted_value_sums::<8>(tile, n, ib, ih, vd, out.data_mut()),
-            12 => weighted_value_sums::<12>(tile, n, ib, ih, vd, out.data_mut()),
-            16 => weighted_value_sums::<16>(tile, n, ib, ih, vd, out.data_mut()),
-            _ => weighted_value_sums_dyn(tile, n, dh, ib, ih, vd, out.data_mut()),
+            8 => weighted_value_sums::<8>(tile, n, ib, ih, v, out),
+            12 => weighted_value_sums::<12>(tile, n, ib, ih, v, out),
+            16 => weighted_value_sums::<16>(tile, n, ib, ih, v, out),
+            _ => weighted_value_sums_dyn(tile, n, dh, ib, ih, v, out),
         }
     }
+}
+
+/// Unfused unmasked single-head attention that keeps what the fused
+/// kernel discards: `scores = q·kᵀ·scale`, `probs = softmax(scores)`,
+/// `out = probs·v`, each into its own pre-shaped tensor — the last
+/// block's VM→PM cross stage, whose head-averaged probabilities feed the
+/// PM actor. The three kernels are row-independent, so the rows go
+/// through [`crate::par::run_row_lanes`] like the fused head's; with
+/// `lanes = 1` this is exactly [`matmul_nt_scaled_into`] →
+/// [`masked_softmax_into`] → [`matmul_into`] on the full range.
+pub fn attention_probs_into(
+    q: &Tensor,
+    k: &Tensor,
+    v: &Tensor,
+    scale: f64,
+    lanes: usize,
+    [scores, probs, out]: [&mut Tensor; 3],
+) {
+    let (m, dh, n) = (q.rows(), q.cols(), k.rows());
+    assert_eq!(dh, k.cols(), "attention q/k width mismatch");
+    assert_eq!(n, v.rows(), "attention v shape mismatch");
+    let dv = v.cols();
+    assert_eq!((scores.rows(), scores.cols()), (m, n), "attention scores shape mismatch");
+    assert_eq!((probs.rows(), probs.cols()), (m, n), "attention probs shape mismatch");
+    assert_eq!((out.rows(), out.cols()), (m, dv), "attention output shape mismatch");
+    let (qd, kd, vd) = (q.data(), k.data(), v.data());
+    let outs = [(scores.data_mut(), n), (probs.data_mut(), n), (out.data_mut(), dv)];
+    run_row_lanes(m, outs, (0..lanes.max(1)).map(|_| ()), |rows, [s, p, o], ()| {
+        nt_scaled_rows(&qd[rows.start * dh..rows.end * dh], dh, kd, n, scale, s);
+        softmax_rows(s, n, p);
+        matmul_rows(p, n, vd, dv, o);
+    });
 }
 
 /// The fused attention kernel's output phase with a compile-time head
@@ -434,30 +518,7 @@ pub fn matmul_sparse_into(a: &Tensor, b: &Tensor, out: &mut Tensor) {
 pub fn masked_softmax_into(x: &Tensor, mask: Option<&Tensor>, out: &mut Tensor) {
     assert_eq!((out.rows(), out.cols()), (x.rows(), x.cols()), "softmax output shape mismatch");
     let Some(mask) = mask else {
-        // Unmasked fast path: identical arithmetic with the additive mask
-        // pinned to 0.0 (`v + 0.0` and `v` are the same value — the sign
-        // of zero cannot survive the compare/exp that consume it), minus
-        // the per-element mask load and threshold test.
-        for r in 0..x.rows() {
-            let row = x.row_slice(r);
-            let o_row = &mut out.data_mut()[r * row.len()..(r + 1) * row.len()];
-            let mx = row_max(row);
-            if !mx.is_finite() || mx <= MASK_NEG_THRESHOLD {
-                o_row.fill(0.0);
-                continue;
-            }
-            // Exponentials first (independent elements), then a striped
-            // normalizer sum: splitting the passes keeps the exp calls
-            // off the z dependency chain.
-            for (o, &v) in o_row.iter_mut().zip(row) {
-                *o = exp_shifted(v - mx);
-            }
-            let inv = 1.0 / striped_sum(o_row);
-            for o in o_row.iter_mut() {
-                *o *= inv;
-            }
-        }
-        return;
+        return softmax_rows(x.data(), x.cols(), out.data_mut());
     };
     assert_eq!(x.rows(), mask.rows(), "mask row mismatch");
     assert_eq!(x.cols(), mask.cols(), "mask col mismatch");
@@ -480,6 +541,31 @@ pub fn masked_softmax_into(x: &Tensor, mask: Option<&Tensor>, out: &mut Tensor) 
             z += e;
         }
         let inv = 1.0 / z;
+        for o in o_row.iter_mut() {
+            *o *= inv;
+        }
+    }
+}
+
+/// Unmasked row-wise softmax over row-major slices of width `n`:
+/// identical arithmetic to the masked path with the additive mask pinned
+/// to 0.0 (`v + 0.0` and `v` are the same value — the sign of zero cannot
+/// survive the compare/exp that consume it), minus the per-element mask
+/// load and threshold test.
+fn softmax_rows(x: &[f64], n: usize, out: &mut [f64]) {
+    for (row, o_row) in x.chunks_exact(n.max(1)).zip(out.chunks_exact_mut(n.max(1))) {
+        let mx = row_max(row);
+        if !mx.is_finite() || mx <= MASK_NEG_THRESHOLD {
+            o_row.fill(0.0);
+            continue;
+        }
+        // Exponentials first (independent elements), then a striped
+        // normalizer sum: splitting the passes keeps the exp calls off
+        // the z dependency chain.
+        for (o, &v) in o_row.iter_mut().zip(row) {
+            *o = exp_shifted(v - mx);
+        }
+        let inv = 1.0 / striped_sum(o_row);
         for o in o_row.iter_mut() {
             *o *= inv;
         }
@@ -650,12 +736,16 @@ pub fn layer_norm_into(x: &Tensor, eps: f64, out: &mut Tensor) {
 pub fn transpose_into(x: &Tensor, out: &mut Tensor) {
     let (r, c) = (x.rows(), x.cols());
     assert_eq!((out.rows(), out.cols()), (c, r), "transpose output shape mismatch");
+    transpose_rows(x.data(), r, c, out.data_mut());
+}
+
+/// [`transpose_into`] over row-major slices (`xd` is `r × c`, `od`
+/// becomes `c × r`).
+fn transpose_rows(xd: &[f64], r: usize, c: usize, od: &mut [f64]) {
     // Square tile edge shared with the f32 GEMM blocking (`L1_TILE`):
     // 32×32 f64 tiles (8 KiB in + 8 KiB out) keep both the read rows and
     // the written columns L1-resident.
     const TB: usize = L1_TILE;
-    let xd = x.data();
-    let od = out.data_mut();
     for rb in (0..r).step_by(TB) {
         let rh = (rb + TB).min(r);
         for cb in (0..c).step_by(TB) {

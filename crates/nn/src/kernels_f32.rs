@@ -18,6 +18,7 @@
 //! reproducibility against the f64 path.
 
 use crate::kernels::L1_TILE;
+use crate::par::{run_row_lanes, AttnScratch, HeadInputs};
 use crate::tensor32::Tensor32;
 
 /// f32 analog of [`crate::kernels::MASK_NEG_THRESHOLD`].
@@ -63,24 +64,30 @@ pub fn matmul_into(a: &Tensor32, b: &Tensor32, out: &mut Tensor32) {
     let (m, k, n) = (a.rows(), a.cols(), b.cols());
     assert_eq!(k, b.rows(), "matmul inner dimension mismatch");
     assert_eq!((out.rows(), out.cols()), (m, n), "matmul output shape mismatch");
-    let bd = b.data();
+    matmul_rows(a.data(), k, b.data(), n, out.data_mut());
+}
+
+/// [`matmul_into`] over row-major slices: `a` holds `out.len() / n` rows
+/// of width `k`. Rows are independent, so any contiguous row range of
+/// `a`/`out` yields the bits it would inside the full product — the unit
+/// [`crate::par::run_row_lanes`] hands a lane.
+fn matmul_rows(a: &[f32], k: usize, bd: &[f32], n: usize, out: &mut [f32]) {
     if n <= 16 {
         // Head-width outputs get const-width instantiations whose inner
         // loops fully unroll, like the f64 twin's `matmul_narrow`.
         return match n {
-            8 => matmul_narrow::<8>(a, bd, out),
-            12 => matmul_narrow::<12>(a, bd, out),
-            16 => matmul_narrow::<16>(a, bd, out),
-            _ => matmul_narrow_dyn(a, bd, n, out),
+            8 => matmul_narrow::<8>(a, k, bd, out),
+            12 => matmul_narrow::<12>(a, k, bd, out),
+            16 => matmul_narrow::<16>(a, k, bd, out),
+            _ => matmul_narrow_dyn(a, k, bd, n, out),
         };
     }
     for jb in (0..n).step_by(NB) {
         let jh = (jb + NB).min(n);
-        for i in 0..m {
-            let a_row = a.row_slice(i);
-            let o_row = &mut out.data_mut()[i * n + jb..i * n + jh];
+        for (i, o_row) in out.chunks_exact_mut(n).enumerate() {
+            let o_row = &mut o_row[jb..jh];
             o_row.fill(0.0);
-            for (kk, &av) in a_row.iter().enumerate() {
+            for (kk, &av) in a[i * k..(i + 1) * k].iter().enumerate() {
                 axpy8(av, &bd[kk * n + jb..kk * n + jh], o_row);
             }
         }
@@ -90,12 +97,12 @@ pub fn matmul_into(a: &Tensor32, b: &Tensor32, out: &mut Tensor32) {
 /// Narrow-output f32 matmul with a compile-time width: two rows of `a`
 /// per `b` pass, stack accumulators, fully unrollable lane loops
 /// (attention `probs · V` at a head width).
-fn matmul_narrow<const N: usize>(a: &Tensor32, bd: &[f32], out: &mut Tensor32) {
-    let m = a.rows();
+fn matmul_narrow<const N: usize>(a: &[f32], k: usize, bd: &[f32], out: &mut [f32]) {
+    let m = out.len() / N;
     let mut i = 0;
     while i + 2 <= m {
-        let a0 = a.row_slice(i);
-        let a1 = a.row_slice(i + 1);
+        let a0 = &a[i * k..(i + 1) * k];
+        let a1 = &a[(i + 1) * k..(i + 2) * k];
         let mut acc0 = [0.0f32; N];
         let mut acc1 = [0.0f32; N];
         for (kk, (&x0, &x1)) in a0.iter().zip(a1).enumerate() {
@@ -105,12 +112,12 @@ fn matmul_narrow<const N: usize>(a: &Tensor32, bd: &[f32], out: &mut Tensor32) {
                 acc1[l] += x1 * b_row[l];
             }
         }
-        out.data_mut()[i * N..(i + 1) * N].copy_from_slice(&acc0);
-        out.data_mut()[(i + 1) * N..(i + 2) * N].copy_from_slice(&acc1);
+        out[i * N..(i + 1) * N].copy_from_slice(&acc0);
+        out[(i + 1) * N..(i + 2) * N].copy_from_slice(&acc1);
         i += 2;
     }
     if i < m {
-        let a_row = a.row_slice(i);
+        let a_row = &a[i * k..(i + 1) * k];
         let mut acc = [0.0f32; N];
         for (kk, &av) in a_row.iter().enumerate() {
             let b_row: &[f32; N] = bd[kk * N..(kk + 1) * N].try_into().expect("width");
@@ -118,16 +125,16 @@ fn matmul_narrow<const N: usize>(a: &Tensor32, bd: &[f32], out: &mut Tensor32) {
                 acc[l] += av * b_row[l];
             }
         }
-        out.data_mut()[i * N..(i + 1) * N].copy_from_slice(&acc);
+        out[i * N..(i + 1) * N].copy_from_slice(&acc);
     }
 }
 
 /// Runtime-width fallback of [`matmul_narrow`] (odd head widths).
-fn matmul_narrow_dyn(a: &Tensor32, bd: &[f32], n: usize, out: &mut Tensor32) {
-    let m = a.rows();
+fn matmul_narrow_dyn(a: &[f32], k: usize, bd: &[f32], n: usize, out: &mut [f32]) {
+    let m = out.len().checked_div(n).unwrap_or(0);
     let mut acc = [0.0f32; 16];
     for i in 0..m {
-        let a_row = a.row_slice(i);
+        let a_row = &a[i * k..(i + 1) * k];
         acc[..n].fill(0.0);
         for (kk, &av) in a_row.iter().enumerate() {
             let b_row = &bd[kk * n..(kk + 1) * n];
@@ -135,36 +142,46 @@ fn matmul_narrow_dyn(a: &Tensor32, bd: &[f32], n: usize, out: &mut Tensor32) {
                 *o += av * bv;
             }
         }
-        out.data_mut()[i * n..(i + 1) * n].copy_from_slice(&acc[..n]);
+        out[i * n..(i + 1) * n].copy_from_slice(&acc[..n]);
     }
 }
 
+/// Whether a `m × n` score product materializes `bᵀ`: large outputs do
+/// (an `O(n·k)` scratch against the `O(m·n·k)` product) so the inner
+/// loop becomes contiguous [`axpy8`] passes — strided eight-dot blocks
+/// cannot vectorize without gather loads, which the SSE2 baseline lacks.
+/// Small outputs keep the direct dot-product path; the scratch would
+/// cost more than it saves. Both paths feed each element one accumulator
+/// in ascending `k` order.
+fn scores_want_transpose(m: usize, n: usize) -> bool {
+    n >= 32 && m >= 4
+}
+
 /// `out = (a · bᵀ) * alpha` (f32) — the attention-score kernel. Shape
-/// checks match [`crate::kernels::matmul_nt_scaled_into`] exactly.
-///
-/// Large outputs materialize `bᵀ` once (an `O(n·k)` scratch against the
-/// `O(m·n·k)` product) so the inner loop becomes contiguous [`axpy8`]
-/// passes — strided eight-dot blocks cannot vectorize without gather
-/// loads, which the SSE2 baseline lacks. Small outputs keep the direct
-/// dot-product path; the scratch would cost more than it saves.
+/// checks match [`crate::kernels::matmul_nt_scaled_into`] exactly; see
+/// [`scores_want_transpose`] for the two paths.
 pub fn matmul_nt_scaled_into(a: &Tensor32, b: &Tensor32, alpha: f32, out: &mut Tensor32) {
     let (m, k, n) = (a.rows(), a.cols(), b.rows());
     assert_eq!(k, b.cols(), "matmul_nt inner dimension mismatch");
     assert_eq!((out.rows(), out.cols()), (m, n), "matmul_nt output shape mismatch");
-    if n >= 32 && m >= 4 {
+    if scores_want_transpose(m, n) {
         let mut bt = vec![0.0f32; k * n];
         transpose_into(b.data(), n, k, &mut bt);
-        return matmul_t_scaled(a, &bt, alpha, out);
+        return t_scaled_rows(a.data(), k, &bt, n, alpha, out.data_mut());
     }
+    nt_scaled_rows(a.data(), k, b.data(), n, alpha, out.data_mut());
+}
+
+/// The direct dot-product path of [`matmul_nt_scaled_into`] over
+/// row-major slices (`a` holds `out.len() / n` rows of width `k`).
+fn nt_scaled_rows(a: &[f32], k: usize, bd: &[f32], n: usize, alpha: f32, out: &mut [f32]) {
     /// Rows of `b` per tile (tile bytes ≈ 64 · k · 4; k is a head width
     /// here, so tiles stay well inside L1).
     const JB: usize = 64;
-    let bd = b.data();
     for jb in (0..n).step_by(JB) {
         let jh = (jb + JB).min(n);
-        for i in 0..m {
-            let a_row = a.row_slice(i);
-            let o_row = &mut out.data_mut()[i * n..(i + 1) * n];
+        for (i, o_row) in out.chunks_exact_mut(n).enumerate() {
+            let a_row = &a[i * k..(i + 1) * k];
             let mut j = jb;
             while j + 8 <= jh {
                 let b0 = &bd[j * k..(j + 1) * k];
@@ -216,23 +233,26 @@ fn transpose_into(src: &[f32], rows: usize, cols: usize, dst: &mut [f32]) {
     }
 }
 
-/// `out = (a · bt) * alpha` where `bt` is already transposed (`k × n`
-/// row-major): contiguous-axpy GEMM over [`L1_TILE`]-sized column blocks
-/// of `bt`, so a block (`k · 512` f32s at head widths) stays L1-resident
+/// `out = (a · bt) * alpha` over row-major slices, where `bt` is already
+/// transposed (`k × n`): contiguous-axpy GEMM over column blocks of
+/// `bt`, so a block (`k · 512` f32s at head widths) stays L1-resident
 /// across all rows of `a`. Scale is applied in a separate pass to keep
 /// the per-element rounding profile of the direct path.
-fn matmul_t_scaled(a: &Tensor32, bt: &[f32], alpha: f32, out: &mut Tensor32) {
-    let m = a.rows();
-    let n = out.cols();
+///
+/// Forced inline: the fused head calls this once per score tile, and
+/// out of line that call measured 7 % slower per head than the loop
+/// written in place (M = 250 and M = 2000, dh = 12); `#[inline]` alone
+/// did not move it.
+#[inline(always)]
+fn t_scaled_rows(a: &[f32], k: usize, bt: &[f32], n: usize, alpha: f32, out: &mut [f32]) {
     /// Columns per block: `k` head-width rows of 2 KiB stay L1-resident.
     const JB: usize = 512;
     for jb in (0..n).step_by(JB) {
         let jh = (jb + JB).min(n);
-        for i in 0..m {
-            let a_row = a.row_slice(i);
-            let o_row = &mut out.data_mut()[i * n + jb..i * n + jh];
+        for (i, o_row) in out.chunks_exact_mut(n).enumerate() {
+            let o_row = &mut o_row[jb..jh];
             o_row.fill(0.0);
-            for (kk, &av) in a_row.iter().enumerate() {
+            for (kk, &av) in a[i * k..(i + 1) * k].iter().enumerate() {
                 axpy8(av, &bt[kk * n + jb..kk * n + jh], o_row);
             }
             for o in o_row.iter_mut() {
@@ -243,57 +263,59 @@ fn matmul_t_scaled(a: &Tensor32, bt: &[f32], alpha: f32, out: &mut Tensor32) {
 }
 
 /// Fused single-head attention (f32): `out = softmax(q·kᵀ·scale)·v`
-/// through an L1-resident score tile, mirroring
-/// [`crate::kernels::attention_head_into`]. `kᵀ` is materialized once in
-/// the scratch so score rows are produced by contiguous [`axpy8`] passes
-/// over [`L1_TILE`]-row tiles, softmaxed in place with the polynomial
-/// [`exp_shifted`], and folded into probability-weighted value sums four
-/// rows per `v` pass (const-width at the supported head widths).
+/// through L1-resident score tiles, mirroring
+/// [`crate::kernels::attention_head_into`] — row-parallel over `lanes`
+/// lanes through the same [`crate::par::run_row_lanes`], same output for
+/// every lane count. `kᵀ` is materialized once in the scratch so score
+/// rows are produced by contiguous [`axpy8`] passes over [`L1_TILE`]-row
+/// tiles, softmaxed in place with the polynomial [`exp_shifted`], and
+/// folded into probability-weighted value sums four rows per `v` pass
+/// (const-width at the supported head widths).
 pub fn attention_head_into(
     q: &Tensor32,
     k: &Tensor32,
     v: &Tensor32,
     scale: f32,
-    tile: &mut Vec<f32>,
+    lanes: usize,
+    scratch: &mut AttnScratch<f32>,
     out: &mut Tensor32,
 ) {
     let (m, dh, n) = (q.rows(), q.cols(), k.rows());
     assert_eq!(dh, k.cols(), "attention q/k width mismatch");
     assert_eq!((v.rows(), v.cols()), (n, dh), "attention v shape mismatch");
     assert_eq!((out.rows(), out.cols()), (m, dh), "attention output shape mismatch");
-    assert!(dh <= 16, "fused attention head supports widths up to 16");
-    /// Score rows held at once (`TILE_ROWS · n` scratch f32s — half the
-    /// bytes of the f64 tile at the same row count).
-    const TILE_ROWS: usize = L1_TILE;
-    // Scratch layout: the score tile, then `kᵀ` (`dh × n`) so the score
-    // phase runs as contiguous axpy passes (see [`matmul_t_scaled`] for
-    // why the strided dot-product shape cannot vectorize).
-    tile.clear();
-    tile.resize(TILE_ROWS * n + dh * n, 0.0);
-    let (stile, kt) = tile.split_at_mut(TILE_ROWS * n);
+    assert!((1..=16).contains(&dh), "fused attention head supports widths 1 to 16");
+    let AttnScratch { kt, tiles } = scratch;
+    kt.clear();
+    kt.resize(dh * n, 0.0);
     transpose_into(k.data(), n, dh, kt);
-    let vd = v.data();
-    for ib in (0..m).step_by(TILE_ROWS) {
-        let ih = (ib + TILE_ROWS).min(m);
-        /// Score columns per block: `dh` kᵀ rows of 2 KiB stay
-        /// L1-resident across the tile's query rows.
-        const JB: usize = 512;
-        for jb in (0..n).step_by(JB) {
-            let jh = (jb + JB).min(n);
-            for i in ib..ih {
-                let a_row = q.row_slice(i);
-                let s_row = &mut stile[(i - ib) * n + jb..(i - ib) * n + jh];
-                s_row.fill(0.0);
-                for (kk, &x) in a_row.iter().enumerate() {
-                    axpy8(x, &kt[kk * n + jb..kk * n + jh], s_row);
-                }
-                for s in s_row.iter_mut() {
-                    *s *= scale;
-                }
-            }
-        }
-        for ti in 0..(ih - ib) {
-            let s_row = &mut stile[ti * n..(ti + 1) * n];
+    // The driver clamps to the row-tile count; surplus tiles stay empty.
+    let lanes = lanes.max(1);
+    if tiles.len() < lanes {
+        tiles.resize_with(lanes, Vec::new);
+    }
+    let head = HeadInputs { kt, v: v.data(), n, dh, scale };
+    let qd = q.data();
+    run_row_lanes(m, [(out.data_mut(), dh)], tiles[..lanes].iter_mut(), |rows, [o], tile| {
+        attention_rows(&head, &qd[rows.start * dh..rows.end * dh], tile, o);
+    });
+}
+
+/// The fused head over one lane's query rows, [`L1_TILE`] rows at a time.
+fn attention_rows(head: &HeadInputs<f32>, q: &[f32], tile: &mut Vec<f32>, out: &mut [f32]) {
+    let HeadInputs { kt, v, n, dh, scale } = *head;
+    let m = q.len() / dh;
+    // Half the bytes of the f64 tile at the same row count.
+    tile.clear();
+    tile.resize(L1_TILE.min(m) * n, 0.0);
+    for ib in (0..m).step_by(L1_TILE) {
+        let ih = (ib + L1_TILE).min(m);
+        let tile = &mut tile[..(ih - ib) * n];
+        // The score phase is the transposed score kernel on this tile
+        // (see [`scores_want_transpose`] for why the strided dot-product
+        // shape cannot vectorize).
+        t_scaled_rows(&q[ib * dh..ih * dh], dh, kt, n, scale, tile);
+        for s_row in tile.chunks_exact_mut(n.max(1)) {
             let mx = row_max(s_row);
             if !mx.is_finite() || mx <= MASK_NEG_THRESHOLD_F32 {
                 s_row.fill(0.0);
@@ -308,12 +330,54 @@ pub fn attention_head_into(
             }
         }
         match dh {
-            8 => weighted_value_sums::<8>(stile, n, ib, ih, vd, out.data_mut()),
-            12 => weighted_value_sums::<12>(stile, n, ib, ih, vd, out.data_mut()),
-            16 => weighted_value_sums::<16>(stile, n, ib, ih, vd, out.data_mut()),
-            _ => weighted_value_sums_dyn(stile, n, dh, ib, ih, vd, out.data_mut()),
+            8 => weighted_value_sums::<8>(tile, n, ib, ih, v, out),
+            12 => weighted_value_sums::<12>(tile, n, ib, ih, v, out),
+            16 => weighted_value_sums::<16>(tile, n, ib, ih, v, out),
+            _ => weighted_value_sums_dyn(tile, n, dh, ib, ih, v, out),
         }
     }
+}
+
+/// Unfused unmasked single-head attention that keeps its scores and
+/// probabilities (f32 twin of [`crate::kernels::attention_probs_into`]):
+/// [`matmul_nt_scaled_into`] → [`masked_softmax_into`] → [`matmul_into`]
+/// run per lane on its row range. The score path is chosen once, from
+/// the full shape, and `kᵀ` (when wanted) is built once in `kt` and
+/// shared, so a cut never changes which code computes a row.
+pub fn attention_probs_into(
+    q: &Tensor32,
+    k: &Tensor32,
+    v: &Tensor32,
+    scale: f32,
+    lanes: usize,
+    kt: &mut Vec<f32>,
+    [scores, probs, out]: [&mut Tensor32; 3],
+) {
+    let (m, dh, n) = (q.rows(), q.cols(), k.rows());
+    assert_eq!(dh, k.cols(), "attention q/k width mismatch");
+    assert_eq!(n, v.rows(), "attention v shape mismatch");
+    let dv = v.cols();
+    assert_eq!((scores.rows(), scores.cols()), (m, n), "attention scores shape mismatch");
+    assert_eq!((probs.rows(), probs.cols()), (m, n), "attention probs shape mismatch");
+    assert_eq!((out.rows(), out.cols()), (m, dv), "attention output shape mismatch");
+    let transposed = scores_want_transpose(m, n);
+    if transposed {
+        kt.clear();
+        kt.resize(dh * n, 0.0);
+        transpose_into(k.data(), n, dh, kt);
+    }
+    let (qd, kd, vd, kt) = (q.data(), k.data(), v.data(), &kt[..]);
+    let outs = [(scores.data_mut(), n), (probs.data_mut(), n), (out.data_mut(), dv)];
+    run_row_lanes(m, outs, (0..lanes.max(1)).map(|_| ()), |rows, [s, p, o], ()| {
+        let q_rows = &qd[rows.start * dh..rows.end * dh];
+        if transposed {
+            t_scaled_rows(q_rows, dh, kt, n, scale, s);
+        } else {
+            nt_scaled_rows(q_rows, dh, kd, n, scale, s);
+        }
+        softmax_rows(s, n, p);
+        matmul_rows(p, n, vd, dv, o);
+    });
 }
 
 /// Const-width output phase of the fused attention kernel: probability-
@@ -413,23 +477,7 @@ pub fn matmul_sparse_into(a: &Tensor32, b: &Tensor32, out: &mut Tensor32) {
 pub fn masked_softmax_into(x: &Tensor32, mask: Option<&Tensor32>, out: &mut Tensor32) {
     assert_eq!((out.rows(), out.cols()), (x.rows(), x.cols()), "softmax output shape mismatch");
     let Some(mask) = mask else {
-        for r in 0..x.rows() {
-            let row = x.row_slice(r);
-            let o_row = &mut out.data_mut()[r * row.len()..(r + 1) * row.len()];
-            let mx = row_max(row);
-            if !mx.is_finite() || mx <= MASK_NEG_THRESHOLD_F32 {
-                o_row.fill(0.0);
-                continue;
-            }
-            for (o, &v) in o_row.iter_mut().zip(row) {
-                *o = exp_shifted(v - mx);
-            }
-            let inv = 1.0 / striped_sum(o_row);
-            for o in o_row.iter_mut() {
-                *o *= inv;
-            }
-        }
-        return;
+        return softmax_rows(x.data(), x.cols(), out.data_mut());
     };
     assert_eq!(x.rows(), mask.rows(), "mask row mismatch");
     assert_eq!(x.cols(), mask.cols(), "mask col mismatch");
@@ -452,6 +500,24 @@ pub fn masked_softmax_into(x: &Tensor32, mask: Option<&Tensor32>, out: &mut Tens
             z += e;
         }
         let inv = 1.0 / z;
+        for o in o_row.iter_mut() {
+            *o *= inv;
+        }
+    }
+}
+
+/// Unmasked row-wise softmax over row-major slices of width `n`.
+fn softmax_rows(x: &[f32], n: usize, out: &mut [f32]) {
+    for (row, o_row) in x.chunks_exact(n.max(1)).zip(out.chunks_exact_mut(n.max(1))) {
+        let mx = row_max(row);
+        if !mx.is_finite() || mx <= MASK_NEG_THRESHOLD_F32 {
+            o_row.fill(0.0);
+            continue;
+        }
+        for (o, &v) in o_row.iter_mut().zip(row) {
+            *o = exp_shifted(v - mx);
+        }
+        let inv = 1.0 / striped_sum(o_row);
         for o in o_row.iter_mut() {
             *o *= inv;
         }
@@ -695,9 +761,8 @@ mod tests {
         let k = rand_t32(n, dh, &mut rng);
         let v = rand_t32(n, dh, &mut rng);
         let scale = 1.0 / (dh as f32).sqrt();
-        let mut tile = Vec::new();
         let mut fused = Tensor32::zeros(m, dh);
-        attention_head_into(&q, &k, &v, scale, &mut tile, &mut fused);
+        attention_head_into(&q, &k, &v, scale, 1, &mut AttnScratch::default(), &mut fused);
         let mut scores = Tensor32::zeros(m, n);
         matmul_nt_scaled_into(&q, &k, scale, &mut scores);
         let mut probs = Tensor32::zeros(m, n);

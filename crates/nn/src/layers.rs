@@ -317,20 +317,23 @@ impl MultiHeadAttention {
             let q = ctx.slice_cols(q_all, h * dh, dh);
             let k = ctx.slice_cols(k_all, h * dh, dh);
             let v = ctx.slice_cols(v_all, h * dh, dh);
-            if mask.is_none() && !want_probs && dh <= 16 {
+            let (out, probs) = match mask {
                 // Self-attention stages discard their probabilities: run
                 // the fused tiled kernel and never materialize the n×n
                 // score/probability matrices.
-                let out = ctx.attention_head(q, k, v, scale);
-                ctx.write_cols(concat, out, h * dh);
-                continue;
-            }
-            let scores = ctx.matmul_nt_scaled(q, k, scale);
-            let probs = ctx.masked_softmax(scores, mask);
-            let out =
-                if mask.is_some() { ctx.matmul_sparse(probs, v) } else { ctx.matmul(probs, v) };
+                None if !want_probs && dh <= 16 => (ctx.attention_head(q, k, v, scale), None),
+                None => {
+                    let (out, probs) = ctx.attention_head_probs(q, k, v, scale);
+                    (out, Some(probs))
+                }
+                Some(mask) => {
+                    let scores = ctx.matmul_nt_scaled(q, k, scale);
+                    let probs = ctx.masked_softmax(scores, Some(mask));
+                    (ctx.matmul_sparse(probs, v), Some(probs))
+                }
+            };
             ctx.write_cols(concat, out, h * dh);
-            if want_probs {
+            if let (true, Some(probs)) = (want_probs, probs) {
                 match probs_avg {
                     Some(acc) => ctx.add_assign(acc, probs),
                     None => probs_avg = Some(probs),

@@ -58,6 +58,7 @@ pub mod layers;
 pub mod layers_f32;
 pub mod lora;
 pub mod optim;
+pub mod par;
 pub mod tensor;
 pub mod tensor32;
 

@@ -67,6 +67,11 @@ impl Tensor {
         self.data.len()
     }
 
+    /// Elements the backing buffer has reserved (arena-growth checks).
+    pub(crate) fn capacity(&self) -> usize {
+        self.data.capacity()
+    }
+
     /// True when the tensor has no elements.
     #[inline]
     pub fn is_empty(&self) -> bool {

@@ -61,6 +61,11 @@ impl Tensor32 {
         self.data.len()
     }
 
+    /// Elements the backing buffer has reserved (arena-growth checks).
+    pub(crate) fn capacity(&self) -> usize {
+        self.data.capacity()
+    }
+
     /// True when the tensor holds no elements.
     pub fn is_empty(&self) -> bool {
         self.data.is_empty()

@@ -20,6 +20,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use vmr_nn::kernels;
 use vmr_nn::kernels_f32;
+use vmr_nn::par::AttnScratch;
 use vmr_nn::tensor::Tensor;
 use vmr_nn::tensor32::Tensor32;
 
@@ -226,12 +227,12 @@ proptest! {
         let (k32, k64) = rand_pair(n, dh, &mut rng);
         let (v32, v64) = rand_pair(n, dh, &mut rng);
         let scale = 1.0 / (dh as f32).sqrt();
-        let mut tile32 = Vec::new();
-        let mut tile64 = Vec::new();
+        let mut s32 = AttnScratch::default();
+        let mut s64 = AttnScratch::default();
         let mut out32 = Tensor32::zeros(m, dh);
         let mut out64 = Tensor::zeros(m, dh);
-        kernels_f32::attention_head_into(&q32, &k32, &v32, scale, &mut tile32, &mut out32);
-        kernels::attention_head_into(&q64, &k64, &v64, f64::from(scale), &mut tile64, &mut out64);
+        kernels_f32::attention_head_into(&q32, &k32, &v32, scale, 1, &mut s32, &mut out32);
+        kernels::attention_head_into(&q64, &k64, &v64, f64::from(scale), 1, &mut s64, &mut out64);
         let tol = 2e-5 * 1.5 * n as f64 + (n as f64 + 2.0) * U * 1.5;
         for i in 0..m {
             for j in 0..dh {

@@ -113,6 +113,11 @@ impl PlanPolicy for AgentPolicy {
         let mut ictx = InferCtx::new();
         let mut plan = Vec::new();
         let _in_flight = self.batcher.plan_guard();
+        // Counted busy for the whole plan, not just inside its kernels:
+        // a second plan in flight (another server worker, another fleet
+        // shard) must see this core as taken between attention calls
+        // too, or the two would trade the same idle core back and forth.
+        let _busy = vmr_nn::par::forward();
         let fast32 = req.precision == PrecisionConfig::Fast32;
         while !env.is_done() {
             ictx.prepare_from_env(env);

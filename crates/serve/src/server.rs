@@ -308,6 +308,8 @@ pub struct ServerHandle {
     shared: Arc<Shared>,
     acceptor: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
+    /// The connection queue's sender (shutdown posts the stop sentinels).
+    queue: SyncSender<Option<TcpStream>>,
     recovery_report: Option<String>,
 }
 
@@ -335,6 +337,15 @@ impl ServerHandle {
         // Unblock workers parked in blocking reads on live connections.
         for (_, stream) in self.shared.conns.lock_recover().iter() {
             let _ = stream.shutdown(std::net::Shutdown::Both);
+        }
+        // One sentinel per worker wakes the pool at once. The receiver
+        // sits behind a mutex that the waiting worker holds across its
+        // `recv_timeout`, so without a message the workers would time
+        // out one after another: `threads × READ_POLL` to stop. A full
+        // queue takes no sentinel, and needs none — the workers are
+        // awake draining it and fall back on the stop flag.
+        for _ in 0..self.workers.len() {
+            let _ = self.queue.try_send(None);
         }
         for h in self.workers.drain(..) {
             let _ = h.join();
@@ -431,7 +442,9 @@ pub fn serve(config: ServerConfig) -> io::Result<ServerHandle> {
         events,
     });
 
-    let (tx, rx): (SyncSender<TcpStream>, Receiver<TcpStream>) = sync_channel(threads * 4);
+    // `None` is the stop sentinel (see `ServerHandle::shutdown`).
+    let (tx, rx): (SyncSender<Option<TcpStream>>, Receiver<Option<TcpStream>>) =
+        sync_channel(threads * 4);
     let rx = Arc::new(Mutex::new(rx));
     let mut workers = Vec::with_capacity(threads);
     for _ in 0..threads {
@@ -447,7 +460,8 @@ pub fn serve(config: ServerConfig) -> io::Result<ServerHandle> {
                 guard.recv_timeout(READ_POLL)
             };
             match stream {
-                Ok(stream) => {
+                Ok(None) => break,
+                Ok(Some(stream)) => {
                     shared.metrics.queue_depth.add(-1);
                     if shared.stop.load(Ordering::SeqCst) {
                         continue; // drain the queue without serving
@@ -466,9 +480,9 @@ pub fn serve(config: ServerConfig) -> io::Result<ServerHandle> {
                             // others — a few silent peers must not pin
                             // the whole pool. If the queue is full, keep
                             // serving it here.
-                            match requeue.try_send(idle) {
+                            match requeue.try_send(Some(idle)) {
                                 Ok(()) => shared.metrics.queue_depth.add(1),
-                                Err(std::sync::mpsc::TrySendError::Full(s)) => current = Some(s),
+                                Err(std::sync::mpsc::TrySendError::Full(s)) => current = s,
                                 Err(std::sync::mpsc::TrySendError::Disconnected(_)) => {}
                             }
                         }
@@ -484,6 +498,7 @@ pub fn serve(config: ServerConfig) -> io::Result<ServerHandle> {
         }));
     }
 
+    let queue = tx.clone();
     let acceptor = {
         let shared = Arc::clone(&shared);
         std::thread::spawn(move || {
@@ -495,7 +510,7 @@ pub fn serve(config: ServerConfig) -> io::Result<ServerHandle> {
                     // Count the connection as queued before handing it
                     // over so a worker's decrement cannot race ahead.
                     shared.metrics.queue_depth.add(1);
-                    if tx.send(stream).is_err() {
+                    if tx.send(Some(stream)).is_err() {
                         shared.metrics.queue_depth.add(-1);
                         break;
                     }
@@ -505,7 +520,7 @@ pub fn serve(config: ServerConfig) -> io::Result<ServerHandle> {
         })
     };
 
-    Ok(ServerHandle { addr, shared, acceptor: Some(acceptor), workers, recovery_report })
+    Ok(ServerHandle { addr, shared, acceptor: Some(acceptor), workers, queue, recovery_report })
 }
 
 /// How often a worker parked on an idle connection wakes to check the
@@ -1069,6 +1084,16 @@ fn op_metrics(shared: &Shared, p: MetricsParams) -> OpResult {
     extra.push_counter("serve_recoveries", shared.recoveries);
     extra.push_gauge("serve_sessions", shared.sessions.lock_recover().len() as i64);
     extra.push_gauge("serve_uptime_ms", shared.started.elapsed().as_millis() as i64);
+    // Intra-plan parallelism (process-wide, like the library registry):
+    // "this plan ran on one lane because two plans were in flight" reads
+    // as `denied` rising while `parallel_calls` stands still.
+    let par = vmr_nn::par::global().stats();
+    extra.push_counter("nn_par_parallel_calls", par.parallel_calls);
+    extra.push_counter("nn_par_lanes_granted", par.lanes_granted);
+    extra.push_counter("nn_par_denied", par.denied);
+    extra.push_counter("nn_par_under_cutover", par.under_cutover);
+    extra.push_gauge("nn_par_cores", vmr_nn::par::global().cores() as i64);
+    extra.push_gauge("nn_par_busy", vmr_nn::par::global().busy() as i64);
     snapshot.merge(extra);
     let prometheus = p.prometheus.then(|| snapshot.to_prometheus());
     Ok(Reply::Metrics(MetricsReply { snapshot, prometheus }))

@@ -251,3 +251,23 @@ fn restore_validates_snapshots_like_the_delta_path() {
     client.restore("res", good).expect("valid snapshot restores");
     handle.shutdown();
 }
+
+/// Stopping the daemon wakes every worker at once. The workers share
+/// one receiver behind a mutex and wait on it with a 500 ms poll; left
+/// to time out they stop one after another, `threads × 500 ms` in all.
+#[test]
+fn shutdown_wakes_all_workers_at_once() {
+    let handle = serve(ServerConfig { threads: 4, ..Default::default() }).unwrap();
+    // One idle peer parks a worker in a blocking read; the other three
+    // wait on the queue.
+    let mut idle = TcpStream::connect(handle.addr()).unwrap();
+    idle.write_all(b"{\"v\":5,\"id\":1,\"op\":{\"Stats\":{\"session\":\"\"}}}\n").unwrap();
+    read_response(&mut BufReader::new(idle.try_clone().unwrap()));
+    let t0 = std::time::Instant::now();
+    handle.shutdown();
+    let took = t0.elapsed();
+    assert!(
+        took < std::time::Duration::from_millis(250),
+        "a 4-thread daemon took {took:?} to stop (one poll interval is 500 ms)"
+    );
+}
