@@ -15,8 +15,10 @@
 //!
 //! Each iteration evaluates the best move of each type and applies the
 //! one with the highest objective gain *per migration consumed*,
-//! stopping when no move improves or the MNL budget runs out. The search
-//! is deterministic.
+//! stopping when no move improves, the MNL budget runs out, or the
+//! wall-clock limit passes. Without a time limit the search is
+//! deterministic; under one it returns the (deterministic) prefix of
+//! moves it had applied when the limit passed.
 
 use std::time::{Duration, Instant};
 
@@ -67,15 +69,32 @@ pub struct SwapSearchConfig {
     pub pair_candidates: usize,
     /// Minimum objective gain for a move to be applied.
     pub min_gain: f64,
+    /// Wall-clock budget for the full search (like
+    /// [`crate::mcts::MctsConfig::time_limit`]); the default never
+    /// expires. Checked inside the move scans — one scan of a Medium
+    /// cluster costs ~0.5 s — and a scan cut short applies nothing.
+    pub time_limit: Duration,
 }
 
 impl Default for SwapSearchConfig {
     fn default() -> Self {
-        SwapSearchConfig { pair_candidates: 48, min_gain: 1e-12 }
+        SwapSearchConfig { pair_candidates: 48, min_gain: 1e-12, time_limit: Duration::MAX }
     }
 }
 
-/// Runs the swap-aware steepest-descent search for up to `mnl` migrations.
+/// The instant a search must stop at, if any.
+#[derive(Debug, Clone, Copy)]
+struct Deadline(Option<Instant>);
+
+impl Deadline {
+    fn passed(self) -> bool {
+        self.0.is_some_and(|at| Instant::now() >= at)
+    }
+}
+
+/// Runs the swap-aware steepest-descent search for up to `mnl` migrations
+/// or until `cfg.time_limit` passes, whichever is first; the moves found
+/// so far are returned either way.
 pub fn swap_search_solve(
     initial: &ClusterState,
     constraints: &ConstraintSet,
@@ -84,12 +103,21 @@ pub fn swap_search_solve(
     cfg: &SwapSearchConfig,
 ) -> SwapSearchResult {
     let start = Instant::now();
+    // An unrepresentable instant (the default limit) is no deadline.
+    let deadline = Deadline(start.checked_add(cfg.time_limit));
     let mut state = initial.clone();
     let mut moves = Vec::new();
     let mut budget = mnl;
     loop {
-        let single = best_single(&state, constraints, objective).filter(|_| budget >= 1);
-        let swap = if budget >= 2 { best_swap(&state, constraints, objective, cfg) } else { None };
+        let single = best_single(&state, constraints, objective, deadline).filter(|_| budget >= 1);
+        let swap = if budget >= 2 {
+            best_swap(&state, constraints, objective, cfg, deadline)
+        } else {
+            None
+        };
+        if deadline.passed() {
+            break; // a scan cut short has not seen the best move
+        }
         // Pick the move with the best gain per migration consumed.
         let pick = match (single, swap) {
             (Some((a, ga)), Some((s, gs))) => {
@@ -156,12 +184,16 @@ fn best_single(
     state: &ClusterState,
     constraints: &ConstraintSet,
     objective: Objective,
+    deadline: Deadline,
 ) -> Option<(Action, f64)> {
     let mut probe = state.clone();
     let base = objective.value(&probe);
     let mut best: Option<(Action, f64)> = None;
     let mut mask = Vec::new();
     for k in 0..probe.num_vms() {
+        if deadline.passed() {
+            return None;
+        }
         let vm = VmId(k as u32);
         if constraints.is_pinned(vm) {
             continue;
@@ -192,12 +224,16 @@ fn best_swap(
     constraints: &ConstraintSet,
     objective: Objective,
     cfg: &SwapSearchConfig,
+    deadline: Deadline,
 ) -> Option<((VmId, VmId), f64)> {
     let candidates = swap_candidates(state, constraints, objective, cfg.pair_candidates);
     let mut probe = state.clone();
     let base = objective.value(&probe);
     let mut best: Option<((VmId, VmId), f64)> = None;
     for (i, &a) in candidates.iter().enumerate() {
+        if deadline.passed() {
+            return None;
+        }
         for &b in candidates.iter().skip(i + 1) {
             if probe.placement(a).pm == probe.placement(b).pm {
                 continue;
@@ -351,6 +387,28 @@ mod tests {
         let res = swap_search_solve(&s, &cs, Objective::default(), 4, &Default::default());
         assert!(res.moves.is_empty());
         assert_eq!(res.objective, 0.0);
+    }
+
+    /// The serving bug: `swap` ran ~13 s on Medium whatever `budget_ms`
+    /// said. Under a 50 ms limit the search must hand back what it has —
+    /// a legal (possibly empty) plan — long before one full move scan.
+    #[test]
+    fn time_limit_cuts_a_medium_search_short_and_keeps_the_plan_legal() {
+        let s = generate_mapping(&ClusterConfig::medium(), 5).unwrap();
+        let cs = ConstraintSet::new(s.num_vms());
+        let cfg = SwapSearchConfig { time_limit: Duration::from_millis(50), ..Default::default() };
+        let t0 = Instant::now();
+        let res = swap_search_solve(&s, &cs, Objective::default(), 50, &cfg);
+        let took = t0.elapsed();
+        assert!(took < Duration::from_secs(1), "deadline ignored: {took:?}");
+        assert!(res.migrations_used < 50, "50 migrations cannot fit 50 ms on Medium");
+        let replay = apply_moves(&s, &res.moves, 16).unwrap();
+        replay.audit().unwrap();
+        assert!((replay.fragment_rate(16) - res.objective).abs() < 1e-12);
+        assert!(res.objective <= s.fragment_rate(16) + 1e-12);
+        // An already-expired limit is legal too: no moves, no panic.
+        let none = SwapSearchConfig { time_limit: Duration::ZERO, ..Default::default() };
+        assert!(swap_search_solve(&s, &cs, Objective::default(), 50, &none).moves.is_empty());
     }
 
     #[test]

@@ -1100,6 +1100,13 @@ fn cmd_top(args: &Args) -> Result<(), String> {
     }
 }
 
+/// The `vmr top` row-class line: how many of the VM rows that entered
+/// the dense attention stages were distinct (the rest shared a result).
+fn row_classes_line(distinct: u64, total: u64) -> String {
+    let pct = if total == 0 { 100.0 } else { 100.0 * distinct as f64 / total as f64 };
+    format!("row classes: {distinct} of {total} ({pct:.0} %)")
+}
+
 fn render_top(
     addr: &str,
     stats: &vmr_serve::proto::StatsReply,
@@ -1144,6 +1151,7 @@ fn render_top(
         snap.gauge("nn_par_busy").unwrap_or(0),
         snap.gauge("nn_par_cores").unwrap_or(0),
     );
+    println!("{}", row_classes_line(par("nn_rows_distinct"), par("nn_rows_total")));
     println!();
     println!("{:<22} {:>9} {:>10} {:>10} {:>10}", "phase", "count", "p50", "p99", "p999");
     for name in [

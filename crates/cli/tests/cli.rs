@@ -111,6 +111,13 @@ fn serve_and_request_round_trip() {
     );
     let out = run(&["--op", "stats", "--session", "ops"]);
     assert!(out.status.success(), "stats: {}", String::from_utf8_lossy(&out.stderr));
+    // One `top` frame: the inference lines are there even before any
+    // agent plan (nothing shared yet reads as 0 of 0, 100 %).
+    let out = vmr(&["top", "--addr", &addr, "--once"]);
+    let frame = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "top: {}", String::from_utf8_lossy(&out.stderr));
+    assert!(frame.contains("attention lanes:"), "{frame}");
+    assert!(frame.contains("row classes: 0 of 0 (100 %)"), "{frame}");
     // Snapshot to a file, then restore from it.
     let snap = tmp("cli-snap.json");
     let out = run(&["--op", "snapshot", "--session", "ops", "--out", snap.to_str().unwrap()]);

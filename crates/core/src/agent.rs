@@ -578,7 +578,9 @@ impl<P: Policy> Vmr2lAgent<P> {
         let ones_col = ctx.full(m, 1, 1.0);
         let pm_grid = ctx.matmul(ones_col, pm_row); // M × N
         let sum = ctx.add(vm_grid, pm_grid);
-        ctx.add(sum, s1.cross_probs)
+        // The joint space is the one consumer of the full `M × N` map.
+        let cross = ctx.expand_rows(s1.cross_probs);
+        ctx.add(sum, cross)
     }
 
     /// Differentiably re-evaluates a stored transition for the PPO loss.
@@ -799,7 +801,8 @@ fn joint_logits_fwd_f32(
     let ones_col = ctx.full(m, 1, 1.0);
     let pm_grid = ctx.matmul(ones_col, pm_row); // M × N
     let sum = ctx.add(vm_grid, pm_grid);
-    ctx.add(sum, s1.cross_probs)
+    let cross = ctx.expand_rows(s1.cross_probs);
+    ctx.add(sum, cross)
 }
 
 /// Masked softmax probabilities as plain `f64`s (acting path — no grads

@@ -38,7 +38,12 @@ pub struct Stage1Fwd {
     pub pm_embs: FVar,
     /// `M × d` final VM embeddings.
     pub vm_embs: FVar,
-    /// `M × N` stage-3 cross-attention probabilities from the last block.
+    /// Stage-3 cross-attention probabilities from the last block, one
+    /// `1 × N` row per VM **row class** of that block: VM `k` reads row
+    /// `ctx.row_classes().class(k)` (row `k` itself when no rows are
+    /// shared). Never expanded to `M × N` on the two-stage path; the
+    /// Full-Mask joint space expands it on demand
+    /// ([`FwdCtx::expand_rows`]).
     pub cross_probs: FVar,
     /// `1 × 1` critic value.
     pub value: FVar,
@@ -141,7 +146,10 @@ impl SparseBlock {
     /// Tape-free forward, bit-identical to [`SparseBlock::forward`] under
     /// the dense tree mask equivalent to `tree`. The local stage runs
     /// block-sparse per PM-tree — the `(N+M)²` score matrix and the mask
-    /// are never materialized.
+    /// are never materialized — and the dense VM stages after it run once
+    /// per row class ([`vmr_nn::classes`]). The returned VM embeddings
+    /// have all `M` rows again; the cross probabilities keep one row per
+    /// class of this pass (`ctx.row_classes()`).
     pub fn fwd(
         &self,
         ctx: &mut FwdCtx,
@@ -151,25 +159,32 @@ impl SparseBlock {
         want_cross_probs: bool,
     ) -> (FVar, FVar, Option<FVar>) {
         let n = ctx.value(pm).rows();
-        let m = ctx.value(vm).rows();
         let (pm_l, vm_l) = match (&self.local, tree) {
             (Some(local), Some(tree)) => {
                 let combined = ctx.vcat(pm, vm);
                 let att = local.fwd_tree(ctx, combined, tree);
                 let res = ctx.add(combined, att);
-                (ctx.rows_range(res, 0, n), ctx.rows_range(res, n, m))
+                // From here to the end of the block a VM row's output
+                // depends on that row alone (as a query) and on the whole
+                // VM sequence (as keys): bit-equal rows of one tree get
+                // bit-equal outputs, so one representative per class runs.
+                ctx.find_row_classes(res, n, Some(tree));
+                (ctx.rows_range(res, 0, n), ctx.class_rows(res, n))
             }
-            _ => (pm, vm),
+            _ => {
+                ctx.find_row_classes(vm, 0, None);
+                (pm, vm)
+            }
         };
         let (pm_att, _) = self.pm_self.fwd(ctx, pm_l, pm_l, None, false);
         let pm_s = ctx.add(pm_l, pm_att);
-        let (vm_att, _) = self.vm_self.fwd(ctx, vm_l, vm_l, None, false);
+        let vm_att = self.vm_self.fwd_self_classes(ctx, vm_l);
         let vm_s = ctx.add(vm_l, vm_att);
         let (cross_out, cross_probs) = self.cross.fwd(ctx, vm_s, pm_s, None, want_cross_probs);
         let vm_c = ctx.add(vm_s, cross_out);
         let pm_out = self.pm_ff.fwd(ctx, pm_s);
         let vm_out = self.vm_ff.fwd(ctx, vm_c);
-        (pm_out, vm_out, cross_probs)
+        (pm_out, ctx.expand_rows(vm_out), cross_probs)
     }
 }
 
@@ -459,7 +474,7 @@ impl Vmr2lModel {
     /// Tape-free stage 2 (bit-identical to [`Vmr2lModel::stage2`]).
     pub fn stage2_fwd(&self, ctx: &mut FwdCtx, s1: &Stage1Fwd, vm_idx: usize) -> FVar {
         let selected = ctx.select_row(s1.vm_embs, vm_idx);
-        let score_row = ctx.select_row(s1.cross_probs, vm_idx);
+        let score_row = ctx.select_row(s1.cross_probs, ctx.row_classes().class(vm_idx));
         self.pm_actor.fwd(ctx, s1.pm_embs, selected, score_row)
     }
 
@@ -482,7 +497,8 @@ pub struct Stage1Fwd32 {
     pub pm_embs: FVar32,
     /// `M × d` final VM embeddings.
     pub vm_embs: FVar32,
-    /// `M × N` stage-3 cross-attention probabilities from the last block.
+    /// Stage-3 cross-attention probabilities from the last block, one
+    /// row per VM row class (see [`Stage1Fwd::cross_probs`]).
     pub cross_probs: FVar32,
     /// `1 × 1` critic value.
     pub value: FVar32,
@@ -521,25 +537,32 @@ impl SparseBlock32 {
         want_cross_probs: bool,
     ) -> (FVar32, FVar32, Option<FVar32>) {
         let n = ctx.value(pm).rows();
-        let m = ctx.value(vm).rows();
         let (pm_l, vm_l) = match (&self.local, tree) {
             (Some(local), Some(tree)) => {
                 let combined = ctx.vcat(pm, vm);
                 let att = local.fwd_tree(ctx, combined, tree);
                 let res = ctx.add(combined, att);
-                (ctx.rows_range(res, 0, n), ctx.rows_range(res, n, m))
+                // From here to the end of the block a VM row's output
+                // depends on that row alone (as a query) and on the whole
+                // VM sequence (as keys): bit-equal rows of one tree get
+                // bit-equal outputs, so one representative per class runs.
+                ctx.find_row_classes(res, n, Some(tree));
+                (ctx.rows_range(res, 0, n), ctx.class_rows(res, n))
             }
-            _ => (pm, vm),
+            _ => {
+                ctx.find_row_classes(vm, 0, None);
+                (pm, vm)
+            }
         };
         let (pm_att, _) = self.pm_self.fwd(ctx, pm_l, pm_l, None, false);
         let pm_s = ctx.add(pm_l, pm_att);
-        let (vm_att, _) = self.vm_self.fwd(ctx, vm_l, vm_l, None, false);
+        let vm_att = self.vm_self.fwd_self_classes(ctx, vm_l);
         let vm_s = ctx.add(vm_l, vm_att);
         let (cross_out, cross_probs) = self.cross.fwd(ctx, vm_s, pm_s, None, want_cross_probs);
         let vm_c = ctx.add(vm_s, cross_out);
         let pm_out = self.pm_ff.fwd(ctx, pm_s);
         let vm_out = self.vm_ff.fwd(ctx, vm_c);
-        (pm_out, vm_out, cross_probs)
+        (pm_out, ctx.expand_rows(vm_out), cross_probs)
     }
 }
 
@@ -734,7 +757,7 @@ impl Vmr2lModelF32 {
     /// f32 stage 2 (mirror of [`Vmr2lModel::stage2_fwd`]).
     pub fn stage2_fwd(&self, ctx: &mut FwdCtx32, s1: &Stage1Fwd32, vm_idx: usize) -> FVar32 {
         let selected = ctx.select_row(s1.vm_embs, vm_idx);
-        let score_row = ctx.select_row(s1.cross_probs, vm_idx);
+        let score_row = ctx.select_row(s1.cross_probs, ctx.row_classes().class(vm_idx));
         self.pm_actor.fwd(ctx, s1.pm_embs, selected, score_row)
     }
 

@@ -7,16 +7,25 @@
 //! Identity here is exact f64 equality, not tolerance: the two engines
 //! share their kernels, and any drift (a reassociated sum, a divergent
 //! softmax shortcut) shows up immediately as a differing sample.
+//!
+//! The tape-free path runs its dense VM stages once per **row class**
+//! (bit-equal VM rows of one PM tree, `vmr_nn::classes`); the random
+//! tiny clusters above rarely hold two equal rows, so the hand-built
+//! clusters at the end force them — within a tree, across identical
+//! trees, and across trees that differ only in a VM's neighbours.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use vmr_core::agent::{DecideOpts, InferCtx, Vmr2lAgent};
+use vmr_core::agent::{rollout_episode, rollout_episode_f32, DecideOpts, InferCtx, Vmr2lAgent};
 use vmr_core::config::{ActionMode, ExtractorKind, ModelConfig};
-use vmr_core::model::Vmr2lModel;
+use vmr_core::model::{Vmr2lModel, Vmr2lModelF32};
+use vmr_sim::cluster::ClusterState;
 use vmr_sim::dataset::{generate_mapping, ClusterConfig};
 use vmr_sim::env::ReschedEnv;
+use vmr_sim::machine::{Placement, Pm, Vm};
 use vmr_sim::objective::Objective;
+use vmr_sim::types::{NumaPlacement, NumaPolicy, PmId, VmId};
 
 fn env_for(seed: u64, mnl: usize) -> ReschedEnv {
     let state = generate_mapping(&ClusterConfig::tiny(), seed).expect("mapping");
@@ -119,5 +128,144 @@ proptest! {
             }
             (d, a) => prop_assert!(false, "mismatch: {:?} vs {:?}", d.map(|x| x.action), a),
         }
+    }
+}
+
+// ---- forced duplicate rows -------------------------------------------
+
+/// A cluster from `(pm, cpu, mem, numa slot)` per VM (`None` = both
+/// NUMA nodes), on `pms` symmetric 44-core / 128-GiB-per-NUMA hosts.
+fn cluster(pms: u32, vms: &[(u32, u32, u32, Option<u8>)]) -> ClusterState {
+    let hosts = (0..pms).map(|i| Pm::symmetric(PmId(i), 44, 128)).collect();
+    let (mut machines, mut placements) = (Vec::new(), Vec::new());
+    for (k, &(pm, cpu, mem, slot)) in vms.iter().enumerate() {
+        let numa = if slot.is_some() { NumaPolicy::Single } else { NumaPolicy::Double };
+        machines.push(Vm { id: VmId(k as u32), cpu, mem, numa });
+        let numa = slot.map_or(NumaPlacement::Double, NumaPlacement::Single);
+        placements.push(Placement { pm: PmId(pm), numa });
+    }
+    ClusterState::new(hosts, machines, placements).expect("hand-built cluster")
+}
+
+/// Duplicates inside one tree: PM 0 hosts three equal VMs on NUMA 0
+/// (0, 2, 4), two equal ones on NUMA 1 (3, 5) and a singleton (6); PM 1
+/// holds a pair (1, 7) and a double-NUMA VM; PM 2 one VM; PM 3 is empty.
+/// 10 VMs, 6 classes.
+fn duplicates_in_one_tree() -> (ClusterState, usize) {
+    let vms = [
+        (0, 4, 8, Some(0)),
+        (1, 8, 16, Some(1)),
+        (0, 4, 8, Some(0)),
+        (0, 2, 4, Some(1)),
+        (0, 4, 8, Some(0)),
+        (0, 2, 4, Some(1)),
+        (0, 16, 32, Some(0)),
+        (1, 8, 16, Some(1)),
+        (1, 16, 64, None),
+        (2, 4, 8, Some(0)),
+    ];
+    (cluster(4, &vms), 6)
+}
+
+/// Equal feature rows in *different* trees. PMs 0 and 1 are identical
+/// trees (their VM rows stay equal through the tree stage, and still
+/// may not merge: the search never looks across trees). PMs 2 and 3
+/// have equal loads, so VM 8 and VM 11 enter with equal feature rows,
+/// but different neighbours (two 2-core VMs vs one 4-core twin) make
+/// their tree-stage rows differ. 14 VMs: classes {0,1},{2} on PM 0,
+/// {3,4},{5} on PM 1, {8},{9,10} on PM 2, {11,12} on PM 3, {6},{7} on
+/// PM 4 and {13} on PM 5 — 10 in all.
+fn duplicates_across_trees() -> (ClusterState, usize) {
+    let vms = [
+        (0, 4, 8, Some(0)),
+        (0, 4, 8, Some(0)),
+        (0, 8, 16, Some(1)),
+        (1, 4, 8, Some(0)),
+        (1, 4, 8, Some(0)),
+        (1, 8, 16, Some(1)),
+        (4, 16, 32, Some(0)),
+        (4, 32, 64, None),
+        (2, 4, 8, Some(0)),
+        (2, 2, 4, Some(0)),
+        (2, 2, 4, Some(0)),
+        (3, 4, 8, Some(0)),
+        (3, 4, 8, Some(0)),
+        (5, 8, 16, Some(1)),
+    ];
+    (cluster(6, &vms), 10)
+}
+
+/// Graph == fwd to the bit on a duplicate-laden cluster, a few steps
+/// deep, for one mode and extractor; with the sparse extractor the first
+/// step must have found exactly `classes` row classes.
+fn assert_paths_agree(
+    state: &ClusterState,
+    classes: usize,
+    mode: ActionMode,
+    kind: ExtractorKind,
+    seed: u64,
+) {
+    let agent = agent_for(mode, kind, seed);
+    let opts = DecideOpts::default();
+    let mut ictx = InferCtx::new();
+    let mut env_a = ReschedEnv::unconstrained(state.clone(), Objective::default(), 5).expect("env");
+    let mut env_b = ReschedEnv::unconstrained(state.clone(), Objective::default(), 5).expect("env");
+    let mut rng_a = StdRng::seed_from_u64(seed);
+    let mut rng_b = StdRng::seed_from_u64(seed);
+    for step in 0..4 {
+        let what = format!("{mode:?}/{kind:?} seed {seed} step {step}");
+        let g = agent.decide_via_graph(&mut env_a, &mut rng_a, &opts).unwrap();
+        let f = agent.decide_in(&mut env_b, &mut ictx, &mut rng_b, &opts).unwrap();
+        let shared = ictx.ctx.row_classes();
+        if step == 0 && kind == ExtractorKind::SparseAttention {
+            assert_eq!((shared.total(), shared.distinct()), (state.num_vms(), classes), "{what}");
+        } else if kind == ExtractorKind::VanillaAttention {
+            assert!(!shared.shared(), "no tree, no classes: {what}");
+        }
+        let (Some(g), Some(f)) = (g, f) else { panic!("both paths must decide: {what}") };
+        assert_eq!(g.action, f.action, "{what}");
+        assert_eq!(g.log_prob, f.log_prob, "{what}");
+        assert_eq!(g.value, f.value, "{what}");
+        assert_eq!(g.vm_probs, f.vm_probs, "{what}");
+        assert_eq!(g.pm_probs, f.pm_probs, "{what}");
+        assert_eq!(g.stored_obs.obs, f.stored_obs.obs, "{what}");
+        if env_a.action_legal(g.action).is_ok() {
+            env_a.step(g.action).unwrap();
+            env_b.step(f.action).unwrap();
+        }
+    }
+}
+
+#[test]
+fn forced_duplicates_stay_bit_identical_to_the_graph() {
+    for (state, classes) in [duplicates_in_one_tree(), duplicates_across_trees()] {
+        for mode in [ActionMode::TwoStage, ActionMode::Penalty, ActionMode::FullMask] {
+            for kind in [ExtractorKind::SparseAttention, ExtractorKind::VanillaAttention] {
+                for seed in [3, 41] {
+                    assert_paths_agree(&state, classes, mode, kind, seed);
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn f32_plans_match_f64_plans_on_duplicate_rows() {
+    // The f32 twin shares rows the same way; at a fixed seed a greedy
+    // episode must come out the same under both precisions (members of a
+    // class tie exactly in both, so argmax breaks the tie alike).
+    for (state, _) in [duplicates_in_one_tree(), duplicates_across_trees()] {
+        let agent = agent_for(ActionMode::TwoStage, ExtractorKind::SparseAttention, 7);
+        let m32 = Vmr2lModelF32::from_f64(&agent.policy);
+        let opts = DecideOpts { greedy: true, ..Default::default() };
+        let mut env = ReschedEnv::unconstrained(state, Objective::default(), 5).expect("env");
+        let (obj64, plan64) =
+            rollout_episode(&agent, &mut env, &mut StdRng::seed_from_u64(1), &opts).unwrap();
+        let (obj32, plan32) =
+            rollout_episode_f32(&agent, &m32, &mut env, &mut StdRng::seed_from_u64(1), &opts)
+                .unwrap();
+        assert!(!plan64.is_empty());
+        assert_eq!(plan64, plan32, "greedy plans diverged between precisions");
+        assert_eq!(obj64, obj32);
     }
 }

@@ -14,6 +14,7 @@
 //! the kernel-level accumulation order is provably unchanged (see
 //! `crates/nn/src/kernels.rs` and the `prop_fwdctx` suite).
 
+use crate::classes::{same_bits_f64, RowClasses};
 use crate::kernels;
 use crate::par::{self, AttnScratch};
 use crate::tensor::Tensor;
@@ -64,6 +65,8 @@ pub struct FwdCtx {
     scratch: Vec<f64>,
     /// Dense attention scratch: shared `kᵀ` plus one score tile per lane.
     attn: AttnScratch<f64>,
+    /// Row classes of the block pass in flight (see [`crate::classes`]).
+    classes: RowClasses,
 }
 
 impl FwdCtx {
@@ -72,9 +75,12 @@ impl FwdCtx {
         FwdCtx::default()
     }
 
-    /// Rewinds the arena; existing slot buffers are kept for reuse.
+    /// Rewinds the arena; existing slot buffers are kept for reuse. The
+    /// row classes of the last pass are forgotten with the slots they
+    /// described.
     pub fn reset(&mut self) {
         self.cursor = 0;
+        self.classes.clear();
     }
 
     /// Number of live slots since the last reset.
@@ -84,12 +90,20 @@ impl FwdCtx {
 
     /// Allocates (or reuses) a slot shaped `rows × cols`. Contents are
     /// unspecified; every op fully overwrites its output.
+    ///
+    /// While rows are shared by class, a slot with one row per class
+    /// reserves room for every row the classes stand for: the class count
+    /// moves from step to step, and the arena's size must follow the
+    /// cluster (as it did before classes), not the largest count seen.
     pub fn alloc(&mut self, rows: usize, cols: usize) -> FVar {
         if self.cursor == self.slots.len() {
-            self.slots.push(Tensor::zeros(rows, cols));
-        } else {
-            self.slots[self.cursor].reshape_reuse(rows, cols);
+            self.slots.push(Tensor::zeros(0, 0));
         }
+        let slot = &mut self.slots[self.cursor];
+        if self.classes.shared() && rows == self.classes.distinct() {
+            slot.reserve_total(self.classes.total() * cols);
+        }
+        slot.reshape_reuse(rows, cols);
         let v = FVar(self.cursor);
         self.cursor += 1;
         v
@@ -330,12 +344,66 @@ impl FwdCtx {
         out
     }
 
-    /// Elements reserved by the arena — slots and scratch together
-    /// (steady-state growth checks).
+    /// Elements reserved by the arena — slots, scratch and class maps
+    /// together (steady-state growth checks).
     pub fn reserved(&self) -> usize {
         self.slots.iter().map(|t| t.capacity()).sum::<usize>()
             + self.scratch.capacity()
             + self.attn.capacity()
+            + self.classes.capacity()
+    }
+
+    /// Finds the row classes of rows `first..` of `x` — bit-equal rows
+    /// within one group of `groups`, whose members index the rows of `x`
+    /// (no groups: every row is its own class). The map stays current
+    /// until the next search or [`FwdCtx::reset`].
+    pub fn find_row_classes(&mut self, x: FVar, first: usize, groups: Option<&TreeGroups>) {
+        let FwdCtx { slots, classes, .. } = self;
+        let t = &slots[x.0];
+        assert!(first <= t.rows(), "row classes start past the last row");
+        classes.find(t.rows() - first, first, groups, |a, b| {
+            same_bits_f64(t.row_slice(first + a), t.row_slice(first + b))
+        });
+    }
+
+    /// The current row classes.
+    pub fn row_classes(&self) -> &RowClasses {
+        &self.classes
+    }
+
+    /// Copies one representative row per class out of rows `first..` of
+    /// `x` (all of them, contiguously, when every class is a singleton).
+    pub fn class_rows(&mut self, x: FVar, first: usize) -> FVar {
+        if !self.classes.shared() {
+            return self.rows_range(x, first, self.classes.total());
+        }
+        self.gather_rows(x, first, RowClasses::reps)
+    }
+
+    /// Gives every row its class's row of `x` (one row per class) back:
+    /// the inverse of [`FwdCtx::class_rows`]. `x` itself when every class
+    /// is a singleton.
+    pub fn expand_rows(&mut self, x: FVar) -> FVar {
+        if !self.classes.shared() {
+            return x;
+        }
+        assert_eq!(self.slots[x.0].rows(), self.classes.distinct(), "one row per class expected");
+        self.gather_rows(x, 0, RowClasses::class_of)
+    }
+
+    /// A fresh slot whose row `i` is row `first + rows[i]` of `x`, for one
+    /// of the class maps.
+    fn gather_rows(&mut self, x: FVar, first: usize, rows: fn(&RowClasses) -> &[u32]) -> FVar {
+        let c = self.slots[x.0].cols();
+        let out = self.alloc(rows(&self.classes).len(), c);
+        let FwdCtx { slots, classes, .. } = self;
+        let (head, tail) = slots.split_at_mut(out.0);
+        let src = head[x.0].data();
+        for (dst, &r) in tail[0].data_mut().chunks_exact_mut(c.max(1)).zip(rows(classes)) {
+            let r = first + r as usize;
+            dst.copy_from_slice(&src[r * c..(r + 1) * c]);
+        }
+        out
     }
 
     /// Fused unmasked single-head attention (`softmax(q·kᵀ·scale)·v`)
@@ -344,17 +412,30 @@ impl FwdCtx {
     /// chain (see [`kernels::attention_head_into`]). Large calls borrow idle
     /// cores as extra row lanes ([`par::Budget::lanes_for`]); the result
     /// does not depend on how many they get.
-    pub fn attention_head(&mut self, q: FVar, k: FVar, v: FVar, scale: f64) -> FVar {
+    ///
+    /// With `keys_by_class`, `k`/`v` hold one row per current row class
+    /// and the attended sequence is every row those classes stand for, in
+    /// its original order — bit-identical to passing the expanded `k`/`v`.
+    pub fn attention_head(
+        &mut self,
+        q: FVar,
+        k: FVar,
+        v: FVar,
+        scale: f64,
+        keys_by_class: bool,
+    ) -> FVar {
         let (m, dh) = (self.slots[q.0].rows(), self.slots[q.0].cols());
         let _busy = par::forward();
+        // The work is the scores actually computed: one per distinct key.
         let lease = par::global().lanes_for(m, self.slots[k.0].rows());
         let out = self.alloc(m, dh);
-        let FwdCtx { slots, attn, .. } = self;
+        let FwdCtx { slots, attn, classes, .. } = self;
         let (head, tail) = slots.split_at_mut(out.0);
         kernels::attention_head_into(
             &head[q.0],
             &head[k.0],
             &head[v.0],
+            (keys_by_class && classes.shared()).then(|| classes.class_of()),
             scale,
             1 + lease.helpers(),
             attn,

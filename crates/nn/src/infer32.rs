@@ -12,6 +12,7 @@
 //! against anything — its contract is the tolerance gate described in
 //! [`crate::kernels_f32`].
 
+use crate::classes::{same_bits_f32, RowClasses};
 use crate::infer::TreeGroups;
 use crate::kernels_f32;
 use crate::par::{self, AttnScratch};
@@ -32,6 +33,8 @@ pub struct FwdCtx32 {
     scratch: Vec<f32>,
     /// Dense attention scratch: shared `kᵀ` plus one score tile per lane.
     attn: AttnScratch<f32>,
+    /// Row classes of the block pass in flight (see [`crate::classes`]).
+    classes: RowClasses,
 }
 
 impl FwdCtx32 {
@@ -40,9 +43,12 @@ impl FwdCtx32 {
         FwdCtx32::default()
     }
 
-    /// Rewinds the arena; existing slot buffers are kept for reuse.
+    /// Rewinds the arena; existing slot buffers are kept for reuse. The
+    /// row classes of the last pass are forgotten with the slots they
+    /// described.
     pub fn reset(&mut self) {
         self.cursor = 0;
+        self.classes.clear();
     }
 
     /// Number of live slots since the last reset.
@@ -51,13 +57,18 @@ impl FwdCtx32 {
     }
 
     /// Allocates (or reuses) a slot shaped `rows × cols`. Contents are
-    /// unspecified; every op fully overwrites its output.
+    /// unspecified; every op fully overwrites its output. A slot with
+    /// one row per shared row class reserves room for every row the
+    /// classes stand for (see [`crate::infer::FwdCtx::alloc`]).
     pub fn alloc(&mut self, rows: usize, cols: usize) -> FVar32 {
         if self.cursor == self.slots.len() {
-            self.slots.push(Tensor32::zeros(rows, cols));
-        } else {
-            self.slots[self.cursor].reshape_reuse(rows, cols);
+            self.slots.push(Tensor32::zeros(0, 0));
         }
+        let slot = &mut self.slots[self.cursor];
+        if self.classes.shared() && rows == self.classes.distinct() {
+            slot.reserve_total(self.classes.total() * cols);
+        }
+        slot.reshape_reuse(rows, cols);
         let v = FVar32(self.cursor);
         self.cursor += 1;
         v
@@ -298,12 +309,64 @@ impl FwdCtx32 {
         out
     }
 
-    /// Elements reserved by the arena — slots and scratch together
-    /// (steady-state growth checks).
+    /// Elements reserved by the arena — slots, scratch and class maps
+    /// together (steady-state growth checks).
     pub fn reserved(&self) -> usize {
         self.slots.iter().map(|t| t.capacity()).sum::<usize>()
             + self.scratch.capacity()
             + self.attn.capacity()
+            + self.classes.capacity()
+    }
+
+    /// Finds the row classes of rows `first..` of `x` (f32 mirror of
+    /// [`crate::infer::FwdCtx::find_row_classes`]).
+    pub fn find_row_classes(&mut self, x: FVar32, first: usize, groups: Option<&TreeGroups>) {
+        let FwdCtx32 { slots, classes, .. } = self;
+        let t = &slots[x.0];
+        assert!(first <= t.rows(), "row classes start past the last row");
+        classes.find(t.rows() - first, first, groups, |a, b| {
+            same_bits_f32(t.row_slice(first + a), t.row_slice(first + b))
+        });
+    }
+
+    /// The current row classes.
+    pub fn row_classes(&self) -> &RowClasses {
+        &self.classes
+    }
+
+    /// Copies one representative row per class out of rows `first..` of
+    /// `x` (all of them, contiguously, when every class is a singleton).
+    pub fn class_rows(&mut self, x: FVar32, first: usize) -> FVar32 {
+        if !self.classes.shared() {
+            return self.rows_range(x, first, self.classes.total());
+        }
+        self.gather_rows(x, first, RowClasses::reps)
+    }
+
+    /// Gives every row its class's row of `x` (one row per class) back:
+    /// the inverse of [`FwdCtx32::class_rows`]. `x` itself when every class
+    /// is a singleton.
+    pub fn expand_rows(&mut self, x: FVar32) -> FVar32 {
+        if !self.classes.shared() {
+            return x;
+        }
+        assert_eq!(self.slots[x.0].rows(), self.classes.distinct(), "one row per class expected");
+        self.gather_rows(x, 0, RowClasses::class_of)
+    }
+
+    /// A fresh slot whose row `i` is row `first + rows[i]` of `x`, for one
+    /// of the class maps.
+    fn gather_rows(&mut self, x: FVar32, first: usize, rows: fn(&RowClasses) -> &[u32]) -> FVar32 {
+        let c = self.slots[x.0].cols();
+        let out = self.alloc(rows(&self.classes).len(), c);
+        let FwdCtx32 { slots, classes, .. } = self;
+        let (head, tail) = slots.split_at_mut(out.0);
+        let src = head[x.0].data();
+        for (dst, &r) in tail[0].data_mut().chunks_exact_mut(c.max(1)).zip(rows(classes)) {
+            let r = first + r as usize;
+            dst.copy_from_slice(&src[r * c..(r + 1) * c]);
+        }
+        out
     }
 
     /// Fused unmasked single-head attention (`softmax(q·kᵀ·scale)·v`)
@@ -311,18 +374,28 @@ impl FwdCtx32 {
     /// matrix is ever materialized. Same arithmetic as the unfused kernel
     /// chain (see [`kernels_f32::attention_head_into`]). Large calls borrow idle
     /// cores as extra row lanes ([`par::Budget::lanes_for`]); the result
-    /// does not depend on how many they get.
-    pub fn attention_head(&mut self, q: FVar32, k: FVar32, v: FVar32, scale: f32) -> FVar32 {
+    /// does not depend on how many they get. `keys_by_class` as in
+    /// [`crate::infer::FwdCtx::attention_head`].
+    pub fn attention_head(
+        &mut self,
+        q: FVar32,
+        k: FVar32,
+        v: FVar32,
+        scale: f32,
+        keys_by_class: bool,
+    ) -> FVar32 {
         let (m, dh) = (self.slots[q.0].rows(), self.slots[q.0].cols());
         let _busy = par::forward();
+        // The work is the scores actually computed: one per distinct key.
         let lease = par::global().lanes_for(m, self.slots[k.0].rows());
         let out = self.alloc(m, dh);
-        let FwdCtx32 { slots, attn, .. } = self;
+        let FwdCtx32 { slots, attn, classes, .. } = self;
         let (head, tail) = slots.split_at_mut(out.0);
         kernels_f32::attention_head_into(
             &head[q.0],
             &head[k.0],
             &head[v.0],
+            (keys_by_class && classes.shared()).then(|| classes.class_of()),
             scale,
             1 + lease.helpers(),
             attn,

@@ -308,6 +308,18 @@ fn score_block<const R: usize>(
 /// round-trips three n×n matrices through memory; this never holds more
 /// than `L1_TILE` score rows per lane.
 ///
+/// Keys may be given once per **row class** (see [`crate::classes`]):
+/// with `key_class = Some(c)` the attended sequence has `c.len()` keys
+/// and key `j` is row `c[j]` of `k`/`v`, which hold the distinct rows
+/// only. `kᵀ`, the scores, the row maximum and the exponentials are then
+/// computed once per distinct key, while the normalizer sum and the
+/// probability-weighted value sum still walk all `c.len()` keys in their
+/// original order, reading the shared probability `p[c[j]]` — every
+/// output element sees the same operands in the same order as it would
+/// with `k`/`v` expanded to one row per key, so the result is
+/// bit-identical to that call, not merely close. `None` attends over the
+/// rows of `k` as they are.
+///
 /// Row-parallel: the query rows are split over `lanes` lanes by
 /// [`crate::par::run_row_lanes`] (`lanes = 1` starts no thread), each
 /// with its own score tile from `scratch`; `kᵀ` is materialized there
@@ -317,10 +329,12 @@ fn score_block<const R: usize>(
 /// [`masked_softmax_into`] → [`matmul_into`]: each stage keeps the same
 /// per-element accumulation orders, tiling only changes *when* (and on
 /// which lane) a row is processed, not how.
+#[allow(clippy::too_many_arguments)]
 pub fn attention_head_into(
     q: &Tensor,
     k: &Tensor,
     v: &Tensor,
+    key_class: Option<&[u32]>,
     scale: f64,
     lanes: usize,
     scratch: &mut AttnScratch<f64>,
@@ -331,8 +345,14 @@ pub fn attention_head_into(
     assert_eq!((v.rows(), v.cols()), (n, dh), "attention v shape mismatch");
     assert_eq!((out.rows(), out.cols()), (m, dh), "attention output shape mismatch");
     assert!((1..=16).contains(&dh), "fused attention head supports widths 1 to 16");
+    if let Some(class) = key_class {
+        assert!(class.iter().all(|&c| (c as usize) < n), "key class out of range");
+    }
     let AttnScratch { kt, tiles } = scratch;
     kt.clear();
+    // Sized by the attended keys, not the distinct ones, so the scratch
+    // follows the sequence length whatever this call's class count is.
+    kt.reserve_exact(dh * key_class.map_or(n, <[u32]>::len));
     kt.resize(dh * n, 0.0);
     transpose_rows(k.data(), n, dh, kt);
     // The driver clamps to the row-tile count; surplus tiles stay empty.
@@ -340,7 +360,7 @@ pub fn attention_head_into(
     if tiles.len() < lanes {
         tiles.resize_with(lanes, Vec::new);
     }
-    let head = HeadInputs { kt, v: v.data(), n, dh, scale };
+    let head = HeadInputs { kt, v: v.data(), key_class, n, dh, scale };
     let qd = q.data();
     run_row_lanes(m, [(out.data_mut(), dh)], tiles[..lanes].iter_mut(), |rows, [o], tile| {
         attention_rows(&head, &qd[rows.start * dh..rows.end * dh], tile, o);
@@ -350,16 +370,22 @@ pub fn attention_head_into(
 /// The fused head over one lane's query rows: score tile → in-place
 /// softmax → probability-weighted value sums, [`L1_TILE`] rows at a time.
 fn attention_rows(head: &HeadInputs<f64>, q: &[f64], tile: &mut Vec<f64>, out: &mut [f64]) {
-    let HeadInputs { kt, v, n, dh, scale } = *head;
+    let HeadInputs { kt, v, key_class, n, dh, scale } = *head;
     let m = q.len() / dh;
     tile.clear();
+    // Reserved for the attended sequence, not this call's class count
+    // (which also bounds the query rows of a class-keyed call).
+    if let Some(class) = key_class {
+        tile.reserve_exact(L1_TILE * class.len());
+    }
     tile.resize(L1_TILE.min(m) * n, 0.0);
     for ib in (0..m).step_by(L1_TILE) {
         let ih = (ib + L1_TILE).min(m);
         let tile = &mut tile[..(ih - ib) * n];
         scores_from_kt(&q[ib * dh..ih * dh], dh, kt, n, scale, tile);
         // Softmax each score row in place (same helpers as the unmasked
-        // kernel path).
+        // kernel path). Maximum and exponentials once per distinct key;
+        // the normalizer counts every key.
         for s_row in tile.chunks_exact_mut(n.max(1)) {
             let mx = row_max(s_row);
             if !mx.is_finite() || mx <= MASK_NEG_THRESHOLD {
@@ -369,21 +395,43 @@ fn attention_rows(head: &HeadInputs<f64>, q: &[f64], tile: &mut Vec<f64>, out: &
             for s in s_row.iter_mut() {
                 *s = exp_shifted(*s - mx);
             }
-            let inv = 1.0 / striped_sum(s_row);
+            let z = match key_class {
+                None => striped_sum(s_row),
+                Some(class) => striped_sum_by_class(s_row, class),
+            };
+            let inv = 1.0 / z;
             for s in s_row.iter_mut() {
                 *s *= inv;
             }
         }
-        // Probability-weighted value sums: four rows per `v` pass (the
-        // small-n matmul pattern; per-element accumulation order is
-        // unchanged, `v` traffic is quartered). Common head widths get a
-        // const-width instantiation so the inner loops fully unroll.
-        match dh {
-            8 => weighted_value_sums::<8>(tile, n, ib, ih, v, out),
-            12 => weighted_value_sums::<12>(tile, n, ib, ih, v, out),
-            16 => weighted_value_sums::<16>(tile, n, ib, ih, v, out),
-            _ => weighted_value_sums_dyn(tile, n, dh, ib, ih, v, out),
+        let rows = ib..ih;
+        match key_class {
+            None => value_sums(tile, n, 0..n, rows, v, dh, out),
+            Some(class) => value_sums(tile, n, class.iter().map(|&c| c as usize), rows, v, dh, out),
         }
+    }
+}
+
+/// Probability-weighted value sums of one score tile: four rows per `v`
+/// pass (the small-n matmul pattern; per-element accumulation order is
+/// unchanged, `v` traffic is quartered). `keys` yields, for every
+/// attended key in order, its row in `v` and its column in the tile.
+/// Common head widths get a const-width instantiation so the inner loops
+/// fully unroll.
+fn value_sums(
+    tile: &[f64],
+    n: usize,
+    keys: impl Iterator<Item = usize> + Clone,
+    rows: std::ops::Range<usize>,
+    vd: &[f64],
+    dh: usize,
+    out: &mut [f64],
+) {
+    match dh {
+        8 => weighted_value_sums::<8>(tile, n, keys, rows, vd, out),
+        12 => weighted_value_sums::<12>(tile, n, keys, rows, vd, out),
+        16 => weighted_value_sums::<16>(tile, n, keys, rows, vd, out),
+        _ => weighted_value_sums_dyn(tile, n, keys, rows, vd, dh, out),
     }
 }
 
@@ -424,16 +472,17 @@ pub fn attention_probs_into(
 fn weighted_value_sums<const DH: usize>(
     tile: &[f64],
     n: usize,
-    ib: usize,
-    ih: usize,
+    keys: impl Iterator<Item = usize> + Clone,
+    rows: std::ops::Range<usize>,
     vd: &[f64],
     out: &mut [f64],
 ) {
+    let (ib, ih) = (rows.start, rows.end);
     let mut i = ib;
     while i < ih {
         let rows = (ih - i).min(4);
         let mut acc = [[0.0f64; DH]; 4];
-        for kk in 0..n {
+        for kk in keys.clone() {
             let b_row: &[f64; DH] = vd[kk * DH..(kk + 1) * DH].try_into().expect("width");
             for (r, a) in acc.iter_mut().take(rows).enumerate() {
                 let p = tile[(i - ib + r) * n + kk];
@@ -453,12 +502,13 @@ fn weighted_value_sums<const DH: usize>(
 fn weighted_value_sums_dyn(
     tile: &[f64],
     n: usize,
-    dh: usize,
-    ib: usize,
-    ih: usize,
+    keys: impl Iterator<Item = usize> + Clone,
+    rows: std::ops::Range<usize>,
     vd: &[f64],
+    dh: usize,
     out: &mut [f64],
 ) {
+    let (ib, ih) = (rows.start, rows.end);
     let mut acc = [[0.0f64; 16]; 4];
     let mut i = ib;
     while i < ih {
@@ -466,7 +516,7 @@ fn weighted_value_sums_dyn(
         for a in acc.iter_mut().take(rows) {
             a[..dh].fill(0.0);
         }
-        for kk in 0..n {
+        for kk in keys.clone() {
             let b_row = &vd[kk * dh..(kk + 1) * dh];
             for (r, a) in acc.iter_mut().take(rows).enumerate() {
                 let p = tile[(i - ib + r) * n + kk];
@@ -660,22 +710,48 @@ fn striped_sum(row: &[f64]) -> f64 {
     z
 }
 
-/// Row maximum with four independent running maxima. `max` is
-/// order-insensitive as a value (NaN operands are skipped regardless of
-/// order, and ±0.0 ties are value-equal), so the striping changes only
-/// instruction-level parallelism, never the result.
-fn row_max(row: &[f64]) -> f64 {
-    let mut m = [f64::NEG_INFINITY; 4];
-    let mut chunks = row.chunks_exact(4);
+/// [`striped_sum`] over a sequence given by class: element `j` of the
+/// summed sequence is `row[class[j]]`. Same four stripes, same order of
+/// additions as [`striped_sum`] on the expanded sequence.
+fn striped_sum_by_class(row: &[f64], class: &[u32]) -> f64 {
+    let mut s = [0.0f64; 4];
+    let mut chunks = class.chunks_exact(4);
     for c in chunks.by_ref() {
-        m[0] = m[0].max(c[0]);
-        m[1] = m[1].max(c[1]);
-        m[2] = m[2].max(c[2]);
-        m[3] = m[3].max(c[3]);
+        s[0] += row[c[0] as usize];
+        s[1] += row[c[1] as usize];
+        s[2] += row[c[2] as usize];
+        s[3] += row[c[3] as usize];
     }
-    let mut mx = m[0].max(m[1]).max(m[2].max(m[3]));
-    for &v in chunks.remainder() {
-        mx = mx.max(v);
+    let mut z = (s[0] + s[1]) + (s[2] + s[3]);
+    for &c in chunks.remainder() {
+        z += row[c as usize];
+    }
+    z
+}
+
+/// Row maximum with eight independent running maxima, folded by
+/// compare-and-select: unlike `f64::max`, whose NaN rule needs an extra
+/// unordered compare per element, `if v > m` is one packed `max`. The
+/// value is the same as the `max` fold's: a NaN operand fails the
+/// compare and is skipped either way, the order of the fold cannot
+/// change a maximum, and a `±0.0` tie differs only in a sign the
+/// consumers (`s − mx`, the threshold test) cannot see.
+fn row_max(row: &[f64]) -> f64 {
+    let mut m = [f64::NEG_INFINITY; 8];
+    let mut chunks = row.chunks_exact(8);
+    for c in chunks.by_ref() {
+        let c: &[f64; 8] = c.try_into().expect("chunk");
+        for l in 0..8 {
+            if c[l] > m[l] {
+                m[l] = c[l];
+            }
+        }
+    }
+    let mut mx = f64::NEG_INFINITY;
+    for &v in m.iter().chain(chunks.remainder()) {
+        if v > mx {
+            mx = v;
+        }
     }
     mx
 }
@@ -856,6 +932,36 @@ mod tests {
         let mut sparse = Vec::new();
         masked_softmax_bool_row(x.row_slice(0), &keep, &mut sparse);
         assert_eq!(dense.data(), &sparse[..]);
+    }
+
+    #[test]
+    fn striped_compare_max_equals_the_max_fold() {
+        let max_fold = |row: &[f64]| row.iter().fold(f64::NEG_INFINITY, |m, &v| m.max(v));
+        let (inf, nan) = (f64::INFINITY, f64::NAN);
+        let mut rows: Vec<Vec<f64>> = vec![
+            vec![],
+            vec![nan],
+            vec![nan; 19],
+            vec![MASK_OFF; 23],
+            vec![-inf; 9],
+            vec![0.0, -0.0, -0.0, 0.0, -0.0, -0.0, 0.0, -0.0, -0.0],
+            vec![-0.0, nan, -3.0, -inf],
+            vec![1.0, inf, nan, -inf, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0],
+            vec![nan, nan, nan, nan, nan, nan, nan, nan, -7.5],
+        ];
+        // Every stripe and the remainder take the maximum in turn, with
+        // a NaN right before it.
+        for at in 0..21 {
+            let mut row: Vec<f64> = (0..21).map(|j| -(j as f64) - 1.0).collect();
+            row[at] = 4.25;
+            row[(at + 20) % 21] = nan;
+            rows.push(row);
+        }
+        for row in &rows {
+            let (got, want) = (row_max(row), max_fold(row));
+            assert!(got == want, "{row:?}: {got} vs {want}");
+        }
+        assert!(row_max(&[MASK_OFF; 23]) <= MASK_NEG_THRESHOLD, "all-masked rows stay masked");
     }
 
     #[test]

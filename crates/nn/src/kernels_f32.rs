@@ -266,15 +266,22 @@ fn t_scaled_rows(a: &[f32], k: usize, bt: &[f32], n: usize, alpha: f32, out: &mu
 /// through L1-resident score tiles, mirroring
 /// [`crate::kernels::attention_head_into`] — row-parallel over `lanes`
 /// lanes through the same [`crate::par::run_row_lanes`], same output for
-/// every lane count. `kᵀ` is materialized once in the scratch so score
-/// rows are produced by contiguous [`axpy8`] passes over [`L1_TILE`]-row
-/// tiles, softmaxed in place with the polynomial [`exp_shifted`], and
-/// folded into probability-weighted value sums four rows per `v` pass
-/// (const-width at the supported head widths).
+/// every lane count, and the same `key_class` contract: with
+/// `Some(c)`, key `j` of the attended sequence is row `c[j]` of `k`/`v`;
+/// scores, maximum and exponentials are computed per distinct key, the
+/// normalizer and the value sums walk every key in order, and the output
+/// equals the call with `k`/`v` expanded to one row per key bit for bit.
+/// `kᵀ` is materialized once in the scratch so score rows are produced
+/// by contiguous [`axpy8`] passes over [`L1_TILE`]-row tiles, softmaxed
+/// in place with the polynomial [`exp_shifted`], and folded into
+/// probability-weighted value sums four rows per `v` pass (const-width
+/// at the supported head widths).
+#[allow(clippy::too_many_arguments)]
 pub fn attention_head_into(
     q: &Tensor32,
     k: &Tensor32,
     v: &Tensor32,
+    key_class: Option<&[u32]>,
     scale: f32,
     lanes: usize,
     scratch: &mut AttnScratch<f32>,
@@ -285,8 +292,14 @@ pub fn attention_head_into(
     assert_eq!((v.rows(), v.cols()), (n, dh), "attention v shape mismatch");
     assert_eq!((out.rows(), out.cols()), (m, dh), "attention output shape mismatch");
     assert!((1..=16).contains(&dh), "fused attention head supports widths 1 to 16");
+    if let Some(class) = key_class {
+        assert!(class.iter().all(|&c| (c as usize) < n), "key class out of range");
+    }
     let AttnScratch { kt, tiles } = scratch;
     kt.clear();
+    // Sized by the attended keys, not the distinct ones, so the scratch
+    // follows the sequence length whatever this call's class count is.
+    kt.reserve_exact(dh * key_class.map_or(n, <[u32]>::len));
     kt.resize(dh * n, 0.0);
     transpose_into(k.data(), n, dh, kt);
     // The driver clamps to the row-tile count; surplus tiles stay empty.
@@ -294,7 +307,7 @@ pub fn attention_head_into(
     if tiles.len() < lanes {
         tiles.resize_with(lanes, Vec::new);
     }
-    let head = HeadInputs { kt, v: v.data(), n, dh, scale };
+    let head = HeadInputs { kt, v: v.data(), key_class, n, dh, scale };
     let qd = q.data();
     run_row_lanes(m, [(out.data_mut(), dh)], tiles[..lanes].iter_mut(), |rows, [o], tile| {
         attention_rows(&head, &qd[rows.start * dh..rows.end * dh], tile, o);
@@ -303,10 +316,15 @@ pub fn attention_head_into(
 
 /// The fused head over one lane's query rows, [`L1_TILE`] rows at a time.
 fn attention_rows(head: &HeadInputs<f32>, q: &[f32], tile: &mut Vec<f32>, out: &mut [f32]) {
-    let HeadInputs { kt, v, n, dh, scale } = *head;
+    let HeadInputs { kt, v, key_class, n, dh, scale } = *head;
     let m = q.len() / dh;
     // Half the bytes of the f64 tile at the same row count.
     tile.clear();
+    // Reserved for the attended sequence, not this call's class count
+    // (which also bounds the query rows of a class-keyed call).
+    if let Some(class) = key_class {
+        tile.reserve_exact(L1_TILE * class.len());
+    }
     tile.resize(L1_TILE.min(m) * n, 0.0);
     for ib in (0..m).step_by(L1_TILE) {
         let ih = (ib + L1_TILE).min(m);
@@ -324,17 +342,40 @@ fn attention_rows(head: &HeadInputs<f32>, q: &[f32], tile: &mut Vec<f32>, out: &
             for s in s_row.iter_mut() {
                 *s = exp_shifted(*s - mx);
             }
-            let inv = 1.0 / striped_sum(s_row);
+            let z = match key_class {
+                None => striped_sum(s_row),
+                Some(class) => striped_sum_by_class(s_row, class),
+            };
+            let inv = 1.0 / z;
             for s in s_row.iter_mut() {
                 *s *= inv;
             }
         }
-        match dh {
-            8 => weighted_value_sums::<8>(tile, n, ib, ih, v, out),
-            12 => weighted_value_sums::<12>(tile, n, ib, ih, v, out),
-            16 => weighted_value_sums::<16>(tile, n, ib, ih, v, out),
-            _ => weighted_value_sums_dyn(tile, n, dh, ib, ih, v, out),
+        let rows = ib..ih;
+        match key_class {
+            None => value_sums(tile, n, 0..n, rows, v, dh, out),
+            Some(class) => value_sums(tile, n, class.iter().map(|&c| c as usize), rows, v, dh, out),
         }
+    }
+}
+
+/// Probability-weighted value sums of one score tile; `keys` yields, for
+/// every attended key in order, its row in `v` and its column in the
+/// tile (see the f64 twin).
+fn value_sums(
+    tile: &[f32],
+    n: usize,
+    keys: impl Iterator<Item = usize> + Clone,
+    rows: std::ops::Range<usize>,
+    vd: &[f32],
+    dh: usize,
+    out: &mut [f32],
+) {
+    match dh {
+        8 => weighted_value_sums::<8>(tile, n, keys, rows, vd, out),
+        12 => weighted_value_sums::<12>(tile, n, keys, rows, vd, out),
+        16 => weighted_value_sums::<16>(tile, n, keys, rows, vd, out),
+        _ => weighted_value_sums_dyn(tile, n, keys, rows, vd, dh, out),
     }
 }
 
@@ -386,11 +427,12 @@ pub fn attention_probs_into(
 fn weighted_value_sums<const DH: usize>(
     tile: &[f32],
     n: usize,
-    ib: usize,
-    ih: usize,
+    keys: impl Iterator<Item = usize> + Clone,
+    rows: std::ops::Range<usize>,
     vd: &[f32],
     out: &mut [f32],
 ) {
+    let (ib, ih) = (rows.start, rows.end);
     let mut acc = [[0.0f32; DH]; 4];
     let mut i = ib;
     while i < ih {
@@ -398,7 +440,7 @@ fn weighted_value_sums<const DH: usize>(
         for a in acc.iter_mut().take(rows) {
             a.fill(0.0);
         }
-        for kk in 0..n {
+        for kk in keys.clone() {
             let b_row: &[f32; DH] = vd[kk * DH..(kk + 1) * DH].try_into().expect("width");
             for (r, a) in acc.iter_mut().take(rows).enumerate() {
                 let p = tile[(i - ib + r) * n + kk];
@@ -419,12 +461,13 @@ fn weighted_value_sums<const DH: usize>(
 fn weighted_value_sums_dyn(
     tile: &[f32],
     n: usize,
-    dh: usize,
-    ib: usize,
-    ih: usize,
+    keys: impl Iterator<Item = usize> + Clone,
+    rows: std::ops::Range<usize>,
     vd: &[f32],
+    dh: usize,
     out: &mut [f32],
 ) {
+    let (ib, ih) = (rows.start, rows.end);
     let mut acc = [[0.0f32; 16]; 4];
     let mut i = ib;
     while i < ih {
@@ -432,7 +475,7 @@ fn weighted_value_sums_dyn(
         for a in acc.iter_mut().take(rows) {
             a[..dh].fill(0.0);
         }
-        for kk in 0..n {
+        for kk in keys.clone() {
             let b_row = &vd[kk * dh..(kk + 1) * dh];
             for (r, a) in acc.iter_mut().take(rows).enumerate() {
                 let p = tile[(i - ib + r) * n + kk];
@@ -601,19 +644,44 @@ fn striped_sum(row: &[f32]) -> f32 {
     z
 }
 
-/// Row maximum with eight independent running maxima.
+/// [`striped_sum`] over a sequence given by class: element `j` of the
+/// summed sequence is `row[class[j]]`. Same eight stripes, same order of
+/// additions as [`striped_sum`] on the expanded sequence.
+fn striped_sum_by_class(row: &[f32], class: &[u32]) -> f32 {
+    let mut s = [0.0f32; 8];
+    let mut chunks = class.chunks_exact(8);
+    for c in chunks.by_ref() {
+        let c: &[u32; 8] = c.try_into().expect("chunk");
+        for l in 0..8 {
+            s[l] += row[c[l] as usize];
+        }
+    }
+    let mut z = ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]));
+    for &c in chunks.remainder() {
+        z += row[c as usize];
+    }
+    z
+}
+
+/// Row maximum with eight independent running maxima, folded by
+/// compare-and-select (one packed `max` per step; see the f64 twin for
+/// why the value equals the `f32::max` fold's).
 fn row_max(row: &[f32]) -> f32 {
     let mut m = [f32::NEG_INFINITY; 8];
     let mut chunks = row.chunks_exact(8);
     for c in chunks.by_ref() {
         let c: &[f32; 8] = c.try_into().expect("chunk");
         for l in 0..8 {
-            m[l] = m[l].max(c[l]);
+            if c[l] > m[l] {
+                m[l] = c[l];
+            }
         }
     }
-    let mut mx = m.iter().fold(f32::NEG_INFINITY, |a, &b| a.max(b));
-    for &v in chunks.remainder() {
-        mx = mx.max(v);
+    let mut mx = f32::NEG_INFINITY;
+    for &v in m.iter().chain(chunks.remainder()) {
+        if v > mx {
+            mx = v;
+        }
     }
     mx
 }
@@ -742,6 +810,32 @@ mod tests {
     }
 
     #[test]
+    fn striped_compare_max_equals_the_max_fold() {
+        let max_fold = |row: &[f32]| row.iter().fold(f32::NEG_INFINITY, |m, &v| m.max(v));
+        let (inf, nan) = (f32::INFINITY, f32::NAN);
+        let mut rows: Vec<Vec<f32>> = vec![
+            vec![],
+            vec![nan; 19],
+            vec![MASK_OFF_F32; 23],
+            vec![-inf; 9],
+            vec![0.0, -0.0, -0.0, 0.0, -0.0, -0.0, 0.0, -0.0, -0.0],
+            vec![1.0, inf, nan, -inf, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0],
+            vec![nan, nan, nan, nan, nan, nan, nan, nan, -7.5],
+        ];
+        for at in 0..21 {
+            let mut row: Vec<f32> = (0..21).map(|j| -(j as f32) - 1.0).collect();
+            row[at] = 4.25;
+            row[(at + 20) % 21] = nan;
+            rows.push(row);
+        }
+        for row in &rows {
+            let (got, want) = (row_max(row), max_fold(row));
+            assert!(got == want, "{row:?}: {got} vs {want}");
+        }
+        assert!(row_max(&[MASK_OFF_F32; 23]) <= MASK_NEG_THRESHOLD_F32);
+    }
+
+    #[test]
     fn softmax_rows_sum_to_one() {
         let mut rng = StdRng::seed_from_u64(9);
         let x = rand_t32(5, 100, &mut rng);
@@ -762,7 +856,7 @@ mod tests {
         let v = rand_t32(n, dh, &mut rng);
         let scale = 1.0 / (dh as f32).sqrt();
         let mut fused = Tensor32::zeros(m, dh);
-        attention_head_into(&q, &k, &v, scale, 1, &mut AttnScratch::default(), &mut fused);
+        attention_head_into(&q, &k, &v, None, scale, 1, &mut AttnScratch::default(), &mut fused);
         let mut scores = Tensor32::zeros(m, n);
         matmul_nt_scaled_into(&q, &k, scale, &mut scores);
         let mut probs = Tensor32::zeros(m, n);

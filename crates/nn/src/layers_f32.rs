@@ -127,6 +127,36 @@ impl MultiHeadAttention32 {
         mask: Option<&Tensor32>,
         want_probs: bool,
     ) -> (FVar32, Option<FVar32>) {
+        self.fwd_heads(ctx, query, keys_values, mask, want_probs, false)
+    }
+
+    /// Self-attention over a sequence given once per row class: `reps`
+    /// holds one row per current row class of `ctx` (see
+    /// [`crate::classes`]) and the attended sequence is every row those
+    /// classes stand for. Returns one output row per class, each
+    /// bit-identical to the row [`Self::fwd`] computes for any member of
+    /// the class on the expanded sequence.
+    pub fn fwd_self_classes(&self, ctx: &mut FwdCtx32, reps: FVar32) -> FVar32 {
+        if self.d_model / self.heads <= 16 {
+            return self.fwd_heads(ctx, reps, reps, None, false, true).0;
+        }
+        // No fused head at this width: share the queries only.
+        let all = ctx.expand_rows(reps);
+        self.fwd_heads(ctx, reps, all, None, false, false).0
+    }
+
+    /// The heads behind [`Self::fwd`]; with `keys_by_class` the rows of
+    /// `keys_values` are class representatives (fused unmasked path
+    /// only).
+    fn fwd_heads(
+        &self,
+        ctx: &mut FwdCtx32,
+        query: FVar32,
+        keys_values: FVar32,
+        mask: Option<&Tensor32>,
+        want_probs: bool,
+        keys_by_class: bool,
+    ) -> (FVar32, Option<FVar32>) {
         let nq = ctx.value(query).rows();
         let dh = self.d_model / self.heads;
         let scale = 1.0 / (dh as f32).sqrt();
@@ -143,8 +173,11 @@ impl MultiHeadAttention32 {
                 // Self-attention stages discard their probabilities: run
                 // the fused tiled kernel and never materialize the n×n
                 // score/probability matrices.
-                None if !want_probs && dh <= 16 => (ctx.attention_head(q, k, v, scale), None),
+                None if !want_probs && dh <= 16 => {
+                    (ctx.attention_head(q, k, v, scale, keys_by_class), None)
+                }
                 None => {
+                    debug_assert!(!keys_by_class, "class keys need the fused head");
                     let (out, probs) = ctx.attention_head_probs(q, k, v, scale);
                     (out, Some(probs))
                 }

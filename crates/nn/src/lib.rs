@@ -17,7 +17,9 @@
 //! * [`lora::LoraLinear`] and [`adapter::Adapter`] — low-rank and
 //!   bottleneck adapters for parameter-efficient fine-tuning (the
 //!   paper's §7 adaptation paths),
-//! * [`checkpoint::Checkpoint`] — named-parameter snapshots.
+//! * [`checkpoint::Checkpoint`] — named-parameter snapshots,
+//! * [`classes::RowClasses`] — the distinct VM rows of a forward step,
+//!   so the dense stages run once per distinct row (exactly).
 //!
 //! ## Example: one gradient step
 //!
@@ -49,6 +51,7 @@
 
 pub mod adapter;
 pub mod checkpoint;
+pub mod classes;
 pub mod graph;
 pub mod infer;
 pub mod infer32;

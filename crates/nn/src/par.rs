@@ -62,11 +62,14 @@ impl<T> AttnScratch<T> {
 }
 
 /// What every lane of one fused attention head reads: the transposed
-/// keys (`dh × n`), the values (`n × dh`) and the shapes.
+/// distinct keys (`dh × n`), their values (`n × dh`), the attended
+/// sequence as a key → distinct-row map (`None`: the `n` rows as they
+/// are) and the shapes.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct HeadInputs<'a, T> {
     pub(crate) kt: &'a [T],
     pub(crate) v: &'a [T],
+    pub(crate) key_class: Option<&'a [u32]>,
     pub(crate) n: usize,
     pub(crate) dh: usize,
     pub(crate) scale: T,

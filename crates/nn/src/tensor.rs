@@ -72,6 +72,12 @@ impl Tensor {
         self.data.capacity()
     }
 
+    /// Grows the backing buffer to hold at least `elems` elements, to
+    /// exactly that many when it has to grow.
+    pub(crate) fn reserve_total(&mut self, elems: usize) {
+        self.data.reserve_exact(elems.saturating_sub(self.data.len()));
+    }
+
     /// True when the tensor has no elements.
     #[inline]
     pub fn is_empty(&self) -> bool {

@@ -66,6 +66,12 @@ impl Tensor32 {
         self.data.capacity()
     }
 
+    /// Grows the backing buffer to hold at least `elems` elements, to
+    /// exactly that many when it has to grow.
+    pub(crate) fn reserve_total(&mut self, elems: usize) {
+        self.data.reserve_exact(elems.saturating_sub(self.data.len()));
+    }
+
     /// True when the tensor holds no elements.
     pub fn is_empty(&self) -> bool {
         self.data.is_empty()

@@ -9,6 +9,10 @@
 //! `std::thread::scope`'s own bookkeeping, a few allocations per helper
 //! lane and call.
 //!
+//! With row classes (`vmr_nn::classes`) the dense stages see one row per
+//! class, and the class count changes between steps: the arena is sized
+//! by the sequence length, so it stays flat while the count moves.
+//!
 //! This lives in its own harness-free integration-test binary (see the
 //! `[[test]]` entry in Cargo.toml): with no libtest threads, every
 //! allocation in the process is the test's own, so the counter cannot
@@ -99,6 +103,69 @@ fn main() {
     println!("alloc_free: ok (0 allocations across 8 steady-state forwards)");
 
     lanes_do_not_grow_the_arena(&mut rng);
+    class_counts_do_not_grow_the_arena(&mut rng);
+}
+
+/// Row classes: the dense stages run on one row per class, and the class
+/// count moves from step to step under a fixed sequence length. The
+/// arena must be sized by the sequence, so neither more nor fewer
+/// classes than the warm-up saw may grow it or allocate.
+fn class_counts_do_not_grow_the_arena(rng: &mut StdRng) {
+    // 6 trees of one root row and 5 leaf rows; classes among the leaves.
+    let (roots, leaves, per_tree, d) = (6, 30, 5, 16);
+    let local = MultiHeadAttention::new("cl", d, 2, rng);
+    let dense = MultiHeadAttention::new("cs", d, 2, rng);
+    let ff = FeedForward::new("cf", d, 2 * d, rng);
+    let base = Tensor::xavier(roots + leaves, d, rng);
+    let tree = TreeGroups {
+        starts: (0..=roots).map(|g| g * (1 + per_tree)).collect(),
+        members: (0..roots)
+            .flat_map(|g| {
+                std::iter::once(g).chain((0..per_tree).map(move |j| roots + g * per_tree + j))
+            })
+            .collect(),
+    };
+    // Variant `dups`: the first `dups + 1` leaves of every tree are equal.
+    let inputs: Vec<Tensor> = (0..per_tree)
+        .map(|dups| {
+            let mut x = base.clone();
+            for g in 0..roots {
+                let first = roots + g * per_tree;
+                let row = x.row_slice(first).to_vec();
+                for j in 1..=dups {
+                    x.data_mut()[(first + j) * d..(first + j + 1) * d].copy_from_slice(&row);
+                }
+            }
+            x
+        })
+        .collect();
+    let pass = |ctx: &mut FwdCtx, x0: &Tensor| -> (usize, f64) {
+        ctx.reset();
+        let x = ctx.input(x0);
+        let t = local.fwd_tree(ctx, x, &tree);
+        let r = ctx.add(x, t);
+        ctx.find_row_classes(r, roots, Some(&tree));
+        let reps = ctx.class_rows(r, roots);
+        let att = dense.fwd_self_classes(ctx, reps);
+        let s = ctx.add(reps, att);
+        let y = ff.fwd(ctx, s);
+        let all = ctx.expand_rows(y);
+        let pooled = ctx.mean_rows(all);
+        (ctx.row_classes().distinct(), ctx.value(pooled).get(0, 0))
+    };
+    let mut ctx = FwdCtx::new();
+    let (warm_classes, _) = pass(&mut ctx, &inputs[2]);
+    assert_eq!(warm_classes, leaves - 2 * roots);
+    let reserved = ctx.reserved();
+    let mut seen = Vec::with_capacity(5);
+    let before = ALLOCS.load(Ordering::SeqCst);
+    for dups in [1, 4, 3, 2, 1] {
+        seen.push(pass(&mut ctx, &inputs[dups]).0);
+        assert_eq!(ctx.reserved(), reserved, "{dups} duplicates per tree grew the arena");
+    }
+    assert_eq!(ALLOCS.load(Ordering::SeqCst), before, "a moving class count must not allocate");
+    assert_eq!(seen, [24, 6, 12, 18, 24], "the class count did move");
+    println!("alloc_free: ok (arena flat at {reserved} elements while classes moved {seen:?})");
 }
 
 /// The above-cutover case: a dense attention layer, fused and with

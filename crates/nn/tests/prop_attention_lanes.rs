@@ -42,9 +42,9 @@ proptest! {
         // f64, fused head: any lane count == the serial kernel.
         let mut scratch = AttnScratch::default();
         let mut serial = Tensor::zeros(m, dh);
-        kernels::attention_head_into(&q, &k, &v, scale, 1, &mut scratch, &mut serial);
+        kernels::attention_head_into(&q, &k, &v, None, scale, 1, &mut scratch, &mut serial);
         let mut split = Tensor::zeros(m, dh);
-        kernels::attention_head_into(&q, &k, &v, scale, lanes, &mut scratch, &mut split);
+        kernels::attention_head_into(&q, &k, &v, None, scale, lanes, &mut scratch, &mut split);
         prop_assert_eq!(split.data(), serial.data(), "f64 fused, {} lanes", lanes);
 
         // f64, unfused cross stage: scores, probabilities and output.
@@ -64,9 +64,9 @@ proptest! {
         let scale = scale as f32;
         let mut scratch = AttnScratch::default();
         let mut serial = Tensor32::zeros(m, dh);
-        kernels_f32::attention_head_into(&q, &k, &v, scale, 1, &mut scratch, &mut serial);
+        kernels_f32::attention_head_into(&q, &k, &v, None, scale, 1, &mut scratch, &mut serial);
         let mut split = Tensor32::zeros(m, dh);
-        kernels_f32::attention_head_into(&q, &k, &v, scale, lanes, &mut scratch, &mut split);
+        kernels_f32::attention_head_into(&q, &k, &v, None, scale, lanes, &mut scratch, &mut split);
         prop_assert_eq!(split.data(), serial.data(), "f32 fused, {} lanes", lanes);
 
         let mut kt = Vec::new();

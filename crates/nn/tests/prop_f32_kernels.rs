@@ -231,8 +231,8 @@ proptest! {
         let mut s64 = AttnScratch::default();
         let mut out32 = Tensor32::zeros(m, dh);
         let mut out64 = Tensor::zeros(m, dh);
-        kernels_f32::attention_head_into(&q32, &k32, &v32, scale, 1, &mut s32, &mut out32);
-        kernels::attention_head_into(&q64, &k64, &v64, f64::from(scale), 1, &mut s64, &mut out64);
+        kernels_f32::attention_head_into(&q32, &k32, &v32, None, scale, 1, &mut s32, &mut out32);
+        kernels::attention_head_into(&q64, &k64, &v64, None, f64::from(scale), 1, &mut s64, &mut out64);
         let tol = 2e-5 * 1.5 * n as f64 + (n as f64 + 2.0) * U * 1.5;
         for i in 0..m {
             for j in 0..dh {

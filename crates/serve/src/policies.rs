@@ -171,7 +171,8 @@ impl PlanPolicy for HaPolicy {
     }
 }
 
-/// Swap-aware local search, flattened to a sequential plan: atomic
+/// Swap-aware local search under the request's latency budget,
+/// flattened to a sequential plan: atomic
 /// exchanges are emitted only when some sequential order of their two
 /// migrations is feasible (the wire protocol ships executable sequences);
 /// the search stops at the first non-sequenceable exchange.
@@ -188,7 +189,7 @@ impl PlanPolicy for SwapPolicy {
             env.constraints(),
             env.objective(),
             req.mnl,
-            &SwapSearchConfig::default(),
+            &SwapSearchConfig { time_limit: req.budget, ..Default::default() },
         );
         // Sequence the moves on the live env (rewound by the session).
         let mut plan = Vec::new();

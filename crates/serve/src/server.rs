@@ -1094,6 +1094,11 @@ fn op_metrics(shared: &Shared, p: MetricsParams) -> OpResult {
     extra.push_counter("nn_par_under_cutover", par.under_cutover);
     extra.push_gauge("nn_par_cores", vmr_nn::par::global().cores() as i64);
     extra.push_gauge("nn_par_busy", vmr_nn::par::global().busy() as i64);
+    // Row classes: `distinct / total` is the share of the dense VM
+    // stages that still runs — the reuse rate behind a plan's latency.
+    let rows = vmr_nn::classes::stats();
+    extra.push_counter("nn_rows_total", rows.rows_total);
+    extra.push_counter("nn_rows_distinct", rows.rows_distinct);
     snapshot.merge(extra);
     let prometheus = p.prometheus.then(|| snapshot.to_prometheus());
     Ok(Reply::Metrics(MetricsReply { snapshot, prometheus }))

@@ -1,8 +1,9 @@
 //! End-to-end observability suite: the `metrics` wire op must export
-//! phase-split latency histograms, error breakdowns, and coalescing
-//! counters; slow requests must emit trace-correlated JSONL records; and
-//! a daemon with telemetry disabled must serve empty span histograms
-//! while its request counters keep working.
+//! phase-split latency histograms, error breakdowns, coalescing
+//! counters, and the inference row-class counters; slow requests must
+//! emit trace-correlated JSONL records; and a daemon with telemetry
+//! disabled must serve empty span histograms while its request counters
+//! keep working.
 //!
 //! The telemetry enable flag is process-wide, so every test here
 //! serializes on [`FLAG_LOCK`] — two daemons booting with different
@@ -203,4 +204,50 @@ fn disabled_telemetry_serves_counters_but_no_spans() {
     handle.shutdown();
     // Leave the process-wide flag the way every other daemon boot sets it.
     vmr_telemetry::set_enabled(true);
+}
+
+#[test]
+fn metrics_op_exports_row_class_counters() {
+    use rand::SeedableRng;
+    use vmr_core::config::{ActionMode, ExtractorKind, ModelConfig};
+
+    let _guard = FLAG_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+    let model = vmr_core::model::Vmr2lModel::new(
+        ModelConfig::default(),
+        ExtractorKind::SparseAttention,
+        &mut rng,
+    );
+    let agent = vmr_core::Vmr2lAgent::new(model, ActionMode::TwoStage);
+    let handle = serve(ServerConfig {
+        threads: 2,
+        agent: Some(vmr_core::infer::SharedAgent::new(agent)),
+        ..Default::default()
+    })
+    .unwrap();
+    let mut client = ServeClient::connect(handle.addr()).unwrap();
+    client.create_session("rows", "small", 3, 4).unwrap();
+    let vms = client.snapshot("rows").unwrap().snapshot.state.num_vms() as u64;
+
+    // The counters are process-wide (like `nn_par_*`): read a delta.
+    let rows = |client: &mut ServeClient| {
+        let snap = client.metrics(false).unwrap().snapshot;
+        let total = snap.counter("nn_rows_total").expect("nn_rows_total is exported");
+        let distinct = snap.counter("nn_rows_distinct").expect("nn_rows_distinct is exported");
+        (total, distinct)
+    };
+    let (total0, distinct0) = rows(&mut client);
+    let plan = client.plan(PlanParams { mnl: 2, ..plan_params("rows", "agent", 1, 0) }).unwrap();
+    let (total1, distinct1) = rows(&mut client);
+
+    // One search per attention block and decision step, over every VM.
+    let passes = ModelConfig::default().blocks as u64 * plan.plan.len() as u64;
+    assert!(!plan.plan.is_empty(), "the agent must plan on a fresh Small cluster");
+    assert!(total1 - total0 >= passes * vms, "{} rows over {passes} passes", total1 - total0);
+    let (total, distinct) = (total1 - total0, distinct1 - distinct0);
+    // A Small cluster packs a handful of flavors onto each PM: some rows
+    // are equal, and the counters must say so — the reuse rate is the
+    // performance story of a plan.
+    assert!(distinct > 0 && distinct < total, "{distinct} distinct of {total}");
+    handle.shutdown();
 }
