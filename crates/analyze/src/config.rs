@@ -35,8 +35,9 @@ pub struct Config {
     pub a001_seqcst_hot: Vec<String>,
     /// F001: crates participating in the f32/f64 precision-tier scheme.
     pub f001_paths: Vec<String>,
-    /// F001: the tier-boundary files where narrowing `as f32` casts are
-    /// the point (cast-once weight mirrors and f32 kernels).
+    /// F001: where narrowing `as f32` casts are the point — the `Scalar`
+    /// impl, whose `from_f64`/`from_usize` are the only casts the generic
+    /// inference stack goes through.
     pub f001_tier_files: Vec<String>,
     /// L001: crates holding session locks around durable state.
     pub l001_paths: Vec<String>,
@@ -86,12 +87,7 @@ impl Config {
             ]),
             a001_seqcst_hot: v(&["crates/sim/src/", "crates/nn/src/", "crates/serve/src/batch.rs"]),
             f001_paths: v(&["crates/nn/src/", "crates/core/src/", "crates/rl/src/"]),
-            f001_tier_files: v(&[
-                "crates/nn/src/kernels_f32.rs",
-                "crates/nn/src/tensor32.rs",
-                "crates/nn/src/infer32.rs",
-                "crates/nn/src/layers_f32.rs",
-            ]),
+            f001_tier_files: v(&["crates/nn/src/scalar.rs"]),
             l001_paths: v(&["crates/serve/src/"]),
         }
     }

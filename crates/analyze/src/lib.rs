@@ -15,7 +15,7 @@
 //! | D001 | plan determinism: no raw `vms_on`/HashMap iteration in plan-producing modules |
 //! | P001 | panic safety: no `unwrap`/`expect`/panicking macros/unchecked indexing in serve request paths |
 //! | A001 | atomics audit: `Relaxed` only in the audited allow-list; `SeqCst` flagged in hot paths |
-//! | F001 | precision boundary: narrowing `as f32` only inside the f32 tier files |
+//! | F001 | precision boundary: narrowing `as f32` only inside the `Scalar` impl |
 //! | L001 | lock discipline: no file I/O lexically inside a held session-lock scope |
 //! | H001 | hygiene: crate roots carry `#![forbid(unsafe_code)]` |
 //! | W001 | waiver hygiene: malformed `vmr-analyze:` comment |
@@ -49,7 +49,7 @@ pub const CATALOG: &[(&str, &str)] = &[
     ("D001", "determinism: raw vms_on/HashMap iteration in plan-producing modules"),
     ("P001", "panic-safety: unwrap/expect/panics/unchecked indexing in serve request paths"),
     ("A001", "atomics: Relaxed outside allow-list; SeqCst in hot paths"),
-    ("F001", "precision: narrowing `as f32` outside the f32 tier boundary"),
+    ("F001", "precision: narrowing `as f32` outside the `Scalar` impl"),
     ("L001", "locks: file I/O inside a held session-lock scope"),
     ("H001", "hygiene: crate root missing #![forbid(unsafe_code)]"),
     ("W001", "waivers: malformed vmr-analyze comment"),

@@ -288,10 +288,12 @@ fn a001(ctx: &Ctx, out: &mut Vec<Raw>) {
 }
 
 /// F001 — precision boundary: narrowing `as f32` casts outside the
-/// designated f32 tier files. The f32 fast path (PR 6) casts weights
-/// exactly once at the tier boundary; stray narrowing casts elsewhere
-/// silently change which tensors carry reduced precision. Widening
-/// `as f64` is allowed everywhere (lossless for every f32).
+/// `Scalar` impl. The inference stack is generic over its element type
+/// and every f64 → f32 rounding goes through `Scalar::from_f64` /
+/// `from_usize` (weights cast once at load, features at the arena
+/// boundary); a stray narrowing cast elsewhere silently changes which
+/// values carry reduced precision, or rounds twice. Widening `as f64` is
+/// allowed everywhere (lossless for every f32).
 fn f001(ctx: &Ctx, out: &mut Vec<Raw>) {
     if !in_scope(ctx.path, &ctx.cfg.f001_paths)
         || ctx.cfg.f001_tier_files.iter().any(|f| f == ctx.path)
@@ -307,9 +309,9 @@ fn f001(ctx: &Ctx, out: &mut Vec<Raw>) {
             out.push(Raw {
                 lint: "F001",
                 line: ctx.tok(i).line,
-                message: "narrowing `as f32` cast outside the f32 tier boundary \
-                          (kernels_f32/tensor32/infer32/layers_f32); route through the tier's \
-                          cast-once mirrors"
+                message: "narrowing `as f32` cast outside the `Scalar` impl \
+                          (crates/nn/src/scalar.rs); route through `Scalar::from_f64` / \
+                          `from_usize`"
                     .to_string(),
             });
         }

@@ -104,9 +104,9 @@ fn f001_widening_and_tests_are_clean() {
 
 #[test]
 fn f001_tier_files_may_narrow() {
-    // The identical narrowing casts inside a designated tier file are
-    // the tier's whole point.
-    let f = run("crates/nn/src/layers_f32.rs", include_str!("../fixtures/f001_bad.rs"));
+    // The identical narrowing casts inside the `Scalar` impl are its
+    // whole point.
+    let f = run("crates/nn/src/scalar.rs", include_str!("../fixtures/f001_bad.rs"));
     assert!(f.is_empty(), "{f:#?}");
 }
 

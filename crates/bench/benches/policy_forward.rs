@@ -13,7 +13,6 @@ use vmr_core::features::{FeatureTensors, TreeIndex};
 use vmr_core::model::{Vmr2lModel, Vmr2lModelF32};
 use vmr_nn::graph::Graph;
 use vmr_nn::infer::FwdCtx;
-use vmr_nn::infer32::FwdCtx32;
 use vmr_nn::kernels::{matmul_into, matmul_nt_into, matmul_sparse_into};
 use vmr_nn::tensor::Tensor;
 use vmr_sim::dataset::{generate_mapping, ClusterConfig, PmGroup};
@@ -87,7 +86,7 @@ fn bench_engines_f32(c: &mut Criterion) {
         let feats = feats_for(pms);
         let mut tree = TreeIndex::new();
         tree.rebuild(&feats);
-        let mut ctx = FwdCtx32::new();
+        let mut ctx = FwdCtx::<f32>::new();
         group.bench_with_input(
             BenchmarkId::new("stage1_fwd", format!("{pms}pm_{}vm", feats.num_vms)),
             &feats,
@@ -98,7 +97,7 @@ fn bench_engines_f32(c: &mut Criterion) {
                 })
             },
         );
-        let mut ctx2 = FwdCtx32::new();
+        let mut ctx2 = FwdCtx::<f32>::new();
         group.bench_with_input(
             BenchmarkId::new("stage1_plus_stage2_fwd", format!("{pms}pm")),
             &feats,

@@ -11,9 +11,7 @@ use rand::Rng;
 
 use vmr_nn::graph::{Graph, Var};
 use vmr_nn::infer::{FVar, FwdCtx};
-use vmr_nn::infer32::{FVar32, FwdCtx32};
 use vmr_nn::kernels::masked_softmax_bool_row;
-use vmr_nn::kernels_f32::masked_softmax_bool_row_f32;
 use vmr_nn::layers::Module;
 use vmr_nn::tensor::Tensor;
 use vmr_rl::sample::{apply_keep_mask, quantile_keep_mask, Categorical};
@@ -117,7 +115,7 @@ pub struct InferCtx {
     pub ctx: FwdCtx,
     /// The f32 forward arena ([`crate::config::PrecisionConfig::Fast32`]
     /// paths only; empty and cost-free otherwise).
-    pub ctx32: FwdCtx32,
+    pub ctx32: FwdCtx<f32>,
     /// Reused featurization (f32 → f64 refill, no rebuild).
     pub feats: FeatureTensors,
     /// Reused PM-tree CSR index for block-sparse local attention.
@@ -686,7 +684,7 @@ impl Vmr2lAgent<Vmr2lModel> {
     /// [`Vmr2lAgent::act_core`] on the f32 arena: identical masking,
     /// resampling, and log-prob accounting over an f32 stage-1 output.
     /// Probabilities are normalized in f64 (see
-    /// [`masked_softmax_bool_row_f32`]) so the sampling stack — RNG draw
+    /// [`masked_softmax_bool_row`]) so the sampling stack — RNG draw
     /// order included — is shared verbatim with the f64 path.
     pub fn act_core_f32<R: Rng + ?Sized>(
         &self,
@@ -707,7 +705,7 @@ impl Vmr2lAgent<Vmr2lModel> {
                     if !ictx.vm_mask.iter().any(|&b| b) {
                         return Ok(None);
                     }
-                    masked_softmax_bool_row_f32(
+                    masked_softmax_bool_row(
                         ictx.ctx32.value(s1.vm_logits).row_slice(0),
                         &ictx.vm_mask,
                         &mut ictx.vm_probs,
@@ -733,7 +731,7 @@ impl Vmr2lAgent<Vmr2lModel> {
                         continue;
                     }
                     let pm_logits = m32.stage2_fwd(&mut ictx.ctx32, s1, vm_idx);
-                    masked_softmax_bool_row_f32(
+                    masked_softmax_bool_row(
                         ictx.ctx32.value(pm_logits).row_slice(0),
                         &ictx.pm_mask,
                         &mut ictx.pm_probs,
@@ -768,7 +766,7 @@ impl Vmr2lAgent<Vmr2lModel> {
                 let InferCtx { ctx32, feats, joint_mask, vm_probs, pm_probs, .. } = ictx;
                 let joint = joint_logits_fwd_f32(m32, ctx32, s1, feats);
                 let flat = ctx32.reshape(joint, 1, m * n);
-                masked_softmax_bool_row_f32(ctx32.value(flat).row_slice(0), joint_mask, vm_probs);
+                masked_softmax_bool_row(ctx32.value(flat).row_slice(0), joint_mask, vm_probs);
                 pm_probs.clear();
                 let Some((idx, lp)) = pick(vm_probs, None, opts.greedy, rng) else {
                     return Ok(None);
@@ -788,10 +786,10 @@ impl Vmr2lAgent<Vmr2lModel> {
 /// `Vmr2lAgent::joint_logits_fwd`).
 fn joint_logits_fwd_f32(
     m32: &Vmr2lModelF32,
-    ctx: &mut FwdCtx32,
+    ctx: &mut FwdCtx<f32>,
     s1: &Stage1Fwd32,
     feats: &FeatureTensors,
-) -> FVar32 {
+) -> FVar {
     let m = feats.num_vms;
     let n = feats.num_pms;
     let vm_col = ctx.reshape(s1.vm_logits, m, 1);

@@ -18,18 +18,17 @@ use rand::Rng;
 
 use vmr_nn::graph::{Graph, Var};
 use vmr_nn::infer::{FVar, FwdCtx, TreeGroups};
-use vmr_nn::infer32::{FVar32, FwdCtx32};
 use vmr_nn::layers::{FeedForward, Linear, Mlp, Module, MultiHeadAttention};
-use vmr_nn::layers_f32::{FeedForward32, Linear32, Mlp32, MultiHeadAttention32};
+use vmr_nn::scalar::Scalar;
 use vmr_nn::tensor::Tensor;
-use vmr_nn::tensor32::Tensor32;
 use vmr_sim::obs::{PM_FEAT, VM_FEAT};
 
 use crate::config::{ExtractorKind, ModelConfig};
 use crate::features::FeatureTensors;
 
 /// Output of the shared feature extraction + stage-1 heads on the
-/// tape-free engine (mirrors [`Stage1Out`] with arena handles).
+/// tape-free engine (mirrors [`Stage1Out`] with arena handles, which
+/// carry no element type: the same struct serves both precisions).
 #[derive(Debug, Clone, Copy)]
 pub struct Stage1Fwd {
     /// `1 × M` stage-1 (VM-selection) logits, unmasked.
@@ -64,15 +63,18 @@ pub struct Stage1Out {
     pub value: Var,
 }
 
+/// [`Stage1Fwd`] under its pre-`Scalar` f32 name.
+pub type Stage1Fwd32 = Stage1Fwd;
+
 /// One sparse-attention block.
 #[derive(Debug, Clone)]
-pub struct SparseBlock {
-    local: Option<MultiHeadAttention>,
-    pm_self: MultiHeadAttention,
-    vm_self: MultiHeadAttention,
-    cross: MultiHeadAttention,
-    pm_ff: FeedForward,
-    vm_ff: FeedForward,
+pub struct SparseBlock<S = f64> {
+    local: Option<MultiHeadAttention<S>>,
+    pm_self: MultiHeadAttention<S>,
+    vm_self: MultiHeadAttention<S>,
+    cross: MultiHeadAttention<S>,
+    pm_ff: FeedForward<S>,
+    vm_ff: FeedForward<S>,
 }
 
 /// Block output: updated embeddings plus the cross-attention map.
@@ -142,8 +144,21 @@ impl SparseBlock {
         let vm_out = self.vm_ff.forward(g, vm_c);
         BlockOut { pm: pm_out, vm: vm_out, cross_probs: cross.probs }
     }
+}
 
-    /// Tape-free forward, bit-identical to [`SparseBlock::forward`] under
+impl<S: Scalar> SparseBlock<S> {
+    fn from_f64(b: &SparseBlock) -> Self {
+        SparseBlock {
+            local: b.local.as_ref().map(MultiHeadAttention::from_f64),
+            pm_self: MultiHeadAttention::from_f64(&b.pm_self),
+            vm_self: MultiHeadAttention::from_f64(&b.vm_self),
+            cross: MultiHeadAttention::from_f64(&b.cross),
+            pm_ff: FeedForward::from_f64(&b.pm_ff),
+            vm_ff: FeedForward::from_f64(&b.vm_ff),
+        }
+    }
+
+    /// Tape-free forward, in f64 bit-identical to [`SparseBlock::forward`] under
     /// the dense tree mask equivalent to `tree`. The local stage runs
     /// block-sparse per PM-tree — the `(N+M)²` score matrix and the mask
     /// are never materialized — and the dense VM stages after it run once
@@ -152,7 +167,7 @@ impl SparseBlock {
     /// class of this pass (`ctx.row_classes()`).
     pub fn fwd(
         &self,
-        ctx: &mut FwdCtx,
+        ctx: &mut FwdCtx<S>,
         pm: FVar,
         vm: FVar,
         tree: Option<&TreeGroups>,
@@ -216,11 +231,11 @@ impl Module for SparseBlock {
 /// the selected VM and the decoder attends every PM to it, augmented with
 /// the stage-3 attention score of the selected VM (§3.3).
 #[derive(Debug, Clone)]
-pub struct PmActor {
-    enc: Linear,
-    att: MultiHeadAttention,
-    ff: FeedForward,
-    out: Linear,
+pub struct PmActor<S = f64> {
+    enc: Linear<S>,
+    att: MultiHeadAttention<S>,
+    ff: FeedForward<S>,
+    out: Linear<S>,
 }
 
 impl PmActor {
@@ -252,10 +267,21 @@ impl PmActor {
         let logits = self.out.forward(g, with_score); // N × 1
         g.transpose(logits) // 1 × N
     }
+}
 
-    /// Tape-free forward (bit-identical to [`PmActor::forward`]; the row
-    /// ↔ column transposes are pure reshapes in row-major layout).
-    pub fn fwd(&self, ctx: &mut FwdCtx, pm_embs: FVar, selected: FVar, score_row: FVar) -> FVar {
+impl<S: Scalar> PmActor<S> {
+    fn from_f64(a: &PmActor) -> Self {
+        PmActor {
+            enc: Linear::from_f64(&a.enc),
+            att: MultiHeadAttention::from_f64(&a.att),
+            ff: FeedForward::from_f64(&a.ff),
+            out: Linear::from_f64(&a.out),
+        }
+    }
+
+    /// Tape-free forward (in f64 bit-identical to [`PmActor::forward`];
+    /// the row ↔ column transposes are pure reshapes in row-major layout).
+    pub fn fwd(&self, ctx: &mut FwdCtx<S>, pm_embs: FVar, selected: FVar, score_row: FVar) -> FVar {
         let n = ctx.value(pm_embs).rows();
         let enc = self.enc.fwd(ctx, selected);
         ctx.relu_assign(enc);
@@ -285,23 +311,33 @@ impl Module for PmActor {
     }
 }
 
-/// The full VMR2L policy/value network.
+/// The full VMR2L policy/value network, over the [`Scalar`] of its
+/// weights: `Vmr2lModel` (f64) trains, checkpoints and serves the exact
+/// tier; `Vmr2lModel<f32>` is its weight-cast-once build for the fast
+/// tier ([`crate::config::PrecisionConfig::Fast32`]) — constructed by
+/// [`Vmr2lModel::from_f64`] exactly once (checkpoint load /
+/// `SharedAgent` construction), forward-only, tolerance-equivalent to
+/// the f64 path (see `tests/integration_precision.rs`), not
+/// bit-identical.
 #[derive(Debug, Clone)]
-pub struct Vmr2lModel {
+pub struct Vmr2lModel<S = f64> {
     /// Architecture configuration.
     pub cfg: ModelConfig,
     /// Which feature extractor variant this model uses.
     pub extractor: ExtractorKind,
-    vm_embed: Mlp,
-    pm_embed: Mlp,
-    blocks: Vec<SparseBlock>,
-    vm_head: Linear,
+    vm_embed: Mlp<S>,
+    pm_embed: Mlp<S>,
+    blocks: Vec<SparseBlock<S>>,
+    vm_head: Linear<S>,
     /// Generic per-PM logit head (used by the Full-Mask ablation's joint
     /// action space).
-    pm_head: Linear,
-    pm_actor: PmActor,
-    critic: Mlp,
+    pm_head: Linear<S>,
+    pm_actor: PmActor<S>,
+    critic: Mlp<S>,
 }
+
+/// [`Vmr2lModel<f32>`] under its pre-`Scalar` name.
+pub type Vmr2lModelF32 = Vmr2lModel<f32>;
 
 impl Vmr2lModel {
     /// Builds the model. `extractor` must be `SparseAttention` or
@@ -369,12 +405,51 @@ impl Vmr2lModel {
         let col = self.pm_head.forward(g, s1.pm_embs); // N × 1
         g.transpose(col)
     }
+}
 
-    // ---- tape-free inference path ------------------------------------
+// ---- tape-free inference path, both precisions -----------------------
+
+/// Stacks f64 feature matrices of one width row-wise into a fresh slot,
+/// cast to `S`.
+fn stack_rows<'a, S: Scalar>(
+    ctx: &mut FwdCtx<S>,
+    width: usize,
+    parts: impl Iterator<Item = &'a Tensor> + Clone,
+) -> FVar {
+    let total: usize = parts.clone().map(Tensor::rows).sum();
+    let slot = ctx.alloc(total, width);
+    let dst = ctx.value_mut(slot).data_mut();
+    let mut at = 0;
+    for part in parts {
+        assert_eq!(part.cols(), width, "stacked feature matrices must share one width");
+        for (d, &s) in dst[at..at + part.len()].iter_mut().zip(part.data()) {
+            *d = S::from_f64(s);
+        }
+        at += part.len();
+    }
+    slot
+}
+
+impl<S: Scalar> Vmr2lModel<S> {
+    /// Casts a trained f64 model, weight by weight (a clone for `f64`).
+    pub fn from_f64(m: &Vmr2lModel) -> Self {
+        Vmr2lModel {
+            cfg: m.cfg,
+            extractor: m.extractor,
+            vm_embed: Mlp::from_f64(&m.vm_embed),
+            pm_embed: Mlp::from_f64(&m.pm_embed),
+            blocks: m.blocks.iter().map(SparseBlock::from_f64).collect(),
+            vm_head: Linear::from_f64(&m.vm_head),
+            pm_head: Linear::from_f64(&m.pm_head),
+            pm_actor: PmActor::from_f64(&m.pm_actor),
+            critic: Mlp::from_f64(&m.critic),
+        }
+    }
 
     /// Runs only the entity embedding networks (the first, purely
-    /// row-wise GEMM chain of stage 1) on the tape-free engine.
-    pub fn embed_fwd(&self, ctx: &mut FwdCtx, feats: &FeatureTensors) -> (FVar, FVar) {
+    /// row-wise GEMM chain of stage 1) on the tape-free engine. Features
+    /// are cast to `S` at the arena boundary.
+    pub fn embed_fwd(&self, ctx: &mut FwdCtx<S>, feats: &FeatureTensors) -> (FVar, FVar) {
         let pm_in = ctx.input(&feats.pm);
         let vm_in = ctx.input(&feats.vm);
         (self.pm_embed.fwd(ctx, pm_in), self.vm_embed.fwd(ctx, vm_in))
@@ -385,34 +460,28 @@ impl Vmr2lModel {
     /// row-wise and pushed through the shared embedding MLPs as **one**
     /// GEMM chain, then split back per request. Because every op in the
     /// chain is row-wise (matmul, bias add, ReLU), each returned slice is
-    /// bit-identical to running [`Vmr2lModel::embed_fwd`] alone — batching
-    /// can never change a served plan.
-    pub fn embed_batch(&self, items: &[(&Tensor, &Tensor)]) -> Vec<(Tensor, Tensor)> {
-        let mut ctx = FwdCtx::new();
-        let total_pm: usize = items.iter().map(|(pm, _)| pm.rows()).sum();
-        let total_vm: usize = items.iter().map(|(_, vm)| vm.rows()).sum();
-        let pm_in = ctx.alloc(total_pm, PM_FEAT);
-        let vm_in = ctx.alloc(total_vm, VM_FEAT);
-        let (mut pr, mut vr) = (0, 0);
-        for (pm, vm) in items {
-            let d = ctx.value_mut(pm_in).data_mut();
-            d[pr * PM_FEAT..pr * PM_FEAT + pm.len()].copy_from_slice(pm.data());
-            pr += pm.rows();
-            let d = ctx.value_mut(vm_in).data_mut();
-            d[vr * VM_FEAT..vr * VM_FEAT + vm.len()].copy_from_slice(vm.data());
-            vr += vm.rows();
-        }
+    /// bit-identical to running [`Vmr2lModel::embed_fwd`] alone, in
+    /// either precision — batching can never change a served plan. The
+    /// features are f64; they are cast to `S` as they are stacked.
+    pub fn embed_batch(&self, items: &[(&Tensor, &Tensor)]) -> Vec<(Tensor<S>, Tensor<S>)> {
+        let mut ctx = FwdCtx::<S>::new();
+        let pm_in = stack_rows(&mut ctx, PM_FEAT, items.iter().map(|it| it.0));
+        let vm_in = stack_rows(&mut ctx, VM_FEAT, items.iter().map(|it| it.1));
         let pm_emb = self.pm_embed.fwd(&mut ctx, pm_in);
         let vm_emb = self.vm_embed.fwd(&mut ctx, vm_in);
+        let rows_of = |emb: FVar, start: usize, len: usize| {
+            let e = ctx.value(emb);
+            let d = e.cols();
+            Tensor::from_vec(len, d, e.data()[start * d..(start + len) * d].to_vec())
+        };
         let (mut pr, mut vr) = (0, 0);
         items
             .iter()
             .map(|(pm, vm)| {
-                let p = ctx.value(pm_emb).select_rows(&(pr..pr + pm.rows()).collect::<Vec<_>>());
-                let v = ctx.value(vm_emb).select_rows(&(vr..vr + vm.rows()).collect::<Vec<_>>());
+                let out = (rows_of(pm_emb, pr, pm.rows()), rows_of(vm_emb, vr, vm.rows()));
                 pr += pm.rows();
                 vr += vm.rows();
-                (p, v)
+                out
             })
             .collect()
     }
@@ -422,7 +491,7 @@ impl Vmr2lModel {
     /// the sparse extractor.
     pub fn stage1_from_embeds_fwd(
         &self,
-        ctx: &mut FwdCtx,
+        ctx: &mut FwdCtx<S>,
         pm_emb: FVar,
         vm_emb: FVar,
         tree: Option<&TreeGroups>,
@@ -460,10 +529,11 @@ impl Vmr2lModel {
         }
     }
 
-    /// Full tape-free stage 1 (bit-identical to [`Vmr2lModel::stage1`]).
+    /// Full tape-free stage 1 (in f64 bit-identical to
+    /// [`Vmr2lModel::stage1`]).
     pub fn stage1_fwd(
         &self,
-        ctx: &mut FwdCtx,
+        ctx: &mut FwdCtx<S>,
         feats: &FeatureTensors,
         tree: Option<&TreeGroups>,
     ) -> Stage1Fwd {
@@ -471,298 +541,15 @@ impl Vmr2lModel {
         self.stage1_from_embeds_fwd(ctx, pm_emb, vm_emb, tree)
     }
 
-    /// Tape-free stage 2 (bit-identical to [`Vmr2lModel::stage2`]).
-    pub fn stage2_fwd(&self, ctx: &mut FwdCtx, s1: &Stage1Fwd, vm_idx: usize) -> FVar {
+    /// Tape-free stage 2 (in f64 bit-identical to [`Vmr2lModel::stage2`]).
+    pub fn stage2_fwd(&self, ctx: &mut FwdCtx<S>, s1: &Stage1Fwd, vm_idx: usize) -> FVar {
         let selected = ctx.select_row(s1.vm_embs, vm_idx);
         let score_row = ctx.select_row(s1.cross_probs, ctx.row_classes().class(vm_idx));
         self.pm_actor.fwd(ctx, s1.pm_embs, selected, score_row)
     }
 
     /// Tape-free generic per-PM logits (Full-Mask joint action space).
-    pub fn pm_logits_generic_fwd(&self, ctx: &mut FwdCtx, s1: &Stage1Fwd) -> FVar {
-        let n = ctx.value(s1.pm_embs).rows();
-        let col = self.pm_head.fwd(ctx, s1.pm_embs); // N × 1
-        ctx.reshape(col, 1, n)
-    }
-}
-
-// ---- f32 inference mirror --------------------------------------------
-
-/// [`Stage1Fwd`] on the f32 arena.
-#[derive(Debug, Clone, Copy)]
-pub struct Stage1Fwd32 {
-    /// `1 × M` stage-1 (VM-selection) logits, unmasked.
-    pub vm_logits: FVar32,
-    /// `N × d` final PM embeddings.
-    pub pm_embs: FVar32,
-    /// `M × d` final VM embeddings.
-    pub vm_embs: FVar32,
-    /// Stage-3 cross-attention probabilities from the last block, one
-    /// row per VM row class (see [`Stage1Fwd::cross_probs`]).
-    pub cross_probs: FVar32,
-    /// `1 × 1` critic value.
-    pub value: FVar32,
-}
-
-/// f32 mirror of [`SparseBlock`].
-#[derive(Debug, Clone)]
-struct SparseBlock32 {
-    local: Option<MultiHeadAttention32>,
-    pm_self: MultiHeadAttention32,
-    vm_self: MultiHeadAttention32,
-    cross: MultiHeadAttention32,
-    pm_ff: FeedForward32,
-    vm_ff: FeedForward32,
-}
-
-impl SparseBlock32 {
-    fn from_f64(b: &SparseBlock) -> Self {
-        SparseBlock32 {
-            local: b.local.as_ref().map(MultiHeadAttention32::from_f64),
-            pm_self: MultiHeadAttention32::from_f64(&b.pm_self),
-            vm_self: MultiHeadAttention32::from_f64(&b.vm_self),
-            cross: MultiHeadAttention32::from_f64(&b.cross),
-            pm_ff: FeedForward32::from_f64(&b.pm_ff),
-            vm_ff: FeedForward32::from_f64(&b.vm_ff),
-        }
-    }
-
-    /// f32 forward mirroring [`SparseBlock::fwd`] stage for stage.
-    fn fwd(
-        &self,
-        ctx: &mut FwdCtx32,
-        pm: FVar32,
-        vm: FVar32,
-        tree: Option<&TreeGroups>,
-        want_cross_probs: bool,
-    ) -> (FVar32, FVar32, Option<FVar32>) {
-        let n = ctx.value(pm).rows();
-        let (pm_l, vm_l) = match (&self.local, tree) {
-            (Some(local), Some(tree)) => {
-                let combined = ctx.vcat(pm, vm);
-                let att = local.fwd_tree(ctx, combined, tree);
-                let res = ctx.add(combined, att);
-                // From here to the end of the block a VM row's output
-                // depends on that row alone (as a query) and on the whole
-                // VM sequence (as keys): bit-equal rows of one tree get
-                // bit-equal outputs, so one representative per class runs.
-                ctx.find_row_classes(res, n, Some(tree));
-                (ctx.rows_range(res, 0, n), ctx.class_rows(res, n))
-            }
-            _ => {
-                ctx.find_row_classes(vm, 0, None);
-                (pm, vm)
-            }
-        };
-        let (pm_att, _) = self.pm_self.fwd(ctx, pm_l, pm_l, None, false);
-        let pm_s = ctx.add(pm_l, pm_att);
-        let vm_att = self.vm_self.fwd_self_classes(ctx, vm_l);
-        let vm_s = ctx.add(vm_l, vm_att);
-        let (cross_out, cross_probs) = self.cross.fwd(ctx, vm_s, pm_s, None, want_cross_probs);
-        let vm_c = ctx.add(vm_s, cross_out);
-        let pm_out = self.pm_ff.fwd(ctx, pm_s);
-        let vm_out = self.vm_ff.fwd(ctx, vm_c);
-        (pm_out, ctx.expand_rows(vm_out), cross_probs)
-    }
-}
-
-/// f32 mirror of [`PmActor`].
-#[derive(Debug, Clone)]
-struct PmActor32 {
-    enc: Linear32,
-    att: MultiHeadAttention32,
-    ff: FeedForward32,
-    out: Linear32,
-}
-
-impl PmActor32 {
-    fn from_f64(a: &PmActor) -> Self {
-        PmActor32 {
-            enc: Linear32::from_f64(&a.enc),
-            att: MultiHeadAttention32::from_f64(&a.att),
-            ff: FeedForward32::from_f64(&a.ff),
-            out: Linear32::from_f64(&a.out),
-        }
-    }
-
-    fn fwd(
-        &self,
-        ctx: &mut FwdCtx32,
-        pm_embs: FVar32,
-        selected: FVar32,
-        score_row: FVar32,
-    ) -> FVar32 {
-        let n = ctx.value(pm_embs).rows();
-        let enc = self.enc.fwd(ctx, selected);
-        ctx.relu_assign(enc);
-        let (att, _) = self.att.fwd(ctx, pm_embs, enc, None, false);
-        let dec = ctx.add(pm_embs, att);
-        let dec = self.ff.fwd(ctx, dec);
-        let score_col = ctx.reshape(score_row, n, 1);
-        let with_score = ctx.hcat(dec, score_col);
-        let logits = self.out.fwd(ctx, with_score); // N × 1
-        ctx.reshape(logits, 1, n)
-    }
-}
-
-/// Weight-cast-once f32 build of a trained [`Vmr2lModel`] — the
-/// inference fast path ([`crate::config::PrecisionConfig::Fast32`]).
-///
-/// Constructed from the f64 model exactly once (checkpoint load /
-/// `SharedAgent` construction); every forward thereafter runs f32
-/// weights through the [`vmr_nn::kernels_f32`] kernels on a
-/// [`FwdCtx32`] arena. Decisions are tolerance-equivalent to the f64
-/// path (see `tests/integration_precision.rs`), not bit-identical.
-#[derive(Debug, Clone)]
-pub struct Vmr2lModelF32 {
-    /// Architecture configuration (copied from the source model).
-    pub cfg: ModelConfig,
-    /// Which feature extractor variant this model uses.
-    pub extractor: ExtractorKind,
-    vm_embed: Mlp32,
-    pm_embed: Mlp32,
-    blocks: Vec<SparseBlock32>,
-    vm_head: Linear32,
-    pm_head: Linear32,
-    pm_actor: PmActor32,
-    critic: Mlp32,
-}
-
-impl Vmr2lModelF32 {
-    /// Casts a trained f64 model down, weight by weight.
-    pub fn from_f64(m: &Vmr2lModel) -> Self {
-        Vmr2lModelF32 {
-            cfg: m.cfg,
-            extractor: m.extractor,
-            vm_embed: Mlp32::from_f64(&m.vm_embed),
-            pm_embed: Mlp32::from_f64(&m.pm_embed),
-            blocks: m.blocks.iter().map(SparseBlock32::from_f64).collect(),
-            vm_head: Linear32::from_f64(&m.vm_head),
-            pm_head: Linear32::from_f64(&m.pm_head),
-            pm_actor: PmActor32::from_f64(&m.pm_actor),
-            critic: Mlp32::from_f64(&m.critic),
-        }
-    }
-
-    /// Runs only the entity embedding networks (f32 mirror of
-    /// [`Vmr2lModel::embed_fwd`]). Features are cast down at the arena
-    /// boundary.
-    pub fn embed_fwd(&self, ctx: &mut FwdCtx32, feats: &FeatureTensors) -> (FVar32, FVar32) {
-        let pm_in = ctx.input(&feats.pm);
-        let vm_in = ctx.input(&feats.vm);
-        (self.pm_embed.fwd(ctx, pm_in), self.vm_embed.fwd(ctx, vm_in))
-    }
-
-    /// Batched f32 embedding over stacked per-request feature matrices
-    /// (mirror of [`Vmr2lModel::embed_batch`]; the row-wise-op argument
-    /// for batching carries over unchanged — in f32 each returned slice
-    /// still exactly equals the unbatched f32 forward).
-    pub fn embed_batch(&self, items: &[(&Tensor, &Tensor)]) -> Vec<(Tensor32, Tensor32)> {
-        let mut ctx = FwdCtx32::new();
-        let total_pm: usize = items.iter().map(|(pm, _)| pm.rows()).sum();
-        let total_vm: usize = items.iter().map(|(_, vm)| vm.rows()).sum();
-        let pm_in = ctx.alloc(total_pm, PM_FEAT);
-        let vm_in = ctx.alloc(total_vm, VM_FEAT);
-        let (mut pr, mut vr) = (0, 0);
-        for (pm, vm) in items {
-            let d = ctx.value_mut(pm_in).data_mut();
-            for (dst, &src) in d[pr * PM_FEAT..pr * PM_FEAT + pm.len()].iter_mut().zip(pm.data()) {
-                // vmr-analyze: allow(F001) reason="cast-once staging of f64 features into the f32 tier's input buffer"
-                *dst = src as f32;
-            }
-            pr += pm.rows();
-            let d = ctx.value_mut(vm_in).data_mut();
-            for (dst, &src) in d[vr * VM_FEAT..vr * VM_FEAT + vm.len()].iter_mut().zip(vm.data()) {
-                // vmr-analyze: allow(F001) reason="cast-once staging of f64 features into the f32 tier's input buffer"
-                *dst = src as f32;
-            }
-            vr += vm.rows();
-        }
-        let pm_emb = self.pm_embed.fwd(&mut ctx, pm_in);
-        let vm_emb = self.vm_embed.fwd(&mut ctx, vm_in);
-        let (mut pr, mut vr) = (0, 0);
-        items
-            .iter()
-            .map(|(pm, vm)| {
-                let pe = ctx.value(pm_emb);
-                let d = pe.cols();
-                let p = Tensor32::from_vec(
-                    pm.rows(),
-                    d,
-                    pe.data()[pr * d..(pr + pm.rows()) * d].to_vec(),
-                );
-                let ve = ctx.value(vm_emb);
-                let v = Tensor32::from_vec(
-                    vm.rows(),
-                    d,
-                    ve.data()[vr * d..(vr + vm.rows()) * d].to_vec(),
-                );
-                pr += pm.rows();
-                vr += vm.rows();
-                (p, v)
-            })
-            .collect()
-    }
-
-    /// Continues stage 1 from (possibly batch-computed) f32 embeddings
-    /// (mirror of [`Vmr2lModel::stage1_from_embeds_fwd`]).
-    pub fn stage1_from_embeds_fwd(
-        &self,
-        ctx: &mut FwdCtx32,
-        pm_emb: FVar32,
-        vm_emb: FVar32,
-        tree: Option<&TreeGroups>,
-    ) -> Stage1Fwd32 {
-        if self.extractor == ExtractorKind::SparseAttention {
-            assert!(tree.is_some(), "sparse extractor needs the tree index");
-        }
-        let tree = (self.extractor == ExtractorKind::SparseAttention).then_some(tree).flatten();
-        let mut pm = pm_emb;
-        let mut vm = vm_emb;
-        let mut cross_probs = None;
-        for (i, block) in self.blocks.iter().enumerate() {
-            let last = i + 1 == self.blocks.len();
-            let (p, v, c) = block.fwd(ctx, pm, vm, tree, last);
-            pm = p;
-            vm = v;
-            cross_probs = c.or(cross_probs);
-        }
-        let m = ctx.value(vm).rows();
-        let vm_logits_col = self.vm_head.fwd(ctx, vm); // M × 1
-        let vm_logits = ctx.reshape(vm_logits_col, 1, m);
-        let pm_pool = ctx.mean_rows(pm);
-        let vm_pool = ctx.mean_rows(vm);
-        let pooled = ctx.hcat(pm_pool, vm_pool);
-        let value = self.critic.fwd(ctx, pooled);
-        Stage1Fwd32 {
-            vm_logits,
-            pm_embs: pm,
-            vm_embs: vm,
-            cross_probs: cross_probs.expect("at least one block"),
-            value,
-        }
-    }
-
-    /// Full f32 stage 1 (mirror of [`Vmr2lModel::stage1_fwd`]).
-    pub fn stage1_fwd(
-        &self,
-        ctx: &mut FwdCtx32,
-        feats: &FeatureTensors,
-        tree: Option<&TreeGroups>,
-    ) -> Stage1Fwd32 {
-        let (pm_emb, vm_emb) = self.embed_fwd(ctx, feats);
-        self.stage1_from_embeds_fwd(ctx, pm_emb, vm_emb, tree)
-    }
-
-    /// f32 stage 2 (mirror of [`Vmr2lModel::stage2_fwd`]).
-    pub fn stage2_fwd(&self, ctx: &mut FwdCtx32, s1: &Stage1Fwd32, vm_idx: usize) -> FVar32 {
-        let selected = ctx.select_row(s1.vm_embs, vm_idx);
-        let score_row = ctx.select_row(s1.cross_probs, ctx.row_classes().class(vm_idx));
-        self.pm_actor.fwd(ctx, s1.pm_embs, selected, score_row)
-    }
-
-    /// f32 generic per-PM logits (Full-Mask joint action space).
-    pub fn pm_logits_generic_fwd(&self, ctx: &mut FwdCtx32, s1: &Stage1Fwd32) -> FVar32 {
+    pub fn pm_logits_generic_fwd(&self, ctx: &mut FwdCtx<S>, s1: &Stage1Fwd) -> FVar {
         let n = ctx.value(s1.pm_embs).rows();
         let col = self.pm_head.fwd(ctx, s1.pm_embs); // N × 1
         ctx.reshape(col, 1, n)
@@ -919,7 +706,7 @@ mod tests {
 
         let mut ctx = FwdCtx::new();
         let s64 = m.stage1_fwd(&mut ctx, &f, Some(&tree.groups));
-        let mut ctx32 = FwdCtx32::new();
+        let mut ctx32 = FwdCtx::<f32>::new();
         let s32 = m32.stage1_fwd(&mut ctx32, &f, Some(&tree.groups));
 
         let l64 = ctx.value(s64.vm_logits).data();
@@ -941,7 +728,7 @@ mod tests {
         let f2 = feats(8);
         let batched = m32.embed_batch(&[(&f1.pm, &f1.vm), (&f2.pm, &f2.vm)]);
         for (f, (bp, bv)) in [&f1, &f2].into_iter().zip(&batched) {
-            let mut ctx = FwdCtx32::new();
+            let mut ctx = FwdCtx::<f32>::new();
             let (pe, ve) = m32.embed_fwd(&mut ctx, f);
             assert_eq!(ctx.value(pe).data(), bp.data(), "batched PM embedding must match solo");
             assert_eq!(ctx.value(ve).data(), bv.data(), "batched VM embedding must match solo");

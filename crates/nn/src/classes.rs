@@ -21,6 +21,7 @@
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 use crate::infer::TreeGroups;
+use crate::scalar::Scalar;
 
 /// Rows seen and distinct rows kept, summed over every block pass of the
 /// process. `Relaxed`: monotone statistics that publish no other data.
@@ -150,15 +151,10 @@ impl RowClasses {
     }
 }
 
-/// Bit-equality of two `f64` rows (`-0.0` and `0.0` differ, a NaN equals
+/// Bit-equality of two rows (`-0.0` and `0.0` differ, a NaN equals
 /// itself): the only notion of "same row" under which sharing a result
 /// is exact.
-pub(crate) fn same_bits_f64(a: &[f64], b: &[f64]) -> bool {
-    a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
-}
-
-/// [`same_bits_f64`] for `f32` rows.
-pub(crate) fn same_bits_f32(a: &[f32], b: &[f32]) -> bool {
+pub(crate) fn same_bits<S: Scalar>(a: &[S], b: &[S]) -> bool {
     a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
@@ -212,9 +208,9 @@ mod tests {
 
     #[test]
     fn bit_equality_separates_signed_zeros_and_joins_nans() {
-        assert!(!same_bits_f64(&[0.0], &[-0.0]));
-        assert!(same_bits_f64(&[f64::NAN, 1.5], &[f64::NAN, 1.5]));
-        assert!(!same_bits_f32(&[0.0], &[-0.0]));
-        assert!(same_bits_f32(&[f32::NAN], &[f32::NAN]));
+        assert!(!same_bits(&[0.0f64], &[-0.0]));
+        assert!(same_bits(&[f64::NAN, 1.5], &[f64::NAN, 1.5]));
+        assert!(!same_bits(&[0.0f32], &[-0.0]));
+        assert!(same_bits(&[f32::NAN], &[f32::NAN]));
     }
 }

@@ -8,15 +8,21 @@
 //! **zero heap allocations** (enforced by `tests/alloc_free.rs` with a
 //! counting allocator).
 //!
-//! Outputs are bit-identical to the `Graph` path by construction: both
-//! engines call the same kernels, and where this engine takes a shortcut
-//! (the transpose-free `A·Bᵀ` score kernel, block-sparse tree attention)
-//! the kernel-level accumulation order is provably unchanged (see
-//! `crates/nn/src/kernels.rs` and the `prop_fwdctx` suite).
+//! In f64 (the default) outputs are bit-identical to the `Graph` path by
+//! construction: both engines call the same kernels, and where this
+//! engine takes a shortcut (the transpose-free `A·Bᵀ` score kernel,
+//! block-sparse tree attention) the kernel-level accumulation order is
+//! provably unchanged (see `crates/nn/src/kernels.rs` and the
+//! `prop_fwdctx` suite). `FwdCtx<f32>` is the same arena over the same
+//! kernels at the other [`Scalar`]: weights arrive cast once
+//! ([`crate::layers::Linear::from_f64`]), features are cast at
+//! [`FwdCtx::input`], and its contract against f64 is the tolerance gate
+//! described in [`crate::kernels`], not bit-identity.
 
-use crate::classes::{same_bits_f64, RowClasses};
+use crate::classes::{same_bits, RowClasses};
 use crate::kernels;
 use crate::par::{self, AttnScratch};
+use crate::scalar::Scalar;
 use crate::tensor::Tensor;
 
 /// Handle to an arena slot. Only valid for the [`FwdCtx`] that issued it,
@@ -58,18 +64,18 @@ impl TreeGroups {
 
 /// The forward-only evaluation context.
 #[derive(Debug, Default)]
-pub struct FwdCtx {
-    slots: Vec<Tensor>,
+pub struct FwdCtx<S = f64> {
+    slots: Vec<Tensor<S>>,
     cursor: usize,
     /// Reusable flat scratch (per-tree attention scores).
-    scratch: Vec<f64>,
+    scratch: Vec<S>,
     /// Dense attention scratch: shared `kᵀ` plus one score tile per lane.
-    attn: AttnScratch<f64>,
+    attn: AttnScratch<S>,
     /// Row classes of the block pass in flight (see [`crate::classes`]).
     classes: RowClasses,
 }
 
-impl FwdCtx {
+impl<S: Scalar> FwdCtx<S> {
     /// Empty context.
     pub fn new() -> Self {
         FwdCtx::default()
@@ -110,44 +116,52 @@ impl FwdCtx {
     }
 
     /// The tensor behind a slot.
-    pub fn value(&self, v: FVar) -> &Tensor {
+    pub fn value(&self, v: FVar) -> &Tensor<S> {
         &self.slots[v.0]
     }
 
     /// Mutable access to a slot (mask writing, in-place tweaks).
-    pub fn value_mut(&mut self, v: FVar) -> &mut Tensor {
+    pub fn value_mut(&mut self, v: FVar) -> &mut Tensor<S> {
         &mut self.slots[v.0]
     }
 
     /// Splits the arena into the inputs (indices `< out`) and the output.
-    fn split(&mut self, out: FVar) -> (&[Tensor], &mut Tensor) {
+    fn split(&mut self, out: FVar) -> (&[Tensor<S>], &mut Tensor<S>) {
         let (head, tail) = self.slots.split_at_mut(out.0);
         (head, &mut tail[0])
     }
 
-    /// Copies an external tensor into the arena.
+    /// Copies an external f64 tensor into the arena, cast to `S` — the
+    /// feature-input boundary (features stay f64 upstream).
     pub fn input(&mut self, t: &Tensor) -> FVar {
+        let v = self.alloc(t.rows(), t.cols());
+        self.slots[v.0].copy_from_f64(t);
+        v
+    }
+
+    /// Copies a tensor of the arena's own element type in.
+    pub fn input_same(&mut self, t: &Tensor<S>) -> FVar {
         let v = self.alloc(t.rows(), t.cols());
         self.slots[v.0].copy_from(t);
         v
     }
 
     /// Copies a flat slice into a `1 × n` slot.
-    pub fn input_row(&mut self, data: &[f64]) -> FVar {
+    pub fn input_row(&mut self, data: &[S]) -> FVar {
         let v = self.alloc(1, data.len());
         self.slots[v.0].data_mut().copy_from_slice(data);
         v
     }
 
     /// Constant-filled slot.
-    pub fn full(&mut self, rows: usize, cols: usize, value: f64) -> FVar {
+    pub fn full(&mut self, rows: usize, cols: usize, value: S) -> FVar {
         let v = self.alloc(rows, cols);
         self.slots[v.0].data_mut().fill(value);
         v
     }
 
     /// `x · W + b` (the [`crate::layers::Linear`] forward).
-    pub fn linear(&mut self, x: FVar, w: &Tensor, b: &Tensor) -> FVar {
+    pub fn linear(&mut self, x: FVar, w: &Tensor<S>, b: &Tensor<S>) -> FVar {
         let out = self.alloc(self.slots[x.0].rows(), w.cols());
         let (head, o) = self.split(out);
         kernels::matmul_into(&head[x.0], w, o);
@@ -170,14 +184,9 @@ impl FwdCtx {
         out
     }
 
-    /// `a · bᵀ` without materializing the transpose.
-    pub fn matmul_nt(&mut self, a: FVar, b: FVar) -> FVar {
-        self.matmul_nt_scaled(a, b, 1.0)
-    }
-
     /// `(a · bᵀ) * alpha` — the attention-score kernel with the head
     /// scale fused into the store.
-    pub fn matmul_nt_scaled(&mut self, a: FVar, b: FVar, alpha: f64) -> FVar {
+    pub fn matmul_nt_scaled(&mut self, a: FVar, b: FVar, alpha: S) -> FVar {
         let out = self.alloc(self.slots[a.0].rows(), self.slots[b.0].rows());
         let (head, o) = self.split(out);
         kernels::matmul_nt_scaled_into(&head[a.0], &head[b.0], alpha, o);
@@ -218,7 +227,7 @@ impl FwdCtx {
     }
 
     /// Scalar multiply in place.
-    pub fn scale_assign(&mut self, x: FVar, alpha: f64) {
+    pub fn scale_assign(&mut self, x: FVar, alpha: S) {
         for v in self.slots[x.0].data_mut() {
             *v *= alpha;
         }
@@ -227,12 +236,12 @@ impl FwdCtx {
     /// ReLU in place.
     pub fn relu_assign(&mut self, x: FVar) {
         for v in self.slots[x.0].data_mut() {
-            *v = v.max(0.0);
+            *v = v.max(S::ZERO);
         }
     }
 
     /// Row-wise masked softmax (additive mask tensor, `None` = unmasked).
-    pub fn masked_softmax(&mut self, x: FVar, mask: Option<&Tensor>) -> FVar {
+    pub fn masked_softmax(&mut self, x: FVar, mask: Option<&Tensor<S>>) -> FVar {
         let out = self.alloc(self.slots[x.0].rows(), self.slots[x.0].cols());
         let (head, o) = self.split(out);
         kernels::masked_softmax_into(&head[x.0], mask, o);
@@ -241,7 +250,13 @@ impl FwdCtx {
 
     /// Layer norm with affine parameters (the [`crate::layers::LayerNorm`]
     /// forward): standardize, then `· gamma`, then `+ beta`.
-    pub fn layer_norm_affine(&mut self, x: FVar, gamma: &Tensor, beta: &Tensor, eps: f64) -> FVar {
+    pub fn layer_norm_affine(
+        &mut self,
+        x: FVar,
+        gamma: &Tensor<S>,
+        beta: &Tensor<S>,
+        eps: S,
+    ) -> FVar {
         let out = self.alloc(self.slots[x.0].rows(), self.slots[x.0].cols());
         let (head, o) = self.split(out);
         kernels::layer_norm_into(&head[x.0], eps, o);
@@ -362,7 +377,7 @@ impl FwdCtx {
         let t = &slots[x.0];
         assert!(first <= t.rows(), "row classes start past the last row");
         classes.find(t.rows() - first, first, groups, |a, b| {
-            same_bits_f64(t.row_slice(first + a), t.row_slice(first + b))
+            same_bits(t.row_slice(first + a), t.row_slice(first + b))
         });
     }
 
@@ -421,7 +436,7 @@ impl FwdCtx {
         q: FVar,
         k: FVar,
         v: FVar,
-        scale: f64,
+        scale: S,
         keys_by_class: bool,
     ) -> FVar {
         let (m, dh) = (self.slots[q.0].rows(), self.slots[q.0].cols());
@@ -449,14 +464,15 @@ impl FwdCtx {
     /// — the last block's cross stage, whose probability map feeds the
     /// PM actor. Same kernels as `matmul_nt_scaled` → `masked_softmax` →
     /// `matmul`, row-parallel like [`FwdCtx::attention_head`].
-    pub fn attention_head_probs(&mut self, q: FVar, k: FVar, v: FVar, scale: f64) -> (FVar, FVar) {
+    pub fn attention_head_probs(&mut self, q: FVar, k: FVar, v: FVar, scale: S) -> (FVar, FVar) {
         let (m, n) = (self.slots[q.0].rows(), self.slots[k.0].rows());
         let _busy = par::forward();
         let lease = par::global().lanes_for(m, n);
         let scores = self.alloc(m, n);
         let probs = self.alloc(m, n);
         let out = self.alloc(m, self.slots[v.0].cols());
-        let (head, tail) = self.slots.split_at_mut(scores.0);
+        let FwdCtx { slots, attn, .. } = self;
+        let (head, tail) = slots.split_at_mut(scores.0);
         let [s, p, o, ..] = tail else { unreachable!("three slots were just allocated") };
         kernels::attention_probs_into(
             &head[q.0],
@@ -464,6 +480,7 @@ impl FwdCtx {
             &head[v.0],
             scale,
             1 + lease.helpers(),
+            &mut attn.kt,
             [s, p, o],
         );
         (out, probs)
@@ -487,7 +504,7 @@ impl FwdCtx {
         k_all: FVar,
         v_all: FVar,
         heads: usize,
-        scale: f64,
+        scale: S,
         groups: &TreeGroups,
     ) -> FVar {
         let s_rows = self.slots[q_all.0].rows();
@@ -497,7 +514,7 @@ impl FwdCtx {
         let FwdCtx { slots, scratch, .. } = self;
         let (head_slots, tail) = slots.split_at_mut(out.0);
         let o = &mut tail[0];
-        o.data_mut().fill(0.0);
+        o.data_mut().fill(S::ZERO);
         let (q, k, v) = (&head_slots[q_all.0], &head_slots[k_all.0], &head_slots[v_all.0]);
         for g in 0..groups.len() {
             let members = groups.group(g);
@@ -506,7 +523,7 @@ impl FwdCtx {
                 continue;
             }
             scratch.clear();
-            scratch.resize(t * t, 0.0);
+            scratch.resize(t * t, S::ZERO);
             for h in 0..heads {
                 let col = h * dh;
                 // Scores: scaled dot products between member projections.
@@ -514,7 +531,7 @@ impl FwdCtx {
                     let qa = &q.row_slice(a)[col..col + dh];
                     for (j, &b) in members.iter().enumerate() {
                         let kb = &k.row_slice(b)[col..col + dh];
-                        let mut acc = 0.0;
+                        let mut acc = S::ZERO;
                         for (&x, &y) in qa.iter().zip(kb) {
                             acc += x * y;
                         }
@@ -534,7 +551,7 @@ impl FwdCtx {
                     let o_row = &mut o.data_mut()[a * o_cols + col..a * o_cols + col + dh];
                     for (j, &b) in members.iter().enumerate() {
                         let p = scratch[i * t + j];
-                        if p == 0.0 {
+                        if p == S::ZERO {
                             continue;
                         }
                         let vb = &v.row_slice(b)[col..col + dh];
@@ -550,16 +567,18 @@ impl FwdCtx {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
+    //! One generic body per case; the f32 instantiations run from
+    //! [`crate::infer32`]'s tests.
+
     use super::*;
 
-    #[test]
-    fn arena_reuses_slots_across_resets() {
-        let mut ctx = FwdCtx::new();
+    pub(crate) fn arena_reuses_slots_across_resets_in<S: Scalar>() {
+        let mut ctx = FwdCtx::<S>::new();
         let a = ctx.input(&Tensor::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]));
         let b = ctx.input(&Tensor::from_vec(2, 2, vec![0.5, 0.0, 0.0, 0.5]));
         let c = ctx.matmul(a, b);
-        assert_eq!(ctx.value(c).data(), &[0.5, 1.0, 1.5, 2.0]);
+        assert_eq!(ctx.value(c).to_f64().data(), &[0.5, 1.0, 1.5, 2.0]);
         assert_eq!(ctx.live(), 3);
         ctx.reset();
         let a2 = ctx.input(&Tensor::from_vec(1, 3, vec![1.0, -1.0, 2.0]));
@@ -567,24 +586,37 @@ mod tests {
         assert_eq!(ctx.value(a2).cols(), 3, "slot reshaped in place");
     }
 
-    #[test]
-    fn linear_matches_manual() {
-        let mut ctx = FwdCtx::new();
-        let w = Tensor::from_vec(2, 2, vec![1.0, 0.0, 0.0, 2.0]);
-        let b = Tensor::row(vec![10.0, 20.0]);
+    pub(crate) fn linear_matches_manual_in<S: Scalar>() {
+        let mut ctx = FwdCtx::<S>::new();
+        let w = Tensor::from_f64(&Tensor::from_vec(2, 2, vec![1.0, 0.0, 0.0, 2.0]));
+        let b = Tensor::from_f64(&Tensor::row(vec![10.0, 20.0]));
         let x = ctx.input(&Tensor::from_vec(1, 2, vec![3.0, 4.0]));
         let y = ctx.linear(x, &w, &b);
-        assert_eq!(ctx.value(y).data(), &[13.0, 28.0]);
+        assert_eq!(ctx.value(y).to_f64().data(), &[13.0, 28.0]);
     }
 
-    #[test]
-    fn write_cols_assembles_heads() {
-        let mut ctx = FwdCtx::new();
-        let dst = ctx.full(2, 4, 0.0);
+    pub(crate) fn write_cols_assembles_heads_in<S: Scalar>() {
+        let mut ctx = FwdCtx::<S>::new();
+        let dst = ctx.full(2, 4, S::ZERO);
         let left = ctx.input(&Tensor::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]));
         let right = ctx.input(&Tensor::from_vec(2, 2, vec![5.0, 6.0, 7.0, 8.0]));
         ctx.write_cols(dst, left, 0);
         ctx.write_cols(dst, right, 2);
-        assert_eq!(ctx.value(dst).data(), &[1.0, 2.0, 5.0, 6.0, 3.0, 4.0, 7.0, 8.0]);
+        assert_eq!(ctx.value(dst).to_f64().data(), &[1.0, 2.0, 5.0, 6.0, 3.0, 4.0, 7.0, 8.0]);
+    }
+
+    #[test]
+    fn arena_reuses_slots_across_resets() {
+        arena_reuses_slots_across_resets_in::<f64>();
+    }
+
+    #[test]
+    fn linear_matches_manual() {
+        linear_matches_manual_in::<f64>();
+    }
+
+    #[test]
+    fn write_cols_assembles_heads() {
+        write_cols_assembles_heads_in::<f64>();
     }
 }

@@ -1,23 +1,35 @@
-//! Shared floating-point kernels behind both execution engines.
+//! Shared floating-point kernels behind both execution engines and both
+//! precisions.
 //!
 //! Every numeric routine used by a forward pass lives here exactly once,
-//! and both the autodiff [`crate::graph::Graph`] and the tape-free
-//! [`crate::infer::FwdCtx`] call the *same* functions. That is what makes
-//! the two paths bit-identical by construction: there is no second
-//! implementation to drift.
+//! generic over [`Scalar`], and both the autodiff [`crate::graph::Graph`]
+//! and the tape-free [`crate::infer::FwdCtx`] call the *same* functions.
+//! That is what makes the two engines bit-identical by construction, and
+//! the f32 tier the same code at another element type: there is no second
+//! implementation to drift. Where the fastest loop shape differs by
+//! precision both shapes live here, generic, and the [`Scalar`] impl
+//! names the one its type runs (see [`crate::scalar`]).
 //!
 //! Accumulation-order discipline: every kernel that sums floating-point
-//! terms does so in ascending index order with a single accumulator, and
-//! none of them reassociates. `matmul_into` (i-k-j) and `matmul_nt_into`
-//! (row-dot) therefore produce bit-identical outputs for `A·B` vs
-//! `A·(Bᵀ)ᵀ` — per output element both add the `k` products in the same
-//! order. The zero-skipping `matmul_sparse_into` is bit-identical to the
-//! dense kernel whenever the skipped rows multiply finite values
-//! (`0.0 * b` contributes an exact `±0.0`, which cannot change a
-//! non-negative-zero accumulator), which holds for attention
-//! probabilities — the only place it is used.
+//! terms feeds each output element one accumulator in ascending index
+//! order, and none of them reassociates (the striped normalizer sum is
+//! the one exception, and it is shared by everything it must equal).
+//! `matmul_into` (i-k-j) and `matmul_nt_into` (row-dot) therefore produce
+//! bit-identical outputs for `A·B` vs `A·(Bᵀ)ᵀ` — per output element both
+//! add the `k` products in the same order. The zero-skipping
+//! `matmul_sparse_into` is bit-identical to the dense kernel whenever the
+//! skipped rows multiply finite values (`0.0 * b` contributes an exact
+//! `±0.0`, which cannot change a non-negative-zero accumulator), which
+//! holds for attention probabilities — the only place it is used.
+//!
+//! Across precisions the contract is a tolerance, not an equality: the
+//! f32 instantiation must land within a condition-aware bound of the f64
+//! one on the same (f32-representable) inputs — enforced by
+//! `crates/nn/tests/prop_f32_kernels.rs` and, end to end, by
+//! `tests/integration_precision.rs`.
 
 use crate::par::{run_row_lanes, AttnScratch, HeadInputs};
+use crate::scalar::Scalar;
 use crate::tensor::Tensor;
 
 /// Additive-mask entries at or below this threshold are treated as fully
@@ -27,21 +39,39 @@ pub const MASK_NEG_THRESHOLD: f64 = -1.0e20;
 /// The additive mask value used to exclude positions.
 pub const MASK_OFF: f64 = -1.0e30;
 
-/// Square cache-tile edge shared by the blocked kernels: the f64
-/// transpose (32×32 f64 tiles = 8 KiB in + 8 KiB out), the fused
-/// attention row tiling, and the f32 GEMM blocking in
-/// [`crate::kernels_f32`]. One named constant so the tilings cannot
-/// drift apart.
+/// Square cache-tile edge shared by the blocked kernels: the transpose
+/// (32×32 f64 tiles = 8 KiB in + 8 KiB out), the fused attention row
+/// tiling, and the column blocking of `matmul_wide_blocked`. One named
+/// constant so the tilings cannot drift apart.
 pub const L1_TILE: usize = 32;
+
+/// `y += alpha · x` over eight-lane chunks. The chunk slices are cast to
+/// `[S; 8]` arrays so the lane loop carries no bounds checks — without
+/// the cast the autovectorizer refuses the loop and every kernel built
+/// on this pattern runs scalar.
+#[inline]
+fn axpy8<S: Scalar>(alpha: S, x: &[S], y: &mut [S]) {
+    let mut yc = y.chunks_exact_mut(8);
+    let mut xc = x.chunks_exact(8);
+    for (y8, x8) in yc.by_ref().zip(xc.by_ref()) {
+        let y8: &mut [S; 8] = y8.try_into().expect("chunk");
+        let x8: &[S; 8] = x8.try_into().expect("chunk");
+        for l in 0..8 {
+            y8[l] += alpha * x8[l];
+        }
+    }
+    for (o, &bv) in yc.into_remainder().iter_mut().zip(xc.remainder()) {
+        *o += alpha * bv;
+    }
+}
 
 /// `out = a · b` (dense). `out` must be pre-shaped `a.rows × b.cols`;
 /// its prior contents are overwritten.
 ///
-/// The i-k-j loop streams rows of `b` and is auto-vectorizable; there is
-/// deliberately *no* zero-skip branch — on dense weight matrices the
-/// per-element compare costs more than the multiply it saves (see the
+/// There is deliberately *no* zero-skip branch — on dense weight matrices
+/// the per-element compare costs more than the multiply it saves (see the
 /// `policy_forward/matmul_*` benches).
-pub fn matmul_into(a: &Tensor, b: &Tensor, out: &mut Tensor) {
+pub fn matmul_into<S: Scalar>(a: &Tensor<S>, b: &Tensor<S>, out: &mut Tensor<S>) {
     let (m, k, n) = (a.rows(), a.cols(), b.cols());
     assert_eq!(k, b.rows(), "matmul inner dimension mismatch");
     assert_eq!((out.rows(), out.cols()), (m, n), "matmul output shape mismatch");
@@ -52,21 +82,27 @@ pub fn matmul_into(a: &Tensor, b: &Tensor, out: &mut Tensor) {
 /// of width `k`. Rows are independent, so any contiguous row range of
 /// `a`/`out` yields the same bits it would inside the full product —
 /// the unit [`crate::par::run_row_lanes`] hands a lane.
-fn matmul_rows(a: &[f64], k: usize, bd: &[f64], n: usize, out: &mut [f64]) {
+fn matmul_rows<S: Scalar>(a: &[S], k: usize, bd: &[S], n: usize, out: &mut [S]) {
     if n <= 16 {
         // Narrow outputs (attention `probs · V` with a head-width n):
         // stack-resident accumulators, two rows of `a` per `b` pass.
         // Common head widths get a const-width instantiation so the
         // inner loops fully unroll; the math is identical either way.
         return match n {
-            8 => matmul_narrow::<8>(a, k, bd, out),
-            12 => matmul_narrow::<12>(a, k, bd, out),
-            16 => matmul_narrow::<16>(a, k, bd, out),
+            8 => matmul_narrow::<S, 8>(a, k, bd, out),
+            12 => matmul_narrow::<S, 12>(a, k, bd, out),
+            16 => matmul_narrow::<S, 16>(a, k, bd, out),
             _ => matmul_narrow_dyn(a, k, bd, n, out),
         };
     }
+    S::matmul_wide_rows(a, k, bd, n, out);
+}
+
+/// Wide-output matmul rows, plain i-k-j: streams rows of `b` and is
+/// auto-vectorizable (the f64 shape).
+pub(crate) fn matmul_wide_plain<S: Scalar>(a: &[S], k: usize, bd: &[S], n: usize, out: &mut [S]) {
     for (i, o_row) in out.chunks_exact_mut(n).enumerate() {
-        o_row.fill(0.0);
+        o_row.fill(S::ZERO);
         for (kk, &av) in a[i * k..(i + 1) * k].iter().enumerate() {
             let b_row = &bd[kk * n..(kk + 1) * n];
             for (o, &bv) in o_row.iter_mut().zip(b_row) {
@@ -76,20 +112,41 @@ fn matmul_rows(a: &[f64], k: usize, bd: &[f64], n: usize, out: &mut [f64]) {
     }
 }
 
+/// Wide-output matmul rows, cache-blocked over output columns with the
+/// inner loop split into eight-lane [`axpy8`] chunks — the shape the
+/// autovectorizer turns into packed f32 arithmetic. Same i-k-j order per
+/// output element as [`matmul_wide_plain`].
+pub(crate) fn matmul_wide_blocked<S: Scalar>(a: &[S], k: usize, bd: &[S], n: usize, out: &mut [S]) {
+    /// Column-tile width: eight SIMD lanes per [`L1_TILE`] step, so an
+    /// output row tile (1 KiB of f32) plus the streamed `b` rows stay
+    /// L1-resident for the wide embedding matmuls.
+    const NB: usize = 8 * L1_TILE;
+    for jb in (0..n).step_by(NB) {
+        let jh = (jb + NB).min(n);
+        for (i, o_row) in out.chunks_exact_mut(n).enumerate() {
+            let o_row = &mut o_row[jb..jh];
+            o_row.fill(S::ZERO);
+            for (kk, &av) in a[i * k..(i + 1) * k].iter().enumerate() {
+                axpy8(av, &bd[kk * n + jb..kk * n + jh], o_row);
+            }
+        }
+    }
+}
+
 /// Narrow-output matmul with a compile-time width: the 2-row /
 /// stack-accumulator pattern of [`matmul_narrow_dyn`] with fully
 /// unrollable inner loops. Per output element the accumulation order is
-/// identical to the dynamic version and to the wide i-k-j kernel.
-fn matmul_narrow<const N: usize>(a: &[f64], k: usize, bd: &[f64], out: &mut [f64]) {
+/// identical to the dynamic version and to the wide kernels.
+fn matmul_narrow<S: Scalar, const N: usize>(a: &[S], k: usize, bd: &[S], out: &mut [S]) {
     let m = out.len() / N;
     let mut i = 0;
     while i + 2 <= m {
         let a0 = &a[i * k..(i + 1) * k];
         let a1 = &a[(i + 1) * k..(i + 2) * k];
-        let mut acc0 = [0.0f64; N];
-        let mut acc1 = [0.0f64; N];
+        let mut acc0 = [S::ZERO; N];
+        let mut acc1 = [S::ZERO; N];
         for (kk, (&x0, &x1)) in a0.iter().zip(a1).enumerate() {
-            let b_row: &[f64; N] = bd[kk * N..(kk + 1) * N].try_into().expect("width");
+            let b_row: &[S; N] = bd[kk * N..(kk + 1) * N].try_into().expect("width");
             for ((o0, o1), &bv) in acc0.iter_mut().zip(&mut acc1).zip(b_row) {
                 *o0 += x0 * bv;
                 *o1 += x1 * bv;
@@ -101,9 +158,9 @@ fn matmul_narrow<const N: usize>(a: &[f64], k: usize, bd: &[f64], out: &mut [f64
     }
     if i < m {
         let a_row = &a[i * k..(i + 1) * k];
-        let mut acc = [0.0f64; N];
+        let mut acc = [S::ZERO; N];
         for (kk, &av) in a_row.iter().enumerate() {
-            let b_row: &[f64; N] = bd[kk * N..(kk + 1) * N].try_into().expect("width");
+            let b_row: &[S; N] = bd[kk * N..(kk + 1) * N].try_into().expect("width");
             for (o, &bv) in acc.iter_mut().zip(b_row) {
                 *o += av * bv;
             }
@@ -113,16 +170,16 @@ fn matmul_narrow<const N: usize>(a: &[f64], k: usize, bd: &[f64], out: &mut [f64
 }
 
 /// Runtime-width fallback of [`matmul_narrow`] (same accumulation order).
-fn matmul_narrow_dyn(a: &[f64], k: usize, bd: &[f64], n: usize, out: &mut [f64]) {
+fn matmul_narrow_dyn<S: Scalar>(a: &[S], k: usize, bd: &[S], n: usize, out: &mut [S]) {
     let m = out.len().checked_div(n).unwrap_or(0);
-    let mut acc0 = [0.0f64; 16];
-    let mut acc1 = [0.0f64; 16];
+    let mut acc0 = [S::ZERO; 16];
+    let mut acc1 = [S::ZERO; 16];
     let mut i = 0;
     while i + 2 <= m {
         let a0 = &a[i * k..(i + 1) * k];
         let a1 = &a[(i + 1) * k..(i + 2) * k];
-        acc0[..n].fill(0.0);
-        acc1[..n].fill(0.0);
+        acc0[..n].fill(S::ZERO);
+        acc1[..n].fill(S::ZERO);
         for (kk, (&x0, &x1)) in a0.iter().zip(a1).enumerate() {
             let b_row = &bd[kk * n..(kk + 1) * n];
             for ((o0, o1), &bv) in acc0[..n].iter_mut().zip(&mut acc1[..n]).zip(b_row) {
@@ -136,7 +193,7 @@ fn matmul_narrow_dyn(a: &[f64], k: usize, bd: &[f64], n: usize, out: &mut [f64])
     }
     if i < m {
         let a_row = &a[i * k..(i + 1) * k];
-        acc0[..n].fill(0.0);
+        acc0[..n].fill(S::ZERO);
         for (kk, &av) in a_row.iter().enumerate() {
             let b_row = &bd[kk * n..(kk + 1) * n];
             for (o, &bv) in acc0[..n].iter_mut().zip(b_row) {
@@ -147,38 +204,25 @@ fn matmul_narrow_dyn(a: &[f64], k: usize, bd: &[f64], n: usize, out: &mut [f64])
     }
 }
 
-/// `out += a · b` (dense accumulate; `out` keeps its prior contents).
-pub fn addmul_into(a: &Tensor, b: &Tensor, out: &mut Tensor) {
-    let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    assert_eq!(k, b.rows(), "addmul inner dimension mismatch");
-    assert_eq!((out.rows(), out.cols()), (m, n), "addmul output shape mismatch");
-    let bd = b.data();
-    for i in 0..m {
-        let a_row = a.row_slice(i);
-        let o_row = &mut out.data_mut()[i * n..(i + 1) * n];
-        for (kk, &av) in a_row.iter().enumerate() {
-            let b_row = &bd[kk * n..(kk + 1) * n];
-            for (o, &bv) in o_row.iter_mut().zip(b_row) {
-                *o += av * bv;
-            }
-        }
-    }
-}
-
 /// `out = a · bᵀ` without materializing the transpose.
 ///
 /// Bit-identical to `matmul_into(a, &b.transpose(), out)`: each output
 /// element accumulates the same products in the same (ascending-k) order.
 /// Blocked over rows of `b` so the active `b` tile stays cache-resident
 /// while every row of `a` streams past it.
-pub fn matmul_nt_into(a: &Tensor, b: &Tensor, out: &mut Tensor) {
-    matmul_nt_scaled_into(a, b, 1.0, out);
+pub fn matmul_nt_into<S: Scalar>(a: &Tensor<S>, b: &Tensor<S>, out: &mut Tensor<S>) {
+    matmul_nt_scaled_into(a, b, S::ONE, out);
 }
 
 /// `out = (a · bᵀ) * alpha` — [`matmul_nt_into`] with the attention score
 /// scale fused into the store (bit-identical to scaling afterwards: each
 /// element is `dot * alpha` either way, one rounding).
-pub fn matmul_nt_scaled_into(a: &Tensor, b: &Tensor, alpha: f64, out: &mut Tensor) {
+pub fn matmul_nt_scaled_into<S: Scalar>(
+    a: &Tensor<S>,
+    b: &Tensor<S>,
+    alpha: S,
+    out: &mut Tensor<S>,
+) {
     let (m, k, n) = (a.rows(), a.cols(), b.rows());
     assert_eq!(k, b.cols(), "matmul_nt inner dimension mismatch");
     assert_eq!((out.rows(), out.cols()), (m, n), "matmul_nt output shape mismatch");
@@ -187,7 +231,7 @@ pub fn matmul_nt_scaled_into(a: &Tensor, b: &Tensor, alpha: f64, out: &mut Tenso
 
 /// [`matmul_nt_scaled_into`] over row-major slices (`a` holds
 /// `out.len() / n` rows of width `k`; see [`matmul_rows`]).
-fn nt_scaled_rows(a: &[f64], k: usize, bd: &[f64], n: usize, alpha: f64, out: &mut [f64]) {
+fn nt_scaled_rows<S: Scalar>(a: &[S], k: usize, bd: &[S], n: usize, alpha: S, out: &mut [S]) {
     /// Rows of `b` per tile (tile bytes ≈ 64 · k · 8; k is a head width
     /// here, so tiles stay well inside L1).
     const JB: usize = 64;
@@ -210,7 +254,7 @@ fn nt_scaled_rows(a: &[f64], k: usize, bd: &[f64], n: usize, alpha: f64, out: &m
                 let b5 = &bd[(j + 5) * k..(j + 6) * k];
                 let b6 = &bd[(j + 6) * k..(j + 7) * k];
                 let b7 = &bd[(j + 7) * k..(j + 8) * k];
-                let mut acc = [0.0f64; 8];
+                let mut acc = [S::ZERO; 8];
                 for (kk, &x) in a_row.iter().enumerate() {
                     acc[0] += x * b0[kk];
                     acc[1] += x * b1[kk];
@@ -228,7 +272,7 @@ fn nt_scaled_rows(a: &[f64], k: usize, bd: &[f64], n: usize, alpha: f64, out: &m
             }
             for jr in j..jh {
                 let b_row = &bd[jr * k..(jr + 1) * k];
-                let mut acc = 0.0;
+                let mut acc = S::ZERO;
                 for (&x, &y) in a_row.iter().zip(b_row) {
                     acc += x * y;
                 }
@@ -238,6 +282,18 @@ fn nt_scaled_rows(a: &[f64], k: usize, bd: &[f64], n: usize, alpha: f64, out: &m
     }
 }
 
+/// Whether an unfused `m × n` score product materializes `kᵀ`: large
+/// outputs do (an `O(n·k)` transpose against the `O(m·n·k)` product) so
+/// the inner loop reads contiguous key columns ([`Scalar::score_tile`])
+/// — the strided eight-dot blocks of [`nt_scaled_rows`] cannot vectorize
+/// without gather loads, which the SSE2 baseline lacks. Small outputs
+/// keep the direct dot-product path; the transpose would cost more than
+/// it saves. Both paths feed each element one accumulator in ascending
+/// `k` order, then one multiply by the scale.
+fn scores_want_transpose(m: usize, n: usize) -> bool {
+    n >= 32 && m >= 4
+}
+
 /// Score rows from a materialized `kᵀ` (`dh × n`, row-major):
 /// `s[r][j] = (Σ_kk q[r][kk] · kᵀ[kk][j]) · scale` for the `q.len() / dh`
 /// query rows in `q`. A 2-query × 8-key register tile in i-k-j order:
@@ -245,8 +301,15 @@ fn nt_scaled_rows(a: &[f64], k: usize, bd: &[f64], n: usize, alpha: f64, out: &m
 /// lane loop is packed arithmetic where the strided eight-dot block of
 /// [`nt_scaled_rows`] is scalar. Each element still owns one accumulator
 /// fed in ascending `kk`, then one multiply by `scale` — bit-identical
-/// to [`matmul_nt_scaled_into`].
-fn scores_from_kt(q: &[f64], dh: usize, kt: &[f64], n: usize, scale: f64, s: &mut [f64]) {
+/// to [`matmul_nt_scaled_into`]. The f64 shape of [`Scalar::score_tile`].
+pub(crate) fn scores_register_tile<S: Scalar>(
+    q: &[S],
+    dh: usize,
+    kt: &[S],
+    n: usize,
+    scale: S,
+    s: &mut [S],
+) {
     /// Score columns per block: `dh` kᵀ row segments of 2 KiB stay
     /// L1-resident across the tile's query rows.
     const JB: usize = 256;
@@ -262,21 +325,22 @@ fn scores_from_kt(q: &[f64], dh: usize, kt: &[f64], n: usize, scale: f64, s: &mu
     }
 }
 
-/// One column block of [`scores_from_kt`] for `R` query rows at once.
-fn score_block<const R: usize>(
-    q: [&[f64]; R],
-    kt: &[f64],
+/// One column block of [`scores_register_tile`] for `R` query rows at
+/// once.
+fn score_block<S: Scalar, const R: usize>(
+    q: [&[S]; R],
+    kt: &[S],
     n: usize,
     cols: std::ops::Range<usize>,
-    scale: f64,
-    s: [&mut [f64]; R],
+    scale: S,
+    s: [&mut [S]; R],
 ) {
     let dh = q[0].len();
     let mut j = cols.start;
     while j + 8 <= cols.end {
-        let mut acc = [[0.0f64; 8]; R];
+        let mut acc = [[S::ZERO; 8]; R];
         for kk in 0..dh {
-            let b: &[f64; 8] = kt[kk * n + j..kk * n + j + 8].try_into().expect("chunk");
+            let b: &[S; 8] = kt[kk * n + j..kk * n + j + 8].try_into().expect("chunk");
             for r in 0..R {
                 let x = q[r][kk];
                 for l in 0..8 {
@@ -293,11 +357,44 @@ fn score_block<const R: usize>(
     }
     for jr in j..cols.end {
         for r in 0..R {
-            let mut acc = 0.0;
+            let mut acc = S::ZERO;
             for (kk, &x) in q[r].iter().enumerate() {
                 acc += x * kt[kk * n + jr];
             }
             s[r][jr] = acc * scale;
+        }
+    }
+}
+
+/// Score rows from a materialized `kᵀ` as contiguous-[`axpy8`] passes
+/// over column blocks of `kt`, so a block (`dh · 512` elements at head
+/// widths) stays L1-resident across all query rows. Scale is applied in
+/// a separate pass: each element is still `dot · scale`, one rounding —
+/// bit-identical to [`scores_register_tile`]. The f32 shape of
+/// [`Scalar::score_tile`]; `#[inline(always)]` for the reason given
+/// there.
+#[inline(always)]
+pub(crate) fn scores_axpy<S: Scalar>(
+    a: &[S],
+    k: usize,
+    bt: &[S],
+    n: usize,
+    alpha: S,
+    out: &mut [S],
+) {
+    /// Columns per block: `k` head-width rows of 2 KiB stay L1-resident.
+    const JB: usize = 512;
+    for jb in (0..n).step_by(JB) {
+        let jh = (jb + JB).min(n);
+        for (i, o_row) in out.chunks_exact_mut(n).enumerate() {
+            let o_row = &mut o_row[jb..jh];
+            o_row.fill(S::ZERO);
+            for (kk, &av) in a[i * k..(i + 1) * k].iter().enumerate() {
+                axpy8(av, &bt[kk * n + jb..kk * n + jh], o_row);
+            }
+            for o in o_row.iter_mut() {
+                *o *= alpha;
+            }
         }
     }
 }
@@ -330,15 +427,15 @@ fn score_block<const R: usize>(
 /// per-element accumulation orders, tiling only changes *when* (and on
 /// which lane) a row is processed, not how.
 #[allow(clippy::too_many_arguments)]
-pub fn attention_head_into(
-    q: &Tensor,
-    k: &Tensor,
-    v: &Tensor,
+pub fn attention_head_into<S: Scalar>(
+    q: &Tensor<S>,
+    k: &Tensor<S>,
+    v: &Tensor<S>,
     key_class: Option<&[u32]>,
-    scale: f64,
+    scale: S,
     lanes: usize,
-    scratch: &mut AttnScratch<f64>,
-    out: &mut Tensor,
+    scratch: &mut AttnScratch<S>,
+    out: &mut Tensor<S>,
 ) {
     let (m, dh, n) = (q.rows(), q.cols(), k.rows());
     assert_eq!(dh, k.cols(), "attention q/k width mismatch");
@@ -353,7 +450,7 @@ pub fn attention_head_into(
     // Sized by the attended keys, not the distinct ones, so the scratch
     // follows the sequence length whatever this call's class count is.
     kt.reserve_exact(dh * key_class.map_or(n, <[u32]>::len));
-    kt.resize(dh * n, 0.0);
+    kt.resize(dh * n, S::ZERO);
     transpose_rows(k.data(), n, dh, kt);
     // The driver clamps to the row-tile count; surplus tiles stay empty.
     let lanes = lanes.max(1);
@@ -369,7 +466,7 @@ pub fn attention_head_into(
 
 /// The fused head over one lane's query rows: score tile → in-place
 /// softmax → probability-weighted value sums, [`L1_TILE`] rows at a time.
-fn attention_rows(head: &HeadInputs<f64>, q: &[f64], tile: &mut Vec<f64>, out: &mut [f64]) {
+fn attention_rows<S: Scalar>(head: &HeadInputs<S>, q: &[S], tile: &mut Vec<S>, out: &mut [S]) {
     let HeadInputs { kt, v, key_class, n, dh, scale } = *head;
     let m = q.len() / dh;
     tile.clear();
@@ -378,28 +475,28 @@ fn attention_rows(head: &HeadInputs<f64>, q: &[f64], tile: &mut Vec<f64>, out: &
     if let Some(class) = key_class {
         tile.reserve_exact(L1_TILE * class.len());
     }
-    tile.resize(L1_TILE.min(m) * n, 0.0);
+    tile.resize(L1_TILE.min(m) * n, S::ZERO);
     for ib in (0..m).step_by(L1_TILE) {
         let ih = (ib + L1_TILE).min(m);
         let tile = &mut tile[..(ih - ib) * n];
-        scores_from_kt(&q[ib * dh..ih * dh], dh, kt, n, scale, tile);
+        S::score_tile(&q[ib * dh..ih * dh], dh, kt, n, scale, tile);
         // Softmax each score row in place (same helpers as the unmasked
         // kernel path). Maximum and exponentials once per distinct key;
         // the normalizer counts every key.
         for s_row in tile.chunks_exact_mut(n.max(1)) {
             let mx = row_max(s_row);
-            if !mx.is_finite() || mx <= MASK_NEG_THRESHOLD {
-                s_row.fill(0.0);
+            if !mx.is_finite() || mx <= S::MASK_NEG_THRESHOLD {
+                s_row.fill(S::ZERO);
                 continue;
             }
             for s in s_row.iter_mut() {
-                *s = exp_shifted(*s - mx);
+                *s = (*s - mx).exp_shifted();
             }
             let z = match key_class {
-                None => striped_sum(s_row),
-                Some(class) => striped_sum_by_class(s_row, class),
+                None => S::striped_sum(s_row),
+                Some(class) => S::striped_sum_by_class(s_row, class),
             };
-            let inv = 1.0 / z;
+            let inv = S::ONE / z;
             for s in s_row.iter_mut() {
                 *s *= inv;
             }
@@ -418,19 +515,19 @@ fn attention_rows(head: &HeadInputs<f64>, q: &[f64], tile: &mut Vec<f64>, out: &
 /// attended key in order, its row in `v` and its column in the tile.
 /// Common head widths get a const-width instantiation so the inner loops
 /// fully unroll.
-fn value_sums(
-    tile: &[f64],
+fn value_sums<S: Scalar>(
+    tile: &[S],
     n: usize,
     keys: impl Iterator<Item = usize> + Clone,
     rows: std::ops::Range<usize>,
-    vd: &[f64],
+    vd: &[S],
     dh: usize,
-    out: &mut [f64],
+    out: &mut [S],
 ) {
     match dh {
-        8 => weighted_value_sums::<8>(tile, n, keys, rows, vd, out),
-        12 => weighted_value_sums::<12>(tile, n, keys, rows, vd, out),
-        16 => weighted_value_sums::<16>(tile, n, keys, rows, vd, out),
+        8 => weighted_value_sums::<S, 8>(tile, n, keys, rows, vd, out),
+        12 => weighted_value_sums::<S, 12>(tile, n, keys, rows, vd, out),
+        16 => weighted_value_sums::<S, 16>(tile, n, keys, rows, vd, out),
         _ => weighted_value_sums_dyn(tile, n, keys, rows, vd, dh, out),
     }
 }
@@ -440,16 +537,20 @@ fn value_sums(
 /// `out = probs·v`, each into its own pre-shaped tensor — the last
 /// block's VM→PM cross stage, whose head-averaged probabilities feed the
 /// PM actor. The three kernels are row-independent, so the rows go
-/// through [`crate::par::run_row_lanes`] like the fused head's; with
-/// `lanes = 1` this is exactly [`matmul_nt_scaled_into`] →
-/// [`masked_softmax_into`] → [`matmul_into`] on the full range.
-pub fn attention_probs_into(
-    q: &Tensor,
-    k: &Tensor,
-    v: &Tensor,
-    scale: f64,
+/// through [`crate::par::run_row_lanes`] like the fused head's; the
+/// values are exactly [`matmul_nt_scaled_into`] → [`masked_softmax_into`]
+/// → [`matmul_into`] on the full range. The score path is chosen once,
+/// from the full shape (`scores_want_transpose`), and `kᵀ` (when
+/// wanted) is built once in `kt` and shared, so a cut never changes
+/// which code computes a row.
+pub fn attention_probs_into<S: Scalar>(
+    q: &Tensor<S>,
+    k: &Tensor<S>,
+    v: &Tensor<S>,
+    scale: S,
     lanes: usize,
-    [scores, probs, out]: [&mut Tensor; 3],
+    kt: &mut Vec<S>,
+    [scores, probs, out]: [&mut Tensor<S>; 3],
 ) {
     let (m, dh, n) = (q.rows(), q.cols(), k.rows());
     assert_eq!(dh, k.cols(), "attention q/k width mismatch");
@@ -458,10 +559,21 @@ pub fn attention_probs_into(
     assert_eq!((scores.rows(), scores.cols()), (m, n), "attention scores shape mismatch");
     assert_eq!((probs.rows(), probs.cols()), (m, n), "attention probs shape mismatch");
     assert_eq!((out.rows(), out.cols()), (m, dv), "attention output shape mismatch");
-    let (qd, kd, vd) = (q.data(), k.data(), v.data());
+    let transposed = scores_want_transpose(m, n);
+    if transposed {
+        kt.clear();
+        kt.resize(dh * n, S::ZERO);
+        transpose_rows(k.data(), n, dh, kt);
+    }
+    let (qd, kd, vd, kt) = (q.data(), k.data(), v.data(), &kt[..]);
     let outs = [(scores.data_mut(), n), (probs.data_mut(), n), (out.data_mut(), dv)];
     run_row_lanes(m, outs, (0..lanes.max(1)).map(|_| ()), |rows, [s, p, o], ()| {
-        nt_scaled_rows(&qd[rows.start * dh..rows.end * dh], dh, kd, n, scale, s);
+        let q_rows = &qd[rows.start * dh..rows.end * dh];
+        if transposed {
+            S::score_tile(q_rows, dh, kt, n, scale, s);
+        } else {
+            nt_scaled_rows(q_rows, dh, kd, n, scale, s);
+        }
         softmax_rows(s, n, p);
         matmul_rows(p, n, vd, dv, o);
     });
@@ -469,21 +581,21 @@ pub fn attention_probs_into(
 
 /// The fused attention kernel's output phase with a compile-time head
 /// width (same accumulation order as the dynamic fallback).
-fn weighted_value_sums<const DH: usize>(
-    tile: &[f64],
+fn weighted_value_sums<S: Scalar, const DH: usize>(
+    tile: &[S],
     n: usize,
     keys: impl Iterator<Item = usize> + Clone,
     rows: std::ops::Range<usize>,
-    vd: &[f64],
-    out: &mut [f64],
+    vd: &[S],
+    out: &mut [S],
 ) {
     let (ib, ih) = (rows.start, rows.end);
     let mut i = ib;
     while i < ih {
         let rows = (ih - i).min(4);
-        let mut acc = [[0.0f64; DH]; 4];
+        let mut acc = [[S::ZERO; DH]; 4];
         for kk in keys.clone() {
-            let b_row: &[f64; DH] = vd[kk * DH..(kk + 1) * DH].try_into().expect("width");
+            let b_row: &[S; DH] = vd[kk * DH..(kk + 1) * DH].try_into().expect("width");
             for (r, a) in acc.iter_mut().take(rows).enumerate() {
                 let p = tile[(i - ib + r) * n + kk];
                 for (o, &bv) in a.iter_mut().zip(b_row) {
@@ -499,22 +611,22 @@ fn weighted_value_sums<const DH: usize>(
 }
 
 /// Runtime-width fallback of [`weighted_value_sums`].
-fn weighted_value_sums_dyn(
-    tile: &[f64],
+fn weighted_value_sums_dyn<S: Scalar>(
+    tile: &[S],
     n: usize,
     keys: impl Iterator<Item = usize> + Clone,
     rows: std::ops::Range<usize>,
-    vd: &[f64],
+    vd: &[S],
     dh: usize,
-    out: &mut [f64],
+    out: &mut [S],
 ) {
     let (ib, ih) = (rows.start, rows.end);
-    let mut acc = [[0.0f64; 16]; 4];
+    let mut acc = [[S::ZERO; 16]; 4];
     let mut i = ib;
     while i < ih {
         let rows = (ih - i).min(4);
         for a in acc.iter_mut().take(rows) {
-            a[..dh].fill(0.0);
+            a[..dh].fill(S::ZERO);
         }
         for kk in keys.clone() {
             let b_row = &vd[kk * dh..(kk + 1) * dh];
@@ -535,7 +647,7 @@ fn weighted_value_sums_dyn(
 /// `out = a · b` where rows of `a` are expected to be mostly exact zeros
 /// (masked attention probabilities). Skips zero multiplicands; bit-identical
 /// to [`matmul_into`] for finite `b` (see module docs).
-pub fn matmul_sparse_into(a: &Tensor, b: &Tensor, out: &mut Tensor) {
+pub fn matmul_sparse_into<S: Scalar>(a: &Tensor<S>, b: &Tensor<S>, out: &mut Tensor<S>) {
     let (m, k, n) = (a.rows(), a.cols(), b.cols());
     assert_eq!(k, b.rows(), "matmul inner dimension mismatch");
     assert_eq!((out.rows(), out.cols()), (m, n), "matmul output shape mismatch");
@@ -543,9 +655,9 @@ pub fn matmul_sparse_into(a: &Tensor, b: &Tensor, out: &mut Tensor) {
     for i in 0..m {
         let a_row = a.row_slice(i);
         let o_row = &mut out.data_mut()[i * n..(i + 1) * n];
-        o_row.fill(0.0);
+        o_row.fill(S::ZERO);
         for (kk, &av) in a_row.iter().enumerate() {
-            if av == 0.0 {
+            if av == S::ZERO {
                 continue;
             }
             let b_row = &bd[kk * n..(kk + 1) * n];
@@ -565,7 +677,11 @@ pub fn matmul_sparse_into(a: &Tensor, b: &Tensor, out: &mut Tensor) {
 /// exact `0.0` without calling `exp`: `exp(x − 1e30 − mx)` underflows to
 /// exactly `+0.0` for any finite `x`, `mx`, so the shortcut is
 /// bit-identical to the naive evaluation.
-pub fn masked_softmax_into(x: &Tensor, mask: Option<&Tensor>, out: &mut Tensor) {
+pub fn masked_softmax_into<S: Scalar>(
+    x: &Tensor<S>,
+    mask: Option<&Tensor<S>>,
+    out: &mut Tensor<S>,
+) {
     assert_eq!((out.rows(), out.cols()), (x.rows(), x.cols()), "softmax output shape mismatch");
     let Some(mask) = mask else {
         return softmax_rows(x.data(), x.cols(), out.data_mut());
@@ -576,21 +692,21 @@ pub fn masked_softmax_into(x: &Tensor, mask: Option<&Tensor>, out: &mut Tensor) 
         let row = x.row_slice(r);
         let mrow = mask.row_slice(r);
         let o_row = &mut out.data_mut()[r * row.len()..(r + 1) * row.len()];
-        let mut mx = f64::NEG_INFINITY;
+        let mut mx = S::NEG_INFINITY;
         for (&v, &mv) in row.iter().zip(mrow) {
             mx = mx.max(v + mv);
         }
-        if !mx.is_finite() || mx <= MASK_NEG_THRESHOLD {
-            o_row.fill(0.0);
+        if !mx.is_finite() || mx <= S::MASK_NEG_THRESHOLD {
+            o_row.fill(S::ZERO);
             continue;
         }
-        let mut z = 0.0;
+        let mut z = S::ZERO;
         for ((o, &v), &mv) in o_row.iter_mut().zip(row).zip(mrow) {
-            let e = if mv <= MASK_NEG_THRESHOLD { 0.0 } else { (v + mv - mx).exp() };
+            let e = if mv <= S::MASK_NEG_THRESHOLD { S::ZERO } else { (v + mv - mx).exp() };
             *o = e;
             z += e;
         }
-        let inv = 1.0 / z;
+        let inv = S::ONE / z;
         for o in o_row.iter_mut() {
             *o *= inv;
         }
@@ -602,67 +718,24 @@ pub fn masked_softmax_into(x: &Tensor, mask: Option<&Tensor>, out: &mut Tensor) 
 /// to 0.0 (`v + 0.0` and `v` are the same value — the sign of zero cannot
 /// survive the compare/exp that consume it), minus the per-element mask
 /// load and threshold test.
-fn softmax_rows(x: &[f64], n: usize, out: &mut [f64]) {
+fn softmax_rows<S: Scalar>(x: &[S], n: usize, out: &mut [S]) {
     for (row, o_row) in x.chunks_exact(n.max(1)).zip(out.chunks_exact_mut(n.max(1))) {
         let mx = row_max(row);
-        if !mx.is_finite() || mx <= MASK_NEG_THRESHOLD {
-            o_row.fill(0.0);
+        if !mx.is_finite() || mx <= S::MASK_NEG_THRESHOLD {
+            o_row.fill(S::ZERO);
             continue;
         }
         // Exponentials first (independent elements), then a striped
         // normalizer sum: splitting the passes keeps the exp calls off
         // the z dependency chain.
         for (o, &v) in o_row.iter_mut().zip(row) {
-            *o = exp_shifted(v - mx);
+            *o = (v - mx).exp_shifted();
         }
-        let inv = 1.0 / striped_sum(o_row);
+        let inv = S::ONE / S::striped_sum(o_row);
         for o in o_row.iter_mut() {
             *o *= inv;
         }
     }
-}
-
-/// `exp` for max-shifted softmax arguments (`x ≤ 0`): branchless
-/// range-reduced polynomial, inlineable and auto-vectorizable — unlike
-/// the libm call, whose per-element cost dominates large unmasked
-/// softmax rows. Relative error ≤ ~3e-13, far below the sampling noise
-/// any consumer of a probability can observe; `exp_shifted(0.0)` is
-/// exactly 1.0 and inputs at or below the underflow clamp round to a
-/// probability of ~3e-308, normalized away like an exact zero. Used by
-/// the unmasked softmax path of **both** engines (bit-identity between
-/// them holds because they share this function; the masked/tree paths
-/// keep `f64::exp` and pair with each other).
-#[inline]
-fn exp_shifted(x: f64) -> f64 {
-    // Branchless underflow clamp: keeps 2^k in the normal range so the
-    // exponent bit-trick below stays valid (and lets the loop vectorize).
-    let x = x.max(-708.0);
-    const INV_LN2: f64 = std::f64::consts::LOG2_E;
-    // ln2 split hi/lo so `x - k·ln2` stays exact to the last bit.
-    const LN2_HI: f64 = 0.693_147_180_369_123_8;
-    const LN2_LO: f64 = 1.908_214_929_270_587_7e-10;
-    // Round-to-nearest via the 1.5·2^52 magic constant (no SSE4 round).
-    const MAGIC: f64 = 6_755_399_441_055_744.0;
-    let t = x * INV_LN2 + MAGIC;
-    let kf = t - MAGIC;
-    let r = (x - kf * LN2_HI) - kf * LN2_LO;
-    // `t` is exactly MAGIC + k, so its low mantissa bits hold 2^51 + k;
-    // building 2^k out of them is pure integer arithmetic — no fp→int
-    // conversion, so the surrounding loops stay auto-vectorizable.
-    let mantissa = t.to_bits() & ((1u64 << 52) - 1);
-    let exp2k = f64::from_bits((mantissa - ((1u64 << 51) - 1023)) << 52);
-    // Degree-10 Taylor of exp(r) on |r| ≤ ln2/2 (tail ≤ 3e-13 relative).
-    let p = 1.0
-        + r * (1.0
-            + r * (0.5
-                + r * (1.0 / 6.0
-                    + r * (1.0 / 24.0
-                        + r * (1.0 / 120.0
-                            + r * (1.0 / 720.0
-                                + r * (1.0 / 5040.0
-                                    + r * (1.0 / 40320.0
-                                        + r * (1.0 / 362_880.0 + r * (1.0 / 3_628_800.0))))))))));
-    p * exp2k
 }
 
 /// Sequential-sum softmax of one row in place: the row flavor used by
@@ -670,40 +743,42 @@ fn exp_shifted(x: f64) -> f64 {
 /// attention, whose compacted member rows must sum the same nonzero
 /// terms in the same order as the dense masked kernel). Fully-masked /
 /// non-finite rows become all-zero.
-pub(crate) fn softmax_row_seq(row: &mut [f64]) {
-    let mut mx = f64::NEG_INFINITY;
+pub(crate) fn softmax_row_seq<S: Scalar>(row: &mut [S]) {
+    let mut mx = S::NEG_INFINITY;
     for &s in row.iter() {
         mx = mx.max(s);
     }
-    if !mx.is_finite() || mx <= MASK_NEG_THRESHOLD {
-        row.fill(0.0);
+    if !mx.is_finite() || mx <= S::MASK_NEG_THRESHOLD {
+        row.fill(S::ZERO);
         return;
     }
-    let mut z = 0.0;
+    let mut z = S::ZERO;
     for s in row.iter_mut() {
         *s = (*s - mx).exp();
         z += *s;
     }
-    let inv = 1.0 / z;
+    let inv = S::ONE / z;
     for s in row.iter_mut() {
         *s *= inv;
     }
 }
 
-/// Four-stripe sum (pairs with the unmasked softmax fast path; the
-/// masked path keeps a sequential sum so that block-sparse tree
-/// attention — which sums the same nonzero terms compacted — stays
-/// bit-identical to it).
-fn striped_sum(row: &[f64]) -> f64 {
-    let mut s = [0.0f64; 4];
-    let mut chunks = row.chunks_exact(4);
+/// `W`-stripe sum with a pairwise fold of the stripes (`W` a power of
+/// two: 4 → `(s0+s1)+(s2+s3)`), then the remainder in order. Pairs with
+/// the unmasked softmax fast path; the masked path keeps a sequential
+/// sum so that block-sparse tree attention — which sums the same nonzero
+/// terms compacted — stays bit-identical to it. The stripe count is the
+/// precision's ([`Scalar::striped_sum`]).
+pub(crate) fn striped_sum<S: Scalar, const W: usize>(row: &[S]) -> S {
+    let mut s = [S::ZERO; W];
+    let mut chunks = row.chunks_exact(W);
     for c in chunks.by_ref() {
-        s[0] += c[0];
-        s[1] += c[1];
-        s[2] += c[2];
-        s[3] += c[3];
+        let c: &[S; W] = c.try_into().expect("chunk");
+        for l in 0..W {
+            s[l] += c[l];
+        }
     }
-    let mut z = (s[0] + s[1]) + (s[2] + s[3]);
+    let mut z = fold_stripes(s);
     for &v in chunks.remainder() {
         z += v;
     }
@@ -711,22 +786,34 @@ fn striped_sum(row: &[f64]) -> f64 {
 }
 
 /// [`striped_sum`] over a sequence given by class: element `j` of the
-/// summed sequence is `row[class[j]]`. Same four stripes, same order of
+/// summed sequence is `row[class[j]]`. Same stripes, same order of
 /// additions as [`striped_sum`] on the expanded sequence.
-fn striped_sum_by_class(row: &[f64], class: &[u32]) -> f64 {
-    let mut s = [0.0f64; 4];
-    let mut chunks = class.chunks_exact(4);
+pub(crate) fn striped_sum_by_class<S: Scalar, const W: usize>(row: &[S], class: &[u32]) -> S {
+    let mut s = [S::ZERO; W];
+    let mut chunks = class.chunks_exact(W);
     for c in chunks.by_ref() {
-        s[0] += row[c[0] as usize];
-        s[1] += row[c[1] as usize];
-        s[2] += row[c[2] as usize];
-        s[3] += row[c[3] as usize];
+        let c: &[u32; W] = c.try_into().expect("chunk");
+        for l in 0..W {
+            s[l] += row[c[l] as usize];
+        }
     }
-    let mut z = (s[0] + s[1]) + (s[2] + s[3]);
+    let mut z = fold_stripes(s);
     for &c in chunks.remainder() {
         z += row[c as usize];
     }
     z
+}
+
+/// Adds neighbouring stripes until one is left.
+fn fold_stripes<S: Scalar, const W: usize>(mut s: [S; W]) -> S {
+    let mut w = W;
+    while w > 1 {
+        w /= 2;
+        for i in 0..w {
+            s[i] = s[2 * i] + s[2 * i + 1];
+        }
+    }
+    s[0]
 }
 
 /// Row maximum with eight independent running maxima, folded by
@@ -736,18 +823,18 @@ fn striped_sum_by_class(row: &[f64], class: &[u32]) -> f64 {
 /// compare and is skipped either way, the order of the fold cannot
 /// change a maximum, and a `±0.0` tie differs only in a sign the
 /// consumers (`s − mx`, the threshold test) cannot see.
-fn row_max(row: &[f64]) -> f64 {
-    let mut m = [f64::NEG_INFINITY; 8];
+fn row_max<S: Scalar>(row: &[S]) -> S {
+    let mut m = [S::NEG_INFINITY; 8];
     let mut chunks = row.chunks_exact(8);
     for c in chunks.by_ref() {
-        let c: &[f64; 8] = c.try_into().expect("chunk");
+        let c: &[S; 8] = c.try_into().expect("chunk");
         for l in 0..8 {
             if c[l] > m[l] {
                 m[l] = c[l];
             }
         }
     }
-    let mut mx = f64::NEG_INFINITY;
+    let mut mx = S::NEG_INFINITY;
     for &v in m.iter().chain(chunks.remainder()) {
         if v > mx {
             mx = v;
@@ -757,23 +844,26 @@ fn row_max(row: &[f64]) -> f64 {
 }
 
 /// Row-wise softmax of a single row under a boolean keep-mask (`true` =
-/// attend). Arithmetically identical to [`masked_softmax_into`] with an
-/// additive mask of `0.0` / [`MASK_OFF`].
-pub fn masked_softmax_bool_row(x: &[f64], keep: &[bool], out: &mut Vec<f64>) {
+/// attend), emitting **f64** probabilities for either precision so the
+/// sampling stack (`Categorical`, quantile thresholds, log-prob
+/// accounting) exists once. The max/exp run in `S`, normalization in
+/// f64. For `S = f64` arithmetically identical to
+/// [`masked_softmax_into`] with an additive mask of `0.0` / [`MASK_OFF`].
+pub fn masked_softmax_bool_row<S: Scalar>(x: &[S], keep: &[bool], out: &mut Vec<f64>) {
     assert_eq!(x.len(), keep.len(), "bool mask length mismatch");
     out.clear();
     out.resize(x.len(), 0.0);
-    let mut mx = f64::NEG_INFINITY;
+    let mut mx = S::NEG_INFINITY;
     for (&v, &k) in x.iter().zip(keep) {
-        let mv = if k { 0.0 } else { MASK_OFF };
+        let mv = if k { S::ZERO } else { S::MASK_OFF };
         mx = mx.max(v + mv);
     }
-    if !mx.is_finite() || mx <= MASK_NEG_THRESHOLD {
+    if !mx.is_finite() || mx <= S::MASK_NEG_THRESHOLD {
         return;
     }
     let mut z = 0.0;
     for (c, (&v, &k)) in x.iter().zip(keep).enumerate() {
-        let e = if k { (v - mx).exp() } else { 0.0 };
+        let e = if k { (v - mx).exp().to_f64() } else { 0.0 };
         out[c] = e;
         z += e;
     }
@@ -784,7 +874,7 @@ pub fn masked_softmax_bool_row(x: &[f64], keep: &[bool], out: &mut Vec<f64>) {
 }
 
 /// Row-wise log-softmax of `x + mask` into `out`; masked (zero-probability)
-/// positions are reported as [`MASK_OFF`].
+/// positions are reported as [`MASK_OFF`]. Training-only, hence f64.
 pub fn masked_log_softmax_into(x: &Tensor, mask: Option<&Tensor>, out: &mut Tensor) {
     masked_softmax_into(x, mask, out);
     for v in out.data_mut() {
@@ -793,13 +883,13 @@ pub fn masked_log_softmax_into(x: &Tensor, mask: Option<&Tensor>, out: &mut Tens
 }
 
 /// Row-wise standardization `(x − μ)/σ` with ε-stabilized variance.
-pub fn layer_norm_into(x: &Tensor, eps: f64, out: &mut Tensor) {
+pub fn layer_norm_into<S: Scalar>(x: &Tensor<S>, eps: S, out: &mut Tensor<S>) {
     assert_eq!((out.rows(), out.cols()), (x.rows(), x.cols()), "layer_norm output shape mismatch");
-    let d = x.cols() as f64;
+    let d = S::from_usize(x.cols());
     for r in 0..x.rows() {
         let row = x.row_slice(r);
-        let mu: f64 = row.iter().sum::<f64>() / d;
-        let var: f64 = row.iter().map(|v| (v - mu) * (v - mu)).sum::<f64>() / d;
+        let mu: S = row.iter().sum::<S>() / d;
+        let var: S = row.iter().map(|&v| (v - mu) * (v - mu)).sum::<S>() / d;
         let sigma = (var + eps).sqrt();
         let o_row = &mut out.data_mut()[r * row.len()..(r + 1) * row.len()];
         for (o, &v) in o_row.iter_mut().zip(row) {
@@ -809,7 +899,7 @@ pub fn layer_norm_into(x: &Tensor, eps: f64, out: &mut Tensor) {
 }
 
 /// Cache-blocked transpose: `out = xᵀ`.
-pub fn transpose_into(x: &Tensor, out: &mut Tensor) {
+pub fn transpose_into<S: Scalar>(x: &Tensor<S>, out: &mut Tensor<S>) {
     let (r, c) = (x.rows(), x.cols());
     assert_eq!((out.rows(), out.cols()), (c, r), "transpose output shape mismatch");
     transpose_rows(x.data(), r, c, out.data_mut());
@@ -817,8 +907,7 @@ pub fn transpose_into(x: &Tensor, out: &mut Tensor) {
 
 /// [`transpose_into`] over row-major slices (`xd` is `r × c`, `od`
 /// becomes `c × r`).
-fn transpose_rows(xd: &[f64], r: usize, c: usize, od: &mut [f64]) {
-    // Square tile edge shared with the f32 GEMM blocking (`L1_TILE`):
+fn transpose_rows<S: Scalar>(xd: &[S], r: usize, c: usize, od: &mut [S]) {
     // 32×32 f64 tiles (8 KiB in + 8 KiB out) keep both the read rows and
     // the written columns L1-resident.
     const TB: usize = L1_TILE;
@@ -836,16 +925,16 @@ fn transpose_rows(xd: &[f64], r: usize, c: usize, od: &mut [f64]) {
 }
 
 /// Column-wise mean over rows into a `1 × d` output (mean pooling).
-pub fn mean_rows_into(x: &Tensor, out: &mut Tensor) {
+pub fn mean_rows_into<S: Scalar>(x: &Tensor<S>, out: &mut Tensor<S>) {
     assert_eq!((out.rows(), out.cols()), (1, x.cols()), "mean_rows output shape mismatch");
-    out.data_mut().fill(0.0);
+    out.data_mut().fill(S::ZERO);
     for r in 0..x.rows() {
         let row = x.row_slice(r);
         for (o, &v) in out.data_mut().iter_mut().zip(row) {
             *o += v;
         }
     }
-    let n = x.rows().max(1) as f64;
+    let n = S::from_usize(x.rows().max(1));
     for o in out.data_mut() {
         *o /= n;
     }
@@ -860,6 +949,10 @@ mod tests {
     fn rand_tensor(rows: usize, cols: usize, seed: u64) -> Tensor {
         let mut rng = StdRng::seed_from_u64(seed);
         Tensor::from_vec(rows, cols, (0..rows * cols).map(|_| rng.gen_range(-2.0..2.0)).collect())
+    }
+
+    fn rand_t32(rows: usize, cols: usize, rng: &mut StdRng) -> Tensor<f32> {
+        Tensor::from_vec(rows, cols, (0..rows * cols).map(|_| rng.gen_range(-1.0..1.0)).collect())
     }
 
     #[test]
@@ -892,20 +985,6 @@ mod tests {
     }
 
     #[test]
-    fn addmul_accumulates() {
-        let a = rand_tensor(2, 3, 6);
-        let b = rand_tensor(3, 4, 7);
-        let mut out = Tensor::full(2, 4, 1.0);
-        addmul_into(&a, &b, &mut out);
-        let expect = a.matmul(&b);
-        for (o, e) in out.data().iter().zip(expect.data()) {
-            // The prior contents join the accumulation first, so this is
-            // an approximate (not bitwise) comparison.
-            assert!((o - (1.0 + e)).abs() < 1e-12);
-        }
-    }
-
-    #[test]
     fn masked_entries_are_exact_zero_without_exp() {
         let x = rand_tensor(2, 4, 8);
         let mut mask = Tensor::zeros(2, 4);
@@ -934,9 +1013,8 @@ mod tests {
         assert_eq!(dense.data(), &sparse[..]);
     }
 
-    #[test]
-    fn striped_compare_max_equals_the_max_fold() {
-        let max_fold = |row: &[f64]| row.iter().fold(f64::NEG_INFINITY, |m, &v| m.max(v));
+    fn striped_compare_max_equals_the_max_fold_in<S: Scalar>() {
+        let max_fold = |row: &[S]| row.iter().fold(S::NEG_INFINITY, |m, &v| m.max(v));
         let (inf, nan) = (f64::INFINITY, f64::NAN);
         let mut rows: Vec<Vec<f64>> = vec![
             vec![],
@@ -958,10 +1036,37 @@ mod tests {
             rows.push(row);
         }
         for row in &rows {
-            let (got, want) = (row_max(row), max_fold(row));
-            assert!(got == want, "{row:?}: {got} vs {want}");
+            let row: Vec<S> = row.iter().map(|&v| S::from_f64(v)).collect();
+            let (got, want) = (row_max(&row), max_fold(&row));
+            assert!(got == want, "{row:?}: {got:?} vs {want:?}");
         }
-        assert!(row_max(&[MASK_OFF; 23]) <= MASK_NEG_THRESHOLD, "all-masked rows stay masked");
+        assert!(
+            row_max(&[S::MASK_OFF; 23]) <= S::MASK_NEG_THRESHOLD,
+            "all-masked rows stay masked"
+        );
+    }
+
+    #[test]
+    fn striped_compare_max_equals_the_max_fold() {
+        striped_compare_max_equals_the_max_fold_in::<f64>();
+    }
+
+    #[test]
+    fn f32_striped_compare_max_equals_the_max_fold() {
+        striped_compare_max_equals_the_max_fold_in::<f32>();
+    }
+
+    #[test]
+    fn stripes_fold_pairwise() {
+        let row: Vec<f64> = (0..19).map(|j| 1.0 / (j as f64 + 3.0)).collect();
+        let s: Vec<f64> = (0..4).map(|l| row[l] + row[l + 4] + row[l + 8] + row[l + 12]).collect();
+        let want = (s[0] + s[1]) + (s[2] + s[3]) + row[16] + row[17] + row[18];
+        assert_eq!(striped_sum::<f64, 4>(&row), want);
+        let s: Vec<f64> = (0..8).map(|l| row[l] + row[l + 8]).collect();
+        let want = ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]));
+        assert_eq!(striped_sum::<f64, 8>(&row), want + row[16] + row[17] + row[18]);
+        let identity: Vec<u32> = (0..19).collect();
+        assert_eq!(striped_sum_by_class::<f64, 4>(&row, &identity), striped_sum::<f64, 4>(&row));
     }
 
     #[test]
@@ -977,27 +1082,165 @@ mod tests {
             }
         }
     }
+
+    #[test]
+    fn both_loop_shapes_agree_bitwise() {
+        // The per-precision choices of `Scalar` are speed only: each pair
+        // of shapes yields the same bits at either type.
+        fn check<S: Scalar>(seed: u64) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut rand = |len: usize| -> Vec<S> {
+                (0..len).map(|_| S::from_f64(rng.gen_range(-1.5..1.5))).collect()
+            };
+            for (m, k, n) in [(5, 12, 300), (3, 7, 17), (4, 24, 529)] {
+                let (a, b) = (rand(m * k), rand(k * n));
+                let (mut plain, mut blocked) = (vec![S::ZERO; m * n], vec![S::ONE; m * n]);
+                matmul_wide_plain(&a, k, &b, n, &mut plain);
+                matmul_wide_blocked(&a, k, &b, n, &mut blocked);
+                assert!(plain == blocked, "wide matmul {m}x{k}x{n}");
+                let scale = S::from_f64(0.3);
+                let (mut tile, mut axpy) = (vec![S::ZERO; m * n], vec![S::ONE; m * n]);
+                scores_register_tile(&a, k, &b, n, scale, &mut tile);
+                scores_axpy(&a, k, &b, n, scale, &mut axpy);
+                assert!(tile == axpy, "score tile {m}x{k}x{n}");
+            }
+        }
+        check::<f64>(21);
+        check::<f32>(22);
+    }
+
+    #[test]
+    fn f32_matmul_close_to_f64_reference() {
+        let mut rng = StdRng::seed_from_u64(7);
+        for &(m, k, n) in &[(3, 5, 40), (17, 24, 24), (2, 24, 1), (33, 16, 300)] {
+            let a = rand_t32(m, k, &mut rng);
+            let b = rand_t32(k, n, &mut rng);
+            let mut out = Tensor::zeros(m, n);
+            matmul_into(&a, &b, &mut out);
+            let mut reference = Tensor::zeros(m, n);
+            matmul_into(&a.to_f64(), &b.to_f64(), &mut reference);
+            for (got, want) in out.data().iter().zip(reference.data()) {
+                let bound = (k as f64).sqrt() * 4.0 * f64::from(f32::EPSILON);
+                assert!(
+                    (f64::from(*got) - want).abs() <= bound + want.abs() * bound,
+                    "matmul {m}x{k}x{n}: {got} vs {want}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn f32_matmul_nt_scaled_matches_reference() {
+        let mut rng = StdRng::seed_from_u64(8);
+        let a = rand_t32(9, 12, &mut rng);
+        let b = rand_t32(37, 12, &mut rng);
+        let mut out = Tensor::zeros(9, 37);
+        matmul_nt_scaled_into(&a, &b, 0.25, &mut out);
+        let mut reference = Tensor::zeros(9, 37);
+        matmul_nt_scaled_into(&a.to_f64(), &b.to_f64(), 0.25, &mut reference);
+        for (got, want) in out.data().iter().zip(reference.data()) {
+            assert!((f64::from(*got) - want).abs() < 1e-5, "{got} vs {want}");
+        }
+    }
+
+    #[test]
+    fn f32_softmax_rows_sum_to_one() {
+        let mut rng = StdRng::seed_from_u64(9);
+        let x = rand_t32(5, 100, &mut rng);
+        let mut out = Tensor::zeros(5, 100);
+        masked_softmax_into(&x, None, &mut out);
+        for r in 0..5 {
+            let s: f32 = out.row_slice(r).iter().sum();
+            assert!((s - 1.0).abs() < 1e-5, "row {r} sums to {s}");
+        }
+    }
+
+    #[test]
+    fn f32_fused_attention_matches_unfused_chain() {
+        let mut rng = StdRng::seed_from_u64(10);
+        let (m, dh, n) = (70, 12, 90);
+        let q = rand_t32(m, dh, &mut rng);
+        let k = rand_t32(n, dh, &mut rng);
+        let v = rand_t32(n, dh, &mut rng);
+        let scale = 1.0 / (dh as f32).sqrt();
+        let mut fused = Tensor::zeros(m, dh);
+        attention_head_into(&q, &k, &v, None, scale, 1, &mut AttnScratch::default(), &mut fused);
+        let mut scores = Tensor::zeros(m, n);
+        matmul_nt_scaled_into(&q, &k, scale, &mut scores);
+        let mut probs = Tensor::zeros(m, n);
+        masked_softmax_into(&scores, None, &mut probs);
+        let mut unfused = Tensor::zeros(m, dh);
+        matmul_into(&probs, &v, &mut unfused);
+        for (a, b) in fused.data().iter().zip(unfused.data()) {
+            assert!((a - b).abs() < 1e-5, "fused {a} vs unfused {b}");
+        }
+    }
+
+    #[test]
+    fn f32_bool_row_softmax_masks_and_normalizes() {
+        let x = [1.0f32, 2.0, 3.0, 4.0];
+        let keep = [true, false, true, false];
+        let mut out = Vec::new();
+        masked_softmax_bool_row(&x, &keep, &mut out);
+        assert_eq!(out[1], 0.0);
+        assert_eq!(out[3], 0.0);
+        assert!((out.iter().sum::<f64>() - 1.0).abs() < 1e-12);
+        assert!(out[2] > out[0]);
+    }
+
+    #[test]
+    fn f32_layer_norm_standardizes() {
+        let x = Tensor::from_vec(1, 4, vec![1.0f32, 2.0, 3.0, 4.0]);
+        let mut out = Tensor::zeros(1, 4);
+        layer_norm_into(&x, 1e-5, &mut out);
+        let mean: f32 = out.data().iter().sum::<f32>() / 4.0;
+        assert!(mean.abs() < 1e-6);
+    }
+
+    #[test]
+    fn f32_mean_rows_pools() {
+        let x = Tensor::from_vec(2, 3, vec![1.0f32, 2.0, 3.0, 3.0, 4.0, 5.0]);
+        let mut out = Tensor::zeros(1, 3);
+        mean_rows_into(&x, &mut out);
+        assert_eq!(out.data(), &[2.0, 3.0, 4.0]);
+    }
 }
 
 #[cfg(test)]
 mod exp_tests {
-    use super::*;
+    use crate::scalar::Scalar;
 
     #[test]
     fn exp_shifted_accuracy_and_edges() {
-        assert_eq!(exp_shifted(0.0), 1.0);
+        assert_eq!(0.0f64.exp_shifted(), 1.0);
         // Below the clamp: a ~3e-308 probability, normalized away.
-        assert!(exp_shifted(-750.0) < 1e-300);
-        assert!(exp_shifted(f64::NEG_INFINITY) < 1e-300);
+        assert!((-750.0f64).exp_shifted() < 1e-300);
+        assert!(f64::NEG_INFINITY.exp_shifted() < 1e-300);
         let mut worst: f64 = 0.0;
-        let mut x = -700.0;
+        let mut x = -700.0f64;
         while x <= 0.0 {
-            let a = exp_shifted(x);
+            let a = x.exp_shifted();
             let e = x.exp();
             let rel = if e == 0.0 { a.abs() } else { ((a - e) / e).abs() };
             worst = worst.max(rel);
             x += 0.000_537; // irregular step, sweeps many reduction cells
         }
         assert!(worst < 1e-12, "worst relative error {worst:e}");
+    }
+
+    #[test]
+    fn f32_exp_shifted_accuracy_and_edges() {
+        assert_eq!(0.0f32.exp_shifted(), 1.0);
+        assert!((-100.0f32).exp_shifted() >= 0.0);
+        let mut worst = 0.0f64;
+        let mut x = -80.0f32;
+        while x < 0.0 {
+            let got = f64::from(x.exp_shifted());
+            let want = f64::from(x).exp();
+            let rel = ((got - want) / want).abs();
+            worst = worst.max(rel);
+            x += 0.003_17;
+        }
+        assert!(worst < 4.0 * f64::from(f32::EPSILON), "worst rel err {worst:e}");
     }
 }

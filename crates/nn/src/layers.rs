@@ -4,11 +4,19 @@
 //! the [`Graph`] by a stable, fully-qualified name during `forward`. The
 //! [`Module`] trait exposes the same names for the optimizer and for
 //! checkpoint (de)serialization, so parameter identity is positional-free.
+//!
+//! Layers are generic over the [`Scalar`] of their weights, `f64` by
+//! default. Construction from an rng, `forward` on the [`Graph`] and
+//! [`Module`] — everything training touches — exist for `f64` only; the
+//! tape-free `fwd` half is written once for both precisions, and an f32
+//! layer is built from its trained f64 layer by `from_f64`, exactly once
+//! (checkpoint load / `SharedAgent` construction).
 
 use rand::Rng;
 
 use crate::graph::{Graph, Var};
 use crate::infer::{FVar, FwdCtx, TreeGroups};
+use crate::scalar::Scalar;
 use crate::tensor::Tensor;
 
 /// Anything holding named parameters.
@@ -28,10 +36,10 @@ pub trait Module {
 
 /// Fully-connected layer `y = xW + b`.
 #[derive(Debug, Clone)]
-pub struct Linear {
+pub struct Linear<S = f64> {
     name: String,
-    pub(crate) w: Tensor,
-    pub(crate) b: Tensor,
+    pub(crate) w: Tensor<S>,
+    pub(crate) b: Tensor<S>,
 }
 
 impl Linear {
@@ -42,6 +50,21 @@ impl Linear {
             w: Tensor::xavier(d_in, d_out, rng),
             b: Tensor::zeros(1, d_out),
         }
+    }
+
+    /// Applies the layer to an `n × d_in` input.
+    pub fn forward(&self, g: &mut Graph, x: Var) -> Var {
+        let w = g.param(&format!("{}.w", self.name), &self.w);
+        let b = g.param(&format!("{}.b", self.name), &self.b);
+        let xw = g.matmul(x, w);
+        g.add_row(xw, b)
+    }
+}
+
+impl<S: Scalar> Linear<S> {
+    /// Casts a trained f64 layer (round-to-nearest per weight).
+    pub fn from_f64(l: &Linear) -> Self {
+        Linear { name: l.name.clone(), w: Tensor::from_f64(&l.w), b: Tensor::from_f64(&l.b) }
     }
 
     /// The layer's parameter-name prefix.
@@ -59,16 +82,8 @@ impl Linear {
         self.w.cols()
     }
 
-    /// Applies the layer to an `n × d_in` input.
-    pub fn forward(&self, g: &mut Graph, x: Var) -> Var {
-        let w = g.param(&format!("{}.w", self.name), &self.w);
-        let b = g.param(&format!("{}.b", self.name), &self.b);
-        let xw = g.matmul(x, w);
-        g.add_row(xw, b)
-    }
-
-    /// Tape-free forward (bit-identical to [`Linear::forward`]).
-    pub fn fwd(&self, ctx: &mut FwdCtx, x: FVar) -> FVar {
+    /// Tape-free forward (in f64 bit-identical to [`Linear::forward`]).
+    pub fn fwd(&self, ctx: &mut FwdCtx<S>, x: FVar) -> FVar {
         ctx.linear(x, &self.w, &self.b)
     }
 }
@@ -87,11 +102,11 @@ impl Module for Linear {
 
 /// Layer normalization with learned affine parameters.
 #[derive(Debug, Clone)]
-pub struct LayerNorm {
+pub struct LayerNorm<S = f64> {
     name: String,
-    pub(crate) gamma: Tensor,
-    pub(crate) beta: Tensor,
-    pub(crate) eps: f64,
+    pub(crate) gamma: Tensor<S>,
+    pub(crate) beta: Tensor<S>,
+    pub(crate) eps: S,
 }
 
 impl LayerNorm {
@@ -113,9 +128,21 @@ impl LayerNorm {
         let scaled = g.mul_row(normed, gamma);
         g.add_row(scaled, beta)
     }
+}
 
-    /// Tape-free forward (bit-identical to [`LayerNorm::forward`]).
-    pub fn fwd(&self, ctx: &mut FwdCtx, x: FVar) -> FVar {
+impl<S: Scalar> LayerNorm<S> {
+    /// Casts a trained f64 layer norm.
+    pub fn from_f64(l: &LayerNorm) -> Self {
+        LayerNorm {
+            name: l.name.clone(),
+            gamma: Tensor::from_f64(&l.gamma),
+            beta: Tensor::from_f64(&l.beta),
+            eps: S::from_f64(l.eps),
+        }
+    }
+
+    /// Tape-free forward (in f64 bit-identical to [`LayerNorm::forward`]).
+    pub fn fwd(&self, ctx: &mut FwdCtx<S>, x: FVar) -> FVar {
         ctx.layer_norm_affine(x, &self.gamma, &self.beta, self.eps)
     }
 }
@@ -134,8 +161,8 @@ impl Module for LayerNorm {
 
 /// Multi-layer perceptron with ReLU activations between layers.
 #[derive(Debug, Clone)]
-pub struct Mlp {
-    pub(crate) layers: Vec<Linear>,
+pub struct Mlp<S = f64> {
+    pub(crate) layers: Vec<Linear<S>>,
     pub(crate) activate_last: bool,
 }
 
@@ -158,11 +185,6 @@ impl Mlp {
         Mlp { layers, activate_last }
     }
 
-    /// Output width.
-    pub fn d_out(&self) -> usize {
-        self.layers.last().expect("non-empty").d_out()
-    }
-
     /// Applies the MLP.
     pub fn forward(&self, g: &mut Graph, x: Var) -> Var {
         let n = self.layers.len();
@@ -175,9 +197,24 @@ impl Mlp {
         }
         h
     }
+}
 
-    /// Tape-free forward (bit-identical to [`Mlp::forward`]).
-    pub fn fwd(&self, ctx: &mut FwdCtx, x: FVar) -> FVar {
+impl<S: Scalar> Mlp<S> {
+    /// Casts a trained f64 MLP.
+    pub fn from_f64(m: &Mlp) -> Self {
+        Mlp {
+            layers: m.layers.iter().map(Linear::from_f64).collect(),
+            activate_last: m.activate_last,
+        }
+    }
+
+    /// Output width.
+    pub fn d_out(&self) -> usize {
+        self.layers.last().expect("non-empty").d_out()
+    }
+
+    /// Tape-free forward (in f64 bit-identical to [`Mlp::forward`]).
+    pub fn fwd(&self, ctx: &mut FwdCtx<S>, x: FVar) -> FVar {
         let n = self.layers.len();
         let mut h = x;
         for (i, l) in self.layers.iter().enumerate() {
@@ -210,12 +247,12 @@ impl Module for Mlp {
 /// = blocked), shared across heads. The sparse tree-attention of the paper
 /// is this layer with a tree-structured mask.
 #[derive(Debug, Clone)]
-pub struct MultiHeadAttention {
+pub struct MultiHeadAttention<S = f64> {
     name: String,
-    pub(crate) wq: Linear,
-    pub(crate) wk: Linear,
-    pub(crate) wv: Linear,
-    pub(crate) wo: Linear,
+    pub(crate) wq: Linear<S>,
+    pub(crate) wk: Linear<S>,
+    pub(crate) wv: Linear<S>,
+    pub(crate) wo: Linear<S>,
     pub(crate) heads: usize,
     pub(crate) d_model: usize,
 }
@@ -291,18 +328,40 @@ impl MultiHeadAttention {
         let probs = g.scale(probs_sum.expect("at least one head"), 1.0 / self.heads as f64);
         AttentionOut { out, probs }
     }
+}
 
-    /// Tape-free forward, bit-identical to [`MultiHeadAttention::forward`].
-    /// Scores are computed with the transpose-free `Q·Kᵀ` kernel; the
-    /// head-averaged probabilities are only materialized when
-    /// `want_probs` is set (the VM→PM cross stage needs them, the other
-    /// stages discard them).
+impl<S: Scalar> MultiHeadAttention<S> {
+    /// Casts a trained f64 attention layer.
+    pub fn from_f64(a: &MultiHeadAttention) -> Self {
+        MultiHeadAttention {
+            name: a.name.clone(),
+            wq: Linear::from_f64(&a.wq),
+            wk: Linear::from_f64(&a.wk),
+            wv: Linear::from_f64(&a.wv),
+            wo: Linear::from_f64(&a.wo),
+            heads: a.heads,
+            d_model: a.d_model,
+        }
+    }
+
+    /// `1 / √d_head`, computed in `S`.
+    fn score_scale(&self) -> S {
+        S::ONE / S::from_usize(self.d_model / self.heads).sqrt()
+    }
+
+    /// Tape-free forward, in f64 bit-identical to
+    /// [`MultiHeadAttention::forward`]. Scores are computed with the
+    /// transpose-free `Q·Kᵀ` kernel; the head-averaged probabilities are
+    /// only materialized when `want_probs` is set (the VM→PM cross stage
+    /// needs them, the other stages discard them): the fused tiled kernel
+    /// when they are discarded, the unfused score → softmax →
+    /// weighted-sum chain otherwise.
     pub fn fwd(
         &self,
-        ctx: &mut FwdCtx,
+        ctx: &mut FwdCtx<S>,
         query: FVar,
         keys_values: FVar,
-        mask: Option<&Tensor>,
+        mask: Option<&Tensor<S>>,
         want_probs: bool,
     ) -> (FVar, Option<FVar>) {
         self.fwd_heads(ctx, query, keys_values, mask, want_probs, false)
@@ -314,7 +373,7 @@ impl MultiHeadAttention {
     /// classes stand for. Returns one output row per class, each
     /// bit-identical to the row [`Self::fwd`] computes for any member of
     /// the class on the expanded sequence.
-    pub fn fwd_self_classes(&self, ctx: &mut FwdCtx, reps: FVar) -> FVar {
+    pub fn fwd_self_classes(&self, ctx: &mut FwdCtx<S>, reps: FVar) -> FVar {
         if self.d_model / self.heads <= 16 {
             return self.fwd_heads(ctx, reps, reps, None, false, true).0;
         }
@@ -328,16 +387,16 @@ impl MultiHeadAttention {
     /// only).
     fn fwd_heads(
         &self,
-        ctx: &mut FwdCtx,
+        ctx: &mut FwdCtx<S>,
         query: FVar,
         keys_values: FVar,
-        mask: Option<&Tensor>,
+        mask: Option<&Tensor<S>>,
         want_probs: bool,
         keys_by_class: bool,
     ) -> (FVar, Option<FVar>) {
         let nq = ctx.value(query).rows();
         let dh = self.d_model / self.heads;
-        let scale = 1.0 / (dh as f64).sqrt();
+        let scale = self.score_scale();
         let q_all = self.wq.fwd(ctx, query);
         let k_all = self.wk.fwd(ctx, keys_values);
         let v_all = self.wv.fwd(ctx, keys_values);
@@ -374,21 +433,20 @@ impl MultiHeadAttention {
             }
         }
         if let Some(acc) = probs_avg {
-            ctx.scale_assign(acc, 1.0 / self.heads as f64);
+            ctx.scale_assign(acc, S::ONE / S::from_usize(self.heads));
         }
         let out = self.wo.fwd(ctx, concat);
         (out, probs_avg)
     }
 
-    /// Tape-free block-sparse forward for tree-local self-attention:
-    /// bit-identical to [`MultiHeadAttention::forward`] under the
+    /// Tape-free block-sparse forward for tree-local self-attention: in
+    /// f64 bit-identical to [`MultiHeadAttention::forward`] under the
     /// equivalent additive tree mask, but O(Σ tree²·d) instead of
     /// O((N+M)²·d) — the dense score matrix and the mask are never
     /// materialized. Probabilities are not produced (the local stage
     /// discards them).
-    pub fn fwd_tree(&self, ctx: &mut FwdCtx, x: FVar, groups: &TreeGroups) -> FVar {
-        let dh = self.d_model / self.heads;
-        let scale = 1.0 / (dh as f64).sqrt();
+    pub fn fwd_tree(&self, ctx: &mut FwdCtx<S>, x: FVar, groups: &TreeGroups) -> FVar {
+        let scale = self.score_scale();
         let q_all = self.wq.fwd(ctx, x);
         let k_all = self.wk.fwd(ctx, x);
         let v_all = self.wv.fwd(ctx, x);
@@ -418,10 +476,10 @@ impl Module for MultiHeadAttention {
 /// with a residual connection (the "two dense layers and layer norm" of
 /// the paper's block, §3.3).
 #[derive(Debug, Clone)]
-pub struct FeedForward {
-    pub(crate) lin1: Linear,
-    pub(crate) lin2: Linear,
-    pub(crate) norm: LayerNorm,
+pub struct FeedForward<S = f64> {
+    pub(crate) lin1: Linear<S>,
+    pub(crate) lin2: Linear<S>,
+    pub(crate) norm: LayerNorm<S>,
 }
 
 impl FeedForward {
@@ -443,9 +501,21 @@ impl FeedForward {
         let res = g.add(x, h);
         self.norm.forward(g, res)
     }
+}
 
-    /// Tape-free forward (bit-identical to [`FeedForward::forward`]).
-    pub fn fwd(&self, ctx: &mut FwdCtx, x: FVar) -> FVar {
+impl<S: Scalar> FeedForward<S> {
+    /// Casts a trained f64 feed-forward sub-block.
+    pub fn from_f64(ff: &FeedForward) -> Self {
+        FeedForward {
+            lin1: Linear::from_f64(&ff.lin1),
+            lin2: Linear::from_f64(&ff.lin2),
+            norm: LayerNorm::from_f64(&ff.norm),
+        }
+    }
+
+    /// Tape-free forward (in f64 bit-identical to
+    /// [`FeedForward::forward`]).
+    pub fn fwd(&self, ctx: &mut FwdCtx<S>, x: FVar) -> FVar {
         let h = self.lin1.fwd(ctx, x);
         ctx.relu_assign(h);
         let h = self.lin2.fwd(ctx, h);

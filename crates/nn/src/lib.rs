@@ -5,13 +5,19 @@
 //! GPU frameworks, so this crate implements the required subset from
 //! scratch:
 //!
-//! * [`tensor::Tensor`] — dense 2-D `f64` matrices,
+//! * [`tensor::Tensor`] — dense 2-D matrices (`f64` unless said
+//!   otherwise),
 //! * [`graph::Graph`] — tape-based reverse-mode autodiff whose op set
 //!   covers attention, layer-norm, and the PPO loss (every backward rule
 //!   is finite-difference checked in tests),
 //! * [`layers`] — `Linear`, `LayerNorm`, `Mlp`, `MultiHeadAttention` (with
 //!   arbitrary additive masks — sparse tree-attention is a mask), and the
 //!   residual feed-forward block,
+//! * [`infer::FwdCtx`] + [`kernels`] — the tape-free, allocation-free
+//!   inference engine, written once over [`scalar::Scalar`]: `f64` is
+//!   bit-identical to the `Graph`, `f32` is the same code cast once
+//!   (`FwdCtx<f32>`, `Linear::<f32>::from_f64`, …) — what differs per
+//!   precision is listed in [`scalar`] and nowhere else,
 //! * [`optim::Adam`] — Adam with bias correction, global-norm clipping,
 //!   and prefix freezing (top-layer fine-tuning),
 //! * [`lora::LoraLinear`] and [`adapter::Adapter`] — low-rank and
@@ -56,23 +62,20 @@ pub mod graph;
 pub mod infer;
 pub mod infer32;
 pub mod kernels;
-pub mod kernels_f32;
 pub mod layers;
 pub mod layers_f32;
 pub mod lora;
 pub mod optim;
 pub mod par;
+pub mod scalar;
 pub mod tensor;
-pub mod tensor32;
 
 pub use adapter::Adapter;
 pub use checkpoint::Checkpoint;
 pub use graph::{Graph, Var, MASK_OFF};
 pub use infer::{FVar, FwdCtx, TreeGroups};
-pub use infer32::{FVar32, FwdCtx32};
 pub use layers::{AttentionOut, FeedForward, LayerNorm, Linear, Mlp, Module, MultiHeadAttention};
-pub use layers_f32::{FeedForward32, LayerNorm32, Linear32, Mlp32, MultiHeadAttention32};
 pub use lora::LoraLinear;
 pub use optim::{Adam, AdamConfig};
+pub use scalar::Scalar;
 pub use tensor::Tensor;
-pub use tensor32::Tensor32;

@@ -1,29 +1,71 @@
-//! A minimal dense 2-D tensor in `f64`.
+//! A minimal dense 2-D tensor.
 //!
 //! Everything the VMR2L models need is expressible with row-major
 //! matrices: a batch of entities is the row dimension, features the
-//! column dimension. `f64` keeps the finite-difference gradient checks in
-//! the test suite tight and training numerically boring.
+//! column dimension. The element type defaults to `f64`, which keeps the
+//! finite-difference gradient checks in the test suite tight and training
+//! numerically boring; `Tensor<f32>` exists for the fast inference tier
+//! only — it never trains, never serializes, and is built by one cast
+//! ([`Tensor::from_f64`]).
 
 use rand::Rng;
+use serde::__private::{Error, Map, Value};
 use serde::{Deserialize, Serialize};
 
+use crate::scalar::Scalar;
+
 /// Row-major dense matrix.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Tensor {
+#[derive(Debug, Clone, PartialEq)]
+pub struct Tensor<S = f64> {
     rows: usize,
     cols: usize,
-    data: Vec<f64>,
+    data: Vec<S>,
+}
+
+// Hand-written for the one serialized instantiation (the derive shim
+// takes no generic types): the derive's object, `rows`/`cols`/`data` in
+// that order, so checkpoints stay byte-identical.
+impl Serialize for Tensor {
+    fn __serialize(&self) -> Value {
+        let mut m = Map::new();
+        m.insert("rows".to_string(), self.rows.__serialize());
+        m.insert("cols".to_string(), self.cols.__serialize());
+        m.insert("data".to_string(), self.data.__serialize());
+        Value::Object(m)
+    }
+}
+
+impl Deserialize for Tensor {
+    fn __deserialize(v: &Value) -> Result<Self, Error> {
+        let m = v.as_object().ok_or_else(|| Error::custom("expected object for Tensor"))?;
+        let field = |name: &str| {
+            m.get(name).ok_or_else(|| Error::custom(format!("missing field `{name}` in Tensor")))
+        };
+        Ok(Tensor {
+            rows: usize::__deserialize(field("rows")?)?,
+            cols: usize::__deserialize(field("cols")?)?,
+            data: Vec::__deserialize(field("data")?)?,
+        })
+    }
 }
 
 impl Tensor {
+    /// Xavier/Glorot-uniform initialization for a `rows × cols` weight.
+    pub fn xavier<R: Rng + ?Sized>(rows: usize, cols: usize, rng: &mut R) -> Self {
+        let bound = (6.0 / (rows + cols) as f64).sqrt();
+        let data = (0..rows * cols).map(|_| rng.gen_range(-bound..bound)).collect();
+        Tensor { rows, cols, data }
+    }
+}
+
+impl<S: Scalar> Tensor<S> {
     /// Zero-filled `rows × cols` tensor.
     pub fn zeros(rows: usize, cols: usize) -> Self {
-        Tensor { rows, cols, data: vec![0.0; rows * cols] }
+        Tensor { rows, cols, data: vec![S::ZERO; rows * cols] }
     }
 
     /// Constant-filled tensor.
-    pub fn full(rows: usize, cols: usize, value: f64) -> Self {
+    pub fn full(rows: usize, cols: usize, value: S) -> Self {
         Tensor { rows, cols, data: vec![value; rows * cols] }
     }
 
@@ -32,21 +74,34 @@ impl Tensor {
     /// # Panics
     /// Panics if `data.len() != rows * cols`; shape bugs are programmer
     /// errors, not runtime conditions.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Self {
+    pub fn from_vec(rows: usize, cols: usize, data: Vec<S>) -> Self {
         assert_eq!(data.len(), rows * cols, "shape/data mismatch");
         Tensor { rows, cols, data }
     }
 
     /// Builds a 1×n row vector.
-    pub fn row(data: Vec<f64>) -> Self {
+    pub fn row(data: Vec<S>) -> Self {
         Tensor { rows: 1, cols: data.len(), data }
     }
 
-    /// Xavier/Glorot-uniform initialization for a `rows × cols` weight.
-    pub fn xavier<R: Rng + ?Sized>(rows: usize, cols: usize, rng: &mut R) -> Self {
-        let bound = (6.0 / (rows + cols) as f64).sqrt();
-        let data = (0..rows * cols).map(|_| rng.gen_range(-bound..bound)).collect();
-        Tensor { rows, cols, data }
+    /// Casts an f64 tensor to this element type (round-to-nearest per
+    /// element; a copy for `f64`). This is the weight-conversion entry
+    /// point: call once at load, never per forward.
+    pub fn from_f64(t: &Tensor) -> Self {
+        Tensor {
+            rows: t.rows,
+            cols: t.cols,
+            data: t.data.iter().map(|&v| S::from_f64(v)).collect(),
+        }
+    }
+
+    /// Widens to an f64 tensor (exact; tests and tolerance comparisons).
+    pub fn to_f64(&self) -> Tensor {
+        Tensor {
+            rows: self.rows,
+            cols: self.cols,
+            data: self.data.iter().map(|&v| v.to_f64()).collect(),
+        }
     }
 
     /// Number of rows.
@@ -86,33 +141,33 @@ impl Tensor {
 
     /// Raw row-major data.
     #[inline]
-    pub fn data(&self) -> &[f64] {
+    pub fn data(&self) -> &[S] {
         &self.data
     }
 
     /// Mutable raw data.
     #[inline]
-    pub fn data_mut(&mut self) -> &mut [f64] {
+    pub fn data_mut(&mut self) -> &mut [S] {
         &mut self.data
     }
 
     /// Element accessor.
     #[inline]
-    pub fn get(&self, r: usize, c: usize) -> f64 {
+    pub fn get(&self, r: usize, c: usize) -> S {
         debug_assert!(r < self.rows && c < self.cols);
         self.data[r * self.cols + c]
     }
 
     /// Element mutator.
     #[inline]
-    pub fn set(&mut self, r: usize, c: usize, v: f64) {
+    pub fn set(&mut self, r: usize, c: usize, v: S) {
         debug_assert!(r < self.rows && c < self.cols);
         self.data[r * self.cols + c] = v;
     }
 
     /// A view of row `r`.
     #[inline]
-    pub fn row_slice(&self, r: usize) -> &[f64] {
+    pub fn row_slice(&self, r: usize) -> &[S] {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
@@ -126,7 +181,7 @@ impl Tensor {
     ///
     /// # Panics
     /// Panics on inner-dimension mismatch.
-    pub fn matmul(&self, other: &Tensor) -> Tensor {
+    pub fn matmul(&self, other: &Tensor<S>) -> Tensor<S> {
         assert_eq!(self.cols, other.rows, "matmul inner dimension mismatch");
         let mut out = Tensor::zeros(self.rows, other.cols);
         crate::kernels::matmul_into(self, other, &mut out);
@@ -136,7 +191,7 @@ impl Tensor {
     /// Matrix product `self · other` skipping exact-zero multiplicands of
     /// `self`. Bit-identical to [`Tensor::matmul`] when `other` is finite;
     /// faster only when `self` is genuinely sparse.
-    pub fn matmul_sparse(&self, other: &Tensor) -> Tensor {
+    pub fn matmul_sparse(&self, other: &Tensor<S>) -> Tensor<S> {
         assert_eq!(self.cols, other.rows, "matmul inner dimension mismatch");
         let mut out = Tensor::zeros(self.rows, other.cols);
         crate::kernels::matmul_sparse_into(self, other, &mut out);
@@ -144,7 +199,7 @@ impl Tensor {
     }
 
     /// Transpose (cache-blocked).
-    pub fn transpose(&self) -> Tensor {
+    pub fn transpose(&self) -> Tensor<S> {
         let mut out = Tensor::zeros(self.cols, self.rows);
         crate::kernels::transpose_into(self, &mut out);
         out
@@ -158,20 +213,30 @@ impl Tensor {
     pub fn reshape_reuse(&mut self, rows: usize, cols: usize) {
         self.rows = rows;
         self.cols = cols;
-        self.data.resize(rows * cols, 0.0);
+        self.data.resize(rows * cols, S::ZERO);
     }
 
     /// Overwrites this tensor with the shape and contents of `src`,
     /// reusing the existing buffer where capacity allows.
-    pub fn copy_from(&mut self, src: &Tensor) {
+    pub fn copy_from(&mut self, src: &Tensor<S>) {
         self.rows = src.rows;
         self.cols = src.cols;
         self.data.clear();
         self.data.extend_from_slice(&src.data);
     }
 
+    /// Overwrites this tensor with the shape of an f64 tensor and its
+    /// contents cast to this element type (the arena input path: features
+    /// stay f64 upstream).
+    pub fn copy_from_f64(&mut self, src: &Tensor) {
+        self.rows = src.rows;
+        self.cols = src.cols;
+        self.data.clear();
+        self.data.extend(src.data.iter().map(|&v| S::from_f64(v)));
+    }
+
     /// Elementwise map.
-    pub fn map(&self, f: impl Fn(f64) -> f64) -> Tensor {
+    pub fn map(&self, f: impl Fn(S) -> S) -> Tensor<S> {
         Tensor { rows: self.rows, cols: self.cols, data: self.data.iter().map(|&v| f(v)).collect() }
     }
 
@@ -179,7 +244,7 @@ impl Tensor {
     ///
     /// # Panics
     /// Panics on shape mismatch.
-    pub fn zip(&self, other: &Tensor, f: impl Fn(f64, f64) -> f64) -> Tensor {
+    pub fn zip(&self, other: &Tensor<S>, f: impl Fn(S, S) -> S) -> Tensor<S> {
         assert_eq!(self.rows, other.rows, "zip row mismatch");
         assert_eq!(self.cols, other.cols, "zip col mismatch");
         Tensor {
@@ -190,7 +255,7 @@ impl Tensor {
     }
 
     /// In-place scaled accumulation: `self += alpha * other`.
-    pub fn axpy(&mut self, alpha: f64, other: &Tensor) {
+    pub fn axpy(&mut self, alpha: S, other: &Tensor<S>) {
         assert_eq!(self.rows, other.rows, "axpy row mismatch");
         assert_eq!(self.cols, other.cols, "axpy col mismatch");
         for (a, &b) in self.data.iter_mut().zip(other.data.iter()) {
@@ -199,17 +264,17 @@ impl Tensor {
     }
 
     /// Sum of all elements.
-    pub fn sum(&self) -> f64 {
+    pub fn sum(&self) -> S {
         self.data.iter().sum()
     }
 
     /// Frobenius norm.
-    pub fn norm(&self) -> f64 {
-        self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
+    pub fn norm(&self) -> S {
+        self.data.iter().map(|&v| v * v).sum::<S>().sqrt()
     }
 
     /// Concatenates two tensors horizontally (same row count).
-    pub fn hcat(&self, other: &Tensor) -> Tensor {
+    pub fn hcat(&self, other: &Tensor<S>) -> Tensor<S> {
         assert_eq!(self.rows, other.rows, "hcat row mismatch");
         let cols = self.cols + other.cols;
         let mut data = Vec::with_capacity(self.rows * cols);
@@ -221,7 +286,7 @@ impl Tensor {
     }
 
     /// Vertically stacks two tensors (same column count).
-    pub fn vcat(&self, other: &Tensor) -> Tensor {
+    pub fn vcat(&self, other: &Tensor<S>) -> Tensor<S> {
         assert_eq!(self.cols, other.cols, "vcat col mismatch");
         let mut data = self.data.clone();
         data.extend_from_slice(&other.data);
@@ -229,7 +294,7 @@ impl Tensor {
     }
 
     /// Extracts the given rows into a new tensor.
-    pub fn select_rows(&self, idx: &[usize]) -> Tensor {
+    pub fn select_rows(&self, idx: &[usize]) -> Tensor<S> {
         let mut data = Vec::with_capacity(idx.len() * self.cols);
         for &r in idx {
             assert!(r < self.rows, "row index {r} out of range");
@@ -239,7 +304,7 @@ impl Tensor {
     }
 
     /// Extracts a contiguous block of columns.
-    pub fn slice_cols(&self, start: usize, len: usize) -> Tensor {
+    pub fn slice_cols(&self, start: usize, len: usize) -> Tensor<S> {
         assert!(start + len <= self.cols, "column slice out of range");
         let mut data = Vec::with_capacity(self.rows * len);
         for r in 0..self.rows {
@@ -274,7 +339,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "matmul inner dimension mismatch")]
     fn matmul_shape_mismatch_panics() {
-        let a = Tensor::zeros(2, 3);
+        let a = Tensor::<f64>::zeros(2, 3);
         let b = Tensor::zeros(2, 3);
         let _ = a.matmul(&b);
     }
@@ -323,5 +388,44 @@ mod tests {
         let json = serde_json::to_string(&a).unwrap();
         let b: Tensor = serde_json::from_str(&json).unwrap();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn json_form_is_pinned() {
+        // The hand-written impls must keep the derive's form: checkpoints
+        // written before them load, and re-serialize byte for byte.
+        let a = Tensor::from_vec(2, 2, vec![1.5, -2.0, 0.0, 3.25]);
+        let json = r#"{"rows":2,"cols":2,"data":[1.5,-2.0,0.0,3.25]}"#;
+        assert_eq!(serde_json::to_string(&a).unwrap(), json);
+        let b: Tensor = serde_json::from_str(json).unwrap();
+        assert_eq!(b, a);
+        assert_eq!(serde_json::to_string(&b).unwrap(), json);
+        let missing = serde_json::from_str::<Tensor>(r#"{"rows":2,"cols":2}"#).unwrap_err();
+        assert!(missing.to_string().contains("missing field `data`"), "{missing}");
+    }
+
+    #[test]
+    fn cast_roundtrip_preserves_f32_values() {
+        let t = Tensor::from_vec(2, 2, vec![1.5, -0.25, 3.0, 0.0]);
+        let t32 = Tensor::<f32>::from_f64(&t);
+        assert_eq!(t32.to_f64(), t, "exactly representable values survive the round trip");
+        assert_eq!(t32.get(1, 0), 3.0);
+    }
+
+    #[test]
+    fn reshape_reuse_keeps_capacity() {
+        let mut t = Tensor::<f32>::zeros(4, 4);
+        let cap = t.data.capacity();
+        t.reshape_reuse(2, 3);
+        assert_eq!((t.rows(), t.cols(), t.len()), (2, 3, 6));
+        t.reshape_reuse(4, 4);
+        assert_eq!(t.data.capacity(), cap, "shrinking then growing must not reallocate");
+    }
+
+    #[test]
+    fn copy_from_f64_casts() {
+        let mut t = Tensor::<f32>::zeros(1, 1);
+        t.copy_from_f64(&Tensor::from_vec(1, 3, vec![1.0, 2.0, f64::MIN_POSITIVE]));
+        assert_eq!(t.data(), &[1.0, 2.0, 0.0], "subnormal f64 underflows to 0.0f32");
     }
 }

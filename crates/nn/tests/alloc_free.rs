@@ -1,7 +1,7 @@
 //! Proof that a steady-state [`FwdCtx`] forward pass performs zero heap
-//! allocations: a counting global allocator wraps `System`, the stack is
-//! run once to warm the arena, and the next passes must leave the
-//! allocation counter untouched.
+//! allocations, at either scalar: a counting global allocator wraps
+//! `System`, the stack is run once to warm the arena, and the next passes
+//! must leave the allocation counter untouched.
 //!
 //! Above the work cutover a dense attention head may run on several
 //! lanes (`vmr_nn::par`): the arena — slots, `kᵀ`, one score tile per
@@ -25,6 +25,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use vmr_nn::infer::{FwdCtx, TreeGroups};
 use vmr_nn::layers::{FeedForward, Mlp, MultiHeadAttention};
+use vmr_nn::scalar::Scalar;
 use vmr_nn::tensor::Tensor;
 
 struct CountingAlloc;
@@ -52,15 +53,15 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// One representative forward: embed → tree attention → dense self
 /// attention → cross attention with probs → feed-forward → pooled head.
-fn forward(
-    ctx: &mut FwdCtx,
-    embed: &Mlp,
-    local: &MultiHeadAttention,
-    dense: &MultiHeadAttention,
-    ff: &FeedForward,
+fn forward<S: Scalar>(
+    ctx: &mut FwdCtx<S>,
+    embed: &Mlp<S>,
+    local: &MultiHeadAttention<S>,
+    dense: &MultiHeadAttention<S>,
+    ff: &FeedForward<S>,
     x0: &Tensor,
     tree: &TreeGroups,
-) -> f64 {
+) -> S {
     ctx.reset();
     let x = ctx.input(x0);
     let e = embed.fwd(ctx, x);
@@ -74,48 +75,89 @@ fn forward(
 }
 
 fn main() {
+    run::<f64>();
+    run::<f32>();
+}
+
+/// Every case at one scalar (layers drawn in f64 from the same seed, then
+/// cast once).
+fn run<S: Scalar>() {
+    let ty = std::any::type_name::<S>();
     let mut rng = StdRng::seed_from_u64(7);
     let d = 16;
     let rows = 24;
-    let embed = Mlp::new("e", &[6, d, d], false, &mut rng);
-    let local = MultiHeadAttention::new("l", d, 2, &mut rng);
-    let dense = MultiHeadAttention::new("s", d, 2, &mut rng);
-    let ff = FeedForward::new("f", d, 2 * d, &mut rng);
+    let embed = Mlp::<S>::from_f64(&Mlp::new("e", &[6, d, d], false, &mut rng));
+    let local = MultiHeadAttention::<S>::from_f64(&MultiHeadAttention::new("l", d, 2, &mut rng));
+    let dense = MultiHeadAttention::<S>::from_f64(&MultiHeadAttention::new("s", d, 2, &mut rng));
+    let ff = FeedForward::<S>::from_f64(&FeedForward::new("f", d, 2 * d, &mut rng));
     let x0 = Tensor::xavier(rows, 6, &mut rng);
     let tree = TreeGroups {
         starts: (0..=rows / 4).map(|g| g * 4).collect(),
         members: (0..rows).collect(),
     };
 
-    let mut ctx = FwdCtx::new();
+    let mut ctx = FwdCtx::<S>::new();
     // Warm the arena (allocates the slots and the scratch buffer).
     let warm = forward(&mut ctx, &embed, &local, &dense, &ff, &x0, &tree);
 
     let before = ALLOCS.load(Ordering::SeqCst);
-    let mut sink = 0.0;
+    let mut sink = S::ZERO;
     for _ in 0..8 {
         sink += forward(&mut ctx, &embed, &local, &dense, &ff, &x0, &tree);
     }
     let after = ALLOCS.load(Ordering::SeqCst);
 
-    assert_eq!(after - before, 0, "steady-state FwdCtx forward must not allocate");
-    assert_eq!(sink, warm * 8.0, "repeat passes must reproduce the warm result");
-    println!("alloc_free: ok (0 allocations across 8 steady-state forwards)");
+    assert_eq!(after - before, 0, "steady-state FwdCtx<{ty}> forward must not allocate");
+    assert!(sink == warm * S::from_usize(8), "repeat passes must reproduce the warm result");
+    println!("alloc_free<{ty}>: ok (0 allocations across 8 steady-state forwards)");
 
-    lanes_do_not_grow_the_arena(&mut rng);
-    class_counts_do_not_grow_the_arena(&mut rng);
+    masked_attention_does_not_allocate::<S>(&mut rng);
+    lanes_do_not_grow_the_arena::<S>(&mut rng);
+    class_counts_do_not_grow_the_arena::<S>(&mut rng);
+}
+
+/// The masked (reference) attention arm at 40 × 40 — a shape past every
+/// kernel-internal cutover — must run out of the arena like the rest.
+fn masked_attention_does_not_allocate<S: Scalar>(rng: &mut StdRng) {
+    let (rows, d) = (40, 16);
+    let dense = MultiHeadAttention::<S>::from_f64(&MultiHeadAttention::new("m", d, 2, rng));
+    let x0 = Tensor::xavier(rows, d, rng);
+    // Banded mask: every row keeps its diagonal.
+    let mut mask = Tensor::<S>::zeros(rows, rows);
+    for r in 0..rows {
+        for c in 0..rows {
+            if r.abs_diff(c) > 7 {
+                mask.set(r, c, S::MASK_OFF);
+            }
+        }
+    }
+    let pass = |ctx: &mut FwdCtx<S>| -> S {
+        ctx.reset();
+        let x = ctx.input(&x0);
+        let (out, probs) = dense.fwd(ctx, x, x, Some(&mask), true);
+        ctx.value(out).get(0, 0) + ctx.value(probs.expect("probs")).get(39, 39)
+    };
+    let mut ctx = FwdCtx::<S>::new();
+    let warm = pass(&mut ctx);
+    let before = ALLOCS.load(Ordering::SeqCst);
+    for _ in 0..4 {
+        assert!(pass(&mut ctx) == warm, "repeat passes must reproduce the warm result");
+    }
+    let ty = std::any::type_name::<S>();
+    assert_eq!(ALLOCS.load(Ordering::SeqCst), before, "masked {ty} attention must not allocate");
+    println!("alloc_free<{ty}>: ok (masked 40 x 40 attention runs out of the arena)");
 }
 
 /// Row classes: the dense stages run on one row per class, and the class
 /// count moves from step to step under a fixed sequence length. The
 /// arena must be sized by the sequence, so neither more nor fewer
 /// classes than the warm-up saw may grow it or allocate.
-fn class_counts_do_not_grow_the_arena(rng: &mut StdRng) {
+fn class_counts_do_not_grow_the_arena<S: Scalar>(rng: &mut StdRng) {
     // 6 trees of one root row and 5 leaf rows; classes among the leaves.
     let (roots, leaves, per_tree, d) = (6, 30, 5, 16);
-    let local = MultiHeadAttention::new("cl", d, 2, rng);
-    let dense = MultiHeadAttention::new("cs", d, 2, rng);
-    let ff = FeedForward::new("cf", d, 2 * d, rng);
+    let local = MultiHeadAttention::<S>::from_f64(&MultiHeadAttention::new("cl", d, 2, rng));
+    let dense = MultiHeadAttention::<S>::from_f64(&MultiHeadAttention::new("cs", d, 2, rng));
+    let ff = FeedForward::<S>::from_f64(&FeedForward::new("cf", d, 2 * d, rng));
     let base = Tensor::xavier(roots + leaves, d, rng);
     let tree = TreeGroups {
         starts: (0..=roots).map(|g| g * (1 + per_tree)).collect(),
@@ -139,7 +181,7 @@ fn class_counts_do_not_grow_the_arena(rng: &mut StdRng) {
             x
         })
         .collect();
-    let pass = |ctx: &mut FwdCtx, x0: &Tensor| -> (usize, f64) {
+    let pass = |ctx: &mut FwdCtx<S>, x0: &Tensor| -> (usize, S) {
         ctx.reset();
         let x = ctx.input(x0);
         let t = local.fwd_tree(ctx, x, &tree);
@@ -153,7 +195,7 @@ fn class_counts_do_not_grow_the_arena(rng: &mut StdRng) {
         let pooled = ctx.mean_rows(all);
         (ctx.row_classes().distinct(), ctx.value(pooled).get(0, 0))
     };
-    let mut ctx = FwdCtx::new();
+    let mut ctx = FwdCtx::<S>::new();
     let (warm_classes, _) = pass(&mut ctx, &inputs[2]);
     assert_eq!(warm_classes, leaves - 2 * roots);
     let reserved = ctx.reserved();
@@ -165,19 +207,22 @@ fn class_counts_do_not_grow_the_arena(rng: &mut StdRng) {
     }
     assert_eq!(ALLOCS.load(Ordering::SeqCst), before, "a moving class count must not allocate");
     assert_eq!(seen, [24, 6, 12, 18, 24], "the class count did move");
-    println!("alloc_free: ok (arena flat at {reserved} elements while classes moved {seen:?})");
+    let ty = std::any::type_name::<S>();
+    println!(
+        "alloc_free<{ty}>: ok (arena flat at {reserved} elements while classes moved {seen:?})"
+    );
 }
 
 /// The above-cutover case: a dense attention layer, fused and with
 /// probabilities, on whatever lanes the host lends (one helper per idle
 /// core; the serial path on a one-core host).
-fn lanes_do_not_grow_the_arena(rng: &mut StdRng) {
+fn lanes_do_not_grow_the_arena<S: Scalar>(rng: &mut StdRng) {
     // 520 × 520 scores: above `PAR_MIN_SCORES`, ragged last row tile.
     let (rows, d, heads) = (520, 16, 2);
     assert!(rows * rows >= vmr_nn::par::PAR_MIN_SCORES);
-    let dense = MultiHeadAttention::new("big", d, heads, rng);
+    let dense = MultiHeadAttention::<S>::from_f64(&MultiHeadAttention::new("big", d, heads, rng));
     let x0 = Tensor::xavier(rows, d, rng);
-    let pass = |ctx: &mut FwdCtx| -> f64 {
+    let pass = |ctx: &mut FwdCtx<S>| -> S {
         ctx.reset();
         let x = ctx.input(&x0);
         let (fused, _) = dense.fwd(ctx, x, x, None, false);
@@ -186,13 +231,13 @@ fn lanes_do_not_grow_the_arena(rng: &mut StdRng) {
             + ctx.value(unfused).get(1, 0)
             + ctx.value(probs.expect("probs")).get(2, 3)
     };
-    let mut ctx = FwdCtx::new();
+    let mut ctx = FwdCtx::<S>::new();
     let warm = pass(&mut ctx);
     let reserved = ctx.reserved();
     let before = ALLOCS.load(Ordering::SeqCst);
     const PASSES: u64 = 4;
     for _ in 0..PASSES {
-        assert_eq!(pass(&mut ctx), warm, "lane count must not change a result");
+        assert!(pass(&mut ctx) == warm, "lane count must not change a result");
     }
     let per_pass = (ALLOCS.load(Ordering::SeqCst) - before) / PASSES;
     assert_eq!(ctx.reserved(), reserved, "the arena must not grow after warm-up");
@@ -202,5 +247,6 @@ fn lanes_do_not_grow_the_arena(rng: &mut StdRng) {
     let helpers = (2 * heads * (vmr_nn::par::global().cores() - 1)) as u64;
     assert!(per_pass <= 8 * helpers, "{per_pass} allocations per pass for {helpers} helper lanes");
     let lanes = vmr_nn::par::global().stats();
-    println!("alloc_free: ok (arena steady above the cutover; {per_pass} scope allocations per pass; {lanes:?})");
+    let ty = std::any::type_name::<S>();
+    println!("alloc_free<{ty}>: ok (arena steady above the cutover; {per_pass} scope allocations per pass; {lanes:?})");
 }

@@ -10,16 +10,46 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use vmr_nn::kernels;
 use vmr_nn::par::AttnScratch;
+use vmr_nn::scalar::Scalar;
 use vmr_nn::tensor::Tensor;
-use vmr_nn::tensor32::Tensor32;
-use vmr_nn::{kernels, kernels_f32};
 
 const LANES: [usize; 5] = [1, 2, 3, 5, 8];
 const HEAD_WIDTHS: [usize; 4] = [5, 8, 12, 16];
 
 fn rand_tensor(rows: usize, cols: usize, rng: &mut StdRng) -> Tensor {
     Tensor::from_vec(rows, cols, (0..rows * cols).map(|_| rng.gen_range(-1.5..1.5)).collect())
+}
+
+/// Any lane count == the serial kernel, fused and unfused, at one scalar
+/// (the inputs are the f64 draws cast to it).
+fn check<S: Scalar>([q, k, v]: [&Tensor; 3], lanes: usize) -> Result<(), TestCaseError> {
+    let (m, dh, n) = (q.rows(), q.cols(), k.rows());
+    let ty = std::any::type_name::<S>();
+    let (q, k, v) = (Tensor::<S>::from_f64(q), Tensor::from_f64(k), Tensor::from_f64(v));
+    let scale = S::from_f64(1.0 / (dh as f64).sqrt());
+
+    // Fused head.
+    let mut scratch = AttnScratch::default();
+    let mut serial = Tensor::zeros(m, dh);
+    kernels::attention_head_into(&q, &k, &v, None, scale, 1, &mut scratch, &mut serial);
+    let mut split = Tensor::zeros(m, dh);
+    kernels::attention_head_into(&q, &k, &v, None, scale, lanes, &mut scratch, &mut split);
+    prop_assert_eq!(split.data(), serial.data(), "{} fused, {} lanes", ty, lanes);
+
+    // Unfused cross stage: scores, probabilities and output.
+    let mut kt = Vec::new();
+    let mut one = [Tensor::zeros(m, n), Tensor::zeros(m, n), Tensor::zeros(m, dh)];
+    let mut many = one.clone();
+    kernels::attention_probs_into(&q, &k, &v, scale, 1, &mut kt, one.each_mut());
+    kernels::attention_probs_into(&q, &k, &v, scale, lanes, &mut kt, many.each_mut());
+    for (a, b) in many.iter().zip(&one) {
+        prop_assert_eq!(a.data(), b.data(), "{} unfused, {} lanes", ty, lanes);
+    }
+    // The fused head stays bit-identical to the unfused chain.
+    prop_assert_eq!(serial.data(), one[2].data(), "{} fused vs unfused", ty);
+    Ok(())
 }
 
 proptest! {
@@ -37,45 +67,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let (q, k, v) =
             (rand_tensor(m, dh, &mut rng), rand_tensor(n, dh, &mut rng), rand_tensor(n, dh, &mut rng));
-        let scale = 1.0 / (dh as f64).sqrt();
-
-        // f64, fused head: any lane count == the serial kernel.
-        let mut scratch = AttnScratch::default();
-        let mut serial = Tensor::zeros(m, dh);
-        kernels::attention_head_into(&q, &k, &v, None, scale, 1, &mut scratch, &mut serial);
-        let mut split = Tensor::zeros(m, dh);
-        kernels::attention_head_into(&q, &k, &v, None, scale, lanes, &mut scratch, &mut split);
-        prop_assert_eq!(split.data(), serial.data(), "f64 fused, {} lanes", lanes);
-
-        // f64, unfused cross stage: scores, probabilities and output.
-        let mut one = [Tensor::zeros(m, n), Tensor::zeros(m, n), Tensor::zeros(m, dh)];
-        let mut many = one.clone();
-        kernels::attention_probs_into(&q, &k, &v, scale, 1, one.each_mut());
-        kernels::attention_probs_into(&q, &k, &v, scale, lanes, many.each_mut());
-        for (a, b) in many.iter().zip(&one) {
-            prop_assert_eq!(a.data(), b.data(), "f64 unfused, {} lanes", lanes);
-        }
-        // The fused head stays bit-identical to the unfused chain (f64).
-        prop_assert_eq!(serial.data(), one[2].data());
-
-        // f32 twins.
-        let (q, k, v) =
-            (Tensor32::from_tensor(&q), Tensor32::from_tensor(&k), Tensor32::from_tensor(&v));
-        let scale = scale as f32;
-        let mut scratch = AttnScratch::default();
-        let mut serial = Tensor32::zeros(m, dh);
-        kernels_f32::attention_head_into(&q, &k, &v, None, scale, 1, &mut scratch, &mut serial);
-        let mut split = Tensor32::zeros(m, dh);
-        kernels_f32::attention_head_into(&q, &k, &v, None, scale, lanes, &mut scratch, &mut split);
-        prop_assert_eq!(split.data(), serial.data(), "f32 fused, {} lanes", lanes);
-
-        let mut kt = Vec::new();
-        let mut one = [Tensor32::zeros(m, n), Tensor32::zeros(m, n), Tensor32::zeros(m, dh)];
-        let mut many = one.clone();
-        kernels_f32::attention_probs_into(&q, &k, &v, scale, 1, &mut kt, one.each_mut());
-        kernels_f32::attention_probs_into(&q, &k, &v, scale, lanes, &mut kt, many.each_mut());
-        for (a, b) in many.iter().zip(&one) {
-            prop_assert_eq!(a.data(), b.data(), "f32 unfused, {} lanes", lanes);
-        }
+        check::<f64>([&q, &k, &v], lanes)?;
+        check::<f32>([&q, &k, &v], lanes)?;
     }
 }

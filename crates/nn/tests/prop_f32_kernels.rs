@@ -1,10 +1,10 @@
-//! Tolerance-gated equivalence for the f32/SIMD kernel twins.
+//! Tolerance-gated equivalence of the kernels at `f32` against `f64`.
 //!
-//! The f64 engines demand bit-identity (`prop_fwdctx.rs`); the f32 fast
-//! path deliberately reorders accumulation for SIMD, so its contract is a
-//! *condition-aware error bound* instead: every `kernels_f32` routine,
-//! run on f32-cast inputs, must land within a forward-error bound of the
-//! f64 reference kernel run on the **same cast inputs**. The bounds are
+//! The f64 engines demand bit-identity (`prop_fwdctx.rs`); across
+//! precisions the contract is a *condition-aware error bound* instead:
+//! every `kernels::*::<f32>` routine, run on f32-representable inputs,
+//! must land within a forward-error bound of the same routine at `f64`
+//! run on the **same inputs**. The bounds are
 //! the classical ones — a length-`k` dot product accumulates at most
 //! `≈ k·u` relative error (`u = f32::EPSILON`), scaled by the sum of
 //! absolute products `Σ|aᵢ||bᵢ|` so ill-conditioned cancellations are
@@ -19,10 +19,11 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use vmr_nn::kernels;
-use vmr_nn::kernels_f32;
 use vmr_nn::par::AttnScratch;
+use vmr_nn::scalar::Scalar;
 use vmr_nn::tensor::Tensor;
-use vmr_nn::tensor32::Tensor32;
+
+type Tensor32 = Tensor<f32>;
 
 /// Random f32 tensor plus its exact f64 image (every f32 is exact in f64,
 /// so both kernel families see numerically identical inputs).
@@ -32,7 +33,7 @@ fn rand_pair(rows: usize, cols: usize, rng: &mut StdRng) -> (Tensor32, Tensor) {
         cols,
         (0..rows * cols).map(|_| rng.gen_range(-1.5f32..1.5)).collect(),
     );
-    let t64 = t32.to_tensor();
+    let t64 = t32.to_f64();
     (t32, t64)
 }
 
@@ -62,7 +63,7 @@ proptest! {
         let (b32, b64) = rand_pair(k, n, &mut rng);
         let mut out32 = Tensor32::zeros(m, n);
         let mut out64 = Tensor::zeros(m, n);
-        kernels_f32::matmul_into(&a32, &b32, &mut out32);
+        kernels::matmul_into(&a32, &b32, &mut out32);
         kernels::matmul_into(&a64, &b64, &mut out64);
         for i in 0..m {
             for j in 0..n {
@@ -88,7 +89,7 @@ proptest! {
         let (b32, b64) = rand_pair(n, k, &mut rng);
         let mut out32 = Tensor32::zeros(m, n);
         let mut out64 = Tensor::zeros(m, n);
-        kernels_f32::matmul_nt_scaled_into(&a32, &b32, alpha, &mut out32);
+        kernels::matmul_nt_scaled_into(&a32, &b32, alpha, &mut out32);
         kernels::matmul_nt_scaled_into(&a64, &b64, f64::from(alpha), &mut out64);
         for i in 0..m {
             for j in 0..n {
@@ -117,11 +118,11 @@ proptest! {
                 *v = 0.0;
             }
         }
-        let a64 = a32.to_tensor();
+        let a64 = a32.to_f64();
         let (b32, b64) = rand_pair(k, n, &mut rng);
         let mut out32 = Tensor32::zeros(m, n);
         let mut out64 = Tensor::zeros(m, n);
-        kernels_f32::matmul_sparse_into(&a32, &b32, &mut out32);
+        kernels::matmul_sparse_into(&a32, &b32, &mut out32);
         kernels::matmul_into(&a64, &b64, &mut out64);
         for i in 0..m {
             for j in 0..n {
@@ -153,11 +154,11 @@ proptest! {
                 let keep = rng.gen_range(0..cols);
                 for c in 0..cols {
                     if c != keep && rng.gen_bool(0.4) {
-                        m32.set(r, c, kernels_f32::MASK_OFF_F32);
+                        m32.set(r, c, <f32 as Scalar>::MASK_OFF);
                     }
                 }
             }
-            let mut m64 = m32.to_tensor();
+            let mut m64 = m32.to_f64();
             for v in m64.data_mut() {
                 if *v != 0.0 {
                     *v = vmr_nn::graph::MASK_OFF;
@@ -169,7 +170,7 @@ proptest! {
         };
         let mut out32 = Tensor32::zeros(rows, cols);
         let mut out64 = Tensor::zeros(rows, cols);
-        kernels_f32::masked_softmax_into(&x32, mask32.as_ref(), &mut out32);
+        kernels::masked_softmax_into(&x32, mask32.as_ref(), &mut out32);
         kernels::masked_softmax_into(&x64, mask64.as_ref(), &mut out64);
         for r in 0..rows {
             for c in 0..cols {
@@ -199,7 +200,7 @@ proptest! {
         keep[rng.gen_range(0..cols)] = true;
         let mut out32 = Vec::new();
         let mut out64 = Vec::new();
-        kernels_f32::masked_softmax_bool_row_f32(x32.row_slice(0), &keep, &mut out32);
+        kernels::masked_softmax_bool_row(x32.row_slice(0), &keep, &mut out32);
         kernels::masked_softmax_bool_row(x64.row_slice(0), &keep, &mut out64);
         let sum: f64 = out32.iter().sum();
         prop_assert!((sum - 1.0).abs() <= 1e-12, "probs must sum to 1 in f64: {sum}");
@@ -231,7 +232,7 @@ proptest! {
         let mut s64 = AttnScratch::default();
         let mut out32 = Tensor32::zeros(m, dh);
         let mut out64 = Tensor::zeros(m, dh);
-        kernels_f32::attention_head_into(&q32, &k32, &v32, None, scale, 1, &mut s32, &mut out32);
+        kernels::attention_head_into(&q32, &k32, &v32, None, scale, 1, &mut s32, &mut out32);
         kernels::attention_head_into(&q64, &k64, &v64, None, f64::from(scale), 1, &mut s64, &mut out64);
         let tol = 2e-5 * 1.5 * n as f64 + (n as f64 + 2.0) * U * 1.5;
         for i in 0..m {
@@ -255,7 +256,7 @@ proptest! {
         let (x32, x64) = rand_pair(rows, cols, &mut rng);
         let mut out32 = Tensor32::zeros(rows, cols);
         let mut out64 = Tensor::zeros(rows, cols);
-        kernels_f32::layer_norm_into(&x32, 1e-5, &mut out32);
+        kernels::layer_norm_into(&x32, 1e-5, &mut out32);
         kernels::layer_norm_into(&x64, 1e-5, &mut out64);
         for r in 0..rows {
             for c in 0..cols {
@@ -278,7 +279,7 @@ proptest! {
         let (x32, x64) = rand_pair(rows, cols, &mut rng);
         let mut out32 = Tensor32::zeros(1, cols);
         let mut out64 = Tensor::zeros(1, cols);
-        kernels_f32::mean_rows_into(&x32, &mut out32);
+        kernels::mean_rows_into(&x32, &mut out32);
         kernels::mean_rows_into(&x64, &mut out64);
         let tol = (rows as f64 + 2.0) * U * 1.5;
         for c in 0..cols {

@@ -12,10 +12,10 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use vmr_nn::kernels;
 use vmr_nn::par::AttnScratch;
+use vmr_nn::scalar::Scalar;
 use vmr_nn::tensor::Tensor;
-use vmr_nn::tensor32::Tensor32;
-use vmr_nn::{kernels, kernels_f32};
 
 const LANES: [usize; 4] = [1, 2, 3, 5];
 const HEAD_WIDTHS: [usize; 4] = [5, 8, 12, 16];
@@ -35,36 +35,26 @@ fn check(m: usize, distinct: usize, class: &[u32], dh: usize, lanes: usize, seed
     let mut rng = StdRng::seed_from_u64(seed);
     let q = rand_tensor(m, dh, &mut rng);
     let (k, v) = (rand_tensor(distinct, dh, &mut rng), rand_tensor(distinct, dh, &mut rng));
-    let (k_all, v_all) = (expand(&k, class), expand(&v, class));
-    let scale = 1.0 / (dh as f64).sqrt();
     let what = format!("m={m} distinct={distinct} keys={} dh={dh} lanes={lanes}", class.len());
+    check_in::<f64>([&q, &k, &v], class, lanes, &what);
+    check_in::<f32>([&q, &k, &v], class, lanes, &what);
+}
+
+/// [`check`] at one scalar (the inputs are the f64 draws cast to it).
+fn check_in<S: Scalar>([q, k, v]: [&Tensor; 3], class: &[u32], lanes: usize, what: &str) {
+    let (m, dh) = (q.rows(), q.cols());
+    let ty = std::any::type_name::<S>();
+    let (k_all, v_all) = (expand(k, class), expand(v, class));
+    let (q, k, v) = (Tensor::<S>::from_f64(q), Tensor::from_f64(k), Tensor::from_f64(v));
+    let (k_all, v_all) = (Tensor::from_f64(&k_all), Tensor::from_f64(&v_all));
+    let scale = S::from_f64(1.0 / (dh as f64).sqrt());
 
     let mut scratch = AttnScratch::default();
     let mut plain = Tensor::zeros(m, dh);
     kernels::attention_head_into(&q, &k_all, &v_all, None, scale, 1, &mut scratch, &mut plain);
     let mut mapped = Tensor::zeros(m, dh);
     kernels::attention_head_into(&q, &k, &v, Some(class), scale, lanes, &mut scratch, &mut mapped);
-    assert_eq!(mapped.data(), plain.data(), "f64 {what}");
-
-    let (q, k, v) =
-        (Tensor32::from_tensor(&q), Tensor32::from_tensor(&k), Tensor32::from_tensor(&v));
-    let (k_all, v_all) = (Tensor32::from_tensor(&k_all), Tensor32::from_tensor(&v_all));
-    let scale = scale as f32;
-    let mut scratch = AttnScratch::default();
-    let mut plain = Tensor32::zeros(m, dh);
-    kernels_f32::attention_head_into(&q, &k_all, &v_all, None, scale, 1, &mut scratch, &mut plain);
-    let mut mapped = Tensor32::zeros(m, dh);
-    kernels_f32::attention_head_into(
-        &q,
-        &k,
-        &v,
-        Some(class),
-        scale,
-        lanes,
-        &mut scratch,
-        &mut mapped,
-    );
-    assert_eq!(mapped.data(), plain.data(), "f32 {what}");
+    assert_eq!(mapped.data(), plain.data(), "{ty} {what}");
 }
 
 proptest! {

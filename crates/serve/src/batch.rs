@@ -18,14 +18,13 @@
 //! publishes per-submission results under a round id. Arrivals during a
 //! computation simply open the next round, so no submission can strand.
 
-use std::collections::HashMap;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use vmr_core::model::{Vmr2lModel, Vmr2lModelF32};
+use vmr_core::model::Vmr2lModel;
 use vmr_nn::tensor::Tensor;
-use vmr_nn::tensor32::Tensor32;
 
 use crate::sync::LockExt;
 
@@ -56,39 +55,66 @@ pub struct BatchStats {
     pub peak: u64,
 }
 
-#[derive(Default)]
-struct RoundOut {
-    results: Vec<Option<(Tensor, Tensor)>>,
-    remaining: usize,
-}
+/// Lane state, in a private module: [`lanes::LaneOf`] is a bound of the
+/// public [`EmbedBatcher::embed`], so what its signature mentions must be
+/// `pub` — here that leaves it unnameable outside this file.
+mod lanes {
+    use std::collections::HashMap;
 
-#[derive(Default)]
-struct RoundOut32 {
-    results: Vec<Option<(Tensor32, Tensor32)>>,
-    remaining: usize,
-}
+    use vmr_nn::tensor::Tensor;
 
-#[derive(Default)]
-struct Inner {
-    /// Plans currently inside [`EmbedBatcher::plan_guard`] scopes.
-    active: usize,
-    /// Round id of the currently-collecting f64 queue.
-    round: u64,
-    /// Pending f64 submissions (feature matrices) of the current round.
-    queue: Vec<(Tensor, Tensor)>,
-    /// Published f64 results by round id.
-    done: HashMap<u64, RoundOut>,
-    /// Round id of the currently-collecting f32 queue. The two precision
-    /// lanes never share a round: a batched GEMM runs entirely in one
-    /// numeric type, so mixing submissions would force the leader to pick
-    /// a precision some caller did not ask for.
-    round32: u64,
-    /// Pending f32-lane submissions (features are still f64 — the cast
-    /// happens inside the batched forward).
-    queue32: Vec<(Tensor, Tensor)>,
-    /// Published f32 results by round id.
-    done32: HashMap<u64, RoundOut32>,
+    pub struct RoundOut<S> {
+        pub results: Vec<Option<(Tensor<S>, Tensor<S>)>>,
+        pub remaining: usize,
+    }
+
+    /// The rounds of one precision. The two lanes never share a round: a
+    /// batched GEMM runs entirely in one numeric type, so mixing
+    /// submissions would force the leader to pick a precision some caller
+    /// did not ask for.
+    pub struct Lane<S> {
+        /// Round id of the currently-collecting queue.
+        pub round: u64,
+        /// Pending submissions of the current round (feature matrices,
+        /// f64 in either lane — the cast happens inside the batched
+        /// forward).
+        pub queue: Vec<(Tensor, Tensor)>,
+        /// Published results by round id.
+        pub done: HashMap<u64, RoundOut<S>>,
+    }
+
+    impl<S> Default for Lane<S> {
+        fn default() -> Self {
+            Lane { round: 0, queue: Vec::new(), done: HashMap::new() }
+        }
+    }
+
+    #[derive(Default)]
+    pub struct Inner {
+        /// Plans currently inside `EmbedBatcher::plan_guard` scopes.
+        pub active: usize,
+        lane64: Lane<f64>,
+        lane32: Lane<f32>,
+    }
+
+    /// A scalar's lane in the batcher.
+    pub trait LaneOf: vmr_nn::scalar::Scalar {
+        fn lane(inner: &mut Inner) -> &mut Lane<Self>;
+    }
+
+    impl LaneOf for f64 {
+        fn lane(inner: &mut Inner) -> &mut Lane<f64> {
+            &mut inner.lane64
+        }
+    }
+
+    impl LaneOf for f32 {
+        fn lane(inner: &mut Inner) -> &mut Lane<f32> {
+            &mut inner.lane32
+        }
+    }
 }
+use lanes::{Inner, LaneOf, RoundOut};
 
 /// The rendezvous point. One per policy registry; shared by every worker
 /// thread serving an agent plan.
@@ -146,21 +172,31 @@ impl EmbedBatcher {
     }
 
     /// Computes the entity embeddings for one decision step, batched with
-    /// whatever other active plans submit within the window. Returns the
-    /// `(pm_embeddings, vm_embeddings)` pair — bit-identical to
-    /// `model.embed_fwd` run alone.
-    pub fn embed(&self, model: &Vmr2lModel, pm: &Tensor, vm: &Tensor) -> (Tensor, Tensor) {
+    /// whatever other active plans of the same precision submit within
+    /// the window. Returns the `(pm_embeddings, vm_embeddings)` pair —
+    /// bit-identical to `model.embed_fwd` run alone.
+    ///
+    /// The `active` gauge counts in-flight plans of *both* precisions, so
+    /// a leader may wait out the window for peers that turn out to be on
+    /// the other lane; that costs bounded latency, never correctness.
+    pub fn embed<S: LaneOf>(
+        &self,
+        model: &Vmr2lModel<S>,
+        pm: &Tensor,
+        vm: &Tensor,
+    ) -> (Tensor<S>, Tensor<S>) {
         let mut inner = self.inner.lock_recover();
-        let round = inner.round;
-        let idx = inner.queue.len();
-        inner.queue.push((pm.clone(), vm.clone()));
+        let lane = S::lane(&mut inner);
+        let round = lane.round;
+        let idx = lane.queue.len();
+        lane.queue.push((pm.clone(), vm.clone()));
         if idx == 0 {
             // Leader of this round: wait (bounded) for the other active
             // plans to submit — unless this is the only plan in flight,
             // in which case compute immediately (the single-tenant case
             // pays zero added latency).
             let deadline = Instant::now() + self.window;
-            while inner.active > 1 && inner.queue.len() < inner.active {
+            while inner.active > 1 && S::lane(&mut inner).queue.len() < inner.active {
                 let now = Instant::now();
                 if now >= deadline {
                     break;
@@ -168,15 +204,21 @@ impl EmbedBatcher {
                 let guard = crate::sync::cv_wait_timeout(&self.cv, inner, deadline - now);
                 inner = guard;
             }
-            let batch = std::mem::take(&mut inner.queue);
-            inner.round += 1;
+            let lane = S::lane(&mut inner);
+            let batch = std::mem::take(&mut lane.queue);
+            lane.round += 1;
             drop(inner);
 
             // If the computation unwinds (a panicking kernel assert on a
             // malformed session), the guard publishes an all-`None` round
             // so followers fall back to solo evaluation instead of
             // blocking forever on the condvar.
-            let mut abandon = AbandonGuard { batcher: self, round, followers: batch.len() - 1 };
+            let mut abandon = AbandonGuard::<S> {
+                batcher: self,
+                round,
+                followers: batch.len() - 1,
+                lane: PhantomData,
+            };
             let refs: Vec<(&Tensor, &Tensor)> = batch.iter().map(|(p, v)| (p, v)).collect();
             let outs = model.embed_batch(&refs);
             abandon.followers = 0; // disarm: publish real results instead
@@ -191,7 +233,7 @@ impl EmbedBatcher {
             let remaining = outs.len();
             let results = outs.into_iter().map(Some).collect();
             let mut guard = self.inner.lock_recover();
-            guard.done.insert(round, RoundOut { results, remaining });
+            S::lane(&mut guard).done.insert(round, RoundOut { results, remaining });
             inner = guard;
         } else {
             // Wake a leader that may be waiting for this submission.
@@ -199,11 +241,12 @@ impl EmbedBatcher {
         }
         self.cv.notify_all();
         loop {
-            if let Some(out) = inner.done.get_mut(&round) {
+            let done = &mut S::lane(&mut inner).done;
+            if let Some(out) = done.get_mut(&round) {
                 let slot = out.results.get_mut(idx).and_then(Option::take);
                 out.remaining -= 1;
                 if out.remaining == 0 {
-                    inner.done.remove(&round);
+                    done.remove(&round);
                 }
                 return match slot {
                     Some(result) => result,
@@ -218,119 +261,24 @@ impl EmbedBatcher {
             inner = crate::sync::cv_wait(&self.cv, inner);
         }
     }
-
-    /// [`EmbedBatcher::embed`] on the f32 lane: batches only with other
-    /// f32 submissions (rounds are per-precision) and returns the cast
-    /// embeddings — bit-identical to `model32.embed_fwd` run alone.
-    ///
-    /// The `active` gauge counts in-flight plans of *both* precisions, so
-    /// a leader here may wait out the window for peers that turn out to
-    /// be on the f64 lane; that costs bounded latency, never correctness.
-    pub fn embed_f32(
-        &self,
-        model32: &Vmr2lModelF32,
-        pm: &Tensor,
-        vm: &Tensor,
-    ) -> (Tensor32, Tensor32) {
-        let mut inner = self.inner.lock_recover();
-        let round = inner.round32;
-        let idx = inner.queue32.len();
-        inner.queue32.push((pm.clone(), vm.clone()));
-        if idx == 0 {
-            let deadline = Instant::now() + self.window;
-            while inner.active > 1 && inner.queue32.len() < inner.active {
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                let guard = crate::sync::cv_wait_timeout(&self.cv, inner, deadline - now);
-                inner = guard;
-            }
-            let batch = std::mem::take(&mut inner.queue32);
-            inner.round32 += 1;
-            drop(inner);
-
-            // Same unwind story as the f64 lane: publish an all-`None`
-            // round on panic so followers fall back to solo evaluation.
-            let mut abandon = AbandonGuard32 { batcher: self, round, followers: batch.len() - 1 };
-            let refs: Vec<(&Tensor, &Tensor)> = batch.iter().map(|(p, v)| (p, v)).collect();
-            let outs = model32.embed_batch(&refs);
-            abandon.followers = 0; // disarm: publish real results instead
-            std::mem::forget(abandon);
-            self.batches.fetch_add(1, Ordering::Relaxed);
-            self.items.fetch_add(batch.len() as u64, Ordering::Relaxed);
-            self.peak.fetch_max(batch.len() as u64, Ordering::Relaxed);
-            if vmr_telemetry::enabled() {
-                occupancy_hist().record(batch.len() as u64);
-            }
-
-            let remaining = outs.len();
-            let results = outs.into_iter().map(Some).collect();
-            let mut guard = self.inner.lock_recover();
-            guard.done32.insert(round, RoundOut32 { results, remaining });
-            inner = guard;
-        } else {
-            // Wake a leader that may be waiting for this submission.
-            self.cv.notify_all();
-        }
-        self.cv.notify_all();
-        loop {
-            if let Some(out) = inner.done32.get_mut(&round) {
-                let slot = out.results.get_mut(idx).and_then(Option::take);
-                out.remaining -= 1;
-                if out.remaining == 0 {
-                    inner.done32.remove(&round);
-                }
-                return match slot {
-                    Some(result) => result,
-                    None => {
-                        // Abandoned round (leader panicked): evaluate solo.
-                        drop(inner);
-                        let mut outs = model32.embed_batch(&[(pm, vm)]);
-                        outs.remove(0)
-                    }
-                };
-            }
-            inner = crate::sync::cv_wait(&self.cv, inner);
-        }
-    }
 }
 
 /// Publishes an abandoned round on unwind so followers never strand.
-struct AbandonGuard<'a> {
+struct AbandonGuard<'a, S: LaneOf> {
     batcher: &'a EmbedBatcher,
     round: u64,
     followers: usize,
+    lane: PhantomData<S>,
 }
 
-impl Drop for AbandonGuard<'_> {
+impl<S: LaneOf> Drop for AbandonGuard<'_, S> {
     fn drop(&mut self) {
         if self.followers == 0 {
             return;
         }
         let mut inner = self.batcher.inner.lock_recover();
-        inner.done.insert(self.round, RoundOut { results: Vec::new(), remaining: self.followers });
-        drop(inner);
-        self.batcher.cv.notify_all();
-    }
-}
-
-/// [`AbandonGuard`] for the f32 lane.
-struct AbandonGuard32<'a> {
-    batcher: &'a EmbedBatcher,
-    round: u64,
-    followers: usize,
-}
-
-impl Drop for AbandonGuard32<'_> {
-    fn drop(&mut self) {
-        if self.followers == 0 {
-            return;
-        }
-        let mut inner = self.batcher.inner.lock_recover();
-        inner
-            .done32
-            .insert(self.round, RoundOut32 { results: Vec::new(), remaining: self.followers });
+        let abandoned = RoundOut { results: Vec::new(), remaining: self.followers };
+        S::lane(&mut inner).done.insert(self.round, abandoned);
         drop(inner);
         self.batcher.cv.notify_all();
     }

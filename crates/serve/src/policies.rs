@@ -125,9 +125,9 @@ impl PlanPolicy for AgentPolicy {
             // other in-flight agent plan (per-precision rounds).
             let decision = if fast32 {
                 let m32 = self.handle.model32();
-                let (pm_emb, vm_emb) = self.batcher.embed_f32(m32, &ictx.feats.pm, &ictx.feats.vm);
-                let pm_v = ictx.ctx32.input32(&pm_emb);
-                let vm_v = ictx.ctx32.input32(&vm_emb);
+                let (pm_emb, vm_emb) = self.batcher.embed(m32, &ictx.feats.pm, &ictx.feats.vm);
+                let pm_v = ictx.ctx32.input_same(&pm_emb);
+                let vm_v = ictx.ctx32.input_same(&vm_emb);
                 let s1 = m32.stage1_from_embeds_fwd(
                     &mut ictx.ctx32,
                     pm_v,

@@ -24,7 +24,7 @@
 //!
 //! When `VMR_BENCH_JSON` names a file, one JSON line per benchmark
 //! (`{"id": ..., "median_ns": ..., ...}`) is appended — used to capture
-//! `BENCH_seed.json` trajectories without parsing stdout.
+//! `BENCH_*.json` trajectories without parsing stdout.
 
 #![forbid(unsafe_code)]
 

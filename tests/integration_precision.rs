@@ -3,7 +3,7 @@
 //! checkpoint (not just random init), through both offline evaluators,
 //! and over the wire through the serving daemon's `precision` field.
 //!
-//! "Equivalent" is the tolerance contract from `vmr_nn::kernels_f32`:
+//! "Equivalent" is the tolerance contract from `vmr_nn::kernels`:
 //! the f32 path feeds its logits through an f64-emitting softmax into
 //! the *same* sampling stack, so with the evaluators' fixed seeds the
 //! decision sequence is expected to match the f64 path exactly unless a
