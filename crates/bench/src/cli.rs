@@ -1,10 +1,15 @@
-//! Minimal argument parsing shared by all experiment binaries.
+//! Run modes and the `vmr-experiments` command line.
+
+use std::path::PathBuf;
+
+use crate::ctx::Ctx;
+use crate::experiments::{self, Experiment};
 
 /// How much compute an experiment run spends.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RunMode {
     /// CI scale: tiny clusters, minimal training. Used by the integration
-    /// tests so every experiment binary stays exercised.
+    /// tests so every experiment stays exercised.
     Smoke,
     /// Laptop scale (default): ~25% of the paper's cluster sizes.
     Default,
@@ -41,84 +46,143 @@ impl RunMode {
     }
 }
 
-/// Parsed command-line arguments.
+/// One-line usage string.
+pub const USAGE: &str = "usage: vmr-experiments <id|all|list> [--smoke|--full] [--seed N] \
+                         [--updates N] [--mnl N] [--out DIR]";
+
+/// A parsed `vmr-experiments` invocation.
 #[derive(Debug, Clone)]
-pub struct BenchArgs {
-    /// Run mode.
-    pub mode: RunMode,
-    /// Base RNG seed.
-    pub seed: u64,
-    /// Override for training updates (`--updates N`).
-    pub updates: Option<usize>,
-    /// Override for MNL sweeps (`--mnl N`).
-    pub mnl: Option<usize>,
+pub struct Invocation {
+    /// `list`, `all`, or one registry id.
+    pub target: String,
+    /// Mode, seed and overrides; its agent cache lives under `out`.
+    pub ctx: Ctx,
+    /// Where `<id>.json` and `summary.json` are written (`--out`,
+    /// default `./results`).
+    pub out: PathBuf,
 }
 
-impl Default for BenchArgs {
-    fn default() -> Self {
-        BenchArgs { mode: RunMode::Default, seed: 0, updates: None, mnl: None }
-    }
-}
-
-/// Parses `std::env::args()`. Unknown flags abort with a usage message.
-pub fn parse_args() -> BenchArgs {
-    parse_from(std::env::args().skip(1))
-}
-
-/// Parses an explicit iterator (testable).
-pub fn parse_from(args: impl Iterator<Item = String>) -> BenchArgs {
-    let mut out = BenchArgs::default();
-    let mut it = args.peekable();
+/// Parses the arguments after the program name. `Err` carries the
+/// message to print before [`USAGE`].
+pub fn parse(args: impl Iterator<Item = String>) -> Result<Invocation, String> {
+    let mut target = None;
+    let mut ctx = Ctx::new(RunMode::Default, 0);
+    let mut out = PathBuf::from("results");
+    let mut it = args;
     while let Some(arg) = it.next() {
+        let mut num = |flag: &str| -> Result<u64, String> {
+            it.next()
+                .and_then(|v| v.parse().ok())
+                .ok_or_else(|| format!("{flag} requires a non-negative integer"))
+        };
         match arg.as_str() {
-            "--smoke" => out.mode = RunMode::Smoke,
-            "--full" => out.mode = RunMode::Full,
-            "--seed" => out.seed = next_num(&mut it, "--seed") as u64,
-            "--updates" => out.updates = Some(next_num(&mut it, "--updates") as usize),
-            "--mnl" => out.mnl = Some(next_num(&mut it, "--mnl") as usize),
-            "--help" | "-h" => {
-                eprintln!("usage: <bin> [--smoke|--full] [--seed N] [--updates N] [--mnl N]");
-                std::process::exit(0);
-            }
-            other => {
-                eprintln!("unknown flag {other}; try --help");
-                std::process::exit(2);
-            }
+            "--smoke" => ctx.mode = RunMode::Smoke,
+            "--full" => ctx.mode = RunMode::Full,
+            "--seed" => ctx.seed = num("--seed")?,
+            "--updates" => ctx.updates = Some(num("--updates")? as usize),
+            "--mnl" => ctx.mnl = Some(num("--mnl")? as usize),
+            "--out" => out = it.next().ok_or("--out requires a directory")?.into(),
+            flag if flag.starts_with('-') => return Err(format!("unknown flag {flag}")),
+            _ if target.is_some() => return Err(format!("unexpected argument {arg}")),
+            _ => target = Some(arg),
         }
     }
-    out
+    ctx.cache_dir = Some(out.join("agent-cache"));
+    Ok(Invocation { target: target.ok_or("missing <id|all|list>")?, ctx, out })
 }
 
-fn next_num(it: &mut std::iter::Peekable<impl Iterator<Item = String>>, flag: &str) -> i64 {
-    it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-        eprintln!("{flag} requires a numeric argument");
-        std::process::exit(2);
-    })
+/// The whole command: parses `args` (program name already dropped),
+/// dispatches on `<id|all|list>` over `registry`, and returns the
+/// process exit status — 0 on success, 1 when an experiment failed, 2 on
+/// a usage error.
+pub fn main(args: impl Iterator<Item = String>, registry: &[Experiment]) -> u8 {
+    let args: Vec<String> = args.collect();
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        println!("{USAGE}");
+        return 0;
+    }
+    let inv = match parse(args.into_iter()) {
+        Ok(inv) => inv,
+        Err(message) => {
+            eprintln!("{message}\n{USAGE}");
+            return 2;
+        }
+    };
+    match inv.target.as_str() {
+        "list" => print!("{}", experiments::list(registry)),
+        "all" => match experiments::run_all(registry, &inv.ctx, &inv.out) {
+            Ok(0) => {}
+            Ok(_) => return 1,
+            Err(err) => {
+                eprintln!("cannot write {}/summary.json: {err}", inv.out.display());
+                return 1;
+            }
+        },
+        id => match registry.iter().find(|e| e.id == id) {
+            None => {
+                eprintln!("no experiment named {id}; `vmr-experiments list` prints the ids");
+                return 2;
+            }
+            Some(e) => {
+                if let Err(message) = experiments::run_and_emit(e, &inv.ctx, &inv.out) {
+                    eprintln!("{id} failed: {message}");
+                    return 1;
+                }
+            }
+        },
+    }
+    0
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn parse(v: &[&str]) -> BenchArgs {
-        parse_from(v.iter().map(|s| s.to_string()))
+    fn parse_strs(v: &[&str]) -> Result<Invocation, String> {
+        parse(v.iter().map(|s| s.to_string()))
     }
 
     #[test]
     fn defaults() {
-        let a = parse(&[]);
-        assert_eq!(a.mode, RunMode::Default);
-        assert_eq!(a.seed, 0);
-        assert!(a.updates.is_none());
+        let a = parse_strs(&["fig01_trace"]).unwrap();
+        assert_eq!(a.target, "fig01_trace");
+        assert_eq!(a.ctx.mode, RunMode::Default);
+        assert_eq!(a.ctx.seed, 0);
+        assert!(a.ctx.updates.is_none());
+        assert_eq!(a.out, PathBuf::from("results"));
+        assert_eq!(a.ctx.cache_dir, Some(PathBuf::from("results/agent-cache")));
     }
 
     #[test]
     fn flags_parse() {
-        let a = parse(&["--smoke", "--seed", "7", "--updates", "3", "--mnl", "25"]);
-        assert_eq!(a.mode, RunMode::Smoke);
-        assert_eq!(a.seed, 7);
-        assert_eq!(a.updates, Some(3));
-        assert_eq!(a.mnl, Some(25));
+        let a = parse_strs(&[
+            "--smoke",
+            "--seed",
+            "7",
+            "all",
+            "--updates",
+            "3",
+            "--mnl",
+            "25",
+            "--out",
+            "/tmp/x",
+        ])
+        .unwrap();
+        assert_eq!(a.target, "all");
+        assert_eq!(a.ctx.mode, RunMode::Smoke);
+        assert_eq!(a.ctx.seed, 7);
+        assert_eq!(a.ctx.updates, Some(3));
+        assert_eq!(a.ctx.mnl, Some(25));
+        assert_eq!(a.out, PathBuf::from("/tmp/x"));
+    }
+
+    #[test]
+    fn malformed_invocations_are_errors() {
+        assert!(parse_strs(&[]).is_err());
+        assert!(parse_strs(&["all", "--seed"]).is_err());
+        assert!(parse_strs(&["all", "--seed", "-1"]).is_err());
+        assert!(parse_strs(&["all", "--bogus"]).is_err());
+        assert!(parse_strs(&["all", "fig01_trace"]).is_err());
     }
 
     #[test]

@@ -1,8 +1,12 @@
 //! # vmr-bench — the experiment harness
 //!
-//! One binary per table/figure of the paper (see DESIGN.md §4 for the
-//! index). All binaries share this library: run-mode scaling, dataset
-//! generation, agent training/caching, and report emission.
+//! Every table and figure of the paper, and the extension experiments,
+//! are rows of one registry ([`experiments::REGISTRY`]) run by one
+//! binary, `vmr-experiments <id|all|list>`; the README's *Experiments*
+//! section holds the id table. This library is everything they share:
+//! run-mode scaling, dataset generation, agent training and caching
+//! ([`setup`], [`ctx`]), the compared methods ([`methods`]) and report
+//! emission ([`report`]).
 //!
 //! ## Run modes
 //!
@@ -12,24 +16,22 @@
 //! * `--smoke` — seconds-scale CI mode: tiny clusters, one or two updates.
 //! * default — laptop-scale: clusters at ~25% of paper PM counts, enough
 //!   training to show the qualitative shapes.
-//! * `--full` — paper-scale cluster sizes (slow on CPU; documented in
-//!   EXPERIMENTS.md).
+//! * `--full` — paper-scale cluster sizes (slow on CPU).
 //!
-//! Every binary prints a table to stdout and writes machine-readable JSON
-//! under `results/`.
+//! An experiment returns its [`Report`]; the binary prints the table and
+//! writes `<out>/<id>.json`, and `all` adds `<out>/summary.json`.
 
 #![forbid(unsafe_code)]
 #![deny(unreachable_pub)]
 #![warn(missing_docs)]
 
 pub mod cli;
-pub mod diff;
+pub mod ctx;
+pub mod experiments;
+pub mod methods;
 pub mod report;
 pub mod setup;
 
-pub use cli::{parse_args, BenchArgs, RunMode};
+pub use cli::RunMode;
+pub use ctx::Ctx;
 pub use report::Report;
-pub use setup::{
-    build_agent, mappings, scaled_config, solver_budget, synthesize_affinity, train_agent,
-    train_cluster_config, AgentSpec,
-};

@@ -1,31 +1,66 @@
-//! Experiment report emission: aligned stdout tables plus JSON files
-//! under `results/` for downstream plotting.
+//! Experiment reports: an aligned text table for stdout plus a JSON
+//! document (`<out>/<id>.json`) for downstream plotting.
 
 use std::fs;
-use std::path::PathBuf;
+use std::io;
+use std::path::{Path, PathBuf};
 
 use serde_json::{json, Map, Value};
 
 /// A tabular experiment report.
 #[derive(Debug, Clone)]
 pub struct Report {
-    name: String,
     title: String,
     columns: Vec<String>,
     rows: Vec<Vec<Value>>,
     meta: Map<String, Value>,
+    notes: Vec<String>,
 }
 
 impl Report {
-    /// Starts a report. `name` becomes the JSON filename (`results/<name>.json`).
-    pub fn new(name: &str, title: &str, columns: &[&str]) -> Self {
+    /// Starts a report with the given column names; the registry titles
+    /// it (see [`Report::titled`]).
+    ///
+    /// # Panics
+    /// On an empty column list — a table without columns is a bug in the
+    /// experiment, not a run-time condition.
+    pub fn new(columns: &[&str]) -> Self {
+        assert!(!columns.is_empty(), "a report needs at least one column");
         Report {
-            name: name.to_string(),
-            title: title.to_string(),
+            title: String::new(),
             columns: columns.iter().map(|c| c.to_string()).collect(),
             rows: Vec::new(),
             meta: Map::new(),
+            notes: Vec::new(),
         }
+    }
+
+    /// Sets the title.
+    pub fn titled(mut self, title: &str) -> Self {
+        self.title = title.to_string();
+        self
+    }
+
+    /// The title.
+    pub fn title(&self) -> &str {
+        &self.title
+    }
+
+    /// The column names.
+    pub fn columns(&self) -> &[String] {
+        &self.columns
+    }
+
+    /// The data rows.
+    pub fn rows(&self) -> &[Vec<Value>] {
+        &self.rows
+    }
+
+    /// Appends a free-text line shown above the table (the case study's
+    /// occupancy bars); not part of the JSON document.
+    pub fn note(&mut self, line: String) -> &mut Self {
+        self.notes.push(line);
+        self
     }
 
     /// Attaches a metadata key (mode, seed, cluster size, ...).
@@ -39,16 +74,6 @@ impl Report {
         assert_eq!(values.len(), self.columns.len(), "row width mismatch");
         self.rows.push(values);
         self
-    }
-
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the report has no rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
     }
 
     /// Renders the aligned text table.
@@ -83,6 +108,10 @@ impl Report {
         for (k, v) in &self.meta {
             out.push_str(&format!("#   {k} = {v}\n"));
         }
+        for line in &self.notes {
+            out.push_str(line);
+            out.push('\n');
+        }
         let header: Vec<String> =
             self.columns.iter().zip(&widths).map(|(c, w)| format!("{c:>w$}")).collect();
         out.push_str(&header.join("  "));
@@ -98,56 +127,24 @@ impl Report {
         out
     }
 
-    /// Prints the table and writes `results/<name>.json` relative to the
-    /// workspace root (falls back to CWD when the root is not found).
-    pub fn emit(&self) {
-        println!("{}", self.render());
-        let dir = results_dir();
-        if let Err(e) = fs::create_dir_all(&dir) {
-            eprintln!("warning: cannot create {dir:?}: {e}");
-            return;
-        }
-        let path = dir.join(format!("{}.json", self.name));
-        let payload = json!({
+    /// The JSON document: `title`, `meta`, `columns`, `rows`.
+    pub fn to_json(&self) -> Value {
+        json!({
             "title": self.title,
             "meta": self.meta,
             "columns": self.columns,
             "rows": self.rows,
-        });
-        match serde_json::to_string_pretty(&payload) {
-            Ok(body) => {
-                if let Err(e) = fs::write(&path, body) {
-                    eprintln!("warning: cannot write {path:?}: {e}");
-                } else {
-                    eprintln!("(wrote {})", path.display());
-                }
-            }
-            Err(e) => eprintln!("warning: cannot serialize report: {e}"),
-        }
+        })
     }
-}
 
-/// Locates `<workspace>/results`, walking up from the current directory
-/// until a `Cargo.toml` with `[workspace]` is found. The `VMR_RESULTS_DIR`
-/// environment variable overrides the location (used by the smoke-test
-/// harness so CI runs never clobber real experiment outputs).
-pub fn results_dir() -> PathBuf {
-    if let Ok(dir) = std::env::var("VMR_RESULTS_DIR") {
-        return PathBuf::from(dir);
+    /// Writes the JSON document to `<dir>/<id>.json`, creating `dir`.
+    pub fn write(&self, dir: &Path, id: &str) -> io::Result<PathBuf> {
+        fs::create_dir_all(dir)?;
+        let path = dir.join(format!("{id}.json"));
+        let body = serde_json::to_string_pretty(&self.to_json()).map_err(io::Error::other)?;
+        fs::write(&path, body)?;
+        Ok(path)
     }
-    let mut dir = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
-    for _ in 0..6 {
-        let manifest = dir.join("Cargo.toml");
-        if let Ok(body) = fs::read_to_string(&manifest) {
-            if body.contains("[workspace]") {
-                return dir.join("results");
-            }
-        }
-        if !dir.pop() {
-            break;
-        }
-    }
-    PathBuf::from("results")
 }
 
 #[cfg(test)]
@@ -156,7 +153,7 @@ mod tests {
 
     #[test]
     fn render_aligns_columns() {
-        let mut r = Report::new("t", "Test table", &["mnl", "fr"]);
+        let mut r = Report::new(&["mnl", "fr"]).titled("Test table");
         r.row(vec![10.into(), 0.512345.into()]);
         r.row(vec![100.into(), 0.25.into()]);
         let text = r.render();
@@ -171,15 +168,37 @@ mod tests {
     #[test]
     #[should_panic(expected = "row width mismatch")]
     fn row_width_checked() {
-        let mut r = Report::new("t", "T", &["a", "b"]);
+        let mut r = Report::new(&["a", "b"]);
         r.row(vec![1.into()]);
     }
 
     #[test]
     fn meta_is_rendered() {
-        let mut r = Report::new("t", "T", &["a"]);
+        let mut r = Report::new(&["a"]);
         r.meta("mode", "smoke");
+        r.note("a note".into());
         r.row(vec![1.into()]);
         assert!(r.render().contains("mode = \"smoke\""));
+        assert!(r.render().contains("\na note\n"));
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one column")]
+    fn empty_column_list_is_rejected() {
+        Report::new(&[]);
+    }
+
+    #[test]
+    fn written_document_parses_back() {
+        let dir = std::env::temp_dir().join(format!("vmr-report-{}", std::process::id()));
+        let mut r = Report::new(&["a", "b"]).titled("T");
+        r.row(vec![1.into(), f64::NAN.into()]);
+        let path = r.write(&dir, "t").unwrap();
+        assert_eq!(path, dir.join("t.json"));
+        let doc: Value = serde_json::from_str(&fs::read_to_string(&path).unwrap()).unwrap();
+        assert_eq!(doc["title"], "T");
+        assert_eq!(doc["rows"][0][0], 1);
+        assert!(doc["rows"][0][1].is_null(), "NaN is written as null");
+        let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -3,7 +3,7 @@
 //! reuse one trained policy instead of retraining).
 
 use std::fs;
-use std::path::PathBuf;
+use std::path::Path;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -14,11 +14,14 @@ use vmr_core::model::Vmr2lModel;
 use vmr_core::train::{TrainConfig, TrainStats, Trainer};
 use vmr_nn::checkpoint::Checkpoint;
 use vmr_sim::cluster::ClusterState;
+use vmr_sim::constraints::ConstraintSet;
 use vmr_sim::dataset::ClusterConfig;
 use vmr_sim::error::{SimError, SimResult};
 
 use crate::cli::RunMode;
-use crate::report::results_dir;
+
+/// The agent type every experiment trains.
+pub type Agent = Vmr2lAgent<Vmr2lModel>;
 
 /// Scales a paper dataset configuration to the run mode: PM count and
 /// churn shrink together so utilization and fragmentation stay realistic.
@@ -68,27 +71,35 @@ impl AgentSpec {
         }
     }
 
-    /// A stable cache key for this spec (architecture + training recipe).
-    pub fn cache_key(&self, dataset_name: &str) -> String {
+    /// The checkpoint-cache key: everything that determines the trained
+    /// weights. The readable prefix is for humans; the hash covers the
+    /// whole spec (`Debug` prints every field, PPO and Adam
+    /// hyper-parameters included) and the training states and
+    /// constraint sets as serialized.
+    pub fn cache_key(&self, train_set: &[ClusterState], constraints: &[ConstraintSet]) -> String {
+        let mut hash = fnv1a(FNV_OFFSET, format!("{self:?}").as_bytes());
+        let states = train_set.iter().map(serde_json::to_string);
+        let sets = constraints.iter().map(serde_json::to_string);
+        for json in states.chain(sets) {
+            hash = fnv1a(hash, json.expect("the serde shim's to_string never fails").as_bytes());
+        }
         format!(
-            "{:?}-{:?}-d{}h{}b{}ff{}-u{}-mnl{}-s{}-{}",
-            self.extractor,
-            self.mode,
-            self.model.d_model,
-            self.model.heads,
-            self.model.blocks,
-            self.model.d_ff,
-            self.train.updates,
-            self.train.mnl,
-            self.train.seed,
-            dataset_name
+            "{:?}-{:?}-u{}-mnl{}-s{}-{hash:016x}",
+            self.extractor, self.mode, self.train.updates, self.train.mnl, self.train.seed
         )
-        .replace([' ', '{', '}', ':'], "")
     }
 }
 
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// 64-bit FNV-1a, continued from `hash`: unlike `DefaultHasher`, stable
+/// across toolchains, so a cache directory survives a compiler update.
+fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+}
+
 /// Builds the (untrained) agent described by a spec.
-pub fn build_agent(spec: &AgentSpec) -> Vmr2lAgent<Vmr2lModel> {
+pub fn build_agent(spec: &AgentSpec) -> Agent {
     let mut rng = StdRng::seed_from_u64(spec.train.seed ^ 0xa9e27);
     let model = Vmr2lModel::new(spec.model, spec.extractor, &mut rng);
     let mut agent = Vmr2lAgent::new(model, spec.mode);
@@ -98,32 +109,31 @@ pub fn build_agent(spec: &AgentSpec) -> Vmr2lAgent<Vmr2lModel> {
     agent
 }
 
-/// Trains an agent per the spec, with optional checkpoint caching.
+/// Trains an agent per the spec, one constraint set per training mapping.
 ///
-/// When `cache_name` is set and `target/vmr-agent-cache/<key>.json`
-/// exists, the checkpoint is restored instead of retraining (and the
-/// returned history is empty). On a cache miss the trained weights are
-/// saved for the next binary.
+/// With a `cache_dir`, `<cache_dir>/<key>.json` is restored instead of
+/// retraining when it exists (the returned history is then empty), and
+/// written after a training run. Callers that need the history pass
+/// `None`.
 pub fn train_agent(
     spec: &AgentSpec,
     train_set: Vec<ClusterState>,
-    eval_set: Vec<ClusterState>,
-    cache_name: Option<&str>,
-) -> SimResult<(Vmr2lAgent<Vmr2lModel>, Vec<TrainStats>)> {
-    let cache_path = cache_name.map(|n| cache_dir().join(format!("{}.json", spec.cache_key(n))));
+    constraints: Vec<ConstraintSet>,
+    cache_dir: Option<&Path>,
+) -> SimResult<(Agent, Vec<TrainStats>)> {
+    let cache_path =
+        cache_dir.map(|d| d.join(format!("{}.json", spec.cache_key(&train_set, &constraints))));
     if let Some(path) = &cache_path {
-        if path.exists() {
-            if let Ok(ckpt) = Checkpoint::load(path) {
-                let mut agent = build_agent(spec);
-                if ckpt.restore(&mut agent.policy).is_ok() {
-                    eprintln!("(restored cached agent {})", path.display());
-                    return Ok((agent, Vec::new()));
-                }
+        if let Ok(ckpt) = Checkpoint::load(path) {
+            let mut agent = build_agent(spec);
+            if ckpt.restore(&mut agent.policy).is_ok() {
+                eprintln!("(restored cached agent {})", path.display());
+                return Ok((agent, Vec::new()));
             }
         }
     }
-    let agent = build_agent(spec);
-    let mut trainer = Trainer::new(agent, train_set, eval_set, spec.train)?;
+    let mut trainer =
+        Trainer::with_constraints(build_agent(spec), train_set, vec![], constraints, spec.train)?;
     let history = trainer.train(|s| {
         eprintln!(
             "  update {:>3}: reward/step {:+.4}  loss {:+.4}  kl {:.4}",
@@ -131,27 +141,18 @@ pub fn train_agent(
         );
     })?;
     let agent = trainer.into_agent();
-    if let Some(path) = &cache_path {
-        if fs::create_dir_all(cache_dir()).is_ok() {
-            let ckpt = Checkpoint::capture(&agent.policy);
-            if ckpt.save(path).is_err() {
-                eprintln!("warning: could not cache agent at {}", path.display());
-            }
+    if let (Some(path), Some(dir)) = (&cache_path, cache_dir) {
+        if fs::create_dir_all(dir).is_err()
+            || Checkpoint::capture(&agent.policy).save(path).is_err()
+        {
+            eprintln!("warning: could not cache agent at {}", path.display());
         }
     }
     Ok((agent, history))
 }
 
-/// `<workspace>/target/vmr-agent-cache`.
-pub fn cache_dir() -> PathBuf {
-    results_dir()
-        .parent()
-        .map(|p| p.join("target").join("vmr-agent-cache"))
-        .unwrap_or_else(|| PathBuf::from("target/vmr-agent-cache"))
-}
-
 /// The cluster used for RL *training* experiments at each mode (see the
-/// DESIGN.md substitution table: CPU-budget training uses scaled-down
+/// README's *Experiments* section: CPU-budget training uses scaled-down
 /// clusters; `--full` uses the paper's Medium shape).
 pub fn train_cluster_config(mode: RunMode) -> ClusterConfig {
     match mode {
@@ -222,11 +223,60 @@ mod tests {
 
     #[test]
     fn cache_key_distinguishes_specs() {
+        let states = mappings(&ClusterConfig::tiny(), 3, 0).unwrap();
+        let free = |s: &[ClusterState]| -> Vec<ConstraintSet> {
+            s.iter().map(|m| ConstraintSet::new(m.num_vms())).collect()
+        };
         let a = AgentSpec::vmr2l(RunMode::Smoke, 0);
-        let mut b = AgentSpec::vmr2l(RunMode::Smoke, 0);
+        let key = a.cache_key(&states, &free(&states));
+        assert_eq!(key, a.clone().cache_key(&states.clone(), &free(&states)), "same inputs");
+
+        let mut b = a.clone();
         b.extractor = ExtractorKind::VanillaAttention;
-        assert_ne!(a.cache_key("x"), b.cache_key("x"));
-        assert_ne!(a.cache_key("x"), a.cache_key("y"));
+        assert_ne!(key, b.cache_key(&states, &free(&states)), "extractor");
+        let mut b = a.clone();
+        b.train.objective = vmr_sim::objective::Objective::MnlToGoal { fr_goal: 0.3, cores: 16 };
+        assert_ne!(key, b.cache_key(&states, &free(&states)), "objective");
+        let mut b = a.clone();
+        b.pm_subset = Some(8);
+        assert_ne!(key, b.cache_key(&states, &free(&states)), "pm_subset");
+        let mut b = a.clone();
+        b.train.ppo.epochs += 1;
+        assert_ne!(key, b.cache_key(&states, &free(&states)), "ppo hyper-parameters");
+        let mut b = a.clone();
+        b.train.risk_quantile = Some(0.5);
+        assert_ne!(key, b.cache_key(&states, &free(&states)), "risk quantile");
+
+        assert_ne!(key, a.cache_key(&states[..2], &free(&states[..2])), "training-set size");
+        let other = mappings(&ClusterConfig::tiny(), 3, 1).unwrap();
+        assert_ne!(key, a.cache_key(&other, &free(&other)), "training states");
+        let mut pinned = free(&states);
+        pinned[0].pin(vmr_sim::types::VmId(0)).unwrap();
+        assert_ne!(key, a.cache_key(&states, &pinned), "constraint sets");
+    }
+
+    #[test]
+    fn cached_agent_is_restored_bit_for_bit_and_only_for_its_own_key() {
+        let dir = std::env::temp_dir().join(format!("vmr-agent-cache-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let states = mappings(&ClusterConfig::tiny(), 2, 0).unwrap();
+        let free: Vec<_> = states.iter().map(|m| ConstraintSet::new(m.num_vms())).collect();
+        let mut spec = AgentSpec::vmr2l(RunMode::Smoke, 0);
+        spec.train.updates = 1;
+        let weights = |a: &Agent| Checkpoint::capture(&a.policy).tensors;
+
+        let (trained, hist) = train_agent(&spec, states.clone(), free.clone(), Some(&dir)).unwrap();
+        assert_eq!(hist.len(), 1);
+        let (restored, hist) =
+            train_agent(&spec, states.clone(), free.clone(), Some(&dir)).unwrap();
+        assert!(hist.is_empty(), "second call must hit the cache");
+        assert_eq!(weights(&trained), weights(&restored));
+
+        // One mapping fewer is another agent: it trains, it is not restored.
+        let (_, hist) =
+            train_agent(&spec, states[..1].to_vec(), free[..1].to_vec(), Some(&dir)).unwrap();
+        assert_eq!(hist.len(), 1);
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

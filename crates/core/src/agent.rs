@@ -283,8 +283,7 @@ impl<P: Policy> Vmr2lAgent<P> {
 
     /// [`Vmr2lAgent::decide`] on the legacy autodiff engine: every forward
     /// builds a full gradient tape. Kept as the bit-identity reference for
-    /// `tests/fwd_equivalence.rs` and as the "old" side of the
-    /// `decide_step` bench pair; not used by any production path.
+    /// `tests/fwd_equivalence.rs`; not used by any production path.
     pub fn decide_via_graph<R: Rng + ?Sized>(
         &self,
         env: &mut ReschedEnv,

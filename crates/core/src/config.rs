@@ -23,7 +23,7 @@ pub struct ModelConfig {
 
 impl Default for ModelConfig {
     fn default() -> Self {
-        // Scaled for CPU training (see DESIGN.md substitutions); the paper
+        // Scaled for CPU training (README, *Experiments*: run modes); the paper
         // trains larger dims on GPU but the architecture is identical.
         ModelConfig { d_model: 24, heads: 2, blocks: 2, d_ff: 48, critic_hidden: 32 }
     }

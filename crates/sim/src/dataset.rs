@@ -205,10 +205,10 @@ impl ClusterConfig {
 
     /// A 10,000-PM fleet — the scale regime shard-parallel planning
     /// exists for, one order of magnitude beyond the paper's Large
-    /// dataset. Used by the `fleet_plan` bench (`xxl_10000pm`): at this
-    /// size any O(PMs·VMs)-per-move planner is minutes-per-plan
-    /// unsharded, while per-shard cost stays at the Medium scale.
-    /// Churn is kept moderate so bench setup stays tractable.
+    /// dataset (`vmr gen --preset xxl`): at this size any
+    /// O(PMs·VMs)-per-move planner is minutes-per-plan unsharded, while
+    /// per-shard cost stays at the Medium scale. Churn is kept moderate
+    /// so generation stays tractable.
     pub fn xxl() -> Self {
         ClusterConfig {
             name: "xxl".into(),
@@ -253,7 +253,8 @@ impl ClusterConfig {
     }
 
     /// A scaled-down cluster for RL *training* experiments in this repo
-    /// (see DESIGN.md substitution table): 40 PMs, ≈200 VMs.
+    /// (see the README's *Experiments* section on run modes): 40 PMs,
+    /// ≈200 VMs.
     pub fn small_train() -> Self {
         ClusterConfig {
             name: "small_train".into(),

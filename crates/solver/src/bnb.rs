@@ -1,5 +1,5 @@
 //! Branch-and-bound search over migration sequences — the in-repo
-//! replacement for the Gurobi MIP baseline (see DESIGN.md substitutions).
+//! replacement for the Gurobi MIP baseline (ARCHITECTURE.md, crate map).
 //!
 //! The paper solves Eq. 1–7 with a commercial MIP solver; this module
 //! searches the same solution space directly: a depth-≤MNL sequence of

@@ -13,9 +13,9 @@
 //!   correlated by trace id).
 //! * [`Timer`] / [`set_enabled`] — span timing gated by one process-wide
 //!   flag: when telemetry is disabled a timer is `None` and recording is
-//!   a no-op, so instrumented hot paths pay one relaxed atomic load —
-//!   the `telemetry_overhead` bench family gates the *enabled* cost at
-//!   <3% on `decide_step` and `serve_throughput`.
+//!   a no-op, so instrumented hot paths pay one relaxed atomic load.
+//!   The *enabled* cost has a 3% budget, checked by paired runs of the
+//!   served-plan benchmark (ROADMAP item 1a), not by a CI gate.
 //!
 //! Scoping: hot-path library metrics (simulator repair, per-precision
 //! forward, embed batching) live in the process-wide [`global`] registry;

@@ -5,7 +5,7 @@
 //!
 //! Run with:
 //! ```text
-//! cargo run --release -p vmr-bench --example daily_operations
+//! cargo run --release -p vmr-e2e --example daily_operations
 //! ```
 
 use rand::rngs::StdRng;

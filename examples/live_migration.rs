@@ -6,7 +6,7 @@
 //!
 //! Run with:
 //! ```text
-//! cargo run --release -p vmr-bench --example live_migration
+//! cargo run --release -p vmr-e2e --example live_migration
 //! ```
 
 use vmr_baselines::ha::ha_solve;

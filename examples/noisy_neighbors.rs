@@ -5,7 +5,7 @@
 //!
 //! Run with:
 //! ```text
-//! cargo run --release -p vmr-bench --example noisy_neighbors
+//! cargo run --release -p vmr-e2e --example noisy_neighbors
 //! ```
 
 use vmr_baselines::ha::ha_solve;
