@@ -41,6 +41,7 @@ use vmr_core::eval::{risk_seeking_eval, risk_seeking_eval_f32, RiskSeekingConfig
 use vmr_core::model::{Vmr2lModel, Vmr2lModelF32};
 use vmr_core::train::{TrainConfig, Trainer};
 use vmr_nn::checkpoint::Checkpoint;
+use vmr_nn::tier::Tier;
 use vmr_sim::cluster::ClusterState;
 use vmr_sim::constraints::ConstraintSet;
 use vmr_sim::dataset::{ClusterConfig, Dataset};
@@ -57,6 +58,13 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    // Every subcommand runs code compiled for the build's SIMD tier, so
+    // the guard sits in front of all of them: an older CPU gets a
+    // sentence, not an illegal-instruction fault in the first kernel.
+    if let Err(e) = vmr_nn::tier::check() {
+        eprintln!("error: {e}");
+        return ExitCode::FAILURE;
+    }
     let result = match args.command.as_str() {
         "gen" => cmd_gen(&args),
         "inspect" => cmd_inspect(&args),
@@ -1100,6 +1108,13 @@ fn cmd_top(args: &Args) -> Result<(), String> {
     }
 }
 
+/// The `vmr top` SIMD-tier line, from the daemon's `nn_simd_tier*`
+/// gauges: what its kernels were compiled for and what its CPU offers.
+fn simd_tier_line(compiled: i64, cpu: i64) -> String {
+    let name = |level| Tier::from_level(level).map_or_else(|| "unknown".into(), |t| t.to_string());
+    format!("simd tier: {} (compiled) / {} (cpu)", name(compiled), name(cpu))
+}
+
 /// The `vmr top` row-class line: how many of the VM rows that entered
 /// the dense attention stages were distinct (the rest shared a result).
 fn row_classes_line(distinct: u64, total: u64) -> String {
@@ -1152,6 +1167,8 @@ fn render_top(
         snap.gauge("nn_par_cores").unwrap_or(0),
     );
     println!("{}", row_classes_line(par("nn_rows_distinct"), par("nn_rows_total")));
+    let tier = |name: &str| snap.gauge(name).unwrap_or(-1);
+    println!("{}", simd_tier_line(tier("nn_simd_tier"), tier("nn_simd_tier_cpu")));
     println!();
     println!("{:<22} {:>9} {:>10} {:>10} {:>10}", "phase", "count", "p50", "p99", "p999");
     for name in [

@@ -118,6 +118,13 @@ fn serve_and_request_round_trip() {
     assert!(out.status.success(), "top: {}", String::from_utf8_lossy(&out.stderr));
     assert!(frame.contains("attention lanes:"), "{frame}");
     assert!(frame.contains("row classes: 0 of 0 (100 %)"), "{frame}");
+    // The daemon is this build on this host, so its tier line is ours.
+    let tier = format!(
+        "simd tier: {} (compiled) / {} (cpu)",
+        vmr_nn::tier::compiled(),
+        vmr_nn::tier::cpu()
+    );
+    assert!(frame.contains(&tier), "{frame}");
     // Snapshot to a file, then restore from it.
     let snap = tmp("cli-snap.json");
     let out = run(&["--op", "snapshot", "--session", "ops", "--out", snap.to_str().unwrap()]);

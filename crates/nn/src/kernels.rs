@@ -7,8 +7,12 @@
 //! That is what makes the two engines bit-identical by construction, and
 //! the f32 tier the same code at another element type: there is no second
 //! implementation to drift. Where the fastest loop shape differs by
-//! precision both shapes live here, generic, and the [`Scalar`] impl
-//! names the one its type runs (see [`crate::scalar`]).
+//! precision (today only the wide GEMM row) both shapes live here,
+//! generic, and the [`Scalar`] impl names the one its type runs (see
+//! [`crate::scalar`]). Loop shapes are chosen by measurement on the one
+//! SIMD tier the workspace builds for ([`crate::tier`]); stripe counts
+//! and tile sizes are source constants and never follow the register
+//! width, which is why that tier changes no bit.
 //!
 //! Accumulation-order discipline: every kernel that sums floating-point
 //! terms feeds each output element one accumulator in ascending index
@@ -284,12 +288,14 @@ fn nt_scaled_rows<S: Scalar>(a: &[S], k: usize, bd: &[S], n: usize, alpha: S, ou
 
 /// Whether an unfused `m × n` score product materializes `kᵀ`: large
 /// outputs do (an `O(n·k)` transpose against the `O(m·n·k)` product) so
-/// the inner loop reads contiguous key columns ([`Scalar::score_tile`])
-/// — the strided eight-dot blocks of [`nt_scaled_rows`] cannot vectorize
-/// without gather loads, which the SSE2 baseline lacks. Small outputs
-/// keep the direct dot-product path; the transpose would cost more than
-/// it saves. Both paths feed each element one accumulator in ascending
-/// `k` order, then one multiply by the scale.
+/// the inner loop reads contiguous key columns
+/// ([`scores_register_tile`]) — the strided eight-dot blocks of
+/// [`nt_scaled_rows`] read one element per key row per step and measure
+/// 3–5× behind the tile on the x86-64-v3 build (dh = 12, 300 and 1317
+/// keys, both precisions), as they did on SSE2. Small outputs keep the
+/// direct dot-product path; the transpose would cost more than it
+/// saves. Both paths feed each element one accumulator in ascending `k`
+/// order, then one multiply by the scale.
 fn scores_want_transpose(m: usize, n: usize) -> bool {
     n >= 32 && m >= 4
 }
@@ -301,15 +307,13 @@ fn scores_want_transpose(m: usize, n: usize) -> bool {
 /// lane loop is packed arithmetic where the strided eight-dot block of
 /// [`nt_scaled_rows`] is scalar. Each element still owns one accumulator
 /// fed in ascending `kk`, then one multiply by `scale` — bit-identical
-/// to [`matmul_nt_scaled_into`]. The f64 shape of [`Scalar::score_tile`].
-pub(crate) fn scores_register_tile<S: Scalar>(
-    q: &[S],
-    dh: usize,
-    kt: &[S],
-    n: usize,
-    scale: S,
-    s: &mut [S],
-) {
+/// to [`matmul_nt_scaled_into`]. The one score shape of both precisions:
+/// on the x86-64-v3 build the two rows of eight accumulators are four
+/// 256-bit registers in f64 and two in f32, and the tile beat the
+/// contiguous-`axpy8` formulation the SSE2 build preferred for f32
+/// (32 query rows, dh = 12: 8.2 vs 10.3 µs at 300 keys, 36 vs 46 µs at
+/// 1317; in f64 it is 2× ahead).
+fn scores_register_tile<S: Scalar>(q: &[S], dh: usize, kt: &[S], n: usize, scale: S, s: &mut [S]) {
     /// Score columns per block: `dh` kᵀ row segments of 2 KiB stay
     /// L1-resident across the tile's query rows.
     const JB: usize = 256;
@@ -362,39 +366,6 @@ fn score_block<S: Scalar, const R: usize>(
                 acc += x * kt[kk * n + jr];
             }
             s[r][jr] = acc * scale;
-        }
-    }
-}
-
-/// Score rows from a materialized `kᵀ` as contiguous-[`axpy8`] passes
-/// over column blocks of `kt`, so a block (`dh · 512` elements at head
-/// widths) stays L1-resident across all query rows. Scale is applied in
-/// a separate pass: each element is still `dot · scale`, one rounding —
-/// bit-identical to [`scores_register_tile`]. The f32 shape of
-/// [`Scalar::score_tile`]; `#[inline(always)]` for the reason given
-/// there.
-#[inline(always)]
-pub(crate) fn scores_axpy<S: Scalar>(
-    a: &[S],
-    k: usize,
-    bt: &[S],
-    n: usize,
-    alpha: S,
-    out: &mut [S],
-) {
-    /// Columns per block: `k` head-width rows of 2 KiB stay L1-resident.
-    const JB: usize = 512;
-    for jb in (0..n).step_by(JB) {
-        let jh = (jb + JB).min(n);
-        for (i, o_row) in out.chunks_exact_mut(n).enumerate() {
-            let o_row = &mut o_row[jb..jh];
-            o_row.fill(S::ZERO);
-            for (kk, &av) in a[i * k..(i + 1) * k].iter().enumerate() {
-                axpy8(av, &bt[kk * n + jb..kk * n + jh], o_row);
-            }
-            for o in o_row.iter_mut() {
-                *o *= alpha;
-            }
         }
     }
 }
@@ -479,7 +450,7 @@ fn attention_rows<S: Scalar>(head: &HeadInputs<S>, q: &[S], tile: &mut Vec<S>, o
     for ib in (0..m).step_by(L1_TILE) {
         let ih = (ib + L1_TILE).min(m);
         let tile = &mut tile[..(ih - ib) * n];
-        S::score_tile(&q[ib * dh..ih * dh], dh, kt, n, scale, tile);
+        scores_register_tile(&q[ib * dh..ih * dh], dh, kt, n, scale, tile);
         // Softmax each score row in place (same helpers as the unmasked
         // kernel path). Maximum and exponentials once per distinct key;
         // the normalizer counts every key.
@@ -570,7 +541,7 @@ pub fn attention_probs_into<S: Scalar>(
     run_row_lanes(m, outs, (0..lanes.max(1)).map(|_| ()), |rows, [s, p, o], ()| {
         let q_rows = &qd[rows.start * dh..rows.end * dh];
         if transposed {
-            S::score_tile(q_rows, dh, kt, n, scale, s);
+            scores_register_tile(q_rows, dh, kt, n, scale, s);
         } else {
             nt_scaled_rows(q_rows, dh, kd, n, scale, s);
         }
@@ -1085,8 +1056,10 @@ mod tests {
 
     #[test]
     fn both_loop_shapes_agree_bitwise() {
-        // The per-precision choices of `Scalar` are speed only: each pair
-        // of shapes yields the same bits at either type.
+        // The per-precision choice of `Scalar::matmul_wide_rows` is speed
+        // only — both shapes yield the same bits at either type — and
+        // the register score tile equals the strided row-dot path it
+        // stands in for.
         fn check<S: Scalar>(seed: u64) {
             let mut rng = StdRng::seed_from_u64(seed);
             let mut rand = |len: usize| -> Vec<S> {
@@ -1099,10 +1072,12 @@ mod tests {
                 matmul_wide_blocked(&a, k, &b, n, &mut blocked);
                 assert!(plain == blocked, "wide matmul {m}x{k}x{n}");
                 let scale = S::from_f64(0.3);
-                let (mut tile, mut axpy) = (vec![S::ZERO; m * n], vec![S::ONE; m * n]);
+                let mut bt = vec![S::ZERO; n * k];
+                transpose_rows(&b, k, n, &mut bt);
+                let (mut tile, mut dots) = (vec![S::ZERO; m * n], vec![S::ONE; m * n]);
                 scores_register_tile(&a, k, &b, n, scale, &mut tile);
-                scores_axpy(&a, k, &b, n, scale, &mut axpy);
-                assert!(tile == axpy, "score tile {m}x{k}x{n}");
+                nt_scaled_rows(&a, k, &bt, n, scale, &mut dots);
+                assert!(tile == dots, "score tile {m}x{k}x{n}");
             }
         }
         check::<f64>(21);

@@ -25,7 +25,9 @@
 //!   paper's §7 adaptation paths),
 //! * [`checkpoint::Checkpoint`] — named-parameter snapshots,
 //! * [`classes::RowClasses`] — the distinct VM rows of a forward step,
-//!   so the dense stages run once per distinct row (exactly).
+//!   so the dense stages run once per distinct row (exactly),
+//! * [`tier`] — the SIMD tier the build enabled, the one the CPU offers,
+//!   and the start-up guard between them.
 //!
 //! ## Example: one gradient step
 //!
@@ -69,6 +71,7 @@ pub mod optim;
 pub mod par;
 pub mod scalar;
 pub mod tensor;
+pub mod tier;
 
 pub use adapter::Adapter;
 pub use checkpoint::Checkpoint;

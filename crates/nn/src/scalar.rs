@@ -11,13 +11,16 @@
 //! | item | `f64` | `f32` | why it differs |
 //! |---|---|---|---|
 //! | [`Scalar::exp_shifted`] | degree-10 polynomial, 52-bit exponent trick | degree-7, 23-bit | accuracy target and bit layout |
-//! | [`Scalar::striped_sum`] | 4 stripes | 8 stripes | one SIMD register pair of partial sums |
-//! | [`Scalar::score_tile`] | 2 × 8 register tile | `axpy8` passes | which shape the SSE2 autovectorizer packs |
-//! | [`Scalar::matmul_wide_rows`] | plain i-k-j | column-blocked `axpy8` | same |
+//! | [`Scalar::striped_sum`] | 4 stripes | 8 stripes | part of the result's bits, so a source constant — never the register width of the build |
+//! | [`Scalar::matmul_wide_rows`] | plain i-k-j | column-blocked `axpy8` | measured on the x86-64-v3 build at the model's shapes (M × 24 · 24 × 24/48): blocked is 15–29 % faster in f32, plain is equal at M ≈ 1300–2000 and 25–30 % faster at M ≈ 280 in f64 |
 //! | `from_f64` / `to_f64` / `from_usize` / `to_bits` | — | — | the casts |
 //!
-//! Both shapes of every loop feed each output element the same operands
-//! in the same order, so the choice never changes a bit — only speed.
+//! Both shapes of the wide GEMM row feed each output element the same
+//! operands in the same order, so the choice never changes a bit — only
+//! speed. The score tile of the fused head was such a pair too while the
+//! build was SSE2; on the one tier the workspace now builds for
+//! ([`crate::tier`]) the 2 × 8 register tile wins at both types, so
+//! `kernels::scores_register_tile` is called directly.
 //! Narrowing `as f32` casts are legal in this file and nowhere else in
 //! the nn/core/rl crates (`vmr-analyze` F001).
 //!
@@ -102,10 +105,6 @@ pub trait Scalar:
     fn striped_sum(row: &[Self]) -> Self;
     /// [`Scalar::striped_sum`] of `row[class[0]], row[class[1]], …`.
     fn striped_sum_by_class(row: &[Self], class: &[u32]) -> Self;
-    /// Scaled score rows `s = (q · kt) · scale` from a materialized `kᵀ`
-    /// (`dh × n`) for the `q.len() / dh` query rows in `q` — the score
-    /// phase of the fused attention head.
-    fn score_tile(q: &[Self], dh: usize, kt: &[Self], n: usize, scale: Self, s: &mut [Self]);
     /// `out = a · b` over row-major slices for outputs wider than 16
     /// columns (`a` holds `out.len() / n` rows of width `k`).
     fn matmul_wide_rows(a: &[Self], k: usize, b: &[Self], n: usize, out: &mut [Self]);
@@ -197,13 +196,6 @@ impl Scalar for f64 {
         kernels::striped_sum_by_class::<f64, 4>(row, class)
     }
 
-    // Deliberately without an inline hint: inlined into the fused head
-    // this tile measured 4–6 % slower per f64 head (M = 2022, U = 1317,
-    // dh = 12), the opposite of the f32 shape below.
-    fn score_tile(q: &[f64], dh: usize, kt: &[f64], n: usize, scale: f64, s: &mut [f64]) {
-        kernels::scores_register_tile(q, dh, kt, n, scale, s);
-    }
-
     fn matmul_wide_rows(a: &[f64], k: usize, b: &[f64], n: usize, out: &mut [f64]) {
         kernels::matmul_wide_plain(a, k, b, n, out);
     }
@@ -291,15 +283,6 @@ impl Scalar for f32 {
     #[inline]
     fn striped_sum_by_class(row: &[f32], class: &[u32]) -> f32 {
         kernels::striped_sum_by_class::<f32, 8>(row, class)
-    }
-
-    // Forced inline: the fused head calls this once per score tile, and
-    // out of line that call measured 7 % slower per head than the loop
-    // written in place (M = 250 and M = 2000, dh = 12); `#[inline]` alone
-    // did not move it.
-    #[inline(always)]
-    fn score_tile(q: &[f32], dh: usize, kt: &[f32], n: usize, scale: f32, s: &mut [f32]) {
-        kernels::scores_axpy(q, dh, kt, n, scale, s);
     }
 
     fn matmul_wide_rows(a: &[f32], k: usize, b: &[f32], n: usize, out: &mut [f32]) {

@@ -353,8 +353,12 @@ impl ServerHandle {
     }
 }
 
-/// Starts the daemon and returns its handle.
+/// Starts the daemon and returns its handle. Refuses — with
+/// [`io::ErrorKind::Unsupported`] wrapping a [`vmr_nn::tier::TierError`]
+/// — to start on a CPU that lacks the SIMD tier the binary was compiled
+/// for, rather than dying on the first kernel.
 pub fn serve(config: ServerConfig) -> io::Result<ServerHandle> {
+    vmr_nn::tier::check().map_err(|e| io::Error::new(io::ErrorKind::Unsupported, e))?;
     let addr = if config.addr.is_empty() { "127.0.0.1:0" } else { &config.addr };
     let listener = TcpListener::bind(addr)?;
     let addr = listener.local_addr()?;
@@ -1094,6 +1098,11 @@ fn op_metrics(shared: &Shared, p: MetricsParams) -> OpResult {
     extra.push_counter("nn_par_under_cutover", par.under_cutover);
     extra.push_gauge("nn_par_cores", vmr_nn::par::global().cores() as i64);
     extra.push_gauge("nn_par_busy", vmr_nn::par::global().busy() as i64);
+    // What the kernels were compiled for and what this host's CPU
+    // offers (1-4 = x86-64 level, 0 = portable): a daemon a third slower
+    // than its neighbours reads `nn_simd_tier` = 1, a baseline build.
+    extra.push_gauge("nn_simd_tier", vmr_nn::tier::compiled().level());
+    extra.push_gauge("nn_simd_tier_cpu", vmr_nn::tier::cpu().level());
     // Row classes: `distinct / total` is the share of the dense VM
     // stages that still runs — the reuse rate behind a plan's latency.
     let rows = vmr_nn::classes::stats();

@@ -249,5 +249,13 @@ fn metrics_op_exports_row_class_counters() {
     // are equal, and the counters must say so — the reuse rate is the
     // performance story of a plan.
     assert!(distinct > 0 && distinct < total, "{distinct} distinct of {total}");
+
+    // Beside them, which SIMD tier computed those rows: what the build
+    // enabled, and a CPU that offers at least that (the daemon started).
+    let snap = client.metrics(false).unwrap().snapshot;
+    let compiled = vmr_nn::tier::compiled();
+    assert_eq!(snap.gauge("nn_simd_tier"), Some(compiled.level()));
+    assert_eq!(snap.gauge("nn_simd_tier_cpu"), Some(vmr_nn::tier::cpu().level()));
+    assert!(vmr_nn::tier::cpu() >= compiled);
     handle.shutdown();
 }

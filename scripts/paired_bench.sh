@@ -8,12 +8,19 @@
 #
 #   scripts/paired_bench.sh <parent-ref> <workload> [pairs]
 #
-# The parent side is `git archive <parent-ref>` unpacked under
-# target/paired_bench/parent; the change side is this checkout as it
-# stands (uncommitted edits included). Run length comes from
-# BENCHMARK.json, seeds are 11, 12, …; default 10 pairs. Keep the machine
-# otherwise idle: the reference host has two cores and two clock speeds
-# ~25 % apart, which is why single runs are never compared.
+# The parent side is `git archive <parent-ref>` unpacked into a fresh
+# directory under ${TMPDIR:-/tmp} (removed on exit); the change side is
+# this checkout as it stands (uncommitted edits included). The parent
+# must sit *outside* the checkout: cargo looks for `.cargo/config.toml`
+# from the working directory upwards, so a parent unpacked anywhere below
+# the repository root would be built with the checkout's flags — its
+# SIMD tier included — and the run would measure the change against
+# itself. Which config files each side's build reads is printed with the
+# result. Build outputs and logs stay under target/paired_bench. Run
+# length comes from BENCHMARK.json, seeds are 11, 12, …; default 10
+# pairs. Keep the machine otherwise idle: the reference host has two
+# cores and two clock speeds ~25 % apart, which is why single runs are
+# never compared.
 #
 # A gain is claimed only when the change wins at least nine tenths of
 # the pairs and the medians differ by more than the parent's own
@@ -44,10 +51,41 @@ METRICS="setup_s:lower req_per_s:higher plan_ms_p50:lower rss_peak_mb:lower"
 git -C "$ROOT" rev-parse --verify --quiet "$PARENT_REF^{commit}" >/dev/null \
     || { echo "unknown parent ref '$PARENT_REF'" >&2; exit 2; }
 
+# RUSTFLAGS replaces (does not extend) the flags of every config file,
+# on both sides alike.
+if [ -n "${RUSTFLAGS:-}${CARGO_ENCODED_RUSTFLAGS:-}" ]; then
+    echo "unset RUSTFLAGS: it overrides each side's .cargo/config.toml, so both would build alike" >&2
+    exit 2
+fi
+
 LOGS="$OUT/logs/$WORKLOAD"
-rm -rf "$OUT/parent" "$LOGS"
-mkdir -p "$OUT/parent" "$LOGS"
-git -C "$ROOT" archive "$PARENT_REF" | tar -x -C "$OUT/parent"
+rm -rf "$LOGS"
+mkdir -p "$LOGS"
+PARENT="$(mktemp -d "${TMPDIR:-/tmp}/paired_bench_parent.XXXXXX")"
+trap 'rm -rf "$PARENT"' EXIT
+git -C "$ROOT" archive "$PARENT_REF" | tar -x -C "$PARENT"
+
+# configs <source root>: the cargo config files a build started there
+# reads — one per directory from the root up to /, then CARGO_HOME's —
+# each marked when it sets compiler flags.
+configs() {
+    local dir f home found=""
+    dir="$(cd "$1" && pwd -P)"
+    home="${CARGO_HOME:-$HOME/.cargo}/config.toml"
+    while :; do
+        for f in "$dir/.cargo/config.toml" "$dir/.cargo/config"; do
+            if [ -f "$f" ]; then found="$found $f"; fi
+        done
+        if [ "$dir" = / ]; then break; fi
+        dir="$(dirname "$dir")"
+    done
+    if [ -f "$home" ] && [ "${found#*"$home"}" = "$found" ]; then found="$found $home"; fi
+    for f in $found; do
+        if grep -q rustflags "$f"; then printf ' %s (sets rustflags)' "$f"; else printf ' %s' "$f"; fi
+    done
+    if [ -z "$found" ]; then printf ' none'; fi
+    echo
+}
 
 # build <source root> <target dir>: the benchmark is its own package and
 # builds the crates it measures from the tree it sits in.
@@ -56,7 +94,7 @@ build() {
         --manifest-path benchmark/Cargo.toml)
 }
 echo "building parent ($PARENT_REF) and change (working tree)..." >&2
-build "$OUT/parent" "$OUT/target-parent"
+build "$PARENT" "$OUT/target-parent"
 build "$ROOT" "$OUT/target-change"
 
 # run <side> <source root> <seed>: one benchmark run, output kept whole.
@@ -72,7 +110,7 @@ for ((i = 0; i < PAIRS; i++)); do
     if ((i % 2 == 0)); then order="parent change"; else order="change parent"; fi
     echo "pair $((i + 1))/$PAIRS, seed $seed: $order" >&2
     for side in $order; do
-        if [ "$side" = parent ]; then run parent "$OUT/parent" "$seed"; else run change "$ROOT" "$seed"; fi
+        if [ "$side" = parent ]; then run parent "$PARENT" "$seed"; else run change "$ROOT" "$seed"; fi
     done
 done
 
@@ -83,6 +121,8 @@ value() {
 
 echo
 echo "workload $WORKLOAD, pairs: $PAIRS, ${SECONDS_PER_RUN}s runs, parent $PARENT_REF"
+echo "cargo config files, parent:$(configs "$PARENT")"
+echo "cargo config files, change:$(configs "$ROOT")"
 for entry in $METRICS; do
     metric="${entry%%:*}"
     better="${entry##*:}"
