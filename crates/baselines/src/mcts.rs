@@ -84,7 +84,7 @@ pub fn mcts_solve(
         if Instant::now() >= deadline {
             break;
         }
-        let children = top_moves(&state, constraints, objective, cfg.branch_cap);
+        let children = top_moves(&state, constraints, objective, cfg.branch_cap, deadline);
         if children.is_empty() {
             break;
         }
@@ -123,7 +123,8 @@ pub fn mcts_solve(
             let mut undo_stack = vec![rec];
             let mut depth = 0;
             while depth < remaining_depth {
-                let Some((a, gain)) = best_single_move(&state, constraints, objective) else {
+                let Some((a, gain)) = best_single_move(&state, constraints, objective, deadline)
+                else {
                     break;
                 };
                 if gain <= 1e-12 {
@@ -174,17 +175,25 @@ pub fn mcts_solve(
 /// ([`ConstraintSet::pm_mask_into`], one reused buffer) instead of a
 /// per-(vm, pm) `migration_legal` probe — the same O(M·N) shape, but
 /// without the per-pair feasibility allocations.
+///
+/// The scan is M VMs × legal PMs × one `objective.value` each — seconds
+/// on Large — so it checks `deadline` between VMs and ranks what it has
+/// seen when the time is up; a deadline that never binds changes nothing.
 fn top_moves(
     state: &ClusterState,
     constraints: &ConstraintSet,
     objective: Objective,
     cap: usize,
+    deadline: Instant,
 ) -> Vec<(Action, f64)> {
     let mut probe = state.clone();
     let current = objective.value(&probe);
     let mut out = Vec::new();
     let mut mask = Vec::new();
     for k in 0..probe.num_vms() {
+        if Instant::now() >= deadline {
+            break;
+        }
         let vm = VmId(k as u32);
         if constraints.is_pinned(vm) {
             continue;
@@ -213,8 +222,9 @@ fn best_single_move(
     state: &ClusterState,
     constraints: &ConstraintSet,
     objective: Objective,
+    deadline: Instant,
 ) -> Option<(Action, f64)> {
-    top_moves(state, constraints, objective, 1).into_iter().next()
+    top_moves(state, constraints, objective, 1, deadline).into_iter().next()
 }
 
 #[cfg(test)]
@@ -269,6 +279,22 @@ mod tests {
         let t0 = Instant::now();
         let _ = mcts_solve(&s, &cs, Objective::default(), 50, &cfg);
         assert!(t0.elapsed() < Duration::from_millis(1500), "deadline ignored");
+
+        // Medium: the first candidate scan alone outlasts the budget, so
+        // the deadline has to hold inside it, before any rollout.
+        let s = generate_mapping(&ClusterConfig::medium(), 0xC1_0575).unwrap();
+        let cs = ConstraintSet::new(s.num_vms());
+        let budget = Duration::from_millis(200);
+        let cfg = MctsConfig { time_limit: budget, ..Default::default() };
+        let t0 = Instant::now();
+        let res = mcts_solve(&s, &cs, Objective::default(), 50, &cfg);
+        let took = t0.elapsed();
+        assert!(took < 2 * budget, "deadline ignored in the candidate scan: {took:?}");
+        let mut replay = s.clone();
+        for a in &res.plan {
+            replay.migrate(a.vm, a.pm, 16).unwrap();
+        }
+        assert!((replay.fragment_rate(16) - res.objective).abs() < 1e-12);
     }
 
     #[test]

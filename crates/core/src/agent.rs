@@ -462,8 +462,9 @@ impl<P: Policy> Vmr2lAgent<P> {
     /// The action-selection tail shared by [`Vmr2lAgent::act`] and
     /// [`Vmr2lAgent::decide_in`]: masking, (re)sampling, and log-prob
     /// accounting over an already-computed stage-1 output. Exposed so
-    /// callers that precompute embeddings elsewhere (vmr-serve's
-    /// cross-session batched GEMM) can rejoin the decision logic.
+    /// callers that run stage 1 themselves (the served-plan benchmark
+    /// times embed, stage 1 and this tail apart) can rejoin the decision
+    /// logic.
     ///
     /// On return, the context's scratch buffers describe the decision:
     /// `vm_mask`/`pm_mask` (or `joint_mask`) are the masks the sampled

@@ -409,27 +409,6 @@ impl Vmr2lModel {
 
 // ---- tape-free inference path, both precisions -----------------------
 
-/// Stacks f64 feature matrices of one width row-wise into a fresh slot,
-/// cast to `S`.
-fn stack_rows<'a, S: Scalar>(
-    ctx: &mut FwdCtx<S>,
-    width: usize,
-    parts: impl Iterator<Item = &'a Tensor> + Clone,
-) -> FVar {
-    let total: usize = parts.clone().map(Tensor::rows).sum();
-    let slot = ctx.alloc(total, width);
-    let dst = ctx.value_mut(slot).data_mut();
-    let mut at = 0;
-    for part in parts {
-        assert_eq!(part.cols(), width, "stacked feature matrices must share one width");
-        for (d, &s) in dst[at..at + part.len()].iter_mut().zip(part.data()) {
-            *d = S::from_f64(s);
-        }
-        at += part.len();
-    }
-    slot
-}
-
 impl<S: Scalar> Vmr2lModel<S> {
     /// Casts a trained f64 model, weight by weight (a clone for `f64`).
     pub fn from_f64(m: &Vmr2lModel) -> Self {
@@ -455,38 +434,7 @@ impl<S: Scalar> Vmr2lModel<S> {
         (self.pm_embed.fwd(ctx, pm_in), self.vm_embed.fwd(ctx, vm_in))
     }
 
-    /// Batched embedding for concurrent requests over *different*
-    /// clusters: the per-request PM (and VM) feature matrices are stacked
-    /// row-wise and pushed through the shared embedding MLPs as **one**
-    /// GEMM chain, then split back per request. Because every op in the
-    /// chain is row-wise (matmul, bias add, ReLU), each returned slice is
-    /// bit-identical to running [`Vmr2lModel::embed_fwd`] alone, in
-    /// either precision — batching can never change a served plan. The
-    /// features are f64; they are cast to `S` as they are stacked.
-    pub fn embed_batch(&self, items: &[(&Tensor, &Tensor)]) -> Vec<(Tensor<S>, Tensor<S>)> {
-        let mut ctx = FwdCtx::<S>::new();
-        let pm_in = stack_rows(&mut ctx, PM_FEAT, items.iter().map(|it| it.0));
-        let vm_in = stack_rows(&mut ctx, VM_FEAT, items.iter().map(|it| it.1));
-        let pm_emb = self.pm_embed.fwd(&mut ctx, pm_in);
-        let vm_emb = self.vm_embed.fwd(&mut ctx, vm_in);
-        let rows_of = |emb: FVar, start: usize, len: usize| {
-            let e = ctx.value(emb);
-            let d = e.cols();
-            Tensor::from_vec(len, d, e.data()[start * d..(start + len) * d].to_vec())
-        };
-        let (mut pr, mut vr) = (0, 0);
-        items
-            .iter()
-            .map(|(pm, vm)| {
-                let out = (rows_of(pm_emb, pr, pm.rows()), rows_of(vm_emb, vr, vm.rows()));
-                pr += pm.rows();
-                vr += vm.rows();
-                out
-            })
-            .collect()
-    }
-
-    /// Continues stage 1 from (possibly batch-computed) embeddings:
+    /// Continues stage 1 from the entity embeddings:
     /// attention blocks, stage-1 head, and critic. `tree` is required for
     /// the sparse extractor.
     pub fn stage1_from_embeds_fwd(
@@ -718,21 +666,6 @@ mod tests {
         let v64 = ctx.value(s64.value).get(0, 0);
         let v32 = ctx32.value(s32.value).get(0, 0);
         assert!((f64::from(v32) - v64).abs() < 1e-3, "value f32 {v32} vs f64 {v64}");
-    }
-
-    #[test]
-    fn f32_embed_batch_matches_solo_embed() {
-        let m = model(ExtractorKind::SparseAttention);
-        let m32 = Vmr2lModelF32::from_f64(&m);
-        let f1 = feats(7);
-        let f2 = feats(8);
-        let batched = m32.embed_batch(&[(&f1.pm, &f1.vm), (&f2.pm, &f2.vm)]);
-        for (f, (bp, bv)) in [&f1, &f2].into_iter().zip(&batched) {
-            let mut ctx = FwdCtx::<f32>::new();
-            let (pe, ve) = m32.embed_fwd(&mut ctx, f);
-            assert_eq!(ctx.value(pe).data(), bp.data(), "batched PM embedding must match solo");
-            assert_eq!(ctx.value(ve).data(), bv.data(), "batched VM embedding must match solo");
-        }
     }
 
     #[test]

@@ -139,13 +139,6 @@ impl<S: Scalar> FwdCtx<S> {
         v
     }
 
-    /// Copies a tensor of the arena's own element type in.
-    pub fn input_same(&mut self, t: &Tensor<S>) -> FVar {
-        let v = self.alloc(t.rows(), t.cols());
-        self.slots[v.0].copy_from(t);
-        v
-    }
-
     /// Copies a flat slice into a `1 × n` slot.
     pub fn input_row(&mut self, data: &[S]) -> FVar {
         let v = self.alloc(1, data.len());

@@ -216,15 +216,6 @@ impl<S: Scalar> Tensor<S> {
         self.data.resize(rows * cols, S::ZERO);
     }
 
-    /// Overwrites this tensor with the shape and contents of `src`,
-    /// reusing the existing buffer where capacity allows.
-    pub fn copy_from(&mut self, src: &Tensor<S>) {
-        self.rows = src.rows;
-        self.cols = src.cols;
-        self.data.clear();
-        self.data.extend_from_slice(&src.data);
-    }
-
     /// Overwrites this tensor with the shape of an f64 tensor and its
     /// contents cast to this element type (the arena input path: features
     /// stay f64 upstream).

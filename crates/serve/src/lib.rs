@@ -70,7 +70,6 @@
 #![deny(unreachable_pub)]
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod client;
 pub mod policies;
 pub mod proto;

@@ -30,7 +30,6 @@ use vmr_sim::error::SimResult;
 use vmr_sim::shard::{FleetConfig, ShardStrategy};
 use vmr_solver::bnb::{branch_and_bound, SolverConfig};
 
-use crate::batch::{BatchStats, EmbedBatcher, DEFAULT_WINDOW};
 use crate::sync::LockExt;
 
 /// Per-shard fleet-plan latency (`serve_fleet_shard` in the process-wide
@@ -74,30 +73,18 @@ pub trait PlanPolicy: Send + Sync {
 
 /// The trained VMR2L agent, rolled out step by step against the session's
 /// incremental observation engine (no featurization rebuild per request)
-/// on the tape-free fast path. Each decision's embedding GEMM goes
-/// through the shared [`EmbedBatcher`], so concurrent plans from
-/// *different* sessions share one batched GEMM per step — bit-identical
-/// to solo evaluation, batching never changes a plan.
+/// on the tape-free fast path. A decision step shares nothing with any
+/// other plan: features, arena and scratch all live in the plan's own
+/// [`InferCtx`], so concurrent plans equal solo plans by construction
+/// (ARCHITECTURE, *Shared-nothing decision steps*).
 pub struct AgentPolicy {
     handle: SharedAgent,
-    batcher: Arc<EmbedBatcher>,
 }
 
 impl AgentPolicy {
-    /// Wraps a shared inference handle with the default batch window.
+    /// Wraps a shared inference handle.
     pub fn new(handle: SharedAgent) -> Self {
-        Self::with_batcher(handle, Arc::new(EmbedBatcher::new(DEFAULT_WINDOW)))
-    }
-
-    /// Wraps a shared inference handle around an explicit batcher (tests
-    /// use a long window to make the rendezvous deterministic).
-    pub fn with_batcher(handle: SharedAgent, batcher: Arc<EmbedBatcher>) -> Self {
-        AgentPolicy { handle, batcher }
-    }
-
-    /// The shared batcher (stats inspection).
-    pub fn batcher(&self) -> &Arc<EmbedBatcher> {
-        &self.batcher
+        AgentPolicy { handle }
     }
 }
 
@@ -112,7 +99,6 @@ impl PlanPolicy for AgentPolicy {
         let opts = DecideOpts::default();
         let mut ictx = InferCtx::new();
         let mut plan = Vec::new();
-        let _in_flight = self.batcher.plan_guard();
         // Counted busy for the whole plan, not just inside its kernels:
         // a second plan in flight (another server worker, another fleet
         // shard) must see this core as taken between attention calls
@@ -120,33 +106,10 @@ impl PlanPolicy for AgentPolicy {
         let _busy = vmr_nn::par::forward();
         let fast32 = req.precision == PrecisionConfig::Fast32;
         while !env.is_done() {
-            ictx.prepare_from_env(env);
-            // Stage-1 embeddings: one batched GEMM shared with every
-            // other in-flight agent plan (per-precision rounds).
             let decision = if fast32 {
-                let m32 = self.handle.model32();
-                let (pm_emb, vm_emb) = self.batcher.embed(m32, &ictx.feats.pm, &ictx.feats.vm);
-                let pm_v = ictx.ctx32.input_same(&pm_emb);
-                let vm_v = ictx.ctx32.input_same(&vm_emb);
-                let s1 = m32.stage1_from_embeds_fwd(
-                    &mut ictx.ctx32,
-                    pm_v,
-                    vm_v,
-                    Some(&ictx.tree.groups),
-                );
-                agent.act_core_f32(m32, env, &mut ictx, &s1, &mut rng, &opts)?
+                agent.act_f32(self.handle.model32(), env, &mut ictx, &mut rng, &opts)?
             } else {
-                let (pm_emb, vm_emb) =
-                    self.batcher.embed(&agent.policy, &ictx.feats.pm, &ictx.feats.vm);
-                let pm_v = ictx.ctx.input(&pm_emb);
-                let vm_v = ictx.ctx.input(&vm_emb);
-                let s1 = agent.policy.stage1_from_embeds_fwd(
-                    &mut ictx.ctx,
-                    pm_v,
-                    vm_v,
-                    Some(&ictx.tree.groups),
-                );
-                agent.act_core(env, &mut ictx, &s1, &mut rng, &opts)?
+                agent.act(env, &mut ictx, &mut rng, &opts)?
             };
             let Some(decision) = decision else {
                 break;
@@ -396,7 +359,6 @@ const AUTO_SEARCH_BUDGET: Duration = Duration::from_secs(2);
 pub struct PolicyRegistry {
     by_name: BTreeMap<&'static str, Arc<dyn PlanPolicy>>,
     has_agent: bool,
-    batcher: Option<Arc<EmbedBatcher>>,
 }
 
 impl PolicyRegistry {
@@ -411,22 +373,14 @@ impl PolicyRegistry {
         by_name.insert("mcts", Arc::new(MctsPolicy));
         by_name.insert("solver", Arc::new(SolverPolicy));
         let has_agent = agent.is_some();
-        let mut batcher = None;
         let mut fleet_inner: Arc<dyn PlanPolicy> = Arc::new(HaPolicy);
         if let Some(handle) = agent {
-            let policy = AgentPolicy::new(handle);
-            batcher = Some(Arc::clone(policy.batcher()));
-            let policy: Arc<dyn PlanPolicy> = Arc::new(policy);
+            let policy: Arc<dyn PlanPolicy> = Arc::new(AgentPolicy::new(handle));
             fleet_inner = Arc::clone(&policy);
             by_name.insert("agent", policy);
         }
         by_name.insert("fleet", Arc::new(FleetPolicy::new(fleet_inner)));
-        PolicyRegistry { by_name, has_agent, batcher }
-    }
-
-    /// Cross-session embed-batching counters (None without a checkpoint).
-    pub fn batch_stats(&self) -> Option<BatchStats> {
-        self.batcher.as_ref().map(|b| b.stats())
+        PolicyRegistry { by_name, has_agent }
     }
 
     /// Registered policy names (sorted).

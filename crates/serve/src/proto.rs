@@ -177,7 +177,7 @@ pub struct MetricsParams {
 pub struct MetricsReply {
     /// The structured export: daemon-scoped request/WAL metrics merged
     /// with the process-wide hot-path metrics (simulator repair,
-    /// per-precision forward, embed batching, fleet shards).
+    /// per-precision decision steps, fleet shards).
     pub snapshot: vmr_telemetry::MetricsSnapshot,
     /// Prometheus text exposition of the same snapshot (when requested).
     pub prometheus: Option<String>,
@@ -348,7 +348,7 @@ pub struct StatsReply {
     /// Plan responses returned.
     pub plans_served: u64,
     /// Plan responses that ran a policy (≤ `plans_served`; the difference
-    /// was answered from one batched invocation).
+    /// was answered by a coalesced computation or the session's memo).
     pub plans_computed: u64,
     /// Deltas applied.
     pub deltas: u64,

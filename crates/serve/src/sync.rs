@@ -14,7 +14,6 @@
 //! which the `vmr-analyze` P001 lint enforces.
 
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
-use std::time::Duration;
 
 /// Mutex acquisition that shrugs off poison.
 pub(crate) trait LockExt<T> {
@@ -34,24 +33,10 @@ pub(crate) fn cv_wait<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGua
     cv.wait(guard).unwrap_or_else(PoisonError::into_inner)
 }
 
-/// [`Condvar::wait_timeout`] with poison recovery. The timed-out flag
-/// is dropped: callers here re-check their predicate and deadline in a
-/// loop, which is the only robust pattern anyway.
-pub(crate) fn cv_wait_timeout<'a, T>(
-    cv: &Condvar,
-    guard: MutexGuard<'a, T>,
-    dur: Duration,
-) -> MutexGuard<'a, T> {
-    match cv.wait_timeout(guard, dur) {
-        Ok((g, _)) => g,
-        Err(poisoned) => poisoned.into_inner().0,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::{Arc, Condvar, Mutex};
+    use std::sync::{Arc, Mutex};
 
     #[test]
     fn lock_recovers_from_poison() {
@@ -66,14 +51,5 @@ mod tests {
         assert_eq!(*m.lock_recover(), 7, "guard recovered despite poison");
         *m.lock_recover() = 8;
         assert_eq!(*m.lock_recover(), 8);
-    }
-
-    #[test]
-    fn cv_wait_timeout_recovers() {
-        let pair = Arc::new((Mutex::new(false), Condvar::new()));
-        let (m, cv) = (&pair.0, &pair.1);
-        let g = m.lock_recover();
-        let g = cv_wait_timeout(cv, g, Duration::from_millis(1));
-        assert!(!*g);
     }
 }

@@ -1,9 +1,9 @@
 //! End-to-end observability suite: the `metrics` wire op must export
 //! phase-split latency histograms, error breakdowns, coalescing
-//! counters, and the inference row-class counters; slow requests must
-//! emit trace-correlated JSONL records; and a daemon with telemetry
-//! disabled must serve empty span histograms while its request counters
-//! keep working.
+//! counters, the inference row-class counters and the per-decision
+//! histograms; slow requests must emit trace-correlated JSONL records;
+//! and a daemon with telemetry disabled must serve empty span histograms
+//! while its request counters keep working.
 //!
 //! The telemetry enable flag is process-wide, so every test here
 //! serializes on [`FLAG_LOCK`] — two daemons booting with different
@@ -206,12 +206,11 @@ fn disabled_telemetry_serves_counters_but_no_spans() {
     vmr_telemetry::set_enabled(true);
 }
 
-#[test]
-fn metrics_op_exports_row_class_counters() {
+/// A two-worker daemon with a (randomly initialised) agent checkpoint.
+fn serve_with_agent() -> vmr_serve::server::ServerHandle {
     use rand::SeedableRng;
     use vmr_core::config::{ActionMode, ExtractorKind, ModelConfig};
 
-    let _guard = FLAG_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let mut rng = rand::rngs::StdRng::seed_from_u64(11);
     let model = vmr_core::model::Vmr2lModel::new(
         ModelConfig::default(),
@@ -219,12 +218,20 @@ fn metrics_op_exports_row_class_counters() {
         &mut rng,
     );
     let agent = vmr_core::Vmr2lAgent::new(model, ActionMode::TwoStage);
-    let handle = serve(ServerConfig {
+    serve(ServerConfig {
         threads: 2,
         agent: Some(vmr_core::infer::SharedAgent::new(agent)),
         ..Default::default()
     })
-    .unwrap();
+    .unwrap()
+}
+
+#[test]
+fn metrics_op_exports_row_class_counters() {
+    use vmr_core::config::ModelConfig;
+
+    let _guard = FLAG_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let handle = serve_with_agent();
     let mut client = ServeClient::connect(handle.addr()).unwrap();
     client.create_session("rows", "small", 3, 4).unwrap();
     let vms = client.snapshot("rows").unwrap().snapshot.state.num_vms() as u64;
@@ -257,5 +264,41 @@ fn metrics_op_exports_row_class_counters() {
     assert_eq!(snap.gauge("nn_simd_tier"), Some(compiled.level()));
     assert_eq!(snap.gauge("nn_simd_tier_cpu"), Some(vmr_nn::tier::cpu().level()));
     assert!(vmr_nn::tier::cpu() >= compiled);
+    handle.shutdown();
+}
+
+#[test]
+fn metrics_op_exports_one_decision_sample_per_agent_step() {
+    let _guard = FLAG_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let handle = serve_with_agent();
+    let mut client = ServeClient::connect(handle.addr()).unwrap();
+    client.create_session("steps", "small", 3, 4).unwrap();
+
+    // Process-wide histograms (like `nn_rows_*`): read a delta.
+    let decisions = |client: &mut ServeClient, name: &str| {
+        client.metrics(false).unwrap().snapshot.histogram(name).map_or(0, |h| h.count)
+    };
+    for (precision, name) in [
+        (PrecisionConfig::Exact64, "core_decide_f64"),
+        (PrecisionConfig::Fast32, "core_decide_f32"),
+    ] {
+        let before = decisions(&mut client, name);
+        let params = PlanParams { mnl: 3, precision, ..plan_params("steps", "agent", 1, 0) };
+        let plan = client.plan(params).unwrap();
+        assert_eq!(plan.plan.len(), 3, "the agent must use its budget on a fresh Small cluster");
+        // The daemon's step loop is the agent's own `act`: one sample per
+        // decision, so "why was this plan slow" reads per step.
+        assert_eq!(decisions(&mut client, name) - before, 3, "{name}: one sample per decision");
+    }
+    // Decision steps share nothing: no metric reports on a rendezvous
+    // between plans, because there is none.
+    let snap = client.metrics(false).unwrap().snapshot;
+    let batching: Vec<&str> = snap
+        .histograms
+        .iter()
+        .map(|h| h.name.as_str())
+        .filter(|name| name.contains("batch"))
+        .collect();
+    assert!(batching.is_empty(), "batching metrics exported: {batching:?}");
     handle.shutdown();
 }

@@ -18,7 +18,7 @@
 //!   served-plan benchmark (ROADMAP item 1a), not by a CI gate.
 //!
 //! Scoping: hot-path library metrics (simulator repair, per-precision
-//! forward, embed batching) live in the process-wide [`global`] registry;
+//! decision steps) live in the process-wide [`global`] registry;
 //! the serve daemon keeps a per-server [`Registry`] so a restart resets
 //! its request counters, and merges both into exports.
 

@@ -143,7 +143,7 @@ impl Registry {
 }
 
 /// The process-wide registry the library hot paths (simulator repair,
-/// per-precision forward, embed batching, fleet shards) record into.
+/// per-precision decision steps, fleet shards) record into.
 /// Scoped subsystems (the serve daemon) keep their own [`Registry`] so
 /// restarts reset their counters, and merge this one into exports.
 pub fn global() -> &'static Registry {

@@ -6,7 +6,11 @@
 # pair) on one seed per pair, summarized per side as median and
 # quartiles, pairs won, and per-seed `plan_fingerprint` equality.
 #
-#   scripts/paired_bench.sh <parent-ref> <workload> [pairs]
+#   scripts/paired_bench.sh <parent-ref> <workload>[,<workload>…|all] [pairs]
+#
+# Both sides are built once, then the workloads run one after another
+# (`all`: every workload the benchmark lists), each with its own logs
+# and its own summary block at the end.
 #
 # The parent side is `git archive <parent-ref>` unpacked into a fresh
 # directory under ${TMPDIR:-/tmp} (removed on exit); the change side is
@@ -16,7 +20,8 @@
 # the repository root would be built with the checkout's flags — its
 # SIMD tier included — and the run would measure the change against
 # itself. Which config files each side's build reads is printed with the
-# result. Build outputs and logs stay under target/paired_bench. Run
+# result. Build outputs and logs stay under target/paired_bench (a run
+# replaces the logs of the workloads it names, no others). Run
 # length comes from BENCHMARK.json, seeds are 11, 12, …; default 10
 # pairs. Keep the machine otherwise idle: the reference host has two
 # cores and two clock speeds ~25 % apart, which is why single runs are
@@ -31,11 +36,11 @@
 set -euo pipefail
 
 if [ "$#" -lt 2 ] || [ "$#" -gt 3 ]; then
-    echo "usage: $0 <parent-ref> <workload> [pairs]" >&2
+    echo "usage: $0 <parent-ref> <workload>[,<workload>...|all] [pairs]" >&2
     exit 2
 fi
 PARENT_REF="$1"
-WORKLOAD="$2"
+WORKLOADS="${2//,/ }"
 PAIRS="${3:-10}"
 case "$PAIRS" in
     ''|*[!0-9]*|0) echo "pairs must be a positive integer, got '$PAIRS'" >&2; exit 2 ;;
@@ -58,9 +63,6 @@ if [ -n "${RUSTFLAGS:-}${CARGO_ENCODED_RUSTFLAGS:-}" ]; then
     exit 2
 fi
 
-LOGS="$OUT/logs/$WORKLOAD"
-rm -rf "$LOGS"
-mkdir -p "$LOGS"
 PARENT="$(mktemp -d "${TMPDIR:-/tmp}/paired_bench_parent.XXXXXX")"
 trap 'rm -rf "$PARENT"' EXIT
 git -C "$ROOT" archive "$PARENT_REF" | tar -x -C "$PARENT"
@@ -97,7 +99,17 @@ echo "building parent ($PARENT_REF) and change (working tree)..." >&2
 build "$PARENT" "$OUT/target-parent"
 build "$ROOT" "$OUT/target-change"
 
-# run <side> <source root> <seed>: one benchmark run, output kept whole.
+# The change side's benchmark names the workloads (one per line, name
+# first); a misspelt one must fail here, not after the runs before it.
+KNOWN="$("$OUT/target-change/release/vmr-benchmark" --list | cut -f1)"
+if [ "$WORKLOADS" = all ]; then WORKLOADS="$KNOWN"; fi
+for WORKLOAD in $WORKLOADS; do
+    grep -qx -- "$WORKLOAD" <<<"$KNOWN" \
+        || { echo "unknown workload '$WORKLOAD'; the benchmark lists: ${KNOWN//$'\n'/ }" >&2; exit 2; }
+done
+
+# run <side> <source root> <seed>: one benchmark run of $WORKLOAD, output
+# kept whole.
 run() {
     local side="$1" root="$2" seed="$3"
     (cd "$root" && "$OUT/target-$side/release/vmr-benchmark" --workload "$WORKLOAD" \
@@ -105,12 +117,17 @@ run() {
         >"$LOGS/$side-$seed.log" 2>&1 \
         || { echo "$side run failed on seed $seed; see $LOGS/$side-$seed.log" >&2; exit 1; }
 }
-for ((i = 0; i < PAIRS; i++)); do
-    seed=$((FIRST_SEED + i))
-    if ((i % 2 == 0)); then order="parent change"; else order="change parent"; fi
-    echo "pair $((i + 1))/$PAIRS, seed $seed: $order" >&2
-    for side in $order; do
-        if [ "$side" = parent ]; then run parent "$PARENT" "$seed"; else run change "$ROOT" "$seed"; fi
+for WORKLOAD in $WORKLOADS; do
+    LOGS="$OUT/logs/$WORKLOAD"
+    rm -rf "$LOGS"
+    mkdir -p "$LOGS"
+    for ((i = 0; i < PAIRS; i++)); do
+        seed=$((FIRST_SEED + i))
+        if ((i % 2 == 0)); then order="parent change"; else order="change parent"; fi
+        echo "$WORKLOAD pair $((i + 1))/$PAIRS, seed $seed: $order" >&2
+        for side in $order; do
+            if [ "$side" = parent ]; then run parent "$PARENT" "$seed"; else run change "$ROOT" "$seed"; fi
+        done
     done
 done
 
@@ -120,57 +137,65 @@ value() {
 }
 
 echo
-echo "workload $WORKLOAD, pairs: $PAIRS, ${SECONDS_PER_RUN}s runs, parent $PARENT_REF"
+echo "pairs: $PAIRS, ${SECONDS_PER_RUN}s runs, parent $PARENT_REF"
 echo "cargo config files, parent:$(configs "$PARENT")"
 echo "cargo config files, change:$(configs "$ROOT")"
-for entry in $METRICS; do
-    metric="${entry%%:*}"
-    better="${entry##*:}"
+
+# summary: one block for $WORKLOAD from its logs.
+summary() {
+    local LOGS="$OUT/logs/$WORKLOAD" entry metric better i seed line side log failed attempted same
+    echo
+    echo "workload $WORKLOAD"
+    for entry in $METRICS; do
+        metric="${entry%%:*}"
+        better="${entry##*:}"
+        for ((i = 0; i < PAIRS; i++)); do
+            seed=$((FIRST_SEED + i))
+            echo "$(value "$LOGS/parent-$seed.log" "$metric") $(value "$LOGS/change-$seed.log" "$metric")"
+        done | awk -v metric="$metric" -v better="$better" '
+            # Quartile by linear interpolation over the sorted sample.
+            function quantile(v, n, q,    pos, lo, frac) {
+                pos = 1 + (n - 1) * q; lo = int(pos); frac = pos - lo
+                return lo >= n ? v[n] : v[lo] + frac * (v[lo + 1] - v[lo])
+            }
+            function sorted(src, dst, n,    i, j, t) {
+                for (i = 1; i <= n; i++) dst[i] = src[i]
+                for (i = 2; i <= n; i++) { t = dst[i]; for (j = i - 1; j >= 1 && dst[j] > t; j--) dst[j + 1] = dst[j]; dst[j + 1] = t }
+            }
+            NF == 2 { n++; p[n] = $1; c[n] = $2
+                      if (better == "lower" ? $2 < $1 : $2 > $1) wins++
+                      else if ($2 != $1) losses++ }
+            END {
+                if (n == 0) { printf "%-12s no values found\n", metric; exit }
+                sorted(p, ps, n); sorted(c, cs, n)
+                pm = quantile(ps, n, 0.5); cm = quantile(cs, n, 0.5)
+                iqr = quantile(ps, n, 0.75) - quantile(ps, n, 0.25)
+                printf "%-12s parent %10.3f [%10.3f, %10.3f]   change %10.3f [%10.3f, %10.3f]   %+6.1f %% vs parent median   won %d lost %d of %d   parent IQR %.3f\n",
+                    metric, pm, quantile(ps, n, 0.25), quantile(ps, n, 0.75),
+                    cm, quantile(cs, n, 0.25), quantile(cs, n, 0.75),
+                    pm == 0 ? 0 : 100 * (cm - pm) / pm, wins, losses, n, iqr
+            }'
+    done
+
+    echo
+    echo "checks failed / attempted and plan_fingerprint, per seed:"
     for ((i = 0; i < PAIRS; i++)); do
         seed=$((FIRST_SEED + i))
-        echo "$(value "$LOGS/parent-$seed.log" "$metric") $(value "$LOGS/change-$seed.log" "$metric")"
-    done | awk -v metric="$metric" -v better="$better" '
-        # Quartile by linear interpolation over the sorted sample.
-        function quantile(v, n, q,    pos, lo, frac) {
-            pos = 1 + (n - 1) * q; lo = int(pos); frac = pos - lo
-            return lo >= n ? v[n] : v[lo] + frac * (v[lo + 1] - v[lo])
-        }
-        function sorted(src, dst, n,    i, j, t) {
-            for (i = 1; i <= n; i++) dst[i] = src[i]
-            for (i = 2; i <= n; i++) { t = dst[i]; for (j = i - 1; j >= 1 && dst[j] > t; j--) dst[j + 1] = dst[j]; dst[j + 1] = t }
-        }
-        NF == 2 { n++; p[n] = $1; c[n] = $2
-                  if (better == "lower" ? $2 < $1 : $2 > $1) wins++
-                  else if ($2 != $1) losses++ }
-        END {
-            if (n == 0) { printf "%-12s no values found\n", metric; exit }
-            sorted(p, ps, n); sorted(c, cs, n)
-            pm = quantile(ps, n, 0.5); cm = quantile(cs, n, 0.5)
-            iqr = quantile(ps, n, 0.75) - quantile(ps, n, 0.25)
-            printf "%-12s parent %10.3f [%10.3f, %10.3f]   change %10.3f [%10.3f, %10.3f]   %+6.1f %% vs parent median   won %d lost %d of %d   parent IQR %.3f\n",
-                metric, pm, quantile(ps, n, 0.25), quantile(ps, n, 0.75),
-                cm, quantile(cs, n, 0.25), quantile(cs, n, 0.75),
-                pm == 0 ? 0 : 100 * (cm - pm) / pm, wins, losses, n, iqr
-        }'
-done
-
-echo
-echo "checks failed / attempted and plan_fingerprint, per seed:"
-for ((i = 0; i < PAIRS; i++)); do
-    seed=$((FIRST_SEED + i))
-    line=""
-    for side in parent change; do
-        log="$LOGS/$side-$seed.log"
-        failed="$(sed -n 's/.*"failed":\([0-9]*\).*/\1/p' "$log" | tail -n 1)"
-        attempted="$(sed -n 's/.*"attempted":\([0-9]*\).*/\1/p' "$log" | tail -n 1)"
-        line="$line  $side $failed/$attempted"
+        line=""
+        for side in parent change; do
+            log="$LOGS/$side-$seed.log"
+            failed="$(sed -n 's/.*"failed":\([0-9]*\).*/\1/p' "$log" | tail -n 1)"
+            attempted="$(sed -n 's/.*"attempted":\([0-9]*\).*/\1/p' "$log" | tail -n 1)"
+            line="$line  $side $failed/$attempted"
+        done
+        if [ "$(grep '^plan_fingerprint' "$LOGS/parent-$seed.log")" = \
+             "$(grep '^plan_fingerprint' "$LOGS/change-$seed.log")" ]; then
+            same="equal"
+        else
+            same="DIFFERENT"
+        fi
+        echo "  seed $seed:$line  fingerprints $same"
     done
-    if [ "$(grep '^plan_fingerprint' "$LOGS/parent-$seed.log")" = \
-         "$(grep '^plan_fingerprint' "$LOGS/change-$seed.log")" ]; then
-        same="equal"
-    else
-        same="DIFFERENT"
-    fi
-    echo "  seed $seed:$line  fingerprints $same"
-done
-echo "logs: $LOGS"
+    echo "logs: $LOGS"
+}
+for WORKLOAD in $WORKLOADS; do summary; done
