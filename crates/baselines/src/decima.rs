@@ -37,7 +37,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use vmr_core::agent::DecideOpts;
+    use vmr_core::agent::{DecideOpts, InferCtx};
     use vmr_sim::dataset::{generate_mapping, ClusterConfig};
     use vmr_sim::env::ReschedEnv;
     use vmr_sim::objective::Objective;
@@ -52,7 +52,10 @@ mod tests {
         let mut env = ReschedEnv::unconstrained(state, Objective::default(), 4).unwrap();
         for seed in 0..5u64 {
             let mut r = StdRng::seed_from_u64(seed);
-            let d = agent.decide(&mut env, &mut r, &DecideOpts::default()).unwrap().unwrap();
+            let d = agent
+                .decide_in(&mut env, &mut InferCtx::new(), &mut r, &DecideOpts::default())
+                .unwrap()
+                .unwrap();
             assert!(env.action_legal(d.action).is_ok());
             // The stored stage-2 mask never exceeds the subset size.
             let kept = d.stored_obs.pm_mask.iter().filter(|&&b| b).count();
@@ -67,10 +70,12 @@ mod tests {
         let agent = decima_agent(cfg, 1, &mut rng);
         let state = generate_mapping(&ClusterConfig::tiny(), 62).unwrap();
         let mut env = ReschedEnv::unconstrained(state, Objective::default(), 4).unwrap();
+        let mut ictx = InferCtx::new();
         let mut seen = std::collections::HashSet::new();
         for seed in 0..12u64 {
             let mut r = StdRng::seed_from_u64(seed);
-            if let Some(d) = agent.decide(&mut env, &mut r, &DecideOpts::default()).unwrap() {
+            if let Some(d) = agent.act(&mut env, &mut ictx, &mut r, &DecideOpts::default()).unwrap()
+            {
                 seen.insert(d.action.pm);
             }
         }

@@ -145,16 +145,15 @@ pub fn mcts_solve(
             stats[pick].total_reward += reward;
             rollouts += 1;
         }
-        // Commit the most-visited child (standard robust-child rule).
-        let best = stats
-            .iter()
-            .enumerate()
-            .max_by(|a, b| {
-                (a.1.visits, a.1.total_reward)
-                    .partial_cmp(&(b.1.visits, b.1.total_reward))
+        // Commit the most-visited child (standard robust-child rule);
+        // ties — all of them when the budget let nothing be simulated —
+        // go to the larger immediate gain, not to whichever came last.
+        let best = (0..children.len())
+            .max_by(|&a, &b| {
+                (stats[a].visits, stats[a].total_reward, children[a].1)
+                    .partial_cmp(&(stats[b].visits, stats[b].total_reward, children[b].1))
                     .expect("finite")
             })
-            .map(|(i, _)| i)
             .expect("children non-empty");
         let (action, gain) = children[best];
         if gain <= 1e-12 && stats[best].total_reward <= 1e-12 {
@@ -295,6 +294,26 @@ mod tests {
             replay.migrate(a.vm, a.pm, 16).unwrap();
         }
         assert!((replay.fragment_rate(16) - res.objective).abs() < 1e-12);
+    }
+
+    #[test]
+    fn unsimulated_step_commits_best_immediate_move() {
+        // With no rollouts every child's statistics are zero; the commit
+        // must fall back to the best immediate gain, not the worst.
+        let s = state(55);
+        let cs = ConstraintSet::new(s.num_vms());
+        let obj = Objective::default();
+        let cfg = MctsConfig { rollouts_per_step: 0, branch_cap: 64, ..fast_cfg() };
+        let res = mcts_solve(&s, &cs, obj, 3, &cfg);
+        assert_eq!(res.rollouts, 0);
+        let (_, best_gain) =
+            best_single_move(&s, &cs, obj, Instant::now() + cfg.time_limit).unwrap();
+        assert!(best_gain > 1e-12, "fixture must have an improving move");
+        let first = res.plan.first().expect("a move is committed");
+        let mut after = s.clone();
+        after.migrate(first.vm, first.pm, obj.frag_cores()).unwrap();
+        assert!((obj.value(&s) - obj.value(&after) - best_gain).abs() < 1e-12);
+        assert!(res.objective < obj.value(&s) - 1e-12, "objective must drop");
     }
 
     #[test]

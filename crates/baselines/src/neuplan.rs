@@ -11,7 +11,7 @@ use std::time::{Duration, Instant};
 
 use rand::Rng;
 
-use vmr_core::agent::{DecideOpts, InferCtx, Policy, Vmr2lAgent};
+use vmr_core::agent::{ActPolicy, DecideOpts, InferCtx, Vmr2lAgent};
 use vmr_sim::cluster::ClusterState;
 use vmr_sim::constraints::ConstraintSet;
 use vmr_sim::env::{Action, ReschedEnv};
@@ -56,7 +56,7 @@ pub struct NeuPlanResult {
 
 /// Runs the hybrid: RL greedy prefix of `mnl − β` steps, then
 /// branch-and-bound over the final β migrations.
-pub fn neuplan_solve<P: Policy, R: Rng + ?Sized>(
+pub fn neuplan_solve<P: ActPolicy, R: Rng + ?Sized>(
     agent: &Vmr2lAgent<P>,
     initial: &ClusterState,
     constraints: &ConstraintSet,

@@ -35,10 +35,11 @@ use rand::SeedableRng;
 use vmr_baselines::ha::ha_solve;
 use vmr_baselines::mcts::{mcts_solve, MctsConfig};
 use vmr_baselines::vbpp::vbpp_solve;
-use vmr_core::agent::Vmr2lAgent;
+use vmr_core::agent::{ActPolicy, Vmr2lAgent};
 use vmr_core::config::{ActionMode, ExtractorKind, ModelConfig, PrecisionConfig};
-use vmr_core::eval::{risk_seeking_eval, risk_seeking_eval_f32, RiskSeekingConfig};
-use vmr_core::model::{Vmr2lModel, Vmr2lModelF32};
+use vmr_core::eval::{risk_seeking_eval, RiskSeekingConfig};
+use vmr_core::infer::SharedAgent;
+use vmr_core::model::Vmr2lModel;
 use vmr_core::train::{TrainConfig, Trainer};
 use vmr_nn::checkpoint::Checkpoint;
 use vmr_nn::tier::Tier;
@@ -274,22 +275,30 @@ fn cmd_train(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn load_agent(path: &str) -> Result<Vmr2lAgent<Vmr2lModel>, String> {
-    // Shared with the `vmr-serve` daemon: tries both extractor variants,
-    // the checkpoint's parameter set disambiguates.
-    vmr_core::infer::load_checkpoint_agent(path)
-}
-
 fn cmd_eval(args: &Args) -> Result<(), String> {
     let ds = load_dataset(args)?;
-    let agent = load_agent(&args.require("agent")?)?;
+    // Shared with the `vmr-serve` daemon: tries both extractor variants
+    // (the checkpoint's parameter set disambiguates) and casts the
+    // weights to f32 once up front; every trajectory reuses the cast.
+    let handle = SharedAgent::load(args.require("agent")?)?;
+    let precision = parse_precision(args)?;
+    match precision {
+        PrecisionConfig::Exact64 => eval_test_set(handle.agent(), &ds, args, precision),
+        PrecisionConfig::Fast32 => eval_test_set(handle.agent32(), &ds, args, precision),
+    }
+}
+
+/// Risk-seeking evaluation over the dataset's test mappings, in the
+/// agent's own precision (`precision` only labels the summary line).
+fn eval_test_set<P: ActPolicy + Sync>(
+    agent: &Vmr2lAgent<P>,
+    ds: &Dataset,
+    args: &Args,
+    precision: PrecisionConfig,
+) -> Result<(), String> {
     let mnl: usize = args.num("mnl", 10)?;
     let trajectories: usize = args.num("trajectories", 16)?;
     let seed: u64 = args.num("seed", 0)?;
-    let precision = parse_precision(args)?;
-    // Cast the weights once up front; every trajectory reuses the mirror.
-    let m32 =
-        (precision == PrecisionConfig::Fast32).then(|| Vmr2lModelF32::from_f64(&agent.policy));
     let test: Vec<&ClusterState> = ds.test_mappings().collect();
     if test.is_empty() {
         return Err("dataset has no test mappings".into());
@@ -300,13 +309,8 @@ fn cmd_eval(args: &Args) -> Result<(), String> {
     for (i, state) in test.iter().enumerate() {
         let cs = ConstraintSet::new(state.num_vms());
         let cfg = RiskSeekingConfig { trajectories, seed: seed + i as u64, ..Default::default() };
-        let out = match &m32 {
-            Some(m32) => {
-                risk_seeking_eval_f32(&agent, m32, state, &cs, Objective::default(), mnl, &cfg)
-            }
-            None => risk_seeking_eval(&agent, state, &cs, Objective::default(), mnl, &cfg),
-        }
-        .map_err(|e| e.to_string())?;
+        let out = risk_seeking_eval(agent, state, &cs, Objective::default(), mnl, &cfg)
+            .map_err(|e| e.to_string())?;
         init += state.fragment_rate(16);
         achieved += out.best_objective;
         secs += out.elapsed.as_secs_f64();
@@ -742,7 +746,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     use vmr_telemetry::EventLog;
     let agent = match args.get("agent", "").as_str() {
         "" => None,
-        path => Some(vmr_core::infer::SharedAgent::load(path)?),
+        path => Some(SharedAgent::load(path)?),
     };
     let has_agent = agent.is_some();
     let durability = match args.get("data-dir", "").as_str() {

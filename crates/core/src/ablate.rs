@@ -15,7 +15,7 @@ use vmr_nn::layers::{Linear, Mlp, Module};
 use vmr_nn::tensor::Tensor;
 use vmr_sim::obs::{PM_FEAT, VM_FEAT};
 
-use crate::agent::Policy;
+use crate::agent::{ActPolicy, Policy};
 use crate::features::{FeatureTensors, TreeIndex};
 use crate::model::{Stage1Fwd, Stage1Out};
 
@@ -118,6 +118,10 @@ impl Policy for MlpPolicy {
         // features as a neutral query.
         self.stage2(g, s1, feats, 0)
     }
+}
+
+impl ActPolicy for MlpPolicy {
+    type S = f64;
 
     fn stage1_fwd(&self, ctx: &mut FwdCtx, feats: &FeatureTensors, _tree: &TreeIndex) -> Stage1Fwd {
         assert!(

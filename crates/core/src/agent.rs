@@ -7,54 +7,91 @@
 //! values, and entropies must be recomputed differentiably under the same
 //! masks the behavior policy used.
 
+use std::sync::{Arc, OnceLock};
+
 use rand::Rng;
 
 use vmr_nn::graph::{Graph, Var};
 use vmr_nn::infer::{FVar, FwdCtx};
 use vmr_nn::kernels::masked_softmax_bool_row;
 use vmr_nn::layers::Module;
+use vmr_nn::scalar::Scalar;
 use vmr_nn::tensor::Tensor;
 use vmr_rl::sample::{apply_keep_mask, quantile_keep_mask, Categorical};
 use vmr_sim::env::{Action, ReschedEnv};
 use vmr_sim::error::{SimError, SimResult};
 use vmr_sim::obs::Observation;
 use vmr_sim::types::{PmId, VmId};
+use vmr_telemetry::Histogram;
 
 use crate::config::ActionMode;
 use crate::features::{bool_mask_row, FeatureTensors, TreeIndex};
-use crate::model::{Stage1Fwd, Stage1Fwd32, Stage1Out, Vmr2lModel, Vmr2lModelF32};
+use crate::model::{Stage1Fwd, Stage1Out, Vmr2lModel};
 
-/// Per-decision latency histograms (`core_decide_f64` / `core_decide_f32`
-/// in the process-wide registry), recorded by the serving entry points
-/// [`Vmr2lAgent::act`] and [`Vmr2lAgent::act_f32`] — one sample per full
-/// decision (featurize + stage-1 forward + masked sampling).
-fn decide_hist(f32_path: bool) -> &'static std::sync::Arc<vmr_telemetry::Histogram> {
-    static F64: std::sync::OnceLock<std::sync::Arc<vmr_telemetry::Histogram>> =
-        std::sync::OnceLock::new();
-    static F32: std::sync::OnceLock<std::sync::Arc<vmr_telemetry::Histogram>> =
-        std::sync::OnceLock::new();
-    let (cell, name) = if f32_path { (&F32, "core_decide_f32") } else { (&F64, "core_decide_f64") };
-    cell.get_or_init(|| vmr_telemetry::global().histogram(name, vmr_telemetry::Unit::Nanos))
+/// The element type an acting policy computes in: `f64` (bit-exact,
+/// equal to the autodiff [`Graph`]) or `f32` (the fast tier). Sealed
+/// through [`Scalar`]. Precision is this type parameter and nothing
+/// else — the one [`Vmr2lAgent::act`] is monomorphized per scalar, so no
+/// decision step branches on it.
+pub trait ArenaScalar: Scalar {
+    /// This scalar's arena of the two an [`InferCtx`] carries. Takes the
+    /// two fields rather than the context so the caller keeps its
+    /// disjoint borrows of features and scratch. A single-arena
+    /// `InferCtx<S>` makes this helper unnecessary; that needs the frozen
+    /// `benchmark/` package to stop spelling `ictx.ctx32` (ROADMAP 1(b)).
+    fn arena<'a>(ctx: &'a mut FwdCtx, ctx32: &'a mut FwdCtx<f32>) -> &'a mut FwdCtx<Self>;
+    /// Per-decision latency histogram (`core_decide_f64` /
+    /// `core_decide_f32` in the process-wide registry), recorded by
+    /// [`Vmr2lAgent::act`] — one sample per full decision (featurize +
+    /// stage-1 forward + masked sampling).
+    fn decide_hist() -> &'static Arc<Histogram>;
 }
 
-/// A policy network usable by the agent: stage-1 extraction + heads, and a
-/// stage-2 destination head conditioned on the selected VM. Each stage
-/// exists twice — on the autodiff [`Graph`] (training re-evaluation) and
-/// on the tape-free [`FwdCtx`] (acting/serving); the two must be
-/// bit-identical (enforced by `tests/fwd_equivalence.rs`).
-pub trait Policy: Module {
-    /// Feature extraction and stage-1 heads.
-    fn stage1(&self, g: &mut Graph, feats: &FeatureTensors) -> Stage1Out;
-    /// Stage-2 destination logits (`1 × N`) for a selected VM.
-    fn stage2(&self, g: &mut Graph, s1: &Stage1Out, feats: &FeatureTensors, vm_idx: usize) -> Var;
-    /// Generic per-PM logits (`1 × N`) for the joint (Full-Mask) space.
-    fn pm_logits_generic(&self, g: &mut Graph, s1: &Stage1Out, feats: &FeatureTensors) -> Var;
-    /// Tape-free stage 1 (bit-identical to [`Policy::stage1`]).
-    fn stage1_fwd(&self, ctx: &mut FwdCtx, feats: &FeatureTensors, tree: &TreeIndex) -> Stage1Fwd;
-    /// Tape-free stage 2 (bit-identical to [`Policy::stage2`]).
+fn nanos_histogram(name: &str) -> Arc<Histogram> {
+    vmr_telemetry::global().histogram(name, vmr_telemetry::Unit::Nanos)
+}
+
+impl ArenaScalar for f64 {
+    fn arena<'a>(ctx: &'a mut FwdCtx, _ctx32: &'a mut FwdCtx<f32>) -> &'a mut FwdCtx {
+        ctx
+    }
+
+    fn decide_hist() -> &'static Arc<Histogram> {
+        static H: OnceLock<Arc<Histogram>> = OnceLock::new();
+        H.get_or_init(|| nanos_histogram("core_decide_f64"))
+    }
+}
+
+impl ArenaScalar for f32 {
+    fn arena<'a>(_ctx: &'a mut FwdCtx, ctx32: &'a mut FwdCtx<f32>) -> &'a mut FwdCtx<f32> {
+        ctx32
+    }
+
+    fn decide_hist() -> &'static Arc<Histogram> {
+        static H: OnceLock<Arc<Histogram>> = OnceLock::new();
+        H.get_or_init(|| nanos_histogram("core_decide_f32"))
+    }
+}
+
+/// The tape-free acting half of a policy network, over the scalar of
+/// its weights and arena: stage-1 extraction + heads, and a stage-2
+/// destination head conditioned on the selected VM. Everything that
+/// acts — serving, evaluation, rollouts — needs only this half, so the
+/// f32 agent is simply `Vmr2lAgent<Vmr2lModel<f32>>`.
+pub trait ActPolicy {
+    /// Element type of the weights and of the arena the forward runs in.
+    type S: ArenaScalar;
+    /// Tape-free stage 1 (at `f64` bit-identical to [`Policy::stage1`]).
+    fn stage1_fwd(
+        &self,
+        ctx: &mut FwdCtx<Self::S>,
+        feats: &FeatureTensors,
+        tree: &TreeIndex,
+    ) -> Stage1Fwd;
+    /// Tape-free stage 2 (at `f64` bit-identical to [`Policy::stage2`]).
     fn stage2_fwd(
         &self,
-        ctx: &mut FwdCtx,
+        ctx: &mut FwdCtx<Self::S>,
         s1: &Stage1Fwd,
         feats: &FeatureTensors,
         vm_idx: usize,
@@ -62,46 +99,67 @@ pub trait Policy: Module {
     /// Tape-free generic per-PM logits.
     fn pm_logits_generic_fwd(
         &self,
-        ctx: &mut FwdCtx,
+        ctx: &mut FwdCtx<Self::S>,
         s1: &Stage1Fwd,
         feats: &FeatureTensors,
     ) -> FVar;
 }
 
-impl Policy for crate::model::Vmr2lModel {
-    fn stage1(&self, g: &mut Graph, feats: &FeatureTensors) -> Stage1Out {
-        crate::model::Vmr2lModel::stage1(self, g, feats)
-    }
+/// The training half: the same stages on the autodiff [`Graph`]
+/// (PPO re-evaluation), for policies that act in `f64`. The two halves
+/// must be bit-identical (enforced by `tests/fwd_equivalence.rs`).
+pub trait Policy: ActPolicy<S = f64> + Module {
+    /// Feature extraction and stage-1 heads.
+    fn stage1(&self, g: &mut Graph, feats: &FeatureTensors) -> Stage1Out;
+    /// Stage-2 destination logits (`1 × N`) for a selected VM.
+    fn stage2(&self, g: &mut Graph, s1: &Stage1Out, feats: &FeatureTensors, vm_idx: usize) -> Var;
+    /// Generic per-PM logits (`1 × N`) for the joint (Full-Mask) space.
+    fn pm_logits_generic(&self, g: &mut Graph, s1: &Stage1Out, feats: &FeatureTensors) -> Var;
+}
 
-    fn stage2(&self, g: &mut Graph, s1: &Stage1Out, _feats: &FeatureTensors, vm_idx: usize) -> Var {
-        crate::model::Vmr2lModel::stage2(self, g, s1, vm_idx)
-    }
+impl<S: ArenaScalar> ActPolicy for Vmr2lModel<S> {
+    type S = S;
 
-    fn pm_logits_generic(&self, g: &mut Graph, s1: &Stage1Out, _feats: &FeatureTensors) -> Var {
-        crate::model::Vmr2lModel::pm_logits_generic(self, g, s1)
-    }
-
-    fn stage1_fwd(&self, ctx: &mut FwdCtx, feats: &FeatureTensors, tree: &TreeIndex) -> Stage1Fwd {
-        crate::model::Vmr2lModel::stage1_fwd(self, ctx, feats, Some(&tree.groups))
+    fn stage1_fwd(
+        &self,
+        ctx: &mut FwdCtx<S>,
+        feats: &FeatureTensors,
+        tree: &TreeIndex,
+    ) -> Stage1Fwd {
+        Vmr2lModel::stage1_fwd(self, ctx, feats, Some(&tree.groups))
     }
 
     fn stage2_fwd(
         &self,
-        ctx: &mut FwdCtx,
+        ctx: &mut FwdCtx<S>,
         s1: &Stage1Fwd,
         _feats: &FeatureTensors,
         vm_idx: usize,
     ) -> FVar {
-        crate::model::Vmr2lModel::stage2_fwd(self, ctx, s1, vm_idx)
+        Vmr2lModel::stage2_fwd(self, ctx, s1, vm_idx)
     }
 
     fn pm_logits_generic_fwd(
         &self,
-        ctx: &mut FwdCtx,
+        ctx: &mut FwdCtx<S>,
         s1: &Stage1Fwd,
         _feats: &FeatureTensors,
     ) -> FVar {
-        crate::model::Vmr2lModel::pm_logits_generic_fwd(self, ctx, s1)
+        Vmr2lModel::pm_logits_generic_fwd(self, ctx, s1)
+    }
+}
+
+impl Policy for Vmr2lModel {
+    fn stage1(&self, g: &mut Graph, feats: &FeatureTensors) -> Stage1Out {
+        Vmr2lModel::stage1(self, g, feats)
+    }
+
+    fn stage2(&self, g: &mut Graph, s1: &Stage1Out, _feats: &FeatureTensors, vm_idx: usize) -> Var {
+        Vmr2lModel::stage2(self, g, s1, vm_idx)
+    }
+
+    fn pm_logits_generic(&self, g: &mut Graph, s1: &Stage1Out, _feats: &FeatureTensors) -> Var {
+        Vmr2lModel::pm_logits_generic(self, g, s1)
     }
 }
 
@@ -111,10 +169,10 @@ impl Policy for crate::model::Vmr2lModel {
 /// allocation inside the forward pass.
 #[derive(Debug, Default)]
 pub struct InferCtx {
-    /// The tape-free forward arena.
+    /// The f64 forward arena (empty and cost-free under an f32 agent).
     pub ctx: FwdCtx,
-    /// The f32 forward arena ([`crate::config::PrecisionConfig::Fast32`]
-    /// paths only; empty and cost-free otherwise).
+    /// The f32 forward arena (empty and cost-free under an f64 agent).
+    /// An agent picks its own through [`ArenaScalar::arena`].
     pub ctx32: FwdCtx<f32>,
     /// Reused featurization (f32 → f64 refill, no rebuild).
     pub feats: FeatureTensors,
@@ -139,7 +197,7 @@ impl InferCtx {
     }
 
     /// Refills the featurization and tree index from an observation and
-    /// rewinds the arena — the prologue of every forward.
+    /// rewinds the arenas — the prologue of every forward.
     pub fn prepare(&mut self, obs: &Observation) {
         self.feats.refill_from(obs);
         self.tree.rebuild(&self.feats);
@@ -150,13 +208,8 @@ impl InferCtx {
     /// [`InferCtx::prepare`] straight from the environment's cached
     /// observation — borrows it, no clone.
     pub fn prepare_from_env(&mut self, env: &mut ReschedEnv) {
-        {
-            let obs = env.observe();
-            self.feats.refill_from(obs);
-        }
-        self.tree.rebuild(&self.feats);
-        self.ctx.reset();
-        self.ctx32.reset();
+        let obs = env.observe();
+        self.prepare(obs);
     }
 }
 
@@ -214,7 +267,7 @@ pub struct StepDecision {
     pub pm_probs: Vec<f64>,
 }
 
-/// Sampling options for [`Vmr2lAgent::decide`].
+/// Sampling options for [`Vmr2lAgent::act`] and [`Vmr2lAgent::decide_in`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DecideOpts {
     /// Take the argmax instead of sampling.
@@ -238,7 +291,7 @@ pub struct EvalVars {
 
 /// The agent: a policy plus an action-generation mode.
 #[derive(Debug, Clone)]
-pub struct Vmr2lAgent<P: Policy> {
+pub struct Vmr2lAgent<P> {
     /// The policy network.
     pub policy: P,
     /// Action-generation mode.
@@ -250,7 +303,7 @@ pub struct Vmr2lAgent<P: Policy> {
     pub pm_subset_size: Option<usize>,
 }
 
-impl<P: Policy> Vmr2lAgent<P> {
+impl<P: ActPolicy> Vmr2lAgent<P> {
     /// Wraps a policy in the given action mode.
     pub fn new(policy: P, mode: ActionMode) -> Self {
         Vmr2lAgent { policy, mode, pm_subset_size: None }
@@ -262,28 +315,203 @@ impl<P: Policy> Vmr2lAgent<P> {
         self
     }
 
-    /// Chooses an action for the environment's current state.
-    ///
-    /// Runs on the tape-free fast path with a throwaway [`InferCtx`];
-    /// callers in a loop should hold their own context and use
-    /// [`Vmr2lAgent::decide_in`] (training) or [`Vmr2lAgent::act`]
-    /// (serving/evaluation) so the arena is reused across decisions.
+    /// Pure acting: chooses an action for the environment's current
+    /// state on the tape-free path, in the policy's own precision,
+    /// without cloning the cached observation or materializing a
+    /// re-evaluation payload. This is the serving/evaluation hot path —
+    /// at steady state the forward pass performs no heap allocation.
     ///
     /// Returns `Ok(None)` when no legal action exists (all VMs pinned or
-    /// dead-ended) — callers should end the episode.
-    pub fn decide<R: Rng + ?Sized>(
+    /// dead-ended) — callers should end the episode. The control flow —
+    /// masking, the resample loop, quantile thresholds, RNG draw order —
+    /// does not depend on the scalar; only the forward arithmetic does,
+    /// so `f32` decisions are *tolerance*-equivalent to `f64` ones, not
+    /// bit-identical (`tests/integration_precision.rs` gates the
+    /// plan-level agreement).
+    pub fn act<R: Rng + ?Sized>(
         &self,
         env: &mut ReschedEnv,
+        ictx: &mut InferCtx,
         rng: &mut R,
         opts: &DecideOpts,
-    ) -> SimResult<Option<StepDecision>> {
-        let mut ictx = InferCtx::new();
-        self.decide_in(env, &mut ictx, rng, opts)
+    ) -> SimResult<Option<ActDecision>> {
+        let t = vmr_telemetry::Timer::start();
+        let s1 = self.stage1_of(env, ictx);
+        let decision = self.act_core(env, ictx, &s1, rng, opts);
+        t.observe(P::S::decide_hist());
+        decision
     }
 
-    /// [`Vmr2lAgent::decide`] on the legacy autodiff engine: every forward
-    /// builds a full gradient tape. Kept as the bit-identity reference for
-    /// `tests/fwd_equivalence.rs`; not used by any production path.
+    /// Critic value of the environment's current state.
+    pub fn state_value_in(&self, env: &mut ReschedEnv, ictx: &mut InferCtx) -> f64 {
+        let s1 = self.stage1_of(env, ictx);
+        P::S::arena(&mut ictx.ctx, &mut ictx.ctx32).value(s1.value).get(0, 0).to_f64()
+    }
+
+    /// Featurizes the environment's current state and runs stage 1 in
+    /// this policy's arena.
+    fn stage1_of(&self, env: &mut ReschedEnv, ictx: &mut InferCtx) -> Stage1Fwd {
+        ictx.prepare_from_env(env);
+        let InferCtx { ctx, ctx32, feats, tree, .. } = ictx;
+        self.policy.stage1_fwd(P::S::arena(ctx, ctx32), feats, tree)
+    }
+
+    /// The action-selection tail shared by [`Vmr2lAgent::act`] and
+    /// [`Vmr2lAgent::decide_in`]: masking, (re)sampling, and log-prob
+    /// accounting over an already-computed stage-1 output. Exposed so
+    /// callers that run stage 1 themselves (the served-plan benchmark
+    /// times embed, stage 1 and this tail apart) can rejoin the decision
+    /// logic.
+    ///
+    /// On return, the context's scratch buffers describe the decision:
+    /// `vm_mask`/`pm_mask` (or `joint_mask`) are the masks the sampled
+    /// distribution used, `vm_probs`/`pm_probs` the post-mask
+    /// probabilities.
+    pub fn act_core<R: Rng + ?Sized>(
+        &self,
+        env: &ReschedEnv,
+        ictx: &mut InferCtx,
+        s1: &Stage1Fwd,
+        rng: &mut R,
+        opts: &DecideOpts,
+    ) -> SimResult<Option<ActDecision>> {
+        self.select_action(&self.policy, env, ictx, s1, rng, opts)
+    }
+
+    /// The one definition of the two-stage tail, over whichever policy
+    /// computed `s1`. Probabilities are normalized in f64 for either
+    /// scalar (see [`masked_softmax_bool_row`]), so the sampling stack
+    /// exists once. `policy` is a parameter apart from `self.policy`
+    /// only for the [`Vmr2lAgent::act_core_f32`] shim; it folds back into
+    /// [`Vmr2lAgent::act_core`] with ROADMAP 1(b).
+    fn select_action<Q: ActPolicy, R: Rng + ?Sized>(
+        &self,
+        policy: &Q,
+        env: &ReschedEnv,
+        ictx: &mut InferCtx,
+        s1: &Stage1Fwd,
+        rng: &mut R,
+        opts: &DecideOpts,
+    ) -> SimResult<Option<ActDecision>> {
+        let InferCtx {
+            ctx, ctx32, feats, vm_mask, pm_mask, joint_mask, vm_probs, pm_probs, ..
+        } = ictx;
+        let ctx = Q::S::arena(ctx, ctx32);
+        let value = ctx.value(s1.value).get(0, 0).to_f64();
+        match self.mode {
+            ActionMode::TwoStage | ActionMode::Penalty => {
+                let masked_stage2 = self.mode == ActionMode::TwoStage;
+                env.vm_mask_into(false, vm_mask);
+                // Up to a few resamples if the chosen VM has no destination.
+                for _attempt in 0..8 {
+                    if !vm_mask.iter().any(|&b| b) {
+                        return Ok(None);
+                    }
+                    masked_softmax_bool_row(
+                        ctx.value(s1.vm_logits).row_slice(0),
+                        vm_mask,
+                        vm_probs,
+                    );
+                    let Some((vm_idx, vm_lp)) = pick(vm_probs, opts.vm_quantile, opts.greedy, rng)
+                    else {
+                        return Ok(None);
+                    };
+                    if masked_stage2 {
+                        env.pm_mask_into(VmId(vm_idx as u32), pm_mask);
+                    } else {
+                        pm_mask.clear();
+                        pm_mask.resize(env.state().num_pms(), true);
+                    }
+                    if let Some(k) = self.pm_subset_size {
+                        subsample_mask(pm_mask, k, rng);
+                    }
+                    if masked_stage2 && !pm_mask.iter().any(|&b| b) {
+                        // Dead-end VM: exclude and retry under the reduced
+                        // mask (stored mask stays consistent).
+                        vm_mask[vm_idx] = false;
+                        continue;
+                    }
+                    let pm_logits = policy.stage2_fwd(ctx, s1, feats, vm_idx);
+                    masked_softmax_bool_row(ctx.value(pm_logits).row_slice(0), pm_mask, pm_probs);
+                    let Some((pm_idx, pm_lp)) = pick(pm_probs, opts.pm_quantile, opts.greedy, rng)
+                    else {
+                        return Ok(None);
+                    };
+                    return Ok(Some(ActDecision {
+                        action: Action { vm: VmId(vm_idx as u32), pm: PmId(pm_idx as u32) },
+                        log_prob: vm_lp + pm_lp,
+                        value,
+                    }));
+                }
+                Ok(None)
+            }
+            ActionMode::FullMask => {
+                let m = env.state().num_vms();
+                let n = env.state().num_pms();
+                // The joint mask costs O(M·N) legality checks — exactly the
+                // expense the paper's two-stage design avoids.
+                joint_mask.clear();
+                joint_mask.resize(m * n, false);
+                for k in 0..m {
+                    env.pm_mask_into(VmId(k as u32), pm_mask);
+                    joint_mask[k * n..(k + 1) * n].copy_from_slice(pm_mask);
+                }
+                if !joint_mask.iter().any(|&b| b) {
+                    return Ok(None);
+                }
+                let joint = joint_logits_fwd(policy, ctx, s1, feats);
+                let flat = ctx.reshape(joint, 1, m * n);
+                masked_softmax_bool_row(ctx.value(flat).row_slice(0), joint_mask, vm_probs);
+                pm_probs.clear();
+                let Some((idx, lp)) = pick(vm_probs, None, opts.greedy, rng) else {
+                    return Ok(None);
+                };
+                let (vm_idx, pm_idx) = (idx / n, idx % n);
+                Ok(Some(ActDecision {
+                    action: Action { vm: VmId(vm_idx as u32), pm: PmId(pm_idx as u32) },
+                    log_prob: lp,
+                    value,
+                }))
+            }
+        }
+    }
+}
+
+impl Vmr2lAgent<Vmr2lModel> {
+    /// This agent over the weights cast to `S` (same mode and PM
+    /// subsampling) — how the f32 agent of a trained checkpoint is built,
+    /// once, by [`crate::infer::SharedAgent`].
+    pub fn cast<S: ArenaScalar>(&self) -> Vmr2lAgent<Vmr2lModel<S>> {
+        Vmr2lAgent {
+            policy: Vmr2lModel::from_f64(&self.policy),
+            mode: self.mode,
+            pm_subset_size: self.pm_subset_size,
+        }
+    }
+
+    /// [`Vmr2lAgent::act_core`] of the f32 agent, spelled the way the
+    /// frozen `benchmark/` package calls it: the f64 agent plus the
+    /// pre-cast model. A forwarder into the one tail; goes with
+    /// ROADMAP 1(b). New code calls `act_core` on the typed f32 agent
+    /// ([`crate::infer::SharedAgent::agent32`]).
+    pub fn act_core_f32<R: Rng + ?Sized>(
+        &self,
+        m32: &Vmr2lModel<f32>,
+        env: &ReschedEnv,
+        ictx: &mut InferCtx,
+        s1: &Stage1Fwd,
+        rng: &mut R,
+        opts: &DecideOpts,
+    ) -> SimResult<Option<ActDecision>> {
+        self.select_action(m32, env, ictx, s1, rng, opts)
+    }
+}
+
+impl<P: Policy> Vmr2lAgent<P> {
+    /// [`Vmr2lAgent::decide_in`] on the legacy autodiff engine: every
+    /// forward builds a full gradient tape. Kept as the bit-identity
+    /// reference for `tests/fwd_equivalence.rs`; not used by any
+    /// production path.
     pub fn decide_via_graph<R: Rng + ?Sized>(
         &self,
         env: &mut ReschedEnv,
@@ -388,10 +616,10 @@ impl<P: Policy> Vmr2lAgent<P> {
         }
     }
 
-    /// [`Vmr2lAgent::decide`] with a caller-owned [`InferCtx`]: the
-    /// tape-free fast path plus the full re-evaluation payload for the
-    /// PPO buffer. Bit-identical decisions to
-    /// [`Vmr2lAgent::decide_via_graph`] (same kernels, same RNG draws).
+    /// Chooses an action on the tape-free path and returns it with the
+    /// full re-evaluation payload for the PPO buffer. Bit-identical
+    /// decisions to [`Vmr2lAgent::decide_via_graph`] (same kernels, same
+    /// RNG draws) and to [`Vmr2lAgent::act`].
     pub fn decide_in<R: Rng + ?Sized>(
         &self,
         env: &mut ReschedEnv,
@@ -431,154 +659,6 @@ impl<P: Policy> Vmr2lAgent<P> {
             vm_probs: ictx.vm_probs.clone(),
             pm_probs: ictx.pm_probs.clone(),
         }))
-    }
-
-    /// Pure acting: chooses an action on the tape-free fast path without
-    /// cloning the cached observation or materializing a re-evaluation
-    /// payload. This is the serving/evaluation hot path — at steady state
-    /// the forward pass performs no heap allocation.
-    pub fn act<R: Rng + ?Sized>(
-        &self,
-        env: &mut ReschedEnv,
-        ictx: &mut InferCtx,
-        rng: &mut R,
-        opts: &DecideOpts,
-    ) -> SimResult<Option<ActDecision>> {
-        let t = vmr_telemetry::Timer::start();
-        ictx.prepare_from_env(env);
-        let s1 = self.policy.stage1_fwd(&mut ictx.ctx, &ictx.feats, &ictx.tree);
-        let decision = self.act_core(env, ictx, &s1, rng, opts);
-        t.observe(decide_hist(false));
-        decision
-    }
-
-    /// Critic value of the environment's current state on the fast path.
-    pub fn state_value_in(&self, env: &mut ReschedEnv, ictx: &mut InferCtx) -> f64 {
-        ictx.prepare_from_env(env);
-        let s1 = self.policy.stage1_fwd(&mut ictx.ctx, &ictx.feats, &ictx.tree);
-        ictx.ctx.value(s1.value).get(0, 0)
-    }
-
-    /// The action-selection tail shared by [`Vmr2lAgent::act`] and
-    /// [`Vmr2lAgent::decide_in`]: masking, (re)sampling, and log-prob
-    /// accounting over an already-computed stage-1 output. Exposed so
-    /// callers that run stage 1 themselves (the served-plan benchmark
-    /// times embed, stage 1 and this tail apart) can rejoin the decision
-    /// logic.
-    ///
-    /// On return, the context's scratch buffers describe the decision:
-    /// `vm_mask`/`pm_mask` (or `joint_mask`) are the masks the sampled
-    /// distribution used, `vm_probs`/`pm_probs` the post-mask
-    /// probabilities.
-    pub fn act_core<R: Rng + ?Sized>(
-        &self,
-        env: &ReschedEnv,
-        ictx: &mut InferCtx,
-        s1: &Stage1Fwd,
-        rng: &mut R,
-        opts: &DecideOpts,
-    ) -> SimResult<Option<ActDecision>> {
-        let value = ictx.ctx.value(s1.value).get(0, 0);
-        match self.mode {
-            ActionMode::TwoStage | ActionMode::Penalty => {
-                let masked_stage2 = self.mode == ActionMode::TwoStage;
-                env.vm_mask_into(false, &mut ictx.vm_mask);
-                // Up to a few resamples if the chosen VM has no destination.
-                for _attempt in 0..8 {
-                    if !ictx.vm_mask.iter().any(|&b| b) {
-                        return Ok(None);
-                    }
-                    masked_softmax_bool_row(
-                        ictx.ctx.value(s1.vm_logits).row_slice(0),
-                        &ictx.vm_mask,
-                        &mut ictx.vm_probs,
-                    );
-                    let Some((vm_idx, vm_lp)) =
-                        pick(&ictx.vm_probs, opts.vm_quantile, opts.greedy, rng)
-                    else {
-                        return Ok(None);
-                    };
-                    if masked_stage2 {
-                        env.pm_mask_into(VmId(vm_idx as u32), &mut ictx.pm_mask);
-                    } else {
-                        ictx.pm_mask.clear();
-                        ictx.pm_mask.resize(env.state().num_pms(), true);
-                    }
-                    if let Some(k) = self.pm_subset_size {
-                        subsample_mask(&mut ictx.pm_mask, k, rng);
-                    }
-                    if masked_stage2 && !ictx.pm_mask.iter().any(|&b| b) {
-                        // Dead-end VM: exclude and retry under the reduced
-                        // mask (stored mask stays consistent).
-                        ictx.vm_mask[vm_idx] = false;
-                        continue;
-                    }
-                    let pm_logits = self.policy.stage2_fwd(&mut ictx.ctx, s1, &ictx.feats, vm_idx);
-                    masked_softmax_bool_row(
-                        ictx.ctx.value(pm_logits).row_slice(0),
-                        &ictx.pm_mask,
-                        &mut ictx.pm_probs,
-                    );
-                    let Some((pm_idx, pm_lp)) =
-                        pick(&ictx.pm_probs, opts.pm_quantile, opts.greedy, rng)
-                    else {
-                        return Ok(None);
-                    };
-                    return Ok(Some(ActDecision {
-                        action: Action { vm: VmId(vm_idx as u32), pm: PmId(pm_idx as u32) },
-                        log_prob: vm_lp + pm_lp,
-                        value,
-                    }));
-                }
-                Ok(None)
-            }
-            ActionMode::FullMask => {
-                let m = env.state().num_vms();
-                let n = env.state().num_pms();
-                // The joint mask costs O(M·N) legality checks — exactly the
-                // expense the paper's two-stage design avoids.
-                ictx.joint_mask.clear();
-                ictx.joint_mask.resize(m * n, false);
-                for k in 0..m {
-                    env.pm_mask_into(VmId(k as u32), &mut ictx.pm_mask);
-                    ictx.joint_mask[k * n..(k + 1) * n].copy_from_slice(&ictx.pm_mask);
-                }
-                if !ictx.joint_mask.iter().any(|&b| b) {
-                    return Ok(None);
-                }
-                let InferCtx { ctx, feats, joint_mask, vm_probs, pm_probs, .. } = ictx;
-                let joint = self.joint_logits_fwd(ctx, s1, feats);
-                let flat = ctx.reshape(joint, 1, m * n);
-                masked_softmax_bool_row(ctx.value(flat).row_slice(0), joint_mask, vm_probs);
-                pm_probs.clear();
-                let Some((idx, lp)) = pick(vm_probs, None, opts.greedy, rng) else {
-                    return Ok(None);
-                };
-                let (vm_idx, pm_idx) = (idx / n, idx % n);
-                Ok(Some(ActDecision {
-                    action: Action { vm: VmId(vm_idx as u32), pm: PmId(pm_idx as u32) },
-                    log_prob: lp,
-                    value,
-                }))
-            }
-        }
-    }
-
-    /// Tape-free joint `M × N` logits for the Full-Mask mode (mirrors
-    /// [`Vmr2lAgent::joint_logits`]).
-    fn joint_logits_fwd(&self, ctx: &mut FwdCtx, s1: &Stage1Fwd, feats: &FeatureTensors) -> FVar {
-        let m = feats.num_vms;
-        let n = feats.num_pms;
-        let vm_col = ctx.reshape(s1.vm_logits, m, 1);
-        let ones_row = ctx.full(1, n, 1.0);
-        let vm_grid = ctx.matmul(vm_col, ones_row); // M × N
-        let pm_row = self.policy.pm_logits_generic_fwd(ctx, s1, feats); // 1 × N
-        let ones_col = ctx.full(m, 1, 1.0);
-        let pm_grid = ctx.matmul(ones_col, pm_row); // M × N
-        let sum = ctx.add(vm_grid, pm_grid);
-        // The joint space is the one consumer of the full `M × N` map.
-        let cross = ctx.expand_rows(s1.cross_probs);
-        ctx.add(sum, cross)
     }
 
     /// Differentiably re-evaluates a stored transition for the PPO loss.
@@ -640,165 +720,24 @@ impl<P: Policy> Vmr2lAgent<P> {
     }
 }
 
-/// The f32 fast acting path ([`crate::config::PrecisionConfig::Fast32`]).
-///
-/// These are inherent methods on the transformer agent rather than
-/// [`Policy`] extensions: the f32 mirror exists only for
-/// [`Vmr2lModel`], and the caller supplies the pre-cast
-/// [`Vmr2lModelF32`] explicitly (weights are cast once and reused, see
-/// [`crate::infer::SharedAgent`]). The control flow — masking, the
-/// resample loop, quantile thresholds, RNG draw order — is identical to
-/// the f64 path; only the forward arithmetic differs, so decisions are
-/// *tolerance*-equivalent, not bit-identical (`tests/
-/// integration_precision.rs` gates the plan-level agreement).
-impl Vmr2lAgent<Vmr2lModel> {
-    /// [`Vmr2lAgent::act`] on the f32 arena.
-    pub fn act_f32<R: Rng + ?Sized>(
-        &self,
-        m32: &Vmr2lModelF32,
-        env: &mut ReschedEnv,
-        ictx: &mut InferCtx,
-        rng: &mut R,
-        opts: &DecideOpts,
-    ) -> SimResult<Option<ActDecision>> {
-        let t = vmr_telemetry::Timer::start();
-        ictx.prepare_from_env(env);
-        let s1 = m32.stage1_fwd(&mut ictx.ctx32, &ictx.feats, Some(&ictx.tree.groups));
-        let decision = self.act_core_f32(m32, env, ictx, &s1, rng, opts);
-        t.observe(decide_hist(true));
-        decision
-    }
-
-    /// [`Vmr2lAgent::state_value_in`] on the f32 arena.
-    pub fn state_value_in_f32(
-        &self,
-        m32: &Vmr2lModelF32,
-        env: &mut ReschedEnv,
-        ictx: &mut InferCtx,
-    ) -> f64 {
-        ictx.prepare_from_env(env);
-        let s1 = m32.stage1_fwd(&mut ictx.ctx32, &ictx.feats, Some(&ictx.tree.groups));
-        f64::from(ictx.ctx32.value(s1.value).get(0, 0))
-    }
-
-    /// [`Vmr2lAgent::act_core`] on the f32 arena: identical masking,
-    /// resampling, and log-prob accounting over an f32 stage-1 output.
-    /// Probabilities are normalized in f64 (see
-    /// [`masked_softmax_bool_row`]) so the sampling stack — RNG draw
-    /// order included — is shared verbatim with the f64 path.
-    pub fn act_core_f32<R: Rng + ?Sized>(
-        &self,
-        m32: &Vmr2lModelF32,
-        env: &ReschedEnv,
-        ictx: &mut InferCtx,
-        s1: &Stage1Fwd32,
-        rng: &mut R,
-        opts: &DecideOpts,
-    ) -> SimResult<Option<ActDecision>> {
-        let value = f64::from(ictx.ctx32.value(s1.value).get(0, 0));
-        match self.mode {
-            ActionMode::TwoStage | ActionMode::Penalty => {
-                let masked_stage2 = self.mode == ActionMode::TwoStage;
-                env.vm_mask_into(false, &mut ictx.vm_mask);
-                // Up to a few resamples if the chosen VM has no destination.
-                for _attempt in 0..8 {
-                    if !ictx.vm_mask.iter().any(|&b| b) {
-                        return Ok(None);
-                    }
-                    masked_softmax_bool_row(
-                        ictx.ctx32.value(s1.vm_logits).row_slice(0),
-                        &ictx.vm_mask,
-                        &mut ictx.vm_probs,
-                    );
-                    let Some((vm_idx, vm_lp)) =
-                        pick(&ictx.vm_probs, opts.vm_quantile, opts.greedy, rng)
-                    else {
-                        return Ok(None);
-                    };
-                    if masked_stage2 {
-                        env.pm_mask_into(VmId(vm_idx as u32), &mut ictx.pm_mask);
-                    } else {
-                        ictx.pm_mask.clear();
-                        ictx.pm_mask.resize(env.state().num_pms(), true);
-                    }
-                    if let Some(k) = self.pm_subset_size {
-                        subsample_mask(&mut ictx.pm_mask, k, rng);
-                    }
-                    if masked_stage2 && !ictx.pm_mask.iter().any(|&b| b) {
-                        // Dead-end VM: exclude and retry under the reduced
-                        // mask (stored mask stays consistent).
-                        ictx.vm_mask[vm_idx] = false;
-                        continue;
-                    }
-                    let pm_logits = m32.stage2_fwd(&mut ictx.ctx32, s1, vm_idx);
-                    masked_softmax_bool_row(
-                        ictx.ctx32.value(pm_logits).row_slice(0),
-                        &ictx.pm_mask,
-                        &mut ictx.pm_probs,
-                    );
-                    let Some((pm_idx, pm_lp)) =
-                        pick(&ictx.pm_probs, opts.pm_quantile, opts.greedy, rng)
-                    else {
-                        return Ok(None);
-                    };
-                    return Ok(Some(ActDecision {
-                        action: Action { vm: VmId(vm_idx as u32), pm: PmId(pm_idx as u32) },
-                        log_prob: vm_lp + pm_lp,
-                        value,
-                    }));
-                }
-                Ok(None)
-            }
-            ActionMode::FullMask => {
-                let m = env.state().num_vms();
-                let n = env.state().num_pms();
-                // The joint mask costs O(M·N) legality checks — exactly the
-                // expense the paper's two-stage design avoids.
-                ictx.joint_mask.clear();
-                ictx.joint_mask.resize(m * n, false);
-                for k in 0..m {
-                    env.pm_mask_into(VmId(k as u32), &mut ictx.pm_mask);
-                    ictx.joint_mask[k * n..(k + 1) * n].copy_from_slice(&ictx.pm_mask);
-                }
-                if !ictx.joint_mask.iter().any(|&b| b) {
-                    return Ok(None);
-                }
-                let InferCtx { ctx32, feats, joint_mask, vm_probs, pm_probs, .. } = ictx;
-                let joint = joint_logits_fwd_f32(m32, ctx32, s1, feats);
-                let flat = ctx32.reshape(joint, 1, m * n);
-                masked_softmax_bool_row(ctx32.value(flat).row_slice(0), joint_mask, vm_probs);
-                pm_probs.clear();
-                let Some((idx, lp)) = pick(vm_probs, None, opts.greedy, rng) else {
-                    return Ok(None);
-                };
-                let (vm_idx, pm_idx) = (idx / n, idx % n);
-                Ok(Some(ActDecision {
-                    action: Action { vm: VmId(vm_idx as u32), pm: PmId(pm_idx as u32) },
-                    log_prob: lp,
-                    value,
-                }))
-            }
-        }
-    }
-}
-
-/// f32 joint `M × N` logits for the Full-Mask mode (mirrors
-/// `Vmr2lAgent::joint_logits_fwd`).
-fn joint_logits_fwd_f32(
-    m32: &Vmr2lModelF32,
-    ctx: &mut FwdCtx<f32>,
-    s1: &Stage1Fwd32,
+/// Tape-free joint `M × N` logits for the Full-Mask mode (mirrors
+/// `Vmr2lAgent::joint_logits`).
+fn joint_logits_fwd<P: ActPolicy>(
+    policy: &P,
+    ctx: &mut FwdCtx<P::S>,
+    s1: &Stage1Fwd,
     feats: &FeatureTensors,
 ) -> FVar {
     let m = feats.num_vms;
     let n = feats.num_pms;
     let vm_col = ctx.reshape(s1.vm_logits, m, 1);
-    let ones_row = ctx.full(1, n, 1.0);
+    let ones_row = ctx.full(1, n, Scalar::ONE);
     let vm_grid = ctx.matmul(vm_col, ones_row); // M × N
-    let pm_row = m32.pm_logits_generic_fwd(ctx, s1); // 1 × N
-    let ones_col = ctx.full(m, 1, 1.0);
+    let pm_row = policy.pm_logits_generic_fwd(ctx, s1, feats); // 1 × N
+    let ones_col = ctx.full(m, 1, Scalar::ONE);
     let pm_grid = ctx.matmul(ones_col, pm_row); // M × N
     let sum = ctx.add(vm_grid, pm_grid);
+    // The joint space is the one consumer of the full `M × N` map.
     let cross = ctx.expand_rows(s1.cross_probs);
     ctx.add(sum, cross)
 }
@@ -870,8 +809,9 @@ fn entropy_var(g: &mut Graph, logits: Var, mask: &Tensor) -> Var {
 }
 
 /// Convenience: deterministically roll out a full episode with the agent
-/// and return the final objective value and the plan.
-pub fn rollout_episode<P: Policy, R: Rng + ?Sized>(
+/// (in its own precision) and return the final objective value and the
+/// plan.
+pub fn rollout_episode<P: ActPolicy, R: Rng + ?Sized>(
     agent: &Vmr2lAgent<P>,
     env: &mut ReschedEnv,
     rng: &mut R,
@@ -913,45 +853,6 @@ pub fn rollout_episode<P: Policy, R: Rng + ?Sized>(
     Ok((env.objective_value(), plan))
 }
 
-/// [`rollout_episode`] on the f32 fast path: same episode loop and
-/// illegal-action policy, forwards on the pre-cast [`Vmr2lModelF32`].
-pub fn rollout_episode_f32<R: Rng + ?Sized>(
-    agent: &Vmr2lAgent<Vmr2lModel>,
-    m32: &Vmr2lModelF32,
-    env: &mut ReschedEnv,
-    rng: &mut R,
-    opts: &DecideOpts,
-) -> SimResult<(f64, Vec<Action>)> {
-    /// Same bound as [`rollout_episode`]: unmasked modes can re-propose
-    /// illegal actions, so retries must be finite.
-    const MAX_ILLEGAL_RETRIES: usize = 64;
-
-    env.reset();
-    let mut ictx = InferCtx::new();
-    let mut plan = Vec::new();
-    let mut illegal_streak = 0usize;
-    while !env.is_done() {
-        let Some(decision) = agent.act_f32(m32, env, &mut ictx, rng, opts)? else {
-            break;
-        };
-        match env.step(decision.action) {
-            Ok(_) => {
-                illegal_streak = 0;
-                plan.push(decision.action);
-            }
-            Err(SimError::EpisodeDone | SimError::MnlExhausted) => break,
-            Err(_) if agent.mode != ActionMode::TwoStage => {
-                illegal_streak += 1;
-                if opts.greedy || illegal_streak >= MAX_ILLEGAL_RETRIES {
-                    break;
-                }
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    Ok((env.objective_value(), plan))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -968,6 +869,16 @@ mod tests {
         Vmr2lAgent::new(Vmr2lModel::new(cfg, ExtractorKind::SparseAttention, &mut rng), mode)
     }
 
+    /// One decision with its re-evaluation payload, on a throwaway context.
+    fn decide(
+        a: &Vmr2lAgent<Vmr2lModel>,
+        e: &mut ReschedEnv,
+        rng: &mut StdRng,
+        opts: &DecideOpts,
+    ) -> StepDecision {
+        a.decide_in(e, &mut InferCtx::new(), rng, opts).unwrap().expect("a legal action exists")
+    }
+
     fn env() -> ReschedEnv {
         let state = generate_mapping(&ClusterConfig::tiny(), 17).unwrap();
         ReschedEnv::unconstrained(state, Objective::default(), 4).unwrap()
@@ -982,7 +893,7 @@ mod tests {
             if e.is_done() {
                 e.reset();
             }
-            let d = a.decide(&mut e, &mut rng, &DecideOpts::default()).unwrap().unwrap();
+            let d = decide(&a, &mut e, &mut rng, &DecideOpts::default());
             assert!(
                 e.action_legal(d.action).is_ok(),
                 "two-stage masking must preclude illegal actions"
@@ -996,7 +907,7 @@ mod tests {
         let a = agent(ActionMode::TwoStage);
         let mut e = env();
         let mut rng = StdRng::seed_from_u64(1);
-        let d = a.decide(&mut e, &mut rng, &DecideOpts::default()).unwrap().unwrap();
+        let d = decide(&a, &mut e, &mut rng, &DecideOpts::default());
         let expect = d.vm_probs[d.stored_action.vm_idx].max(1e-300).ln()
             + d.pm_probs[d.stored_action.pm_idx].max(1e-300).ln();
         assert!((d.log_prob - expect).abs() < 1e-9);
@@ -1007,7 +918,7 @@ mod tests {
         let a = agent(ActionMode::TwoStage);
         let mut e = env();
         let mut rng = StdRng::seed_from_u64(2);
-        let d = a.decide(&mut e, &mut rng, &DecideOpts::default()).unwrap().unwrap();
+        let d = decide(&a, &mut e, &mut rng, &DecideOpts::default());
         let mut g = Graph::new();
         let ev = a.evaluate_actions(&mut g, &d.stored_obs, d.stored_action);
         let lp = g.value(ev.log_prob).get(0, 0);
@@ -1025,8 +936,8 @@ mod tests {
         let opts = DecideOpts { greedy: true, ..Default::default() };
         let mut r1 = StdRng::seed_from_u64(10);
         let mut r2 = StdRng::seed_from_u64(99);
-        let d1 = a.decide(&mut e, &mut r1, &opts).unwrap().unwrap();
-        let d2 = a.decide(&mut e, &mut r2, &opts).unwrap().unwrap();
+        let d1 = decide(&a, &mut e, &mut r1, &opts);
+        let d2 = decide(&a, &mut e, &mut r2, &opts);
         assert_eq!(d1.action, d2.action);
     }
 
@@ -1035,7 +946,7 @@ mod tests {
         let a = agent(ActionMode::FullMask);
         let mut e = env();
         let mut rng = StdRng::seed_from_u64(4);
-        let d = a.decide(&mut e, &mut rng, &DecideOpts::default()).unwrap().unwrap();
+        let d = decide(&a, &mut e, &mut rng, &DecideOpts::default());
         assert!(e.action_legal(d.action).is_ok());
         assert!(d.stored_obs.joint_mask.is_some());
         // Re-evaluation agrees.
@@ -1054,7 +965,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let mut saw_illegal = false;
         for _ in 0..40 {
-            let d = a.decide(&mut e, &mut rng, &DecideOpts::default()).unwrap().unwrap();
+            let d = decide(&a, &mut e, &mut rng, &DecideOpts::default());
             if e.action_legal(d.action).is_err() {
                 saw_illegal = true;
                 break;
@@ -1080,7 +991,7 @@ mod tests {
     #[test]
     fn f32_actions_are_legal_and_value_tracks_f64() {
         let a = agent(ActionMode::TwoStage);
-        let m32 = Vmr2lModelF32::from_f64(&a.policy);
+        let a32 = a.cast::<f32>();
         let mut e = env();
         let mut ictx = InferCtx::new();
         let mut rng = StdRng::seed_from_u64(11);
@@ -1088,11 +999,11 @@ mod tests {
             if e.is_done() {
                 e.reset();
             }
-            let d = a.act_f32(&m32, &mut e, &mut ictx, &mut rng, &DecideOpts::default());
+            let d = a32.act(&mut e, &mut ictx, &mut rng, &DecideOpts::default());
             let Some(d) = d.unwrap() else { break };
             assert!(e.action_legal(d.action).is_ok(), "f32 masking must stay exact");
             let v64 = a.state_value_in(&mut e, &mut ictx);
-            let v32 = a.state_value_in_f32(&m32, &mut e, &mut ictx);
+            let v32 = a32.state_value_in(&mut e, &mut ictx);
             assert!((v64 - v32).abs() < 1e-3, "critic value f32 {v32} vs f64 {v64}");
             e.step(d.action).unwrap();
         }
@@ -1103,28 +1014,30 @@ mod tests {
         // Tolerance contract, checked end-to-end on a tiny instance: the
         // same untrained checkpoint, rolled out greedily under both
         // precisions, should produce the same plan unless two logits tie
-        // within f32 noise — which this seed does not.
-        let a = agent(ActionMode::TwoStage);
-        let m32 = Vmr2lModelF32::from_f64(&a.policy);
-        let opts = DecideOpts { greedy: true, ..Default::default() };
-        let mut e = env();
-        let mut r1 = StdRng::seed_from_u64(21);
-        let (obj64, plan64) = rollout_episode(&a, &mut e, &mut r1, &opts).unwrap();
-        let mut r2 = StdRng::seed_from_u64(22);
-        let (obj32, plan32) = rollout_episode_f32(&a, &m32, &mut e, &mut r2, &opts).unwrap();
-        assert_eq!(plan64, plan32, "greedy plans diverged between precisions");
-        assert!((obj64 - obj32).abs() < 1e-12);
+        // within f32 noise — which this seed does not. Every action mode
+        // goes through the one tail and the one joint-logits body.
+        for mode in [ActionMode::TwoStage, ActionMode::Penalty, ActionMode::FullMask] {
+            let a = agent(mode);
+            let opts = DecideOpts { greedy: true, ..Default::default() };
+            let mut e = env();
+            let mut r1 = StdRng::seed_from_u64(21);
+            let (obj64, plan64) = rollout_episode(&a, &mut e, &mut r1, &opts).unwrap();
+            let mut r2 = StdRng::seed_from_u64(22);
+            let (obj32, plan32) =
+                rollout_episode(&a.cast::<f32>(), &mut e, &mut r2, &opts).unwrap();
+            assert_eq!(plan64, plan32, "greedy plans diverged between precisions ({mode:?})");
+            assert!((obj64 - obj32).abs() < 1e-12);
+        }
     }
 
     #[test]
     fn f32_full_mask_actions_are_legal() {
-        let a = agent(ActionMode::FullMask);
-        let m32 = Vmr2lModelF32::from_f64(&a.policy);
+        let a = agent(ActionMode::FullMask).cast::<f32>();
         let mut e = env();
         let mut ictx = InferCtx::new();
         let mut rng = StdRng::seed_from_u64(12);
         let d = a
-            .act_f32(&m32, &mut e, &mut ictx, &mut rng, &DecideOpts::default())
+            .act(&mut e, &mut ictx, &mut rng, &DecideOpts::default())
             .unwrap()
             .expect("joint space has legal pairs");
         assert!(e.action_legal(d.action).is_ok());
@@ -1138,7 +1051,7 @@ mod tests {
         let opts =
             DecideOpts { vm_quantile: Some(0.9), pm_quantile: Some(0.9), ..Default::default() };
         for _ in 0..10 {
-            let d = a.decide(&mut e, &mut rng, &opts).unwrap().unwrap();
+            let d = decide(&a, &mut e, &mut rng, &opts);
             assert!(e.action_legal(d.action).is_ok());
         }
     }

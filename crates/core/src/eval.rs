@@ -18,8 +18,7 @@ use vmr_sim::env::{Action, ReschedEnv};
 use vmr_sim::error::SimResult;
 use vmr_sim::objective::Objective;
 
-use crate::agent::{rollout_episode, rollout_episode_f32, DecideOpts, Policy, Vmr2lAgent};
-use crate::model::{Vmr2lModel, Vmr2lModelF32};
+use crate::agent::{rollout_episode, ActPolicy, DecideOpts, Vmr2lAgent};
 
 /// Risk-seeking evaluation configuration.
 #[derive(Debug, Clone, Copy)]
@@ -64,8 +63,11 @@ pub struct RiskSeekingOutcome {
     pub elapsed: Duration,
 }
 
-/// Samples `cfg.trajectories` episodes and returns the best.
-pub fn risk_seeking_eval<P: Policy + Sync>(
+/// Samples `cfg.trajectories` episodes and returns the best. Forwards
+/// run in the agent's own precision: an f32 agent's trajectories are
+/// tolerance-equivalent (not bit-identical) to its f64 original's under
+/// the same seeds.
+pub fn risk_seeking_eval<P: ActPolicy + Sync>(
     agent: &Vmr2lAgent<P>,
     initial: &ClusterState,
     constraints: &ConstraintSet,
@@ -121,69 +123,8 @@ pub fn risk_seeking_eval<P: Policy + Sync>(
     })
 }
 
-/// [`risk_seeking_eval`] on the f32 fast path. Same trajectory seeding
-/// and threading structure; forwards run on the pre-cast
-/// [`Vmr2lModelF32`], so trajectories are tolerance-equivalent (not
-/// bit-identical) to the f64 run.
-pub fn risk_seeking_eval_f32(
-    agent: &Vmr2lAgent<Vmr2lModel>,
-    m32: &Vmr2lModelF32,
-    initial: &ClusterState,
-    constraints: &ConstraintSet,
-    objective: Objective,
-    mnl: usize,
-    cfg: &RiskSeekingConfig,
-) -> SimResult<RiskSeekingOutcome> {
-    let start = Instant::now();
-    let opts =
-        DecideOpts { greedy: false, vm_quantile: cfg.vm_quantile, pm_quantile: cfg.pm_quantile };
-    let run_one = |t: usize| -> SimResult<(f64, Vec<Action>)> {
-        let mut env = ReschedEnv::new(initial.clone(), constraints.clone(), objective, mnl)?;
-        let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(t as u64));
-        rollout_episode_f32(agent, m32, &mut env, &mut rng, &opts)
-    };
-
-    type TrajResult = SimResult<(f64, Vec<Action>)>;
-    let results: Vec<TrajResult> = if cfg.parallel && cfg.trajectories > 1 {
-        let threads = cfg.threads.clamp(1, cfg.trajectories);
-        let mut slots: Vec<Option<TrajResult>> = (0..cfg.trajectories).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            for (worker, chunk) in slots.chunks_mut(cfg.trajectories.div_ceil(threads)).enumerate()
-            {
-                let base = worker * cfg.trajectories.div_ceil(threads);
-                let run_one = &run_one;
-                scope.spawn(move || {
-                    for (off, slot) in chunk.iter_mut().enumerate() {
-                        *slot = Some(run_one(base + off));
-                    }
-                });
-            }
-        });
-        slots.into_iter().map(|s| s.expect("all slots filled")).collect()
-    } else {
-        (0..cfg.trajectories).map(run_one).collect()
-    };
-
-    let mut best: Option<(f64, Vec<Action>)> = None;
-    let mut all = Vec::with_capacity(results.len());
-    for r in results {
-        let (obj, plan) = r?;
-        all.push(obj);
-        if best.as_ref().is_none_or(|(b, _)| obj < *b) {
-            best = Some((obj, plan));
-        }
-    }
-    let (best_objective, best_plan) = best.expect("at least one trajectory");
-    Ok(RiskSeekingOutcome {
-        best_objective,
-        best_plan,
-        all_objectives: all,
-        elapsed: start.elapsed(),
-    })
-}
-
 /// Greedy (argmax) single-trajectory evaluation.
-pub fn greedy_eval<P: Policy>(
+pub fn greedy_eval<P: ActPolicy>(
     agent: &Vmr2lAgent<P>,
     initial: &ClusterState,
     constraints: &ConstraintSet,
@@ -193,21 +134,6 @@ pub fn greedy_eval<P: Policy>(
     let mut env = ReschedEnv::new(initial.clone(), constraints.clone(), objective, mnl)?;
     let mut rng = StdRng::seed_from_u64(0);
     rollout_episode(agent, &mut env, &mut rng, &DecideOpts { greedy: true, ..Default::default() })
-}
-
-/// [`greedy_eval`] on the f32 fast path.
-pub fn greedy_eval_f32(
-    agent: &Vmr2lAgent<Vmr2lModel>,
-    m32: &Vmr2lModelF32,
-    initial: &ClusterState,
-    constraints: &ConstraintSet,
-    objective: Objective,
-    mnl: usize,
-) -> SimResult<(f64, Vec<Action>)> {
-    let mut env = ReschedEnv::new(initial.clone(), constraints.clone(), objective, mnl)?;
-    let mut rng = StdRng::seed_from_u64(0);
-    let opts = DecideOpts { greedy: true, ..Default::default() };
-    rollout_episode_f32(agent, m32, &mut env, &mut rng, &opts)
 }
 
 #[cfg(test)]
@@ -300,10 +226,9 @@ mod tests {
     #[test]
     fn f32_eval_tracks_f64_eval() {
         let (agent, state, cs) = setup();
-        let m32 = Vmr2lModelF32::from_f64(&agent.policy);
+        let agent32 = agent.cast::<f32>();
         let (obj64, plan64) = greedy_eval(&agent, &state, &cs, Objective::default(), 3).unwrap();
-        let (obj32, plan32) =
-            greedy_eval_f32(&agent, &m32, &state, &cs, Objective::default(), 3).unwrap();
+        let (obj32, plan32) = greedy_eval(&agent32, &state, &cs, Objective::default(), 3).unwrap();
         assert_eq!(plan64, plan32, "greedy plans diverged between precisions");
         assert!((obj64 - obj32).abs() < 1e-12);
 
@@ -315,8 +240,7 @@ mod tests {
             pm_quantile: None,
             seed: 31,
         };
-        let out = risk_seeking_eval_f32(&agent, &m32, &state, &cs, Objective::default(), 3, &cfg)
-            .unwrap();
+        let out = risk_seeking_eval(&agent32, &state, &cs, Objective::default(), 3, &cfg).unwrap();
         assert_eq!(out.all_objectives.len(), 4);
         let min = out.all_objectives.iter().cloned().fold(f64::INFINITY, f64::min);
         assert!((out.best_objective - min).abs() < 1e-12);

@@ -1,11 +1,13 @@
 //! Shared read-only inference handles for serving.
 //!
-//! A trained VMR2L policy is pure data: `Vmr2lAgent::decide` takes `&self`
-//! and every forward pass builds its own [`vmr_nn::graph::Graph`], so one
-//! checkpoint can serve arbitrarily many worker threads without locks.
-//! [`SharedAgent`] packages that contract — an `Arc` around an immutable
-//! agent, cheap to clone into every connection handler — together with
-//! the checkpoint-loading logic the CLI and the `vmr-serve` daemon share.
+//! A trained VMR2L policy is pure data: [`Vmr2lAgent::act`] takes `&self`
+//! and runs tape-free in an arena the *caller* owns
+//! ([`crate::agent::InferCtx`], one per plan), so one checkpoint can
+//! serve arbitrarily many worker threads without locks. [`SharedAgent`]
+//! packages that contract — `Arc`s around one immutable agent per
+//! precision, cheap to clone into every connection handler — together
+//! with the checkpoint-loading logic the CLI and the `vmr-serve` daemon
+//! share.
 
 use std::path::Path;
 use std::sync::Arc;
@@ -17,7 +19,7 @@ use vmr_nn::checkpoint::Checkpoint;
 
 use crate::agent::Vmr2lAgent;
 use crate::config::{ActionMode, ExtractorKind, ModelConfig};
-use crate::model::{Vmr2lModel, Vmr2lModelF32};
+use crate::model::Vmr2lModel;
 
 /// Loads a default-architecture VMR2L agent from a checkpoint file.
 ///
@@ -43,27 +45,30 @@ pub fn restore_default_agent(ckpt: &Checkpoint) -> Option<Vmr2lAgent<Vmr2lModel>
     None
 }
 
-/// A read-only, thread-shareable handle to a trained agent.
+/// A read-only, thread-shareable handle to a trained agent, in both
+/// precisions.
 ///
-/// Cloning is an `Arc` bump; the wrapped agent is immutable, so worker
-/// threads can run [`Vmr2lAgent::decide`] concurrently (each call owns
-/// its forward graph). This is the inference handle `vmr-serve` hands to
-/// its connection pool.
+/// Cloning is two `Arc` bumps; the wrapped agents are immutable, so
+/// worker threads can run [`Vmr2lAgent::act`] concurrently, each on its
+/// own [`crate::agent::InferCtx`]. Precision is the agent's type: a
+/// caller matches [`crate::config::PrecisionConfig`] once, outside its
+/// step loop, to pick [`SharedAgent::agent`] or [`SharedAgent::agent32`],
+/// and runs the same generic code on either. This is the inference
+/// handle `vmr-serve` hands to its connection pool.
 #[derive(Debug, Clone)]
 pub struct SharedAgent {
-    inner: Arc<Vmr2lAgent<Vmr2lModel>>,
-    /// The weights cast to f32 once at construction — the
-    /// [`crate::config::PrecisionConfig::Fast32`] serving path reads this
-    /// pre-cast mirror on every decision instead of re-casting per call.
-    model32: Arc<Vmr2lModelF32>,
+    agent: Arc<Vmr2lAgent<Vmr2lModel>>,
+    /// The same agent over weights cast to f32 once at construction.
+    agent32: Arc<Vmr2lAgent<Vmr2lModel<f32>>>,
 }
 
 impl SharedAgent {
-    /// Wraps an agent for shared read-only use. Also casts the weights to
-    /// f32 once, so both precision tiers are ready to serve.
+    /// Wraps an agent for shared read-only use. Also builds its f32
+    /// twin (weights cast once), so both precision tiers are ready to
+    /// serve.
     pub fn new(agent: Vmr2lAgent<Vmr2lModel>) -> Self {
-        let model32 = Arc::new(Vmr2lModelF32::from_f64(&agent.policy));
-        SharedAgent { inner: Arc::new(agent), model32 }
+        let agent32 = Arc::new(agent.cast());
+        SharedAgent { agent: Arc::new(agent), agent32 }
     }
 
     /// Loads a checkpoint into a shared handle (see
@@ -72,14 +77,22 @@ impl SharedAgent {
         load_checkpoint_agent(path).map(Self::new)
     }
 
-    /// The underlying agent.
+    /// The f64 agent ([`crate::config::PrecisionConfig::Exact64`]): the
+    /// one that was trained and checkpointed.
     pub fn agent(&self) -> &Vmr2lAgent<Vmr2lModel> {
-        &self.inner
+        &self.agent
     }
 
-    /// The cached f32 weight mirror for the fast inference path.
-    pub fn model32(&self) -> &Vmr2lModelF32 {
-        &self.model32
+    /// The f32 agent ([`crate::config::PrecisionConfig::Fast32`]).
+    pub fn agent32(&self) -> &Vmr2lAgent<Vmr2lModel<f32>> {
+        &self.agent32
+    }
+
+    /// The f32 agent's model, for the frozen `benchmark/` package, which
+    /// pairs it with the f64 agent (`act_core_f32`); goes with ROADMAP
+    /// 1(b). New code takes [`SharedAgent::agent32`].
+    pub fn model32(&self) -> &Vmr2lModel<f32> {
+        &self.agent32.policy
     }
 }
 
@@ -121,8 +134,10 @@ mod tests {
             restore_default_agent(&tiny_checkpoint(ExtractorKind::SparseAttention)).unwrap(),
         );
         let clone = handle.clone();
-        assert!(std::ptr::eq(handle.model32(), clone.model32()), "clones share one f32 cast");
-        assert_eq!(handle.model32().cfg, handle.agent().policy.cfg);
+        assert!(std::ptr::eq(handle.agent32(), clone.agent32()), "clones share one f32 cast");
+        assert!(std::ptr::eq(handle.model32(), &handle.agent32().policy));
+        assert_eq!(handle.agent32().policy.cfg, handle.agent().policy.cfg);
+        assert_eq!(handle.agent32().mode, handle.agent().mode);
     }
 
     #[test]

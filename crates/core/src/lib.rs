@@ -49,10 +49,9 @@ pub mod infer;
 pub mod model;
 pub mod train;
 
-pub use agent::{rollout_episode_f32, DecideOpts, Policy, StepDecision, Vmr2lAgent};
+pub use agent::{ActPolicy, DecideOpts, Policy, StepDecision, Vmr2lAgent};
 pub use config::{ActionMode, ExtractorKind, ModelConfig, PrecisionConfig};
 pub use eval::{greedy_eval, risk_seeking_eval, RiskSeekingConfig, RiskSeekingOutcome};
-pub use eval::{greedy_eval_f32, risk_seeking_eval_f32};
 pub use infer::{load_checkpoint_agent, SharedAgent};
-pub use model::{Vmr2lModel, Vmr2lModelF32};
+pub use model::Vmr2lModel;
 pub use train::{TrainConfig, TrainStats, Trainer};

@@ -63,9 +63,6 @@ pub struct Stage1Out {
     pub value: Var,
 }
 
-/// [`Stage1Fwd`] under its pre-`Scalar` f32 name.
-pub type Stage1Fwd32 = Stage1Fwd;
-
 /// One sparse-attention block.
 #[derive(Debug, Clone)]
 pub struct SparseBlock<S = f64> {
@@ -335,9 +332,6 @@ pub struct Vmr2lModel<S = f64> {
     pm_actor: PmActor<S>,
     critic: Mlp<S>,
 }
-
-/// [`Vmr2lModel<f32>`] under its pre-`Scalar` name.
-pub type Vmr2lModelF32 = Vmr2lModel<f32>;
 
 impl Vmr2lModel {
     /// Builds the model. `extractor` must be `SparseAttention` or
@@ -647,7 +641,7 @@ mod tests {
     fn f32_stage1_tracks_f64_within_tolerance() {
         use crate::features::TreeIndex;
         let m = model(ExtractorKind::SparseAttention);
-        let m32 = Vmr2lModelF32::from_f64(&m);
+        let m32 = Vmr2lModel::<f32>::from_f64(&m);
         let f = feats(6);
         let mut tree = TreeIndex::default();
         tree.rebuild(&f);

@@ -17,9 +17,9 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use vmr_core::agent::{rollout_episode, rollout_episode_f32, DecideOpts, InferCtx, Vmr2lAgent};
+use vmr_core::agent::{rollout_episode, DecideOpts, InferCtx, Vmr2lAgent};
 use vmr_core::config::{ActionMode, ExtractorKind, ModelConfig};
-use vmr_core::model::{Vmr2lModel, Vmr2lModelF32};
+use vmr_core::model::Vmr2lModel;
 use vmr_sim::cluster::ClusterState;
 use vmr_sim::dataset::{generate_mapping, ClusterConfig};
 use vmr_sim::env::ReschedEnv;
@@ -108,25 +108,41 @@ proptest! {
         model_seed in 0u64..500,
         rng_seed in 0u64..500,
     ) {
-        // The lightweight acting path must sample exactly like decide_in.
-        let agent = agent_for(ActionMode::TwoStage, ExtractorKind::SparseAttention, model_seed);
-        let opts = DecideOpts::default();
-        let mut env_a = env_for(cluster_seed, 4);
-        let mut env_b = env_for(cluster_seed, 4);
-        let mut ictx_a = InferCtx::new();
-        let mut ictx_b = InferCtx::new();
-        let mut rng_a = StdRng::seed_from_u64(rng_seed);
-        let mut rng_b = StdRng::seed_from_u64(rng_seed);
-        let full = agent.decide_in(&mut env_a, &mut ictx_a, &mut rng_a, &opts).unwrap();
-        let lite = agent.act(&mut env_b, &mut ictx_b, &mut rng_b, &opts).unwrap();
-        match (full, lite) {
-            (None, None) => {}
-            (Some(d), Some(a)) => {
-                prop_assert_eq!(d.action, a.action);
-                prop_assert_eq!(d.log_prob, a.log_prob);
-                prop_assert_eq!(d.value, a.value);
+        // The lightweight acting path must sample exactly like decide_in,
+        // in every action mode: both run the one action-selection tail.
+        for mode in [ActionMode::TwoStage, ActionMode::Penalty, ActionMode::FullMask] {
+            let agent = agent_for(mode, ExtractorKind::SparseAttention, model_seed);
+            let opts = DecideOpts::default();
+            let mut env_a = env_for(cluster_seed, 4);
+            let mut env_b = env_for(cluster_seed, 4);
+            let mut ictx_a = InferCtx::new();
+            let mut ictx_b = InferCtx::new();
+            let mut rng_a = StdRng::seed_from_u64(rng_seed);
+            let mut rng_b = StdRng::seed_from_u64(rng_seed);
+            let full = agent.decide_in(&mut env_a, &mut ictx_a, &mut rng_a, &opts).unwrap();
+            let lite = agent.act(&mut env_b, &mut ictx_b, &mut rng_b, &opts).unwrap();
+            match (&full, lite) {
+                (None, None) => {}
+                (Some(d), Some(a)) => {
+                    prop_assert_eq!(d.action, a.action);
+                    prop_assert_eq!(d.log_prob, a.log_prob);
+                    prop_assert_eq!(d.value, a.value);
+                }
+                (d, a) => {
+                    prop_assert!(false, "mismatch: {:?} vs {:?}", d.as_ref().map(|x| x.action), a)
+                }
             }
-            (d, a) => prop_assert!(false, "mismatch: {:?} vs {:?}", d.map(|x| x.action), a),
+            // The f32 agent runs the same tail over the same masks: it
+            // decides whenever the f64 one does, legally where the mode
+            // masks stage 2, with a value within f32 noise.
+            let agent32 = agent.cast::<f32>();
+            let mut rng_c = StdRng::seed_from_u64(rng_seed);
+            let fast = agent32.act(&mut env_b, &mut ictx_b, &mut rng_c, &opts).unwrap();
+            prop_assert_eq!(fast.is_some(), full.is_some());
+            if let (Some(f), Some(d)) = (fast, full) {
+                prop_assert!(mode == ActionMode::Penalty || env_b.action_legal(f.action).is_ok());
+                prop_assert!((f.value - d.value).abs() < 1e-3);
+            }
         }
     }
 }
@@ -251,19 +267,18 @@ fn forced_duplicates_stay_bit_identical_to_the_graph() {
 
 #[test]
 fn f32_plans_match_f64_plans_on_duplicate_rows() {
-    // The f32 twin shares rows the same way; at a fixed seed a greedy
+    // The f32 agent shares rows the same way; at a fixed seed a greedy
     // episode must come out the same under both precisions (members of a
     // class tie exactly in both, so argmax breaks the tie alike).
     for (state, _) in [duplicates_in_one_tree(), duplicates_across_trees()] {
         let agent = agent_for(ActionMode::TwoStage, ExtractorKind::SparseAttention, 7);
-        let m32 = Vmr2lModelF32::from_f64(&agent.policy);
+        let agent32 = agent.cast::<f32>();
         let opts = DecideOpts { greedy: true, ..Default::default() };
         let mut env = ReschedEnv::unconstrained(state, Objective::default(), 5).expect("env");
         let (obj64, plan64) =
             rollout_episode(&agent, &mut env, &mut StdRng::seed_from_u64(1), &opts).unwrap();
         let (obj32, plan32) =
-            rollout_episode_f32(&agent, &m32, &mut env, &mut StdRng::seed_from_u64(1), &opts)
-                .unwrap();
+            rollout_episode(&agent32, &mut env, &mut StdRng::seed_from_u64(1), &opts).unwrap();
         assert!(!plan64.is_empty());
         assert_eq!(plan64, plan32, "greedy plans diverged between precisions");
         assert_eq!(obj64, obj32);

@@ -2,7 +2,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use vmr_core::agent::{DecideOpts, Vmr2lAgent};
+use vmr_core::agent::{DecideOpts, InferCtx, Vmr2lAgent};
 use vmr_core::config::{ActionMode, ExtractorKind, ModelConfig};
 use vmr_core::features::FeatureTensors;
 use vmr_core::model::Vmr2lModel;
@@ -50,7 +50,10 @@ fn stage1_logits_change_after_migration() {
     };
     let before = logits(&env);
     let agent = Vmr2lAgent::new(model.clone(), ActionMode::TwoStage);
-    let d = agent.decide(&mut env, &mut rng, &DecideOpts::default()).unwrap().unwrap();
+    let d = agent
+        .act(&mut env, &mut InferCtx::new(), &mut rng, &DecideOpts::default())
+        .unwrap()
+        .unwrap();
     env.step(d.action).unwrap();
     let after = logits(&env);
     assert_ne!(before, after, "state change must alter the policy's view");
@@ -79,7 +82,7 @@ fn vanilla_and_sparse_share_non_local_parameter_names() {
 
 #[test]
 fn decide_is_pure_with_respect_to_env() {
-    // decide() must not mutate the environment's episode state (it may
+    // act() must not mutate the environment's episode state (it may
     // warm the internal featurization cache, but never the cluster).
     let mut rng = StdRng::seed_from_u64(3);
     let model = Vmr2lModel::new(cfg(), ExtractorKind::SparseAttention, &mut rng);
@@ -88,9 +91,10 @@ fn decide_is_pure_with_respect_to_env() {
     let mut env = ReschedEnv::unconstrained(state, Objective::default(), 4).unwrap();
     let fr_before = env.objective_value();
     let steps_before = env.steps_taken();
+    let mut ictx = InferCtx::new();
     for seed in 0..4u64 {
         let mut r = StdRng::seed_from_u64(seed);
-        let _ = agent.decide(&mut env, &mut r, &DecideOpts::default()).unwrap();
+        let _ = agent.act(&mut env, &mut ictx, &mut r, &DecideOpts::default()).unwrap();
     }
     assert_eq!(env.steps_taken(), steps_before);
     assert!((env.objective_value() - fr_before).abs() < 1e-15);
@@ -106,7 +110,10 @@ fn untrained_policy_is_not_collapsed() {
     let agent = Vmr2lAgent::new(model, ActionMode::TwoStage);
     let state = generate_mapping(&ClusterConfig::tiny(), 6).unwrap();
     let mut env = ReschedEnv::unconstrained(state, Objective::default(), 4).unwrap();
-    let d = agent.decide(&mut env, &mut rng, &DecideOpts::default()).unwrap().unwrap();
+    let d = agent
+        .decide_in(&mut env, &mut InferCtx::new(), &mut rng, &DecideOpts::default())
+        .unwrap()
+        .unwrap();
     let m = d.vm_probs.len() as f64;
     let entropy: f64 = d.vm_probs.iter().filter(|&&p| p > 0.0).map(|&p| -p * p.ln()).sum();
     assert!(

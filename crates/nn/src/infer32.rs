@@ -6,8 +6,6 @@
 
 /// The f32 forward arena.
 pub type FwdCtx32 = crate::infer::FwdCtx<f32>;
-/// Arena handles are untyped; kept for the old spelling.
-pub type FVar32 = crate::infer::FVar;
 
 #[cfg(test)]
 mod tests;

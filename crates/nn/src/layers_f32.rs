@@ -5,12 +5,6 @@
 //! `::from_f64(..)`. This module goes when ROADMAP 1b lets that package
 //! change; new code writes `Linear<f32>`, `MultiHeadAttention<f32>`, ….
 
-/// [`crate::layers::Linear`] with f32 weights.
-pub type Linear32 = crate::layers::Linear<f32>;
-/// [`crate::layers::LayerNorm`] with f32 weights.
-pub type LayerNorm32 = crate::layers::LayerNorm<f32>;
-/// [`crate::layers::Mlp`] with f32 weights.
-pub type Mlp32 = crate::layers::Mlp<f32>;
 /// [`crate::layers::MultiHeadAttention`] with f32 weights.
 pub type MultiHeadAttention32 = crate::layers::MultiHeadAttention<f32>;
 /// [`crate::layers::FeedForward`] with f32 weights.

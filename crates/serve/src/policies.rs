@@ -22,7 +22,7 @@ use rand::SeedableRng;
 use vmr_baselines::ha::ha_solve;
 use vmr_baselines::mcts::{mcts_solve, MctsConfig};
 use vmr_baselines::swap::{swap_search_solve, SwapMove, SwapSearchConfig};
-use vmr_core::agent::{DecideOpts, InferCtx};
+use vmr_core::agent::{ActPolicy, DecideOpts, InferCtx, Vmr2lAgent};
 use vmr_core::config::PrecisionConfig;
 use vmr_core::infer::SharedAgent;
 use vmr_sim::env::{Action, ReschedEnv};
@@ -94,31 +94,38 @@ impl PlanPolicy for AgentPolicy {
     }
 
     fn plan(&self, env: &mut ReschedEnv, req: &PlanRequest) -> SimResult<Vec<Action>> {
-        let agent = self.handle.agent();
-        let mut rng = StdRng::seed_from_u64(req.seed);
-        let opts = DecideOpts::default();
-        let mut ictx = InferCtx::new();
-        let mut plan = Vec::new();
-        // Counted busy for the whole plan, not just inside its kernels:
-        // a second plan in flight (another server worker, another fleet
-        // shard) must see this core as taken between attention calls
-        // too, or the two would trade the same idle core back and forth.
-        let _busy = vmr_nn::par::forward();
-        let fast32 = req.precision == PrecisionConfig::Fast32;
-        while !env.is_done() {
-            let decision = if fast32 {
-                agent.act_f32(self.handle.model32(), env, &mut ictx, &mut rng, &opts)?
-            } else {
-                agent.act(env, &mut ictx, &mut rng, &opts)?
-            };
-            let Some(decision) = decision else {
-                break;
-            };
-            env.step(decision.action)?;
-            plan.push(decision.action);
+        // Precision is the agent's type: chosen once per plan, never
+        // looked at inside the step loop.
+        match req.precision {
+            PrecisionConfig::Exact64 => roll_out(self.handle.agent(), env, req.seed),
+            PrecisionConfig::Fast32 => roll_out(self.handle.agent32(), env, req.seed),
         }
-        Ok(plan)
     }
+}
+
+/// The served step loop, in the agent's own precision.
+fn roll_out<P: ActPolicy>(
+    agent: &Vmr2lAgent<P>,
+    env: &mut ReschedEnv,
+    seed: u64,
+) -> SimResult<Vec<Action>> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let opts = DecideOpts::default();
+    let mut ictx = InferCtx::new();
+    let mut plan = Vec::new();
+    // Counted busy for the whole plan, not just inside its kernels:
+    // a second plan in flight (another server worker, another fleet
+    // shard) must see this core as taken between attention calls
+    // too, or the two would trade the same idle core back and forth.
+    let _busy = vmr_nn::par::forward();
+    while !env.is_done() {
+        let Some(decision) = agent.act(env, &mut ictx, &mut rng, &opts)? else {
+            break;
+        };
+        env.step(decision.action)?;
+        plan.push(decision.action);
+    }
+    Ok(plan)
 }
 
 /// The filtering-based heuristic (HA) — the microsecond-budget fallback.

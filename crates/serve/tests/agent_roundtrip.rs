@@ -1,12 +1,12 @@
 //! Checkpoint round-trip serving: train a tiny agent, save it, load it in
 //! the daemon, and assert the plan served over the wire is identical to
-//! the plan the in-process `Vmr2lAgent::decide` loop produces on the same
+//! the plan the in-process `Vmr2lAgent::act` loop produces on the same
 //! state with the same seed.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use vmr_core::agent::{DecideOpts, Vmr2lAgent};
+use vmr_core::agent::{DecideOpts, InferCtx, Vmr2lAgent};
 use vmr_core::config::{ActionMode, ExtractorKind, ModelConfig, PrecisionConfig};
 use vmr_core::infer::{load_checkpoint_agent, SharedAgent};
 use vmr_core::model::Vmr2lModel;
@@ -77,9 +77,12 @@ fn served_plan_matches_in_process_decide() {
     let mut env = ReschedEnv::new(state, constraints, Objective::default(), MNL).unwrap();
     let mut rng = StdRng::seed_from_u64(PLAN_SEED);
     let opts = DecideOpts::default();
+    let mut ictx = InferCtx::new();
     let mut local = Vec::new();
     while !env.is_done() {
-        let Some(decision) = agent.decide(&mut env, &mut rng, &opts).unwrap() else { break };
+        let Some(decision) = agent.act(&mut env, &mut ictx, &mut rng, &opts).unwrap() else {
+            break;
+        };
         env.step(decision.action).unwrap();
         local.push(decision.action);
     }

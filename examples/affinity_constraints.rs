@@ -10,7 +10,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use vmr_core::agent::{DecideOpts, Vmr2lAgent};
+use vmr_core::agent::{DecideOpts, InferCtx, Vmr2lAgent};
 use vmr_core::config::{ActionMode, ExtractorKind, ModelConfig};
 use vmr_core::model::Vmr2lModel;
 use vmr_sim::constraints::ConstraintSet;
@@ -69,8 +69,10 @@ fn main() {
     let mut env =
         ReschedEnv::new(state.clone(), constraints.clone(), Objective::default(), 6).expect("env");
     let mut checked = 0;
+    let mut ictx = InferCtx::new();
     while !env.is_done() {
-        let Some(d) = agent.decide(&mut env, &mut rng, &DecideOpts::default()).expect("decide")
+        let Some(d) =
+            agent.act(&mut env, &mut ictx, &mut rng, &DecideOpts::default()).expect("act")
         else {
             break;
         };

@@ -9,7 +9,7 @@ use rand::SeedableRng;
 
 use vmr_baselines::ha::ha_solve;
 use vmr_baselines::swap::{apply_moves, swap_search_solve, SwapSearchConfig};
-use vmr_core::agent::{DecideOpts, Vmr2lAgent};
+use vmr_core::agent::{DecideOpts, InferCtx, Vmr2lAgent};
 use vmr_core::config::{ActionMode, ExtractorKind, ModelConfig};
 use vmr_core::model::Vmr2lModel;
 use vmr_sim::constraints::ConstraintSet;
@@ -77,8 +77,10 @@ fn derived_constraints_respected_by_two_stage_agent() {
     let agent = Vmr2lAgent::new(net, ActionMode::TwoStage);
     let mut env = ReschedEnv::new(state, cs.clone(), Objective::default(), 6).expect("env");
     let mut steps = 0;
+    let mut ictx = InferCtx::new();
     while !env.is_done() {
-        let Some(d) = agent.decide(&mut env, &mut rng, &DecideOpts::default()).expect("decide")
+        let Some(d) =
+            agent.act(&mut env, &mut ictx, &mut rng, &DecideOpts::default()).expect("act")
         else {
             break;
         };

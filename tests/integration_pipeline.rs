@@ -3,7 +3,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use vmr_core::agent::{DecideOpts, Vmr2lAgent};
+use vmr_core::agent::{DecideOpts, InferCtx, Vmr2lAgent};
 use vmr_core::config::{ActionMode, ExtractorKind, ModelConfig};
 use vmr_core::eval::{greedy_eval, risk_seeking_eval, RiskSeekingConfig};
 use vmr_core::model::Vmr2lModel;
@@ -96,8 +96,9 @@ fn checkpoint_roundtrip_preserves_policy_outputs() {
     let opts = DecideOpts { greedy: true, ..Default::default() };
     let mut r1 = StdRng::seed_from_u64(3);
     let mut r2 = StdRng::seed_from_u64(3);
-    let d1 = agent.decide(&mut env, &mut r1, &opts).unwrap().unwrap();
-    let d2 = clone_agent.decide(&mut env, &mut r2, &opts).unwrap().unwrap();
+    let mut ictx = InferCtx::new();
+    let d1 = agent.act(&mut env, &mut ictx, &mut r1, &opts).unwrap().unwrap();
+    let d2 = clone_agent.act(&mut env, &mut ictx, &mut r2, &opts).unwrap().unwrap();
     assert_eq!(d1.action, d2.action);
     assert!((d1.value - d2.value).abs() < 1e-12);
 }

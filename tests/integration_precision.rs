@@ -16,11 +16,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use vmr_core::agent::Vmr2lAgent;
 use vmr_core::config::{ActionMode, ExtractorKind, ModelConfig, PrecisionConfig};
-use vmr_core::eval::{
-    greedy_eval, greedy_eval_f32, risk_seeking_eval, risk_seeking_eval_f32, RiskSeekingConfig,
-};
+use vmr_core::eval::{greedy_eval, risk_seeking_eval, RiskSeekingConfig};
 use vmr_core::infer::SharedAgent;
-use vmr_core::model::{Vmr2lModel, Vmr2lModelF32};
+use vmr_core::model::Vmr2lModel;
 use vmr_core::train::{TrainConfig, Trainer};
 use vmr_rl::ppo::PpoConfig;
 use vmr_serve::client::ServeClient;
@@ -65,14 +63,13 @@ fn trained_agent() -> Vmr2lAgent<Vmr2lModel> {
 #[test]
 fn trained_checkpoint_plans_identically_across_precisions() {
     let agent = trained_agent();
-    let m32 = Vmr2lModelF32::from_f64(&agent.policy);
+    let agent32 = agent.cast::<f32>();
     let state = generate_mapping(&small_cfg(), 99).unwrap();
     let cs = ConstraintSet::new(state.num_vms());
 
     // Greedy (deterministic argmax) — plans must be identical.
     let (fr64, plan64) = greedy_eval(&agent, &state, &cs, Objective::default(), 4).unwrap();
-    let (fr32, plan32) =
-        greedy_eval_f32(&agent, &m32, &state, &cs, Objective::default(), 4).unwrap();
+    let (fr32, plan32) = greedy_eval(&agent32, &state, &cs, Objective::default(), 4).unwrap();
     assert_eq!(plan64, plan32, "greedy f32 plan must match f64 on a trained checkpoint");
     assert!((fr64 - fr32).abs() < 1e-9, "greedy objectives diverge: {fr64} vs {fr32}");
 
@@ -87,8 +84,7 @@ fn trained_checkpoint_plans_identically_across_precisions() {
     // the sampled trajectories coincide too.
     let cfg = RiskSeekingConfig { trajectories: 4, parallel: false, seed: 3, ..Default::default() };
     let rs64 = risk_seeking_eval(&agent, &state, &cs, Objective::default(), 4, &cfg).unwrap();
-    let rs32 =
-        risk_seeking_eval_f32(&agent, &m32, &state, &cs, Objective::default(), 4, &cfg).unwrap();
+    let rs32 = risk_seeking_eval(&agent32, &state, &cs, Objective::default(), 4, &cfg).unwrap();
     assert_eq!(rs64.best_plan, rs32.best_plan, "risk-seeking best plans must coincide");
     assert!((rs64.best_objective - rs32.best_objective).abs() < 1e-9);
     for (o64, o32) in rs64.all_objectives.iter().zip(&rs32.all_objectives) {
