@@ -11,7 +11,7 @@ use std::time::{Duration, Instant};
 
 use rand::Rng;
 
-use vmr_core::agent::{ActPolicy, DecideOpts, InferCtx, Vmr2lAgent};
+use vmr_core::agent::{roll_out, ActPolicy, DecideOpts, InferCtx, Vmr2lAgent};
 use vmr_sim::cluster::ClusterState;
 use vmr_sim::constraints::ConstraintSet;
 use vmr_sim::env::{Action, ReschedEnv};
@@ -70,17 +70,7 @@ pub fn neuplan_solve<P: ActPolicy, R: Rng + ?Sized>(
     let prefix_budget = mnl - beta;
     let mut env = ReschedEnv::new(initial.clone(), constraints.clone(), objective, prefix_budget)?;
     let opts = DecideOpts { greedy: true, ..Default::default() };
-    let mut plan = Vec::new();
-    let mut ictx = InferCtx::new();
-    while !env.is_done() && env.steps_taken() < prefix_budget {
-        let Some(decision) = agent.act(&mut env, &mut ictx, rng, &opts)? else {
-            break;
-        };
-        match env.step(decision.action) {
-            Ok(_) => plan.push(decision.action),
-            Err(_) => break,
-        }
-    }
+    let mut plan = roll_out(agent, &mut env, &mut InferCtx::new(), rng, &opts)?;
     let prefix_len = plan.len();
     let mid_state = env.state().clone();
     let suffix = branch_and_bound(&mid_state, constraints, objective, beta, &cfg.solver);

@@ -10,13 +10,21 @@
 //!   — PPO-train a VMR2L agent and save its checkpoint.
 //! * `vmr eval --dataset ds.json --agent agent.json --mnl 10 --trajectories 16`
 //!   — risk-seeking evaluation of a trained agent on the test split.
-//! * `vmr solve --dataset ds.json --index 0 --method ha|bnb|pop|vbpp|mcts|swap --mnl 10`
-//!   — run a classical solver and print the migration plan.
+//! * `vmr solve --dataset ds.json --index 0 --method ha --mnl 10`
+//!   — plan with one planner and print the migration plan.
 //! * `vmr cost --dataset ds.json --index 0 --method ha --mnl 10 --streams 2`
-//!   — plan with a solver, then price its execution under the pre-copy
+//!   — plan, then price the plan's execution under the pre-copy
 //!   live-migration model (makespan, downtime, bytes moved).
+//! * `vmr simulate --dataset ds.json --days 2 --planner ha`
+//!   — the daily churn loop with one rescheduling window per day.
 //! * `vmr interfere --dataset ds.json --index 0 --noisy-frac 0.2 --threshold 0.5`
 //!   — noisy-neighbor report: interference score and the top contending VMs.
+//!
+//! A planner is a name in the registry the daemon serves
+//! (`vmr_serve::policies::PolicyRegistry`; `vmr help` prints the list):
+//! `solve --method`, `cost --method`, `simulate --planner` and
+//! `request --op plan --policy` all take that one vocabulary, and the
+//! offline three plan through it exactly as a served request does.
 //!
 //! Every command prints human-readable output to stdout; `--json` switches
 //! plan output to machine-readable JSON.
@@ -26,15 +34,13 @@
 mod args;
 
 use std::process::ExitCode;
+use std::sync::Arc;
 use std::time::Duration;
 
 use args::Args;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use vmr_baselines::ha::ha_solve;
-use vmr_baselines::mcts::{mcts_solve, MctsConfig};
-use vmr_baselines::vbpp::vbpp_solve;
 use vmr_core::agent::{ActPolicy, Vmr2lAgent};
 use vmr_core::config::{ActionMode, ExtractorKind, ModelConfig, PrecisionConfig};
 use vmr_core::eval::{risk_seeking_eval, RiskSeekingConfig};
@@ -43,13 +49,14 @@ use vmr_core::model::Vmr2lModel;
 use vmr_core::train::{TrainConfig, Trainer};
 use vmr_nn::checkpoint::Checkpoint;
 use vmr_nn::tier::Tier;
+use vmr_serve::policies::{FleetPolicy, PlanPolicy, PlanRequest, PolicyRegistry};
+use vmr_serve::session::{preset_config, PlanResult, Session};
 use vmr_sim::cluster::ClusterState;
 use vmr_sim::constraints::ConstraintSet;
-use vmr_sim::dataset::{ClusterConfig, Dataset};
+use vmr_sim::dataset::Dataset;
 use vmr_sim::env::Action;
 use vmr_sim::objective::Objective;
-use vmr_solver::bnb::{branch_and_bound, SolverConfig};
-use vmr_solver::pop::{pop_solve, PopConfig};
+use vmr_sim::types::VmId;
 
 fn main() -> ExitCode {
     let args = match Args::parse(std::env::args().skip(1)) {
@@ -96,68 +103,61 @@ fn main() -> ExitCode {
 
 fn print_help() {
     println!(
-        "vmr — VM rescheduling via deep RL (VMR2L reproduction)\n\
-         \n\
-         usage: vmr <command> [--flags]\n\
-         \n\
-         commands:\n\
-           gen      --preset <tiny|small|medium|large|multi|low|mid|high|xxl>\n\
-                    --count N --seed N --out FILE\n\
-           inspect  --dataset FILE [--index N]\n\
-           train    --dataset FILE [--updates N] [--mnl N] [--seed N]\n\
-                    [--extractor sparse|vanilla] [--risk-quantile F]\n\
-                    [--rollout-workers N (0 = all cores)] [--out FILE]\n\
-           eval     --dataset FILE --agent FILE [--mnl N] [--trajectories N]\n\
-                    [--greedy] [--json] [--precision f64|f32]\n\
-           solve    --dataset FILE [--index N] --method <ha|bnb|pop|vbpp|mcts|swap>\n\
-                    [--mnl N] [--budget-ms N] [--json] [--precision f64|f32]\n\
-                    [--fleet [--shards N] [--workers N]]  (shard-parallel ha|bnb|mcts)\n\
-           cost     --dataset FILE [--index N] [--method ha] [--mnl N]\n\
-                    [--streams N] [--bandwidth GIB_S] [--json]\n\
-           interfere --dataset FILE [--index N] [--noisy-frac F]\n\
-                    [--threshold F] [--top N] [--json]\n\
-           simulate --dataset FILE [--index N] [--days N] [--mnl N]\n\
-                    [--planner none|ha] [--base-rate F] [--exit-frac F]\n\
-                    [--seed N] [--json]\n\
-           serve    [--addr HOST:PORT] [--threads N] [--agent CKPT]\n\
-                    [--data-dir DIR [--sync-every N] [--snapshot-every N]]\n\
-                    [--slow-ms N] [--event-log FILE] [--no-telemetry]\n\
-                    (durable sessions: WAL + snapshots, recovered at boot;\n\
-                     --slow-ms emits JSONL slow-request records by trace id)\n\
-           recover  --data-dir DIR [--verify]\n\
-                    (offline recovery report; --verify audits every session\n\
-                     and re-recovers to check bit-identical determinism)\n\
-           top      [--addr HOST:PORT] [--interval-ms N] [--once]\n\
-                    (live daemon dashboard: throughput, phase tail latencies,\n\
-                     durability gauges, per-session table)\n\
-           request  --op <create_session|apply_delta|plan|stats|snapshot|\n\
-                          restore|metrics>\n\
-                    [--addr HOST:PORT] --session NAME [--json] ...\n\
-                    create_session: --preset NAME --seed N --mnl N\n\
-                    apply_delta:    --delta vm_create|vm_delete|vm_resize|pm_add|pm_drain\n\
-                                    [--vm N] [--pm N] [--cpu N] [--mem N] [--double]\n\
-                    plan:           --policy agent|ha|swap|mcts|solver|fleet|auto\n\
-                                    [--mnl N] [--seed N] [--budget-ms N] [--commit]\n\
-                                    [--shards N] [--workers N]  (fleet policy)\n\
-                                    [--precision f64|f32]  (agent-backed policies)\n\
-                    snapshot:       [--out FILE]    restore: --snapshot FILE\n\
-                    metrics:        [--prometheus] [--json]"
-    );
-}
+        "\
+vmr — VM rescheduling via deep RL (VMR2L reproduction)
 
-fn preset(name: &str) -> Result<ClusterConfig, String> {
-    Ok(match name {
-        "tiny" => ClusterConfig::tiny(),
-        "small" => ClusterConfig::small_train(),
-        "medium" => ClusterConfig::medium(),
-        "large" => ClusterConfig::large(),
-        "multi" => ClusterConfig::multi_resource(),
-        "low" => ClusterConfig::workload_low(),
-        "mid" => ClusterConfig::workload_mid(),
-        "high" => ClusterConfig::workload_high(),
-        "xxl" => ClusterConfig::xxl(),
-        other => return Err(format!("unknown preset {other:?}")),
-    })
+usage: vmr <command> [--flags]
+
+commands:
+  gen      --preset <tiny|small|medium|large|multi|low|mid|high|xxl>
+           --count N --seed N --out FILE
+  inspect  --dataset FILE [--index N]
+  train    --dataset FILE [--updates N] [--mnl N] [--seed N]
+           [--extractor sparse|vanilla] [--risk-quantile F]
+           [--rollout-workers N (0 = all cores)] [--out FILE]
+  eval     --dataset FILE --agent FILE [--mnl N] [--trajectories N]
+           [--seed N] [--precision f64|f32]
+  solve    --dataset FILE [--index N] --method PLANNER [--json]
+  cost     --dataset FILE [--index N] [--method PLANNER (ha)]
+           [--streams N] [--bandwidth GIB_S] [--json]
+  interfere --dataset FILE [--index N] [--noisy-frac F]
+           [--threshold F] [--top N] [--json]
+  simulate --dataset FILE [--index N] [--days N]
+           [--planner none|PLANNER (ha)] [--base-rate F] [--exit-frac F]
+           [--seed N] [--json]
+  serve    [--addr HOST:PORT] [--threads N] [--agent CKPT]
+           [--data-dir DIR [--sync-every N] [--snapshot-every N]]
+           [--slow-ms N] [--event-log FILE] [--no-telemetry]
+           (durable sessions: WAL + snapshots, recovered at boot;
+            --slow-ms emits JSONL slow-request records by trace id)
+  recover  --data-dir DIR [--verify]
+           (offline recovery report; --verify audits every session
+            and re-recovers to check bit-identical determinism)
+  top      [--addr HOST:PORT] [--interval-ms N] [--once]
+           (live daemon dashboard: throughput, phase tail latencies,
+            durability gauges, per-session table)
+  request  --op <create_session|apply_delta|plan|stats|snapshot|
+                 restore|metrics>
+           [--addr HOST:PORT] --session NAME [--json] ...
+           create_session: --preset NAME --seed N --mnl N
+           apply_delta:    --delta vm_create|vm_delete|vm_resize|pm_add|pm_drain
+                           [--vm N] [--pm N] [--cpu N] [--mem N] [--double]
+           plan:           --policy PLANNER (auto) [--commit] + the planner
+                           flags below, except --agent and --fleet
+           snapshot:       [--out FILE]    restore: --snapshot FILE
+           metrics:        [--prometheus] [--json]
+
+PLANNER is a name in the daemon's policy registry — one list for solve,
+cost, simulate and request --op plan:
+  {planners} — and agent, given a checkpoint
+  (--agent CKPT offline, `serve --agent CKPT` served). fleet shards the
+  cluster and plans each shard with the agent, or with HA without one;
+  auto picks ha / agent / mcts by --budget-ms.
+planner flags (solve, cost, simulate):
+  [--mnl N] [--seed N] [--budget-ms N] [--agent CKPT] [--precision f64|f32]
+  [--fleet  (shard-parallel over any PLANNER)] [--shards N] [--workers N]",
+        planners = planner_names(&PolicyRegistry::standard(None))
+    );
 }
 
 fn load_dataset(args: &Args) -> Result<Dataset, String> {
@@ -173,8 +173,81 @@ fn parse_precision(args: &Args) -> Result<PrecisionConfig, String> {
         .ok_or_else(|| format!("unknown precision {spelling:?} (f64|f32)"))
 }
 
+/// `--agent CKPT`, when given: the handle `eval`, `serve` and the
+/// offline planners share.
+fn load_agent(args: &Args) -> Result<Option<SharedAgent>, String> {
+    match args.get("agent", "").as_str() {
+        "" => Ok(None),
+        path => SharedAgent::load(path).map(Some),
+    }
+}
+
+/// `--index N` of the dataset (default 0).
+fn mapping<'a>(ds: &'a Dataset, args: &Args) -> Result<&'a ClusterState, String> {
+    let index: usize = args.num("index", 0)?;
+    ds.mappings.get(index).ok_or_else(|| format!("index {index} out of range"))
+}
+
+/// What a `--method` / `--planner` / `--policy` may say, read from the
+/// registry so no help text, banner or error message can drift from it.
+fn planner_names(registry: &PolicyRegistry) -> String {
+    format!("{}, auto", registry.names().join(", "))
+}
+
+/// The planner an offline command (`solve`, `cost`, `simulate`) was asked
+/// for: a name resolved by the registry the daemon serves, and the
+/// request the planner flags spell. `--agent CKPT` registers `agent` (and
+/// puts it under `fleet`); `--fleet` shards over whatever was resolved.
+struct Planner {
+    policy: Arc<dyn PlanPolicy>,
+    req: PlanRequest,
+    /// The resolved policy's name (`auto` already decided), `fleet:`-prefixed
+    /// under `--fleet`.
+    label: String,
+}
+
+impl Planner {
+    fn from_args(args: &Args, name: &str) -> Result<Self, String> {
+        let registry = PolicyRegistry::standard(load_agent(args)?);
+        let budget = Duration::from_millis(args.num("budget-ms", 5000u64)?);
+        let mut policy = registry.resolve(name, budget).ok_or_else(|| {
+            format!("no planner named {name:?} (known: {})", planner_names(&registry))
+        })?;
+        let mut label = policy.name().to_string();
+        if args.flag("fleet") {
+            policy = Arc::new(FleetPolicy::new(policy));
+            label = format!("fleet:{label}");
+        }
+        let req = PlanRequest {
+            mnl: args.num("mnl", 10)?,
+            seed: args.num("seed", 0)?,
+            budget,
+            shards: args.num("shards", 0)?,
+            workers: args.num("workers", 0)?,
+            precision: parse_precision(args)?,
+        };
+        Ok(Planner { policy, req, label })
+    }
+
+    /// One plan for `state`, made the way the daemon makes it: a session
+    /// around the mapping, the policy run on its rewound environment, the
+    /// plan replayed and validated with every step's true source host.
+    fn plan(&self, state: &ClusterState) -> Result<PlanResult, String> {
+        let constraints = ConstraintSet::new(state.num_vms());
+        Session::new("offline", state.clone(), constraints, self.req.mnl)
+            .and_then(|mut session| session.plan(self.policy.as_ref(), &self.req, false))
+            .map_err(|e| e.to_string())
+    }
+
+    /// [`Planner::plan`] as the simulator's action list.
+    fn actions(&self, state: &ClusterState) -> Result<Vec<Action>, String> {
+        Ok(vmr_serve::recovery::wire_plan_actions(&self.plan(state)?.plan))
+    }
+}
+
 fn cmd_gen(args: &Args) -> Result<(), String> {
-    let cfg = preset(&args.get("preset", "small"))?;
+    let name = args.get("preset", "small");
+    let cfg = preset_config(&name).ok_or_else(|| format!("unknown preset {name:?}"))?;
     let count: usize = args.num("count", 8)?;
     let seed: u64 = args.num("seed", 0)?;
     let out = args.get("out", "dataset.json");
@@ -250,9 +323,6 @@ fn cmd_train(args: &Args) -> Result<(), String> {
         eval_every: 0,
         risk_quantile: (0.0..1.0).contains(&risk_quantile).then_some(risk_quantile),
         rollout_workers,
-        // Training always runs f64; the field records the precision
-        // downstream evaluation/serving of this agent should use.
-        precision: parse_precision(args)?,
         ..Default::default()
     };
     let train: Vec<ClusterState> = ds.train_mappings().cloned().collect();
@@ -335,267 +405,36 @@ fn eval_test_set<P: ActPolicy + Sync>(
     Ok(())
 }
 
+/// `vmr solve`: one plan by one planner, printed as the executable
+/// sequence (each step's source is where the VM is *at that step*).
 fn cmd_solve(args: &Args) -> Result<(), String> {
     let ds = load_dataset(args)?;
-    let index: usize = args.num("index", 0)?;
-    let mnl: usize = args.num("mnl", 10)?;
-    let budget = Duration::from_millis(args.num("budget-ms", 5000u64)?);
-    let state = ds.mappings.get(index).ok_or_else(|| format!("index {index} out of range"))?;
-    let cs = ConstraintSet::new(state.num_vms());
-    let obj = Objective::default();
-    let method = args.require("method")?;
-    // Classical solvers run precision-independent arithmetic; the flag is
-    // validated for CLI consistency but only `f64` describes them.
-    if parse_precision(args)? == PrecisionConfig::Fast32 {
-        eprintln!("note: --precision f32 only affects agent inference; {method} ignores it");
-    }
+    let state = mapping(&ds, args)?;
+    let planner = Planner::from_args(args, &args.require("method")?)?;
     let t0 = std::time::Instant::now();
-    if args.flag("fleet") {
-        return solve_fleet(args, state, &cs, obj, mnl, budget, &method, t0);
-    }
-    let (plan, fr): (Vec<Action>, f64) = match method.as_str() {
-        "ha" => {
-            let r = ha_solve(state, &cs, obj, mnl);
-            (r.plan, r.objective)
-        }
-        "vbpp" => {
-            let r = vbpp_solve(state, &cs, obj, mnl, (mnl / 5).max(2));
-            (r.plan, r.objective)
-        }
-        "bnb" => {
-            let r = branch_and_bound(
-                state,
-                &cs,
-                obj,
-                mnl,
-                &SolverConfig { time_limit: budget, beam_width: Some(48), ..Default::default() },
-            );
-            (r.plan, r.objective)
-        }
-        "pop" => {
-            let r = pop_solve(
-                state,
-                &cs,
-                obj,
-                mnl,
-                &PopConfig {
-                    partitions: 4,
-                    sub: SolverConfig {
-                        time_limit: budget,
-                        beam_width: Some(24),
-                        ..Default::default()
-                    },
-                    seed: 0,
-                },
-            );
-            (r.plan, r.objective)
-        }
-        "mcts" => {
-            let r = mcts_solve(
-                state,
-                &cs,
-                obj,
-                mnl,
-                &MctsConfig { time_limit: budget, ..Default::default() },
-            );
-            (r.plan, r.objective)
-        }
-        "swap" => return solve_swap(args, state, &cs, obj, mnl),
-        other => return Err(format!("unknown method {other:?} (ha|bnb|pop|vbpp|mcts|swap)")),
-    };
-    let elapsed = t0.elapsed();
+    let out = planner.plan(state)?;
+    let elapsed = t0.elapsed().as_secs_f64();
     if args.flag("json") {
         let body = serde_json::json!({
-            "method": method,
-            "mnl": mnl,
-            "initial_fr": state.fragment_rate(16),
-            "final_fr": fr,
-            "elapsed_s": elapsed.as_secs_f64(),
-            "plan": plan.iter().map(|a| {
-                serde_json::json!({
-                    "vm": a.vm.0,
-                    "from_pm": state.placement(a.vm).pm.0,
-                    "to_pm": a.pm.0,
-                })
-            }).collect::<Vec<_>>(),
+            "method": planner.label,
+            "mnl": planner.req.mnl,
+            "initial_fr": out.objective_before,
+            "final_fr": out.objective_after,
+            "elapsed_s": elapsed,
+            "plan": out.plan,
         });
         println!("{}", serde_json::to_string_pretty(&body).expect("serializable"));
     } else {
         println!(
-            "{method}: FR {:.4} -> {:.4} with {} migrations in {:.2}s",
-            state.fragment_rate(16),
-            fr,
-            plan.len(),
-            elapsed.as_secs_f64()
+            "{}: FR {:.4} -> {:.4} with {} migrations in {elapsed:.2}s",
+            planner.label,
+            out.objective_before,
+            out.objective_after,
+            out.plan.len()
         );
-        for (i, a) in plan.iter().enumerate() {
-            println!(
-                "  {i}: VM{} ({}c) PM{} -> PM{}",
-                a.vm.0,
-                state.vm(a.vm).cpu,
-                state.placement(a.vm).pm.0,
-                a.pm.0
-            );
-        }
-    }
-    Ok(())
-}
-
-/// `solve --fleet`: run a classical method per shard through the
-/// shard-parallel fleet planner — PMs are partitioned
-/// fragmentation-balanced, every shard is solved concurrently, and the
-/// stitched plan honors the *global* MNL exactly (leftover budget goes
-/// to the cross-shard refinement pass).
-#[allow(clippy::too_many_arguments)]
-fn solve_fleet(
-    args: &Args,
-    state: &ClusterState,
-    cs: &ConstraintSet,
-    obj: Objective,
-    mnl: usize,
-    budget: Duration,
-    method: &str,
-    t0: std::time::Instant,
-) -> Result<(), String> {
-    use vmr_sim::shard::{fleet_plan, FleetConfig, ShardStrategy};
-    let shards: usize = args.num("shards", 16)?;
-    let workers: usize = args.num("workers", 0)?;
-    let cfg = FleetConfig {
-        shards,
-        strategy: ShardStrategy::FragBalanced,
-        seed: args.num("seed", 0)?,
-        workers,
-        refine: true,
-    };
-    // `--budget-ms` is the *total* wall-clock budget. Shards run in
-    // waves of `workers`, so each deadline-bound sub-solve gets the
-    // budget divided by the number of waves — otherwise 32 sequential
-    // shards at the full budget each would overrun the request 32×.
-    let effective_workers = if workers == 0 {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-    } else {
-        workers
-    }
-    .clamp(1, shards.max(1));
-    let waves = shards.max(1).div_ceil(effective_workers) as u32;
-    let sub_budget = (budget / waves).max(Duration::from_millis(1));
-    let out = match method {
-        "ha" => fleet_plan(state, cs, obj, mnl, &cfg, |_, sub, m| {
-            ha_solve(&sub.state, &sub.constraints, obj, m).plan
-        }),
-        "bnb" => {
-            let sub_cfg =
-                SolverConfig { time_limit: sub_budget, beam_width: Some(48), ..Default::default() };
-            fleet_plan(state, cs, obj, mnl, &cfg, |_, sub, m| {
-                branch_and_bound(&sub.state, &sub.constraints, obj, m, &sub_cfg).plan
-            })
-        }
-        "mcts" => {
-            let sub_cfg = MctsConfig { time_limit: sub_budget, ..Default::default() };
-            fleet_plan(state, cs, obj, mnl, &cfg, |i, sub, m| {
-                mcts_solve(
-                    &sub.state,
-                    &sub.constraints,
-                    obj,
-                    m,
-                    &MctsConfig { seed: sub_cfg.seed.wrapping_add(i as u64), ..sub_cfg },
-                )
-                .plan
-            })
-        }
-        other => return Err(format!("--fleet supports ha|bnb|mcts, not {other:?}")),
-    };
-    let elapsed = t0.elapsed();
-    // Source hosts are read while *replaying* the plan: a VM the
-    // refinement pass moves a second time has left its initial host, and
-    // an operator executing the printed sequence needs the true source
-    // of each step.
-    let mut replay = state.clone();
-    let mut steps = Vec::with_capacity(out.plan.len());
-    for a in &out.plan {
-        let from = replay.placement(a.vm).pm;
-        replay.migrate(a.vm, a.pm, obj.frag_cores()).map_err(|e| e.to_string())?;
-        steps.push((a.vm, from, a.pm));
-    }
-    if args.flag("json") {
-        let body = serde_json::json!({
-            "method": format!("fleet:{method}"),
-            "mnl": mnl,
-            "shards": out.shards,
-            "refined": out.refined,
-            "initial_fr": state.fragment_rate(16),
-            "final_fr": out.objective,
-            "elapsed_s": elapsed.as_secs_f64(),
-            "plan": steps.iter().map(|&(vm, from, to)| {
-                serde_json::json!({
-                    "vm": vm.0,
-                    "from_pm": from.0,
-                    "to_pm": to.0,
-                })
-            }).collect::<Vec<_>>(),
-        });
-        println!("{}", serde_json::to_string_pretty(&body).expect("serializable"));
-    } else {
-        println!(
-            "fleet:{method} ({} shards): FR {:.4} -> {:.4} with {} migrations \
-             ({} from refinement) in {:.2}s",
-            out.shards,
-            state.fragment_rate(16),
-            out.objective,
-            out.plan.len(),
-            out.refined,
-            elapsed.as_secs_f64()
-        );
-        for (i, &(vm, from, to)) in steps.iter().enumerate() {
-            println!("  {i}: VM{} ({}c) PM{} -> PM{}", vm.0, state.vm(vm).cpu, from.0, to.0);
-        }
-    }
-    Ok(())
-}
-
-/// `solve --method swap`: swap-aware local search — its plan mixes
-/// single migrations with atomic exchanges, so it needs its own output.
-fn solve_swap(
-    args: &Args,
-    state: &ClusterState,
-    cs: &ConstraintSet,
-    obj: Objective,
-    mnl: usize,
-) -> Result<(), String> {
-    use vmr_baselines::swap::{swap_search_solve, SwapMove};
-    let r = swap_search_solve(state, cs, obj, mnl, &Default::default());
-    if args.flag("json") {
-        let body = serde_json::json!({
-            "method": "swap",
-            "mnl": mnl,
-            "initial_fr": state.fragment_rate(16),
-            "final_fr": r.objective,
-            "migrations_used": r.migrations_used,
-            "elapsed_s": r.elapsed.as_secs_f64(),
-            "moves": r.moves.iter().map(|m| match m {
-                SwapMove::Single(a) => serde_json::json!({
-                    "kind": "migrate", "vm": a.vm.0, "to_pm": a.pm.0,
-                }),
-                SwapMove::Swap(a, b) => serde_json::json!({
-                    "kind": "swap", "vm_a": a.0, "vm_b": b.0,
-                }),
-            }).collect::<Vec<_>>(),
-        });
-        println!("{}", serde_json::to_string_pretty(&body).expect("serializable"));
-    } else {
-        println!(
-            "swap: FR {:.4} -> {:.4} with {} migrations ({} moves) in {:.2}s",
-            state.fragment_rate(16),
-            r.objective,
-            r.migrations_used,
-            r.moves.len(),
-            r.elapsed.as_secs_f64()
-        );
-        for (i, m) in r.moves.iter().enumerate() {
-            match m {
-                SwapMove::Single(a) => println!("  {i}: migrate VM{} -> PM{}", a.vm.0, a.pm.0),
-                SwapMove::Swap(a, b) => println!("  {i}: swap VM{} <-> VM{}", a.0, b.0),
-            }
+        for (i, a) in out.plan.iter().enumerate() {
+            let cpu = state.vm(VmId(a.vm)).cpu;
+            println!("  {i}: VM{} ({cpu}c) PM{} -> PM{}", a.vm, a.from_pm, a.to_pm);
         }
     }
     Ok(())
@@ -605,16 +444,9 @@ fn solve_swap(
 fn cmd_cost(args: &Args) -> Result<(), String> {
     use vmr_sim::migration::{schedule_plan, NicLimits, PrecopyModel};
     let ds = load_dataset(args)?;
-    let index: usize = args.num("index", 0)?;
-    let mnl: usize = args.num("mnl", 10)?;
+    let state = mapping(&ds, args)?;
     let streams: u32 = args.num("streams", 2)?;
-    let state = ds.mappings.get(index).ok_or_else(|| format!("index {index} out of range"))?;
-    let cs = ConstraintSet::new(state.num_vms());
-    let method = args.get("method", "ha");
-    if method != "ha" {
-        return Err("cost currently prices HA plans; use --method ha".into());
-    }
-    let plan = ha_solve(state, &cs, Objective::default(), mnl).plan;
+    let plan = Planner::from_args(args, &args.get("method", "ha"))?.actions(state)?;
     let model =
         PrecopyModel { bandwidth_gib_s: args.num("bandwidth", 2.5f64)?, ..PrecopyModel::default() };
     let sched = schedule_plan(state, &plan, &model, NicLimits { streams_per_pm: streams })
@@ -669,10 +501,13 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
     use vmr_sim::daycycle::{run_day_cycle, DayCycleConfig};
     use vmr_sim::trace::DiurnalModel;
     let ds = load_dataset(args)?;
-    let index: usize = args.num("index", 0)?;
-    let state = ds.mappings.get(index).ok_or_else(|| format!("index {index} out of range"))?;
+    let state = mapping(&ds, args)?;
     let seed: u64 = args.num("seed", 0)?;
     let planner_name = args.get("planner", "ha");
+    let planner = match planner_name.as_str() {
+        "none" => None,
+        name => Some(Planner::from_args(args, name)?),
+    };
 
     let mut cfg = DayCycleConfig::new(VmMix::standard());
     cfg.days = args.num("days", 2u32)?;
@@ -689,17 +524,21 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
     };
     cfg.exit_frac = args.num("exit-frac", default_exit)?;
 
-    let obj = Objective::default();
-    type Planner = Box<dyn FnMut(&ClusterState, usize) -> Vec<Action>>;
-    let mut planner: Planner = match planner_name.as_str() {
-        "none" => Box::new(|_: &ClusterState, _| Vec::new()),
-        "ha" => Box::new(move |s: &ClusterState, mnl: usize| {
-            ha_solve(s, &ConstraintSet::new(s.num_vms()), obj, mnl).plan
+    // The day loop takes a plan, not a `Result`: a window whose planner
+    // fails plans nothing, and the first failure fails the command.
+    let mut failure = None;
+    let mut plan_window = |snapshot: &ClusterState, _mnl: usize| match &planner {
+        None => Vec::new(),
+        Some(p) => p.actions(snapshot).unwrap_or_else(|e| {
+            failure.get_or_insert(e);
+            Vec::new()
         }),
-        other => return Err(format!("unknown planner {other:?} (none|ha)")),
     };
     let mut rng = StdRng::seed_from_u64(seed);
-    let out = run_day_cycle(state, &mut planner, &cfg, &mut rng).map_err(|e| e.to_string())?;
+    let out = run_day_cycle(state, &mut plan_window, &cfg, &mut rng).map_err(|e| e.to_string())?;
+    if let Some(e) = failure {
+        return Err(e);
+    }
 
     if args.flag("json") {
         let body = serde_json::json!({
@@ -744,11 +583,9 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     use vmr_serve::server::{serve, ServerConfig};
     use vmr_serve::wal::DurabilityConfig;
     use vmr_telemetry::EventLog;
-    let agent = match args.get("agent", "").as_str() {
-        "" => None,
-        path => Some(SharedAgent::load(path)?),
-    };
-    let has_agent = agent.is_some();
+    let agent = load_agent(args)?;
+    // The same table the daemon is about to build from the same handle.
+    let policies = planner_names(&PolicyRegistry::standard(agent.clone()));
     let durability = match args.get("data-dir", "").as_str() {
         "" => None,
         dir => {
@@ -779,9 +616,8 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     }
     println!("vmr-serve listening on {}", handle.addr());
     println!(
-        "policies: ha, swap, mcts, solver, fleet{}  (try: vmr request --addr {} --op \
-         create_session --session prod --preset medium)",
-        if has_agent { ", agent, auto" } else { " (no --agent checkpoint: agent disabled)" },
+        "policies: {policies}  (try: vmr request --addr {} --op create_session --session prod \
+         --preset medium)",
         handle.addr()
     );
     // Serve until the process is killed.
@@ -929,9 +765,7 @@ fn cmd_request(args: &Args) -> Result<(), String> {
                     "objective_after": planned.objective_after,
                     "computed": planned.computed,
                     "version": planned.version,
-                    "plan": planned.plan.iter().map(|a| serde_json::json!({
-                        "vm": a.vm, "from_pm": a.from_pm, "to_pm": a.to_pm,
-                    })).collect::<Vec<_>>(),
+                    "plan": planned.plan,
                 });
                 println!("{}", serde_json::to_string_pretty(&body).expect("serializable"));
             } else {
@@ -1238,12 +1072,11 @@ fn render_top(
 fn cmd_interfere(args: &Args) -> Result<(), String> {
     use vmr_sim::interference::{InterferenceModel, UsageProfiles};
     let ds = load_dataset(args)?;
-    let index: usize = args.num("index", 0)?;
     let noisy_frac: f64 = args.num("noisy-frac", 0.2f64)?;
     let threshold: f64 = args.num("threshold", 0.5f64)?;
     let top: usize = args.num("top", 10)?;
     let seed: u64 = args.num("seed", 0)?;
-    let state = ds.mappings.get(index).ok_or_else(|| format!("index {index} out of range"))?;
+    let state = mapping(&ds, args)?;
     let profiles = UsageProfiles::generate(state, noisy_frac, seed);
     let model = InterferenceModel { threshold, use_burst: true };
     let score = model.cluster_score(state, &profiles);

@@ -808,27 +808,31 @@ fn entropy_var(g: &mut Graph, logits: Var, mask: &Tensor) -> Var {
     g.scale(s, -1.0)
 }
 
-/// Convenience: deterministically roll out a full episode with the agent
-/// (in its own precision) and return the final objective value and the
-/// plan.
-pub fn rollout_episode<P: ActPolicy, R: Rng + ?Sized>(
+/// The agent step loop — the only one in the workspace: `act` →
+/// `env.step` → push, from the environment's *current* state (no
+/// `reset`) in the caller's [`InferCtx`], until the episode ends or no
+/// candidate is left. The daemon's agent policy, NeuPlan's greedy prefix
+/// and [`rollout_episode`] all run exactly this, in the agent's own
+/// precision.
+pub fn roll_out<P: ActPolicy, R: Rng + ?Sized>(
     agent: &Vmr2lAgent<P>,
     env: &mut ReschedEnv,
+    ictx: &mut InferCtx,
     rng: &mut R,
     opts: &DecideOpts,
-) -> SimResult<(f64, Vec<Action>)> {
+) -> SimResult<Vec<Action>> {
     /// Consecutive illegal proposals tolerated before giving up on the
     /// episode. Unmasked modes can propose illegal actions; a greedy
     /// policy would re-propose the same one forever, so retries must be
     /// bounded.
     const MAX_ILLEGAL_RETRIES: usize = 64;
 
-    env.reset();
-    let mut ictx = InferCtx::new();
     let mut plan = Vec::new();
     let mut illegal_streak = 0usize;
-    while !env.is_done() {
-        let Some(decision) = agent.act(env, &mut ictx, rng, opts)? else {
+    // The MNL test only matters for an MNL-0 episode, which is not
+    // "done" before its first step: it asks the model nothing.
+    while !env.is_done() && env.steps_taken() < env.mnl() {
+        let Some(decision) = agent.act(env, ictx, rng, opts)? else {
             break;
         };
         match env.step(decision.action) {
@@ -850,6 +854,19 @@ pub fn rollout_episode<P: ActPolicy, R: Rng + ?Sized>(
             Err(e) => return Err(e),
         }
     }
+    Ok(plan)
+}
+
+/// Convenience: `reset`, [`roll_out`] a full episode with the agent (in
+/// its own precision) and return the final objective value and the plan.
+pub fn rollout_episode<P: ActPolicy, R: Rng + ?Sized>(
+    agent: &Vmr2lAgent<P>,
+    env: &mut ReschedEnv,
+    rng: &mut R,
+    opts: &DecideOpts,
+) -> SimResult<(f64, Vec<Action>)> {
+    env.reset();
+    let plan = roll_out(agent, env, &mut InferCtx::new(), rng, opts)?;
     Ok((env.objective_value(), plan))
 }
 

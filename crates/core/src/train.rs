@@ -34,7 +34,7 @@ use vmr_sim::error::{SimError, SimResult};
 use vmr_sim::objective::Objective;
 
 use crate::agent::{DecideOpts, InferCtx, Policy, StoredAction, StoredObs, Vmr2lAgent};
-use crate::config::{ActionMode, PrecisionConfig};
+use crate::config::ActionMode;
 
 /// Training configuration.
 #[derive(Debug, Clone, Copy)]
@@ -72,12 +72,6 @@ pub struct TrainConfig {
     /// The collected buffer is byte-identical for any value — workers
     /// only change wall-clock time, never trajectories.
     pub rollout_workers: usize,
-    /// Inference precision for downstream consumers of this config (the
-    /// CLI's post-training evaluation, serving). Training itself — rollout
-    /// collection, gradients, and the trainer's periodic eval — always
-    /// runs [`PrecisionConfig::Exact64`] so learning curves stay
-    /// bit-reproducible; see [`crate::config::PrecisionConfig`].
-    pub precision: PrecisionConfig,
 }
 
 impl Default for TrainConfig {
@@ -100,7 +94,6 @@ impl Default for TrainConfig {
             risk_quantile: None,
             lr_schedule: None,
             rollout_workers: 1,
-            precision: PrecisionConfig::Exact64,
         }
     }
 }

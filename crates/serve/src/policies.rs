@@ -1,9 +1,12 @@
 //! The plan-policy registry: every way this repo knows how to produce a
 //! rescheduling plan — the trained VMR2L agent, the HA filtering
-//! heuristic, swap-aware local search, MCTS, the branch-and-bound
-//! solver, and the shard-parallel fleet planner — behind one
-//! [`PlanPolicy`] trait, selected by request policy name plus latency
-//! budget.
+//! heuristic, α-VBPP, swap-aware local search, MCTS, the
+//! branch-and-bound solver, POP, and the shard-parallel fleet planner —
+//! behind one [`PlanPolicy`] trait, selected by request policy name plus
+//! latency budget. It is the only table of planners in the workspace's
+//! binaries: the daemon serves it and `vmr solve` / `cost` / `simulate`
+//! plan through it, so what a name, a budget, a seed and a shard mean is
+//! decided here once.
 //!
 //! The contract: a policy receives the session's live environment
 //! (rewound to the committed state, MNL already set) and returns a
@@ -22,13 +25,15 @@ use rand::SeedableRng;
 use vmr_baselines::ha::ha_solve;
 use vmr_baselines::mcts::{mcts_solve, MctsConfig};
 use vmr_baselines::swap::{swap_search_solve, SwapMove, SwapSearchConfig};
-use vmr_core::agent::{ActPolicy, DecideOpts, InferCtx, Vmr2lAgent};
+use vmr_baselines::vbpp::vbpp_solve;
+use vmr_core::agent::{roll_out, DecideOpts, InferCtx};
 use vmr_core::config::PrecisionConfig;
 use vmr_core::infer::SharedAgent;
 use vmr_sim::env::{Action, ReschedEnv};
 use vmr_sim::error::SimResult;
 use vmr_sim::shard::{FleetConfig, ShardStrategy};
 use vmr_solver::bnb::{branch_and_bound, SolverConfig};
+use vmr_solver::pop::{pop_solve, PopConfig};
 
 use crate::sync::LockExt;
 
@@ -94,38 +99,25 @@ impl PlanPolicy for AgentPolicy {
     }
 
     fn plan(&self, env: &mut ReschedEnv, req: &PlanRequest) -> SimResult<Vec<Action>> {
+        let mut rng = StdRng::seed_from_u64(req.seed);
+        let opts = DecideOpts::default();
+        let mut ictx = InferCtx::new();
+        // Counted busy for the whole plan, not just inside its kernels:
+        // a second plan in flight (another server worker, another fleet
+        // shard) must see this core as taken between attention calls
+        // too, or the two would trade the same idle core back and forth.
+        let _busy = vmr_nn::par::forward();
         // Precision is the agent's type: chosen once per plan, never
-        // looked at inside the step loop.
+        // looked at inside the step loop (`vmr_core::agent::roll_out`).
         match req.precision {
-            PrecisionConfig::Exact64 => roll_out(self.handle.agent(), env, req.seed),
-            PrecisionConfig::Fast32 => roll_out(self.handle.agent32(), env, req.seed),
+            PrecisionConfig::Exact64 => {
+                roll_out(self.handle.agent(), env, &mut ictx, &mut rng, &opts)
+            }
+            PrecisionConfig::Fast32 => {
+                roll_out(self.handle.agent32(), env, &mut ictx, &mut rng, &opts)
+            }
         }
     }
-}
-
-/// The served step loop, in the agent's own precision.
-fn roll_out<P: ActPolicy>(
-    agent: &Vmr2lAgent<P>,
-    env: &mut ReschedEnv,
-    seed: u64,
-) -> SimResult<Vec<Action>> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let opts = DecideOpts::default();
-    let mut ictx = InferCtx::new();
-    let mut plan = Vec::new();
-    // Counted busy for the whole plan, not just inside its kernels:
-    // a second plan in flight (another server worker, another fleet
-    // shard) must see this core as taken between attention calls
-    // too, or the two would trade the same idle core back and forth.
-    let _busy = vmr_nn::par::forward();
-    while !env.is_done() {
-        let Some(decision) = agent.act(env, &mut ictx, &mut rng, &opts)? else {
-            break;
-        };
-        env.step(decision.action)?;
-        plan.push(decision.action);
-    }
-    Ok(plan)
 }
 
 /// The filtering-based heuristic (HA) — the microsecond-budget fallback.
@@ -138,6 +130,21 @@ impl PlanPolicy for HaPolicy {
 
     fn plan(&self, env: &mut ReschedEnv, req: &PlanRequest) -> SimResult<Vec<Action>> {
         Ok(ha_solve(env.state(), env.constraints(), env.objective(), req.mnl).plan)
+    }
+}
+
+/// α-VBPP, the staged evict-and-repack heuristic (§5.1), with the stage
+/// size the paper's α = 10 at MNL 50 scales to (MNL / 5, at least 2).
+pub struct VbppPolicy;
+
+impl PlanPolicy for VbppPolicy {
+    fn name(&self) -> &'static str {
+        "vbpp"
+    }
+
+    fn plan(&self, env: &mut ReschedEnv, req: &PlanRequest) -> SimResult<Vec<Action>> {
+        let alpha = (req.mnl / 5).max(2);
+        Ok(vbpp_solve(env.state(), env.constraints(), env.objective(), req.mnl, alpha).plan)
     }
 }
 
@@ -235,6 +242,24 @@ impl PlanPolicy for SolverPolicy {
     }
 }
 
+/// POP (§5.1): the solver over four random partitions of the cluster,
+/// the request's latency budget split between them and its seed drawing
+/// the partition.
+pub struct PopPolicy;
+
+impl PlanPolicy for PopPolicy {
+    fn name(&self) -> &'static str {
+        "pop"
+    }
+
+    fn plan(&self, env: &mut ReschedEnv, req: &PlanRequest) -> SimResult<Vec<Action>> {
+        let sub =
+            SolverConfig { time_limit: req.budget, beam_width: Some(24), ..Default::default() };
+        let cfg = PopConfig { partitions: 4, sub, seed: req.seed };
+        Ok(pop_solve(env.state(), env.constraints(), env.objective(), req.mnl, &cfg).plan)
+    }
+}
+
 /// Shard-parallel fleet planning: partitions the session's cluster with
 /// the shared [`vmr_sim::shard`] layer, runs the wrapped policy per
 /// shard on scoped worker threads, stitches sub-plans under one global
@@ -290,10 +315,12 @@ impl PlanPolicy for FleetPolicy {
         };
         // Shards solve concurrently, so each gets the full wall-clock
         // budget (bounded below so huge shard counts stay well-defined).
-        // Deliberately NOT divided by the worker count: the registered
-        // inner policies (agent, HA) are not deadline-bound, and scaling
-        // a deadline by `workers` would make plan bytes depend on it —
-        // breaking the worker-invariance guarantee.
+        // Deliberately NOT divided by the worker count: the inner
+        // policies the registry wraps (agent, HA) are not deadline-bound,
+        // and scaling a deadline by `workers` would make plan bytes
+        // depend on it — breaking the worker-invariance guarantee. Over a
+        // deadline-bound inner policy (`vmr solve --fleet --method
+        // mcts`) the request takes one budget per wave of shards.
         let shard_budget = req.budget.max(Duration::from_millis(1));
         let objective = env.objective();
         let inner = &self.inner;
@@ -369,16 +396,19 @@ pub struct PolicyRegistry {
 }
 
 impl PolicyRegistry {
-    /// The standard registry: HA, swap search, MCTS, the solver, and the
-    /// shard-parallel `fleet` planner are always available; `agent`
-    /// requires a loaded checkpoint handle. `fleet` runs the trained
-    /// agent per shard when a checkpoint is loaded and HA otherwise.
+    /// The standard registry: HA, α-VBPP, swap search, MCTS, the solver,
+    /// POP and the shard-parallel `fleet` planner are always available;
+    /// `agent` requires a loaded checkpoint handle. `fleet` runs the
+    /// trained agent per shard when a checkpoint is loaded and HA
+    /// otherwise.
     pub fn standard(agent: Option<SharedAgent>) -> Self {
         let mut by_name: BTreeMap<&'static str, Arc<dyn PlanPolicy>> = BTreeMap::new();
         by_name.insert("ha", Arc::new(HaPolicy));
+        by_name.insert("vbpp", Arc::new(VbppPolicy));
         by_name.insert("swap", Arc::new(SwapPolicy));
         by_name.insert("mcts", Arc::new(MctsPolicy));
         by_name.insert("solver", Arc::new(SolverPolicy));
+        by_name.insert("pop", Arc::new(PopPolicy));
         let has_agent = agent.is_some();
         let mut fleet_inner: Arc<dyn PlanPolicy> = Arc::new(HaPolicy);
         if let Some(handle) = agent {
@@ -422,7 +452,7 @@ mod tests {
     #[test]
     fn standard_registry_without_agent() {
         let reg = PolicyRegistry::standard(None);
-        assert_eq!(reg.names(), vec!["fleet", "ha", "mcts", "solver", "swap"]);
+        assert_eq!(reg.names(), vec!["fleet", "ha", "mcts", "pop", "solver", "swap", "vbpp"]);
         assert!(reg.resolve("agent", Duration::from_millis(1)).is_none());
         assert!(reg.resolve("nonsense", Duration::from_millis(1)).is_none());
         // auto degrades to HA when no checkpoint is loaded and the budget
@@ -430,6 +460,28 @@ mod tests {
         assert_eq!(reg.resolve("auto", Duration::from_millis(1)).unwrap().name(), "ha");
         assert_eq!(reg.resolve("auto", Duration::from_millis(500)).unwrap().name(), "ha");
         assert_eq!(reg.resolve("auto", Duration::from_secs(10)).unwrap().name(), "mcts");
+    }
+
+    #[test]
+    fn pop_and_vbpp_serve_replayable_plans() {
+        use crate::session::{preset_config, Session};
+        let mut session =
+            Session::from_preset("s", &preset_config("small").unwrap(), 11, 6).unwrap();
+        let req = PlanRequest {
+            mnl: 6,
+            seed: 3,
+            budget: Duration::from_millis(150),
+            shards: 0,
+            workers: 0,
+            precision: PrecisionConfig::Exact64,
+        };
+        for policy in [&PopPolicy as &dyn PlanPolicy, &VbppPolicy] {
+            // `Session::plan` replays the plan step by step against the
+            // live constraints, so `Ok` is the legality proof.
+            let out = session.plan(policy, &req, false).unwrap();
+            assert!(out.plan.len() <= 6, "{} broke the MNL", policy.name());
+            assert!(out.objective_after <= out.objective_before + 1e-12, "{}", policy.name());
+        }
     }
 
     #[test]
