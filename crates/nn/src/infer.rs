@@ -154,11 +154,15 @@ impl<S: Scalar> FwdCtx<S> {
     }
 
     /// `x · W + b` (the [`crate::layers::Linear`] forward).
+    ///
+    /// # Panics
+    /// Panics unless `b` is `1 × w.cols()` — a narrower bias would leave
+    /// output columns without one.
     pub fn linear(&mut self, x: FVar, w: &Tensor<S>, b: &Tensor<S>) -> FVar {
+        assert_eq!((b.rows(), b.cols()), (1, w.cols()), "bias must be a 1 × out row");
         let out = self.alloc(self.slots[x.0].rows(), w.cols());
         let (head, o) = self.split(out);
         kernels::matmul_into(&head[x.0], w, o);
-        debug_assert_eq!(b.rows(), 1, "bias must be a row");
         let n = o.cols();
         for r in 0..o.rows() {
             let row = &mut o.data_mut()[r * n..(r + 1) * n];
@@ -611,5 +615,14 @@ pub(crate) mod tests {
     #[test]
     fn write_cols_assembles_heads() {
         write_cols_assembles_heads_in::<f64>();
+    }
+
+    #[test]
+    #[should_panic(expected = "bias must be a 1 × out row")]
+    fn linear_rejects_a_narrow_bias() {
+        let mut ctx = FwdCtx::<f64>::new();
+        let w = Tensor::from_vec(2, 3, vec![1.0; 6]);
+        let x = ctx.input(&Tensor::from_vec(1, 2, vec![3.0, 4.0]));
+        ctx.linear(x, &w, &Tensor::row(vec![10.0, 20.0]));
     }
 }

@@ -6,10 +6,8 @@
 //! and the tape-free [`crate::infer::FwdCtx`] call the *same* functions.
 //! That is what makes the two engines bit-identical by construction, and
 //! the f32 tier the same code at another element type: there is no second
-//! implementation to drift. Where the fastest loop shape differs by
-//! precision (today only the wide GEMM row) both shapes live here,
-//! generic, and the [`Scalar`] impl names the one its type runs (see
-//! [`crate::scalar`]). Loop shapes are chosen by measurement on the one
+//! implementation to drift. Every loop shape and tile size here serves
+//! both precisions. Loop shapes are chosen by measurement on the one
 //! SIMD tier the workspace builds for ([`crate::tier`]); stripe counts
 //! and tile sizes are source constants and never follow the register
 //! width, which is why that tier changes no bit.
@@ -44,37 +42,15 @@ pub const MASK_NEG_THRESHOLD: f64 = -1.0e20;
 pub const MASK_OFF: f64 = -1.0e30;
 
 /// Square cache-tile edge shared by the blocked kernels: the transpose
-/// (32×32 f64 tiles = 8 KiB in + 8 KiB out), the fused attention row
-/// tiling, and the column blocking of `matmul_wide_blocked`. One named
-/// constant so the tilings cannot drift apart.
+/// (32×32 f64 tiles = 8 KiB in + 8 KiB out) and the fused attention row
+/// tiling. One named constant so the tilings cannot drift apart.
 pub const L1_TILE: usize = 32;
-
-/// `y += alpha · x` over eight-lane chunks. The chunk slices are cast to
-/// `[S; 8]` arrays so the lane loop carries no bounds checks — without
-/// the cast the autovectorizer refuses the loop and every kernel built
-/// on this pattern runs scalar.
-#[inline]
-fn axpy8<S: Scalar>(alpha: S, x: &[S], y: &mut [S]) {
-    let mut yc = y.chunks_exact_mut(8);
-    let mut xc = x.chunks_exact(8);
-    for (y8, x8) in yc.by_ref().zip(xc.by_ref()) {
-        let y8: &mut [S; 8] = y8.try_into().expect("chunk");
-        let x8: &[S; 8] = x8.try_into().expect("chunk");
-        for l in 0..8 {
-            y8[l] += alpha * x8[l];
-        }
-    }
-    for (o, &bv) in yc.into_remainder().iter_mut().zip(xc.remainder()) {
-        *o += alpha * bv;
-    }
-}
 
 /// `out = a · b` (dense). `out` must be pre-shaped `a.rows × b.cols`;
 /// its prior contents are overwritten.
 ///
 /// There is deliberately *no* zero-skip branch — on dense weight matrices
-/// the per-element compare costs more than the multiply it saves (see the
-/// `policy_forward/matmul_*` benches).
+/// the per-element compare costs more than the multiply it saves.
 pub fn matmul_into<S: Scalar>(a: &Tensor<S>, b: &Tensor<S>, out: &mut Tensor<S>) {
     let (m, k, n) = (a.rows(), a.cols(), b.cols());
     assert_eq!(k, b.rows(), "matmul inner dimension mismatch");
@@ -86,125 +62,90 @@ pub fn matmul_into<S: Scalar>(a: &Tensor<S>, b: &Tensor<S>, out: &mut Tensor<S>)
 /// of width `k`. Rows are independent, so any contiguous row range of
 /// `a`/`out` yields the same bits it would inside the full product —
 /// the unit [`crate::par::run_row_lanes`] hands a lane.
+///
+/// Every width runs [`matmul_tile`]. The widths the served model runs
+/// get a tile `N` columns wide — `d_model` 24, `d_ff` 48,
+/// `critic_hidden` 32 and the head width 12 of `probs · V`; any other
+/// width runs 8-column tiles and then its last `n mod 8` columns one at
+/// a time.
 fn matmul_rows<S: Scalar>(a: &[S], k: usize, bd: &[S], n: usize, out: &mut [S]) {
-    if n <= 16 {
-        // Narrow outputs (attention `probs · V` with a head-width n):
-        // stack-resident accumulators, two rows of `a` per `b` pass.
-        // Common head widths get a const-width instantiation so the
-        // inner loops fully unroll; the math is identical either way.
-        return match n {
-            8 => matmul_narrow::<S, 8>(a, k, bd, out),
-            12 => matmul_narrow::<S, 12>(a, k, bd, out),
-            16 => matmul_narrow::<S, 16>(a, k, bd, out),
-            _ => matmul_narrow_dyn(a, k, bd, n, out),
-        };
-    }
-    S::matmul_wide_rows(a, k, bd, n, out);
-}
-
-/// Wide-output matmul rows, plain i-k-j: streams rows of `b` and is
-/// auto-vectorizable (the f64 shape).
-pub(crate) fn matmul_wide_plain<S: Scalar>(a: &[S], k: usize, bd: &[S], n: usize, out: &mut [S]) {
-    for (i, o_row) in out.chunks_exact_mut(n).enumerate() {
-        o_row.fill(S::ZERO);
-        for (kk, &av) in a[i * k..(i + 1) * k].iter().enumerate() {
-            let b_row = &bd[kk * n..(kk + 1) * n];
-            for (o, &bv) in o_row.iter_mut().zip(b_row) {
-                *o += av * bv;
-            }
-        }
-    }
-}
-
-/// Wide-output matmul rows, cache-blocked over output columns with the
-/// inner loop split into eight-lane [`axpy8`] chunks — the shape the
-/// autovectorizer turns into packed f32 arithmetic. Same i-k-j order per
-/// output element as [`matmul_wide_plain`].
-pub(crate) fn matmul_wide_blocked<S: Scalar>(a: &[S], k: usize, bd: &[S], n: usize, out: &mut [S]) {
-    /// Column-tile width: eight SIMD lanes per [`L1_TILE`] step, so an
-    /// output row tile (1 KiB of f32) plus the streamed `b` rows stay
-    /// L1-resident for the wide embedding matmuls.
-    const NB: usize = 8 * L1_TILE;
-    for jb in (0..n).step_by(NB) {
-        let jh = (jb + NB).min(n);
-        for (i, o_row) in out.chunks_exact_mut(n).enumerate() {
-            let o_row = &mut o_row[jb..jh];
-            o_row.fill(S::ZERO);
-            for (kk, &av) in a[i * k..(i + 1) * k].iter().enumerate() {
-                axpy8(av, &bd[kk * n + jb..kk * n + jh], o_row);
-            }
-        }
-    }
-}
-
-/// Narrow-output matmul with a compile-time width: the 2-row /
-/// stack-accumulator pattern of [`matmul_narrow_dyn`] with fully
-/// unrollable inner loops. Per output element the accumulation order is
-/// identical to the dynamic version and to the wide kernels.
-fn matmul_narrow<S: Scalar, const N: usize>(a: &[S], k: usize, bd: &[S], out: &mut [S]) {
-    let m = out.len() / N;
-    let mut i = 0;
-    while i + 2 <= m {
-        let a0 = &a[i * k..(i + 1) * k];
-        let a1 = &a[(i + 1) * k..(i + 2) * k];
-        let mut acc0 = [S::ZERO; N];
-        let mut acc1 = [S::ZERO; N];
-        for (kk, (&x0, &x1)) in a0.iter().zip(a1).enumerate() {
-            let b_row: &[S; N] = bd[kk * N..(kk + 1) * N].try_into().expect("width");
-            for ((o0, o1), &bv) in acc0.iter_mut().zip(&mut acc1).zip(b_row) {
-                *o0 += x0 * bv;
-                *o1 += x1 * bv;
-            }
-        }
-        out[i * N..(i + 1) * N].copy_from_slice(&acc0);
-        out[(i + 1) * N..(i + 2) * N].copy_from_slice(&acc1);
-        i += 2;
-    }
-    if i < m {
-        let a_row = &a[i * k..(i + 1) * k];
-        let mut acc = [S::ZERO; N];
-        for (kk, &av) in a_row.iter().enumerate() {
-            let b_row: &[S; N] = bd[kk * N..(kk + 1) * N].try_into().expect("width");
-            for (o, &bv) in acc.iter_mut().zip(b_row) {
-                *o += av * bv;
-            }
-        }
-        out[i * N..(i + 1) * N].copy_from_slice(&acc);
-    }
-}
-
-/// Runtime-width fallback of [`matmul_narrow`] (same accumulation order).
-fn matmul_narrow_dyn<S: Scalar>(a: &[S], k: usize, bd: &[S], n: usize, out: &mut [S]) {
     let m = out.len().checked_div(n).unwrap_or(0);
-    let mut acc0 = [S::ZERO; 16];
-    let mut acc1 = [S::ZERO; 16];
-    let mut i = 0;
-    while i + 2 <= m {
-        let a0 = &a[i * k..(i + 1) * k];
-        let a1 = &a[(i + 1) * k..(i + 2) * k];
-        acc0[..n].fill(S::ZERO);
-        acc1[..n].fill(S::ZERO);
-        for (kk, (&x0, &x1)) in a0.iter().zip(a1).enumerate() {
-            let b_row = &bd[kk * n..(kk + 1) * n];
-            for ((o0, o1), &bv) in acc0[..n].iter_mut().zip(&mut acc1[..n]).zip(b_row) {
-                *o0 += x0 * bv;
-                *o1 += x1 * bv;
-            }
-        }
-        out[i * n..(i + 1) * n].copy_from_slice(&acc0[..n]);
-        out[(i + 1) * n..(i + 2) * n].copy_from_slice(&acc1[..n]);
-        i += 2;
+    if k == 0 || m == 0 {
+        out.fill(S::ZERO);
+        return;
     }
-    if i < m {
-        let a_row = &a[i * k..(i + 1) * k];
-        acc0[..n].fill(S::ZERO);
-        for (kk, &av) in a_row.iter().enumerate() {
-            let b_row = &bd[kk * n..(kk + 1) * n];
-            for (o, &bv) in acc0[..n].iter_mut().zip(b_row) {
-                *o += av * bv;
+    match n {
+        12 => matmul_tile::<S, 12>(a, k, bd, n, out, m),
+        24 => matmul_tile::<S, 24>(a, k, bd, n, out, m),
+        32 => matmul_tile::<S, 32>(a, k, bd, n, out, m),
+        48 => matmul_tile::<S, 48>(a, k, bd, n, out, m),
+        _ => {
+            let blocked = n - n % 8;
+            for j in (0..blocked).step_by(8) {
+                matmul_tile::<S, 8>(a, k, &bd[j..], n, &mut out[j..], m);
+            }
+            for j in blocked..n {
+                matmul_tile::<S, 1>(a, k, &bd[j..], n, &mut out[j..], m);
             }
         }
-        out[i * n..(i + 1) * n].copy_from_slice(&acc0[..n]);
+    }
+}
+
+/// Rows of `a` per [`matmul_tile`] step, one height for every width and
+/// both precisions: a measured per-width, per-precision table of heights
+/// was no faster end to end (ARCHITECTURE, *One GEMM tile*). It only
+/// pairs independent rows, so it changes speed, never a bit.
+const TILE_ROWS: usize = 2;
+
+/// `N` columns of `out = a · b` for the `m` rows of `a` (width `k`),
+/// [`TILE_ROWS`] rows at a time: the `TILE_ROWS × N` accumulators stay
+/// in registers for the whole `k` loop, each starts at zero, takes its
+/// `k` products in ascending order and is stored once. `b` and `out`
+/// start at the tile's first column, their rows `ld` apart. The last
+/// `m mod TILE_ROWS` rows run one at a time after the hot loop, which
+/// therefore has no branch. `N` is const because a runtime-width output
+/// row cannot stay in registers: it is reloaded and stored at every `k`
+/// step, 3–5× slower at the model's widths (ARCHITECTURE, *One GEMM
+/// tile*).
+fn matmul_tile<S: Scalar, const N: usize>(
+    a: &[S],
+    k: usize,
+    b: &[S],
+    ld: usize,
+    out: &mut [S],
+    m: usize,
+) {
+    let full = m - m % TILE_ROWS;
+    for i in (0..full).step_by(TILE_ROWS) {
+        let rows = &a[i * k..(i + TILE_ROWS) * k];
+        tile_rows::<S, TILE_ROWS, N>(rows, k, b, ld, &mut out[i * ld..]);
+    }
+    for i in full..m {
+        tile_rows::<S, 1, N>(&a[i * k..(i + 1) * k], k, b, ld, &mut out[i * ld..]);
+    }
+}
+
+/// One `R × N` tile of [`matmul_tile`]; `a` holds its `R` rows.
+fn tile_rows<S: Scalar, const R: usize, const N: usize>(
+    a: &[S],
+    k: usize,
+    b: &[S],
+    ld: usize,
+    out: &mut [S],
+) {
+    let rows: [&[S]; R] = std::array::from_fn(|r| &a[r * k..(r + 1) * k]);
+    let mut acc = [[S::ZERO; N]; R];
+    for kk in 0..k {
+        let b_row: &[S; N] = b[kk * ld..kk * ld + N].try_into().expect("width");
+        for r in 0..R {
+            let x = rows[r][kk];
+            for j in 0..N {
+                acc[r][j] += x * b_row[j];
+            }
+        }
+    }
+    for (r, acc) in acc.iter().enumerate() {
+        out[r * ld..r * ld + N].copy_from_slice(acc);
     }
 }
 
@@ -1056,10 +997,8 @@ mod tests {
 
     #[test]
     fn both_loop_shapes_agree_bitwise() {
-        // The per-precision choice of `Scalar::matmul_wide_rows` is speed
-        // only — both shapes yield the same bits at either type — and
-        // the register score tile equals the strided row-dot path it
-        // stands in for.
+        // The register score tile equals the strided row-dot path it
+        // stands in for (the GEMM tile's gate is `tests/prop_matmul.rs`).
         fn check<S: Scalar>(seed: u64) {
             let mut rng = StdRng::seed_from_u64(seed);
             let mut rand = |len: usize| -> Vec<S> {
@@ -1067,10 +1006,6 @@ mod tests {
             };
             for (m, k, n) in [(5, 12, 300), (3, 7, 17), (4, 24, 529)] {
                 let (a, b) = (rand(m * k), rand(k * n));
-                let (mut plain, mut blocked) = (vec![S::ZERO; m * n], vec![S::ONE; m * n]);
-                matmul_wide_plain(&a, k, &b, n, &mut plain);
-                matmul_wide_blocked(&a, k, &b, n, &mut blocked);
-                assert!(plain == blocked, "wide matmul {m}x{k}x{n}");
                 let scale = S::from_f64(0.3);
                 let mut bt = vec![S::ZERO; n * k];
                 transpose_rows(&b, k, n, &mut bt);

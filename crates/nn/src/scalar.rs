@@ -12,15 +12,13 @@
 //! |---|---|---|---|
 //! | [`Scalar::exp_shifted`] | degree-10 polynomial, 52-bit exponent trick | degree-7, 23-bit | accuracy target and bit layout |
 //! | [`Scalar::striped_sum`] | 4 stripes | 8 stripes | part of the result's bits, so a source constant — never the register width of the build |
-//! | [`Scalar::matmul_wide_rows`] | plain i-k-j | column-blocked `axpy8` | measured on the x86-64-v3 build at the model's shapes (M × 24 · 24 × 24/48): blocked is 15–29 % faster in f32, plain is equal at M ≈ 1300–2000 and 25–30 % faster at M ≈ 280 in f64 |
 //! | `from_f64` / `to_f64` / `from_usize` / `to_bits` | — | — | the casts |
 //!
-//! Both shapes of the wide GEMM row feed each output element the same
-//! operands in the same order, so the choice never changes a bit — only
-//! speed. The score tile of the fused head was such a pair too while the
-//! build was SSE2; on the one tier the workspace now builds for
-//! ([`crate::tier`]) the 2 × 8 register tile wins at both types, so
-//! `kernels::scores_register_tile` is called directly.
+//! No loop shape is per precision: on the one tier the workspace builds
+//! for ([`crate::tier`]) a register tile is the fastest shape at both
+//! types, for the attention scores (`kernels::scores_register_tile`) and
+//! for every GEMM (`kernels::matmul_tile`). Only the GEMM tile's height
+//! follows the element size, as a const parameter of that one kernel.
 //! Narrowing `as f32` casts are legal in this file and nowhere else in
 //! the nn/core/rl crates (`vmr-analyze` F001).
 //!
@@ -105,9 +103,6 @@ pub trait Scalar:
     fn striped_sum(row: &[Self]) -> Self;
     /// [`Scalar::striped_sum`] of `row[class[0]], row[class[1]], …`.
     fn striped_sum_by_class(row: &[Self], class: &[u32]) -> Self;
-    /// `out = a · b` over row-major slices for outputs wider than 16
-    /// columns (`a` holds `out.len() / n` rows of width `k`).
-    fn matmul_wide_rows(a: &[Self], k: usize, b: &[Self], n: usize, out: &mut [Self]);
 }
 
 impl Scalar for f64 {
@@ -195,10 +190,6 @@ impl Scalar for f64 {
     fn striped_sum_by_class(row: &[f64], class: &[u32]) -> f64 {
         kernels::striped_sum_by_class::<f64, 4>(row, class)
     }
-
-    fn matmul_wide_rows(a: &[f64], k: usize, b: &[f64], n: usize, out: &mut [f64]) {
-        kernels::matmul_wide_plain(a, k, b, n, out);
-    }
 }
 
 impl Scalar for f32 {
@@ -283,9 +274,5 @@ impl Scalar for f32 {
     #[inline]
     fn striped_sum_by_class(row: &[f32], class: &[u32]) -> f32 {
         kernels::striped_sum_by_class::<f32, 8>(row, class)
-    }
-
-    fn matmul_wide_rows(a: &[f32], k: usize, b: &[f32], n: usize, out: &mut [f32]) {
-        kernels::matmul_wide_blocked(a, k, b, n, out);
     }
 }

@@ -11,7 +11,8 @@
 //! budgeted for rather than hidden behind a loose constant.
 //!
 //! Shape ranges deliberately cross the implementation's seams: the
-//! narrow-output (≤ 16 col) vs cache-blocked GEMM paths, the `L1_TILE`
+//! GEMM's const-width tiles vs its 8-column blocks and single columns
+//! (and the ragged last row of the two-row tile), the `L1_TILE`
 //! score-row tiles and the 64-row `k`/`v` blocks of the fused attention
 //! kernel, and the 8-lane `chunks_exact` remainders.
 
@@ -49,8 +50,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Dense GEMM: forward error of each output element bounded by the
-    /// length-`k` dot-product bound, across both the narrow (≤ 16 col)
-    /// and the cache-blocked wide path.
+    /// length-`k` dot-product bound, across the const-width tiles and
+    /// the column-block path.
     #[test]
     fn matmul_within_dot_product_bound(
         m in 1usize..8,

@@ -1,21 +1,29 @@
 //! Categorical action sampling, greedy decoding, and the quantile
 //! action-thresholding of the paper's risk-seeking evaluation (§3.4).
 
+use std::borrow::Cow;
+
 use rand::Rng;
 
 /// A categorical distribution over `n` discrete actions, given as
 /// (possibly unnormalized, but non-negative) probabilities.
 #[derive(Debug, Clone)]
-pub struct Categorical {
-    probs: Vec<f64>,
+pub struct Categorical<'a> {
+    probs: Cow<'a, [f64]>,
     total: f64,
 }
 
-impl Categorical {
-    /// Wraps a probability vector. Negative entries are clamped to zero.
-    /// Returns `None` when no positive mass exists.
-    pub fn new(probs: &[f64]) -> Option<Self> {
-        let probs: Vec<f64> = probs.iter().map(|&p| p.max(0.0)).collect();
+impl<'a> Categorical<'a> {
+    /// Wraps a probability vector. Negative (and NaN) entries are clamped
+    /// to zero, in a copy; a slice with none — every softmax output — is
+    /// borrowed, so a sampled decision allocates nothing. Returns `None`
+    /// when no positive mass exists.
+    pub fn new(probs: &'a [f64]) -> Option<Self> {
+        let probs: Cow<'a, [f64]> = if probs.iter().all(|&p| p >= 0.0) {
+            Cow::Borrowed(probs)
+        } else {
+            Cow::Owned(probs.iter().map(|&p| p.max(0.0)).collect())
+        };
         let total: f64 = probs.iter().sum();
         // NaN totals fall through to the finiteness check.
         if total <= 0.0 || !total.is_finite() {
@@ -146,6 +154,15 @@ mod tests {
         assert!(Categorical::new(&[0.0, 0.0]).is_none());
         assert!(Categorical::new(&[]).is_none());
         assert!(Categorical::new(&[-1.0, 0.0]).is_none());
+    }
+
+    #[test]
+    fn only_clamping_copies() {
+        let probs = [0.25, 0.0, 0.75];
+        assert!(matches!(Categorical::new(&probs).unwrap().probs, Cow::Borrowed(_)));
+        let d = Categorical::new(&[f64::NAN, 0.5, -0.5]).unwrap();
+        assert!(matches!(d.probs, Cow::Owned(_)));
+        assert_eq!((d.prob(0), d.prob(1), d.prob(2)), (0.0, 1.0, 0.0));
     }
 
     #[test]

@@ -17,9 +17,13 @@
 //!
 //! Pinned: the action sequence and final objective of seeded agent plans
 //! ({tiny, small, medium} at MNL 3 × {`Exact64`, `Fast32`} × two seeds,
-//! the random-init default agent the served-plan benchmark uses), and
-//! the raw output bits of one fused attention head per precision, keyed
-//! by row class and unkeyed, on two lanes.
+//! the random-init default agent the served-plan benchmark uses), the
+//! raw output bits of one fused attention head per precision, keyed by
+//! row class and unkeyed, on two lanes, and the raw output bits of the
+//! dense GEMM at the model's widths and two widths off them (the
+//! `gemms` section was captured later, at the x86-64-v3 build of the
+//! commit before the register-tiled kernel, and pins that kernel to
+//! the loops it replaced).
 
 use std::time::Duration;
 
@@ -125,10 +129,34 @@ fn head_fingerprint<S: Scalar>(keyed: bool) -> Value {
     fp.hex()
 }
 
+/// Output bits of `a · b` for a ragged row count (37 rows leave a tail
+/// row after the two-row register tiles) at each `k × n` the model runs —
+/// `d_model`, `critic_hidden` and `d_ff` wide — and at widths 1 and 40,
+/// which take the column-block path.
+fn gemm_fingerprints<S: Scalar>(precision: &str, out: &mut serde_json::Map<String, Value>) {
+    let m = 37;
+    for (k, n) in [(24, 24), (24, 32), (24, 48), (48, 24), (24, 1), (24, 40)] {
+        let mut rng = StdRng::seed_from_u64((k * 100 + n) as u64);
+        let mut rand = |rows: usize, cols: usize| {
+            let data = (0..rows * cols).map(|_| S::from_f64(rng.gen_range(-1.5..1.5))).collect();
+            Tensor::<S>::from_vec(rows, cols, data)
+        };
+        let (a, b) = (rand(m, k), rand(k, n));
+        let mut fp = Fnv::new();
+        for &x in a.matmul(&b).data() {
+            fp.eat(x.to_bits());
+        }
+        out.insert(format!("{precision}/{m}x{k}x{n}"), fp.hex());
+    }
+}
+
 #[test]
 fn plans_and_fused_heads_reproduce_the_baseline_tier_capture() {
     let golden: Value = serde_json::from_str(include_str!("golden/tier_fingerprints.json"))
         .expect("golden file parses");
+    let mut gemms = serde_json::Map::new();
+    gemm_fingerprints::<f64>("f64", &mut gemms);
+    gemm_fingerprints::<f32>("f32", &mut gemms);
     let actual = json!({
         "plans": plan_fingerprints(),
         "heads": json!({
@@ -137,8 +165,9 @@ fn plans_and_fused_heads_reproduce_the_baseline_tier_capture() {
             "f32/unkeyed": head_fingerprint::<f32>(false),
             "f32/keyed": head_fingerprint::<f32>(true),
         }),
+        "gemms": Value::Object(gemms),
     });
-    for section in ["plans", "heads"] {
+    for section in ["plans", "heads", "gemms"] {
         assert_eq!(
             actual[section],
             golden[section],
