@@ -1,7 +1,7 @@
 // Fixture: raw HashMap iteration in a plan-producing module. D001 must
-// fire on the `.keys()`, `.iter()` walks and the `for .. in` loop over
-// the hash containers, and stay quiet on the BTreeMap and on
-// non-iterating methods like `.len()`.
+// fire on the `.keys()`, `.iter()` and `.values()` walks and the
+// `for .. in` loop over the hash containers — owned or borrowed — and
+// stay quiet on the BTreeMap and on non-iterating methods like `.len()`.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 
@@ -30,4 +30,12 @@ fn plan_from_index(index: HashMap) -> Vec<u32> {
     // Non-iterating methods on a hash container are fine.
     let _ = by_pm.len();
     out
+}
+
+fn total(grads: &HashMap, marks: &mut HashSet) -> f64 {
+    let sum = grads.values().sum();
+    for m in marks.iter() {
+        let _ = m;
+    }
+    sum
 }

@@ -11,7 +11,8 @@
 #[derive(Debug, Clone)]
 pub struct Config {
     /// D001: plan-producing modules where raw `vms_on`/HashMap
-    /// iteration order can leak into emitted plans.
+    /// iteration order can leak into emitted plans, and the optimizer,
+    /// where it leaks into the trained weights those plans come from.
     pub d001_paths: Vec<String>,
     /// P001: vmr-serve request-path modules bound by the zero-panic
     /// contract. `client.rs` is deliberately absent: it is a
@@ -66,6 +67,7 @@ impl Config {
                 "crates/sim/src/scheduler.rs",
                 "crates/sim/src/interference.rs",
                 "crates/serve/src/policies.rs",
+                "crates/nn/src/optim.rs",
             ]),
             p001_paths: v(&[
                 "crates/serve/src/server.rs",

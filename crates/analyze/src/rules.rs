@@ -92,18 +92,26 @@ fn d001(ctx: &Ctx, out: &mut Vec<Raw>) {
         return;
     }
     let n = ctx.scope.sig.len();
-    // In-file idents bound to a HashMap/HashSet (declared `x: HashMap<...>`
-    // or `let x = HashMap::new()` and the HashSet equivalents).
+    // In-file idents bound to a HashMap/HashSet (declared `x: HashMap<...>`,
+    // borrowed `x: &HashMap<...>` / `x: &mut HashMap<...>`, or
+    // `let x = HashMap::new()`, and the HashSet equivalents).
     let mut map_vars: Vec<&str> = Vec::new();
     for i in 0..n {
         if ctx.tok(i).kind != TokenKind::Ident {
             continue;
         }
         let t = ctx.text(i);
-        if (t == "HashMap" || t == "HashSet") && i >= 2 && ctx.tok(i - 1).kind == TokenKind::Punct {
-            let p = ctx.text(i - 1);
-            if (p == ":" || p == "=") && ctx.tok(i - 2).kind == TokenKind::Ident {
-                let name = ctx.text(i - 2);
+        if t != "HashMap" && t != "HashSet" {
+            continue;
+        }
+        let mut j = i;
+        while j >= 1 && matches!(ctx.text(j - 1), "&" | "mut") {
+            j -= 1;
+        }
+        if j >= 2 && ctx.tok(j - 1).kind == TokenKind::Punct {
+            let p = ctx.text(j - 1);
+            if (p == ":" || p == "=") && ctx.tok(j - 2).kind == TokenKind::Ident {
+                let name = ctx.text(j - 2);
                 if !map_vars.contains(&name) {
                     map_vars.push(name);
                 }

@@ -38,10 +38,21 @@ fn d001_canonical_order_is_clean() {
 #[test]
 fn d001_hashmap_iteration_fires() {
     let f = run("crates/solver/src/pop.rs", include_str!("../fixtures/d001_hashmap.rs"));
-    // by_pm.keys(), index.iter(), seen.iter(), `for x in &by_pm` — and
-    // nothing for the BTreeMap or `.len()`.
-    assert_eq!(unwaived_of(&f, "D001"), 4, "{f:#?}");
-    assert_eq!(f.len(), 4, "{f:#?}");
+    // by_pm.keys(), index.iter(), seen.iter(), `for x in &by_pm`,
+    // grads.values() and marks.iter() through a borrow — and nothing for
+    // the BTreeMap or `.len()`.
+    assert_eq!(unwaived_of(&f, "D001"), 6, "{f:#?}");
+    assert_eq!(f.len(), 6, "{f:#?}");
+}
+
+#[test]
+fn d001_hash_ordered_gradient_norm_fires() {
+    // The clip-scale bug of `vmr_nn::optim::global_norm`: a gradient norm
+    // summed in a `HashMap`'s per-process order made every clipped update
+    // depend on the process. The trainer is in scope; the revert fails.
+    let f = run("crates/nn/src/optim.rs", include_str!("../fixtures/d001_global_norm.rs"));
+    assert_eq!(unwaived_of(&f, "D001"), 1, "{f:#?}");
+    assert!(would_fail_deny(&f));
 }
 
 #[test]

@@ -38,7 +38,7 @@ pub struct Stage1Fwd {
     /// `M × d` final VM embeddings.
     pub vm_embs: FVar,
     /// Stage-3 cross-attention probabilities from the last block, one
-    /// `1 × N` row per VM **row class** of that block: VM `k` reads row
+    /// `1 × N` row per VM **row class** of the forward: VM `k` reads row
     /// `ctx.row_classes().class(k)` (row `k` itself when no rows are
     /// shared). Never expanded to `M × N` on the two-stage path; the
     /// Full-Mask joint space expands it on demand
@@ -156,12 +156,13 @@ impl<S: Scalar> SparseBlock<S> {
     }
 
     /// Tape-free forward, in f64 bit-identical to [`SparseBlock::forward`] under
-    /// the dense tree mask equivalent to `tree`. The local stage runs
-    /// block-sparse per PM-tree — the `(N+M)²` score matrix and the mask
-    /// are never materialized — and the dense VM stages after it run once
-    /// per row class ([`vmr_nn::classes`]). The returned VM embeddings
-    /// have all `M` rows again; the cross probabilities keep one row per
-    /// class of this pass (`ctx.row_classes()`).
+    /// the dense tree mask equivalent to `tree`, on the VM rows given
+    /// once per row class of the forward (`ctx.row_classes()`, see
+    /// [`vmr_nn::classes`]): `vm` and the returned VM embeddings and
+    /// cross probabilities hold one row per class. The local stage runs
+    /// block-sparse per PM-tree on the `N + U` class rows — the `(N+M)²`
+    /// score matrix and the mask are never materialized — and the dense
+    /// VM stages after it keep the whole VM sequence as keys.
     pub fn fwd(
         &self,
         ctx: &mut FwdCtx<S>,
@@ -170,23 +171,15 @@ impl<S: Scalar> SparseBlock<S> {
         tree: Option<&TreeGroups>,
         want_cross_probs: bool,
     ) -> (FVar, FVar, Option<FVar>) {
-        let n = ctx.value(pm).rows();
         let (pm_l, vm_l) = match (&self.local, tree) {
             (Some(local), Some(tree)) => {
+                let (n, u) = (ctx.value(pm).rows(), ctx.value(vm).rows());
                 let combined = ctx.vcat(pm, vm);
                 let att = local.fwd_tree(ctx, combined, tree);
                 let res = ctx.add(combined, att);
-                // From here to the end of the block a VM row's output
-                // depends on that row alone (as a query) and on the whole
-                // VM sequence (as keys): bit-equal rows of one tree get
-                // bit-equal outputs, so one representative per class runs.
-                ctx.find_row_classes(res, n, Some(tree));
-                (ctx.rows_range(res, 0, n), ctx.class_rows(res, n))
+                (ctx.rows_range(res, 0, n), ctx.rows_range(res, n, u))
             }
-            _ => {
-                ctx.find_row_classes(vm, 0, None);
-                (pm, vm)
-            }
+            _ => (pm, vm),
         };
         let (pm_att, _) = self.pm_self.fwd(ctx, pm_l, pm_l, None, false);
         let pm_s = ctx.add(pm_l, pm_att);
@@ -196,7 +189,7 @@ impl<S: Scalar> SparseBlock<S> {
         let vm_c = ctx.add(vm_s, cross_out);
         let pm_out = self.pm_ff.fwd(ctx, pm_s);
         let vm_out = self.vm_ff.fwd(ctx, vm_c);
-        (pm_out, ctx.expand_rows(vm_out), cross_probs)
+        (pm_out, vm_out, cross_probs)
     }
 }
 
@@ -442,8 +435,13 @@ impl<S: Scalar> Vmr2lModel<S> {
             assert!(tree.is_some(), "sparse extractor needs the tree index");
         }
         let tree = (self.extractor == ExtractorKind::SparseAttention).then_some(tree).flatten();
+        // Bit-equal VM rows of one tree stay bit-equal through every block
+        // (`vmr_nn::classes`): search once, run the blocks on one row per
+        // class, and give every VM its row back after the last block.
+        let n = ctx.value(pm_emb).rows();
+        ctx.find_row_classes(vm_emb, n, tree);
         let mut pm = pm_emb;
-        let mut vm = vm_emb;
+        let mut vm = ctx.class_rows(vm_emb);
         let mut cross_probs = None;
         for (i, block) in self.blocks.iter().enumerate() {
             // Only the last block's cross-attention probabilities are
@@ -455,6 +453,7 @@ impl<S: Scalar> Vmr2lModel<S> {
             vm = v;
             cross_probs = c.or(cross_probs);
         }
+        let vm = ctx.expand_rows(vm);
         let m = ctx.value(vm).rows();
         let vm_logits_col = self.vm_head.fwd(ctx, vm); // M × 1
         let vm_logits = ctx.reshape(vm_logits_col, 1, m);

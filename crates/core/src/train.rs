@@ -692,6 +692,33 @@ mod tests {
         assert_ne!(before, after, "elite-filtered updates must still move weights");
     }
 
+    /// Two identical trainings in one process must write the same
+    /// checkpoint bytes, and so must one and two rollout workers. Every
+    /// `param_grads` map has its own hash state, so a gradient norm
+    /// summed in map order differed between the runs by ulps — and a
+    /// clipped update scales every gradient by it. The clip here is far
+    /// below any nonzero gradient norm of this model, so every update
+    /// clips; the same training without a clip must end elsewhere, or
+    /// nothing clipped and this test could not see the bug. (It stays
+    /// far above Adam's `eps`, which would otherwise swamp the scaled
+    /// gradients.)
+    #[test]
+    fn training_twice_in_one_process_writes_the_same_checkpoint() {
+        let run = |workers: usize, max_grad_norm: Option<f64>| {
+            let mut t = trainer(ActionMode::TwoStage, 2);
+            t.cfg.rollout_workers = workers;
+            t.cfg.adam.max_grad_norm = max_grad_norm;
+            t.opt = Adam::new(t.cfg.adam);
+            t.train(|_| {}).unwrap();
+            serde_json::to_string(&vmr_nn::Checkpoint::capture(&t.agent.policy)).unwrap()
+        };
+        let clip = Some(1e-4);
+        let first = run(1, clip);
+        assert_ne!(first, run(1, None), "no update clipped");
+        assert_eq!(first, run(1, clip), "same seed and workers, different checkpoint bytes");
+        assert_eq!(first, run(2, clip), "one and two rollout workers, different checkpoint bytes");
+    }
+
     /// Collects one rollout with the given worker count and returns a
     /// full serialization of the buffer (observations included).
     fn rollout_fingerprint(mode: ActionMode, workers: usize) -> Vec<String> {

@@ -8,11 +8,12 @@
 //! share their kernels, and any drift (a reassociated sum, a divergent
 //! softmax shortcut) shows up immediately as a differing sample.
 //!
-//! The tape-free path runs its dense VM stages once per **row class**
-//! (bit-equal VM rows of one PM tree, `vmr_nn::classes`); the random
-//! tiny clusters above rarely hold two equal rows, so the hand-built
-//! clusters at the end force them — within a tree, across identical
-//! trees, and across trees that differ only in a VM's neighbours.
+//! The tape-free path runs both blocks — tree stages included — once per
+//! **row class** (bit-equal VM rows of one PM tree, `vmr_nn::classes`,
+//! found once per forward); the random tiny clusters above rarely hold
+//! two equal rows, so the hand-built clusters at the end force them —
+//! within a tree, across identical trees, across trees that differ only
+//! in a VM's neighbours, and in trees longer than one 8-key tile.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -32,9 +33,21 @@ fn env_for(seed: u64, mnl: usize) -> ReschedEnv {
     ReschedEnv::unconstrained(state, Objective::default(), mnl).expect("env")
 }
 
+/// The test model: two blocks, two heads of width 8.
+const SMALL: ModelConfig =
+    ModelConfig { d_model: 16, heads: 2, blocks: 2, d_ff: 24, critic_hidden: 12 };
+
 fn agent_for(mode: ActionMode, kind: ExtractorKind, seed: u64) -> Vmr2lAgent<Vmr2lModel> {
+    agent_with(SMALL, mode, kind, seed)
+}
+
+fn agent_with(
+    cfg: ModelConfig,
+    mode: ActionMode,
+    kind: ExtractorKind,
+    seed: u64,
+) -> Vmr2lAgent<Vmr2lModel> {
     let mut rng = StdRng::seed_from_u64(seed);
-    let cfg = ModelConfig { d_model: 16, heads: 2, blocks: 2, d_ff: 24, critic_hidden: 12 };
     Vmr2lAgent::new(Vmr2lModel::new(cfg, kind, &mut rng), mode)
 }
 
@@ -211,17 +224,49 @@ fn duplicates_across_trees() -> (ClusterState, usize) {
     (cluster(6, &vms), 10)
 }
 
+/// Long trees: PM 0 hosts 10 VMs in 6 classes (three equal 4-core VMs on
+/// NUMA 0, two 2-core and two 8-core pairs, three singletons), so its
+/// tree of 11 members has distinct rows past one 8-key tile; PM 1 hosts
+/// 5 equal VMs (its tree is the PM and one class); PM 2 hosts 9 distinct
+/// VMs; PM 3 is empty. The VMs are dealt round-robin, so every tree's
+/// members interleave. 24 VMs, 16 classes, which every block's tree
+/// stage and dense stages run on.
+fn duplicates_in_long_trees() -> (ClusterState, usize) {
+    let pm0 = [
+        (0, 4, 8, Some(0)),
+        (0, 2, 4, Some(1)),
+        (0, 4, 8, Some(0)),
+        (0, 8, 16, Some(0)),
+        (0, 1, 2, Some(1)),
+        (0, 4, 8, Some(0)),
+        (0, 2, 4, Some(1)),
+        (0, 16, 32, None),
+        (0, 8, 16, Some(0)),
+        (0, 4, 8, Some(1)),
+    ];
+    let pm1 = [(1, 4, 8, Some(1)); 5];
+    let pm2: Vec<_> = (1..=5)
+        .map(|c| (2, c, 2 * c, Some(0)))
+        .chain((1..=4).map(|c| (2, c, 2 * c, Some(1))))
+        .collect();
+    let mut vms = Vec::new();
+    for slot in 0..pm0.len() {
+        vms.extend([pm0.get(slot), pm1.get(slot), pm2.get(slot)].into_iter().flatten().copied());
+    }
+    (cluster(4, &vms), 16)
+}
+
 /// Graph == fwd to the bit on a duplicate-laden cluster, a few steps
-/// deep, for one mode and extractor; with the sparse extractor the first
-/// step must have found exactly `classes` row classes.
+/// deep, for one model, mode and extractor; with the sparse extractor
+/// the first step must have found exactly `classes` row classes.
 fn assert_paths_agree(
-    state: &ClusterState,
-    classes: usize,
+    cfg: ModelConfig,
+    &(ref state, classes): &(ClusterState, usize),
     mode: ActionMode,
     kind: ExtractorKind,
     seed: u64,
 ) {
-    let agent = agent_for(mode, kind, seed);
+    let agent = agent_with(cfg, mode, kind, seed);
     let opts = DecideOpts::default();
     let mut ictx = InferCtx::new();
     let mut env_a = ReschedEnv::unconstrained(state.clone(), Objective::default(), 5).expect("env");
@@ -229,7 +274,8 @@ fn assert_paths_agree(
     let mut rng_a = StdRng::seed_from_u64(seed);
     let mut rng_b = StdRng::seed_from_u64(seed);
     for step in 0..4 {
-        let what = format!("{mode:?}/{kind:?} seed {seed} step {step}");
+        let what =
+            format!("d={}/{} {mode:?}/{kind:?} seed {seed} step {step}", cfg.d_model, cfg.heads);
         let g = agent.decide_via_graph(&mut env_a, &mut rng_a, &opts).unwrap();
         let f = agent.decide_in(&mut env_b, &mut ictx, &mut rng_b, &opts).unwrap();
         let shared = ictx.ctx.row_classes();
@@ -254,13 +300,27 @@ fn assert_paths_agree(
 
 #[test]
 fn forced_duplicates_stay_bit_identical_to_the_graph() {
-    for (state, classes) in [duplicates_in_one_tree(), duplicates_across_trees()] {
+    for cluster in [duplicates_in_one_tree(), duplicates_across_trees(), duplicates_in_long_trees()]
+    {
         for mode in [ActionMode::TwoStage, ActionMode::Penalty, ActionMode::FullMask] {
             for kind in [ExtractorKind::SparseAttention, ExtractorKind::VanillaAttention] {
                 for seed in [3, 41] {
-                    assert_paths_agree(&state, classes, mode, kind, seed);
+                    assert_paths_agree(SMALL, &cluster, mode, kind, seed);
                 }
             }
+        }
+    }
+}
+
+#[test]
+fn heads_wider_than_sixteen_stay_bit_identical_to_the_graph() {
+    // The fused head takes widths up to 16; two heads of width 20 run
+    // the unfused dense stages and the tree stage's runtime-width value
+    // sums, on shared classes.
+    let wide = ModelConfig { d_model: 40, heads: 2, ..SMALL };
+    for cluster in [duplicates_in_one_tree(), duplicates_in_long_trees()] {
+        for kind in [ExtractorKind::SparseAttention, ExtractorKind::VanillaAttention] {
+            assert_paths_agree(wide, &cluster, ActionMode::TwoStage, kind, 5);
         }
     }
 }
@@ -270,7 +330,9 @@ fn f32_plans_match_f64_plans_on_duplicate_rows() {
     // The f32 agent shares rows the same way; at a fixed seed a greedy
     // episode must come out the same under both precisions (members of a
     // class tie exactly in both, so argmax breaks the tie alike).
-    for (state, _) in [duplicates_in_one_tree(), duplicates_across_trees()] {
+    for (state, _) in
+        [duplicates_in_one_tree(), duplicates_across_trees(), duplicates_in_long_trees()]
+    {
         let agent = agent_for(ActionMode::TwoStage, ExtractorKind::SparseAttention, 7);
         let agent32 = agent.cast::<f32>();
         let opts = DecideOpts { greedy: true, ..Default::default() };

@@ -4,10 +4,13 @@
 //! A VM's feature row is `[own cpu/mem per NUMA, fragment delta, host-PM
 //! row]` and a cluster has a handful of flavors, so VMs of one flavor
 //! and NUMA slot on one PM enter the network as bit-identical rows — and
-//! stay bit-identical through the embedding and the tree-local stage,
-//! whose output for a row depends only on that row and on its tree.
-//! Every later stage of a block maps equal query rows to equal output
-//! rows, so it only has to run once per *class* of equal rows.
+//! stay bit-identical through the embedding (row-wise) and through every
+//! block: the tree-local stage's output for a row depends only on that
+//! row and on its tree's members in order, and every later stage maps
+//! equal query rows to equal output rows. So the whole stack only has to
+//! run once per *class* of equal rows. The forward searches once, right
+//! after the embedding, carries one row per class through every block
+//! and gives every VM its row back after the last one.
 //!
 //! [`RowClasses::find`] derives the classes from the rows themselves:
 //! rows are compared bit for bit, pairwise inside each
@@ -23,19 +26,19 @@ use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use crate::infer::TreeGroups;
 use crate::scalar::Scalar;
 
-/// Rows seen and distinct rows kept, summed over every block pass of the
+/// Rows seen and distinct rows kept, summed over every forward of the
 /// process. `Relaxed`: monotone statistics that publish no other data.
 static ROWS_TOTAL: AtomicU64 = AtomicU64::new(0);
 static ROWS_DISTINCT: AtomicU64 = AtomicU64::new(0);
 
 /// Process-wide row-class counters, as published by `serve`'s `metrics`
 /// op (`nn_rows_total` / `nn_rows_distinct`): their ratio is the share
-/// of the dense VM stages that still has to run.
+/// of the blocks' VM rows that still has to run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RowClassStats {
-    /// VM rows entering the dense stages, summed over block passes.
+    /// VM rows entering the blocks, summed over forwards.
     pub rows_total: u64,
-    /// Class representatives those stages actually ran on.
+    /// Class representatives the blocks actually ran on.
     pub rows_distinct: u64,
 }
 
@@ -47,10 +50,12 @@ pub fn stats() -> RowClassStats {
     }
 }
 
-/// The class map of one block pass; both buffers are reused across
-/// passes, so a steady-state search allocates nothing.
+/// The class map of one forward; both buffers are reused across
+/// forwards, so a steady-state search allocates nothing.
 #[derive(Debug, Default)]
 pub struct RowClasses {
+    /// Where the classified rows start in the sequence the groups index.
+    first: usize,
     /// Row → class, `total()` entries.
     class_of: Vec<u32>,
     /// Class → representative row (its lowest member), ascending.
@@ -90,8 +95,15 @@ impl RowClasses {
         self.class_of.get(row).map_or(row, |&c| c as usize)
     }
 
+    /// Where the classified rows start in the sequence the groups of the
+    /// last search indexed (0 before the first search).
+    pub fn first(&self) -> usize {
+        self.first
+    }
+
     /// Forgets the map (arena reset): every row is its own class again.
     pub fn clear(&mut self) {
+        self.first = 0;
         self.class_of.clear();
         self.reps.clear();
     }
@@ -109,6 +121,7 @@ impl RowClasses {
         same: impl Fn(usize, usize) -> bool,
     ) {
         assert!(u32::try_from(rows).is_ok(), "row classes index rows with u32");
+        self.first = first;
         // Pass 1: `class_of[j]` = lowest earlier row of j's group equal
         // to row j (else j itself).
         self.class_of.clear();

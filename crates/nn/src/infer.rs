@@ -20,7 +20,7 @@
 //! described in [`crate::kernels`], not bit-identity.
 
 use crate::classes::{same_bits, RowClasses};
-use crate::kernels;
+use crate::kernels::{self, TreeScratch};
 use crate::par::{self, AttnScratch};
 use crate::scalar::Scalar;
 use crate::tensor::Tensor;
@@ -32,7 +32,8 @@ pub struct FVar(usize);
 
 /// Tree topology for block-sparse local attention, in CSR form: group `g`
 /// owns `members[starts[g]..starts[g + 1]]`, each a row index into the
-/// combined `[PMs ++ VMs]` sequence, strictly ascending within a group.
+/// combined `[PMs ++ VMs]` sequence, strictly ascending within a group;
+/// no row is in two groups.
 ///
 /// Running attention per group is bit-identical to dense attention under
 /// the equivalent additive tree mask: masked positions contribute an
@@ -67,11 +68,11 @@ impl TreeGroups {
 pub struct FwdCtx<S = f64> {
     slots: Vec<Tensor<S>>,
     cursor: usize,
-    /// Reusable flat scratch (per-tree attention scores).
-    scratch: Vec<S>,
+    /// Tree-stage scratch: one tree's gathered rows and its key map.
+    tree: TreeScratch<S>,
     /// Dense attention scratch: shared `kᵀ` plus one score tile per lane.
     attn: AttnScratch<S>,
-    /// Row classes of the block pass in flight (see [`crate::classes`]).
+    /// Row classes of the forward in flight (see [`crate::classes`]).
     classes: RowClasses,
 }
 
@@ -82,7 +83,7 @@ impl<S: Scalar> FwdCtx<S> {
     }
 
     /// Rewinds the arena; existing slot buffers are kept for reuse. The
-    /// row classes of the last pass are forgotten with the slots they
+    /// row classes of the last forward are forgotten with the slots they
     /// described.
     pub fn reset(&mut self) {
         self.cursor = 0;
@@ -97,17 +98,20 @@ impl<S: Scalar> FwdCtx<S> {
     /// Allocates (or reuses) a slot shaped `rows × cols`. Contents are
     /// unspecified; every op fully overwrites its output.
     ///
-    /// While rows are shared by class, a slot with one row per class
-    /// reserves room for every row the classes stand for: the class count
-    /// moves from step to step, and the arena's size must follow the
-    /// cluster (as it did before classes), not the largest count seen.
+    /// While rows are shared by class, a slot with one row per class —
+    /// or, in the tree stage, the rows before the classified ones and
+    /// then one per class — reserves room for every row the classes
+    /// stand for: the class count moves from step to step, and the
+    /// arena's size must follow the cluster (as it did before classes),
+    /// not the largest count seen.
     pub fn alloc(&mut self, rows: usize, cols: usize) -> FVar {
         if self.cursor == self.slots.len() {
             self.slots.push(Tensor::zeros(0, 0));
         }
         let slot = &mut self.slots[self.cursor];
-        if self.classes.shared() && rows == self.classes.distinct() {
-            slot.reserve_total(self.classes.total() * cols);
+        let c = &self.classes;
+        if c.shared() && (rows == c.distinct() || rows == c.first() + c.distinct()) {
+            slot.reserve_total((rows - c.distinct() + c.total()) * cols);
         }
         slot.reshape_reuse(rows, cols);
         let v = FVar(self.cursor);
@@ -360,22 +364,20 @@ impl<S: Scalar> FwdCtx<S> {
     /// together (steady-state growth checks).
     pub fn reserved(&self) -> usize {
         self.slots.iter().map(|t| t.capacity()).sum::<usize>()
-            + self.scratch.capacity()
+            + self.tree.capacity()
             + self.attn.capacity()
             + self.classes.capacity()
     }
 
-    /// Finds the row classes of rows `first..` of `x` — bit-equal rows
-    /// within one group of `groups`, whose members index the rows of `x`
-    /// (no groups: every row is its own class). The map stays current
-    /// until the next search or [`FwdCtx::reset`].
+    /// Finds the row classes of the rows of `x` — bit-equal rows within
+    /// one group of `groups`, whose members index a sequence in which the
+    /// rows of `x` start at `first` (no groups: every row is its own
+    /// class). The map stays current until the next search or
+    /// [`FwdCtx::reset`].
     pub fn find_row_classes(&mut self, x: FVar, first: usize, groups: Option<&TreeGroups>) {
         let FwdCtx { slots, classes, .. } = self;
         let t = &slots[x.0];
-        assert!(first <= t.rows(), "row classes start past the last row");
-        classes.find(t.rows() - first, first, groups, |a, b| {
-            same_bits(t.row_slice(first + a), t.row_slice(first + b))
-        });
+        classes.find(t.rows(), first, groups, |a, b| same_bits(t.row_slice(a), t.row_slice(b)));
     }
 
     /// The current row classes.
@@ -383,13 +385,15 @@ impl<S: Scalar> FwdCtx<S> {
         &self.classes
     }
 
-    /// Copies one representative row per class out of rows `first..` of
-    /// `x` (all of them, contiguously, when every class is a singleton).
-    pub fn class_rows(&mut self, x: FVar, first: usize) -> FVar {
+    /// One representative row per class of the rows of `x`, the rows the
+    /// last search classified: `x` itself when every class is a
+    /// singleton.
+    pub fn class_rows(&mut self, x: FVar) -> FVar {
         if !self.classes.shared() {
-            return self.rows_range(x, first, self.classes.total());
+            return x;
         }
-        self.gather_rows(x, first, RowClasses::reps)
+        assert_eq!(self.slots[x.0].rows(), self.classes.total(), "one row per classified row");
+        self.gather_rows(x, RowClasses::reps)
     }
 
     /// Gives every row its class's row of `x` (one row per class) back:
@@ -400,19 +404,19 @@ impl<S: Scalar> FwdCtx<S> {
             return x;
         }
         assert_eq!(self.slots[x.0].rows(), self.classes.distinct(), "one row per class expected");
-        self.gather_rows(x, 0, RowClasses::class_of)
+        self.gather_rows(x, RowClasses::class_of)
     }
 
-    /// A fresh slot whose row `i` is row `first + rows[i]` of `x`, for one
-    /// of the class maps.
-    fn gather_rows(&mut self, x: FVar, first: usize, rows: fn(&RowClasses) -> &[u32]) -> FVar {
+    /// A fresh slot whose row `i` is row `rows[i]` of `x`, for one of the
+    /// class maps.
+    fn gather_rows(&mut self, x: FVar, rows: fn(&RowClasses) -> &[u32]) -> FVar {
         let c = self.slots[x.0].cols();
         let out = self.alloc(rows(&self.classes).len(), c);
         let FwdCtx { slots, classes, .. } = self;
         let (head, tail) = slots.split_at_mut(out.0);
         let src = head[x.0].data();
         for (dst, &r) in tail[0].data_mut().chunks_exact_mut(c.max(1)).zip(rows(classes)) {
-            let r = first + r as usize;
+            let r = r as usize;
             dst.copy_from_slice(&src[r * c..(r + 1) * c]);
         }
         out
@@ -487,14 +491,15 @@ impl<S: Scalar> FwdCtx<S> {
     /// attention pattern is the union of the cliques in `groups` (the
     /// paper's tree-local stage). `q_all`/`k_all`/`v_all` are the fully
     /// projected `S × d_model` matrices; the result is the concatenated
-    /// per-head output (pre-`W_o`), rows outside every group untouched —
-    /// callers must ensure groups cover all rows (every entity is in its
-    /// host tree).
+    /// per-head output (pre-`W_o`), with rows outside every group
+    /// zero-filled — callers ensure groups cover all rows (every entity is
+    /// in its host tree).
     ///
-    /// Bit-identical to dense attention under the equivalent additive
-    /// mask: per row, the max/sum/product accumulations visit exactly the
-    /// unmasked entries in the same ascending order, and masked entries
-    /// contribute exact zeros.
+    /// After a row-class search the sequence is given by class: the rows
+    /// before the classified ones, then one row per class, and each group
+    /// member reads its class's row ([`kernels::tree_attention_into`]).
+    /// Either way the result is bit-identical to dense attention under
+    /// the equivalent additive mask on the expanded sequence.
     pub fn tree_attention(
         &mut self,
         q_all: FVar,
@@ -504,61 +509,23 @@ impl<S: Scalar> FwdCtx<S> {
         scale: S,
         groups: &TreeGroups,
     ) -> FVar {
-        let s_rows = self.slots[q_all.0].rows();
-        let d_model = self.slots[q_all.0].cols();
-        let dh = d_model / heads;
-        let out = self.alloc(s_rows, d_model);
-        let FwdCtx { slots, scratch, .. } = self;
-        let (head_slots, tail) = slots.split_at_mut(out.0);
-        let o = &mut tail[0];
-        o.data_mut().fill(S::ZERO);
-        let (q, k, v) = (&head_slots[q_all.0], &head_slots[k_all.0], &head_slots[v_all.0]);
-        for g in 0..groups.len() {
-            let members = groups.group(g);
-            let t = members.len();
-            if t == 0 {
-                continue;
-            }
-            scratch.clear();
-            scratch.resize(t * t, S::ZERO);
-            for h in 0..heads {
-                let col = h * dh;
-                // Scores: scaled dot products between member projections.
-                for (i, &a) in members.iter().enumerate() {
-                    let qa = &q.row_slice(a)[col..col + dh];
-                    for (j, &b) in members.iter().enumerate() {
-                        let kb = &k.row_slice(b)[col..col + dh];
-                        let mut acc = S::ZERO;
-                        for (&x, &y) in qa.iter().zip(kb) {
-                            acc += x * y;
-                        }
-                        scratch[i * t + j] = acc * scale;
-                    }
-                }
-                // Softmax each member row in place (the shared masked-path
-                // row flavor — same guard, same sequential sum as the
-                // dense masked kernel).
-                for i in 0..t {
-                    kernels::softmax_row_seq(&mut scratch[i * t..(i + 1) * t]);
-                }
-                // Output rows: probability-weighted sums of member values,
-                // ascending member order (== zero-skip over the dense row).
-                for (i, &a) in members.iter().enumerate() {
-                    let o_cols = o.cols();
-                    let o_row = &mut o.data_mut()[a * o_cols + col..a * o_cols + col + dh];
-                    for (j, &b) in members.iter().enumerate() {
-                        let p = scratch[i * t + j];
-                        if p == S::ZERO {
-                            continue;
-                        }
-                        let vb = &v.row_slice(b)[col..col + dh];
-                        for (ov, &vv) in o_row.iter_mut().zip(vb) {
-                            *ov += p * vv;
-                        }
-                    }
-                }
-            }
+        let (rows, d_model) = (self.slots[q_all.0].rows(), self.slots[q_all.0].cols());
+        let out = self.alloc(rows, d_model);
+        let FwdCtx { slots, tree, classes, .. } = self;
+        if classes.total() > 0 {
+            let want = classes.first() + classes.distinct();
+            assert_eq!(rows, want, "the tree stage runs on one row per class");
         }
+        let (head, tail) = slots.split_at_mut(out.0);
+        kernels::tree_attention_into(
+            [&head[q_all.0], &head[k_all.0], &head[v_all.0]],
+            groups,
+            classes.shared().then(|| (classes.first(), classes.class_of())),
+            heads,
+            scale,
+            tree,
+            &mut tail[0],
+        );
         out
     }
 }

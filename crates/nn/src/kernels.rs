@@ -30,6 +30,7 @@
 //! `crates/nn/tests/prop_f32_kernels.rs` and, end to end, by
 //! `tests/integration_precision.rs`.
 
+use crate::infer::TreeGroups;
 use crate::par::{run_row_lanes, AttnScratch, HeadInputs};
 use crate::scalar::Scalar;
 use crate::tensor::Tensor;
@@ -522,7 +523,9 @@ fn weighted_value_sums<S: Scalar, const DH: usize>(
     }
 }
 
-/// Runtime-width fallback of [`weighted_value_sums`].
+/// Runtime-width fallback of [`weighted_value_sums`], for any head width:
+/// the output columns go in blocks of at most 16, and every column keeps
+/// its own accumulator, so the blocking does not change a bit.
 fn weighted_value_sums_dyn<S: Scalar>(
     tile: &[S],
     n: usize,
@@ -532,25 +535,29 @@ fn weighted_value_sums_dyn<S: Scalar>(
     dh: usize,
     out: &mut [S],
 ) {
+    const CB: usize = 16;
     let (ib, ih) = (rows.start, rows.end);
-    let mut acc = [[S::ZERO; 16]; 4];
+    let mut acc = [[S::ZERO; CB]; 4];
     let mut i = ib;
     while i < ih {
         let rows = (ih - i).min(4);
-        for a in acc.iter_mut().take(rows) {
-            a[..dh].fill(S::ZERO);
-        }
-        for kk in keys.clone() {
-            let b_row = &vd[kk * dh..(kk + 1) * dh];
-            for (r, a) in acc.iter_mut().take(rows).enumerate() {
-                let p = tile[(i - ib + r) * n + kk];
-                for (o, &bv) in a[..dh].iter_mut().zip(b_row) {
-                    *o += p * bv;
+        for c in (0..dh).step_by(CB) {
+            let w = (dh - c).min(CB);
+            for a in acc.iter_mut().take(rows) {
+                a[..w].fill(S::ZERO);
+            }
+            for kk in keys.clone() {
+                let b_row = &vd[kk * dh + c..kk * dh + c + w];
+                for (r, a) in acc.iter_mut().take(rows).enumerate() {
+                    let p = tile[(i - ib + r) * n + kk];
+                    for (o, &bv) in a[..w].iter_mut().zip(b_row) {
+                        *o += p * bv;
+                    }
                 }
             }
-        }
-        for (r, a) in acc.iter().take(rows).enumerate() {
-            out[(i + r) * dh..(i + r + 1) * dh].copy_from_slice(&a[..dh]);
+            for (r, a) in acc.iter().take(rows).enumerate() {
+                out[(i + r) * dh + c..(i + r) * dh + c + w].copy_from_slice(&a[..w]);
+            }
         }
         i += rows;
     }
@@ -650,27 +657,159 @@ fn softmax_rows<S: Scalar>(x: &[S], n: usize, out: &mut [S]) {
     }
 }
 
-/// Sequential-sum softmax of one row in place: the row flavor used by
-/// the *masked* paths (dense masked softmax and block-sparse tree
-/// attention, whose compacted member rows must sum the same nonzero
-/// terms in the same order as the dense masked kernel). Fully-masked /
-/// non-finite rows become all-zero.
-pub(crate) fn softmax_row_seq<S: Scalar>(row: &mut [S]) {
-    let mut mx = S::NEG_INFINITY;
-    for &s in row.iter() {
-        mx = mx.max(s);
+/// Scratch of [`tree_attention_into`], owned by the forward context and
+/// reused across calls: one tree's gathered rows and score tile, its
+/// distinct rows and the member → distinct-row map. Sized by the largest
+/// tree's member count, never by its distinct rows, so it stays flat
+/// while the class count moves.
+#[derive(Debug, Default)]
+pub struct TreeScratch<S> {
+    vals: Vec<S>,
+    keys: Vec<usize>,
+    key_of: Vec<usize>,
+}
+
+impl<S> TreeScratch<S> {
+    /// Elements currently reserved across all buffers (arena-growth
+    /// checks).
+    pub fn capacity(&self) -> usize {
+        self.vals.capacity() + self.keys.capacity() + self.key_of.capacity()
     }
+}
+
+/// Block-sparse multi-head attention over tree cliques (the paper's
+/// tree-local stage): every member of group `g` attends to the members of
+/// `g`, in member order, and `out` receives the concatenated per-head
+/// output (pre-`W_o`). `q`/`k`/`v` are the projected `rows × d` inputs;
+/// rows outside every group are zero-filled. Groups must not share rows
+/// (each entity is in its one host tree).
+///
+/// Rows may be given once per **row class** (see [`crate::classes`]):
+/// with `classes = Some((first, class))` a member `m ≥ first` is row
+/// `first + class[m − first]` of the inputs and of `out`, which hold the
+/// rows below `first` and then one row per class; `None` reads member
+/// `m` as row `m`. Per tree the distinct member rows are gathered once,
+/// for all heads, into contiguous scratch with `k` transposed and padded
+/// to a multiple of eight keys, so every score runs in the 2 × 8 register
+/// tile of [`scores_register_tile`]: one per (distinct query, distinct
+/// key) pair, one accumulator fed in ascending `k`, then one multiply by
+/// `scale`. The row maximum and the libm `exp` run once per distinct key;
+/// the sequential normalizer of the masked path and the value sums of
+/// the fused head ([`value_sums`]) walk all the tree's members in member
+/// order, reading the shared probability — the rule
+/// [`attention_head_into`] follows for class-keyed keys.
+///
+/// Bit-identical to dense attention under the equivalent additive mask
+/// ([`masked_softmax_into`] → [`matmul_sparse_into`]) on the rows
+/// expanded to one per member: every output element sees the same
+/// operands in the same order (a maximum over a multiset is the maximum
+/// over its set; a score and an `exp` are per element), masked entries
+/// contribute exact zeros, and equal rows of one tree get equal outputs.
+/// The value sums add the `0 · v` terms the sparse product skips, which
+/// changes nothing for finite `v` (see the module docs).
+pub fn tree_attention_into<S: Scalar>(
+    [q, k, v]: [&Tensor<S>; 3],
+    groups: &TreeGroups,
+    classes: Option<(usize, &[u32])>,
+    heads: usize,
+    scale: S,
+    scratch: &mut TreeScratch<S>,
+    out: &mut Tensor<S>,
+) {
+    let (rows, d) = (q.rows(), q.cols());
+    assert!(heads > 0 && d.is_multiple_of(heads), "width must divide by heads");
+    for t in [k, v, &*out] {
+        assert_eq!((t.rows(), t.cols()), (rows, d), "tree attention shape mismatch");
+    }
+    let dh = d / heads;
+    let row_of = |m: usize| match classes {
+        Some((first, class)) if m >= first => first + class[m - first] as usize,
+        _ => m,
+    };
+    out.data_mut().fill(S::ZERO);
+    let largest = (0..groups.len()).map(|g| groups.group(g).len()).max().unwrap_or(0);
+    let TreeScratch { vals, keys, key_of } = scratch;
+    // Sized by member count, so the largest class count cannot grow it.
+    let tile = largest.next_multiple_of(8);
+    vals.clear();
+    vals.resize(2 * largest * d + d * tile + largest * tile, S::ZERO);
+    for list in [&mut *keys, &mut *key_of] {
+        list.clear();
+        list.reserve(largest);
+    }
+    for g in 0..groups.len() {
+        // Distinct member rows in order of first appearance, and every
+        // member's position among them.
+        keys.clear();
+        key_of.clear();
+        for &m in groups.group(g) {
+            let r = row_of(m);
+            let j = keys.iter().position(|&x| x == r).unwrap_or_else(|| {
+                keys.push(r);
+                keys.len() - 1
+            });
+            key_of.push(j);
+        }
+        let du = keys.len();
+        if du == 0 {
+            continue;
+        }
+        let kp = du.next_multiple_of(8);
+        let (qg, rest) = vals.split_at_mut(du * d);
+        let (kt, rest) = rest.split_at_mut(d * kp);
+        let (vg, s) = rest.split_at_mut(du * d);
+        // q and v head-major (each head's rows contiguous, `dh` wide),
+        // k transposed to `d × kp` with zero padding keys.
+        for (j, &r) in keys.iter().enumerate() {
+            let (qr, kr, vr) = (q.row_slice(r), k.row_slice(r), v.row_slice(r));
+            for h in 0..heads {
+                let (src, dst) = (h * dh..(h + 1) * dh, (h * du + j) * dh..(h * du + j + 1) * dh);
+                qg[dst.clone()].copy_from_slice(&qr[src.clone()]);
+                vg[dst].copy_from_slice(&vr[src]);
+            }
+            for (row, &x) in kt.chunks_exact_mut(kp).zip(kr) {
+                row[j] = x;
+            }
+        }
+        for pad in kt.chunks_exact_mut(kp) {
+            pad[du..].fill(S::ZERO);
+        }
+        let s = &mut s[..du * kp];
+        for h in 0..heads {
+            let head = h * du * dh..(h + 1) * du * dh;
+            scores_register_tile(&qg[head.clone()], dh, &kt[h * dh * kp..], kp, scale, s);
+            for p in s.chunks_exact_mut(kp) {
+                tree_softmax(&mut p[..du], key_of);
+            }
+            // The head's queries are spent: their slot takes its output.
+            let o = &mut qg[head.clone()];
+            value_sums(s, kp, key_of.iter().copied(), 0..du, &vg[head], dh, o);
+            for (o, &r) in o.chunks_exact(dh).zip(keys.iter()) {
+                out.data_mut()[r * d + h * dh..r * d + (h + 1) * dh].copy_from_slice(o);
+            }
+        }
+    }
+}
+
+/// One distinct query row of [`tree_attention_into`] in place: scores
+/// over the tree's distinct keys become probabilities — maximum and
+/// `exp` per distinct key, the sequential normalizer over every member
+/// (`key_of`) — or all zeros for a non-finite or fully masked row.
+fn tree_softmax<S: Scalar>(p: &mut [S], key_of: &[usize]) {
+    let mx = row_max(p);
     if !mx.is_finite() || mx <= S::MASK_NEG_THRESHOLD {
-        row.fill(S::ZERO);
+        p.fill(S::ZERO);
         return;
     }
-    let mut z = S::ZERO;
-    for s in row.iter_mut() {
+    for s in p.iter_mut() {
         *s = (*s - mx).exp();
-        z += *s;
+    }
+    let mut z = S::ZERO;
+    for &j in key_of {
+        z += p[j];
     }
     let inv = S::ONE / z;
-    for s in row.iter_mut() {
+    for s in p.iter_mut() {
         *s *= inv;
     }
 }

@@ -444,7 +444,10 @@ impl<S: Scalar> MultiHeadAttention<S> {
     /// equivalent additive tree mask, but O(Σ tree²·d) instead of
     /// O((N+M)²·d) — the dense score matrix and the mask are never
     /// materialized. Probabilities are not produced (the local stage
-    /// discards them).
+    /// discards them). After a row-class search of `ctx`, `x` holds the
+    /// rows before the classified ones and then one row per class, and
+    /// each output row is the row every member of its class gets on the
+    /// expanded sequence ([`FwdCtx::tree_attention`]).
     pub fn fwd_tree(&self, ctx: &mut FwdCtx<S>, x: FVar, groups: &TreeGroups) -> FVar {
         let scale = self.score_scale();
         let q_all = self.wq.fwd(ctx, x);

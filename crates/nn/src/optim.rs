@@ -111,9 +111,15 @@ impl Adam {
     }
 }
 
-/// Global L2 norm of a gradient set.
+/// Global L2 norm of a gradient set, summed in ascending name order: a
+/// `HashMap`'s iteration order follows its per-process random state, and
+/// the clip scale computed from this norm moves every weight of a clipped
+/// update, so any other order makes training depend on the process.
 pub fn global_norm(grads: &HashMap<String, Tensor>) -> f64 {
-    grads.values().map(|g| g.data().iter().map(|v| v * v).sum::<f64>()).sum::<f64>().sqrt()
+    // vmr-analyze: allow(D001) reason="the names are sorted before anything is summed"
+    let mut names: Vec<&String> = grads.keys().collect();
+    names.sort_unstable();
+    names.iter().map(|n| grads[*n].data().iter().map(|v| v * v).sum::<f64>()).sum::<f64>().sqrt()
 }
 
 #[cfg(test)]
@@ -122,7 +128,7 @@ mod tests {
     use crate::graph::Graph;
     use crate::layers::Linear;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     /// Adam on a convex quadratic must drive the loss down monotonically
     /// (after warmup) and close to zero.
@@ -180,6 +186,21 @@ mod tests {
             // the moment estimates bounded too; just sanity-check movement.
             assert!((b - a).abs() <= 0.011, "update too large: {} -> {}", b, a);
         }
+    }
+
+    #[test]
+    fn global_norm_does_not_depend_on_insertion_order() {
+        // 200 tensors of uneven values: summed in two different orders
+        // their squares round differently. Two maps of equal content built
+        // in opposite orders (each with its own hash state, so each walks
+        // its entries in its own order) must still agree bit for bit.
+        let mut rng = StdRng::seed_from_u64(9);
+        let entries: Vec<(String, Tensor)> = (0..200)
+            .map(|i| (format!("p{i}"), Tensor::from_vec(1, 3, (0..3).map(|_| rng.gen()).collect())))
+            .collect();
+        let forward: HashMap<String, Tensor> = entries.iter().cloned().collect();
+        let backward: HashMap<String, Tensor> = entries.iter().rev().cloned().collect();
+        assert_eq!(global_norm(&forward).to_bits(), global_norm(&backward).to_bits());
     }
 
     #[test]

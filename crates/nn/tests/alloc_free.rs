@@ -9,8 +9,9 @@
 //! `std::thread::scope`'s own bookkeeping, a few allocations per helper
 //! lane and call.
 //!
-//! With row classes (`vmr_nn::classes`) the dense stages see one row per
-//! class, and the class count changes between steps: the arena is sized
+//! With row classes (`vmr_nn::classes`) the blocks see one row per class
+//! (the tree stage: the rows before the classified ones, then one per
+//! class), and the class count changes between steps: the arena is sized
 //! by the sequence length, so it stays flat while the count moves.
 //!
 //! This lives in its own harness-free integration-test binary (see the
@@ -148,13 +149,18 @@ fn masked_attention_does_not_allocate<S: Scalar>(rng: &mut StdRng) {
     println!("alloc_free<{ty}>: ok (masked 40 x 40 attention runs out of the arena)");
 }
 
-/// Row classes: the dense stages run on one row per class, and the class
-/// count moves from step to step under a fixed sequence length. The
-/// arena must be sized by the sequence, so neither more nor fewer
-/// classes than the warm-up saw may grow it or allocate.
+/// Row classes: the tree stage runs on the rows before the classified
+/// ones plus one row per class, the dense stages on one row per class,
+/// and the class count moves from step to step under a fixed sequence
+/// length. The arena must be sized by the sequence, so neither more nor
+/// fewer classes than the warm-up saw may grow it or allocate.
 fn class_counts_do_not_grow_the_arena<S: Scalar>(rng: &mut StdRng) {
-    // 6 trees of one root row and 5 leaf rows; classes among the leaves.
-    let (roots, leaves, per_tree, d) = (6, 30, 5, 16);
+    // 5 trees of one root row and 7 leaf rows; classes among the leaves.
+    // (Class counts that equal a fixed row count — 1, the 5 roots, the
+    // 35 leaves, the 40 rows, or 5 + U = 35 — would let a fixed-size slot
+    // take a class slot's reservation; the variants below avoid them.)
+    let (roots, per_tree, d) = (5, 7, 16);
+    let leaves = roots * per_tree;
     let local = MultiHeadAttention::<S>::from_f64(&MultiHeadAttention::new("cl", d, 2, rng));
     let dense = MultiHeadAttention::<S>::from_f64(&MultiHeadAttention::new("cs", d, 2, rng));
     let ff = FeedForward::<S>::from_f64(&FeedForward::new("cf", d, 2 * d, rng));
@@ -184,29 +190,33 @@ fn class_counts_do_not_grow_the_arena<S: Scalar>(rng: &mut StdRng) {
     let pass = |ctx: &mut FwdCtx<S>, x0: &Tensor| -> (usize, S) {
         ctx.reset();
         let x = ctx.input(x0);
-        let t = local.fwd_tree(ctx, x, &tree);
-        let r = ctx.add(x, t);
-        ctx.find_row_classes(r, roots, Some(&tree));
-        let reps = ctx.class_rows(r, roots);
-        let att = dense.fwd_self_classes(ctx, reps);
-        let s = ctx.add(reps, att);
+        let (pm, vm) = (ctx.rows_range(x, 0, roots), ctx.rows_range(x, roots, leaves));
+        ctx.find_row_classes(vm, roots, Some(&tree));
+        let u = ctx.row_classes().distinct();
+        let reps = ctx.class_rows(vm);
+        let combined = ctx.vcat(pm, reps);
+        let t = local.fwd_tree(ctx, combined, &tree);
+        let r = ctx.add(combined, t);
+        let vm = ctx.rows_range(r, roots, u);
+        let att = dense.fwd_self_classes(ctx, vm);
+        let s = ctx.add(vm, att);
         let y = ff.fwd(ctx, s);
         let all = ctx.expand_rows(y);
         let pooled = ctx.mean_rows(all);
-        (ctx.row_classes().distinct(), ctx.value(pooled).get(0, 0))
+        (u, ctx.value(pooled).get(0, 0))
     };
     let mut ctx = FwdCtx::<S>::new();
-    let (warm_classes, _) = pass(&mut ctx, &inputs[2]);
-    assert_eq!(warm_classes, leaves - 2 * roots);
+    let (warm_classes, _) = pass(&mut ctx, &inputs[3]);
+    assert_eq!(warm_classes, leaves - 3 * roots);
     let reserved = ctx.reserved();
     let mut seen = Vec::with_capacity(5);
     let before = ALLOCS.load(Ordering::SeqCst);
-    for dups in [1, 4, 3, 2, 1] {
+    for dups in [2, 5, 4, 3, 2] {
         seen.push(pass(&mut ctx, &inputs[dups]).0);
         assert_eq!(ctx.reserved(), reserved, "{dups} duplicates per tree grew the arena");
     }
     assert_eq!(ALLOCS.load(Ordering::SeqCst), before, "a moving class count must not allocate");
-    assert_eq!(seen, [24, 6, 12, 18, 24], "the class count did move");
+    assert_eq!(seen, [25, 10, 15, 20, 25], "the class count did move");
     let ty = std::any::type_name::<S>();
     println!(
         "alloc_free<{ty}>: ok (arena flat at {reserved} elements while classes moved {seen:?})"

@@ -10,7 +10,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use vmr_nn::graph::{Graph, MASK_OFF};
 use vmr_nn::infer::{FwdCtx, TreeGroups};
-use vmr_nn::layers::{FeedForward, LayerNorm, Linear, Mlp, MultiHeadAttention};
+use vmr_nn::layers::{FeedForward, LayerNorm, Linear, Mlp, Module, MultiHeadAttention};
 use vmr_nn::tensor::Tensor;
 
 fn rand_tensor(rows: usize, cols: usize, rng: &mut StdRng) -> Tensor {
@@ -131,6 +131,68 @@ proptest! {
         let x = g.constant(x0.clone());
         let out = att.forward(&mut g, x, x, Some(&mask));
         let reference = g.value(out.out).clone();
+
+        let mut ctx = FwdCtx::new();
+        let x = ctx.input(&x0);
+        let o = att.fwd_tree(&mut ctx, x, &tree);
+        prop_assert_eq!(ctx.value(o).data(), reference.data());
+    }
+
+    /// The same at the model's head widths (8, 12, 16) and a wider one,
+    /// over trees longer than one 8-key tile. With `zeros` the weights
+    /// pin head 0's first column: 40 in every query, ±50 in the keys (by
+    /// the sign of input column 0), so about half of each tree's scores
+    /// sit ≥ 890 below the row maximum and their probabilities are exact
+    /// zeros — the terms the dense path's sparse product skips.
+    #[test]
+    fn tree_attention_at_model_widths_bit_identical_to_dense_mask(
+        s in 2usize..24,
+        groups in 1usize..4,
+        heads in 1usize..3,
+        dh_ix in 0usize..4,
+        zeros in proptest::bool::ANY,
+        seed in 0u64..10_000,
+    ) {
+        let d_model = heads * [8, 12, 16, 20][dh_ix];
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut att = MultiHeadAttention::new("a", d_model, heads, &mut rng);
+        let mut x0 = rand_tensor(s, d_model, &mut rng);
+        let (tree, mask) = random_groups(s, groups, &mut rng);
+        if zeros {
+            for r in 0..s {
+                x0.set(r, 0, if r % 2 == 0 { 1.0 } else { -1.0 });
+            }
+            att.visit_params_mut(&mut |name, p| {
+                let col0 = match name {
+                    "a.wq.w" => Some(0.0),
+                    "a.wk.w" => Some(50.0),
+                    _ => None,
+                };
+                if let Some(top) = col0 {
+                    for i in 0..p.rows() {
+                        p.set(i, 0, if i == 0 { top } else { 0.0 });
+                    }
+                }
+                if name == "a.wq.b" {
+                    p.set(0, 0, 40.0);
+                }
+            });
+        }
+
+        let mut g = Graph::new();
+        let x = g.constant(x0.clone());
+        let out = att.forward(&mut g, x, x, Some(&mask));
+        let reference = g.value(out.out).clone();
+        if zeros && heads == 1 {
+            // A tree holding an even and an odd row has exact-zero
+            // probabilities (averaged over one head, so visible here).
+            let pairs = || (0..s).flat_map(|a| (0..s).map(move |b| (a, b)));
+            let in_tree = |&(a, b): &(usize, usize)| mask.get(a, b) == 0.0;
+            let mixed = pairs().filter(in_tree).any(|(a, b)| a % 2 != b % 2);
+            let probs = g.value(out.probs);
+            let zero = pairs().filter(in_tree).any(|(a, b)| probs.get(a, b) == 0.0);
+            prop_assert_eq!(zero, mixed);
+        }
 
         let mut ctx = FwdCtx::new();
         let x = ctx.input(&x0);

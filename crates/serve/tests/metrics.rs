@@ -247,10 +247,13 @@ fn metrics_op_exports_row_class_counters() {
     let plan = client.plan(PlanParams { mnl: 2, ..plan_params("rows", "agent", 1, 0) }).unwrap();
     let (total1, distinct1) = rows(&mut client);
 
-    // One search per attention block and decision step, over every VM.
-    let passes = ModelConfig::default().blocks as u64 * plan.plan.len() as u64;
+    // One search per forward (it serves every block) and decision step,
+    // over every VM: not one per block.
+    let passes = plan.plan.len() as u64;
     assert!(!plan.plan.is_empty(), "the agent must plan on a fresh Small cluster");
     assert!(total1 - total0 >= passes * vms, "{} rows over {passes} passes", total1 - total0);
+    let per_block = ModelConfig::default().blocks as u64 * (passes + 1) * vms;
+    assert!(total1 - total0 < per_block, "{} rows: a search per block", total1 - total0);
     let (total, distinct) = (total1 - total0, distinct1 - distinct0);
     // A Small cluster packs a handful of flavors onto each PM: some rows
     // are equal, and the counters must say so — the reuse rate is the

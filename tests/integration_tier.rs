@@ -23,7 +23,11 @@
 //! dense GEMM at the model's widths and two widths off them (the
 //! `gemms` section was captured later, at the x86-64-v3 build of the
 //! commit before the register-tiled kernel, and pins that kernel to
-//! the loops it replaced).
+//! the loops it replaced), and the raw output bits of the tree-local
+//! stage on a tree set with duplicate rows and trees longer than one
+//! 8-key tile (the `trees` section, captured likewise at the commit
+//! before the class-keyed tree kernel, from the per-member loop it
+//! replaced; the kernel must reproduce it on every row and by class).
 
 use std::time::Duration;
 
@@ -36,7 +40,7 @@ use vmr_core::model::Vmr2lModel;
 use vmr_core::Vmr2lAgent;
 use vmr_nn::kernels::attention_head_into;
 use vmr_nn::par::AttnScratch;
-use vmr_nn::{Scalar, Tensor};
+use vmr_nn::{FwdCtx, Module, MultiHeadAttention, Scalar, Tensor, TreeGroups};
 use vmr_serve::policies::{AgentPolicy, PlanRequest};
 use vmr_serve::session::{preset_config, Session};
 
@@ -150,6 +154,133 @@ fn gemm_fingerprints<S: Scalar>(precision: &str, out: &mut serde_json::Map<Strin
     }
 }
 
+/// Class label of every VM a PM hosts, in member order: equal labels in
+/// one tree are bit-equal rows. Trees of 1, 9, 8, 13, 5 and 2 members —
+/// below, at and past one 8-key tile — one of them a single class.
+const TREES: [&[u8]; 6] = [
+    &[],
+    &[0, 1, 0, 2, 0, 1, 3, 4],
+    &[0, 1, 2, 3, 4, 5, 6],
+    &[0, 1, 1, 2, 0, 3, 4, 4, 5, 1, 6, 7],
+    &[0, 0, 0, 0],
+    &[0],
+];
+
+/// The `trees` input: PM rows then VM rows (VMs dealt to their hosts
+/// round-robin, so tree members interleave), 24 wide, with the rows of
+/// PM 3's tree scaled up until some of its probabilities are exact
+/// zeros; plus the tree groups over the combined sequence.
+fn tree_input() -> (Tensor, TreeGroups) {
+    let (n, d) = (TREES.len(), 24);
+    let (mut host, mut label) = (Vec::new(), Vec::new());
+    for slot in 0..TREES.iter().map(|t| t.len()).max().unwrap_or(0) {
+        for (p, tree) in TREES.iter().enumerate() {
+            if let Some(&l) = tree.get(slot) {
+                host.push(p);
+                label.push(l);
+            }
+        }
+    }
+    let rows = n + host.len();
+    let mut rng = StdRng::seed_from_u64(0x7733);
+    let mut x: Vec<f64> = (0..rows * d).map(|_| rng.gen_range(-1.5..1.5)).collect();
+    for k in 0..host.len() {
+        let twin = (0..k).find(|&j| host[j] == host[k] && label[j] == label[k]);
+        if let Some(j) = twin {
+            x.copy_within((n + j) * d..(n + j + 1) * d, (n + k) * d);
+        }
+    }
+    for r in (0..rows).filter(|&r| if r < n { r == 3 } else { host[r - n] == 3 }) {
+        x[r * d..(r + 1) * d].iter_mut().for_each(|v| *v *= 25.0);
+    }
+    let mut groups = TreeGroups { starts: vec![0], members: Vec::new() };
+    for p in 0..n {
+        groups.members.push(p);
+        groups.members.extend((0..host.len()).filter(|&k| host[k] == p).map(|k| n + k));
+        groups.starts.push(groups.members.len());
+    }
+    (Tensor::from_vec(rows, d, x), groups)
+}
+
+/// Whether some f64 probability of the tree stage of `attn` on `x` is an
+/// exact zero: a member key whose score sits so far below its query's
+/// maximum in one head that `exp` underflows.
+fn has_exact_zero_probabilities(
+    attn: &MultiHeadAttention,
+    x: &Tensor,
+    groups: &TreeGroups,
+    heads: usize,
+) -> bool {
+    let mut params = Vec::new();
+    attn.visit_params(&mut |name, t| params.push((name.to_string(), t.clone())));
+    let project = |w: &str| {
+        let param = |p: &str| {
+            let name = format!("tree.{w}.{p}");
+            &params.iter().find(|(n, _)| *n == name).expect("attention parameter").1
+        };
+        let (mut y, b) = (x.matmul(param("w")), param("b"));
+        for r in 0..y.rows() {
+            for c in 0..y.cols() {
+                y.set(r, c, y.get(r, c) + b.get(0, c));
+            }
+        }
+        y
+    };
+    let (q, k) = (project("wq"), project("wk"));
+    let dh = q.cols() / heads;
+    let scale = 1.0 / (dh as f64).sqrt();
+    (0..groups.len()).any(|g| {
+        let members = groups.group(g);
+        members.iter().any(|&a| {
+            (0..heads).any(|h| {
+                let score = |b: usize| {
+                    (h * dh..(h + 1) * dh).map(|c| q.get(a, c) * k.get(b, c)).sum::<f64>() * scale
+                };
+                let mx = members.iter().map(|&b| score(b)).fold(f64::NEG_INFINITY, f64::max);
+                members.iter().any(|&b| (score(b) - mx).exp() == 0.0)
+            })
+        })
+    })
+}
+
+/// Output bits of the tree-local stage (`fwd_tree`, projections
+/// included) at the model's width and head count on [`tree_input`]: run
+/// on all `N + M` rows, and run once per row class on `N + U` rows and
+/// expanded, which must give the same bits.
+fn tree_fingerprint<S: Scalar>() -> Value {
+    let (x0, groups) = tree_input();
+    let (n, m) = (TREES.len(), x0.rows() - TREES.len());
+    let attn = MultiHeadAttention::new("tree", 24, 2, &mut StdRng::seed_from_u64(0x7ee));
+    assert!(has_exact_zero_probabilities(&attn, &x0, &groups, 2), "no probability underflows");
+    let attn = MultiHeadAttention::<S>::from_f64(&attn);
+    let fingerprint = |ctx: &FwdCtx<S>, out| {
+        let mut fp = Fnv::new();
+        for &v in ctx.value(out).data() {
+            fp.eat(v.to_bits());
+        }
+        fp.hex()
+    };
+    let mut ctx = FwdCtx::<S>::new();
+    let x = ctx.input(&x0);
+    let out = attn.fwd_tree(&mut ctx, x, &groups);
+    let plain = fingerprint(&ctx, out);
+
+    let mut ctx = FwdCtx::<S>::new();
+    let x = ctx.input(&x0);
+    let (pm, vm) = (ctx.rows_range(x, 0, n), ctx.rows_range(x, n, m));
+    ctx.find_row_classes(vm, n, Some(&groups));
+    let u = ctx.row_classes().distinct();
+    assert!(u < m, "the tree set has duplicate rows");
+    let reps = ctx.class_rows(vm);
+    let combined = ctx.vcat(pm, reps);
+    let out = attn.fwd_tree(&mut ctx, combined, &groups);
+    let (pm, vm) = (ctx.rows_range(out, 0, n), ctx.rows_range(out, n, u));
+    let vm = ctx.expand_rows(vm);
+    let out = ctx.vcat(pm, vm);
+    assert_eq!(fingerprint(&ctx, out), plain, "by class vs on every row");
+    plain
+}
+
 #[test]
 fn plans_and_fused_heads_reproduce_the_baseline_tier_capture() {
     let golden: Value = serde_json::from_str(include_str!("golden/tier_fingerprints.json"))
@@ -166,8 +297,12 @@ fn plans_and_fused_heads_reproduce_the_baseline_tier_capture() {
             "f32/keyed": head_fingerprint::<f32>(true),
         }),
         "gemms": Value::Object(gemms),
+        "trees": json!({
+            "f64": tree_fingerprint::<f64>(),
+            "f32": tree_fingerprint::<f32>(),
+        }),
     });
-    for section in ["plans", "heads", "gemms"] {
+    for section in ["plans", "heads", "gemms", "trees"] {
         assert_eq!(
             actual[section],
             golden[section],
