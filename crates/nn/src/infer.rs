@@ -70,7 +70,8 @@ pub struct FwdCtx<S = f64> {
     cursor: usize,
     /// Tree-stage scratch: one tree's gathered rows and its key map.
     tree: TreeScratch<S>,
-    /// Dense attention scratch: shared `kᵀ` plus one score tile per lane.
+    /// Dense attention scratch: the cross stage's `kᵀ` and the fused
+    /// head's key-major tile per lane.
     attn: AttnScratch<S>,
     /// Row classes of the forward in flight (see [`crate::classes`]).
     classes: RowClasses,
@@ -423,7 +424,7 @@ impl<S: Scalar> FwdCtx<S> {
     }
 
     /// Fused unmasked single-head attention (`softmax(q·kᵀ·scale)·v`)
-    /// through cache-resident score tiles — no n×n score or probability
+    /// through one key-major tile per lane — no n×n score or probability
     /// matrix is ever materialized. Bit-identical to the unfused kernel
     /// chain (see [`kernels::attention_head_into`]). Large calls borrow idle
     /// cores as extra row lanes ([`par::Budget::lanes_for`]); the result

@@ -6,16 +6,20 @@
 //! and the tape-free [`crate::infer::FwdCtx`] call the *same* functions.
 //! That is what makes the two engines bit-identical by construction, and
 //! the f32 tier the same code at another element type: there is no second
-//! implementation to drift. Every loop shape and tile size here serves
-//! both precisions. Loop shapes are chosen by measurement on the one
-//! SIMD tier the workspace builds for ([`crate::tier`]); stripe counts
-//! and tile sizes are source constants and never follow the register
-//! width, which is why that tier changes no bit.
+//! implementation to drift. Every loop shape here serves both
+//! precisions. Loop shapes are chosen by measurement on the one SIMD
+//! tier the workspace builds for ([`crate::tier`]); stripe counts are
+//! source constants and never follow the register width, which is why
+//! that tier changes no bit. The one size that does follow it, the fused
+//! head's query tile, only groups independent queries.
 //!
 //! Accumulation-order discipline: every kernel that sums floating-point
 //! terms feeds each output element one accumulator in ascending index
-//! order, and none of them reassociates (the striped normalizer sum is
-//! the one exception, and it is shared by everything it must equal).
+//! order, except the unmasked softmax normalizer, which sums in
+//! [`Scalar::STRIPES`] stripes folded pairwise. Its two forms —
+//! [`striped_sum`] along a row, and the fused head's key-major sum
+//! across a query tile — add the same stripes in the same order, and the
+//! fused head is tested bit for bit against the unfused chain.
 //! `matmul_into` (i-k-j) and `matmul_nt_into` (row-dot) therefore produce
 //! bit-identical outputs for `A·B` vs `A·(Bᵀ)ᵀ` — per output element both
 //! add the `k` products in the same order. The zero-skipping
@@ -43,8 +47,10 @@ pub const MASK_NEG_THRESHOLD: f64 = -1.0e20;
 pub const MASK_OFF: f64 = -1.0e30;
 
 /// Square cache-tile edge shared by the blocked kernels: the transpose
-/// (32×32 f64 tiles = 8 KiB in + 8 KiB out) and the fused attention row
-/// tiling. One named constant so the tilings cannot drift apart.
+/// (32×32 f64 tiles = 8 KiB in + 8 KiB out) and the row tiles
+/// [`crate::par::run_row_lanes`] cuts lanes on, which the fused head's
+/// query tile divides. One named constant so the tilings cannot drift
+/// apart.
 pub const L1_TILE: usize = 32;
 
 /// `out = a · b` (dense). `out` must be pre-shaped `a.rows × b.cols`;
@@ -313,32 +319,45 @@ fn score_block<S: Scalar, const R: usize>(
 }
 
 /// Fused single-head attention without materialized score/probability
-/// matrices: `out = softmax(q·kᵀ·scale)·v`, computed in row tiles that
-/// stay cache-resident. For a sequence of length n the unfused pipeline
-/// round-trips three n×n matrices through memory; this never holds more
-/// than `L1_TILE` score rows per lane.
+/// matrices: `out = softmax(q·kᵀ·scale)·v`. For a sequence of length n
+/// the unfused pipeline round-trips three n×n matrices through memory;
+/// this holds one `n × QT` tile per lane.
+///
+/// **Key-major.** The queries go in tiles of `QT`, one 256-bit register
+/// of them (4 in f64, 8 in f32). A tile's scores land in an `n × QT`
+/// scratch tile, one row per distinct key, and every phase then runs
+/// across the `QT` queries at once: the scores in a register tile of
+/// [`SCORE_KEYS`] keys × `QT` queries read straight from row-major `k`,
+/// one running maximum per query, the elementwise `exp`, the normalizer
+/// in the precision's stripes of `QT`-wide rows, and `dh × QT` value
+/// accumulators fed one probability row and one `v` row per key.
 ///
 /// Keys may be given once per **row class** (see [`crate::classes`]):
 /// with `key_class = Some(c)` the attended sequence has `c.len()` keys
 /// and key `j` is row `c[j]` of `k`/`v`, which hold the distinct rows
-/// only. `kᵀ`, the scores, the row maximum and the exponentials are then
-/// computed once per distinct key, while the normalizer sum and the
-/// probability-weighted value sum still walk all `c.len()` keys in their
-/// original order, reading the shared probability `p[c[j]]` — every
-/// output element sees the same operands in the same order as it would
-/// with `k`/`v` expanded to one row per key, so the result is
-/// bit-identical to that call, not merely close. `None` attends over the
-/// rows of `k` as they are.
+/// only. The scores, the row maximum and the exponentials are then
+/// computed once per distinct key, while the normalizer and the value
+/// sums still walk all `c.len()` keys in their original order, reading
+/// the shared probability row `c[j]` of the tile — every output element
+/// sees the same operands in the same order as it would with `k`/`v`
+/// expanded to one row per key, so the result is bit-identical to that
+/// call, not merely close. `None` attends over the rows of `k` as they
+/// are.
 ///
 /// Row-parallel: the query rows are split over `lanes` lanes by
 /// [`crate::par::run_row_lanes`] (`lanes = 1` starts no thread), each
-/// with its own score tile from `scratch`; `kᵀ` is materialized there
-/// once and shared. The output is the same for every lane count.
+/// with its own tile from `scratch`. The output is the same for every
+/// lane count.
 ///
 /// Bit-identical to `matmul_nt_scaled_into` → unmasked
-/// [`masked_softmax_into`] → [`matmul_into`]: each stage keeps the same
-/// per-element accumulation orders, tiling only changes *when* (and on
-/// which lane) a row is processed, not how.
+/// [`masked_softmax_into`] → [`matmul_into`]: every output element keeps
+/// its operands and their order — a score is one accumulator fed in
+/// ascending `k`, then one multiply by `scale`; the normalizer adds the
+/// same stripes in the same key order as [`striped_sum`]; a value sum adds
+/// `p · v` in ascending key order; and a query whose maximum is not
+/// finite or at or below [`MASK_NEG_THRESHOLD`] gets exact-zero
+/// probabilities. `QT` only decides how many independent queries share
+/// a pass, never a bit.
 #[allow(clippy::too_many_arguments)]
 pub fn attention_head_into<S: Scalar>(
     q: &Tensor<S>,
@@ -354,70 +373,244 @@ pub fn attention_head_into<S: Scalar>(
     assert_eq!(dh, k.cols(), "attention q/k width mismatch");
     assert_eq!((v.rows(), v.cols()), (n, dh), "attention v shape mismatch");
     assert_eq!((out.rows(), out.cols()), (m, dh), "attention output shape mismatch");
-    assert!((1..=16).contains(&dh), "fused attention head supports widths 1 to 16");
+    assert!((1..=MAX_HEAD).contains(&dh), "fused attention head supports widths 1 to 16");
     if let Some(class) = key_class {
         assert!(class.iter().all(|&c| (c as usize) < n), "key class out of range");
     }
-    let AttnScratch { kt, tiles } = scratch;
-    kt.clear();
-    // Sized by the attended keys, not the distinct ones, so the scratch
-    // follows the sequence length whatever this call's class count is.
-    kt.reserve_exact(dh * key_class.map_or(n, <[u32]>::len));
-    kt.resize(dh * n, S::ZERO);
-    transpose_rows(k.data(), n, dh, kt);
     // The driver clamps to the row-tile count; surplus tiles stay empty.
     let lanes = lanes.max(1);
+    let tiles = &mut scratch.tiles;
     if tiles.len() < lanes {
         tiles.resize_with(lanes, Vec::new);
     }
-    let head = HeadInputs { kt, v: v.data(), key_class, n, dh, scale };
+    let head = HeadInputs { k: k.data(), v: v.data(), key_class, n, dh, scale };
     let qd = q.data();
     run_row_lanes(m, [(out.data_mut(), dh)], tiles[..lanes].iter_mut(), |rows, [o], tile| {
-        attention_rows(&head, &qd[rows.start * dh..rows.end * dh], tile, o);
+        let q = &qd[rows.start * dh..rows.end * dh];
+        // `QT` is 32 bytes of queries; the stripes are the precision's.
+        match (std::mem::size_of::<S>(), S::STRIPES) {
+            (8, 4) => key_major_head::<S, 4, 4>(&head, q, tile, o),
+            (4, 8) => key_major_head::<S, 8, 8>(&head, q, tile, o),
+            shape => unreachable!("no key-major tile for (bytes, stripes) = {shape:?}"),
+        }
     });
 }
 
-/// The fused head over one lane's query rows: score tile → in-place
-/// softmax → probability-weighted value sums, [`L1_TILE`] rows at a time.
-fn attention_rows<S: Scalar>(head: &HeadInputs<S>, q: &[S], tile: &mut Vec<S>, out: &mut [S]) {
-    let HeadInputs { kt, v, key_class, n, dh, scale } = *head;
-    let m = q.len() / dh;
+/// Widest head [`attention_head_into`] takes: a query tile's `qᵀ` is a
+/// `MAX_HEAD × QT` stack array.
+const MAX_HEAD: usize = 16;
+
+/// Keys per score register tile of the fused head: `SCORE_KEYS` running
+/// sums of `QT` lanes each, so as many independent add chains.
+const SCORE_KEYS: usize = 4;
+
+/// The fused head over one lane's query rows, `QT` queries at a time
+/// (the last tile may be ragged: its missing queries are zeros, and
+/// only its real rows are stored). `W` is the normalizer's stripe count.
+fn key_major_head<S: Scalar, const QT: usize, const W: usize>(
+    head: &HeadInputs<S>,
+    q: &[S],
+    tile: &mut Vec<S>,
+    out: &mut [S],
+) {
+    // Lane cuts fall on `L1_TILE` rows, so they stay tile-aligned.
+    const { assert!(L1_TILE.is_multiple_of(QT)) };
+    let HeadInputs { k, v, key_class, n, dh, scale } = *head;
     tile.clear();
-    // Reserved for the attended sequence, not this call's class count
-    // (which also bounds the query rows of a class-keyed call).
-    if let Some(class) = key_class {
-        tile.reserve_exact(L1_TILE * class.len());
-    }
-    tile.resize(L1_TILE.min(m) * n, S::ZERO);
-    for ib in (0..m).step_by(L1_TILE) {
-        let ih = (ib + L1_TILE).min(m);
-        let tile = &mut tile[..(ih - ib) * n];
-        scores_register_tile(&q[ib * dh..ih * dh], dh, kt, n, scale, tile);
-        // Softmax each score row in place (same helpers as the unmasked
-        // kernel path). Maximum and exponentials once per distinct key;
-        // the normalizer counts every key.
-        for s_row in tile.chunks_exact_mut(n.max(1)) {
-            let mx = row_max(s_row);
-            if !mx.is_finite() || mx <= S::MASK_NEG_THRESHOLD {
-                s_row.fill(S::ZERO);
-                continue;
-            }
-            for s in s_row.iter_mut() {
-                *s = (*s - mx).exp_shifted();
-            }
-            let z = match key_class {
-                None => S::striped_sum(s_row),
-                Some(class) => S::striped_sum_by_class(s_row, class),
-            };
-            let inv = S::ONE / z;
-            for s in s_row.iter_mut() {
-                *s *= inv;
+    // Reserved for the attended sequence, not this call's class count,
+    // so the scratch follows the sequence length as the class count
+    // moves.
+    tile.reserve_exact(QT * key_class.map_or(n, <[u32]>::len));
+    tile.resize(QT * n, S::ZERO);
+    let (p, _) = tile.as_chunks_mut::<QT>();
+    for (qb, ob) in q.chunks(QT * dh).zip(out.chunks_mut(QT * dh)) {
+        let mut qt = [[S::ZERO; QT]; MAX_HEAD];
+        for (r, row) in qb.chunks_exact(dh).enumerate() {
+            for (c, &x) in row.iter().enumerate() {
+                qt[c][r] = x;
             }
         }
-        let rows = ib..ih;
+        let mx = key_scores::<S, QT>(&qt[..dh], k, scale, p);
+        for row in p.iter_mut() {
+            for l in 0..QT {
+                row[l] = (row[l] - mx[l]).exp_shifted();
+            }
+        }
+        let z = match key_class {
+            None => key_major_sum::<S, QT, W>(p, 0..n),
+            Some(class) => key_major_sum::<S, QT, W>(p, class.iter().map(|&c| c as usize)),
+        };
+        let inv: [S; QT] = std::array::from_fn(|l| S::ONE / z[l]);
+        for row in p.iter_mut() {
+            for l in 0..QT {
+                row[l] *= inv[l];
+            }
+        }
+        // A query with no finite maximum above the mask threshold gets
+        // exact-zero probabilities, whatever its exponentials were.
+        let dead = mx.map(|x| !x.is_finite() || x <= S::MASK_NEG_THRESHOLD);
+        if dead.contains(&true) {
+            for row in p.iter_mut() {
+                for l in 0..QT {
+                    if dead[l] {
+                        row[l] = S::ZERO;
+                    }
+                }
+            }
+        }
         match key_class {
-            None => value_sums(tile, n, 0..n, rows, v, dh, out),
-            Some(class) => value_sums(tile, n, class.iter().map(|&c| c as usize), rows, v, dh, out),
+            None => key_major_values::<S, QT>(p, 0..n, v, dh, ob),
+            Some(class) => {
+                key_major_values::<S, QT>(p, class.iter().map(|&c| c as usize), v, dh, ob)
+            }
+        }
+    }
+}
+
+/// One query tile's scores into `p` (one `QT`-wide row per key of the
+/// row-major `k`, `qt.len()` wide), [`SCORE_KEYS`] keys at a time and the
+/// remainder one by one; returns every query's running maximum, taken
+/// as each row is stored. `qt` is the tile's `qᵀ`.
+fn key_scores<S: Scalar, const QT: usize>(
+    qt: &[[S; QT]],
+    k: &[S],
+    scale: S,
+    p: &mut [[S; QT]],
+) -> [S; QT] {
+    let dh = qt.len();
+    let mut mx = [S::NEG_INFINITY; QT];
+    let mut keys = k.chunks_exact(SCORE_KEYS * dh);
+    let mut rows = p.chunks_exact_mut(SCORE_KEYS);
+    for (kb, pb) in keys.by_ref().zip(rows.by_ref()) {
+        score_keys::<S, QT, SCORE_KEYS>(qt, kb, scale, pb, &mut mx);
+    }
+    let rest = rows.into_remainder();
+    for (kr, pr) in keys.remainder().chunks_exact(dh).zip(rest.chunks_exact_mut(1)) {
+        score_keys::<S, QT, 1>(qt, kr, scale, pr, &mut mx);
+    }
+    mx
+}
+
+/// `R` keys of [`key_scores`]: the `R × QT` accumulators stay in
+/// registers for the whole `k` loop, each starts at zero and takes its
+/// products in ascending `k`, then one multiply by `scale` — the
+/// arithmetic of [`nt_scaled_rows`] per element. A maximum skips NaN
+/// (`if s > m`), as [`row_max`] does.
+fn score_keys<S: Scalar, const QT: usize, const R: usize>(
+    qt: &[[S; QT]],
+    k: &[S],
+    scale: S,
+    p: &mut [[S; QT]],
+    mx: &mut [S; QT],
+) {
+    let dh = qt.len();
+    let kr: [&[S]; R] = std::array::from_fn(|j| &k[j * dh..(j + 1) * dh]);
+    let mut acc = [[S::ZERO; QT]; R];
+    for kk in 0..dh {
+        let x = &qt[kk];
+        for j in 0..R {
+            let y = kr[j][kk];
+            for l in 0..QT {
+                acc[j][l] += x[l] * y;
+            }
+        }
+    }
+    for (row, acc) in p.iter_mut().zip(&acc) {
+        for l in 0..QT {
+            let s = acc[l] * scale;
+            row[l] = s;
+            if s > mx[l] {
+                mx[l] = s;
+            }
+        }
+    }
+}
+
+/// The normalizer of a query tile: [`striped_sum`] at `W` stripes over
+/// the attended sequence `keys` (rows of `p`), `QT` queries at a time —
+/// per query the same stripes, the same pairwise fold and the same
+/// in-order remainder.
+fn key_major_sum<S: Scalar, const QT: usize, const W: usize>(
+    p: &[[S; QT]],
+    mut keys: impl ExactSizeIterator<Item = usize>,
+) -> [S; QT] {
+    let mut s = [[S::ZERO; QT]; W];
+    for _ in 0..keys.len() / W {
+        for stripe in s.iter_mut() {
+            let row = &p[keys.next().expect("a full stripe")];
+            for l in 0..QT {
+                stripe[l] += row[l];
+            }
+        }
+    }
+    let mut w = W;
+    while w > 1 {
+        w /= 2;
+        for i in 0..w {
+            s[i] = std::array::from_fn(|l| s[2 * i][l] + s[2 * i + 1][l]);
+        }
+    }
+    let mut z = s[0];
+    for j in keys {
+        for l in 0..QT {
+            z[l] += p[j][l];
+        }
+    }
+    z
+}
+
+/// A query tile's outputs: the probability-weighted value sums over the
+/// attended sequence `keys`, into the tile's rows of `out` (`dh` wide).
+/// The widths the model runs get one `dh`-column block; any other width
+/// runs 4-column blocks and then its last columns one at a time. Every
+/// column keeps its own accumulators, so the blocking changes no bit.
+fn key_major_values<S: Scalar, const QT: usize>(
+    p: &[[S; QT]],
+    keys: impl Iterator<Item = usize> + Clone,
+    v: &[S],
+    dh: usize,
+    out: &mut [S],
+) {
+    match dh {
+        8 => value_cols::<S, QT, 8>(p, keys, v, dh, 0, out),
+        12 => value_cols::<S, QT, 12>(p, keys, v, dh, 0, out),
+        16 => value_cols::<S, QT, 16>(p, keys, v, dh, 0, out),
+        _ => {
+            let blocked = dh - dh % 4;
+            for c in (0..blocked).step_by(4) {
+                value_cols::<S, QT, 4>(p, keys.clone(), v, dh, c, out);
+            }
+            for c in blocked..dh {
+                value_cols::<S, QT, 1>(p, keys.clone(), v, dh, c, out);
+            }
+        }
+    }
+}
+
+/// Columns `c0 .. c0 + N` of [`key_major_values`]: `N × QT` accumulators
+/// in registers, each fed `p · v` in the order of `keys`, then stored
+/// transposed into the tile's real rows of `out`.
+fn value_cols<S: Scalar, const QT: usize, const N: usize>(
+    p: &[[S; QT]],
+    keys: impl Iterator<Item = usize>,
+    v: &[S],
+    dh: usize,
+    c0: usize,
+    out: &mut [S],
+) {
+    let mut acc = [[S::ZERO; QT]; N];
+    for j in keys {
+        let pr = &p[j];
+        let vr: &[S; N] = v[j * dh + c0..j * dh + c0 + N].try_into().expect("width");
+        for c in 0..N {
+            for l in 0..QT {
+                acc[c][l] += pr[l] * vr[c];
+            }
+        }
+    }
+    for (r, o) in out.chunks_exact_mut(dh).enumerate() {
+        for c in 0..N {
+            o[c0 + c] = acc[c][r];
         }
     }
 }
@@ -492,7 +685,7 @@ pub fn attention_probs_into<S: Scalar>(
     });
 }
 
-/// The fused attention kernel's output phase with a compile-time head
+/// The tree kernel's output phase with a compile-time head
 /// width (same accumulation order as the dynamic fallback).
 fn weighted_value_sums<S: Scalar, const DH: usize>(
     tile: &[S],
@@ -694,8 +887,8 @@ impl<S> TreeScratch<S> {
 /// tile of [`scores_register_tile`]: one per (distinct query, distinct
 /// key) pair, one accumulator fed in ascending `k`, then one multiply by
 /// `scale`. The row maximum and the libm `exp` run once per distinct key;
-/// the sequential normalizer of the masked path and the value sums of
-/// the fused head ([`value_sums`]) walk all the tree's members in member
+/// the sequential normalizer of the masked path and the 4-row value sums
+/// ([`value_sums`]) walk all the tree's members in member
 /// order, reading the shared probability — the rule
 /// [`attention_head_into`] follows for class-keyed keys.
 ///
@@ -832,25 +1025,6 @@ pub(crate) fn striped_sum<S: Scalar, const W: usize>(row: &[S]) -> S {
     let mut z = fold_stripes(s);
     for &v in chunks.remainder() {
         z += v;
-    }
-    z
-}
-
-/// [`striped_sum`] over a sequence given by class: element `j` of the
-/// summed sequence is `row[class[j]]`. Same stripes, same order of
-/// additions as [`striped_sum`] on the expanded sequence.
-pub(crate) fn striped_sum_by_class<S: Scalar, const W: usize>(row: &[S], class: &[u32]) -> S {
-    let mut s = [S::ZERO; W];
-    let mut chunks = class.chunks_exact(W);
-    for c in chunks.by_ref() {
-        let c: &[u32; W] = c.try_into().expect("chunk");
-        for l in 0..W {
-            s[l] += row[c[l] as usize];
-        }
-    }
-    let mut z = fold_stripes(s);
-    for &c in chunks.remainder() {
-        z += row[c as usize];
     }
     z
 }
@@ -1116,8 +1290,6 @@ mod tests {
         let s: Vec<f64> = (0..8).map(|l| row[l] + row[l + 8]).collect();
         let want = ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]));
         assert_eq!(striped_sum::<f64, 8>(&row), want + row[16] + row[17] + row[18]);
-        let identity: Vec<u32> = (0..19).collect();
-        assert_eq!(striped_sum_by_class::<f64, 4>(&row, &identity), striped_sum::<f64, 4>(&row));
     }
 
     #[test]
@@ -1204,25 +1376,74 @@ mod tests {
         }
     }
 
+    /// The fused head against `matmul_nt_scaled_into` →
+    /// `masked_softmax_into(None)` → `matmul_into`, on raw bits: ragged
+    /// query tiles (`m mod QT ≠ 0`), one key (the PM actor's call) and
+    /// the 4-key score remainder, the const value widths and the
+    /// runtime-width blocks, two lanes, and query rows whose scores are
+    /// all `−∞` or hold `+∞` and NaN — those must be exact zero rows.
+    fn fused_head_matches_unfused_chain_in<S: Scalar>(seed: u64) {
+        let ty = std::any::type_name::<S>();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rand = |rows: usize, cols: usize| -> Tensor<S> {
+            let data = (0..rows * cols).map(|_| S::from_f64(rng.gen_range(-1.5..1.5))).collect();
+            Tensor::from_vec(rows, cols, data)
+        };
+        let bits = |t: &Tensor<S>| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut scratch = AttnScratch::default();
+        for dh in [1, 5, 8, 12, 16] {
+            for n in [1, 3, 4, 5, 37] {
+                for (m, lanes) in [(1, 1), (11, 1), (70, 2)] {
+                    let (mut q, mut k, v) = (rand(m, dh), rand(n, dh), rand(n, dh));
+                    // Row 0 scores −∞ on every key (`+∞ · −1` in column
+                    // 0). Row 1 scores +∞, −∞ and NaN in turn (`+∞ ·
+                    // {1, −1, 0}` in column 1), or NaN on every key when
+                    // the head is one column wide.
+                    let (inf, nan) = (S::from_f64(f64::INFINITY), S::from_f64(f64::NAN));
+                    for c in 0..dh {
+                        q.set(0, c, if c == 0 { inf } else { S::ZERO });
+                        if m > 1 {
+                            q.set(1, c, if c == 1 { inf } else { S::ZERO });
+                        }
+                    }
+                    if m > 1 && dh == 1 {
+                        q.set(1, 0, nan);
+                    }
+                    for j in 0..n {
+                        k.set(j, 0, S::from_f64(-1.0));
+                        if dh > 1 {
+                            k.set(j, 1, S::from_f64([1.0, -1.0, 0.0][j % 3]));
+                        }
+                    }
+                    let scale = S::from_f64(1.0 / (dh as f64).sqrt());
+                    let mut fused = Tensor::zeros(m, dh);
+                    attention_head_into(&q, &k, &v, None, scale, lanes, &mut scratch, &mut fused);
+                    let mut scores = Tensor::zeros(m, n);
+                    matmul_nt_scaled_into(&q, &k, scale, &mut scores);
+                    let mut probs = Tensor::zeros(m, n);
+                    masked_softmax_into(&scores, None, &mut probs);
+                    let mut unfused = Tensor::zeros(m, dh);
+                    matmul_into(&probs, &v, &mut unfused);
+                    let what = format!("{ty} m={m} n={n} dh={dh} lanes={lanes}");
+                    assert_eq!(bits(&fused), bits(&unfused), "{what}");
+                    let zero = S::ZERO.to_bits();
+                    for r in 0..m.min(2) {
+                        let row = fused.row_slice(r);
+                        assert!(row.iter().all(|x| x.to_bits() == zero), "{what} row {r}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fused_attention_matches_unfused_chain() {
+        fused_head_matches_unfused_chain_in::<f64>(10);
+    }
+
     #[test]
     fn f32_fused_attention_matches_unfused_chain() {
-        let mut rng = StdRng::seed_from_u64(10);
-        let (m, dh, n) = (70, 12, 90);
-        let q = rand_t32(m, dh, &mut rng);
-        let k = rand_t32(n, dh, &mut rng);
-        let v = rand_t32(n, dh, &mut rng);
-        let scale = 1.0 / (dh as f32).sqrt();
-        let mut fused = Tensor::zeros(m, dh);
-        attention_head_into(&q, &k, &v, None, scale, 1, &mut AttnScratch::default(), &mut fused);
-        let mut scores = Tensor::zeros(m, n);
-        matmul_nt_scaled_into(&q, &k, scale, &mut scores);
-        let mut probs = Tensor::zeros(m, n);
-        masked_softmax_into(&scores, None, &mut probs);
-        let mut unfused = Tensor::zeros(m, dh);
-        matmul_into(&probs, &v, &mut unfused);
-        for (a, b) in fused.data().iter().zip(unfused.data()) {
-            assert!((a - b).abs() < 1e-5, "fused {a} vs unfused {b}");
-        }
+        fused_head_matches_unfused_chain_in::<f32>(10);
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! A dense attention head is a regular kernel whose output rows are
 //! independent: row `i` of `softmax(q·kᵀ)·v` reads row `i` of `q` and all
 //! of `k`/`v`, nothing else. [`run_row_lanes`] cuts the query rows into
-//! the fixed [`L1_TILE`]-row tiles the serial kernels already walk, gives
+//! fixed [`L1_TILE`]-row tiles (a multiple of the fused head's query
+//! tile, so a cut never splits one), gives
 //! contiguous tile ranges to *lanes* (the caller is lane 0, the others
 //! are `std::thread::scope` threads) and hands each lane its row range,
 //! its slice of every output and its own scratch. Where a cut falls
@@ -36,7 +37,8 @@ use crate::kernels::L1_TILE;
 /// Work cutover: an attention call with fewer than this many score
 /// elements (`m·n`) runs on the calling thread alone. Starting and
 /// joining one scoped thread costs 60–75 µs on the two-core reference
-/// host; a head at the cutover costs ~2.3 ms in f64 (~1.2 ms in f32), so
+/// host; a fused head at the cutover (512 × 512, head width 12, one
+/// lane) costs ~1.8 ms in f64 (~1.0 ms in f32), so
 /// a lane is worth a few percent of the smallest call that takes one and
 /// under 1 % of the Medium VM self-attention (`m·n` ≈ 4 M) it exists for.
 /// Small sessions (250² ≈ 62 k) and ~150-PM fleet shards (≈ 400² = 160 k)
@@ -44,9 +46,11 @@ use crate::kernels::L1_TILE;
 /// (2000 × 280 = 560 k) are above.
 pub const PAR_MIN_SCORES: usize = 1 << 18;
 
-/// Per-call scratch of a row-parallel attention head, owned by the
-/// forward context so a steady-state pass does not allocate: the shared
-/// `kᵀ` and one score tile per lane.
+/// Per-call scratch of the row-parallel attention kernels, owned by the
+/// forward context so a steady-state pass does not allocate: the `kᵀ`
+/// the unfused cross stage shares between its lanes, and the fused
+/// head's key-major tile per lane (`n × QT` scores, reserved for the
+/// attended keys).
 #[derive(Debug, Default)]
 pub struct AttnScratch<T> {
     pub(crate) kt: Vec<T>,
@@ -61,13 +65,13 @@ impl<T> AttnScratch<T> {
     }
 }
 
-/// What every lane of one fused attention head reads: the transposed
-/// distinct keys (`dh × n`), their values (`n × dh`), the attended
-/// sequence as a key → distinct-row map (`None`: the `n` rows as they
-/// are) and the shapes.
+/// What every lane of one fused attention head reads: the distinct keys
+/// and their values (both `n × dh`, row-major), the attended sequence as
+/// a key → distinct-row map (`None`: the `n` rows as they are) and the
+/// shapes.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct HeadInputs<'a, T> {
-    pub(crate) kt: &'a [T],
+    pub(crate) k: &'a [T],
     pub(crate) v: &'a [T],
     pub(crate) key_class: Option<&'a [u32]>,
     pub(crate) n: usize,

@@ -11,14 +11,18 @@
 //! | item | `f64` | `f32` | why it differs |
 //! |---|---|---|---|
 //! | [`Scalar::exp_shifted`] | degree-10 polynomial, 52-bit exponent trick | degree-7, 23-bit | accuracy target and bit layout |
-//! | [`Scalar::striped_sum`] | 4 stripes | 8 stripes | part of the result's bits, so a source constant — never the register width of the build |
+//! | [`Scalar::STRIPES`] ([`Scalar::striped_sum`], the fused head's normalizer) | 4 stripes | 8 stripes | part of the result's bits, so a source constant — never the register width of the build |
 //! | `from_f64` / `to_f64` / `from_usize` / `to_bits` | — | — | the casts |
 //!
 //! No loop shape is per precision: on the one tier the workspace builds
 //! for ([`crate::tier`]) a register tile is the fastest shape at both
-//! types, for the attention scores (`kernels::scores_register_tile`) and
-//! for every GEMM (`kernels::matmul_tile`). Only the GEMM tile's height
-//! follows the element size, as a const parameter of that one kernel.
+//! types, for the attention scores and for every GEMM
+//! (`kernels::matmul_tile`, two rows high at both). One tile size
+//! follows the element size: the fused head
+//! (`kernels::attention_head_into`) takes its queries `QT` at a time,
+//! one 256-bit register of them — 4 in f64, 8 in f32. `QT` cannot change
+//! a bit: it only decides how many independent queries share a pass, and
+//! every query keeps its own accumulators, fed in the same order.
 //! Narrowing `as f32` casts are legal in this file and nowhere else in
 //! the nn/core/rl crates (`vmr-analyze` F001).
 //!
@@ -98,11 +102,12 @@ pub trait Scalar:
     /// `Graph` and `FwdCtx` holds because they share this function; the
     /// masked/tree paths keep [`Scalar::exp`] and pair with each other).
     fn exp_shifted(self) -> Self;
+    /// Stripes of the unmasked softmax normalizer: [`Scalar::striped_sum`]
+    /// and the fused head's key-major normalizer both sum in this many.
+    const STRIPES: usize;
     /// Striped normalizer sum of an unmasked softmax row
-    /// (`kernels::striped_sum` at this type's stripe count).
+    /// (`kernels::striped_sum` at [`Scalar::STRIPES`]).
     fn striped_sum(row: &[Self]) -> Self;
-    /// [`Scalar::striped_sum`] of `row[class[0]], row[class[1]], …`.
-    fn striped_sum_by_class(row: &[Self], class: &[u32]) -> Self;
 }
 
 impl Scalar for f64 {
@@ -111,6 +116,7 @@ impl Scalar for f64 {
     const NEG_INFINITY: Self = f64::NEG_INFINITY;
     const MASK_OFF: Self = kernels::MASK_OFF;
     const MASK_NEG_THRESHOLD: Self = kernels::MASK_NEG_THRESHOLD;
+    const STRIPES: usize = 4;
 
     #[inline]
     fn from_f64(v: f64) -> Self {
@@ -183,12 +189,7 @@ impl Scalar for f64 {
 
     #[inline]
     fn striped_sum(row: &[f64]) -> f64 {
-        kernels::striped_sum::<f64, 4>(row)
-    }
-
-    #[inline]
-    fn striped_sum_by_class(row: &[f64], class: &[u32]) -> f64 {
-        kernels::striped_sum_by_class::<f64, 4>(row, class)
+        kernels::striped_sum::<f64, { Self::STRIPES }>(row)
     }
 }
 
@@ -198,6 +199,7 @@ impl Scalar for f32 {
     const NEG_INFINITY: Self = f32::NEG_INFINITY;
     const MASK_OFF: Self = -1.0e30;
     const MASK_NEG_THRESHOLD: Self = -1.0e20;
+    const STRIPES: usize = 8;
 
     #[inline]
     fn from_f64(v: f64) -> Self {
@@ -268,11 +270,6 @@ impl Scalar for f32 {
 
     #[inline]
     fn striped_sum(row: &[f32]) -> f32 {
-        kernels::striped_sum::<f32, 8>(row)
-    }
-
-    #[inline]
-    fn striped_sum_by_class(row: &[f32], class: &[u32]) -> f32 {
-        kernels::striped_sum_by_class::<f32, 8>(row, class)
+        kernels::striped_sum::<f32, { Self::STRIPES }>(row)
     }
 }

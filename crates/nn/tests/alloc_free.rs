@@ -4,8 +4,9 @@
 //! must leave the allocation counter untouched.
 //!
 //! Above the work cutover a dense attention head may run on several
-//! lanes (`vmr_nn::par`): the arena — slots, `kᵀ`, one score tile per
-//! lane — must still stop growing after warm-up, and what remains is
+//! lanes (`vmr_nn::par`): the arena — slots, the cross stage's `kᵀ`, the
+//! head's key-major tile per lane — must still stop growing after
+//! warm-up, and what remains is
 //! `std::thread::scope`'s own bookkeeping, a few allocations per helper
 //! lane and call.
 //!
@@ -25,7 +26,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use vmr_nn::infer::{FwdCtx, TreeGroups};
+use vmr_nn::kernels;
 use vmr_nn::layers::{FeedForward, Mlp, MultiHeadAttention};
+use vmr_nn::par::AttnScratch;
 use vmr_nn::scalar::Scalar;
 use vmr_nn::tensor::Tensor;
 
@@ -115,6 +118,47 @@ fn run<S: Scalar>() {
     masked_attention_does_not_allocate::<S>(&mut rng);
     lanes_do_not_grow_the_arena::<S>(&mut rng);
     class_counts_do_not_grow_the_arena::<S>(&mut rng);
+    head_tile_follows_attended_keys::<S>(&mut rng);
+}
+
+/// One call of [`head_tile_follows_attended_keys`]: the key → class map,
+/// `q`/`k`/`v` with one row per class, and the output.
+type HeadCase<S> = (Vec<u32>, [Tensor<S>; 3], Tensor<S>);
+
+/// The fused head's per-lane tile is reserved by the attended keys `M`,
+/// not by this call's class count `U`: it stays flat, and nothing
+/// allocates, while `U` moves under a fixed `M` across the query-tile
+/// edges (4 queries in f64, 8 in f32), as in `fwd_self_classes`.
+fn head_tile_follows_attended_keys<S: Scalar>(rng: &mut StdRng) {
+    let (m, dh) = (40, 12);
+    let scale = S::ONE / S::from_usize(dh).sqrt();
+    let mut cases: Vec<HeadCase<S>> = [7usize, 3, 8, 9, 4, 5, 40, 1]
+        .into_iter()
+        .map(|u| {
+            let class = (0..m).map(|j| (j * 7 % u) as u32).collect();
+            let qkv = [(); 3].map(|_| Tensor::<S>::from_f64(&Tensor::xavier(u, dh, rng)));
+            (class, qkv, Tensor::zeros(u, dh))
+        })
+        .collect();
+    let mut scratch = AttnScratch::<S>::default();
+    let mut run = |(class, [q, k, v], out): &mut HeadCase<S>| {
+        kernels::attention_head_into(q, k, v, Some(&class[..]), scale, 1, &mut scratch, out);
+        scratch.capacity()
+    };
+    let reserved = run(&mut cases[0]);
+    let before = ALLOCS.load(Ordering::SeqCst);
+    for case in &mut cases[1..] {
+        assert_eq!(run(case), reserved, "U = {} grew the head's tile", case.2.rows());
+    }
+    let ty = std::any::type_name::<S>();
+    assert_eq!(
+        ALLOCS.load(Ordering::SeqCst),
+        before,
+        "a moving {ty} class count must not allocate"
+    );
+    println!(
+        "alloc_free<{ty}>: ok (head tile flat at {reserved} elements for U in 1..=40 of M = 40)"
+    );
 }
 
 /// The masked (reference) attention arm at 40 × 40 — a shape past every

@@ -6,8 +6,9 @@
 //!   the same head given one row per key, for every lane count. The
 //!   class maps are random (so classes interleave and repeat unevenly)
 //!   and the fixed cases pin the edges: the identity map, a single class,
-//!   fewer distinct keys than lanes, and sequences that leave ragged
-//!   score tiles and ragged normalizer stripes.
+//!   fewer distinct keys than lanes, sequences that leave ragged score
+//!   tiles and ragged normalizer stripes, and class counts one short of,
+//!   at and one past the head's query tile.
 //! * The tree-local stage on `N + U` rows (the rows before the classified
 //!   ones, then one row per class), against the stage on the `N + M`
 //!   expanded rows. The tree sets are random, and the fixed cases pin
@@ -68,7 +69,8 @@ fn check_in<S: Scalar>([q, k, v]: [&Tensor; 3], class: &[u32], lanes: usize, wha
     kernels::attention_head_into(&q, &k_all, &v_all, None, scale, 1, &mut scratch, &mut plain);
     let mut mapped = Tensor::zeros(m, dh);
     kernels::attention_head_into(&q, &k, &v, Some(class), scale, lanes, &mut scratch, &mut mapped);
-    assert_eq!(mapped.data(), plain.data(), "{ty} {what}");
+    let bits = |x: &Tensor<S>| x.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&mapped), bits(&plain), "{ty} {what}");
 }
 
 proptest! {
@@ -110,6 +112,21 @@ fn fixed_edges() {
         // keys (score-block remainder), 43 keys (stripe remainder).
         let ragged: Vec<u32> = (0..43).map(|j| (j * 7 % 13) as u32).collect();
         check(65, 13, &ragged, dh, lanes, 4);
+    }
+}
+
+/// The head takes its queries `QT` at a time (4 in f64, 8 in f32): `U`
+/// class rows one short of, at and one past either tile, attending to
+/// `2U + 1` keys, on every lane count — so also `U < lanes × QT`.
+#[test]
+fn query_tile_edges() {
+    for u in [3, 4, 5, 7, 8, 9] {
+        let class: Vec<u32> = (0..u).rev().chain((0..=u).map(|j| j * 3 % u)).collect();
+        for lanes in LANES {
+            for dh in HEAD_WIDTHS {
+                check(u as usize, u as usize, &class, dh, lanes, u64::from(u));
+            }
+        }
     }
 }
 
