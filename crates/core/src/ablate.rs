@@ -11,7 +11,7 @@ use rand::Rng;
 
 use vmr_nn::graph::{Graph, Var};
 use vmr_nn::infer::{FVar, FwdCtx};
-use vmr_nn::layers::{Linear, Mlp, Module};
+use vmr_nn::layers::{Linear, Mlp, Module, QueryKeys};
 use vmr_nn::tensor::Tensor;
 use vmr_sim::obs::{PM_FEAT, VM_FEAT};
 
@@ -146,8 +146,8 @@ impl ActPolicy for MlpPolicy {
         // Same interface contract as the Graph path: the trunk activation
         // rides in the `pm_embs` slot, the rest are inert placeholders.
         let dummy_vm = ctx.full(feats.num_vms, 1, 0.0);
-        let dummy_cross = ctx.full(feats.num_vms, feats.num_pms, 0.0);
-        Stage1Fwd { vm_logits, pm_embs: h, vm_embs: dummy_vm, cross_probs: dummy_cross, value }
+        let cross = QueryKeys { q: dummy_vm, k: h };
+        Stage1Fwd { vm_logits, pm_embs: h, vm_embs: dummy_vm, cross, value }
     }
 
     fn stage2_fwd(
@@ -170,6 +170,11 @@ impl ActPolicy for MlpPolicy {
         feats: &FeatureTensors,
     ) -> FVar {
         self.stage2_fwd(ctx, s1, feats, 0)
+    }
+
+    fn cross_probs_fwd(&self, ctx: &mut FwdCtx, _s1: &Stage1Fwd, feats: &FeatureTensors) -> FVar {
+        // The Graph path's map is a zero constant: no attention, no scores.
+        ctx.full(feats.num_vms, feats.num_pms, 0.0)
     }
 }
 

@@ -103,6 +103,15 @@ pub trait ActPolicy {
         s1: &Stage1Fwd,
         feats: &FeatureTensors,
     ) -> FVar;
+    /// The `M × N` stage-3 cross-attention map of every VM (at `f64`
+    /// bit-identical to [`Stage1Out::cross_probs`]) — the Full-Mask joint
+    /// space, its one consumer.
+    fn cross_probs_fwd(
+        &self,
+        ctx: &mut FwdCtx<Self::S>,
+        s1: &Stage1Fwd,
+        feats: &FeatureTensors,
+    ) -> FVar;
 }
 
 /// The training half: the same stages on the autodiff [`Graph`]
@@ -146,6 +155,17 @@ impl<S: ArenaScalar> ActPolicy for Vmr2lModel<S> {
         _feats: &FeatureTensors,
     ) -> FVar {
         Vmr2lModel::pm_logits_generic_fwd(self, ctx, s1)
+    }
+
+    fn cross_probs_fwd(
+        &self,
+        ctx: &mut FwdCtx<S>,
+        s1: &Stage1Fwd,
+        _feats: &FeatureTensors,
+    ) -> FVar {
+        let classes = ctx.value(s1.cross.q).rows();
+        let rows = self.cross_rows_fwd(ctx, s1, 0..classes);
+        ctx.expand_rows(rows)
     }
 }
 
@@ -737,8 +757,7 @@ fn joint_logits_fwd<P: ActPolicy>(
     let ones_col = ctx.full(m, 1, Scalar::ONE);
     let pm_grid = ctx.matmul(ones_col, pm_row); // M × N
     let sum = ctx.add(vm_grid, pm_grid);
-    // The joint space is the one consumer of the full `M × N` map.
-    let cross = ctx.expand_rows(s1.cross_probs);
+    let cross = policy.cross_probs_fwd(ctx, s1, feats);
     ctx.add(sum, cross)
 }
 

@@ -14,11 +14,13 @@
 //! is an encoder-decoder over the selected VM embedding, all PM
 //! embeddings, and the stage-3 attention row of the selected VM.
 
+use std::ops::Range;
+
 use rand::Rng;
 
 use vmr_nn::graph::{Graph, Var};
 use vmr_nn::infer::{FVar, FwdCtx, TreeGroups};
-use vmr_nn::layers::{FeedForward, Linear, Mlp, Module, MultiHeadAttention};
+use vmr_nn::layers::{FeedForward, Linear, Mlp, Module, MultiHeadAttention, QueryKeys};
 use vmr_nn::scalar::Scalar;
 use vmr_nn::tensor::Tensor;
 use vmr_sim::obs::{PM_FEAT, VM_FEAT};
@@ -37,13 +39,13 @@ pub struct Stage1Fwd {
     pub pm_embs: FVar,
     /// `M × d` final VM embeddings.
     pub vm_embs: FVar,
-    /// Stage-3 cross-attention probabilities from the last block, one
-    /// `1 × N` row per VM **row class** of the forward: VM `k` reads row
-    /// `ctx.row_classes().class(k)` (row `k` itself when no rows are
-    /// shared). Never expanded to `M × N` on the two-stage path; the
-    /// Full-Mask joint space expands it on demand
-    /// ([`FwdCtx::expand_rows`]).
-    pub cross_probs: FVar,
+    /// The last block's cross-stage queries (`U × d`, one row per VM
+    /// **row class** of the forward) and keys (`N × d`). The stage-3
+    /// probabilities are never stored: [`Vmr2lModel::cross_rows_fwd`]
+    /// recomputes the rows a consumer reads — stage 2 the one row
+    /// `ctx.row_classes().class(k)` of the selected VM `k`, the Full-Mask
+    /// joint space all `U`.
+    pub cross: QueryKeys,
     /// `1 × 1` critic value.
     pub value: FVar,
 }
@@ -158,19 +160,21 @@ impl<S: Scalar> SparseBlock<S> {
     /// Tape-free forward, in f64 bit-identical to [`SparseBlock::forward`] under
     /// the dense tree mask equivalent to `tree`, on the VM rows given
     /// once per row class of the forward (`ctx.row_classes()`, see
-    /// [`vmr_nn::classes`]): `vm` and the returned VM embeddings and
-    /// cross probabilities hold one row per class. The local stage runs
+    /// [`vmr_nn::classes`]): `vm`, the returned VM embeddings and the
+    /// cross stage's queries hold one row per class. The local stage runs
     /// block-sparse per PM-tree on the `N + U` class rows — the `(N+M)²`
     /// score matrix and the mask are never materialized — and the dense
-    /// VM stages after it keep the whole VM sequence as keys.
+    /// VM stages after it keep the whole VM sequence as keys. Every
+    /// attention stage runs the fused head; the cross stage returns its
+    /// projected queries and keys, from which
+    /// [`MultiHeadAttention::probs_rows`] recomputes probability rows.
     pub fn fwd(
         &self,
         ctx: &mut FwdCtx<S>,
         pm: FVar,
         vm: FVar,
         tree: Option<&TreeGroups>,
-        want_cross_probs: bool,
-    ) -> (FVar, FVar, Option<FVar>) {
+    ) -> (FVar, FVar, QueryKeys) {
         let (pm_l, vm_l) = match (&self.local, tree) {
             (Some(local), Some(tree)) => {
                 let (n, u) = (ctx.value(pm).rows(), ctx.value(vm).rows());
@@ -185,11 +189,11 @@ impl<S: Scalar> SparseBlock<S> {
         let pm_s = ctx.add(pm_l, pm_att);
         let vm_att = self.vm_self.fwd_self_classes(ctx, vm_l);
         let vm_s = ctx.add(vm_l, vm_att);
-        let (cross_out, cross_probs) = self.cross.fwd(ctx, vm_s, pm_s, None, want_cross_probs);
+        let (cross_out, cross) = self.cross.fwd_keys(ctx, vm_s, pm_s, None);
         let vm_c = ctx.add(vm_s, cross_out);
         let pm_out = self.pm_ff.fwd(ctx, pm_s);
         let vm_out = self.vm_ff.fwd(ctx, vm_c);
-        (pm_out, vm_out, cross_probs)
+        (pm_out, vm_out, cross)
     }
 }
 
@@ -442,16 +446,12 @@ impl<S: Scalar> Vmr2lModel<S> {
         ctx.find_row_classes(vm_emb, n, tree);
         let mut pm = pm_emb;
         let mut vm = ctx.class_rows(vm_emb);
-        let mut cross_probs = None;
-        for (i, block) in self.blocks.iter().enumerate() {
-            // Only the last block's cross-attention probabilities are
-            // consumed (stage-2 score injection); skip the averaging for
-            // earlier blocks.
-            let last = i + 1 == self.blocks.len();
-            let (p, v, c) = block.fwd(ctx, pm, vm, tree, last);
+        let mut cross = None;
+        for block in &self.blocks {
+            let (p, v, c) = block.fwd(ctx, pm, vm, tree);
             pm = p;
             vm = v;
-            cross_probs = c.or(cross_probs);
+            cross = Some(c);
         }
         let vm = ctx.expand_rows(vm);
         let m = ctx.value(vm).rows();
@@ -465,9 +465,24 @@ impl<S: Scalar> Vmr2lModel<S> {
             vm_logits,
             pm_embs: pm,
             vm_embs: vm,
-            cross_probs: cross_probs.expect("at least one block"),
+            cross: cross.expect("at least one block"),
             value,
         }
+    }
+
+    /// The last block's head-averaged cross-attention probabilities of
+    /// the VM row classes `classes` (`classes.len() × N`), recomputed
+    /// from the queries and keys stage 1 kept. In f64 row `c` is
+    /// bit-identical to the row of [`Stage1Out::cross_probs`] of any VM
+    /// of class `c`.
+    pub fn cross_rows_fwd(
+        &self,
+        ctx: &mut FwdCtx<S>,
+        s1: &Stage1Fwd,
+        classes: Range<usize>,
+    ) -> FVar {
+        let last = self.blocks.last().expect("at least one block");
+        last.cross.probs_rows(ctx, s1.cross, classes, None)
     }
 
     /// Full tape-free stage 1 (in f64 bit-identical to
@@ -485,7 +500,8 @@ impl<S: Scalar> Vmr2lModel<S> {
     /// Tape-free stage 2 (in f64 bit-identical to [`Vmr2lModel::stage2`]).
     pub fn stage2_fwd(&self, ctx: &mut FwdCtx<S>, s1: &Stage1Fwd, vm_idx: usize) -> FVar {
         let selected = ctx.select_row(s1.vm_embs, vm_idx);
-        let score_row = ctx.select_row(s1.cross_probs, ctx.row_classes().class(vm_idx));
+        let class = ctx.row_classes().class(vm_idx);
+        let score_row = self.cross_rows_fwd(ctx, s1, class..class + 1);
         self.pm_actor.fwd(ctx, s1.pm_embs, selected, score_row)
     }
 

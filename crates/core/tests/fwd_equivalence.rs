@@ -14,6 +14,11 @@
 //! two equal rows, so the hand-built clusters at the end force them —
 //! within a tree, across identical trees, across trees that differ only
 //! in a VM's neighbours, and in trees longer than one 8-key tile.
+//!
+//! The tape-free path stores no stage-3 probability map: stage 2
+//! recomputes the one row it reads from the last cross stage's queries
+//! and keys. The tests at the end pin those rows to the Graph's map and
+//! the arena of a step to what the map used to cost.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -21,6 +26,7 @@ use rand::SeedableRng;
 use vmr_core::agent::{rollout_episode, DecideOpts, InferCtx, Vmr2lAgent};
 use vmr_core::config::{ActionMode, ExtractorKind, ModelConfig};
 use vmr_core::model::Vmr2lModel;
+use vmr_nn::graph::Graph;
 use vmr_sim::cluster::ClusterState;
 use vmr_sim::dataset::{generate_mapping, ClusterConfig};
 use vmr_sim::env::ReschedEnv;
@@ -345,4 +351,90 @@ fn f32_plans_match_f64_plans_on_duplicate_rows() {
         assert_eq!(plan64, plan32, "greedy plans diverged between precisions");
         assert_eq!(obj64, obj32);
     }
+}
+
+// ---- cross probabilities on demand -----------------------------------
+
+/// Every cluster of the on-demand row checks: the three duplicate-row
+/// clusters and one random tiny cluster.
+fn row_check_clusters() -> Vec<ClusterState> {
+    let random = generate_mapping(&ClusterConfig::tiny(), 17).expect("mapping");
+    let dups = [duplicates_in_one_tree(), duplicates_across_trees(), duplicates_in_long_trees()];
+    dups.into_iter().map(|(state, _)| state).chain([random]).collect()
+}
+
+#[test]
+fn on_demand_cross_rows_equal_the_graph_map() {
+    // f64: the one row stage 2 asks for, `class(vm)`, is the Graph's row
+    // `vm` of the M × N map, in raw bits, for every VM.
+    let mut rng = StdRng::seed_from_u64(9);
+    let model = Vmr2lModel::new(SMALL, ExtractorKind::SparseAttention, &mut rng);
+    for state in row_check_clusters() {
+        let mut env = ReschedEnv::unconstrained(state, Objective::default(), 5).expect("env");
+        let mut ictx = InferCtx::new();
+        ictx.prepare_from_env(&mut env);
+        let mut g = Graph::new();
+        let reference = model.stage1(&mut g, &ictx.feats);
+        let map = g.value(reference.cross_probs);
+        let ctx = &mut ictx.ctx;
+        let s1 = model.stage1_fwd(ctx, &ictx.feats, Some(&ictx.tree.groups));
+        assert!(ctx.row_classes().total() == map.rows(), "every VM is classified");
+        for vm in 0..map.rows() {
+            let class = ctx.row_classes().class(vm);
+            let row = model.cross_rows_fwd(ctx, &s1, class..class + 1);
+            let bits = |r: &[f64]| r.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(ctx.value(row).row_slice(0)), bits(map.row_slice(vm)), "VM {vm}");
+        }
+    }
+}
+
+#[test]
+fn f32_one_cross_row_equals_its_row_of_all_rows() {
+    // f32 has no Graph: the 1-row call equals the same row of the
+    // all-rows call, in raw bits.
+    let mut rng = StdRng::seed_from_u64(9);
+    let model = Vmr2lModel::new(SMALL, ExtractorKind::SparseAttention, &mut rng);
+    let model = Vmr2lModel::<f32>::from_f64(&model);
+    for state in row_check_clusters() {
+        let mut env = ReschedEnv::unconstrained(state, Objective::default(), 5).expect("env");
+        let mut ictx = InferCtx::new();
+        ictx.prepare_from_env(&mut env);
+        let ctx = &mut ictx.ctx32;
+        let s1 = model.stage1_fwd(ctx, &ictx.feats, Some(&ictx.tree.groups));
+        let classes = ctx.row_classes().distinct();
+        let all = model.cross_rows_fwd(ctx, &s1, 0..classes);
+        for vm in 0..ctx.row_classes().total() {
+            let class = ctx.row_classes().class(vm);
+            let one = model.cross_rows_fwd(ctx, &s1, class..class + 1);
+            let bits = |r: &[f32]| r.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let (one, all) = (ctx.value(one).row_slice(0), ctx.value(all).row_slice(class));
+            assert_eq!(bits(one), bits(all), "VM {vm}, class {class}");
+        }
+    }
+}
+
+/// `FwdCtx::reserved()` after one TwoStage step of the test below,
+/// measured at commit 65cdffe, where the last block's cross stage still
+/// stored a U × N score and probability slot per head.
+const TWO_STAGE_STEP_RESERVED_AT_65CDFFE: usize = 355_372;
+
+#[test]
+fn a_two_stage_step_keeps_no_cross_probability_map() {
+    // One TwoStage step (stage 1 and stage 2) on a fixed cluster: the
+    // arena holds at least the 2 · heads · U · N elements of the
+    // per-head score and probability maps less than it did.
+    let state = generate_mapping(&ClusterConfig::tiny().scaled_pms(8.0), 5).expect("mapping");
+    let mut env = ReschedEnv::unconstrained(state, Objective::default(), 5).expect("env");
+    let agent = agent_for(ActionMode::TwoStage, ExtractorKind::SparseAttention, 3);
+    let mut ictx = InferCtx::new();
+    let mut rng = StdRng::seed_from_u64(1);
+    let acted = agent.act(&mut env, &mut ictx, &mut rng, &DecideOpts::default()).unwrap();
+    assert!(acted.is_some(), "the step decides");
+    let (u, n) = (ictx.ctx.row_classes().distinct(), ictx.feats.num_pms);
+    let reserved = ictx.ctx.reserved();
+    println!("one TwoStage step: U = {u}, N = {n}, reserved = {reserved}");
+    assert!(
+        reserved + 2 * SMALL.heads * u * n <= TWO_STAGE_STEP_RESERVED_AT_65CDFFE,
+        "{reserved} elements reserved, U = {u}, N = {n}"
+    );
 }

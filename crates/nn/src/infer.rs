@@ -70,8 +70,8 @@ pub struct FwdCtx<S = f64> {
     cursor: usize,
     /// Tree-stage scratch: one tree's gathered rows and its key map.
     tree: TreeScratch<S>,
-    /// Dense attention scratch: the cross stage's `kᵀ` and the fused
-    /// head's key-major tile per lane.
+    /// Dense attention scratch: the fused head's key-major tile per
+    /// lane.
     attn: AttnScratch<S>,
     /// Row classes of the forward in flight (see [`crate::classes`]).
     classes: RowClasses,
@@ -459,33 +459,6 @@ impl<S: Scalar> FwdCtx<S> {
             &mut tail[0],
         );
         out
-    }
-
-    /// Unfused unmasked single-head attention that keeps its
-    /// probabilities: returns `(softmax(q·kᵀ·scale)·v, softmax(q·kᵀ·scale))`
-    /// — the last block's cross stage, whose probability map feeds the
-    /// PM actor. Same kernels as `matmul_nt_scaled` → `masked_softmax` →
-    /// `matmul`, row-parallel like [`FwdCtx::attention_head`].
-    pub fn attention_head_probs(&mut self, q: FVar, k: FVar, v: FVar, scale: S) -> (FVar, FVar) {
-        let (m, n) = (self.slots[q.0].rows(), self.slots[k.0].rows());
-        let _busy = par::forward();
-        let lease = par::global().lanes_for(m, n);
-        let scores = self.alloc(m, n);
-        let probs = self.alloc(m, n);
-        let out = self.alloc(m, self.slots[v.0].cols());
-        let FwdCtx { slots, attn, .. } = self;
-        let (head, tail) = slots.split_at_mut(scores.0);
-        let [s, p, o, ..] = tail else { unreachable!("three slots were just allocated") };
-        kernels::attention_probs_into(
-            &head[q.0],
-            &head[k.0],
-            &head[v.0],
-            scale,
-            1 + lease.helpers(),
-            &mut attn.kt,
-            [s, p, o],
-        );
-        (out, probs)
     }
 
     /// Block-sparse multi-head attention over a combined sequence whose

@@ -234,20 +234,6 @@ fn nt_scaled_rows<S: Scalar>(a: &[S], k: usize, bd: &[S], n: usize, alpha: S, ou
     }
 }
 
-/// Whether an unfused `m × n` score product materializes `kᵀ`: large
-/// outputs do (an `O(n·k)` transpose against the `O(m·n·k)` product) so
-/// the inner loop reads contiguous key columns
-/// ([`scores_register_tile`]) — the strided eight-dot blocks of
-/// [`nt_scaled_rows`] read one element per key row per step and measure
-/// 3–5× behind the tile on the x86-64-v3 build (dh = 12, 300 and 1317
-/// keys, both precisions), as they did on SSE2. Small outputs keep the
-/// direct dot-product path; the transpose would cost more than it
-/// saves. Both paths feed each element one accumulator in ascending `k`
-/// order, then one multiply by the scale.
-fn scores_want_transpose(m: usize, n: usize) -> bool {
-    n >= 32 && m >= 4
-}
-
 /// Score rows from a materialized `kᵀ` (`dh × n`, row-major):
 /// `s[r][j] = (Σ_kk q[r][kk] · kᵀ[kk][j]) · scale` for the `q.len() / dh`
 /// query rows in `q`. A 2-query × 8-key register tile in i-k-j order:
@@ -255,11 +241,11 @@ fn scores_want_transpose(m: usize, n: usize) -> bool {
 /// lane loop is packed arithmetic where the strided eight-dot block of
 /// [`nt_scaled_rows`] is scalar. Each element still owns one accumulator
 /// fed in ascending `kk`, then one multiply by `scale` — bit-identical
-/// to [`matmul_nt_scaled_into`]. The one score shape of both precisions:
-/// on the x86-64-v3 build the two rows of eight accumulators are four
-/// 256-bit registers in f64 and two in f32, and the tile beat the
-/// contiguous-`axpy8` formulation the SSE2 build preferred for f32
-/// (32 query rows, dh = 12: 8.2 vs 10.3 µs at 300 keys, 36 vs 46 µs at
+/// to [`matmul_nt_scaled_into`]. The tree kernel's score shape in both
+/// precisions: on the x86-64-v3 build the two rows of eight
+/// accumulators are four 256-bit registers in f64 and two in f32, and
+/// the tile beat the contiguous-`axpy8` formulation the SSE2 build
+/// preferred for f32 (32 query rows, dh = 12: 8.2 vs 10.3 µs at 300 keys, 36 vs 46 µs at
 /// 1317; in f64 it is 2× ahead).
 fn scores_register_tile<S: Scalar>(q: &[S], dh: usize, kt: &[S], n: usize, scale: S, s: &mut [S]) {
     /// Score columns per block: `dh` kᵀ row segments of 2 KiB stay
@@ -385,7 +371,7 @@ pub fn attention_head_into<S: Scalar>(
     }
     let head = HeadInputs { k: k.data(), v: v.data(), key_class, n, dh, scale };
     let qd = q.data();
-    run_row_lanes(m, [(out.data_mut(), dh)], tiles[..lanes].iter_mut(), |rows, [o], tile| {
+    run_row_lanes(m, out.data_mut(), dh, tiles[..lanes].iter_mut(), |rows, o, tile| {
         let q = &qd[rows.start * dh..rows.end * dh];
         // `QT` is 32 bytes of queries; the stripes are the precision's.
         match (std::mem::size_of::<S>(), S::STRIPES) {
@@ -636,53 +622,6 @@ fn value_sums<S: Scalar>(
         16 => weighted_value_sums::<S, 16>(tile, n, keys, rows, vd, out),
         _ => weighted_value_sums_dyn(tile, n, keys, rows, vd, dh, out),
     }
-}
-
-/// Unfused unmasked single-head attention that keeps what the fused
-/// kernel discards: `scores = q·kᵀ·scale`, `probs = softmax(scores)`,
-/// `out = probs·v`, each into its own pre-shaped tensor — the last
-/// block's VM→PM cross stage, whose head-averaged probabilities feed the
-/// PM actor. The three kernels are row-independent, so the rows go
-/// through [`crate::par::run_row_lanes`] like the fused head's; the
-/// values are exactly [`matmul_nt_scaled_into`] → [`masked_softmax_into`]
-/// → [`matmul_into`] on the full range. The score path is chosen once,
-/// from the full shape (`scores_want_transpose`), and `kᵀ` (when
-/// wanted) is built once in `kt` and shared, so a cut never changes
-/// which code computes a row.
-pub fn attention_probs_into<S: Scalar>(
-    q: &Tensor<S>,
-    k: &Tensor<S>,
-    v: &Tensor<S>,
-    scale: S,
-    lanes: usize,
-    kt: &mut Vec<S>,
-    [scores, probs, out]: [&mut Tensor<S>; 3],
-) {
-    let (m, dh, n) = (q.rows(), q.cols(), k.rows());
-    assert_eq!(dh, k.cols(), "attention q/k width mismatch");
-    assert_eq!(n, v.rows(), "attention v shape mismatch");
-    let dv = v.cols();
-    assert_eq!((scores.rows(), scores.cols()), (m, n), "attention scores shape mismatch");
-    assert_eq!((probs.rows(), probs.cols()), (m, n), "attention probs shape mismatch");
-    assert_eq!((out.rows(), out.cols()), (m, dv), "attention output shape mismatch");
-    let transposed = scores_want_transpose(m, n);
-    if transposed {
-        kt.clear();
-        kt.resize(dh * n, S::ZERO);
-        transpose_rows(k.data(), n, dh, kt);
-    }
-    let (qd, kd, vd, kt) = (q.data(), k.data(), v.data(), &kt[..]);
-    let outs = [(scores.data_mut(), n), (probs.data_mut(), n), (out.data_mut(), dv)];
-    run_row_lanes(m, outs, (0..lanes.max(1)).map(|_| ()), |rows, [s, p, o], ()| {
-        let q_rows = &qd[rows.start * dh..rows.end * dh];
-        if transposed {
-            scores_register_tile(q_rows, dh, kt, n, scale, s);
-        } else {
-            nt_scaled_rows(q_rows, dh, kd, n, scale, s);
-        }
-        softmax_rows(s, n, p);
-        matmul_rows(p, n, vd, dv, o);
-    });
 }
 
 /// The tree kernel's output phase with a compile-time head

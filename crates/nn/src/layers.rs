@@ -12,6 +12,8 @@
 //! layer is built from its trained f64 layer by `from_f64`, exactly once
 //! (checkpoint load / `SharedAgent` construction).
 
+use std::ops::Range;
+
 use rand::Rng;
 
 use crate::graph::{Graph, Var};
@@ -267,6 +269,17 @@ pub struct AttentionOut {
     pub probs: Var,
 }
 
+/// The projected queries and keys of one tape-free attention call
+/// ([`MultiHeadAttention::fwd_keys`]): what
+/// [`MultiHeadAttention::probs_rows`] recomputes probability rows from.
+#[derive(Debug, Clone, Copy)]
+pub struct QueryKeys {
+    /// `nq × d_model` projected queries.
+    pub q: FVar,
+    /// `nk × d_model` projected keys.
+    pub k: FVar,
+}
+
 impl MultiHeadAttention {
     /// Builds an attention layer over model width `d_model` with `heads`
     /// heads (`d_model % heads == 0`).
@@ -350,12 +363,12 @@ impl<S: Scalar> MultiHeadAttention<S> {
     }
 
     /// Tape-free forward, in f64 bit-identical to
-    /// [`MultiHeadAttention::forward`]. Scores are computed with the
-    /// transpose-free `Q·Kᵀ` kernel; the head-averaged probabilities are
-    /// only materialized when `want_probs` is set (the VM→PM cross stage
-    /// needs them, the other stages discard them): the fused tiled kernel
-    /// when they are discarded, the unfused score → softmax →
-    /// weighted-sum chain otherwise.
+    /// [`MultiHeadAttention::forward`]; with `want_probs` also its
+    /// head-averaged probabilities, recomputed by [`Self::probs_rows`]
+    /// from the projected queries and keys. Goes with ROADMAP 1(b): its
+    /// callers are the benchmark's probes and the tests, while the model
+    /// keeps the [`QueryKeys`] of [`Self::fwd_keys`] and asks for the
+    /// probability rows it reads.
     pub fn fwd(
         &self,
         ctx: &mut FwdCtx<S>,
@@ -364,7 +377,24 @@ impl<S: Scalar> MultiHeadAttention<S> {
         mask: Option<&Tensor<S>>,
         want_probs: bool,
     ) -> (FVar, Option<FVar>) {
-        self.fwd_heads(ctx, query, keys_values, mask, want_probs, false)
+        let (out, qk) = self.fwd_keys(ctx, query, keys_values, mask);
+        let rows = 0..ctx.value(query).rows();
+        (out, want_probs.then(|| self.probs_rows(ctx, qk, rows, mask)))
+    }
+
+    /// Tape-free forward that returns the output and the projected
+    /// queries and keys, which the forward computes anyway. Unmasked
+    /// heads of width ≤ 16 run the fused key-major kernel and never
+    /// materialize a score or probability matrix; the others run the
+    /// unfused score → softmax → weighted-sum chain.
+    pub fn fwd_keys(
+        &self,
+        ctx: &mut FwdCtx<S>,
+        query: FVar,
+        keys_values: FVar,
+        mask: Option<&Tensor<S>>,
+    ) -> (FVar, QueryKeys) {
+        self.fwd_heads(ctx, query, keys_values, mask, false)
     }
 
     /// Self-attention over a sequence given once per row class: `reps`
@@ -375,15 +405,15 @@ impl<S: Scalar> MultiHeadAttention<S> {
     /// the class on the expanded sequence.
     pub fn fwd_self_classes(&self, ctx: &mut FwdCtx<S>, reps: FVar) -> FVar {
         if self.d_model / self.heads <= 16 {
-            return self.fwd_heads(ctx, reps, reps, None, false, true).0;
+            return self.fwd_heads(ctx, reps, reps, None, true).0;
         }
         // No fused head at this width: share the queries only.
         let all = ctx.expand_rows(reps);
-        self.fwd_heads(ctx, reps, all, None, false, false).0
+        self.fwd_heads(ctx, reps, all, None, false).0
     }
 
-    /// The heads behind [`Self::fwd`]; with `keys_by_class` the rows of
-    /// `keys_values` are class representatives (fused unmasked path
+    /// The heads behind [`Self::fwd_keys`]; with `keys_by_class` the rows
+    /// of `keys_values` are class representatives (fused unmasked path
     /// only).
     fn fwd_heads(
         &self,
@@ -391,9 +421,8 @@ impl<S: Scalar> MultiHeadAttention<S> {
         query: FVar,
         keys_values: FVar,
         mask: Option<&Tensor<S>>,
-        want_probs: bool,
         keys_by_class: bool,
-    ) -> (FVar, Option<FVar>) {
+    ) -> (FVar, QueryKeys) {
         let nq = ctx.value(query).rows();
         let dh = self.d_model / self.heads;
         let scale = self.score_scale();
@@ -401,42 +430,61 @@ impl<S: Scalar> MultiHeadAttention<S> {
         let k_all = self.wk.fwd(ctx, keys_values);
         let v_all = self.wv.fwd(ctx, keys_values);
         let concat = ctx.alloc(nq, self.d_model);
-        let mut probs_avg: Option<FVar> = None;
         for h in 0..self.heads {
             let q = ctx.slice_cols(q_all, h * dh, dh);
             let k = ctx.slice_cols(k_all, h * dh, dh);
             let v = ctx.slice_cols(v_all, h * dh, dh);
-            let (out, probs) = match mask {
-                // Self-attention stages discard their probabilities: run
-                // the fused tiled kernel and never materialize the n×n
-                // score/probability matrices.
-                None if !want_probs && dh <= 16 => {
-                    (ctx.attention_head(q, k, v, scale, keys_by_class), None)
-                }
-                None => {
+            let out = match mask {
+                None if dh <= 16 => ctx.attention_head(q, k, v, scale, keys_by_class),
+                _ => {
                     debug_assert!(!keys_by_class, "class keys need the fused head");
-                    let (out, probs) = ctx.attention_head_probs(q, k, v, scale);
-                    (out, Some(probs))
-                }
-                Some(mask) => {
                     let scores = ctx.matmul_nt_scaled(q, k, scale);
-                    let probs = ctx.masked_softmax(scores, Some(mask));
-                    (ctx.matmul_sparse(probs, v), Some(probs))
+                    let probs = ctx.masked_softmax(scores, mask);
+                    // Masked probabilities are mostly exact zeros; the
+                    // sparse kernel is bit-identical and skips them.
+                    if mask.is_some() {
+                        ctx.matmul_sparse(probs, v)
+                    } else {
+                        ctx.matmul(probs, v)
+                    }
                 }
             };
             ctx.write_cols(concat, out, h * dh);
-            if let (true, Some(probs)) = (want_probs, probs) {
-                match probs_avg {
-                    Some(acc) => ctx.add_assign(acc, probs),
-                    None => probs_avg = Some(probs),
-                }
+        }
+        (self.wo.fwd(ctx, concat), QueryKeys { q: q_all, k: k_all })
+    }
+
+    /// The head-averaged probabilities of the query rows `rows` of `qk`
+    /// over all its keys, `rows.len() × nk`, under an optional additive
+    /// mask of exactly those rows. Per head `matmul_nt_scaled` →
+    /// `masked_softmax` → `add_assign`, then one `scale_assign(1 / heads)`:
+    /// the ops of [`MultiHeadAttention::forward`] in its order, each
+    /// row-local, so in f64 a row is bit-identical to the same row of the
+    /// Graph's map whichever other rows are asked for.
+    pub fn probs_rows(
+        &self,
+        ctx: &mut FwdCtx<S>,
+        qk: QueryKeys,
+        rows: Range<usize>,
+        mask: Option<&Tensor<S>>,
+    ) -> FVar {
+        let dh = self.d_model / self.heads;
+        let scale = self.score_scale();
+        let q_rows = ctx.rows_range(qk.q, rows.start, rows.len());
+        let mut avg = None;
+        for h in 0..self.heads {
+            let q = ctx.slice_cols(q_rows, h * dh, dh);
+            let k = ctx.slice_cols(qk.k, h * dh, dh);
+            let scores = ctx.matmul_nt_scaled(q, k, scale);
+            let probs = ctx.masked_softmax(scores, mask);
+            match avg {
+                Some(acc) => ctx.add_assign(acc, probs),
+                None => avg = Some(probs),
             }
         }
-        if let Some(acc) = probs_avg {
-            ctx.scale_assign(acc, S::ONE / S::from_usize(self.heads));
-        }
-        let out = self.wo.fwd(ctx, concat);
-        (out, probs_avg)
+        let avg = avg.expect("at least one head");
+        ctx.scale_assign(avg, S::ONE / S::from_usize(self.heads));
+        avg
     }
 
     /// Tape-free block-sparse forward for tree-local self-attention: in

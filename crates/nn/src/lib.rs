@@ -77,7 +77,9 @@ pub use adapter::Adapter;
 pub use checkpoint::Checkpoint;
 pub use graph::{Graph, Var, MASK_OFF};
 pub use infer::{FVar, FwdCtx, TreeGroups};
-pub use layers::{AttentionOut, FeedForward, LayerNorm, Linear, Mlp, Module, MultiHeadAttention};
+pub use layers::{
+    AttentionOut, FeedForward, LayerNorm, Linear, Mlp, Module, MultiHeadAttention, QueryKeys,
+};
 pub use lora::LoraLinear;
 pub use optim::{Adam, AdamConfig};
 pub use scalar::Scalar;

@@ -7,7 +7,7 @@
 //! tile, so a cut never splits one), gives
 //! contiguous tile ranges to *lanes* (the caller is lane 0, the others
 //! are `std::thread::scope` threads) and hands each lane its row range,
-//! its slice of every output and its own scratch. Where a cut falls
+//! its rows of the output and its own scratch. Where a cut falls
 //! changes which thread computes a row, never the arithmetic of that
 //! row, so the output is bit-identical for every lane count.
 //!
@@ -46,14 +46,11 @@ use crate::kernels::L1_TILE;
 /// (2000 × 280 = 560 k) are above.
 pub const PAR_MIN_SCORES: usize = 1 << 18;
 
-/// Per-call scratch of the row-parallel attention kernels, owned by the
-/// forward context so a steady-state pass does not allocate: the `kᵀ`
-/// the unfused cross stage shares between its lanes, and the fused
-/// head's key-major tile per lane (`n × QT` scores, reserved for the
-/// attended keys).
+/// Per-call scratch of the fused attention head, owned by the forward
+/// context so a steady-state pass does not allocate: one key-major tile
+/// per lane (`n × QT` scores, reserved for the attended keys).
 #[derive(Debug, Default)]
 pub struct AttnScratch<T> {
-    pub(crate) kt: Vec<T>,
     pub(crate) tiles: Vec<Vec<T>>,
 }
 
@@ -61,7 +58,7 @@ impl<T> AttnScratch<T> {
     /// Elements currently reserved across all buffers (arena-growth
     /// checks).
     pub fn capacity(&self) -> usize {
-        self.kt.capacity() + self.tiles.iter().map(Vec::capacity).sum::<usize>()
+        self.tiles.iter().map(Vec::capacity).sum::<usize>()
     }
 }
 
@@ -236,41 +233,35 @@ impl Drop for Forward {
     }
 }
 
-/// Runs `body` over the `rows` rows of one or more row-major outputs,
-/// split across lanes — the one row-range driver behind the fused
-/// attention head (both precisions) and the unfused cross stage.
+/// Runs `body` over the `rows` rows of a row-major output `cols` wide,
+/// split across lanes — the row-range driver behind the fused attention
+/// head (both precisions), its one user.
 ///
-/// `outs` pairs each output buffer with its column count; `scratch`
-/// yields one item per lane and so fixes the lane count (clamped to the
-/// number of [`L1_TILE`]-row tiles). Lanes own contiguous tile ranges:
-/// lane `l` of `L` gets tiles `l·T/L .. (l+1)·T/L`. `body` receives the
-/// lane's row range, the matching row slices of every output and the
-/// lane's scratch. The caller runs lane 0; with one lane no thread is
-/// started and `body` sees the full range, exactly as a serial kernel.
+/// `scratch` yields one item per lane and so fixes the lane count
+/// (clamped to the number of [`L1_TILE`]-row tiles). Lanes own
+/// contiguous tile ranges: lane `l` of `L` gets tiles
+/// `l·T/L .. (l+1)·T/L`. `body` receives the lane's row range, the
+/// matching rows of `out` and the lane's scratch. The caller runs lane
+/// 0; with one lane no thread is started and `body` sees the full range,
+/// exactly as a serial kernel.
 ///
 /// A panicking lane propagates out of the scope after all lanes joined.
-pub fn run_row_lanes<T, S, I, F, const K: usize>(
-    rows: usize,
-    outs: [(&mut [T], usize); K],
-    scratch: I,
-    body: F,
-) where
+pub fn run_row_lanes<T, S, I, F>(rows: usize, out: &mut [T], cols: usize, scratch: I, body: F)
+where
     T: Send,
     S: Send,
     I: IntoIterator<Item = S>,
     I::IntoIter: ExactSizeIterator,
-    F: Fn(Range<usize>, [&mut [T]; K], S) + Sync,
+    F: Fn(Range<usize>, &mut [T], S) + Sync,
 {
     let mut scratch = scratch.into_iter();
     let tiles = rows.div_ceil(L1_TILE);
     let lanes = scratch.len().min(tiles).max(1);
-    let mut rest = outs;
-    let mut take = |len: usize| -> [&mut [T]; K] {
-        rest.each_mut().map(|(buf, cols)| {
-            let (head, tail) = std::mem::take(buf).split_at_mut(len * *cols);
-            *buf = tail;
-            head
-        })
+    let mut rest = out;
+    let mut take = |len: usize| -> &mut [T] {
+        let (head, tail) = std::mem::take(&mut rest).split_at_mut(len * cols);
+        rest = tail;
+        head
     };
     let mut next_scratch = || scratch.next().expect("one scratch item per lane");
     if lanes == 1 {
@@ -370,16 +361,11 @@ mod tests {
             let lease = B.lanes_for(4 * L1_TILE, PAR_MIN_SCORES);
             assert_eq!((lease.helpers(), B.busy()), (1, 2));
             let mut out = vec![0.0f64; 4 * L1_TILE];
-            run_row_lanes(
-                4 * L1_TILE,
-                [(&mut out[..], 1)],
-                0..lease.helpers() + 1,
-                |rows, _, _| {
-                    if rows.start > 0 {
-                        panic!("helper lane fails");
-                    }
-                },
-            );
+            run_row_lanes(4 * L1_TILE, &mut out, 1, 0..lease.helpers() + 1, |rows, _, _| {
+                if rows.start > 0 {
+                    panic!("helper lane fails");
+                }
+            });
         });
         assert!(result.is_err(), "the lane's panic reaches the caller");
         assert_eq!(B.busy(), 0, "unwinding dropped the lease and the forward mark");
@@ -407,23 +393,21 @@ mod tests {
     fn row_lanes_cover_every_row_once_on_tile_boundaries() {
         for (rows, lanes) in [(0, 3), (1, 4), (31, 2), (32, 2), (33, 2), (100, 3), (257, 8)] {
             let mut a = vec![0u32; rows * 3];
-            let mut b = vec![0u32; rows];
             let mut seen = vec![Vec::new(); lanes];
             run_row_lanes(
                 rows,
-                [(&mut a[..], 3), (&mut b[..], 1)],
+                &mut a,
+                3,
                 seen.iter_mut(),
-                |range, [a, b], seen: &mut Vec<Range<usize>>| {
-                    assert_eq!((a.len(), b.len()), (range.len() * 3, range.len()));
+                |range, a, seen: &mut Vec<Range<usize>>| {
+                    assert_eq!(a.len(), range.len() * 3);
                     for (i, r) in range.clone().enumerate() {
-                        a[i * 3..(i + 1) * 3].fill(r as u32 + 1);
-                        b[i] += r as u32 + 1;
+                        a[i * 3..(i + 1) * 3].iter_mut().for_each(|x| *x += r as u32 + 1);
                     }
                     seen.push(range);
                 },
             );
             assert!(a.chunks(3).enumerate().all(|(r, c)| c == [r as u32 + 1; 3]), "{rows}/{lanes}");
-            assert!(b.iter().enumerate().all(|(r, &v)| v == r as u32 + 1), "{rows}/{lanes}");
             let ranges: Vec<_> = seen.into_iter().flatten().collect();
             assert_eq!(ranges.len(), lanes.min(rows.div_ceil(L1_TILE)).max(1));
             for r in &ranges {

@@ -4,9 +4,8 @@
 //! must leave the allocation counter untouched.
 //!
 //! Above the work cutover a dense attention head may run on several
-//! lanes (`vmr_nn::par`): the arena — slots, the cross stage's `kᵀ`, the
-//! head's key-major tile per lane — must still stop growing after
-//! warm-up, and what remains is
+//! lanes (`vmr_nn::par`): the arena — slots and the head's key-major tile
+//! per lane — must still stop growing after warm-up, and what remains is
 //! `std::thread::scope`'s own bookkeeping, a few allocations per helper
 //! lane and call.
 //!
@@ -56,7 +55,8 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// One representative forward: embed → tree attention → dense self
-/// attention → cross attention with probs → feed-forward → pooled head.
+/// attention → fused cross attention → feed-forward → pooled head, then
+/// one on-demand row of the cross probabilities (what stage 2 reads).
 fn forward<S: Scalar>(
     ctx: &mut FwdCtx<S>,
     embed: &Mlp<S>,
@@ -71,11 +71,14 @@ fn forward<S: Scalar>(
     let e = embed.fwd(ctx, x);
     let t = local.fwd_tree(ctx, e, tree);
     let r = ctx.add(e, t);
-    let (a, probs) = dense.fwd(ctx, r, r, None, true);
+    let (a, _) = dense.fwd(ctx, r, r, None, false);
     let r = ctx.add(r, a);
+    let (c, cross) = dense.fwd_keys(ctx, r, e, None);
+    let r = ctx.add(r, c);
     let y = ff.fwd(ctx, r);
     let pooled = ctx.mean_rows(y);
-    ctx.value(pooled).get(0, 0) + ctx.value(probs.expect("probs")).get(0, 0)
+    let row = dense.probs_rows(ctx, cross, 5..6, None);
+    ctx.value(pooled).get(0, 0) + ctx.value(row).get(0, 0)
 }
 
 fn main() {

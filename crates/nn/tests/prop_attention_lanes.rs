@@ -1,5 +1,6 @@
-//! Property test: row-parallel attention is bit-identical to the serial
-//! kernel for every lane count, in both precisions.
+//! Property test: the row-parallel fused attention head is bit-identical
+//! to the serial kernel for every lane count, and to the unfused
+//! score → softmax → weighted-sum chain, in both precisions.
 //!
 //! The kernels take the lane count as an argument, so the test forces
 //! counts the idle-core ledger would never grant at these sizes (every
@@ -22,8 +23,8 @@ fn rand_tensor(rows: usize, cols: usize, rng: &mut StdRng) -> Tensor {
     Tensor::from_vec(rows, cols, (0..rows * cols).map(|_| rng.gen_range(-1.5..1.5)).collect())
 }
 
-/// Any lane count == the serial kernel, fused and unfused, at one scalar
-/// (the inputs are the f64 draws cast to it).
+/// Any lane count == the serial kernel == the unfused chain, at one
+/// scalar (the inputs are the f64 draws cast to it).
 fn check<S: Scalar>([q, k, v]: [&Tensor; 3], lanes: usize) -> Result<(), TestCaseError> {
     let (m, dh, n) = (q.rows(), q.cols(), k.rows());
     let ty = std::any::type_name::<S>();
@@ -38,17 +39,13 @@ fn check<S: Scalar>([q, k, v]: [&Tensor; 3], lanes: usize) -> Result<(), TestCas
     kernels::attention_head_into(&q, &k, &v, None, scale, lanes, &mut scratch, &mut split);
     prop_assert_eq!(split.data(), serial.data(), "{} fused, {} lanes", ty, lanes);
 
-    // Unfused cross stage: scores, probabilities and output.
-    let mut kt = Vec::new();
-    let mut one = [Tensor::zeros(m, n), Tensor::zeros(m, n), Tensor::zeros(m, dh)];
-    let mut many = one.clone();
-    kernels::attention_probs_into(&q, &k, &v, scale, 1, &mut kt, one.each_mut());
-    kernels::attention_probs_into(&q, &k, &v, scale, lanes, &mut kt, many.each_mut());
-    for (a, b) in many.iter().zip(&one) {
-        prop_assert_eq!(a.data(), b.data(), "{} unfused, {} lanes", ty, lanes);
-    }
-    // The fused head stays bit-identical to the unfused chain.
-    prop_assert_eq!(serial.data(), one[2].data(), "{} fused vs unfused", ty);
+    // The fused head is bit-identical to the unfused chain.
+    let (mut scores, mut probs, mut chain) =
+        (Tensor::zeros(m, n), Tensor::zeros(m, n), Tensor::zeros(m, dh));
+    kernels::matmul_nt_scaled_into(&q, &k, scale, &mut scores);
+    kernels::masked_softmax_into(&scores, None, &mut probs);
+    kernels::matmul_into(&probs, &v, &mut chain);
+    prop_assert_eq!(serial.data(), chain.data(), "{} fused vs unfused", ty);
     Ok(())
 }
 
