@@ -42,11 +42,9 @@ pub fn ha_solve(
     let mut state = initial.clone();
     let mut plan = Vec::new();
     for _ in 0..mnl {
-        let Some((vm, removal_gain)) = best_removal_candidate(&state, constraints, objective)
-        else {
+        let Some(vm) = best_removal_candidate(&state, constraints, objective) else {
             break;
         };
-        let _ = removal_gain;
         let Some((pm, total_gain)) = best_destination(&state, constraints, objective, vm) else {
             break;
         };
@@ -67,102 +65,45 @@ fn best_removal_candidate(
     state: &ClusterState,
     constraints: &ConstraintSet,
     objective: Objective,
-) -> Option<(VmId, f64)> {
+) -> Option<VmId> {
     let mut best: Option<(VmId, f64)> = None;
     for k in 0..state.num_vms() {
         let vm = VmId(k as u32);
         if constraints.is_pinned(vm) {
             continue;
         }
-        let src = state.placement(vm).pm;
-        let before = objective.pm_score(state, src);
-        // Simulate removal by measuring the source score with the VM moved
-        // to a hypothetical "elsewhere": migrate probing is exact but needs
-        // a destination; instead compute the score of the source PM with
-        // the VM's resources freed.
-        let after = source_score_without(state, objective, vm);
-        let gain = before - after;
+        let pl = state.placement(vm);
+        let mut host = state.pm(pl.pm).clone();
+        host.release_vm(state.vm(vm), pl.numa);
+        let gain = objective.pm_score(state, pl.pm) - objective.score_pm(&host);
         let candidate_better = best.is_none_or(|(_, bg)| gain > bg);
-        if candidate_better && has_legal_destination(state, constraints, vm) {
+        if candidate_better && constraints.has_legal_destination(state, vm) {
             best = Some((vm, gain));
         }
     }
-    best
+    best.map(|(vm, _)| vm)
 }
 
-/// Source-PM fragment score if `vm` were removed (per-NUMA arithmetic on a
-/// scratch copy of the PM).
-fn source_score_without(state: &ClusterState, objective: Objective, vm: VmId) -> f64 {
-    let pl = state.placement(vm);
-    let v = state.vm(vm);
-    let mut scratch = state.pm(pl.pm).clone();
-    match pl.numa {
-        vmr_sim::types::NumaPlacement::Single(j) => {
-            scratch.numas[j as usize].release(v.cpu_per_numa(), v.mem_per_numa());
-        }
-        vmr_sim::types::NumaPlacement::Double => {
-            for n in &mut scratch.numas {
-                n.release(v.cpu_per_numa(), v.mem_per_numa());
-            }
-        }
-    }
-    // Score the scratch PM under the objective by substituting it into a
-    // cheap local computation (same formulas as Objective::pm_score).
-    pm_score_of(&scratch, objective)
-}
-
-/// `Objective::pm_score` over a detached PM value.
-fn pm_score_of(pm: &vmr_sim::machine::Pm, objective: Objective) -> f64 {
-    use vmr_sim::types::REWARD_SCALE;
-    match objective {
-        Objective::FragRate { cores } | Objective::MnlToGoal { cores, .. } => {
-            pm.cpu_fragment(cores) as f64 / REWARD_SCALE
-        }
-        Objective::MixedVmType { lambda, small_cores, large_cores } => {
-            (lambda * pm.cpu_fragment_double(large_cores) as f64
-                + (1.0 - lambda) * pm.cpu_fragment(small_cores) as f64)
-                / REWARD_SCALE
-        }
-        Objective::MixedResource { lambda, cpu_cores, mem_gib } => {
-            (lambda * pm.mem_fragment(mem_gib) as f64
-                + (1.0 - lambda) * pm.cpu_fragment(cpu_cores) as f64)
-                / REWARD_SCALE
-        }
-    }
-}
-
-fn has_legal_destination(state: &ClusterState, constraints: &ConstraintSet, vm: VmId) -> bool {
-    // Early-exiting, allocation-free existence check from the engine work.
-    constraints.has_legal_destination(state, vm)
-}
-
-/// Scoring stage: the destination PM minimizing the post-move total score
-/// over (source, destination); returns the total objective gain.
+/// Scoring stage: the legal destination PM with the largest drop in
+/// summed (source, destination) score — each candidate scored, not
+/// made ([`Objective::move_gain`]); returns that drop.
 fn best_destination(
     state: &ClusterState,
     constraints: &ConstraintSet,
     objective: Objective,
     vm: VmId,
 ) -> Option<(PmId, f64)> {
-    let mut probe = state.clone();
-    let src = state.placement(vm).pm;
     let mut best: Option<(PmId, f64)> = None;
     let mut mask = Vec::new();
-    constraints.pm_mask_into(&probe, vm, &mut mask);
+    constraints.pm_mask_into(state, vm, &mut mask);
     for (i, &legal) in mask.iter().enumerate() {
         let pm = PmId(i as u32);
         if !legal {
             continue;
         }
-        let before = objective.pm_score(&probe, src)
-            + if pm != src { objective.pm_score(&probe, pm) } else { 0.0 };
-        let Ok(rec) = probe.migrate(vm, pm, objective.frag_cores()) else {
+        let Some(gain) = objective.move_gain(state, vm, pm) else {
             continue;
         };
-        let after = objective.pm_score(&probe, src)
-            + if pm != src { objective.pm_score(&probe, pm) } else { 0.0 };
-        probe.undo(&rec).expect("probe undo");
-        let gain = before - after;
         if best.is_none_or(|(_, bg)| gain > bg) {
             best = Some((pm, gain));
         }

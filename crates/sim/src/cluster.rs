@@ -212,34 +212,13 @@ impl ClusterState {
         self.pms.get(id.0 as usize).ok_or(SimError::UnknownPm(id))
     }
 
-    /// Capacity-feasible NUMA placements for `vm` on `pm`, *excluding* the
-    /// VM's own current allocation (i.e. the answer for "could it move
-    /// here"). Migrating within the same PM to the other NUMA is allowed.
-    pub fn feasible_placements(&self, vm: VmId, pm: PmId) -> SimResult<Vec<NumaPlacement>> {
-        let v = self.check_vm(vm)?;
-        let p = self.check_pm(pm)?;
-        let current = self.placements[vm.0 as usize];
-        let mut scratch;
-        let p = if current.pm == pm {
-            // Temporarily release the VM's own resources so a same-PM
-            // NUMA flip is judged against the true free capacity.
-            scratch = p.clone();
-            release_from(&mut scratch, v, current.numa);
-            &scratch
-        } else {
-            p
-        };
-        Ok(v.candidate_placements()
-            .iter()
-            .copied()
-            .filter(|&pl| placement_fits(p, v, pl))
-            .collect())
-    }
-
-    /// Picks the best-fit NUMA placement for `vm` on `pm`: the feasible
-    /// placement minimizing the resulting 16-core fragment of the PM
-    /// (ties broken by lower NUMA index). Mirrors the production best-fit
-    /// rule the paper describes for VMS.
+    /// Picks the best-fit NUMA placement for `vm` on `pm`: the one
+    /// best-fit rule (`best_fit_on`) against `pm` with the VM's own
+    /// allocation released when `pm` is its host, never the no-op placement. Mirrors the production best-fit
+    /// rule the paper describes for VMS. `Ok(None)` when no non-no-op
+    /// placement fits. Behind [`Self::migrate`], [`Self::pms_after_move`]
+    /// and the capacity clause of
+    /// [`crate::constraints::ConstraintSet::migration_legal`].
     pub fn best_fit_placement(
         &self,
         vm: VmId,
@@ -247,46 +226,32 @@ impl ClusterState {
         frag_cores: u32,
     ) -> SimResult<Option<NumaPlacement>> {
         let v = self.check_vm(vm)?;
-        let feasible = self.feasible_placements(vm, pm)?;
+        let dest = self.check_pm(pm)?;
         let current = self.placements[vm.0 as usize];
-        let mut best: Option<(u32, NumaPlacement)> = None;
-        for pl in feasible {
-            if current.pm == pm && current.numa == pl {
-                continue; // a no-op is not a migration
-            }
-            let mut scratch = self.pm(pm).clone();
-            if current.pm == pm {
-                release_from(&mut scratch, v, current.numa);
-            }
-            alloc_to(&mut scratch, v, pl);
-            let frag = scratch.cpu_fragment(frag_cores);
-            if best.is_none_or(|(bf, _)| frag < bf) {
-                best = Some((frag, pl));
-            }
+        if current.pm != pm {
+            return Ok(best_fit_on(dest, v, None, frag_cores));
         }
-        Ok(best.map(|(_, pl)| pl))
+        let mut host = dest.clone();
+        host.release_vm(v, current.numa);
+        Ok(best_fit_on(&host, v, Some(current.numa), frag_cores))
     }
 
-    /// The destination PM's X-core fragment if `vm` were migrated onto it
-    /// under the best-fit NUMA rule — the cross-PM scoring used by drain
-    /// evacuation. `Ok(None)` when no placement fits.
-    pub fn fragment_after_move(
-        &self,
-        vm: VmId,
-        pm: PmId,
-        frag_cores: u32,
-    ) -> SimResult<Option<u32>> {
-        let v = *self.check_vm(vm)?;
-        let current = self.placements[vm.0 as usize];
-        let mut scratch = self.check_pm(pm)?.clone();
-        if current.pm == pm {
-            release_from(&mut scratch, &v, current.numa);
+    /// The source and destination PMs exactly as [`Self::migrate`]`(vm,
+    /// pm, frag_cores)` would leave them, without making the move: a
+    /// candidate is scored, not applied. For a same-PM NUMA flip both are
+    /// the flipped PM. `None` exactly when `migrate` would return `Err`.
+    pub fn pms_after_move(&self, vm: VmId, pm: PmId, frag_cores: u32) -> Option<(Pm, Pm)> {
+        let pl = self.best_fit_placement(vm, pm, frag_cores).ok()??;
+        let (v, from) = (&self.vms[vm.0 as usize], self.placements[vm.0 as usize]);
+        let mut src = self.pms[from.pm.0 as usize].clone();
+        src.release_vm(v, from.numa);
+        if from.pm == pm {
+            src.alloc_vm(v, pl);
+            return Some((src.clone(), src));
         }
-        let Some(pl) = best_fit_on(&scratch, &v, frag_cores) else {
-            return Ok(None);
-        };
-        alloc_to(&mut scratch, &v, pl);
-        Ok(Some(scratch.cpu_fragment(frag_cores)))
+        let mut dest = self.pms[pm.0 as usize].clone();
+        dest.alloc_vm(v, pl);
+        Some((src, dest))
     }
 
     /// Migrates `vm` onto `pm` with an explicit NUMA placement.
@@ -314,7 +279,7 @@ impl ClusterState {
         {
             let mut scratch = self.pm(pm).clone();
             if from.pm == pm {
-                release_from(&mut scratch, &v, from.numa);
+                scratch.release_vm(&v, from.numa);
             }
             if !placement_fits(&scratch, &v, numa) {
                 let j: NumaIdx = match numa {
@@ -325,8 +290,8 @@ impl ClusterState {
             }
         }
         // Commit: release from source, allocate on destination.
-        release_from(&mut self.pms[from.pm.0 as usize], &v, from.numa);
-        alloc_to(&mut self.pms[pm.0 as usize], &v, numa);
+        self.pms[from.pm.0 as usize].release_vm(&v, from.numa);
+        self.pms[pm.0 as usize].alloc_vm(&v, numa);
         let to = Placement { pm, numa };
         self.placements[vm.0 as usize] = to;
         if from.pm != pm {
@@ -394,20 +359,20 @@ impl ClusterState {
         // Probe on scratch PMs with both VMs released.
         let mut pm_a = self.pm(pla.pm).clone();
         let mut pm_b = self.pm(plb.pm).clone();
-        release_from(&mut pm_a, &va, pla.numa);
-        release_from(&mut pm_b, &vb, plb.numa);
-        let Some(new_a) = best_fit_on(&pm_b, &va, frag_cores) else {
+        pm_a.release_vm(&va, pla.numa);
+        pm_b.release_vm(&vb, plb.numa);
+        let Some(new_a) = best_fit_on(&pm_b, &va, None, frag_cores) else {
             return Err(SimError::InsufficientResources { pm: plb.pm, numa: 0 });
         };
-        let Some(new_b) = best_fit_on(&pm_a, &vb, frag_cores) else {
+        let Some(new_b) = best_fit_on(&pm_a, &vb, None, frag_cores) else {
             return Err(SimError::InsufficientResources { pm: pla.pm, numa: 0 });
         };
 
         // Commit: release both, allocate both, update indices.
-        release_from(&mut self.pms[pla.pm.0 as usize], &va, pla.numa);
-        release_from(&mut self.pms[plb.pm.0 as usize], &vb, plb.numa);
-        alloc_to(&mut self.pms[plb.pm.0 as usize], &va, new_a);
-        alloc_to(&mut self.pms[pla.pm.0 as usize], &vb, new_b);
+        self.pms[pla.pm.0 as usize].release_vm(&va, pla.numa);
+        self.pms[plb.pm.0 as usize].release_vm(&vb, plb.numa);
+        self.pms[plb.pm.0 as usize].alloc_vm(&va, new_a);
+        self.pms[pla.pm.0 as usize].alloc_vm(&vb, new_b);
         let to_a = Placement { pm: plb.pm, numa: new_a };
         let to_b = Placement { pm: pla.pm, numa: new_b };
         self.placements[a.0 as usize] = to_a;
@@ -433,10 +398,10 @@ impl ClusterState {
         let (a, b) = (rec.a, rec.b);
         let va = *self.check_vm(a.vm)?;
         let vb = *self.check_vm(b.vm)?;
-        release_from(&mut self.pms[a.to.pm.0 as usize], &va, a.to.numa);
-        release_from(&mut self.pms[b.to.pm.0 as usize], &vb, b.to.numa);
-        alloc_to(&mut self.pms[a.from.pm.0 as usize], &va, a.from.numa);
-        alloc_to(&mut self.pms[b.from.pm.0 as usize], &vb, b.from.numa);
+        self.pms[a.to.pm.0 as usize].release_vm(&va, a.to.numa);
+        self.pms[b.to.pm.0 as usize].release_vm(&vb, b.to.numa);
+        self.pms[a.from.pm.0 as usize].alloc_vm(&va, a.from.numa);
+        self.pms[b.from.pm.0 as usize].alloc_vm(&vb, b.from.numa);
         self.placements[a.vm.0 as usize] = a.from;
         self.placements[b.vm.0 as usize] = b.from;
         for (vm, from, to) in [(a.vm, a.to.pm, a.from.pm), (b.vm, b.to.pm, b.from.pm)] {
@@ -484,7 +449,7 @@ impl ClusterState {
             };
             return Err(SimError::InsufficientResources { pm: placement.pm, numa });
         }
-        alloc_to(pm, &vm, placement.numa);
+        pm.alloc_vm(&vm, placement.numa);
         self.vms.push(vm);
         self.placements.push(placement);
         self.vms_on_pm[pm_idx].push(id);
@@ -503,7 +468,7 @@ impl ClusterState {
         let last = self.vms.len() - 1;
         let removed = self.vms[idx];
         let placement = self.placements[idx];
-        release_from(&mut self.pms[placement.pm.0 as usize], &removed, placement.numa);
+        self.pms[placement.pm.0 as usize].release_vm(&removed, placement.numa);
         let host_list = &mut self.vms_on_pm[placement.pm.0 as usize];
         let pos = host_list.iter().position(|&x| x == vm).expect("reverse index corrupt");
         host_list.swap_remove(pos);
@@ -543,16 +508,16 @@ impl ClusterState {
         let pl = self.placements[vm.0 as usize];
         let new = Vm { id: vm, cpu, mem, numa: old.numa };
         let pm = &mut self.pms[pl.pm.0 as usize];
-        release_from(pm, &old, pl.numa);
+        pm.release_vm(&old, pl.numa);
         if !placement_fits(pm, &new, pl.numa) {
-            alloc_to(pm, &old, pl.numa); // roll back
+            pm.alloc_vm(&old, pl.numa); // roll back
             let numa: NumaIdx = match pl.numa {
                 NumaPlacement::Single(j) => j as usize,
                 NumaPlacement::Double => 0,
             };
             return Err(SimError::InsufficientResources { pm: pl.pm, numa });
         }
-        alloc_to(pm, &new, pl.numa);
+        pm.alloc_vm(&new, pl.numa);
         self.vms[vm.0 as usize] = new;
         Ok(())
     }
@@ -772,42 +737,29 @@ impl ClusterState {
     }
 }
 
-/// Best-fit NUMA placement of `vm` on a detached PM value (no placement
-/// bookkeeping): the feasible placement minimizing the resulting X-core
-/// fragment, ties to the lower NUMA index.
-fn best_fit_on(pm: &Pm, vm: &Vm, frag_cores: u32) -> Option<NumaPlacement> {
-    vm.candidate_placements().iter().copied().filter(|&pl| placement_fits(pm, vm, pl)).min_by_key(
-        |&pl| {
-            let mut scratch = pm.clone();
-            alloc_to(&mut scratch, vm, pl);
-            scratch.cpu_fragment(frag_cores)
-        },
-    )
-}
-
-fn release_from(pm: &mut Pm, vm: &Vm, numa: NumaPlacement) {
-    match numa {
-        NumaPlacement::Single(j) => {
-            pm.numas[j as usize].release(vm.cpu_per_numa(), vm.mem_per_numa())
+/// The one best-fit rule, on a detached PM value (no placement
+/// bookkeeping): over `vm`'s candidate placements in order, those that fit
+/// `host` other than `skip` (a same-PM move's no-op), the first with the
+/// strictly smallest resulting X-core fragment. Allocation-free.
+fn best_fit_on(
+    host: &Pm,
+    vm: &Vm,
+    skip: Option<NumaPlacement>,
+    frag_cores: u32,
+) -> Option<NumaPlacement> {
+    let mut best: Option<(u32, NumaPlacement)> = None;
+    for &pl in vm.candidate_placements() {
+        if skip == Some(pl) || !placement_fits(host, vm, pl) {
+            continue;
         }
-        NumaPlacement::Double => {
-            for n in &mut pm.numas {
-                n.release(vm.cpu_per_numa(), vm.mem_per_numa());
-            }
+        let mut after = host.clone();
+        after.alloc_vm(vm, pl);
+        let frag = after.cpu_fragment(frag_cores);
+        if best.is_none_or(|(bf, _)| frag < bf) {
+            best = Some((frag, pl));
         }
     }
-}
-
-fn alloc_to(pm: &mut Pm, vm: &Vm, numa: NumaPlacement) {
-    let ok = match numa {
-        NumaPlacement::Single(j) => {
-            pm.numas[j as usize].try_alloc(vm.cpu_per_numa(), vm.mem_per_numa())
-        }
-        NumaPlacement::Double => {
-            pm.numas.iter_mut().all(|n| n.try_alloc(vm.cpu_per_numa(), vm.mem_per_numa()))
-        }
-    };
-    debug_assert!(ok, "alloc_to called without a prior capacity check");
+    best.map(|(_, pl)| pl)
 }
 
 #[cfg(test)]

@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 use crate::cluster::ClusterState;
 use crate::error::{SimError, SimResult};
 use crate::machine::{Placement, Pm};
-use crate::types::{NumaPlacement, PmId, VmId};
+use crate::types::{NumaPlacement, PmId, VmId, DEFAULT_FRAGMENT_CORES};
 
 /// Hard constraints layered on top of raw capacity.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
@@ -159,11 +159,10 @@ impl ConstraintSet {
         if self.is_pinned(vm) {
             return Err(SimError::NumaPolicyViolation(vm)); // pinned: no legal placement
         }
-        let current = state.placement(vm);
-        let feasible = state.feasible_placements(vm, pm)?;
-        let has_slot = feasible.iter().any(|&pl| !(current.pm == pm && current.numa == pl));
-        if !has_slot {
-            if current.pm == pm {
+        // Whether some non-no-op placement fits does not depend on the
+        // fragment granularity the best-fit rule ranks them by.
+        if state.best_fit_placement(vm, pm, DEFAULT_FRAGMENT_CORES)?.is_none() {
+            if state.placement(vm).pm == pm {
                 return Err(SimError::NoOpMigration(vm));
             }
             return Err(SimError::InsufficientResources { pm, numa: 0 });
@@ -266,8 +265,9 @@ impl ConstraintSet {
 /// Capacity-only destination legality shared by [`ConstraintSet::pm_mask_into`]
 /// and [`ConstraintSet::has_legal_destination`]: whether a VM demanding
 /// `cpu`/`mem` per NUMA, currently placed at `cur`, has some non-no-op
-/// placement on `p`. Mirrors `feasible_placements`' same-PM release
-/// semantics:
+/// placement on `p`. Agrees with the capacity clause of
+/// [`ConstraintSet::migration_legal`] (the best-fit rule's same-PM release
+/// and no-op skip):
 ///
 /// * Single-NUMA VM — fits wherever either NUMA has room; on its own PM
 ///   only the *other* NUMA counts (its current slot is a no-op, and

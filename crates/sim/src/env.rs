@@ -321,9 +321,10 @@ impl ReschedEnv {
                 if dest == pm || self.constraints.migration_legal(&self.state, vm, dest).is_err() {
                     continue;
                 }
-                let Some(score) = self.state.fragment_after_move(vm, dest, frag)? else {
+                let Some((_, after)) = self.state.pms_after_move(vm, dest, frag) else {
                     continue;
                 };
+                let score = after.cpu_fragment(frag);
                 if best.is_none_or(|(s, _)| score < s) {
                     best = Some((score, dest));
                 }

@@ -151,6 +151,33 @@ impl Pm {
     pub fn mem_total(&self) -> u32 {
         self.numas.iter().map(|n| n.mem_total).sum()
     }
+
+    /// Releases `vm`'s allocation at `numa`.
+    pub fn release_vm(&mut self, vm: &Vm, numa: NumaPlacement) {
+        match numa {
+            NumaPlacement::Single(j) => {
+                self.numas[j as usize].release(vm.cpu_per_numa(), vm.mem_per_numa())
+            }
+            NumaPlacement::Double => {
+                for n in &mut self.numas {
+                    n.release(vm.cpu_per_numa(), vm.mem_per_numa());
+                }
+            }
+        }
+    }
+
+    /// Allocates `vm` at `numa`; the caller has checked [`placement_fits`].
+    pub(crate) fn alloc_vm(&mut self, vm: &Vm, numa: NumaPlacement) {
+        let ok = match numa {
+            NumaPlacement::Single(j) => {
+                self.numas[j as usize].try_alloc(vm.cpu_per_numa(), vm.mem_per_numa())
+            }
+            NumaPlacement::Double => {
+                self.numas.iter_mut().all(|n| n.try_alloc(vm.cpu_per_numa(), vm.mem_per_numa()))
+            }
+        };
+        debug_assert!(ok, "alloc_vm called without a prior capacity check");
+    }
 }
 
 /// A virtual machine instance: a flavor plus identity.

@@ -15,7 +15,8 @@
 use serde::{Deserialize, Serialize};
 
 use crate::cluster::ClusterState;
-use crate::types::{PmId, DEFAULT_FRAGMENT_CORES, REWARD_SCALE};
+use crate::machine::Pm;
+use crate::types::{PmId, VmId, DEFAULT_FRAGMENT_CORES, REWARD_SCALE};
 
 /// The optimization target of a rescheduling request.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -93,7 +94,12 @@ impl Objective {
     /// objective, rescaled by `c`. The global fragment mass is the sum of
     /// scores over all PMs, so per-step score drops telescope.
     pub fn pm_score(&self, state: &ClusterState, pm: PmId) -> f64 {
-        let p = state.pm(pm);
+        self.score_pm(state.pm(pm))
+    }
+
+    /// [`Self::pm_score`] of a detached PM value — the one copy of the
+    /// Eq. 8 per-PM formulas.
+    pub fn score_pm(&self, p: &Pm) -> f64 {
         match *self {
             Objective::FragRate { cores } | Objective::MnlToGoal { cores, .. } => {
                 p.cpu_fragment(cores) as f64 / REWARD_SCALE
@@ -109,6 +115,20 @@ impl Objective {
                     / REWARD_SCALE
             }
         }
+    }
+
+    /// The drop in summed source + destination score that
+    /// [`ClusterState::migrate`]`(vm, pm, self.frag_cores())` would
+    /// cause, computed without making the move (the PM is counted once on
+    /// a same-PM NUMA flip). `None` exactly when that migrate would fail.
+    pub fn move_gain(&self, state: &ClusterState, vm: VmId, pm: PmId) -> Option<f64> {
+        let (src_after, dest_after) = state.pms_after_move(vm, pm, self.frag_cores())?;
+        let src = state.placement(vm).pm;
+        let before =
+            self.pm_score(state, src) + if pm != src { self.pm_score(state, pm) } else { 0.0 };
+        let after =
+            self.score_pm(&src_after) + if pm != src { self.score_pm(&dest_after) } else { 0.0 };
+        Some(before - after)
     }
 
     /// Dense reward for a migration that touched `src` and `dest`
@@ -155,8 +175,8 @@ impl Objective {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::machine::{Placement, Pm, Vm};
-    use crate::types::{NumaPlacement, NumaPolicy, VmId};
+    use crate::machine::{Placement, Vm};
+    use crate::types::{NumaPlacement, NumaPolicy};
 
     fn state() -> ClusterState {
         let pms = vec![Pm::symmetric(PmId(0), 44, 128), Pm::symmetric(PmId(1), 44, 128)];

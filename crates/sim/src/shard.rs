@@ -456,7 +456,7 @@ fn refine_cross_shard(
         let mut best: Option<(f64, Action)> = None;
         for &(_, src) in &scored {
             // Canonical ascending-id candidate order: the `vms_on`
-            // reverse index is permuted by migrate/undo cycles, and with
+            // reverse index is permuted by migration history, and with
             // strict-improvement tie-breaking the first of two
             // equal-gain candidates wins — iterating the raw index
             // would leak that hidden order into the chosen plan (same
@@ -472,13 +472,7 @@ fn refine_cross_shard(
                     if !legal || dest == PmId(src) {
                         continue;
                     }
-                    let before =
-                        objective.pm_score(state, PmId(src)) + objective.pm_score(state, dest);
-                    let Ok(rec) = state.migrate(vm, dest, frag) else { continue };
-                    let after =
-                        objective.pm_score(state, PmId(src)) + objective.pm_score(state, dest);
-                    state.undo(&rec).expect("probe undo");
-                    let gain = before - after;
+                    let Some(gain) = objective.move_gain(state, vm, dest) else { continue };
                     if gain > 1e-12 && best.is_none_or(|(bg, _)| gain > bg) {
                         best = Some((gain, Action { vm, pm: dest }));
                     }

@@ -7,8 +7,9 @@ use vmr_sim::cluster::ClusterState;
 use vmr_sim::constraints::ConstraintSet;
 use vmr_sim::dataset::{generate_mapping, ClusterConfig, PmGroup};
 use vmr_sim::env::{Action, ReschedEnv};
+use vmr_sim::machine::{placement_fits, Placement, Pm, Vm};
 use vmr_sim::objective::Objective;
-use vmr_sim::types::{PmId, VmId, REWARD_SCALE};
+use vmr_sim::types::{NumaPlacement, NumaPolicy, PmId, VmId, REWARD_SCALE};
 
 fn cluster(seed: u64) -> ClusterState {
     let cfg = ClusterConfig {
@@ -19,8 +20,101 @@ fn cluster(seed: u64) -> ClusterState {
     generate_mapping(&cfg, seed).expect("mapping")
 }
 
+/// Per-NUMA (cpu, mem) capacities of 1–4 PMs.
+type PmCaps = Vec<(u32, u32)>;
+/// VM proposals: ((cpu, mem), double-NUMA, host PM, NUMA node).
+type VmProposals = Vec<((u32, u32), bool, usize, u8)>;
+
+/// An arbitrary small cluster: PMs of the given capacities, and the
+/// proposed VMs each kept only if it fits where it is proposed — so PMs
+/// and single NUMA nodes are often full.
+fn arbitrary_cluster(caps: &PmCaps, proposals: &VmProposals) -> ClusterState {
+    let mut pms: Vec<Pm> = caps
+        .iter()
+        .enumerate()
+        .map(|(i, &(cpu, mem))| Pm::symmetric(PmId(i as u32), cpu, mem))
+        .collect();
+    let (mut vms, mut placements) = (Vec::new(), Vec::new());
+    for &((cpu, mem), double, pm, numa) in proposals {
+        let pm = pm % pms.len();
+        let (policy, cpu, mem, placement) = if double {
+            (NumaPolicy::Double, 2 * cpu, 2 * mem, NumaPlacement::Double)
+        } else {
+            (NumaPolicy::Single, cpu, mem, NumaPlacement::Single(numa))
+        };
+        let vm = Vm { id: VmId(vms.len() as u32), cpu, mem, numa: policy };
+        if !placement_fits(&pms[pm], &vm, placement) {
+            continue;
+        }
+        for (j, node) in pms[pm].numas.iter_mut().enumerate() {
+            if placement == NumaPlacement::Double || placement == NumaPlacement::Single(j as u8) {
+                assert!(node.try_alloc(vm.cpu_per_numa(), vm.mem_per_numa()));
+            }
+        }
+        vms.push(vm);
+        placements.push(Placement { pm: PmId(pm as u32), numa: placement });
+    }
+    ClusterState::new(pms, vms, placements).expect("proposals were checked to fit")
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A move is scored exactly as `migrate` makes it. Over every (vm, pm)
+    /// pair of an arbitrary cluster — same-PM NUMA flips, double-NUMA VMs
+    /// and full destinations included — plus one unknown VM and PM id:
+    /// `pms_after_move` is `None` iff `migrate` fails on a clone and
+    /// otherwise equals that clone's source and destination PMs;
+    /// `move_gain` equals the migrate → `pm_score` → undo expression in raw
+    /// bits; without pins or conflicts `migration_legal` accepts exactly the
+    /// moves `migrate` makes; and the scored state is never touched.
+    #[test]
+    fn a_move_is_scored_exactly_as_migrate_makes_it(
+        caps in prop::collection::vec((4u32..48, 8u32..128), 1..5),
+        proposals in prop::collection::vec(((1u32..24, 1u32..64), prop::bool::ANY, 0usize..4, 0u8..2), 0..24),
+    ) {
+        let state = arbitrary_cluster(&caps, &proposals);
+        let before = state.clone();
+        let cs = ConstraintSet::new(state.num_vms());
+        let objectives = [
+            Objective::default(),
+            Objective::FragRate { cores: 8 },
+            Objective::MixedVmType { lambda: 0.3, small_cores: 16, large_cores: 64 },
+            Objective::MixedResource { lambda: 0.6, cpu_cores: 32, mem_gib: 64 },
+        ];
+        for k in 0..=state.num_vms() as u32 {
+            for i in 0..=state.num_pms() as u32 {
+                let (vm, pm) = (VmId(k), PmId(i));
+                for obj in objectives {
+                    let mut probe = state.clone();
+                    let made = probe.migrate(vm, pm, obj.frag_cores());
+                    let scored = state.pms_after_move(vm, pm, obj.frag_cores());
+                    prop_assert_eq!(scored.is_some(), made.is_ok(), "vm {} pm {}", k, i);
+                    let gain = obj.move_gain(&state, vm, pm);
+                    let Ok(rec) = made else {
+                        prop_assert_eq!(gain, None);
+                        continue;
+                    };
+                    let (src, dest) = scored.expect("checked above");
+                    prop_assert_eq!(&src, probe.pm(rec.from.pm));
+                    prop_assert_eq!(&dest, probe.pm(pm));
+                    probe.undo(&rec).expect("undo");
+                    let s = rec.from.pm;
+                    let pair = |c: &ClusterState| {
+                        obj.pm_score(c, s) + if pm != s { obj.pm_score(c, pm) } else { 0.0 }
+                    };
+                    let old_before = pair(&probe);
+                    probe.migrate(vm, pm, obj.frag_cores()).expect("replays");
+                    let old = old_before - pair(&probe);
+                    prop_assert_eq!(gain.map(f64::to_bits), Some(old.to_bits()));
+                }
+                let legal = cs.migration_legal(&state, vm, pm).is_ok();
+                let made = state.clone().migrate(vm, pm, 16).is_ok();
+                prop_assert_eq!(legal, made, "vm {} pm {}", k, i);
+            }
+        }
+        prop_assert_eq!(&state, &before);
+    }
 
     /// Applying any sequence of (possibly illegal) migration attempts
     /// keeps the audit invariants: usage equals the sum of placements and
