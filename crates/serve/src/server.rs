@@ -19,7 +19,7 @@ use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -33,7 +33,7 @@ use crate::policies::{PlanRequest, PolicyRegistry};
 use crate::proto::{
     self, codes, ApplyDelta, CreateSession, ErrorBreakdown, MetricsParams, MetricsReply, Op,
     PlanParams, Planned, ReadOutcome, Reply, Request, Response, Restore, SessionDetail, SessionRef,
-    SnapshotReply, StatsParams, StatsReply,
+    SessionSnapshot, SnapshotReply, StatsParams, StatsReply,
 };
 use crate::recovery;
 use crate::session::{preset_config, PlanResult, Session};
@@ -737,21 +737,26 @@ fn check_writable(slot: &SessionSlot) -> Result<(), (&'static str, String)> {
     Ok(())
 }
 
-/// Makes one acknowledged mutation durable: append + group-commit fsync,
-/// then compaction when due. Called with the session lock held (lock
-/// order: session before log). The mutation is already applied in
-/// memory; on a write failure the session degrades to read-only and the
-/// client gets a `degraded` error instead of an ack — so the set of
-/// *acknowledged* mutations always matches the durable log.
-fn durable_append(
-    slot: &SessionSlot,
+/// Makes one acknowledged mutation durable: append + group-commit fsync.
+/// Called with the session lock held (lock order: session before log).
+/// The mutation is already applied in memory; on a write failure the
+/// session degrades to read-only and the client gets a `degraded` error
+/// instead of an ack — so the set of *acknowledged* mutations always
+/// matches the durable log.
+///
+/// When the append makes a compaction due, the returned
+/// [`PendingCompaction`] holds the state it snapshots and the log lock;
+/// the caller runs it after releasing the session lock, so plans on the
+/// session do not wait for the snapshot's serialization and fsyncs.
+fn durable_append<'a>(
+    slot: &'a SessionSlot,
     session: &mut Session,
     name: &str,
     version: u64,
     body: WalBody,
-) -> Result<(), (&'static str, String)> {
+) -> Result<Option<PendingCompaction<'a>>, (&'static str, String)> {
     let mut guard = slot.log.lock_recover();
-    let Some(log) = guard.as_mut() else { return Ok(()) };
+    let Some(log) = guard.as_mut() else { return Ok(None) };
     if let Err(e) = log.append(&body) {
         // The mutation was applied in memory before the append. It is
         // being refused, so the read-only session must serve exactly the
@@ -777,13 +782,29 @@ fn durable_append(
             ),
         ));
     }
-    if log.compaction_due() {
-        // Compaction failure is safe to skip: the old snapshot + log
-        // remain a complete recovery source.
-        let snapshot = session.snapshot(version);
-        let _ = log.maybe_compact(&snapshot);
+    if !log.compaction_due() {
+        return Ok(None);
     }
-    Ok(())
+    let snapshot = session.snapshot(version);
+    Ok(Some(PendingCompaction { log: guard, snapshot }))
+}
+
+/// A compaction made due by one append: the session state at that
+/// append's LSN, and the log lock held since it, so no record lands
+/// between the snapshot and the files written from it.
+struct PendingCompaction<'a> {
+    log: MutexGuard<'a, Option<SessionLog>>,
+    snapshot: SessionSnapshot,
+}
+
+impl PendingCompaction<'_> {
+    /// Compacts. Failure is safe to skip: the old snapshot + log remain
+    /// a complete recovery source, and the next append retries.
+    fn run(mut self) {
+        if let Some(log) = self.log.as_mut() {
+            let _ = log.maybe_compact(&self.snapshot);
+        }
+    }
 }
 
 fn op_create(shared: &Shared, p: CreateSession) -> OpResult {
@@ -850,11 +871,17 @@ fn op_delta(shared: &Shared, p: ApplyDelta, spans: &mut ReqSpans) -> OpResult {
     let outcome = session.apply_delta(&p.delta).map_err(sim_err)?;
     let version = slot.version.fetch_add(1, Ordering::SeqCst) + 1;
     let wal = Timer::start();
-    durable_append(&slot, &mut session, &p.session, version, WalBody::Delta(p.delta))?;
+    let compaction =
+        durable_append(&slot, &mut session, &p.session, version, WalBody::Delta(p.delta))?;
+    let info = session.info(version);
+    drop(session);
+    if let Some(compaction) = compaction {
+        compaction.run();
+    }
     spans.wal_ns = wal.elapsed_ns().unwrap_or(0);
     shared.stats.deltas.fetch_add(1, Ordering::Relaxed);
     Ok(Reply::DeltaApplied(proto::DeltaApplied {
-        info: session.info(version),
+        info,
         created_vm: outcome.created.map(|v| v.0),
         renumbered_from: outcome.renumbered.map(|r| r.from.0),
         renumbered_to: outcome.renumbered.map(|r| r.to.0),
@@ -889,13 +916,17 @@ fn op_plan(shared: &Shared, p: PlanParams, spans: &mut ReqSpans) -> OpResult {
         spans.compute_ns = compute.observe(&shared.metrics.plan_compute);
         let version = slot.version.fetch_add(1, Ordering::SeqCst) + 1;
         let wal = Timer::start();
-        durable_append(
+        let compaction = durable_append(
             &slot,
             &mut session,
             &p.session,
             version,
             WalBody::Commit(result.plan.clone()),
         )?;
+        drop(session);
+        if let Some(compaction) = compaction {
+            compaction.run();
+        }
         spans.wal_ns = wal.elapsed_ns().unwrap_or(0);
         shared.stats.plans_served.fetch_add(1, Ordering::Relaxed);
         shared.stats.plans_computed.fetch_add(1, Ordering::Relaxed);

@@ -5,13 +5,17 @@
 //! keeps serving everything else. No fault may panic a worker.
 
 use std::fs;
-use std::path::PathBuf;
-use std::sync::atomic::Ordering;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::time::Duration;
 
 use vmr_serve::client::{ClientError, ServeClient};
 use vmr_serve::proto::{codes, PlanParams};
 use vmr_serve::server::{serve, ServerConfig};
-use vmr_serve::wal::{DurabilityConfig, FaultControl, SessionLog};
+use vmr_serve::wal::{
+    file_io_factory, DurabilityConfig, FaultControl, SessionLog, WalIo, WalIoFactory,
+};
 use vmr_sim::env::ClusterDelta;
 use vmr_sim::types::NumaPolicy;
 
@@ -259,5 +263,108 @@ fn missing_snapshot_is_a_dead_session_not_a_dead_daemon() {
     assert!(stats.recoveries >= 1);
     client.create_session("fresh", "tiny", 3, 4).unwrap();
     client.apply_delta("fresh", small_vm()).unwrap();
+    handle.shutdown();
+}
+
+/// A snapshot fsync that parks until the test releases it (a disk that
+/// stalls mid-compaction).
+#[derive(Default)]
+struct SnapshotGate {
+    armed: AtomicBool,
+    /// (a compaction is parked in its snapshot fsync, released)
+    state: Mutex<(bool, bool)>,
+    cv: Condvar,
+}
+
+impl SnapshotGate {
+    fn factory(self: &Arc<Self>) -> WalIoFactory {
+        let gate = Arc::clone(self);
+        let inner = file_io_factory();
+        Arc::new(move |path: &Path| {
+            let io = inner(path)?;
+            if path.file_name().is_some_and(|n| n == "snapshot.json.tmp") {
+                return Ok(
+                    Box::new(GatedIo { inner: io, gate: Arc::clone(&gate) }) as Box<dyn WalIo>
+                );
+            }
+            Ok(io)
+        })
+    }
+
+    fn wait_parked(&self, timeout: Duration) -> bool {
+        let state = self.state.lock().unwrap();
+        let (state, _) = self.cv.wait_timeout_while(state, timeout, |s| !s.0).unwrap();
+        state.0
+    }
+
+    fn release(&self) {
+        self.state.lock().unwrap().1 = true;
+        self.cv.notify_all();
+    }
+}
+
+struct GatedIo {
+    inner: Box<dyn WalIo>,
+    gate: Arc<SnapshotGate>,
+}
+
+impl WalIo for GatedIo {
+    fn append(&mut self, buf: &[u8]) -> std::io::Result<()> {
+        self.inner.append(buf)
+    }
+
+    fn sync(&mut self) -> std::io::Result<()> {
+        if self.gate.armed.load(Ordering::SeqCst) {
+            let mut state = self.gate.state.lock().unwrap();
+            state.0 = true;
+            self.gate.cv.notify_all();
+            drop(self.gate.cv.wait_while(state, |s| !s.1).unwrap());
+        }
+        self.inner.sync()
+    }
+}
+
+/// A compaction stalled on the disk holds up only the mutation that made
+/// it due: plans on the same session are served meanwhile (the snapshot
+/// is taken under the session lock, its files are written after it is
+/// released), and the mutation is acknowledged once the compaction is
+/// done.
+#[test]
+fn stalled_compaction_does_not_block_plans() {
+    let dir = scratch("stall");
+    let gate = Arc::new(SnapshotGate::default());
+    let mut cfg = DurabilityConfig::new(&dir);
+    cfg.snapshot_every = 2;
+    cfg.io = gate.factory();
+    let handle =
+        serve(ServerConfig { threads: 2, durability: Some(cfg), ..Default::default() }).unwrap();
+    let mut writer = ServeClient::connect(handle.addr()).unwrap();
+    let mut reader = ServeClient::connect(handle.addr()).unwrap();
+    writer.create_session("s", "tiny", 1, 4).unwrap();
+    gate.armed.store(true, Ordering::SeqCst);
+    writer.apply_delta("s", small_vm()).unwrap();
+
+    // The second record makes a compaction due; its snapshot fsync parks.
+    let writing = std::thread::spawn(move || writer.apply_delta("s", small_vm()));
+    assert!(gate.wait_parked(Duration::from_secs(10)), "the compaction never reached its fsync");
+
+    let (tx, rx) = mpsc::channel();
+    let planning = std::thread::spawn(move || {
+        let planned = reader.plan(plan_params("s"));
+        let _ = tx.send(planned);
+        reader
+    });
+    let planned = rx.recv_timeout(Duration::from_secs(10));
+    gate.release();
+    let planned = planned.expect("a plan waited for a stalled compaction").unwrap();
+    assert_eq!(planned.version, 2, "the plan sees the mutation whose compaction is stalled");
+    assert!(planned.computed);
+
+    let applied = writing.join().unwrap().expect("the mutation is acknowledged after compaction");
+    assert_eq!(applied.info.version, 2);
+    let mut reader = planning.join().unwrap();
+    let durability = reader.stats("s").unwrap().durability.unwrap();
+    assert_eq!(durability.snapshot_lsn, 2, "compacted before the acknowledgement");
+    assert!(!durability.read_only);
     handle.shutdown();
 }
