@@ -10,14 +10,10 @@
 
 use std::time::{Duration, Instant};
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
 use vmr_sim::cluster::ClusterState;
 use vmr_sim::constraints::ConstraintSet;
 use vmr_sim::env::Action;
 use vmr_sim::objective::Objective;
-use vmr_sim::types::{PmId, VmId};
 
 /// MCTS configuration.
 #[derive(Debug, Clone, Copy)]
@@ -28,10 +24,9 @@ pub struct MctsConfig {
     pub branch_cap: usize,
     /// UCT exploration constant.
     pub exploration: f64,
-    /// Wall-clock budget for the full plan.
+    /// Wall-clock budget for the full plan. Checked inside every move
+    /// scan too, between VMs, so a large cluster stops on time.
     pub time_limit: Duration,
-    /// RNG seed.
-    pub seed: u64,
 }
 
 impl Default for MctsConfig {
@@ -41,7 +36,6 @@ impl Default for MctsConfig {
             branch_cap: 12,
             exploration: 0.4,
             time_limit: Duration::from_secs(5),
-            seed: 0,
         }
     }
 }
@@ -75,7 +69,6 @@ pub fn mcts_solve(
 ) -> MctsResult {
     let start = Instant::now();
     let deadline = start + cfg.time_limit;
-    let _rng = StdRng::seed_from_u64(cfg.seed); // reserved for stochastic rollouts
     let mut state = initial.clone();
     let mut plan = Vec::new();
     let mut rollouts = 0usize;
@@ -84,7 +77,8 @@ pub fn mcts_solve(
         if Instant::now() >= deadline {
             break;
         }
-        let children = top_moves(&state, constraints, objective, cfg.branch_cap, deadline);
+        let children =
+            objective.ranked_moves(&state, constraints, cfg.branch_cap.max(1), Some(deadline));
         if children.is_empty() {
             break;
         }
@@ -123,13 +117,8 @@ pub fn mcts_solve(
             let mut undo_stack = vec![rec];
             let mut depth = 0;
             while depth < remaining_depth {
-                let Some((a, gain)) = best_single_move(&state, constraints, objective, deadline)
-                else {
-                    break;
-                };
-                if gain <= 1e-12 {
-                    break;
-                }
+                let best = objective.ranked_moves(&state, constraints, 1, Some(deadline)).pop();
+                let Some((a, _)) = best.filter(|&(_, gain)| gain > 1e-12) else { break };
                 match state.migrate(a.vm, a.pm, objective.frag_cores()) {
                     Ok(r) => undo_stack.push(r),
                     Err(_) => break,
@@ -166,64 +155,6 @@ pub fn mcts_solve(
     }
 
     MctsResult { objective: objective.value(&state), plan, rollouts, elapsed: start.elapsed() }
-}
-
-/// Top-k legal moves by immediate objective gain.
-///
-/// Destinations come from the allocation-free stage-2 mask
-/// ([`ConstraintSet::pm_mask_into`], one reused buffer) instead of a
-/// per-(vm, pm) `migration_legal` probe — the same O(M·N) shape, but
-/// without the per-pair feasibility allocations.
-///
-/// The scan is M VMs × legal PMs × one `objective.value` each — seconds
-/// on Large — so it checks `deadline` between VMs and ranks what it has
-/// seen when the time is up; a deadline that never binds changes nothing.
-fn top_moves(
-    state: &ClusterState,
-    constraints: &ConstraintSet,
-    objective: Objective,
-    cap: usize,
-    deadline: Instant,
-) -> Vec<(Action, f64)> {
-    let mut probe = state.clone();
-    let current = objective.value(&probe);
-    let mut out = Vec::new();
-    let mut mask = Vec::new();
-    for k in 0..probe.num_vms() {
-        if Instant::now() >= deadline {
-            break;
-        }
-        let vm = VmId(k as u32);
-        if constraints.is_pinned(vm) {
-            continue;
-        }
-        constraints.pm_mask_into(&probe, vm, &mut mask);
-        for (i, &legal) in mask.iter().enumerate() {
-            if !legal {
-                continue;
-            }
-            let pm = PmId(i as u32);
-            let Ok(rec) = probe.migrate(vm, pm, objective.frag_cores()) else {
-                continue;
-            };
-            let gain = current - objective.value(&probe);
-            probe.undo(&rec).expect("probe undo");
-            out.push((Action { vm, pm }, gain));
-        }
-    }
-    out.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite gains"));
-    out.truncate(cap.max(1));
-    out
-}
-
-/// The single best immediate move (greedy rollout policy).
-fn best_single_move(
-    state: &ClusterState,
-    constraints: &ConstraintSet,
-    objective: Objective,
-    deadline: Instant,
-) -> Option<(Action, f64)> {
-    top_moves(state, constraints, objective, 1, deadline).into_iter().next()
 }
 
 #[cfg(test)]
@@ -283,7 +214,7 @@ mod tests {
         // the deadline has to hold inside it, before any rollout.
         let s = generate_mapping(&ClusterConfig::medium(), 0xC1_0575).unwrap();
         let cs = ConstraintSet::new(s.num_vms());
-        let budget = Duration::from_millis(200);
+        let budget = Duration::from_millis(25);
         let cfg = MctsConfig { time_limit: budget, ..Default::default() };
         let t0 = Instant::now();
         let res = mcts_solve(&s, &cs, Objective::default(), 50, &cfg);
@@ -306,8 +237,7 @@ mod tests {
         let cfg = MctsConfig { rollouts_per_step: 0, branch_cap: 64, ..fast_cfg() };
         let res = mcts_solve(&s, &cs, obj, 3, &cfg);
         assert_eq!(res.rollouts, 0);
-        let (_, best_gain) =
-            best_single_move(&s, &cs, obj, Instant::now() + cfg.time_limit).unwrap();
+        let (_, best_gain) = obj.ranked_moves(&s, &cs, 1, None)[0];
         assert!(best_gain > 1e-12, "fixture must have an improving move");
         let first = res.plan.first().expect("a move is committed");
         let mut after = s.clone();

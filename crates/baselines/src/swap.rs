@@ -71,24 +71,15 @@ pub struct SwapSearchConfig {
     pub min_gain: f64,
     /// Wall-clock budget for the full search (like
     /// [`crate::mcts::MctsConfig::time_limit`]); the default never
-    /// expires. Checked inside the move scans — one scan of a Medium
-    /// cluster costs ~0.5 s — and a scan cut short applies nothing.
+    /// expires. Checked inside the move scans — one scan of a Large
+    /// cluster outlasts a tight budget — and a scan cut short applies
+    /// nothing.
     pub time_limit: Duration,
 }
 
 impl Default for SwapSearchConfig {
     fn default() -> Self {
         SwapSearchConfig { pair_candidates: 48, min_gain: 1e-12, time_limit: Duration::MAX }
-    }
-}
-
-/// The instant a search must stop at, if any.
-#[derive(Debug, Clone, Copy)]
-struct Deadline(Option<Instant>);
-
-impl Deadline {
-    fn passed(self) -> bool {
-        self.0.is_some_and(|at| Instant::now() >= at)
     }
 }
 
@@ -104,18 +95,19 @@ pub fn swap_search_solve(
 ) -> SwapSearchResult {
     let start = Instant::now();
     // An unrepresentable instant (the default limit) is no deadline.
-    let deadline = Deadline(start.checked_add(cfg.time_limit));
+    let deadline = start.checked_add(cfg.time_limit);
     let mut state = initial.clone();
     let mut moves = Vec::new();
     let mut budget = mnl;
     loop {
-        let single = best_single(&state, constraints, objective, deadline).filter(|_| budget >= 1);
+        let single =
+            objective.ranked_moves(&state, constraints, 1, deadline).pop().filter(|_| budget >= 1);
         let swap = if budget >= 2 {
             best_swap(&state, constraints, objective, cfg, deadline)
         } else {
             None
         };
-        if deadline.passed() {
+        if deadline.is_some_and(|at| Instant::now() >= at) {
             break; // a scan cut short has not seen the best move
         }
         // Pick the move with the best gain per migration consumed.
@@ -140,7 +132,7 @@ pub fn swap_search_solve(
             SwapMove::Swap(a, b) => state.swap(a, b, objective.frag_cores()).is_ok(),
         };
         if !applied {
-            break; // defensive: probing already validated the move
+            break; // defensive: scoring already validated the move
         }
         budget -= mv.migrations();
         moves.push(mv);
@@ -177,46 +169,6 @@ pub fn apply_moves(
     Ok(state)
 }
 
-/// Best single migration by objective gain. Destinations come from the
-/// allocation-free stage-2 mask (one reused buffer) rather than per-pair
-/// `migration_legal` probes.
-fn best_single(
-    state: &ClusterState,
-    constraints: &ConstraintSet,
-    objective: Objective,
-    deadline: Deadline,
-) -> Option<(Action, f64)> {
-    let mut probe = state.clone();
-    let base = objective.value(&probe);
-    let mut best: Option<(Action, f64)> = None;
-    let mut mask = Vec::new();
-    for k in 0..probe.num_vms() {
-        if deadline.passed() {
-            return None;
-        }
-        let vm = VmId(k as u32);
-        if constraints.is_pinned(vm) {
-            continue;
-        }
-        constraints.pm_mask_into(&probe, vm, &mut mask);
-        for (i, &legal) in mask.iter().enumerate() {
-            if !legal {
-                continue;
-            }
-            let pm = PmId(i as u32);
-            let Ok(rec) = probe.migrate(vm, pm, objective.frag_cores()) else {
-                continue;
-            };
-            let gain = base - objective.value(&probe);
-            probe.undo(&rec).expect("probe undo");
-            if best.as_ref().is_none_or(|&(_, bg)| gain > bg) {
-                best = Some((Action { vm, pm }, gain));
-            }
-        }
-    }
-    best
-}
-
 /// Best pairwise exchange by objective gain, over the top fragment
 /// contributors.
 fn best_swap(
@@ -224,28 +176,24 @@ fn best_swap(
     constraints: &ConstraintSet,
     objective: Objective,
     cfg: &SwapSearchConfig,
-    deadline: Deadline,
+    deadline: Option<Instant>,
 ) -> Option<((VmId, VmId), f64)> {
     let candidates = swap_candidates(state, constraints, objective, cfg.pair_candidates);
-    let mut probe = state.clone();
-    let base = objective.value(&probe);
+    let mass = objective.mass(state);
+    let base = objective.value_of(&mass);
     let mut best: Option<((VmId, VmId), f64)> = None;
     for (i, &a) in candidates.iter().enumerate() {
-        if deadline.passed() {
+        if deadline.is_some_and(|at| Instant::now() >= at) {
             return None;
         }
         for &b in candidates.iter().skip(i + 1) {
-            if probe.placement(a).pm == probe.placement(b).pm {
+            if violates_affinity_after_swap(state, constraints, a, b) {
                 continue;
             }
-            if violates_affinity_after_swap(&probe, constraints, a, b) {
-                continue;
-            }
-            let Ok(rec) = probe.swap(a, b, objective.frag_cores()) else {
+            let Some(after) = objective.value_after_swap(state, &mass, a, b) else {
                 continue;
             };
-            let gain = base - objective.value(&probe);
-            probe.undo_swap(&rec).expect("probe undo");
+            let gain = base - after;
             if best.as_ref().is_none_or(|&(_, bg)| gain > bg) {
                 best = Some(((a, b), gain));
             }

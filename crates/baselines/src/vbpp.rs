@@ -40,6 +40,7 @@ pub fn vbpp_solve(
     let alpha = alpha.max(1);
     let mut state = initial.clone();
     let mut plan = Vec::new();
+    let mut mask = Vec::new();
     let stages = mnl.div_ceil(alpha);
     'stages: for stage in 0..stages {
         let budget = alpha.min(mnl - stage * alpha);
@@ -68,25 +69,20 @@ pub fn vbpp_solve(
             }
             // Best-fit destination: the legal PM minimizing the resulting
             // objective.
+            let mass = objective.mass(&state);
+            constraints.pm_mask_into(&state, vm, &mut mask);
             let mut best: Option<(PmId, f64)> = None;
-            for i in 0..state.num_pms() {
+            for (i, _) in mask.iter().enumerate().filter(|&(_, &legal)| legal) {
                 let pm = PmId(i as u32);
-                if constraints.migration_legal(&state, vm, pm).is_err() {
-                    continue;
-                }
-                let Ok(rec) = state.migrate(vm, pm, objective.frag_cores()) else {
-                    continue;
-                };
-                let val = objective.value(&state);
-                state.undo(&rec).expect("probe undo");
+                let Some(val) = objective.value_after_move(&state, &mass, vm, pm) else { continue };
                 if best.is_none_or(|(_, bv)| val < bv) {
                     best = Some((pm, val));
                 }
             }
-            let current = objective.value(&state);
+            let current = objective.value_of(&mass);
             if let Some((pm, val)) = best {
                 if val < current - 1e-12 {
-                    state.migrate(vm, pm, objective.frag_cores()).expect("probed move");
+                    state.migrate(vm, pm, objective.frag_cores()).expect("scored move");
                     plan.push(Action { vm, pm });
                     moved_any = true;
                 }

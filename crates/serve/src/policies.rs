@@ -222,7 +222,7 @@ impl PlanPolicy for MctsPolicy {
     }
 
     fn plan(&self, env: &mut ReschedEnv, req: &PlanRequest) -> SimResult<Vec<Action>> {
-        let cfg = MctsConfig { time_limit: req.budget, seed: req.seed, ..Default::default() };
+        let cfg = MctsConfig { time_limit: req.budget, ..Default::default() };
         Ok(mcts_solve(env.state(), env.constraints(), env.objective(), req.mnl, &cfg).plan)
     }
 }

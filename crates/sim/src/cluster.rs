@@ -345,6 +345,29 @@ impl ClusterState {
     /// tracks. Fails without mutating state if the VMs share a PM or
     /// either side lacks capacity after the exchange.
     pub fn swap(&mut self, a: VmId, b: VmId, frag_cores: u32) -> SimResult<SwapRecord> {
+        let (rec, pm_a, pm_b) = self.swap_outcome(a, b, frag_cores)?;
+        self.pms[rec.a.from.pm.0 as usize] = pm_a;
+        self.pms[rec.b.from.pm.0 as usize] = pm_b;
+        for m in [rec.a, rec.b] {
+            self.placements[m.vm.0 as usize] = m.to;
+            let src = &mut self.vms_on_pm[m.from.pm.0 as usize];
+            let pos = src.iter().position(|&x| x == m.vm).expect("reverse index corrupt");
+            src.swap_remove(pos);
+            self.vms_on_pm[m.to.pm.0 as usize].push(m.vm);
+        }
+        Ok(rec)
+    }
+
+    /// The two host PMs exactly as [`Self::swap`]`(a, b, frag_cores)`
+    /// would leave them, `a`'s former host first, without making the
+    /// swap. `None` exactly when `swap` would return `Err`.
+    pub fn pms_after_swap(&self, a: VmId, b: VmId, frag_cores: u32) -> Option<(Pm, Pm)> {
+        self.swap_outcome(a, b, frag_cores).ok().map(|(_, pm_a, pm_b)| (pm_a, pm_b))
+    }
+
+    /// The one swap rule behind [`Self::swap`] and [`Self::pms_after_swap`]:
+    /// the swap's record and `a`'s and `b`'s former hosts after it.
+    fn swap_outcome(&self, a: VmId, b: VmId, frag_cores: u32) -> SimResult<(SwapRecord, Pm, Pm)> {
         if a == b {
             return Err(SimError::NoOpMigration(a));
         }
@@ -355,8 +378,6 @@ impl ClusterState {
         if pla.pm == plb.pm {
             return Err(SimError::NoOpMigration(a));
         }
-
-        // Probe on scratch PMs with both VMs released.
         let mut pm_a = self.pm(pla.pm).clone();
         let mut pm_b = self.pm(plb.pm).clone();
         pm_a.release_vm(&va, pla.numa);
@@ -367,26 +388,15 @@ impl ClusterState {
         let Some(new_b) = best_fit_on(&pm_a, &vb, None, frag_cores) else {
             return Err(SimError::InsufficientResources { pm: pla.pm, numa: 0 });
         };
-
-        // Commit: release both, allocate both, update indices.
-        self.pms[pla.pm.0 as usize].release_vm(&va, pla.numa);
-        self.pms[plb.pm.0 as usize].release_vm(&vb, plb.numa);
-        self.pms[plb.pm.0 as usize].alloc_vm(&va, new_a);
-        self.pms[pla.pm.0 as usize].alloc_vm(&vb, new_b);
+        pm_b.alloc_vm(&va, new_a);
+        pm_a.alloc_vm(&vb, new_b);
         let to_a = Placement { pm: plb.pm, numa: new_a };
         let to_b = Placement { pm: pla.pm, numa: new_b };
-        self.placements[a.0 as usize] = to_a;
-        self.placements[b.0 as usize] = to_b;
-        for (vm, from, to) in [(a, pla.pm, plb.pm), (b, plb.pm, pla.pm)] {
-            let src = &mut self.vms_on_pm[from.0 as usize];
-            let pos = src.iter().position(|&x| x == vm).expect("reverse index corrupt");
-            src.swap_remove(pos);
-            self.vms_on_pm[to.0 as usize].push(vm);
-        }
-        Ok(SwapRecord {
+        let rec = SwapRecord {
             a: MigrationRecord { vm: a, from: pla, to: to_a },
             b: MigrationRecord { vm: b, from: plb, to: to_b },
-        })
+        };
+        Ok((rec, pm_a, pm_b))
     }
 
     /// Reverts a swap produced by [`ClusterState::swap`]. Subject to the
@@ -541,16 +551,6 @@ impl ClusterState {
         self.pms.iter().map(|p| p.cpu_fragment(x) as u64).sum()
     }
 
-    /// Total fragment for double-NUMA X-core flavors.
-    pub fn total_cpu_fragment_double(&self, x: u32) -> u64 {
-        self.pms.iter().map(|p| p.cpu_fragment_double(x) as u64).sum()
-    }
-
-    /// Total X-GiB memory fragment across all PMs.
-    pub fn total_mem_fragment(&self, x: u32) -> u64 {
-        self.pms.iter().map(|p| p.mem_fragment(x) as u64).sum()
-    }
-
     /// Total free CPU across all PMs (denominator of FR).
     pub fn total_free_cpu(&self) -> u64 {
         self.pms.iter().map(|p| p.free_cpu() as u64).sum()
@@ -564,29 +564,19 @@ impl ClusterState {
     /// X-core fragment rate: unusable free CPU / total free CPU (§1).
     /// Returns 0 when the cluster has no free CPU at all.
     pub fn fragment_rate(&self, x: u32) -> f64 {
-        let free = self.total_free_cpu();
-        if free == 0 {
-            return 0.0;
-        }
-        self.total_cpu_fragment(x) as f64 / free as f64
+        fragment_ratio(self.total_cpu_fragment(x), self.total_free_cpu())
     }
 
     /// Fragment rate for double-NUMA X-core flavors (e.g. `FR_64`).
     pub fn fragment_rate_double(&self, x: u32) -> f64 {
-        let free = self.total_free_cpu();
-        if free == 0 {
-            return 0.0;
-        }
-        self.total_cpu_fragment_double(x) as f64 / free as f64
+        let fragment = self.pms.iter().map(|p| p.cpu_fragment_double(x) as u64).sum();
+        fragment_ratio(fragment, self.total_free_cpu())
     }
 
     /// X-GiB memory fragment rate (e.g. `Mem_64`).
     pub fn mem_fragment_rate(&self, x: u32) -> f64 {
-        let free = self.total_free_mem();
-        if free == 0 {
-            return 0.0;
-        }
-        self.total_mem_fragment(x) as f64 / free as f64
+        let fragment = self.pms.iter().map(|p| p.mem_fragment(x) as u64).sum();
+        fragment_ratio(fragment, self.total_free_mem())
     }
 
     /// Overall CPU utilization: used / total.
@@ -735,6 +725,15 @@ impl ClusterState {
         }
         self.audit()
     }
+}
+
+/// A fragment sum over the free capacity it is a share of: the one
+/// division behind every fragment rate, 0 when nothing is free at all.
+pub fn fragment_ratio(fragment: u64, free: u64) -> f64 {
+    if free == 0 {
+        return 0.0;
+    }
+    fragment as f64 / free as f64
 }
 
 /// The one best-fit rule, on a detached PM value (no placement

@@ -11,7 +11,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::cluster::ClusterState;
+use crate::cluster::{fragment_ratio, ClusterState};
 use crate::dataset::VmMix;
 use crate::env::Action;
 use crate::error::{SimError, SimResult};
@@ -78,11 +78,8 @@ impl DynamicCluster {
     /// X-core fragment rate over the current PM population.
     pub fn fragment_rate(&self, x: u32) -> f64 {
         let free: u64 = self.pms.iter().map(|p| p.free_cpu() as u64).sum();
-        if free == 0 {
-            return 0.0;
-        }
         let frag: u64 = self.pms.iter().map(|p| p.cpu_fragment(x) as u64).sum();
-        frag as f64 / free as f64
+        fragment_ratio(frag, free)
     }
 
     /// Places a new VM with best-fit (the production VMS algorithm: choose

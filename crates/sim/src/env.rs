@@ -22,7 +22,7 @@ use crate::types::{NumaPolicy, PmId, VmId};
 /// An agent action: migrate `vm` to `pm` (the 2-tuple of §3.1; the source
 /// PM is implied by the current placement, and the destination NUMA is
 /// chosen by best fit inside the simulator).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct Action {
     /// VM to migrate.
     pub vm: VmId,

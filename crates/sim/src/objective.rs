@@ -12,9 +12,15 @@
 //! telescope to the total drop of the global objective — a property the
 //! test suite checks.
 
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
+use std::time::Instant;
+
 use serde::{Deserialize, Serialize};
 
-use crate::cluster::ClusterState;
+use crate::cluster::{fragment_ratio, ClusterState};
+use crate::constraints::ConstraintSet;
+use crate::env::Action;
 use crate::machine::Pm;
 use crate::types::{PmId, VmId, DEFAULT_FRAGMENT_CORES, REWARD_SCALE};
 
@@ -55,6 +61,41 @@ pub enum Objective {
     },
 }
 
+/// The integer sums an [`Objective`]'s value divides: one or two
+/// fragment numerators (the second a mixed objective's double-NUMA CPU or
+/// memory fragment) and the total free CPU and memory, each a sum of
+/// per-PM terms.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Mass {
+    fragment: u64,
+    fragment2: u64,
+    free_cpu: u64,
+    free_mem: u64,
+}
+
+/// A move scored by [`Objective::ranked_moves`], ordered best first: the
+/// larger gain, then the earlier action. Gains are finite and never −0.0,
+/// so `total_cmp` orders them as `<` does.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Ranked {
+    gain: f64,
+    action: Action,
+}
+
+impl Ord for Ranked {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other.gain.total_cmp(&self.gain).then(self.action.cmp(&other.action))
+    }
+}
+
+impl PartialOrd for Ranked {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Eq for Ranked {}
+
 impl Default for Objective {
     fn default() -> Self {
         Objective::FragRate { cores: DEFAULT_FRAGMENT_CORES }
@@ -76,18 +117,126 @@ impl Objective {
     /// Global objective value (lower is better). For fragment-rate style
     /// objectives this is the (mixed) fragment rate in `[0, 1]`.
     pub fn value(&self, state: &ClusterState) -> f64 {
-        match *self {
-            Objective::FragRate { cores } => state.fragment_rate(cores),
-            Objective::MixedVmType { lambda, small_cores, large_cores } => {
-                lambda * state.fragment_rate_double(large_cores)
-                    + (1.0 - lambda) * state.fragment_rate(small_cores)
-            }
-            Objective::MixedResource { lambda, cpu_cores, mem_gib } => {
-                lambda * state.mem_fragment_rate(mem_gib)
-                    + (1.0 - lambda) * state.fragment_rate(cpu_cores)
-            }
-            Objective::MnlToGoal { cores, .. } => state.fragment_rate(cores),
+        self.value_of(&self.mass(state))
+    }
+
+    /// The sums [`Self::value`] divides, in one pass over the PMs.
+    pub fn mass(&self, state: &ClusterState) -> Mass {
+        let zero = Mass::default();
+        state.pms().iter().fold(zero, |m, p| Self::replace(m, zero, self.pm_mass(p)))
+    }
+
+    /// One PM's terms of [`Self::mass`].
+    fn pm_mass(&self, p: &Pm) -> Mass {
+        let fragment2 = match *self {
+            Objective::FragRate { .. } | Objective::MnlToGoal { .. } => 0,
+            Objective::MixedVmType { large_cores, .. } => p.cpu_fragment_double(large_cores),
+            Objective::MixedResource { mem_gib, .. } => p.mem_fragment(mem_gib),
+        };
+        Mass {
+            fragment: p.cpu_fragment(self.frag_cores()) as u64,
+            fragment2: fragment2 as u64,
+            free_cpu: p.free_cpu() as u64,
+            free_mem: p.free_mem() as u64,
         }
+    }
+
+    /// The value of a cluster whose sums are `m`: the one formula.
+    pub fn value_of(&self, m: &Mass) -> f64 {
+        let cpu_rate = fragment_ratio(m.fragment, m.free_cpu);
+        match *self {
+            Objective::FragRate { .. } | Objective::MnlToGoal { .. } => cpu_rate,
+            Objective::MixedVmType { lambda, .. } => {
+                lambda * fragment_ratio(m.fragment2, m.free_cpu) + (1.0 - lambda) * cpu_rate
+            }
+            Objective::MixedResource { lambda, .. } => {
+                lambda * fragment_ratio(m.fragment2, m.free_mem) + (1.0 - lambda) * cpu_rate
+            }
+        }
+    }
+
+    /// [`Self::value`] after [`ClusterState::migrate`]`(vm, pm,
+    /// self.frag_cores())`, without making it: `m` is `self.mass(state)`
+    /// with the source and destination PMs' terms replaced, so the sums,
+    /// and so the bits, are the migrated cluster's. `None` exactly when
+    /// that migrate would fail.
+    pub fn value_after_move(
+        &self,
+        state: &ClusterState,
+        m: &Mass,
+        vm: VmId,
+        pm: PmId,
+    ) -> Option<f64> {
+        let (src_after, dest_after) = state.pms_after_move(vm, pm, self.frag_cores())?;
+        let src = state.placement(vm).pm;
+        let term = |id: PmId| self.pm_mass(state.pm(id));
+        let m = Self::replace(*m, term(src), self.pm_mass(&src_after));
+        let m = if pm == src { m } else { Self::replace(m, term(pm), self.pm_mass(&dest_after)) };
+        Some(self.value_of(&m))
+    }
+
+    /// [`Self::value`] after [`ClusterState::swap`]`(a, b,
+    /// self.frag_cores())`, without making it, as
+    /// [`Self::value_after_move`] does. `None` exactly when it would fail.
+    pub fn value_after_swap(
+        &self,
+        state: &ClusterState,
+        m: &Mass,
+        a: VmId,
+        b: VmId,
+    ) -> Option<f64> {
+        let (a_host, b_host) = state.pms_after_swap(a, b, self.frag_cores())?;
+        let term = |vm: VmId| self.pm_mass(state.pm(state.placement(vm).pm));
+        let m = Self::replace(*m, term(a), self.pm_mass(&a_host));
+        Some(self.value_of(&Self::replace(m, term(b), self.pm_mass(&b_host))))
+    }
+
+    /// The sums `m` with one PM's terms `out` replaced by `into`.
+    fn replace(m: Mass, out: Mass, into: Mass) -> Mass {
+        Mass {
+            fragment: m.fragment - out.fragment + into.fragment,
+            fragment2: m.fragment2 - out.fragment2 + into.fragment2,
+            free_cpu: m.free_cpu - out.free_cpu + into.free_cpu,
+            free_mem: m.free_mem - out.free_mem + into.free_mem,
+        }
+    }
+
+    /// The `cap` legal migrations of largest gain (`value` before minus
+    /// after) best first, ties in `(vm, pm)` order — a stable sort of
+    /// every move [`ConstraintSet::pm_mask_into`] allows, truncated to
+    /// `cap` — holding at most `cap` while scanning. Once `deadline` has
+    /// passed the scan stops between VMs and ranks what it has seen.
+    pub fn ranked_moves(
+        &self,
+        state: &ClusterState,
+        constraints: &ConstraintSet,
+        cap: usize,
+        deadline: Option<Instant>,
+    ) -> Vec<(Action, f64)> {
+        let mass = self.mass(state);
+        let base = self.value_of(&mass);
+        let mut kept = BinaryHeap::new(); // the worst move kept on top
+        let mut mask = Vec::new();
+        for k in 0..state.num_vms() {
+            if deadline.is_some_and(|at| Instant::now() >= at) {
+                break;
+            }
+            let vm = VmId(k as u32);
+            constraints.pm_mask_into(state, vm, &mut mask);
+            for (i, _) in mask.iter().enumerate().filter(|&(_, &legal)| legal) {
+                let pm = PmId(i as u32);
+                let Some(after) = self.value_after_move(state, &mass, vm, pm) else { continue };
+                let scored = Ranked { gain: base - after, action: Action { vm, pm } };
+                if kept.len() < cap {
+                    kept.push(scored);
+                } else if let Some(mut worst) = kept.peek_mut() {
+                    if scored < *worst {
+                        *worst = scored;
+                    }
+                }
+            }
+        }
+        kept.into_sorted_vec().into_iter().map(|r| (r.action, r.gain)).collect()
     }
 
     /// Per-PM score `S_i` (Eq. 8): the PM's fragment mass under this
@@ -195,7 +344,7 @@ mod tests {
     fn frag_rate_objective_matches_cluster_metric() {
         let s = state();
         let obj = Objective::default();
-        assert!((obj.value(&s) - s.fragment_rate(16)).abs() < 1e-15);
+        assert_eq!(obj.value(&s).to_bits(), s.fragment_rate(16).to_bits());
     }
 
     #[test]
@@ -203,7 +352,7 @@ mod tests {
         let s = state();
         let obj = Objective::MixedVmType { lambda: 0.25, small_cores: 16, large_cores: 64 };
         let expect = 0.25 * s.fragment_rate_double(64) + 0.75 * s.fragment_rate(16);
-        assert!((obj.value(&s) - expect).abs() < 1e-15);
+        assert_eq!(obj.value(&s).to_bits(), expect.to_bits());
     }
 
     #[test]
@@ -211,7 +360,7 @@ mod tests {
         let s = state();
         let obj = Objective::MixedResource { lambda: 0.5, cpu_cores: 16, mem_gib: 64 };
         let expect = 0.5 * s.mem_fragment_rate(64) + 0.5 * s.fragment_rate(16);
-        assert!((obj.value(&s) - expect).abs() < 1e-15);
+        assert_eq!(obj.value(&s).to_bits(), expect.to_bits());
     }
 
     #[test]

@@ -2,6 +2,8 @@
 //! migration sequences, resource accounting stays exact, undo restores
 //! state, and the dense reward telescopes to the global fragment drop.
 
+use std::time::Instant;
+
 use proptest::prelude::*;
 use vmr_sim::cluster::ClusterState;
 use vmr_sim::constraints::ConstraintSet;
@@ -67,15 +69,35 @@ proptest! {
     /// otherwise equals that clone's source and destination PMs;
     /// `move_gain` equals the migrate → `pm_score` → undo expression in raw
     /// bits; without pins or conflicts `migration_legal` accepts exactly the
-    /// moves `migrate` makes; and the scored state is never touched.
+    /// moves `migrate` makes; and the scored state is never touched. The
+    /// global objective is scored the same way, for every objective kind:
+    /// `value_after_move` and `value_after_swap` equal `value` after
+    /// `migrate` / `swap` on a clone in raw bits and are `None` iff those
+    /// fail, `pms_after_swap` equals the swapped clone's two hosts, and
+    /// `ranked_moves` under pins and conflicts equals every legal move
+    /// scored the old way (migrate on a clone, then `value`), stably
+    /// sorted best first and truncated to the cap — and nothing once its
+    /// deadline has passed.
     #[test]
     fn a_move_is_scored_exactly_as_migrate_makes_it(
         caps in prop::collection::vec((4u32..48, 8u32..128), 1..5),
         proposals in prop::collection::vec(((1u32..24, 1u32..64), prop::bool::ANY, 0usize..4, 0u8..2), 0..24),
+        conflicts in prop::collection::vec((0u32..24, 0u32..24), 0..4),
+        pins in prop::collection::vec(0u32..24, 0..2),
     ) {
         let state = arbitrary_cluster(&caps, &proposals);
         let before = state.clone();
         let cs = ConstraintSet::new(state.num_vms());
+        let mut constrained = ConstraintSet::new(state.num_vms());
+        let n_vms = state.num_vms() as u32;
+        if n_vms > 0 {
+            for (a, b) in conflicts {
+                constrained.add_conflict(VmId(a % n_vms), VmId(b % n_vms)).expect("in range");
+            }
+            for p in pins {
+                constrained.pin(VmId(p % n_vms)).expect("in range");
+            }
+        }
         let objectives = [
             Objective::default(),
             Objective::FragRate { cores: 8 },
@@ -112,6 +134,50 @@ proptest! {
                 let made = state.clone().migrate(vm, pm, 16).is_ok();
                 prop_assert_eq!(legal, made, "vm {} pm {}", k, i);
             }
+        }
+        for obj in objectives {
+            let mass = obj.mass(&state);
+            let base = obj.value(&state);
+            prop_assert_eq!(obj.value_of(&mass).to_bits(), base.to_bits());
+            let mut every = Vec::new();
+            for k in 0..=n_vms {
+                for i in 0..=state.num_pms() as u32 {
+                    let (vm, pm) = (VmId(k), PmId(i));
+                    let mut made = state.clone();
+                    let after = made.migrate(vm, pm, obj.frag_cores()).ok().map(|_| obj.value(&made));
+                    let scored = obj.value_after_move(&state, &mass, vm, pm);
+                    prop_assert_eq!(scored.map(f64::to_bits), after.map(f64::to_bits), "vm {} pm {}", k, i);
+                    if let Some(after) = after {
+                        if constrained.migration_legal(&state, vm, pm).is_ok() {
+                            every.push((Action { vm, pm }, base - after));
+                        }
+                    }
+                }
+                for b in 0..=n_vms {
+                    let (a, b) = (VmId(k), VmId(b));
+                    let mut swapped = state.clone();
+                    let made = swapped.swap(a, b, obj.frag_cores());
+                    let hosts = state.pms_after_swap(a, b, obj.frag_cores());
+                    let scored = obj.value_after_swap(&state, &mass, a, b);
+                    prop_assert_eq!(hosts.is_some(), made.is_ok(), "swap {} {}", a.0, b.0);
+                    prop_assert_eq!(scored.is_some(), made.is_ok(), "swap {} {}", a.0, b.0);
+                    let Ok(rec) = made else { continue };
+                    let (a_host, b_host) = hosts.expect("checked above");
+                    prop_assert_eq!(&a_host, swapped.pm(rec.a.from.pm));
+                    prop_assert_eq!(&b_host, swapped.pm(rec.b.from.pm));
+                    prop_assert_eq!(scored.map(f64::to_bits), Some(obj.value(&swapped).to_bits()));
+                }
+            }
+            every.sort_by(|x, y| y.1.partial_cmp(&x.1).expect("finite gains"));
+            let bits = |moves: &[(Action, f64)]| -> Vec<(Action, u64)> {
+                moves.iter().map(|&(a, g)| (a, g.to_bits())).collect()
+            };
+            for cap in [0, 1, 3, usize::MAX] {
+                let ranked = obj.ranked_moves(&state, &constrained, cap, None);
+                prop_assert_eq!(bits(&ranked), bits(&every[..cap.min(every.len())]), "cap {}", cap);
+            }
+            let past = Instant::now();
+            prop_assert!(obj.ranked_moves(&state, &constrained, usize::MAX, Some(past)).is_empty());
         }
         prop_assert_eq!(&state, &before);
     }

@@ -24,7 +24,6 @@ use vmr_sim::cluster::ClusterState;
 use vmr_sim::constraints::ConstraintSet;
 use vmr_sim::env::Action;
 use vmr_sim::objective::Objective;
-use vmr_sim::types::{PmId, VmId};
 
 /// Search configuration.
 #[derive(Debug, Clone, Copy)]
@@ -172,11 +171,7 @@ pub fn branch_and_bound_warmstart(
 }
 
 fn dfs(ctx: &mut SearchCtx<'_>, remaining: usize) {
-    if remaining == 0 {
-        return;
-    }
-    if ctx.nodes >= ctx.cfg.node_limit || Instant::now() >= ctx.deadline {
-        ctx.budget_hit = true;
+    if remaining == 0 || budget_spent(ctx) {
         return;
     }
     let current = ctx.objective.value(&ctx.state);
@@ -186,18 +181,17 @@ fn dfs(ctx: &mut SearchCtx<'_>, remaining: usize) {
     if bound >= ctx.best_obj - 1e-12 {
         return;
     }
-    let mut children = enumerate_moves(ctx);
-    // Order by immediate gain, best first.
-    children.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite gains"));
-    if let Some(w) = ctx.cfg.beam_width {
-        children.truncate(w);
+    let cap = ctx.cfg.beam_width.unwrap_or(usize::MAX);
+    let children = ctx.objective.ranked_moves(&ctx.state, ctx.constraints, cap, Some(ctx.deadline));
+    // A scan the deadline cut short has not seen every child: expand none.
+    if budget_spent(ctx) {
+        return;
     }
     for (action, gain) in children {
         if ctx.cfg.improving_only && gain < 0.0 {
             continue;
         }
-        if ctx.nodes >= ctx.cfg.node_limit || Instant::now() >= ctx.deadline {
-            ctx.budget_hit = true;
+        if budget_spent(ctx) {
             return;
         }
         let Ok(rec) = ctx.state.migrate(action.vm, action.pm, ctx.objective.frag_cores()) else {
@@ -219,36 +213,10 @@ fn dfs(ctx: &mut SearchCtx<'_>, remaining: usize) {
     }
 }
 
-/// Enumerates legal `(action, immediate gain)` pairs from the current
-/// state. Gain is the objective drop of applying the action.
-fn enumerate_moves(ctx: &mut SearchCtx<'_>) -> Vec<(Action, f64)> {
-    let state = &mut ctx.state;
-    let n_vms = state.num_vms();
-    let n_pms = state.num_pms();
-    let mut out = Vec::new();
-    let current = ctx.objective.value(state);
-    for k in 0..n_vms {
-        let vm = VmId(k as u32);
-        if ctx.constraints.is_pinned(vm) {
-            continue;
-        }
-        // Cheap prune: a VM on a fragment-free PM whose removal cannot help
-        // still might enable double moves; keep enumeration honest and let
-        // the bound prune instead.
-        for i in 0..n_pms {
-            let pm = PmId(i as u32);
-            if ctx.constraints.migration_legal(state, vm, pm).is_err() {
-                continue;
-            }
-            let Ok(rec) = state.migrate(vm, pm, ctx.objective.frag_cores()) else {
-                continue;
-            };
-            let gain = current - ctx.objective.value(state);
-            state.undo(&rec).expect("undo probe");
-            out.push((Action { vm, pm }, gain));
-        }
-    }
-    out
+/// Whether the node or time budget is spent (for good), recording it.
+fn budget_spent(ctx: &mut SearchCtx<'_>) -> bool {
+    ctx.budget_hit |= ctx.nodes >= ctx.cfg.node_limit || Instant::now() >= ctx.deadline;
+    ctx.budget_hit
 }
 
 /// Maximum objective drop any single migration can achieve, used as the
@@ -300,6 +268,7 @@ mod tests {
     use super::*;
     use vmr_sim::dataset::{generate_mapping, ClusterConfig, PmGroup};
     use vmr_sim::env::ReschedEnv;
+    use vmr_sim::types::{PmId, VmId};
 
     fn tiny_state(seed: u64) -> ClusterState {
         let cfg = ClusterConfig {
@@ -405,6 +374,21 @@ mod tests {
             &SolverConfig { time_limit: budget, beam_width: None, ..Default::default() },
         );
         assert!(res.elapsed < budget + Duration::from_millis(300), "overran deadline");
+    }
+
+    /// The served `solver` setting on Medium: the first candidate scan
+    /// outlasts a 50 ms budget, so the deadline must hold inside it.
+    #[test]
+    fn deadline_holds_inside_the_candidate_scan() {
+        let s = generate_mapping(&ClusterConfig::medium(), 1).unwrap();
+        let cs = ConstraintSet::new(s.num_vms());
+        let budget = Duration::from_millis(50);
+        let cfg = SolverConfig { time_limit: budget, beam_width: Some(24), ..Default::default() };
+        let t0 = Instant::now();
+        let res = branch_and_bound(&s, &cs, Objective::default(), 50, &cfg);
+        let took = t0.elapsed();
+        assert!(took < budget + Duration::from_millis(300), "overran deadline: {took:?}");
+        assert!(!res.proved_optimal);
     }
 
     #[test]

@@ -9,6 +9,7 @@ use std::time::Duration;
 use vmr_baselines::ha::ha_solve;
 use vmr_baselines::mcts::{mcts_solve, MctsConfig};
 use vmr_baselines::neuplan::{neuplan_solve, NeuPlanConfig};
+use vmr_baselines::swap::{apply_moves, swap_search_solve, SwapMove, SwapSearchConfig};
 use vmr_baselines::vbpp::vbpp_solve;
 use vmr_core::agent::Vmr2lAgent;
 use vmr_core::config::{ActionMode, ExtractorKind, ModelConfig, PrecisionConfig};
@@ -20,6 +21,7 @@ use vmr_sim::dataset::{generate_mapping, ClusterConfig};
 use vmr_sim::env::{Action, ReschedEnv};
 use vmr_sim::objective::Objective;
 use vmr_sim::shard::{fleet_plan, FleetConfig, ShardStrategy};
+use vmr_sim::types::{PmId, VmId};
 use vmr_solver::bnb::{branch_and_bound, SolverConfig};
 use vmr_solver::pop::{pop_solve, PopConfig};
 
@@ -239,6 +241,127 @@ fn heuristic_plans_reproduce_the_migrate_undo_capture() {
         actual,
         golden["plans"],
         "heuristic plans differ from the capture; this build computed:\n{}",
+        serde_json::to_string_pretty(&actual).unwrap()
+    );
+}
+
+/// The four search planners' plans on one mapping: VBPP, MCTS, swap
+/// search and B&B, each under a limit that is a count, never a clock —
+/// MCTS by its rollout budget, B&B by `node_limit`, swap search and VBPP
+/// by MNL — so the plans are deterministic.
+fn search_plans(s: &ClusterState, cs: &ConstraintSet, obj: Objective, mnl: usize) -> Value {
+    let never = Duration::from_secs(3600);
+    let vbpp = vbpp_solve(s, cs, obj, mnl, 3);
+    assert_plan_replays(s, &vbpp.plan, obj, vbpp.objective);
+    let mcts_cfg =
+        MctsConfig { rollouts_per_step: 6, branch_cap: 4, time_limit: never, ..Default::default() };
+    let mcts = mcts_solve(s, cs, obj, mnl, &mcts_cfg);
+    assert_plan_replays(s, &mcts.plan, obj, mcts.objective);
+    let swap = swap_search_solve(s, cs, obj, mnl, &SwapSearchConfig::default());
+    let replay = apply_moves(s, &swap.moves, obj.frag_cores()).unwrap();
+    assert_eq!(obj.value(&replay).to_bits(), swap.objective.to_bits());
+    let bnb_cfg = SolverConfig {
+        time_limit: never,
+        node_limit: 40,
+        beam_width: Some(6),
+        improving_only: false,
+    };
+    let bnb = branch_and_bound(s, cs, obj, mnl.min(3), &bnb_cfg);
+    assert_plan_replays(s, &bnb.plan, obj, bnb.objective);
+    let swap_moves: Vec<Value> = swap
+        .moves
+        .iter()
+        .map(|mv| match *mv {
+            SwapMove::Single(a) => json!([a.vm.0, a.pm.0]),
+            SwapMove::Swap(a, b) => json!({ "swap": [a.0, b.0] }),
+        })
+        .collect();
+    let swap = json!({
+        "moves": swap_moves,
+        "objective": format!("{:#018x}", swap.objective.to_bits()),
+    });
+    json!({
+        "vbpp": plan_json(&vbpp.plan, vbpp.objective),
+        "mcts": plan_json(&mcts.plan, mcts.objective),
+        "swap": swap,
+        "bnb": plan_json(&bnb.plan, bnb.objective),
+    })
+}
+
+/// Anti-affinity that binds every planner: each VM a planner moved in
+/// `free` conflicts with the lowest-id other VM on the PM it went to.
+fn binding_conflicts(s: &ClusterState, free: &Value) -> ConstraintSet {
+    let mut cs = ConstraintSet::new(s.num_vms());
+    let mut conflict = |vm: u32, pm: u32, partner: Option<u32>| {
+        let others = s.vms_on_sorted(PmId(pm));
+        if let Some(o) = others.iter().find(|o| o.0 != vm && Some(o.0) != partner) {
+            cs.add_conflict(VmId(vm), *o).unwrap();
+        }
+    };
+    let pair = |v: &Value| (v[0].as_u64().unwrap() as u32, v[1].as_u64().unwrap() as u32);
+    for planner in ["vbpp", "mcts", "bnb"] {
+        for a in free[planner]["plan"].as_array().unwrap() {
+            let (vm, pm) = pair(a);
+            conflict(vm, pm, None);
+        }
+    }
+    for mv in free["swap"]["moves"].as_array().unwrap() {
+        if let Some(sw) = mv.get("swap") {
+            let (a, b) = pair(sw);
+            let host = |v: u32| s.placement(VmId(v)).pm.0;
+            conflict(a, host(b), Some(b));
+            conflict(b, host(a), Some(a));
+        } else {
+            let (vm, pm) = pair(mv);
+            conflict(vm, pm, None);
+        }
+    }
+    cs
+}
+
+/// VBPP, MCTS, swap search and B&B pinned bit for bit: their plans and
+/// final objectives on tiny and small_train mappings, each without
+/// constraints and with anti-affinity that binds, under the FR16,
+/// mixed VM-type and mixed-resource objectives, plus Medium under FR16.
+/// `tests/golden/search_plans.json` was captured by this fixture at
+/// commit b014335, where all four still scored every candidate by
+/// migrating it on the cluster, reading the O(N) objective and undoing
+/// it; it is never regenerated from a later commit.
+#[test]
+fn search_plans_reproduce_the_migrate_undo_capture() {
+    let golden: Value =
+        serde_json::from_str(include_str!("golden/search_plans.json")).expect("golden file parses");
+    let objectives = [
+        ("frag16", Objective::default()),
+        ("mixed_vm_type", Objective::MixedVmType { lambda: 0.5, small_cores: 16, large_cores: 64 }),
+        ("mixed_resource", Objective::MixedResource { lambda: 0.5, cpu_cores: 16, mem_gib: 64 }),
+    ];
+    let mut actual = serde_json::Map::new();
+    let mut bound = false;
+    for (name, cluster, seed, mnl) in
+        [("tiny", ClusterConfig::tiny(), 2, 6), ("small_train", ClusterConfig::small_train(), 4, 8)]
+    {
+        let s = generate_mapping(&cluster, seed).unwrap();
+        for (obj_name, obj) in objectives {
+            let free = search_plans(&s, &ConstraintSet::new(s.num_vms()), obj, mnl);
+            let constrained = search_plans(&s, &binding_conflicts(&s, &free), obj, mnl);
+            bound |= ["vbpp", "mcts", "swap", "bnb"].iter().any(|&p| free[p] != constrained[p]);
+            actual.insert(format!("{name}/{obj_name}/seed{seed}"), free);
+            actual.insert(format!("{name}/{obj_name}/anti_affinity/seed{seed}"), constrained);
+        }
+    }
+    assert!(bound, "no anti-affinity plan differs from its unconstrained twin");
+    let medium = generate_mapping(&ClusterConfig::medium(), 1).unwrap();
+    let free = ConstraintSet::new(medium.num_vms());
+    actual.insert(
+        "medium/frag16/seed1".into(),
+        search_plans(&medium, &free, Objective::default(), 2),
+    );
+    let actual = Value::Object(actual);
+    assert_eq!(
+        actual,
+        golden["plans"],
+        "search plans differ from the capture; this build computed:\n{}",
         serde_json::to_string_pretty(&actual).unwrap()
     );
 }
