@@ -11,7 +11,7 @@ use vmr_core::eval::RiskSeekingConfig;
 use vmr_core::train::Trainer;
 use vmr_sim::cluster::ClusterState;
 use vmr_sim::constraints::ConstraintSet;
-use vmr_sim::dataset::{ClusterConfig, VmMix};
+use vmr_sim::dataset::{populate, ClusterConfig, VmMix};
 use vmr_sim::daycycle::{run_day_cycle, DayCycleConfig};
 use vmr_sim::dynamics::DynamicCluster;
 use vmr_sim::env::Action;
@@ -139,46 +139,6 @@ pub(super) fn ext02_swap_search(ctx: &Ctx) -> SimResult<Report> {
     Ok(report)
 }
 
-/// Fills a cluster to its target utilization under `policy`, then
-/// churns; returns the 16-core fragment rate and the VMs alive.
-fn fill_and_churn(cfg: &ClusterConfig, policy: VmsPolicy, seed: u64) -> (f64, usize) {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut cluster = DynamicCluster::from_pms(cfg.build_pms());
-    let total_cpu: u64 =
-        cfg.pm_groups.iter().map(|g| (g.count as u64) * 2 * g.cpu_per_numa as u64).sum();
-    let target = (total_cpu as f64 * cfg.target_util) as u64;
-    let mut failures = 0;
-    while cluster.used_cpu() < target && failures < 64 {
-        let flavor = cfg.vm_mix.sample(&mut rng);
-        if cluster
-            .arrival_with_policy(flavor.cpu, flavor.mem, flavor.numa, policy, &mut rng)
-            .is_ok()
-        {
-            failures = 0;
-        } else {
-            failures += 1;
-        }
-    }
-    for _ in 0..cfg.churn_cycles {
-        if cluster.exit_random(&mut rng).is_some() {
-            let mut attempts = 0;
-            while cluster.used_cpu() < target && attempts < 4 {
-                let flavor = cfg.vm_mix.sample(&mut rng);
-                // A rejected arrival is part of the churn being modelled.
-                let _ = cluster.arrival_with_policy(
-                    flavor.cpu,
-                    flavor.mem,
-                    flavor.numa,
-                    policy,
-                    &mut rng,
-                );
-                attempts += 1;
-            }
-        }
-    }
-    (cluster.fragment_rate(16), cluster.alive_count())
-}
-
 /// Ext. 3 — how the VMS placement policy shapes initial fragmentation
 /// (§1): the same cluster filled to the same utilization under each
 /// policy with identical churn — how much of the problem is created
@@ -194,9 +154,9 @@ pub(super) fn ext03_scheduler_policies(ctx: &Ctx) -> SimResult<Report> {
         let mut frs = Vec::with_capacity(trials);
         let mut placed = 0.0;
         for t in 0..trials {
-            let (fr, alive) = fill_and_churn(&cfg, policy, ctx.seed + t as u64);
-            frs.push(fr);
-            placed += alive as f64;
+            let cluster = populate(&cfg, policy, &mut StdRng::seed_from_u64(ctx.seed + t as u64));
+            frs.push(cluster.fragment_rate(16));
+            placed += cluster.alive_count() as f64;
         }
         report.row(vec![
             json!(policy.name()),

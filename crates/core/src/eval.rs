@@ -3,9 +3,9 @@
 //! only the best one, with quantile action-thresholding to keep sampled
 //! trajectories away from low-probability (likely sub-optimal) actions.
 //!
-//! Trajectories are embarrassingly parallel; with `parallel = true` they
-//! are spread over OS threads via `std::thread::scope` — the CPU
-//! analogue of the paper's multi-GPU generation.
+//! Trajectories are embarrassingly parallel: they are spread over one
+//! scoped worker per available core (never more than there are
+//! trajectories) — the CPU analogue of the paper's multi-GPU generation.
 
 use std::time::{Duration, Instant};
 
@@ -29,10 +29,6 @@ pub struct RiskSeekingConfig {
     pub vm_quantile: Option<f64>,
     /// Quantile threshold over PM probabilities.
     pub pm_quantile: Option<f64>,
-    /// Parallelize across threads.
-    pub parallel: bool,
-    /// Number of worker threads when parallel.
-    pub threads: usize,
     /// Base RNG seed (trajectory `t` uses `seed + t`).
     pub seed: u64,
 }
@@ -43,8 +39,6 @@ impl Default for RiskSeekingConfig {
             trajectories: 16,
             vm_quantile: Some(0.98),
             pm_quantile: Some(0.95),
-            parallel: true,
-            threads: 4,
             seed: 0,
         }
     }
@@ -84,25 +78,26 @@ pub fn risk_seeking_eval<P: ActPolicy + Sync>(
         rollout_episode(agent, &mut env, &mut rng, &opts)
     };
 
+    // Each worker runs one contiguous chunk of trajectory indices, so
+    // the results stay in index order.
     type TrajResult = SimResult<(f64, Vec<Action>)>;
-    let results: Vec<TrajResult> = if cfg.parallel && cfg.trajectories > 1 {
-        let threads = cfg.threads.clamp(1, cfg.trajectories);
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get()).min(cfg.trajectories);
+    let results: Vec<TrajResult> = if workers <= 1 {
+        (0..cfg.trajectories).map(run_one).collect()
+    } else {
+        let chunk = cfg.trajectories.div_ceil(workers);
         let mut slots: Vec<Option<TrajResult>> = (0..cfg.trajectories).map(|_| None).collect();
         std::thread::scope(|scope| {
-            for (worker, chunk) in slots.chunks_mut(cfg.trajectories.div_ceil(threads)).enumerate()
-            {
-                let base = worker * cfg.trajectories.div_ceil(threads);
+            for (worker, slots) in slots.chunks_mut(chunk).enumerate() {
                 let run_one = &run_one;
                 scope.spawn(move || {
-                    for (off, slot) in chunk.iter_mut().enumerate() {
-                        *slot = Some(run_one(base + off));
+                    for (off, slot) in slots.iter_mut().enumerate() {
+                        *slot = Some(run_one(worker * chunk + off));
                     }
                 });
             }
         });
         slots.into_iter().map(|s| s.expect("all slots filled")).collect()
-    } else {
-        (0..cfg.trajectories).map(run_one).collect()
     };
 
     let mut best: Option<(f64, Vec<Action>)> = None;
@@ -161,7 +156,6 @@ mod tests {
         let (agent, state, cs) = setup();
         let cfg = RiskSeekingConfig {
             trajectories: 6,
-            parallel: false,
             vm_quantile: None,
             pm_quantile: None,
             ..Default::default()
@@ -175,35 +169,27 @@ mod tests {
     #[test]
     fn parallel_matches_serial() {
         let (agent, state, cs) = setup();
-        let base = RiskSeekingConfig {
-            trajectories: 4,
-            vm_quantile: None,
-            pm_quantile: None,
-            seed: 9,
-            ..Default::default()
-        };
-        let serial = risk_seeking_eval(
-            &agent,
-            &state,
-            &cs,
-            Objective::default(),
-            3,
-            &RiskSeekingConfig { parallel: false, ..base },
-        )
-        .unwrap();
-        let parallel = risk_seeking_eval(
-            &agent,
-            &state,
-            &cs,
-            Objective::default(),
-            3,
-            &RiskSeekingConfig { parallel: true, threads: 2, ..base },
-        )
-        .unwrap();
-        assert_eq!(
-            serial.all_objectives, parallel.all_objectives,
-            "same seeds must give identical trajectories regardless of threading"
-        );
+        let opts = DecideOpts { greedy: false, vm_quantile: None, pm_quantile: None };
+        for trajectories in [1, 3, 5] {
+            let cfg =
+                RiskSeekingConfig { trajectories, vm_quantile: None, pm_quantile: None, seed: 9 };
+            let out =
+                risk_seeking_eval(&agent, &state, &cs, Objective::default(), 3, &cfg).unwrap();
+            let mut serial = Vec::new();
+            for t in 0..trajectories {
+                let mut env =
+                    ReschedEnv::new(state.clone(), cs.clone(), Objective::default(), 3).unwrap();
+                let mut rng = StdRng::seed_from_u64(9 + t as u64);
+                serial.push(rollout_episode(&agent, &mut env, &mut rng, &opts).unwrap());
+            }
+            let objectives: Vec<f64> = serial.iter().map(|(obj, _)| *obj).collect();
+            assert_eq!(
+                out.all_objectives, objectives,
+                "the workers must return the plain loop's trajectories in index order"
+            );
+            let best = serial.iter().min_by(|a, b| a.0.total_cmp(&b.0)).unwrap();
+            assert_eq!((out.best_objective, &out.best_plan), (best.0, &best.1));
+        }
     }
 
     #[test]
@@ -211,11 +197,9 @@ mod tests {
         let (agent, state, cs) = setup();
         let mk = |t: usize| RiskSeekingConfig {
             trajectories: t,
-            parallel: false,
             vm_quantile: None,
             pm_quantile: None,
             seed: 4,
-            ..Default::default()
         };
         let few = risk_seeking_eval(&agent, &state, &cs, Objective::default(), 3, &mk(2)).unwrap();
         let many = risk_seeking_eval(&agent, &state, &cs, Objective::default(), 3, &mk(8)).unwrap();
@@ -232,14 +216,8 @@ mod tests {
         assert_eq!(plan64, plan32, "greedy plans diverged between precisions");
         assert!((obj64 - obj32).abs() < 1e-12);
 
-        let cfg = RiskSeekingConfig {
-            trajectories: 4,
-            parallel: true,
-            threads: 2,
-            vm_quantile: None,
-            pm_quantile: None,
-            seed: 31,
-        };
+        let cfg =
+            RiskSeekingConfig { trajectories: 4, vm_quantile: None, pm_quantile: None, seed: 31 };
         let out = risk_seeking_eval(&agent32, &state, &cs, Objective::default(), 3, &cfg).unwrap();
         assert_eq!(out.all_objectives.len(), 4);
         let min = out.all_objectives.iter().cloned().fold(f64::INFINITY, f64::min);

@@ -106,44 +106,26 @@ pub fn wire_plan_actions(plan: &[crate::proto::WireAction]) -> Vec<Action> {
     plan.iter().map(|a| Action { vm: VmId(a.vm), pm: PmId(a.to_pm) }).collect()
 }
 
-/// Rebuilds the durable state of a session directory without writing
-/// anything: snapshot plus the intact log prefix. The server uses this
-/// to re-align its in-memory state after a failed WAL append — the
-/// refused mutation was already applied in memory, and the read-only
-/// session must serve exactly the acknowledged history, not the
-/// refused tail.
-pub fn replay_durable(name: &str, dir: &Path) -> Result<(Session, u64), String> {
-    let (snap_path, wal_path) = SessionLog::files_of(dir);
-    let snap_bytes = fs::read(&snap_path)
-        .map_err(|e| format!("missing or unreadable snapshot {}: {e}", snap_path.display()))?;
-    let snap: SnapshotFile = serde_json::from_slice(&snap_bytes)
-        .map_err(|e| format!("unparseable snapshot {}: {e:?}", snap_path.display()))?;
-    let mut session = Session::from_snapshot(name, snap.snapshot)
-        .map_err(|e| format!("snapshot failed validation: {e}"))?;
-    let wal_bytes = fs::read(&wal_path).unwrap_or_default();
-    let scan = scan_log(&wal_bytes, snap.lsn);
-    let mut lsn = snap.lsn;
-    for record in &scan.records {
-        let result = match &record.body {
-            WalBody::Delta(delta) => session.apply_delta(delta).map(|_| ()),
-            WalBody::Commit(plan) => session.commit_plan(&wire_plan_actions(plan)),
-        };
-        if result.is_err() {
-            break;
-        }
-        lsn = record.lsn;
-    }
-    warm(&mut session);
-    Ok((session, lsn))
+/// A session directory's durable state, rebuilt without writing
+/// anything: the validated snapshot with the log's intact records
+/// replayed on top, up to the first that fails.
+struct Durable {
+    /// The rebuilt session, observation engine already warm.
+    session: Session,
+    /// LSN of the last record applied (the snapshot's when none was).
+    lsn: u64,
+    /// Records applied on top of the snapshot.
+    replayed: usize,
+    /// Why replay stopped short of the intact log's end, if it did.
+    failed: Option<String>,
+    /// The log scan's highest LSN and how it ended.
+    last_lsn: u64,
+    tail: TailState,
 }
 
-/// Recovers one session directory. `Err(reason)` means the session is
-/// dead (nothing trustworthy to serve).
-pub fn recover_session(
-    name: &str,
-    dir: &Path,
-    cfg: &DurabilityConfig,
-) -> Result<RecoveredSession, String> {
+/// The one loader behind [`replay_durable`] and [`recover_session`]:
+/// read, parse and validate the snapshot, scan the log, replay it.
+fn load_durable(name: &str, dir: &Path) -> Result<Durable, String> {
     let (snap_path, wal_path) = SessionLog::files_of(dir);
     let snap_bytes = fs::read(&snap_path)
         .map_err(|e| format!("missing or unreadable snapshot {}: {e}", snap_path.display()))?;
@@ -157,7 +139,7 @@ pub fn recover_session(
     let wal_bytes = fs::read(&wal_path).unwrap_or_default();
     let scan = scan_log(&wal_bytes, snap.lsn);
 
-    let mut replayed = 0usize;
+    let (mut lsn, mut replayed, mut failed) = (snap.lsn, 0, None);
     for record in &scan.records {
         let result = match &record.body {
             WalBody::Delta(delta) => session.apply_delta(delta).map(|_| ()),
@@ -167,61 +149,71 @@ pub fn recover_session(
             // Only acknowledged (hence once-successful, deterministic)
             // mutations are logged, so a replay failure means the log
             // does not describe this snapshot: stop at the good prefix
-            // and degrade to read-only rather than guess.
-            let reason = format!("replay of lsn {} failed: {e}", record.lsn);
-            // vmr-analyze: allow(P001) reason="replayed > 0 in this branch and replayed <= records.len() by the loop bound"
-            let lsn = if replayed == 0 { snap.lsn } else { scan.records[replayed - 1].lsn };
-            warm(&mut session);
-            return Ok(RecoveredSession {
-                name: name.to_string(),
-                session,
-                log: SessionLog::read_only_stub(dir.to_path_buf(), cfg, lsn, reason.clone()),
-                lsn,
-                replayed,
-                note: RecoveryNote::CorruptReadOnly { reason },
-            });
+            // rather than guess.
+            failed = Some(format!("replay of lsn {} failed: {e}", record.lsn));
+            break;
         }
+        lsn = record.lsn;
         replayed += 1;
     }
-
-    let lsn = scan.last_lsn;
     warm(&mut session);
-    match scan.tail {
+    Ok(Durable { session, lsn, replayed, failed, last_lsn: scan.last_lsn, tail: scan.tail })
+}
+
+/// Rebuilds the durable state of a session directory without writing
+/// anything: snapshot plus the intact log prefix. The server uses this
+/// to re-align its in-memory state after a failed WAL append — the
+/// refused mutation was already applied in memory, and the read-only
+/// session must serve exactly the acknowledged history, not the
+/// refused tail.
+pub fn replay_durable(name: &str, dir: &Path) -> Result<(Session, u64), String> {
+    let durable = load_durable(name, dir)?;
+    Ok((durable.session, durable.lsn))
+}
+
+/// Recovers one session directory. `Err(reason)` means the session is
+/// dead (nothing trustworthy to serve).
+pub fn recover_session(
+    name: &str,
+    dir: &Path,
+    cfg: &DurabilityConfig,
+) -> Result<RecoveredSession, String> {
+    let Durable { mut session, lsn, replayed, failed, last_lsn, tail } = load_durable(name, dir)?;
+    let read_only = |session: Session, lsn: u64, reason: String| RecoveredSession {
+        name: name.to_string(),
+        session,
+        log: SessionLog::read_only_stub(dir.to_path_buf(), cfg, lsn, reason.clone()),
+        lsn,
+        replayed,
+        note: RecoveryNote::CorruptReadOnly { reason },
+    };
+    // A failed replay degrades to read-only on the good prefix.
+    if let Some(reason) = failed {
+        return Ok(read_only(session, lsn, reason));
+    }
+    let lsn = last_lsn;
+    let note = match tail {
         TailState::Corrupt { at_offset, reason } => {
             let reason = format!("wal corrupt at byte {at_offset}: {reason}");
-            Ok(RecoveredSession {
-                name: name.to_string(),
-                session,
-                log: SessionLog::read_only_stub(dir.to_path_buf(), cfg, lsn, reason.clone()),
-                lsn,
-                replayed,
-                note: RecoveryNote::CorruptReadOnly { reason },
-            })
+            return Ok(read_only(session, lsn, reason));
         }
-        tail => {
-            let note = match tail {
-                TailState::Torn { dropped_bytes } => {
-                    RecoveryNote::TornTailDropped { dropped_bytes }
-                }
-                _ => RecoveryNote::Clean,
-            };
-            // Re-anchor durability at the recovered state: fresh
-            // snapshot + empty log. If even that fails (e.g. the disk is
-            // still broken), serve read-only instead of dying.
-            let version = lsn;
-            let snapshot = session.snapshot(version);
-            let log = match SessionLog::install(dir.to_path_buf(), cfg, &snapshot, lsn) {
-                Ok(log) => log,
-                Err(e) => SessionLog::read_only_stub(
-                    dir.to_path_buf(),
-                    cfg,
-                    lsn,
-                    format!("cannot re-anchor log after recovery: {e}"),
-                ),
-            };
-            Ok(RecoveredSession { name: name.to_string(), session, log, lsn, replayed, note })
-        }
-    }
+        TailState::Torn { dropped_bytes } => RecoveryNote::TornTailDropped { dropped_bytes },
+        TailState::Clean => RecoveryNote::Clean,
+    };
+    // Re-anchor durability at the recovered state: fresh snapshot +
+    // empty log. If even that fails (e.g. the disk is still broken),
+    // serve read-only instead of dying.
+    let snapshot = session.snapshot(lsn);
+    let log = match SessionLog::install(dir.to_path_buf(), cfg, &snapshot, lsn) {
+        Ok(log) => log,
+        Err(e) => SessionLog::read_only_stub(
+            dir.to_path_buf(),
+            cfg,
+            lsn,
+            format!("cannot re-anchor log after recovery: {e}"),
+        ),
+    };
+    Ok(RecoveredSession { name: name.to_string(), session, log, lsn, replayed, note })
 }
 
 /// Rebuilds the warm observation engine so the first request after boot

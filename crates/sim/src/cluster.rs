@@ -8,8 +8,9 @@
 use serde::{Deserialize, Serialize};
 
 use crate::error::{SimError, SimResult};
-use crate::machine::{placement_fits, Placement, Pm, Vm};
-use crate::types::{NumaIdx, NumaPlacement, NumaPolicy, PmId, VmId, NUMA_PER_PM};
+use crate::machine::{check_fits, placement_fits, Placement, Pm, Vm};
+use crate::scheduler::best_fit_on;
+use crate::types::{NumaPlacement, NumaPolicy, PmId, VmId, NUMA_PER_PM};
 
 /// Full cluster state: machines plus the current assignment.
 ///
@@ -65,8 +66,9 @@ pub struct SwapRecord {
 impl ClusterState {
     /// Builds a cluster state from machines and an initial assignment.
     ///
-    /// Validates shape (ids dense, placements fit, NUMA policy respected)
-    /// and computes resource usage from scratch.
+    /// Validates shape (ids dense, every VM passes [`Vm::check_spec`],
+    /// placements fit and match the NUMA policy) and computes resource
+    /// usage from scratch.
     pub fn new(pms: Vec<Pm>, vms: Vec<Vm>, placements: Vec<Placement>) -> SimResult<Self> {
         if vms.len() != placements.len() {
             return Err(SimError::InvalidMapping(format!(
@@ -90,9 +92,7 @@ impl ClusterState {
                     vm.id.0
                 )));
             }
-            if vm.cpu == 0 {
-                return Err(SimError::InvalidMapping(format!("VM {idx} requests zero CPU")));
-            }
+            Vm::check_spec(vm.cpu, vm.mem, vm.numa)?;
         }
         // Zero out usage, then re-apply every placement.
         let mut pms = pms;
@@ -106,27 +106,14 @@ impl ClusterState {
         for (vm, pl) in vms.iter().zip(placements.iter()) {
             let pm_idx = pl.pm.0 as usize;
             let pm = pms.get_mut(pm_idx).ok_or(SimError::UnknownPm(pl.pm))?;
-            match (vm.numa, pl.numa) {
-                (NumaPolicy::Single, NumaPlacement::Single(j)) => {
-                    if !pm.numas[j as usize].try_alloc(vm.cpu_per_numa(), vm.mem_per_numa()) {
-                        return Err(SimError::InvalidMapping(format!(
-                            "VM {} overflows PM {} NUMA {}",
-                            vm.id.0, pl.pm.0, j
-                        )));
-                    }
-                }
-                (NumaPolicy::Double, NumaPlacement::Double) => {
-                    for numa in &mut pm.numas {
-                        if !numa.try_alloc(vm.cpu_per_numa(), vm.mem_per_numa()) {
-                            return Err(SimError::InvalidMapping(format!(
-                                "VM {} overflows PM {} (double NUMA)",
-                                vm.id.0, pl.pm.0
-                            )));
-                        }
-                    }
-                }
-                _ => return Err(SimError::NumaPolicyViolation(vm.id)),
+            vm.check_shape(pl.numa)?;
+            if !placement_fits(pm, vm, pl.numa) {
+                return Err(SimError::InvalidMapping(format!(
+                    "VM {} overflows PM {} at {:?}",
+                    vm.id.0, pl.pm.0, pl.numa
+                )));
             }
+            pm.alloc_vm(vm, pl.numa);
             vms_on_pm[pm_idx].push(vm.id);
         }
         Ok(ClusterState { pms, vms, placements, vms_on_pm })
@@ -270,24 +257,14 @@ impl ClusterState {
         if from.pm == pm && from.numa == numa {
             return Err(SimError::NoOpMigration(vm));
         }
-        match (v.numa, numa) {
-            (NumaPolicy::Single, NumaPlacement::Single(_))
-            | (NumaPolicy::Double, NumaPlacement::Double) => {}
-            _ => return Err(SimError::NumaPolicyViolation(vm)),
-        }
-        // Check capacity (accounting for same-PM moves).
-        {
-            let mut scratch = self.pm(pm).clone();
-            if from.pm == pm {
-                scratch.release_vm(&v, from.numa);
-            }
-            if !placement_fits(&scratch, &v, numa) {
-                let j: NumaIdx = match numa {
-                    NumaPlacement::Single(j) => j as usize,
-                    NumaPlacement::Double => 0,
-                };
-                return Err(SimError::InsufficientResources { pm, numa: j });
-            }
+        v.check_shape(numa)?;
+        if from.pm == pm {
+            // A NUMA flip competes only with the rest of its own host.
+            let mut host = self.pm(pm).clone();
+            host.release_vm(&v, from.numa);
+            check_fits(&host, &v, numa)?;
+        } else {
+            check_fits(self.pm(pm), &v, numa)?;
         }
         // Commit: release from source, allocate on destination.
         self.pms[from.pm.0 as usize].release_vm(&v, from.numa);
@@ -433,32 +410,13 @@ impl ClusterState {
         policy: NumaPolicy,
         placement: Placement,
     ) -> SimResult<VmId> {
-        if cpu == 0 || mem == 0 {
-            return Err(SimError::InvalidMapping("new VM requests zero CPU or memory".into()));
-        }
-        if policy == NumaPolicy::Double && (!cpu.is_multiple_of(2) || !mem.is_multiple_of(2)) {
-            // cpu_per_numa()/mem_per_numa() halve by truncation; an odd
-            // request would silently under-allocate one core or GiB.
-            return Err(SimError::InvalidMapping(
-                "double-NUMA VM needs even CPU and memory".into(),
-            ));
-        }
+        Vm::check_spec(cpu, mem, policy)?;
         let id = VmId(self.vms.len() as u32);
         let vm = Vm { id, cpu, mem, numa: policy };
-        match (policy, placement.numa) {
-            (NumaPolicy::Single, NumaPlacement::Single(_))
-            | (NumaPolicy::Double, NumaPlacement::Double) => {}
-            _ => return Err(SimError::NumaPolicyViolation(id)),
-        }
+        vm.check_shape(placement.numa)?;
         let pm_idx = placement.pm.0 as usize;
         let pm = self.pms.get_mut(pm_idx).ok_or(SimError::UnknownPm(placement.pm))?;
-        if !placement_fits(pm, &vm, placement.numa) {
-            let numa: NumaIdx = match placement.numa {
-                NumaPlacement::Single(j) => j as usize,
-                NumaPlacement::Double => 0,
-            };
-            return Err(SimError::InsufficientResources { pm: placement.pm, numa });
-        }
+        check_fits(pm, &vm, placement.numa)?;
         pm.alloc_vm(&vm, placement.numa);
         self.vms.push(vm);
         self.placements.push(placement);
@@ -503,29 +461,14 @@ impl ClusterState {
     /// if the host NUMA node(s) cannot absorb the growth.
     pub fn resize_vm(&mut self, vm: VmId, cpu: u32, mem: u32) -> SimResult<()> {
         let old = *self.check_vm(vm)?;
-        if cpu == 0 || mem == 0 {
-            return Err(SimError::InvalidMapping(format!(
-                "resize of VM {} to zero CPU or memory",
-                vm.0
-            )));
-        }
-        if old.numa == NumaPolicy::Double && (!cpu.is_multiple_of(2) || !mem.is_multiple_of(2)) {
-            return Err(SimError::InvalidMapping(format!(
-                "double-NUMA VM {} needs even CPU and memory",
-                vm.0
-            )));
-        }
+        Vm::check_spec(cpu, mem, old.numa)?;
         let pl = self.placements[vm.0 as usize];
         let new = Vm { id: vm, cpu, mem, numa: old.numa };
         let pm = &mut self.pms[pl.pm.0 as usize];
         pm.release_vm(&old, pl.numa);
-        if !placement_fits(pm, &new, pl.numa) {
+        if let Err(e) = check_fits(pm, &new, pl.numa) {
             pm.alloc_vm(&old, pl.numa); // roll back
-            let numa: NumaIdx = match pl.numa {
-                NumaPlacement::Single(j) => j as usize,
-                NumaPlacement::Double => 0,
-            };
-            return Err(SimError::InsufficientResources { pm: pl.pm, numa });
+            return Err(e);
         }
         pm.alloc_vm(&new, pl.numa);
         self.vms[vm.0 as usize] = new;
@@ -686,32 +629,11 @@ impl ClusterState {
                     vm.id.0
                 )));
             }
-            if vm.cpu == 0 || vm.mem == 0 {
-                return Err(SimError::InvalidMapping(format!(
-                    "VM {idx} requests zero CPU or memory"
-                )));
-            }
-            if vm.numa == NumaPolicy::Double
-                && (!vm.cpu.is_multiple_of(2) || !vm.mem.is_multiple_of(2))
-            {
-                return Err(SimError::InvalidMapping(format!(
-                    "double-NUMA VM {idx} needs even CPU and memory"
-                )));
-            }
+            Vm::check_spec(vm.cpu, vm.mem, vm.numa)?;
             if pl.pm.0 as usize >= self.pms.len() {
                 return Err(SimError::UnknownPm(pl.pm));
             }
-            match (vm.numa, pl.numa) {
-                (NumaPolicy::Single, NumaPlacement::Single(j)) => {
-                    if (j as usize) >= NUMA_PER_PM {
-                        return Err(SimError::InvalidMapping(format!(
-                            "VM {idx} placed on NUMA index {j} (only {NUMA_PER_PM} exist)"
-                        )));
-                    }
-                }
-                (NumaPolicy::Double, NumaPlacement::Double) => {}
-                _ => return Err(SimError::NumaPolicyViolation(vm.id)),
-            }
+            vm.check_shape(pl.numa)?;
         }
         for (pm_idx, hosted) in self.vms_on_pm.iter().enumerate() {
             for &vm in hosted {
@@ -734,31 +656,6 @@ pub fn fragment_ratio(fragment: u64, free: u64) -> f64 {
         return 0.0;
     }
     fragment as f64 / free as f64
-}
-
-/// The one best-fit rule, on a detached PM value (no placement
-/// bookkeeping): over `vm`'s candidate placements in order, those that fit
-/// `host` other than `skip` (a same-PM move's no-op), the first with the
-/// strictly smallest resulting X-core fragment. Allocation-free.
-fn best_fit_on(
-    host: &Pm,
-    vm: &Vm,
-    skip: Option<NumaPlacement>,
-    frag_cores: u32,
-) -> Option<NumaPlacement> {
-    let mut best: Option<(u32, NumaPlacement)> = None;
-    for &pl in vm.candidate_placements() {
-        if skip == Some(pl) || !placement_fits(host, vm, pl) {
-            continue;
-        }
-        let mut after = host.clone();
-        after.alloc_vm(vm, pl);
-        let frag = after.cpu_fragment(frag_cores);
-        if best.is_none_or(|(bf, _)| frag < bf) {
-            best = Some((frag, pl));
-        }
-    }
-    best.map(|(_, pl)| pl)
 }
 
 #[cfg(test)]
@@ -851,6 +748,33 @@ mod tests {
             ClusterState::new(pms, vms, placements),
             Err(SimError::InvalidMapping(_))
         ));
+    }
+
+    /// Construction enforces the same VM spec rule as `add_vm`,
+    /// `resize_vm` and `audit_strict`, and refuses a NUMA index that does
+    /// not exist instead of indexing past the PM's nodes.
+    #[test]
+    fn construction_rejects_degenerate_specs() {
+        let pms = vec![Pm::symmetric(PmId(0), 44, 128)];
+        let single = NumaPlacement::Single(0);
+        let cases = [
+            (4, 0, NumaPolicy::Single, single),
+            (0, 8, NumaPolicy::Single, single),
+            (33, 64, NumaPolicy::Double, NumaPlacement::Double),
+            (32, 63, NumaPolicy::Double, NumaPlacement::Double),
+            (4, 8, NumaPolicy::Single, NumaPlacement::Single(2)),
+        ];
+        for (cpu, mem, numa, pl) in cases {
+            let vms = vec![Vm { id: VmId(0), cpu, mem, numa }];
+            let placements = vec![Placement { pm: PmId(0), numa: pl }];
+            assert!(
+                matches!(
+                    ClusterState::new(pms.clone(), vms, placements),
+                    Err(SimError::InvalidMapping(_))
+                ),
+                "({cpu}, {mem}, {numa:?}) at {pl:?} must be rejected"
+            );
+        }
     }
 
     #[test]

@@ -19,7 +19,8 @@ use serde::{Deserialize, Serialize};
 use crate::cluster::ClusterState;
 use crate::dynamics::DynamicCluster;
 use crate::error::{SimError, SimResult};
-use crate::machine::Pm;
+use crate::machine::{Pm, Vm};
+use crate::scheduler::VmsPolicy;
 use crate::types::{NumaPolicy, PmId, STANDARD_VM_TYPES};
 
 /// One entry of a VM-type mix: a flavor plus its sampling weight.
@@ -47,10 +48,11 @@ impl VmMix {
         if entries.is_empty() {
             return Err(SimError::InvalidMapping("empty VM mix".into()));
         }
-        if entries.iter().any(|e| e.weight <= 0.0 || e.cpu == 0) {
-            return Err(SimError::InvalidMapping(
-                "VM mix entries need positive weight and CPU".into(),
-            ));
+        if entries.iter().any(|e| e.weight <= 0.0) {
+            return Err(SimError::InvalidMapping("VM mix entries need positive weight".into()));
+        }
+        for e in &entries {
+            Vm::check_spec(e.cpu, e.mem, e.numa)?;
         }
         Ok(VmMix { entries })
     }
@@ -290,6 +292,45 @@ impl ClusterConfig {
     }
 }
 
+/// Phases 1–2 of [`generate_mapping`] under an arbitrary VMS `policy`:
+/// fill the configuration's PMs to its target utilization (until 64
+/// arrivals in a row are refused), then `churn_cycles` times exit a
+/// random VM and admit up to four replacements while below target.
+/// Refused arrivals are part of the process being modelled. Best fit
+/// draws nothing from `rng`, so under it only the flavors and exits do.
+pub fn populate<R: Rng + ?Sized>(
+    config: &ClusterConfig,
+    policy: VmsPolicy,
+    rng: &mut R,
+) -> DynamicCluster {
+    let mut cluster = DynamicCluster::from_pms(config.build_pms());
+    let total_cpu: u64 =
+        config.pm_groups.iter().map(|g| (g.count as u64) * 2 * g.cpu_per_numa as u64).sum();
+    let target_used = (total_cpu as f64 * config.target_util) as u64;
+    let arrive = |cluster: &mut DynamicCluster, rng: &mut R| {
+        let flavor = config.vm_mix.sample(rng);
+        cluster.arrival_with_policy(flavor.cpu, flavor.mem, flavor.numa, policy, rng).is_ok()
+    };
+    let mut consecutive_failures = 0usize;
+    while cluster.used_cpu() < target_used && consecutive_failures < 64 {
+        if arrive(&mut cluster, rng) {
+            consecutive_failures = 0;
+        } else {
+            consecutive_failures += 1;
+        }
+    }
+    for _ in 0..config.churn_cycles {
+        if cluster.exit_random(rng).is_some() {
+            let mut attempts = 0;
+            while cluster.used_cpu() < target_used && attempts < 4 {
+                arrive(&mut cluster, rng);
+                attempts += 1;
+            }
+        }
+    }
+    cluster
+}
+
 /// Generates one mapping (cluster snapshot) from a configuration.
 ///
 /// Process: best-fit fill to the target utilization → churn (exit one VM,
@@ -297,36 +338,7 @@ impl ClusterConfig {
 /// result is validated and audited before being returned.
 pub fn generate_mapping(config: &ClusterConfig, seed: u64) -> SimResult<ClusterState> {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut dyn_cluster = DynamicCluster::from_pms(config.build_pms());
-    let total_cpu: u64 =
-        config.pm_groups.iter().map(|g| (g.count as u64) * 2 * g.cpu_per_numa as u64).sum();
-    let target_used = (total_cpu as f64 * config.target_util) as u64;
-
-    // Phase 1: best-fit fill.
-    let mut consecutive_failures = 0usize;
-    while dyn_cluster.used_cpu() < target_used && consecutive_failures < 64 {
-        let flavor = config.vm_mix.sample(&mut rng);
-        if dyn_cluster.best_fit_arrival(flavor.cpu, flavor.mem, flavor.numa).is_ok() {
-            consecutive_failures = 0;
-        } else {
-            consecutive_failures += 1;
-        }
-    }
-
-    // Phase 2: churn — exits followed by best-fit replacements.
-    for _ in 0..config.churn_cycles {
-        if let Some(exited) = dyn_cluster.exit_random(&mut rng) {
-            let _ = exited;
-            // Try to backfill to stay near target utilization.
-            let mut attempts = 0;
-            while dyn_cluster.used_cpu() < target_used && attempts < 4 {
-                let flavor = config.vm_mix.sample(&mut rng);
-                let _ = dyn_cluster.best_fit_arrival(flavor.cpu, flavor.mem, flavor.numa).ok();
-                attempts += 1;
-            }
-        }
-    }
-
+    let mut dyn_cluster = populate(config, VmsPolicy::BestFit, &mut rng);
     // Phase 3: anonymization shuffle — redeploy a fraction of VMs onto
     // uniformly random feasible PMs.
     dyn_cluster.random_redeploy(config.shuffle_frac, &mut rng);

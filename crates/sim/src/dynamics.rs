@@ -15,10 +15,10 @@ use crate::cluster::{fragment_ratio, ClusterState};
 use crate::dataset::VmMix;
 use crate::env::Action;
 use crate::error::{SimError, SimResult};
-use crate::machine::{placement_fits, Placement, Pm, Vm};
-use crate::scheduler::{schedule_vm, VmsPolicy};
+use crate::machine::{Placement, Pm, Vm};
+use crate::scheduler::{best_fit, best_fit_on, choose_placement, schedule_vm, VmsPolicy};
 use crate::trace::DiurnalModel;
-use crate::types::{NumaPlacement, NumaPolicy, VmId};
+use crate::types::{NumaPlacement, NumaPolicy, PmId, VmId};
 
 /// A cluster whose VM population changes over time.
 ///
@@ -87,11 +87,9 @@ impl DynamicCluster {
     /// Returns the new VM's id, or [`SimError::NoFeasiblePlacement`] if
     /// nothing fits (production rejects the request).
     pub fn best_fit_arrival(&mut self, cpu: u32, mem: u32, numa: NumaPolicy) -> SimResult<VmId> {
-        // Best-fit never consults the RNG, so a throwaway fixed-seed RNG
-        // keeps this entry point deterministic and allocation-free in
-        // spirit (StdRng construction is cheap).
-        let mut rng = StdRng::seed_from_u64(0);
-        self.arrival_with_policy(cpu, mem, numa, VmsPolicy::BestFit, &mut rng)
+        self.admit(cpu, mem, numa, |pms, vm| {
+            best_fit(pms, vm, 16).ok_or(SimError::NoFeasiblePlacement(vm.id))
+        })
     }
 
     /// Places a new VM under an arbitrary [`VmsPolicy`]. Returns the new
@@ -104,11 +102,24 @@ impl DynamicCluster {
         policy: VmsPolicy,
         rng: &mut R,
     ) -> SimResult<VmId> {
+        self.admit(cpu, mem, numa, |pms, vm| schedule_vm(pms, vm, policy, 16, rng))
+    }
+
+    /// Admits a new VM that passes [`Vm::check_spec`] where `place` puts
+    /// it: the one admission path of both arrival kinds.
+    fn admit(
+        &mut self,
+        cpu: u32,
+        mem: u32,
+        numa: NumaPolicy,
+        place: impl FnOnce(&[Pm], &Vm) -> SimResult<(PmId, NumaPlacement)>,
+    ) -> SimResult<VmId> {
+        Vm::check_spec(cpu, mem, numa)?;
         let id = VmId(self.vms.len() as u32);
         let vm = Vm { id, cpu, mem, numa };
-        let (pm_id, pl) = schedule_vm(&self.pms, &vm, policy, 16, rng)?;
-        alloc_unchecked(&mut self.pms[pm_id.0 as usize], &vm, pl);
-        self.vms.push(Some((vm, Placement { pm: pm_id, numa: pl })));
+        let (pm, pl) = place(&self.pms, &vm)?;
+        self.pms[pm.0 as usize].alloc_vm(&vm, pl);
+        self.vms.push(Some((vm, Placement { pm, numa: pl })));
         self.alive += 1;
         Ok(id)
     }
@@ -117,7 +128,7 @@ impl DynamicCluster {
     pub fn exit(&mut self, vm: VmId) -> SimResult<()> {
         let slot = self.vms.get_mut(vm.0 as usize).ok_or(SimError::UnknownVm(vm))?;
         let (v, pl) = slot.take().ok_or(SimError::UnknownVm(vm))?;
-        release_unchecked(&mut self.pms[pl.pm.0 as usize], &v, pl.numa);
+        self.pms[pl.pm.0 as usize].release_vm(&v, pl.numa);
         self.alive -= 1;
         Ok(())
     }
@@ -153,23 +164,11 @@ impl DynamicCluster {
                 continue;
             }
             let (vm, old_pl) = self.vms[idx].expect("listed alive");
-            release_unchecked(&mut self.pms[old_pl.pm.0 as usize], &vm, old_pl.numa);
-            // Gather feasible (pm, placement) pairs and pick one at random.
-            let mut options = Vec::new();
-            for pm in &self.pms {
-                for &pl in vm.candidate_placements() {
-                    if placement_fits(pm, &vm, pl) {
-                        options.push((pm.id, pl));
-                    }
-                }
-            }
-            let (pm_id, pl) = if options.is_empty() {
-                (old_pl.pm, old_pl.numa) // put it back
-            } else {
-                options[rng.gen_range(0..options.len())]
-            };
-            alloc_unchecked(&mut self.pms[pm_id.0 as usize], &vm, pl);
-            self.vms[idx] = Some((vm, Placement { pm: pm_id, numa: pl }));
+            self.pms[old_pl.pm.0 as usize].release_vm(&vm, old_pl.numa);
+            let (pm, pl) = choose_placement(&self.pms, &vm, VmsPolicy::Random, 16, rng)
+                .unwrap_or((old_pl.pm, old_pl.numa)); // put it back
+            self.pms[pm.0 as usize].alloc_vm(&vm, pl);
+            self.vms[idx] = Some((vm, Placement { pm, numa: pl }));
         }
     }
 
@@ -186,23 +185,11 @@ impl DynamicCluster {
         if old_pl.pm == action.pm {
             return false;
         }
-        let dest = &self.pms[action.pm.0 as usize];
-        // Best-fit NUMA placement on the destination.
-        let mut best: Option<(u32, NumaPlacement)> = None;
-        for &pl in vm.candidate_placements() {
-            if !placement_fits(dest, &vm, pl) {
-                continue;
-            }
-            let mut scratch = dest.clone();
-            alloc_unchecked(&mut scratch, &vm, pl);
-            let frag = scratch.cpu_fragment(16);
-            if best.is_none_or(|(bf, _)| frag < bf) {
-                best = Some((frag, pl));
-            }
-        }
-        let Some((_, pl)) = best else { return false };
-        release_unchecked(&mut self.pms[old_pl.pm.0 as usize], &vm, old_pl.numa);
-        alloc_unchecked(&mut self.pms[action.pm.0 as usize], &vm, pl);
+        let Some(pl) = best_fit_on(&self.pms[action.pm.0 as usize], &vm, None, 16) else {
+            return false;
+        };
+        self.pms[old_pl.pm.0 as usize].release_vm(&vm, old_pl.numa);
+        self.pms[action.pm.0 as usize].alloc_vm(&vm, pl);
         self.vms[action.vm.0 as usize] = Some((vm, Placement { pm: action.pm, numa: pl }));
         true
     }
@@ -258,31 +245,6 @@ impl DynamicCluster {
     }
 }
 
-fn alloc_unchecked(pm: &mut Pm, vm: &Vm, pl: NumaPlacement) {
-    let ok = match pl {
-        NumaPlacement::Single(j) => {
-            pm.numas[j as usize].try_alloc(vm.cpu_per_numa(), vm.mem_per_numa())
-        }
-        NumaPlacement::Double => {
-            pm.numas.iter_mut().all(|n| n.try_alloc(vm.cpu_per_numa(), vm.mem_per_numa()))
-        }
-    };
-    debug_assert!(ok, "caller must check placement_fits first");
-}
-
-fn release_unchecked(pm: &mut Pm, vm: &Vm, pl: NumaPlacement) {
-    match pl {
-        NumaPlacement::Single(j) => {
-            pm.numas[j as usize].release(vm.cpu_per_numa(), vm.mem_per_numa())
-        }
-        NumaPlacement::Double => {
-            for n in &mut pm.numas {
-                n.release(vm.cpu_per_numa(), vm.mem_per_numa());
-            }
-        }
-    }
-}
-
 /// Outcome of replaying a plan against a churned cluster.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StalenessOutcome {
@@ -325,7 +287,7 @@ pub fn staleness_experiment(
 mod tests {
     use super::*;
     use crate::dataset::{generate_mapping, ClusterConfig};
-    use crate::types::PmId;
+    use crate::machine::placement_fits;
 
     fn snapshot() -> ClusterState {
         generate_mapping(&ClusterConfig::tiny(), 77).unwrap()

@@ -5,8 +5,6 @@
 //! deterministic — the property that lets VMR2L train entirely offline and
 //! later re-simulate candidate trajectories for risk-seeking evaluation.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 use crate::cluster::{ClusterState, MigrationRecord};
@@ -16,7 +14,7 @@ use crate::machine::{Placement, Vm};
 use crate::objective::Objective;
 use crate::obs::Observation;
 use crate::obs_cache::ObsEngine;
-use crate::scheduler::{schedule_vm, VmsPolicy};
+use crate::scheduler::best_fit;
 use crate::types::{NumaPolicy, PmId, VmId};
 
 /// An agent action: migrate `vm` to `pm` (the 2-tuple of §3.1; the source
@@ -243,27 +241,11 @@ impl ReschedEnv {
         let frag = self.objective.frag_cores();
         let outcome = match *delta {
             ClusterDelta::VmCreate { cpu, mem, numa } => {
-                // Reject degenerate requests before admission probing:
-                // zero-resource VMs would distort fragment accounting,
-                // and odd double-NUMA shapes would silently lose a core
-                // or GiB to per-NUMA truncation.
-                if cpu == 0 || mem == 0 {
-                    return Err(SimError::InvalidMapping(
-                        "new VM requests zero CPU or memory".into(),
-                    ));
-                }
-                if numa == NumaPolicy::Double && (!cpu.is_multiple_of(2) || !mem.is_multiple_of(2))
-                {
-                    return Err(SimError::InvalidMapping(
-                        "double-NUMA VM needs even CPU and memory".into(),
-                    ));
-                }
+                // A degenerate request is refused before admission probing.
+                Vm::check_spec(cpu, mem, numa)?;
                 let probe = Vm { id: VmId(self.state.num_vms() as u32), cpu, mem, numa };
-                // Best-fit never consults the RNG; fixed seed keeps the
-                // admission deterministic.
-                let mut rng = StdRng::seed_from_u64(0);
-                let (pm, pl) =
-                    schedule_vm(self.state.pms(), &probe, VmsPolicy::BestFit, frag, &mut rng)?;
+                let (pm, pl) = best_fit(self.state.pms(), &probe, frag)
+                    .ok_or(SimError::NoFeasiblePlacement(probe.id))?;
                 let id = self.state.add_vm(cpu, mem, numa, Placement { pm, numa: pl })?;
                 let grown = self.constraints.push_vm();
                 debug_assert_eq!(id, grown);

@@ -7,6 +7,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::error::{SimError, SimResult};
 use crate::types::{NumaPlacement, NumaPolicy, PmId, VmId, NUMA_PER_PM};
 
 /// One NUMA node: capacity and current usage.
@@ -167,6 +168,8 @@ impl Pm {
     }
 
     /// Allocates `vm` at `numa`; the caller has checked [`placement_fits`].
+    /// The one allocation: nothing else in the simulator calls
+    /// [`Numa::try_alloc`].
     pub(crate) fn alloc_vm(&mut self, vm: &Vm, numa: NumaPlacement) {
         let ok = match numa {
             NumaPlacement::Single(j) => {
@@ -198,6 +201,38 @@ pub struct Vm {
 }
 
 impl Vm {
+    /// The one VM spec rule every created, resized, restored or sampled
+    /// VM passes: a non-zero CPU and memory request, even on a
+    /// double-NUMA VM (`cpu_per_numa` / `mem_per_numa` halve by
+    /// truncation, so an odd request would silently lose a core or GiB;
+    /// a zero request would distort fragment accounting).
+    pub fn check_spec(cpu: u32, mem: u32, numa: NumaPolicy) -> SimResult<()> {
+        if cpu == 0 || mem == 0 {
+            return Err(SimError::InvalidMapping(format!(
+                "VM requests zero CPU or memory ({cpu} CPU, {mem} GiB)"
+            )));
+        }
+        if numa == NumaPolicy::Double && (!cpu.is_multiple_of(2) || !mem.is_multiple_of(2)) {
+            return Err(SimError::InvalidMapping(format!(
+                "double-NUMA VM needs even CPU and memory ({cpu} CPU, {mem} GiB)"
+            )));
+        }
+        Ok(())
+    }
+
+    /// The one placement-shape rule (Eq. 4 + Eq. 6): a single-NUMA VM
+    /// sits on one existing NUMA node, a double-NUMA VM on both.
+    pub fn check_shape(&self, numa: NumaPlacement) -> SimResult<()> {
+        match (self.numa, numa) {
+            (NumaPolicy::Single, NumaPlacement::Single(j)) if (j as usize) < NUMA_PER_PM => Ok(()),
+            (NumaPolicy::Single, NumaPlacement::Single(j)) => Err(SimError::InvalidMapping(
+                format!("VM {} placed on NUMA index {j} (only {NUMA_PER_PM} exist)", self.id.0),
+            )),
+            (NumaPolicy::Double, NumaPlacement::Double) => Ok(()),
+            _ => Err(SimError::NumaPolicyViolation(self.id)),
+        }
+    }
+
     /// CPU demanded from each NUMA node the VM occupies.
     #[inline]
     pub fn cpu_per_numa(&self) -> u32 {
@@ -242,6 +277,20 @@ pub fn placement_fits(pm: &Pm, vm: &Vm, placement: NumaPlacement) -> bool {
         // Placement shape must match the policy (Eq. 4 + Eq. 6).
         _ => false,
     }
+}
+
+/// [`placement_fits`] as the one error a refused placement reports:
+/// [`SimError::InsufficientResources`] naming `pm` and the (first) NUMA
+/// node the placement asks for.
+pub(crate) fn check_fits(pm: &Pm, vm: &Vm, numa: NumaPlacement) -> SimResult<()> {
+    if placement_fits(pm, vm, numa) {
+        return Ok(());
+    }
+    let numa = match numa {
+        NumaPlacement::Single(j) => j as usize,
+        NumaPlacement::Double => 0,
+    };
+    Err(SimError::InsufficientResources { pm: pm.id, numa })
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

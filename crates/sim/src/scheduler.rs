@@ -50,20 +50,67 @@ impl VmsPolicy {
     }
 }
 
-/// The X-core fragment PM `pm` would have after hosting `vm` at `pl`.
-///
-/// Used as the best-fit score. Assumes `placement_fits` already held.
+/// The X-core fragment `pm` would have after hosting `vm` at `pl`: the
+/// one best-fit score, computed without allocating on a copy of the PM
+/// (the same number as allocating and taking [`Pm::cpu_fragment`]).
+/// Assumes `placement_fits` already held.
 fn fragment_after(pm: &Pm, vm: &Vm, pl: NumaPlacement, frag_cores: u32) -> u32 {
     let mut fragment = 0;
     for (j, numa) in pm.numas.iter().enumerate() {
-        let hosts = match pl {
-            NumaPlacement::Single(k) => k as usize == j,
-            NumaPlacement::Double => true,
-        };
-        let free = numa.free_cpu() - if hosts { vm.cpu_per_numa() } else { 0 };
-        fragment += free % frag_cores;
+        let used = if pl.uses_numa(j) { vm.cpu_per_numa() } else { 0 };
+        fragment += (numa.free_cpu() - used) % frag_cores;
     }
     fragment
+}
+
+/// The best-fit NUMA placement of `vm` on the detached PM value `host`
+/// (no placement bookkeeping): over `vm`'s candidate placements in
+/// order, those that fit `host` other than `skip` (a same-PM move's
+/// no-op), the first with the strictly smallest [`fragment_after`].
+/// Behind migration, swaps and the staleness replay.
+pub(crate) fn best_fit_on(
+    host: &Pm,
+    vm: &Vm,
+    skip: Option<NumaPlacement>,
+    frag_cores: u32,
+) -> Option<NumaPlacement> {
+    let mut best: Option<(u32, NumaPlacement)> = None;
+    for &pl in vm.candidate_placements() {
+        if skip == Some(pl) || !placement_fits(host, vm, pl) {
+            continue;
+        }
+        let fragment = fragment_after(host, vm, pl, frag_cores);
+        if best.is_none_or(|(f, _)| fragment < f) {
+            best = Some((fragment, pl));
+        }
+    }
+    best.map(|(_, pl)| pl)
+}
+
+/// Where best fit places an arriving VM: the feasible (PM, placement)
+/// with the smallest ([`fragment_after`], PM id), the first placement on
+/// a tie. `None` when no PM can host the VM. Draws nothing from an RNG,
+/// so admission needs none.
+///
+/// A plain scan, not a `min_by_key` over an iterator of feasible slots:
+/// this is the inner loop of dataset generation (so of every session
+/// set-up) and of every `vm_create` delta, and the iterator form was the
+/// one piece of scalar code the x86-64-v3 build made slower (filling a
+/// Large cluster: 52 ms on SSE2, 70 ms on v3; this loop is 23 ms on
+/// either).
+pub fn best_fit(pms: &[Pm], vm: &Vm, frag_cores: u32) -> Option<(PmId, NumaPlacement)> {
+    let mut best: Option<(u32, PmId, NumaPlacement)> = None;
+    for pm in pms {
+        for &pl in vm.candidate_placements() {
+            if placement_fits(pm, vm, pl) {
+                let fragment = fragment_after(pm, vm, pl, frag_cores);
+                if best.is_none_or(|(f, id, _)| (fragment, pm.id) < (f, id)) {
+                    best = Some((fragment, pm.id, pl));
+                }
+            }
+        }
+    }
+    best.map(|(_, id, pl)| (id, pl))
 }
 
 /// Chooses where to place an arriving VM under `policy`.
@@ -88,27 +135,7 @@ pub fn choose_placement<R: Rng + ?Sized>(
     };
     match policy {
         VmsPolicy::FirstFit => feasible().next().map(|(pm, pl)| (pm.id, pl)),
-        // A plain scan, not `feasible().min_by_key(..)` scoring a cloned
-        // PM: this is the inner loop of dataset generation (so of every
-        // session set-up) and of every `vm_create` delta, and the
-        // iterator form was the one piece of scalar code the x86-64-v3
-        // build made slower (filling a Large cluster: 52 ms on SSE2,
-        // 70 ms on v3; this loop is 23 ms on either). Same choice: the
-        // smallest (fragment, PM id), the first placement on a tie.
-        VmsPolicy::BestFit => {
-            let mut best: Option<(u32, PmId, NumaPlacement)> = None;
-            for pm in pms {
-                for &pl in vm.candidate_placements() {
-                    if placement_fits(pm, vm, pl) {
-                        let fragment = fragment_after(pm, vm, pl, frag_cores);
-                        if best.is_none_or(|(f, id, _)| (fragment, pm.id) < (f, id)) {
-                            best = Some((fragment, pm.id, pl));
-                        }
-                    }
-                }
-            }
-            best.map(|(_, id, pl)| (id, pl))
-        }
+        VmsPolicy::BestFit => best_fit(pms, vm, frag_cores),
         VmsPolicy::WorstFit => feasible()
             // Most free CPU post-placement = most free pre-placement,
             // since the VM subtracts the same amount everywhere; break
@@ -144,6 +171,7 @@ pub fn schedule_vm<R: Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::machine::Numa;
     use crate::types::{NumaPolicy, VmId};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -156,12 +184,17 @@ mod tests {
         Vm { id: VmId(0), cpu, mem, numa }
     }
 
+    /// Stages (`cpu`, `mem`) of usage on a NUMA node.
+    fn occupy(numa: &mut Numa, cpu: u32, mem: u32) {
+        (numa.cpu_used, numa.mem_used) = (cpu, mem);
+    }
+
     /// Three PMs with staged occupancy.
     fn cluster() -> Vec<Pm> {
         let mut pms = vec![pm(0, 44, 128), pm(1, 44, 128), pm(2, 44, 128)];
-        assert!(pms[0].numas[0].try_alloc(40, 80)); // 4 CPUs free on NUMA 0
-        assert!(pms[0].numas[1].try_alloc(26, 48)); // 18 CPUs free on NUMA 1
-        assert!(pms[1].numas[0].try_alloc(24, 48)); // 20 CPUs free
+        occupy(&mut pms[0].numas[0], 40, 80); // 4 CPUs free on NUMA 0
+        occupy(&mut pms[0].numas[1], 26, 48); // 18 CPUs free on NUMA 1
+        occupy(&mut pms[1].numas[0], 24, 48); // 20 CPUs free
         pms
     }
 
@@ -241,8 +274,8 @@ mod tests {
     #[test]
     fn no_capacity_returns_none() {
         let mut pms = vec![pm(0, 8, 16)];
-        assert!(pms[0].numas[0].try_alloc(8, 16));
-        assert!(pms[0].numas[1].try_alloc(8, 16));
+        occupy(&mut pms[0].numas[0], 8, 16);
+        occupy(&mut pms[0].numas[1], 8, 16);
         let v = vm(2, 4, NumaPolicy::Single);
         let mut rng = StdRng::seed_from_u64(1);
         for policy in VmsPolicy::ALL {

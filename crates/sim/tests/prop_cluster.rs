@@ -1,16 +1,21 @@
 //! Property-based tests of the cluster substrate: under arbitrary legal
 //! migration sequences, resource accounting stays exact, undo restores
-//! state, and the dense reward telescopes to the global fragment drop.
+//! state, the dense reward telescopes to the global fragment drop, and
+//! every placement decision follows the one best-fit rule.
 
 use std::time::Instant;
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use vmr_sim::cluster::ClusterState;
 use vmr_sim::constraints::ConstraintSet;
 use vmr_sim::dataset::{generate_mapping, ClusterConfig, PmGroup};
+use vmr_sim::dynamics::DynamicCluster;
 use vmr_sim::env::{Action, ReschedEnv};
 use vmr_sim::machine::{placement_fits, Placement, Pm, Vm};
 use vmr_sim::objective::Objective;
+use vmr_sim::scheduler::{best_fit, choose_placement, VmsPolicy};
 use vmr_sim::types::{NumaPlacement, NumaPolicy, PmId, VmId, REWARD_SCALE};
 
 fn cluster(seed: u64) -> ClusterState {
@@ -48,15 +53,39 @@ fn arbitrary_cluster(caps: &PmCaps, proposals: &VmProposals) -> ClusterState {
         if !placement_fits(&pms[pm], &vm, placement) {
             continue;
         }
-        for (j, node) in pms[pm].numas.iter_mut().enumerate() {
-            if placement == NumaPlacement::Double || placement == NumaPlacement::Single(j as u8) {
-                assert!(node.try_alloc(vm.cpu_per_numa(), vm.mem_per_numa()));
-            }
-        }
+        occupy(&mut pms[pm], &vm, placement);
         vms.push(vm);
         placements.push(Placement { pm: PmId(pm as u32), numa: placement });
     }
     ClusterState::new(pms, vms, placements).expect("proposals were checked to fit")
+}
+
+/// Allocates `vm` at `pl` on a detached PM by hand, independently of the
+/// simulator's own allocator.
+fn occupy(pm: &mut Pm, vm: &Vm, pl: NumaPlacement) {
+    for (j, node) in pm.numas.iter_mut().enumerate() {
+        if pl.uses_numa(j) {
+            node.cpu_used += vm.cpu_per_numa();
+            node.mem_used += vm.mem_per_numa();
+        }
+    }
+}
+
+/// Best fit on one PM the slow way: allocate each fitting placement on a
+/// clone and keep the first with the smallest X-core fragment after it.
+fn brute_best_fit(pm: &Pm, vm: &Vm, frag_cores: u32) -> Option<(u32, NumaPlacement)> {
+    let mut best: Option<(u32, NumaPlacement)> = None;
+    for &pl in vm.candidate_placements() {
+        if placement_fits(pm, vm, pl) {
+            let mut after = pm.clone();
+            occupy(&mut after, vm, pl);
+            let fragment = after.cpu_fragment(frag_cores);
+            if best.is_none_or(|(f, _)| fragment < f) {
+                best = Some((fragment, pl));
+            }
+        }
+    }
+    best
 }
 
 proptest! {
@@ -180,6 +209,58 @@ proptest! {
             prop_assert!(obj.ranked_moves(&state, &constrained, usize::MAX, Some(past)).is_empty());
         }
         prop_assert_eq!(&state, &before);
+    }
+
+    /// One placement rule. On an arbitrary cluster: (a) for every VM and
+    /// every PM other than its host, `best_fit_placement` is the
+    /// brute-force per-PM best fit, and the staleness replay's
+    /// `DynamicCluster::try_apply` refuses exactly the moves `migrate`
+    /// refuses and otherwise leaves the same PMs and placements; (b) best
+    /// fit for an arriving VM, through `choose_placement` and through the
+    /// RNG-free `best_fit`, is the brute-force argmin of (fragment after a
+    /// clone-and-allocate, PM id), the first placement on a tie, and never
+    /// draws from the RNG.
+    #[test]
+    fn every_placement_follows_the_one_best_fit_rule(
+        caps in prop::collection::vec((4u32..48, 8u32..128), 1..5),
+        proposals in prop::collection::vec(((1u32..24, 1u32..64), prop::bool::ANY, 0usize..4, 0u8..2), 0..24),
+        arrivals in prop::collection::vec(((1u32..24, 1u32..64), prop::bool::ANY), 1..8),
+        frag_idx in 0usize..3,
+    ) {
+        let frag_cores = [4, 8, 16][frag_idx];
+        let state = arbitrary_cluster(&caps, &proposals);
+        for k in 0..state.num_vms() as u32 {
+            let vm = VmId(k);
+            for i in (0..state.num_pms() as u32).filter(|&i| PmId(i) != state.placement(vm).pm) {
+                let action = Action { vm, pm: PmId(i) };
+                let brute = brute_best_fit(state.pm(action.pm), state.vm(vm), 16).map(|(_, pl)| pl);
+                prop_assert_eq!(state.best_fit_placement(vm, action.pm, 16).expect("ids in range"), brute);
+                let mut made = state.clone();
+                let migrated = made.migrate(vm, action.pm, 16);
+                let mut replay = DynamicCluster::from_state(&state);
+                prop_assert_eq!(replay.try_apply(action), migrated.is_ok(), "vm {} pm {}", k, i);
+                let replayed = replay.freeze().expect("freeze");
+                let expect = if migrated.is_ok() { &made } else { &state };
+                prop_assert_eq!(replayed.pms(), expect.pms(), "vm {} pm {}", k, i);
+                prop_assert_eq!(replayed.placements(), expect.placements(), "vm {} pm {}", k, i);
+            }
+        }
+        for ((cpu, mem), double) in arrivals {
+            let (cpu, mem, numa) =
+                if double { (2 * cpu, 2 * mem, NumaPolicy::Double) } else { (cpu, mem, NumaPolicy::Single) };
+            let vm = Vm { id: VmId(state.num_vms() as u32), cpu, mem, numa };
+            let brute = state
+                .pms()
+                .iter()
+                .filter_map(|pm| brute_best_fit(pm, &vm, frag_cores).map(|(f, pl)| (f, pm.id, pl)))
+                .min_by_key(|&(f, id, _)| (f, id))
+                .map(|(_, id, pl)| (id, pl));
+            let mut rng = StdRng::seed_from_u64(7);
+            let chosen = choose_placement(state.pms(), &vm, VmsPolicy::BestFit, frag_cores, &mut rng);
+            prop_assert_eq!(chosen, brute);
+            prop_assert_eq!(best_fit(state.pms(), &vm, frag_cores), brute);
+            prop_assert_eq!(rng.gen::<u64>(), StdRng::seed_from_u64(7).gen::<u64>());
+        }
     }
 
     /// Applying any sequence of (possibly illegal) migration attempts

@@ -67,7 +67,7 @@ fn train_then_eval_pipeline() {
         &cs,
         Objective::default(),
         3,
-        &RiskSeekingConfig { trajectories: 4, parallel: false, seed: 1, ..Default::default() },
+        &RiskSeekingConfig { trajectories: 4, seed: 1, ..Default::default() },
     )
     .unwrap();
     assert_eq!(rs.all_objectives.len(), 4);

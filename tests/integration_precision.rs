@@ -82,7 +82,7 @@ fn trained_checkpoint_plans_identically_across_precisions() {
 
     // Risk-seeking sampling: same seeds, f64-emitted probabilities →
     // the sampled trajectories coincide too.
-    let cfg = RiskSeekingConfig { trajectories: 4, parallel: false, seed: 3, ..Default::default() };
+    let cfg = RiskSeekingConfig { trajectories: 4, seed: 3, ..Default::default() };
     let rs64 = risk_seeking_eval(&agent, &state, &cs, Objective::default(), 4, &cfg).unwrap();
     let rs32 = risk_seeking_eval(&agent32, &state, &cs, Objective::default(), 4, &cfg).unwrap();
     assert_eq!(rs64.best_plan, rs32.best_plan, "risk-seeking best plans must coincide");
