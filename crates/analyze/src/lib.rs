@@ -3,8 +3,8 @@
 //! This crate turns hard-won project invariants into a mechanical
 //! static-analysis pass: a hand-rolled total lexer ([`lexer`]), a
 //! scope tracker for test ranges and brace depth ([`scope`]), a lint
-//! engine with stable IDs ([`rules`]), inline waivers ([`waiver`]), a
-//! committed findings baseline ([`baseline`]), and human/JSON reports
+//! engine with stable IDs ([`rules`]), inline waivers ([`waiver`]) —
+//! the one way to accept a finding — and human/JSON reports
 //! ([`report`]). The binary (`vmr-analyze`) runs it over the whole
 //! workspace in CI with `--deny`.
 //!
@@ -31,7 +31,6 @@
 #![warn(missing_docs)]
 #![deny(unreachable_pub)]
 
-pub mod baseline;
 pub mod config;
 pub mod lexer;
 pub mod report;
@@ -56,7 +55,7 @@ pub const CATALOG: &[(&str, &str)] = &[
     ("W002", "waivers: stale waiver matching no finding"),
 ];
 
-/// One finding, after waiver and baseline processing.
+/// One finding, after waiver processing.
 #[derive(Debug, Clone, Serialize)]
 pub struct Finding {
     /// Stable lint id from [`CATALOG`].
@@ -67,14 +66,12 @@ pub struct Finding {
     pub line: u32,
     /// What's wrong and what to do instead.
     pub message: String,
-    /// Trimmed text of the offending line (doubles as the baseline key).
+    /// Trimmed text of the offending line.
     pub snippet: String,
     /// Excused by an inline waiver.
     pub waived: bool,
     /// The waiver's reason, when waived.
     pub waive_reason: Option<String>,
-    /// Covered by the committed baseline.
-    pub baselined: bool,
 }
 
 /// Trimmed text of 1-based `line` in `src`.
@@ -85,9 +82,8 @@ fn line_snippet(src: &str, line: u32) -> String {
         .unwrap_or_default()
 }
 
-/// Analyzes one file's source under its workspace-relative path.
-/// Waivers are applied; the baseline is not (that's per-run, see
-/// [`baseline::Baseline::apply`]).
+/// Analyzes one file's source under its workspace-relative path,
+/// waivers applied.
 pub fn analyze_file(path: &str, src: &str, cfg: &config::Config) -> Vec<Finding> {
     let tokens = lexer::lex(src);
     let scope = scope::build(src, &tokens);
@@ -106,7 +102,6 @@ pub fn analyze_file(path: &str, src: &str, cfg: &config::Config) -> Vec<Finding>
             snippet: line_snippet(src, r.line),
             waived: reason.is_some(),
             waive_reason: reason,
-            baselined: false,
         });
     }
     // Waiver hygiene: malformed comments and waivers that excused
@@ -120,7 +115,6 @@ pub fn analyze_file(path: &str, src: &str, cfg: &config::Config) -> Vec<Finding>
             snippet: line_snippet(src, *line),
             waived: false,
             waive_reason: None,
-            baselined: false,
         });
     }
     for w in waivers.waivers.iter().filter(|w| !w.used) {
@@ -132,14 +126,13 @@ pub fn analyze_file(path: &str, src: &str, cfg: &config::Config) -> Vec<Finding>
             snippet: line_snippet(src, w.line),
             waived: false,
             waive_reason: None,
-            baselined: false,
         });
     }
     findings.sort_by(|a, b| (a.line, a.lint.as_str()).cmp(&(b.line, b.lint.as_str())));
     findings
 }
 
-/// Result of a workspace run, pre-baseline.
+/// Result of a workspace run.
 pub struct Analysis {
     /// Files analyzed.
     pub files: usize,

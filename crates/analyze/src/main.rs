@@ -1,11 +1,10 @@
 //! The `vmr-analyze` binary.
 //!
 //! ```text
-//! vmr-analyze [ROOT] [--deny] [--json] [--quiet] [--list]
-//!             [--baseline PATH] [--update-baseline] [--max-ms N]
+//! vmr-analyze [ROOT] [--deny] [--json] [--quiet] [--list] [--max-ms N]
 //! ```
 //!
-//! Exit codes: 0 = clean (all findings waived or baselined), 1 = new
+//! Exit codes: 0 = clean (every finding waived inline), 1 = new
 //! findings under `--deny` or `--max-ms` exceeded, 2 = usage or I/O
 //! error.
 
@@ -14,7 +13,6 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
-use vmr_analyze::baseline::Baseline;
 use vmr_analyze::config::Config;
 use vmr_analyze::report::Report;
 use vmr_analyze::{analyze_workspace, CATALOG};
@@ -25,17 +23,13 @@ struct Args {
     json: bool,
     quiet: bool,
     list: bool,
-    baseline: Option<PathBuf>,
-    update_baseline: bool,
     max_ms: Option<u64>,
 }
 
 fn usage() -> String {
-    "usage: vmr-analyze [ROOT] [--deny] [--json] [--quiet] [--list]\n\
-     \x20                  [--baseline PATH] [--update-baseline] [--max-ms N]\n\
+    "usage: vmr-analyze [ROOT] [--deny] [--json] [--quiet] [--list] [--max-ms N]\n\
      \n\
-     ROOT defaults to the current directory; the baseline defaults to\n\
-     ROOT/analyze-baseline.json when that file exists."
+     ROOT defaults to the current directory."
         .to_string()
 }
 
@@ -46,8 +40,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         json: false,
         quiet: false,
         list: false,
-        baseline: None,
-        update_baseline: false,
         max_ms: None,
     };
     let mut root_set = false;
@@ -58,11 +50,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--json" => args.json = true,
             "--quiet" => args.quiet = true,
             "--list" => args.list = true,
-            "--update-baseline" => args.update_baseline = true,
-            "--baseline" => {
-                let p = it.next().ok_or("--baseline requires a path")?;
-                args.baseline = Some(PathBuf::from(p));
-            }
             "--max-ms" => {
                 let n = it.next().ok_or("--max-ms requires a number")?;
                 args.max_ms = Some(n.parse().map_err(|_| format!("invalid --max-ms value `{n}`"))?);
@@ -92,27 +79,7 @@ fn run(args: &Args) -> Result<ExitCode, String> {
         analyze_workspace(&args.root, &cfg).map_err(|e| format!("workspace walk failed: {e}"))?;
     let elapsed_ms = started.elapsed().as_millis() as u64;
 
-    let baseline_path =
-        args.baseline.clone().unwrap_or_else(|| args.root.join("analyze-baseline.json"));
-    let mut findings = analysis.findings;
-
-    if args.update_baseline {
-        let bl = Baseline::capture(&findings);
-        std::fs::write(&baseline_path, bl.to_json() + "\n")
-            .map_err(|e| format!("writing {}: {e}", baseline_path.display()))?;
-        println!("vmr-analyze: wrote {} ({} entries)", baseline_path.display(), bl.entries.len());
-        return Ok(ExitCode::SUCCESS);
-    }
-
-    if baseline_path.is_file() {
-        let text = std::fs::read_to_string(&baseline_path)
-            .map_err(|e| format!("reading {}: {e}", baseline_path.display()))?;
-        Baseline::from_json(&text)?.apply(&mut findings);
-    } else if args.baseline.is_some() {
-        return Err(format!("baseline {} not found", baseline_path.display()));
-    }
-
-    let report = Report::new(analysis.files, findings, elapsed_ms);
+    let report = Report::new(analysis.files, analysis.findings, elapsed_ms);
     if args.json {
         println!("{}", report.json());
     } else {
@@ -127,7 +94,7 @@ fn run(args: &Args) -> Result<ExitCode, String> {
     }
     if args.deny && report.summary.new > 0 {
         eprintln!(
-            "vmr-analyze: {} new finding(s) — fix, waive inline with a reason, or baseline",
+            "vmr-analyze: {} new finding(s) — fix, or waive inline with a reason",
             report.summary.new
         );
         return Ok(ExitCode::FAILURE);

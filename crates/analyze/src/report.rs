@@ -8,13 +8,11 @@ use serde::Serialize;
 pub struct Summary {
     /// Files analyzed.
     pub files: usize,
-    /// All findings, including waived and baselined.
+    /// All findings, including waived ones.
     pub total: usize,
     /// Findings excused by an inline waiver.
     pub waived: usize,
-    /// Findings covered by the committed baseline.
-    pub baselined: usize,
-    /// Findings that are neither — these fail `--deny`.
+    /// Findings without a waiver — these fail `--deny`.
     pub new: usize,
     /// Analysis wall time (lex + lint only, excluding process startup).
     pub elapsed_ms: u64,
@@ -25,7 +23,7 @@ pub struct Summary {
 pub struct Report {
     /// Aggregate counts.
     pub summary: Summary,
-    /// Every finding, waiver/baseline state included.
+    /// Every finding, waiver state included.
     pub findings: Vec<Finding>,
 }
 
@@ -33,28 +31,20 @@ impl Report {
     /// Builds a report, deriving the summary counts from the findings.
     pub fn new(files: usize, findings: Vec<Finding>, elapsed_ms: u64) -> Self {
         let waived = findings.iter().filter(|f| f.waived).count();
-        let baselined = findings.iter().filter(|f| f.baselined).count();
         let total = findings.len();
         Report {
-            summary: Summary {
-                files,
-                total,
-                waived,
-                baselined,
-                new: total - waived - baselined,
-                elapsed_ms,
-            },
+            summary: Summary { files, total, waived, new: total - waived, elapsed_ms },
             findings,
         }
     }
 
-    /// New (unwaived, unbaselined) findings — the `--deny` gate.
+    /// New (unwaived) findings — the `--deny` gate.
     pub fn new_findings(&self) -> impl Iterator<Item = &Finding> {
-        self.findings.iter().filter(|f| !f.waived && !f.baselined)
+        self.findings.iter().filter(|f| !f.waived)
     }
 
-    /// The human-readable report. `quiet` elides waived/baselined
-    /// findings (the summary still counts them).
+    /// The human-readable report. `quiet` elides waived findings (the
+    /// summary still counts them).
     pub fn human(&self, quiet: bool) -> String {
         let mut out = String::new();
         for f in &self.findings {
@@ -66,11 +56,6 @@ impl Report {
                     Some(r) => format!(" [waived: {r}]"),
                     None => " [waived]".to_string(),
                 }
-            } else if f.baselined {
-                if quiet {
-                    continue;
-                }
-                " [baselined]".to_string()
             } else {
                 String::new()
             };
@@ -81,8 +66,8 @@ impl Report {
         }
         let s = &self.summary;
         out.push_str(&format!(
-            "vmr-analyze: {} files, {} findings ({} waived, {} baselined, {} new) in {} ms\n",
-            s.files, s.total, s.waived, s.baselined, s.new, s.elapsed_ms
+            "vmr-analyze: {} files, {} findings ({} waived, {} new) in {} ms\n",
+            s.files, s.total, s.waived, s.new, s.elapsed_ms
         ));
         out
     }
@@ -97,7 +82,7 @@ impl Report {
 mod tests {
     use super::*;
 
-    fn finding(waived: bool, baselined: bool) -> Finding {
+    fn finding(waived: bool) -> Finding {
         Finding {
             lint: "P001".to_string(),
             path: "crates/serve/src/server.rs".to_string(),
@@ -106,27 +91,21 @@ mod tests {
             snippet: "let x = y.unwrap();".to_string(),
             waived,
             waive_reason: waived.then(|| "test rig".to_string()),
-            baselined,
         }
     }
 
     #[test]
     fn summary_counts() {
-        let r = Report::new(
-            3,
-            vec![finding(false, false), finding(true, false), finding(false, true)],
-            12,
-        );
+        let r = Report::new(3, vec![finding(false), finding(true), finding(false)], 12);
         assert_eq!(r.summary.total, 3);
         assert_eq!(r.summary.waived, 1);
-        assert_eq!(r.summary.baselined, 1);
-        assert_eq!(r.summary.new, 1);
-        assert_eq!(r.new_findings().count(), 1);
+        assert_eq!(r.summary.new, 2);
+        assert_eq!(r.new_findings().count(), 2);
     }
 
     #[test]
     fn quiet_elides_waived() {
-        let r = Report::new(1, vec![finding(true, false)], 1);
+        let r = Report::new(1, vec![finding(true)], 1);
         let loud = r.human(false);
         let quiet = r.human(true);
         assert!(loud.contains("[waived: test rig]"));
@@ -136,7 +115,7 @@ mod tests {
 
     #[test]
     fn json_is_parseable() {
-        let r = Report::new(1, vec![finding(false, false)], 1);
+        let r = Report::new(1, vec![finding(false)], 1);
         let v: serde_json::Value = serde_json::from_str(&r.json()).unwrap();
         assert_eq!(v["summary"]["new"].as_u64(), Some(1));
         assert_eq!(v["findings"][0]["lint"].as_str(), Some("P001"));

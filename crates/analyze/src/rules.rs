@@ -2,8 +2,8 @@
 //!
 //! Each rule is a pure function over the significant-token view of one
 //! file, scoped by [`Config`] path lists and exempting test ranges.
-//! Rules emit [`Raw`] findings (lint id + line + message); waiver and
-//! baseline handling happen in `lib.rs` after all rules run.
+//! Rules emit [`Raw`] findings (lint id + line + message); waivers are
+//! applied in `lib.rs` after all rules run.
 //!
 //! The rules are deliberately syntactic — they match token shapes, not
 //! types. That makes them fast and total, at the cost of needing exact
@@ -14,7 +14,7 @@ use crate::config::{in_scope, Config};
 use crate::lexer::{Token, TokenKind};
 use crate::scope::FileScope;
 
-/// A rule hit before waiver/baseline processing.
+/// A rule hit before waiver processing.
 #[derive(Debug)]
 pub struct Raw {
     /// Stable lint id.

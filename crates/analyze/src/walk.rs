@@ -1,8 +1,8 @@
 //! Workspace file discovery.
 //!
 //! Walks `crates/*/src/**` and `crates/*/tests/**` plus the top-level
-//! `tests/*.rs` integration suites, in sorted order so reports and
-//! baselines are stable across filesystems. The `shims/` crates are
+//! `tests/*.rs` integration suites, in sorted order so reports are
+//! stable across filesystems. The `shims/` crates are
 //! vendored stand-ins for crates.io and are not held to workspace
 //! invariants; `crates/analyze/fixtures/` holds deliberately-bad lint
 //! fixtures (not cargo targets) and is likewise excluded — the fixture

@@ -17,7 +17,7 @@ fn unwaived_of(findings: &[Finding], lint: &str) -> usize {
 
 /// What `--deny` computes: any unwaived finding fails the run.
 fn would_fail_deny(findings: &[Finding]) -> bool {
-    findings.iter().any(|f| !f.waived && !f.baselined)
+    findings.iter().any(|f| !f.waived)
 }
 
 #[test]

@@ -1,8 +1,7 @@
-//! The gate CI enforces: the real workspace has zero unwaived,
-//! un-baselined findings, and the committed baseline stays empty (new
-//! debt must be waived in place with a reason, not silently accrued).
+//! The gate CI enforces: the real workspace has zero unwaived findings
+//! (new debt must be waived in place with a reason, not silently
+//! accrued).
 
-use vmr_analyze::baseline::Baseline;
 use vmr_analyze::config::Config;
 use vmr_analyze::{analyze_workspace, CATALOG};
 
@@ -16,7 +15,7 @@ fn workspace_has_no_unwaived_findings() {
     let cfg = Config::workspace_default();
     let analysis = analyze_workspace(&root, &cfg).expect("analyze workspace");
     assert!(analysis.files > 100, "walk looks truncated: {} files", analysis.files);
-    let fresh: Vec<_> = analysis.findings.iter().filter(|f| !f.waived && !f.baselined).collect();
+    let fresh: Vec<_> = analysis.findings.iter().filter(|f| !f.waived).collect();
     assert!(
         fresh.is_empty(),
         "unwaived findings in the workspace — fix them or waive with a reason:\n{}",
@@ -26,37 +25,6 @@ fn workspace_has_no_unwaived_findings() {
             .collect::<Vec<_>>()
             .join("\n")
     );
-}
-
-#[test]
-fn committed_baseline_is_empty() {
-    // The baseline mechanism exists for emergencies (adopting a lint
-    // over a large legacy surface); this repo's policy is that it stays
-    // empty. If this fails, someone ran --update-baseline instead of
-    // waiving — push back.
-    let path = repo_root().join("analyze-baseline.json");
-    let text = std::fs::read_to_string(&path).expect("read committed baseline");
-    let base = Baseline::from_json(&text).expect("parse committed baseline");
-    assert!(
-        base.entries.is_empty(),
-        "committed baseline must stay empty; waive findings inline instead"
-    );
-}
-
-#[test]
-fn baseline_roundtrip_masks_only_matching_findings() {
-    let root = repo_root();
-    let cfg = Config::workspace_default();
-    let analysis = analyze_workspace(&root, &cfg).expect("analyze workspace");
-    // Capture the current (all-waived) state as a baseline, then apply
-    // it: waived findings are not baselined (waivers win), so applying
-    // an empty capture changes nothing.
-    let captured = Baseline::capture(&analysis.findings);
-    let mut findings = analysis.findings.clone();
-    captured.apply(&mut findings);
-    let newly_baselined = findings.iter().filter(|f| f.baselined).count();
-    let unwaived = findings.iter().filter(|f| !f.waived).count();
-    assert_eq!(newly_baselined, unwaived, "baseline must cover exactly the unwaived findings");
 }
 
 #[test]

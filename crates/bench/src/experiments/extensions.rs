@@ -317,17 +317,16 @@ pub(super) fn ext06_interference(ctx: &Ctx) -> SimResult<Report> {
             if evicted.placement(a).pm != evicted.placement(b).pm {
                 continue;
             }
+            let mass = obj.mass(&evicted);
             let mut best: Option<(PmId, f64)> = None;
             for p in 0..evicted.num_pms() {
                 let pm = PmId(p as u32);
                 if cs.migration_legal(&evicted, a, pm).is_err() {
                     continue;
                 }
-                let Ok(rec) = evicted.migrate(a, pm, obj.frag_cores()) else {
+                let Some(value) = obj.value_after_move(&evicted, &mass, a, pm) else {
                     continue;
                 };
-                let value = obj.value(&evicted);
-                evicted.undo(&rec)?;
                 if best.is_none_or(|(_, s)| value < s) {
                     best = Some((pm, value));
                 }

@@ -876,7 +876,7 @@ pub fn roll_out<P: ActPolicy, R: Rng + ?Sized>(
     Ok(plan)
 }
 
-/// Convenience: `reset`, [`roll_out`] a full episode with the agent (in
+/// Convenience: `rewind`, [`roll_out`] a full episode with the agent (in
 /// its own precision) and return the final objective value and the plan.
 pub fn rollout_episode<P: ActPolicy, R: Rng + ?Sized>(
     agent: &Vmr2lAgent<P>,
@@ -884,7 +884,7 @@ pub fn rollout_episode<P: ActPolicy, R: Rng + ?Sized>(
     rng: &mut R,
     opts: &DecideOpts,
 ) -> SimResult<(f64, Vec<Action>)> {
-    env.reset();
+    env.rewind();
     let plan = roll_out(agent, env, &mut InferCtx::new(), rng, opts)?;
     Ok((env.objective_value(), plan))
 }
@@ -927,7 +927,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         for _ in 0..20 {
             if e.is_done() {
-                e.reset();
+                e.rewind();
             }
             let d = decide(&a, &mut e, &mut rng, &DecideOpts::default());
             assert!(
@@ -1014,7 +1014,7 @@ mod tests {
     fn rollout_episode_improves_or_holds() {
         let a = agent(ActionMode::TwoStage);
         let mut e = env();
-        let initial = e.initial_state().fragment_rate(16);
+        let initial = e.state().fragment_rate(16);
         let mut rng = StdRng::seed_from_u64(6);
         let (final_fr, plan) =
             rollout_episode(&a, &mut e, &mut rng, &DecideOpts::default()).unwrap();
@@ -1033,7 +1033,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(11);
         for _ in 0..10 {
             if e.is_done() {
-                e.reset();
+                e.rewind();
             }
             let d = a32.act(&mut e, &mut ictx, &mut rng, &DecideOpts::default());
             let Some(d) = d.unwrap() else { break };

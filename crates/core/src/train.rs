@@ -235,9 +235,11 @@ impl<P: Policy> Trainer<P> {
                 "one constraint set per training mapping required".into(),
             ));
         }
-        // Validate the data shape up front (mapping vs constraints), as
-        // episode workers construct their environments lazily.
-        ReschedEnv::new(train_set[0].clone(), constraints[0].clone(), cfg.objective, cfg.mnl)?;
+        // Validate every (mapping, constraints) pair up front, as episode
+        // workers construct their environments lazily.
+        for (mapping, cs) in train_set.iter().zip(&constraints) {
+            cs.check_covers(mapping)?;
+        }
         Ok(Trainer {
             agent,
             cfg,
@@ -604,6 +606,27 @@ mod tests {
         let mut t = trainer(ActionMode::FullMask, 1);
         let history = t.train(|_| {}).unwrap();
         assert!(history[0].ppo.loss.is_finite());
+    }
+
+    /// Every (mapping, constraints) pair is checked at construction, not
+    /// only the first: a mismatch later in the set is reported before
+    /// any rollout worker reaches it.
+    #[test]
+    fn constraint_mismatch_anywhere_is_refused_up_front() {
+        let t = trainer(ActionMode::TwoStage, 1);
+        let mappings = small_mappings(3);
+        for bad in 0..mappings.len() {
+            let mut constraints: Vec<ConstraintSet> =
+                mappings.iter().map(|m| ConstraintSet::new(m.num_vms())).collect();
+            constraints[bad] = ConstraintSet::new(mappings[bad].num_vms() + 1);
+            let agent = t.agent.clone();
+            let got =
+                Trainer::with_constraints(agent, mappings.clone(), vec![], constraints, t.cfg);
+            assert!(
+                matches!(got, Err(SimError::InvalidMapping(_))),
+                "mismatch at mapping {bad} must be refused"
+            );
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 
 use vmr_sim::dataset::{generate_mapping, ClusterConfig};
 use vmr_sim::env::{Action, ClusterDelta, DeltaOutcome, ReschedEnv};
-use vmr_sim::error::{SimError, SimResult};
+use vmr_sim::error::SimResult;
 use vmr_sim::objective::Objective;
 use vmr_sim::ClusterState;
 use vmr_sim::ConstraintSet;
@@ -174,17 +174,14 @@ impl Session {
 
     /// Builds a session directly from a snapshot (the recovery path).
     ///
-    /// The snapshot is *untrusted*: it goes through the same validation
-    /// as the live delta path ([`ClusterState::audit_strict`] — no
+    /// The snapshot is *untrusted*: [`ClusterState::audit`] checks it
+    /// against the one cluster rule [`ClusterState::new`] applies (no
     /// zero-resource VMs or PMs, even CPU/memory on double-NUMA VMs,
-    /// in-range placements) before anything is installed.
+    /// in-range placements, usage and reverse index matching them) and
+    /// [`ReschedEnv::new`] that the constraint set covers it, before
+    /// anything is installed.
     pub fn from_snapshot(name: impl Into<String>, snapshot: SessionSnapshot) -> SimResult<Self> {
-        snapshot.state.audit_strict()?;
-        if snapshot.constraints.num_vms() != snapshot.state.num_vms() {
-            return Err(SimError::InvalidMapping(
-                "snapshot constraint set does not cover the cluster".into(),
-            ));
-        }
+        snapshot.state.audit()?;
         Self::new(name, snapshot.state, snapshot.constraints, snapshot.mnl)
     }
 

@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 use crate::error::{SimError, SimResult};
 use crate::machine::{check_fits, placement_fits, Placement, Pm, Vm};
 use crate::scheduler::best_fit_on;
-use crate::types::{NumaPlacement, NumaPolicy, PmId, VmId, NUMA_PER_PM};
+use crate::types::{NumaPlacement, NumaPolicy, PmId, VmId};
 
 /// Full cluster state: machines plus the current assignment.
 ///
@@ -66,56 +66,12 @@ pub struct SwapRecord {
 impl ClusterState {
     /// Builds a cluster state from machines and an initial assignment.
     ///
-    /// Validates shape (ids dense, every VM passes [`Vm::check_spec`],
-    /// placements fit and match the NUMA policy) and computes resource
-    /// usage from scratch.
+    /// Validates it with the one cluster rule (`derive`: ids dense, every
+    /// PM passes [`Pm::check_spec`] and every VM [`Vm::check_spec`],
+    /// placements exist, fit and match the NUMA policy) and installs the
+    /// usage and reverse index that rule computes from scratch.
     pub fn new(pms: Vec<Pm>, vms: Vec<Vm>, placements: Vec<Placement>) -> SimResult<Self> {
-        if vms.len() != placements.len() {
-            return Err(SimError::InvalidMapping(format!(
-                "{} VMs but {} placements",
-                vms.len(),
-                placements.len()
-            )));
-        }
-        for (idx, pm) in pms.iter().enumerate() {
-            if pm.id.0 as usize != idx {
-                return Err(SimError::InvalidMapping(format!(
-                    "PM ids must be dense: slot {idx} holds id {}",
-                    pm.id.0
-                )));
-            }
-        }
-        for (idx, vm) in vms.iter().enumerate() {
-            if vm.id.0 as usize != idx {
-                return Err(SimError::InvalidMapping(format!(
-                    "VM ids must be dense: slot {idx} holds id {}",
-                    vm.id.0
-                )));
-            }
-            Vm::check_spec(vm.cpu, vm.mem, vm.numa)?;
-        }
-        // Zero out usage, then re-apply every placement.
-        let mut pms = pms;
-        for pm in &mut pms {
-            for numa in &mut pm.numas {
-                numa.cpu_used = 0;
-                numa.mem_used = 0;
-            }
-        }
-        let mut vms_on_pm = vec![Vec::new(); pms.len()];
-        for (vm, pl) in vms.iter().zip(placements.iter()) {
-            let pm_idx = pl.pm.0 as usize;
-            let pm = pms.get_mut(pm_idx).ok_or(SimError::UnknownPm(pl.pm))?;
-            vm.check_shape(pl.numa)?;
-            if !placement_fits(pm, vm, pl.numa) {
-                return Err(SimError::InvalidMapping(format!(
-                    "VM {} overflows PM {} at {:?}",
-                    vm.id.0, pl.pm.0, pl.numa
-                )));
-            }
-            pm.alloc_vm(vm, pl.numa);
-            vms_on_pm[pm_idx].push(vm.id);
-        }
+        let (pms, vms_on_pm) = derive(pms, &vms, &placements)?;
         Ok(ClusterState { pms, vms, placements, vms_on_pm })
     }
 
@@ -476,15 +432,13 @@ impl ClusterState {
     }
 
     /// Appends a new empty PM with symmetric NUMA nodes (an online
-    /// *add-capacity* delta). Returns its dense id. Zero-capacity PMs
-    /// are rejected — they would distort fragment-rate denominators and
-    /// feature normalization.
+    /// *add-capacity* delta). Returns its dense id. A PM failing
+    /// [`Pm::check_spec`] is rejected.
     pub fn add_pm(&mut self, cpu_per_numa: u32, mem_per_numa: u32) -> SimResult<PmId> {
-        if cpu_per_numa == 0 || mem_per_numa == 0 {
-            return Err(SimError::InvalidMapping("new PM has zero CPU or memory".into()));
-        }
         let id = PmId(self.pms.len() as u32);
-        self.pms.push(Pm::symmetric(id, cpu_per_numa, mem_per_numa));
+        let pm = Pm::symmetric(id, cpu_per_numa, mem_per_numa);
+        pm.check_spec()?;
+        self.pms.push(pm);
         self.vms_on_pm.push(Vec::new());
         Ok(id)
     }
@@ -533,120 +487,93 @@ impl ClusterState {
         used as f64 / total as f64
     }
 
-    /// Verifies all bookkeeping invariants by recomputing usage from the
-    /// placement list. Intended for tests and debug assertions; O(M + N).
+    /// Validates a stored state, trusted or not (a deserialized snapshot
+    /// or dataset): the one cluster rule that [`Self::new`] applies must
+    /// accept its machines, VMs and placements, and the usage and reverse
+    /// index that rule computes must equal the stored ones (each PM's
+    /// reverse index as a set). Never panics, whatever the fields hold.
+    /// O(M log M + N).
     pub fn audit(&self) -> SimResult<()> {
-        let mut usage = vec![[(0u32, 0u32); NUMA_PER_PM]; self.pms.len()];
-        for (vm, pl) in self.vms.iter().zip(self.placements.iter()) {
-            let slot = &mut usage[pl.pm.0 as usize];
-            match pl.numa {
-                NumaPlacement::Single(j) => {
-                    slot[j as usize].0 += vm.cpu_per_numa();
-                    slot[j as usize].1 += vm.mem_per_numa();
-                }
-                NumaPlacement::Double => {
-                    for s in slot.iter_mut() {
-                        s.0 += vm.cpu_per_numa();
-                        s.1 += vm.mem_per_numa();
-                    }
-                }
-            }
-        }
-        for (pm, expect) in self.pms.iter().zip(usage.iter()) {
-            for (numa, &(cpu, mem)) in pm.numas.iter().zip(expect.iter()) {
-                if numa.cpu_used != cpu || numa.mem_used != mem {
-                    return Err(SimError::InvalidMapping(format!(
-                        "PM {} usage mismatch: recorded ({},{}) recomputed ({},{})",
-                        pm.id.0, numa.cpu_used, numa.mem_used, cpu, mem
-                    )));
-                }
-                if numa.cpu_used > numa.cpu_total || numa.mem_used > numa.mem_total {
-                    return Err(SimError::InvalidMapping(format!("PM {} oversubscribed", pm.id.0)));
-                }
-            }
-        }
-        for (pm_idx, hosted) in self.vms_on_pm.iter().enumerate() {
-            for &vm in hosted {
-                if self.placements[vm.0 as usize].pm.0 as usize != pm_idx {
-                    return Err(SimError::InvalidMapping(format!(
-                        "reverse index lists VM {} on PM {pm_idx} but placement disagrees",
-                        vm.0
-                    )));
-                }
-            }
-        }
-        let listed: usize = self.vms_on_pm.iter().map(Vec::len).sum();
-        if listed != self.vms.len() {
+        let (pms, vms_on_pm) = derive(self.pms.clone(), &self.vms, &self.placements)?;
+        if let Some((pm, _)) = pms.iter().zip(&self.pms).find(|(fresh, stored)| fresh != stored) {
             return Err(SimError::InvalidMapping(format!(
-                "reverse index lists {listed} VMs, expected {}",
-                self.vms.len()
+                "PM {} usage differs from its placements",
+                pm.id.0
             )));
         }
-        Ok(())
-    }
-
-    /// Full validation of an *untrusted* state (a deserialized snapshot
-    /// from the wire or from disk): shape and index bounds first — so a
-    /// hostile blob can never make [`ClusterState::audit`]'s unchecked
-    /// indexing panic — then the same per-entity spec rules the live
-    /// delta path enforces (no zero-resource VMs or PMs, even CPU/memory
-    /// on double-NUMA VMs, placement shape matching the NUMA policy),
-    /// and finally the usual bookkeeping audit.
-    pub fn audit_strict(&self) -> SimResult<()> {
-        if self.placements.len() != self.vms.len() {
-            return Err(SimError::InvalidMapping(format!(
-                "{} VMs but {} placements",
-                self.vms.len(),
-                self.placements.len()
-            )));
-        }
-        if self.vms_on_pm.len() != self.pms.len() {
+        if self.vms_on_pm.len() != vms_on_pm.len() {
             return Err(SimError::InvalidMapping(format!(
                 "reverse index covers {} PMs, expected {}",
                 self.vms_on_pm.len(),
-                self.pms.len()
+                vms_on_pm.len()
             )));
         }
-        for (idx, pm) in self.pms.iter().enumerate() {
-            if pm.id.0 as usize != idx {
+        let mut stored = Vec::new();
+        for (idx, (expect, hosted)) in vms_on_pm.iter().zip(&self.vms_on_pm).enumerate() {
+            stored.clone_from(hosted);
+            stored.sort_unstable();
+            if &stored != expect {
                 return Err(SimError::InvalidMapping(format!(
-                    "PM ids must be dense: slot {idx} holds id {}",
-                    pm.id.0
+                    "reverse index of PM {idx} disagrees with the placements"
                 )));
             }
-            for numa in &pm.numas {
-                if numa.cpu_total == 0 || numa.mem_total == 0 {
-                    return Err(SimError::InvalidMapping(format!(
-                        "PM {idx} has a zero-capacity NUMA node"
-                    )));
-                }
-            }
         }
-        for (idx, (vm, pl)) in self.vms.iter().zip(self.placements.iter()).enumerate() {
-            if vm.id.0 as usize != idx {
-                return Err(SimError::InvalidMapping(format!(
-                    "VM ids must be dense: slot {idx} holds id {}",
-                    vm.id.0
-                )));
-            }
-            Vm::check_spec(vm.cpu, vm.mem, vm.numa)?;
-            if pl.pm.0 as usize >= self.pms.len() {
-                return Err(SimError::UnknownPm(pl.pm));
-            }
-            vm.check_shape(pl.numa)?;
-        }
-        for (pm_idx, hosted) in self.vms_on_pm.iter().enumerate() {
-            for &vm in hosted {
-                if vm.0 as usize >= self.vms.len() {
-                    return Err(SimError::InvalidMapping(format!(
-                        "reverse index of PM {pm_idx} lists unknown VM {}",
-                        vm.0
-                    )));
-                }
-            }
-        }
-        self.audit()
+        Ok(())
     }
+}
+
+/// The one cluster rule behind [`ClusterState::new`] and
+/// [`ClusterState::audit`]: checks `(pms, vms, placements)` and returns
+/// the PMs with their usage recomputed from the placements, and the
+/// reverse index (each PM's VMs in ascending id order). Indexes nothing
+/// it has not bounds-checked, so untrusted input yields `Err`, never a
+/// panic.
+fn derive(
+    mut pms: Vec<Pm>,
+    vms: &[Vm],
+    placements: &[Placement],
+) -> SimResult<(Vec<Pm>, Vec<Vec<VmId>>)> {
+    if vms.len() != placements.len() {
+        return Err(SimError::InvalidMapping(format!(
+            "{} VMs but {} placements",
+            vms.len(),
+            placements.len()
+        )));
+    }
+    for (idx, pm) in pms.iter_mut().enumerate() {
+        if pm.id.0 as usize != idx {
+            return Err(SimError::InvalidMapping(format!(
+                "PM ids must be dense: slot {idx} holds id {}",
+                pm.id.0
+            )));
+        }
+        pm.check_spec()?;
+        for numa in &mut pm.numas {
+            numa.cpu_used = 0;
+            numa.mem_used = 0;
+        }
+    }
+    let mut vms_on_pm = vec![Vec::new(); pms.len()];
+    for (idx, (vm, pl)) in vms.iter().zip(placements).enumerate() {
+        if vm.id.0 as usize != idx {
+            return Err(SimError::InvalidMapping(format!(
+                "VM ids must be dense: slot {idx} holds id {}",
+                vm.id.0
+            )));
+        }
+        Vm::check_spec(vm.cpu, vm.mem, vm.numa)?;
+        vm.check_shape(pl.numa)?;
+        let pm = pms.get_mut(pl.pm.0 as usize).ok_or(SimError::UnknownPm(pl.pm))?;
+        if !placement_fits(pm, vm, pl.numa) {
+            return Err(SimError::InvalidMapping(format!(
+                "VM {} overflows PM {} at {:?}",
+                vm.id.0, pl.pm.0, pl.numa
+            )));
+        }
+        pm.alloc_vm(vm, pl.numa);
+        vms_on_pm[pl.pm.0 as usize].push(vm.id);
+    }
+    Ok((pms, vms_on_pm))
 }
 
 /// A fragment sum over the free capacity it is a share of: the one
@@ -694,10 +621,10 @@ mod tests {
     #[test]
     fn audit_strict_rejects_hostile_deserialized_states() {
         // A healthy state passes.
-        small_cluster().audit_strict().unwrap();
+        small_cluster().audit().unwrap();
         // Each corruption below is representable by deserializing a
         // hostile snapshot blob (the fields are plain data on the wire);
-        // audit_strict must reject every one with an error, never panic.
+        // audit must reject every one with an error, never panic.
         let corrupt: Vec<Corruption> = vec![
             // Zero-resource VM (consistent accounting, so audit() alone
             // would pass it after usage is zeroed too).
@@ -735,7 +662,7 @@ mod tests {
         for (i, f) in corrupt.iter().enumerate() {
             let mut c = small_cluster();
             f(&mut c);
-            assert!(c.audit_strict().is_err(), "corruption {i} must be rejected");
+            assert!(c.audit().is_err(), "corruption {i} must be rejected");
         }
     }
 
@@ -751,7 +678,7 @@ mod tests {
     }
 
     /// Construction enforces the same VM spec rule as `add_vm`,
-    /// `resize_vm` and `audit_strict`, and refuses a NUMA index that does
+    /// `resize_vm` and `audit`, and refuses a NUMA index that does
     /// not exist instead of indexing past the PM's nodes.
     #[test]
     fn construction_rejects_degenerate_specs() {
@@ -775,6 +702,29 @@ mod tests {
                 "({cpu}, {mem}, {numa:?}) at {pl:?} must be rejected"
             );
         }
+    }
+
+    /// Construction refuses a PM with a zero-capacity NUMA node, as
+    /// `add_pm` and `audit` do: one PM spec rule.
+    #[test]
+    fn construction_rejects_zero_capacity_pms() {
+        let vms = vec![Vm { id: VmId(0), cpu: 4, mem: 8, numa: NumaPolicy::Single }];
+        let placements = vec![Placement { pm: PmId(0), numa: NumaPlacement::Single(0) }];
+        for (numa, cpu, mem) in [(1, 0, 128), (1, 44, 0), (0, 0, 0)] {
+            let mut pms = vec![Pm::symmetric(PmId(0), 44, 128), Pm::symmetric(PmId(1), 44, 128)];
+            pms[1].numas[numa].cpu_total = cpu;
+            pms[1].numas[numa].mem_total = mem;
+            assert!(
+                matches!(
+                    ClusterState::new(pms, vms.clone(), placements.clone()),
+                    Err(SimError::InvalidMapping(_))
+                ),
+                "NUMA {numa} of ({cpu}, {mem}) must be rejected"
+            );
+        }
+        let mut c = small_cluster();
+        assert!(matches!(c.add_pm(0, 128), Err(SimError::InvalidMapping(_))));
+        assert_eq!(c.num_pms(), 2);
     }
 
     #[test]

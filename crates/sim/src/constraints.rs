@@ -36,6 +36,19 @@ impl ConstraintSet {
         self.conflicts.len()
     }
 
+    /// The one rule pairing a constraint set with a cluster: it covers
+    /// exactly the cluster's VMs.
+    pub fn check_covers(&self, state: &ClusterState) -> SimResult<()> {
+        if self.num_vms() != state.num_vms() {
+            return Err(SimError::InvalidMapping(format!(
+                "constraint set covers {} VMs but the cluster has {}",
+                self.num_vms(),
+                state.num_vms()
+            )));
+        }
+        Ok(())
+    }
+
     /// Grows the set by one unconstrained VM (follows a
     /// [`crate::cluster::ClusterState::add_vm`] delta). Returns its id.
     pub fn push_vm(&mut self) -> VmId {

@@ -335,17 +335,14 @@ pub fn populate<R: Rng + ?Sized>(
 ///
 /// Process: best-fit fill to the target utilization → churn (exit one VM,
 /// admit replacements) → random partial redeploy (anonymization). The
-/// result is validated and audited before being returned.
+/// result is built, and so validated, by [`ClusterState::new`].
 pub fn generate_mapping(config: &ClusterConfig, seed: u64) -> SimResult<ClusterState> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut dyn_cluster = populate(config, VmsPolicy::BestFit, &mut rng);
     // Phase 3: anonymization shuffle — redeploy a fraction of VMs onto
     // uniformly random feasible PMs.
     dyn_cluster.random_redeploy(config.shuffle_frac, &mut rng);
-
-    let state = dyn_cluster.freeze()?;
-    state.audit()?;
-    Ok(state)
+    dyn_cluster.freeze()
 }
 
 /// A named collection of mappings with train/val/test indices, mirroring
@@ -400,12 +397,17 @@ impl Dataset {
         serde_json::to_string(self).expect("dataset serialization cannot fail")
     }
 
-    /// Deserializes from JSON, re-auditing every mapping.
+    /// Deserializes from JSON, auditing every mapping (the file is
+    /// outside input: a bad one is an `Err`, never a panic).
     pub fn from_json(json: &str) -> SimResult<Self> {
         let ds: Dataset = serde_json::from_str(json)
             .map_err(|e| SimError::InvalidMapping(format!("bad dataset JSON: {e}")))?;
         for m in &ds.mappings {
             m.audit()?;
+        }
+        let n = ds.mappings.len();
+        if let Some(&i) = [&ds.train, &ds.val, &ds.test].into_iter().flatten().find(|&&i| i >= n) {
+            return Err(SimError::InvalidMapping(format!("split names mapping {i} of {n}")));
         }
         Ok(ds)
     }

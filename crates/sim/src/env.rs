@@ -113,23 +113,27 @@ pub struct StepOutcome {
 }
 
 /// Episodic rescheduling environment.
+///
+/// Holds one cluster: the episode start is `state` with `history`
+/// undone, so [`ReschedEnv::rewind`] returns to it and
+/// [`ReschedEnv::commit`] makes the current state the new start.
 #[derive(Debug, Clone)]
 pub struct ReschedEnv {
-    initial: ClusterState,
     state: ClusterState,
     constraints: ConstraintSet,
     objective: Objective,
     mnl: usize,
     steps_taken: usize,
     done: bool,
+    /// The episode's migrations, undone in LIFO order by `rewind`.
     history: Vec<MigrationRecord>,
     /// Incremental featurization cache, created lazily on the first
-    /// [`ReschedEnv::observe`] and kept in sync by `step`/`reset`.
+    /// [`ReschedEnv::observe`] and repaired by every mutation.
     engine: Option<ObsEngine>,
 }
 
 impl ReschedEnv {
-    /// Creates an environment from an initial mapping.
+    /// Creates an environment whose episodes start at `initial`.
     ///
     /// `mnl` is the migration number limit (episode length); the paper uses
     /// 2–3% of the VM count in production and sweeps 10–200 in evaluation.
@@ -139,17 +143,9 @@ impl ReschedEnv {
         objective: Objective,
         mnl: usize,
     ) -> SimResult<Self> {
-        if constraints.num_vms() != initial.num_vms() {
-            return Err(SimError::InvalidMapping(format!(
-                "constraint set covers {} VMs but the cluster has {}",
-                constraints.num_vms(),
-                initial.num_vms()
-            )));
-        }
-        let state = initial.clone();
+        constraints.check_covers(&initial)?;
         Ok(ReschedEnv {
-            initial,
-            state,
+            state: initial,
             constraints,
             objective,
             mnl,
@@ -170,36 +166,13 @@ impl ReschedEnv {
         Self::new(initial, ConstraintSet::new(n), objective, mnl)
     }
 
-    /// Restores the initial mapping and clears episode bookkeeping.
-    pub fn reset(&mut self) {
-        self.state = self.initial.clone();
-        self.steps_taken = 0;
-        self.done = false;
-        self.history.clear();
-        if let Some(engine) = &mut self.engine {
-            engine.mark_stale();
-        }
-    }
-
-    /// Replaces the initial mapping (a new episode sample) and resets.
-    pub fn reset_to(&mut self, initial: ClusterState, constraints: ConstraintSet) -> SimResult<()> {
-        if constraints.num_vms() != initial.num_vms() {
-            return Err(SimError::InvalidMapping("constraint set size mismatch on reset".into()));
-        }
-        self.initial = initial;
-        self.constraints = constraints;
-        self.reset();
-        Ok(())
-    }
-
     /// Undoes every migration of the current episode in LIFO order,
-    /// returning to the episode's initial state *without* invalidating
-    /// the incremental observation engine: each undo is noted as a repair,
-    /// so the cost is O(steps · touched entities) instead of the
-    /// O(cluster) full rebuild a [`ReschedEnv::reset`] implies. This is
-    /// the serving path — a daemon answers many plan requests against the
-    /// same live state and must not pay a featurization rebuild per
-    /// request.
+    /// returning to the episode's start state. Each undo is noted as a
+    /// repair, so the observation engine stays valid and the cost is
+    /// O(steps · touched entities), never an O(cluster) rebuild — a
+    /// daemon answers many plan requests against the same live state.
+    /// The reverse index may come back in another order; nothing that
+    /// plans or featurizes reads that order (D001).
     pub fn rewind(&mut self) {
         while let Some(rec) = self.history.pop() {
             self.state.undo(&rec).expect("episode history is invertible");
@@ -215,7 +188,6 @@ impl ReschedEnv {
     /// deploying a plan): history is absorbed instead of undone. Keeps
     /// the observation engine valid.
     pub fn commit(&mut self) {
-        self.initial.clone_from(&self.state);
         self.history.clear();
         self.steps_taken = 0;
         self.done = false;
@@ -239,7 +211,7 @@ impl ReschedEnv {
     pub fn apply_delta(&mut self, delta: &ClusterDelta) -> SimResult<DeltaOutcome> {
         self.rewind();
         let frag = self.objective.frag_cores();
-        let outcome = match *delta {
+        Ok(match *delta {
             ClusterDelta::VmCreate { cpu, mem, numa } => {
                 // A degenerate request is refused before admission probing.
                 Vm::check_spec(cpu, mem, numa)?;
@@ -281,9 +253,7 @@ impl ReschedEnv {
                 DeltaOutcome::default()
             }
             ClusterDelta::PmDrain { pm } => self.drain_pm(pm)?,
-        };
-        self.initial.clone_from(&self.state);
-        Ok(outcome)
+        })
     }
 
     /// Evacuates every VM off `pm` (largest first), each to the legal
@@ -333,11 +303,6 @@ impl ReschedEnv {
     /// Current cluster state (read-only).
     pub fn state(&self) -> &ClusterState {
         &self.state
-    }
-
-    /// The episode's initial state.
-    pub fn initial_state(&self) -> &ClusterState {
-        &self.initial
     }
 
     /// Active constraints.
@@ -456,7 +421,7 @@ impl ReschedEnv {
             Some(engine) if engine.frag_cores() == frag_cores => {}
             _ => self.engine = Some(ObsEngine::new(&self.state, frag_cores)),
         }
-        self.engine.as_mut().expect("engine just ensured").observation(&self.state)
+        self.engine.as_ref().expect("engine just ensured").observation(&self.state)
     }
 
     /// Copies the current featurization into `out` without allocating in
@@ -519,7 +484,7 @@ mod tests {
         let fr0 = e.objective_value();
         e.step(Action { vm: VmId(2), pm: PmId(0) }).unwrap();
         assert_eq!(e.history().len(), 1);
-        e.reset();
+        e.rewind();
         assert_eq!(e.steps_taken(), 0);
         assert!(e.history().is_empty());
         assert!((e.objective_value() - fr0).abs() < 1e-15);
@@ -563,7 +528,7 @@ mod tests {
         check(&mut e);
         e.step(Action { vm: VmId(1), pm: PmId(1) }).unwrap();
         check(&mut e);
-        e.reset();
+        e.rewind();
         check(&mut e);
     }
 
@@ -613,9 +578,9 @@ mod tests {
         e.commit();
         assert_eq!(e.steps_taken(), 0);
         assert!(e.history().is_empty());
-        // reset now returns to the committed state, not the original one.
+        // rewind now returns to the committed state, not the original one.
         e.step(Action { vm: VmId(2), pm: PmId(1) }).unwrap();
-        e.reset();
+        e.rewind();
         assert_eq!(e.state().placements(), committed.placements());
     }
 
@@ -648,8 +613,8 @@ mod tests {
         assert!(!out.migrations.is_empty());
         assert!(e.state().vms_on(PmId(0)).is_empty());
         check(&mut e);
-        // Deltas commit: a reset stays on the mutated cluster.
-        e.reset();
+        // Deltas commit: a rewind stays on the mutated cluster.
+        e.rewind();
         assert!(e.state().vms_on(PmId(0)).is_empty());
     }
 

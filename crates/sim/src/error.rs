@@ -39,7 +39,7 @@ pub enum SimError {
     NoFeasiblePlacement(VmId),
     /// The episode already used up its migration number limit.
     MnlExhausted,
-    /// The episode has terminated; call `reset` before stepping again.
+    /// The episode has terminated; call `rewind` before stepping again.
     EpisodeDone,
     /// Dataset or mapping failed validation (duplicate placements, overflow, ...).
     InvalidMapping(String),
@@ -66,7 +66,7 @@ impl fmt::Display for SimError {
                 write!(f, "no PM can host VM {}", vm.0)
             }
             SimError::MnlExhausted => write!(f, "migration number limit exhausted"),
-            SimError::EpisodeDone => write!(f, "episode finished; reset the environment"),
+            SimError::EpisodeDone => write!(f, "episode finished; rewind the environment"),
             SimError::InvalidMapping(msg) => write!(f, "invalid mapping: {msg}"),
         }
     }

@@ -104,6 +104,20 @@ impl Pm {
         Pm { id, numas: [Numa::new(cpu_per_numa, mem_per_numa); NUMA_PER_PM] }
     }
 
+    /// The one PM spec rule every constructed, restored or added PM
+    /// passes: each NUMA node has non-zero CPU and memory (a zero-capacity
+    /// node would distort fragment-rate denominators and feature
+    /// normalization).
+    pub fn check_spec(&self) -> SimResult<()> {
+        if self.numas.iter().any(|n| n.cpu_total == 0 || n.mem_total == 0) {
+            return Err(SimError::InvalidMapping(format!(
+                "PM {} has a zero-capacity NUMA node",
+                self.id.0
+            )));
+        }
+        Ok(())
+    }
+
     /// Total X-core CPU fragment over both NUMA nodes (`S_i · c` before
     /// rescaling; Eq. 8).
     #[inline]

@@ -33,17 +33,6 @@ use crate::cluster::{ClusterState, MigrationRecord, SwapRecord};
 use crate::obs::{fill_pm_row, fill_vm_row, Observation, PM_FEAT, VM_FEAT};
 use crate::types::{PmId, VmId};
 
-/// Incremental-repair latency histogram (`sim_obs_repair` in the
-/// process-wide registry): recorded once per stale→fresh rebuild, so the
-/// export shows how often decisions pay a repair and how long it takes.
-fn obs_repair_hist() -> &'static std::sync::Arc<vmr_telemetry::Histogram> {
-    static H: std::sync::OnceLock<std::sync::Arc<vmr_telemetry::Histogram>> =
-        std::sync::OnceLock::new();
-    H.get_or_init(|| {
-        vmr_telemetry::global().histogram("sim_obs_repair", vmr_telemetry::Unit::Nanos)
-    })
-}
-
 /// Per-column `(lo, hi)` snapshot of the PM feature matrix.
 type PmBounds = [(f32, f32); PM_FEAT];
 /// Per-column `(lo, hi)` snapshot of the VM feature matrix.
@@ -155,8 +144,7 @@ impl ColStat {
 /// Usage: build once per episode ([`ObsEngine::new`]), call one of the
 /// `note_*` methods after every state mutation, and read the current
 /// featurization through [`ObsEngine::observation`]. After a bulk state
-/// replacement (e.g. an environment reset) call [`ObsEngine::mark_stale`];
-/// the next read rebuilds in full, reusing every buffer.
+/// replacement call [`ObsEngine::rebuild`], which reuses every buffer.
 #[derive(Debug, Clone)]
 pub struct ObsEngine {
     frag_cores: u32,
@@ -168,7 +156,6 @@ pub struct ObsEngine {
     vm_cols: Vec<ColStat>,
     /// Materialized normalized observation (kept in sync lazily).
     obs: Observation,
-    stale: bool,
     /// Scratch: VM rows dirtied by the current batch.
     dirty_vms: Vec<usize>,
 }
@@ -183,7 +170,6 @@ impl ObsEngine {
             pm_cols: vec![ColStat::empty(); PM_FEAT],
             vm_cols: vec![ColStat::empty(); VM_FEAT],
             obs: Observation::empty(),
-            stale: true,
             dirty_vms: Vec::new(),
         };
         engine.rebuild(state);
@@ -193,12 +179,6 @@ impl ObsEngine {
     /// The fragment granularity this engine featurizes with.
     pub fn frag_cores(&self) -> u32 {
         self.frag_cores
-    }
-
-    /// Marks every cached row dirty; the next [`ObsEngine::observation`]
-    /// call (or `rebuild`) recomputes everything, reusing the buffers.
-    pub fn mark_stale(&mut self) {
-        self.stale = true;
     }
 
     /// Full recomputation from `state` into the existing buffers.
@@ -243,7 +223,6 @@ impl ObsEngine {
         for col in 0..VM_FEAT {
             renorm_col(&self.raw_vm, &mut self.obs.vm_feats, VM_FEAT, col, &self.vm_cols[col]);
         }
-        self.stale = false;
     }
 
     /// Repairs the engine after a migration was applied to `state`
@@ -272,9 +251,6 @@ impl ObsEngine {
     /// normalization. O(occupancy of the two PMs + rescans of columns
     /// whose extremum moved).
     pub fn refresh_pms(&mut self, state: &ClusterState, pm_a: PmId, pm_b: PmId) {
-        if self.stale {
-            return; // a full rebuild is already pending
-        }
         debug_assert_eq!(state.num_pms() * PM_FEAT, self.raw_pm.len());
         debug_assert_eq!(state.num_vms() * VM_FEAT, self.raw_vm.len());
 
@@ -311,9 +287,6 @@ impl ObsEngine {
     /// the column stats, refreshes the host PM and its tenants, and grows
     /// the materialized observation. O(host occupancy + moved columns).
     pub fn note_vm_added(&mut self, state: &ClusterState) {
-        if self.stale {
-            return;
-        }
         let k = state.num_vms() - 1;
         debug_assert_eq!(self.raw_vm.len(), k * VM_FEAT, "note_vm_added must follow add_vm");
         let (pm_before, vm_before) = self.col_bounds();
@@ -347,9 +320,6 @@ impl ObsEngine {
     /// id and `host` the PM it occupied; the engine mirrors the state's
     /// swap-remove renumbering. O(host occupancy + moved columns).
     pub fn note_vm_removed(&mut self, state: &ClusterState, removed: VmId, host: PmId) {
-        if self.stale {
-            return;
-        }
         let new_m = state.num_vms();
         debug_assert_eq!(self.raw_vm.len(), (new_m + 1) * VM_FEAT, "note must follow remove_vm");
         let idx = removed.0 as usize;
@@ -388,9 +358,6 @@ impl ObsEngine {
     /// must already hold the new, empty PM). No VM row changes — VM rows
     /// embed only their own host's raws. O(moved columns).
     pub fn note_pm_added(&mut self, state: &ClusterState) {
-        if self.stale {
-            return;
-        }
         let i = state.num_pms() - 1;
         debug_assert_eq!(self.raw_pm.len(), i * PM_FEAT, "note_pm_added must follow add_pm");
         let (pm_before, vm_before) = self.col_bounds();
@@ -468,19 +435,16 @@ impl ObsEngine {
         self.dirty_vms = dirty_vms;
     }
 
-    /// The current normalized observation; rebuilds first if stale.
-    pub fn observation(&mut self, state: &ClusterState) -> &Observation {
-        if self.stale {
-            let t = vmr_telemetry::Timer::start();
-            self.rebuild(state);
-            t.observe(obs_repair_hist());
-        }
+    /// The current normalized observation of `state`, which every
+    /// mutation since the last build or rebuild has been noted against.
+    pub fn observation(&self, state: &ClusterState) -> &Observation {
+        debug_assert_eq!((self.obs.num_pms, self.obs.num_vms), (state.num_pms(), state.num_vms()));
         &self.obs
     }
 
     /// Copies the current observation into a caller-owned buffer without
     /// allocating in steady state (`clone_from` reuses `out`'s vectors).
-    pub fn extract_into(&mut self, state: &ClusterState, out: &mut Observation) {
+    pub fn extract_into(&self, state: &ClusterState, out: &mut Observation) {
         out.clone_from(self.observation(state));
     }
 
@@ -553,7 +517,7 @@ mod tests {
     #[test]
     fn fresh_engine_matches_full_extract() {
         let s = state(3);
-        let mut e = ObsEngine::new(&s, 16);
+        let e = ObsEngine::new(&s, 16);
         assert_eq!(e.observation(&s), &Observation::extract(&s, 16));
     }
 
@@ -596,29 +560,9 @@ mod tests {
     }
 
     #[test]
-    fn stale_engine_rebuilds_on_read() {
-        let s1 = state(6);
-        let s2 = state(7);
-        let mut e = ObsEngine::new(&s1, 16);
-        e.mark_stale();
-        assert_eq!(e.observation(&s2), &Observation::extract(&s2, 16));
-    }
-
-    #[test]
-    fn notes_are_noops_while_stale() {
-        let mut s = state(8);
-        let mut e = ObsEngine::new(&s, 16);
-        e.mark_stale();
-        let (vm, pm) = legal_move(&s);
-        let rec = s.migrate(vm, pm, 16).unwrap();
-        e.note_migration(&s, &rec); // must not touch stale buffers
-        assert_eq!(e.observation(&s), &Observation::extract(&s, 16));
-    }
-
-    #[test]
     fn extract_into_reuses_buffers() {
         let s = state(9);
-        let mut e = ObsEngine::new(&s, 16);
+        let e = ObsEngine::new(&s, 16);
         let mut out = Observation::empty();
         e.extract_into(&s, &mut out);
         assert_eq!(out, Observation::extract(&s, 16));

@@ -127,6 +127,76 @@ proptest! {
         }
     }
 
+    /// The environment keeps one cluster and returns to the episode start
+    /// through its undo log: after any interleaving of deltas, steps,
+    /// commits and rewinds, `rewind()` leaves exactly the committed
+    /// cluster — placements, usage, the reverse index as sets — and the
+    /// observation bits of a fresh environment built on it.
+    #[test]
+    fn rewind_returns_to_the_committed_cluster(
+        seed in 24u64..32,
+        ops in prop::collection::vec((0u8..9, 0u32..60, 0u32..60), 1..32),
+    ) {
+        use vmr_sim::env::{Action, ClusterDelta, ReschedEnv};
+        use vmr_sim::objective::Objective;
+        use vmr_sim::types::NumaPolicy;
+
+        fn rewinds_to(env: &mut ReschedEnv, committed: &ClusterState) -> Result<(), TestCaseError> {
+            env.rewind();
+            prop_assert_eq!(env.steps_taken(), 0);
+            prop_assert!(env.history().is_empty());
+            let state = env.state();
+            prop_assert_eq!(state.placements(), committed.placements());
+            prop_assert_eq!(state.vms(), committed.vms());
+            prop_assert_eq!(state.pms(), committed.pms());
+            for i in 0..committed.num_pms() {
+                let pm = PmId(i as u32);
+                prop_assert_eq!(state.vms_on_sorted(pm), committed.vms_on_sorted(pm));
+            }
+            let cs = env.constraints().clone();
+            let mut fresh = ReschedEnv::new(committed.clone(), cs, Objective::default(), 6).expect("env");
+            prop_assert_eq!(env.observe(), fresh.observe());
+            Ok(())
+        }
+
+        let mut committed = cluster(seed);
+        let mut env = ReschedEnv::unconstrained(committed.clone(), Objective::default(), 6).expect("env");
+        for (kind, x, y) in ops {
+            let m = env.state().num_vms() as u32;
+            let n = env.state().num_pms() as u32;
+            let delta = match kind {
+                0 => ClusterDelta::VmCreate { cpu: 1 + (x % 8), mem: 1 + (y % 16), numa: NumaPolicy::Single },
+                1 => ClusterDelta::VmDelete { vm: VmId(x % m) },
+                2 => ClusterDelta::VmResize { vm: VmId(x % m), cpu: 1 + (y % 12), mem: 1 + (y % 24) },
+                3 => ClusterDelta::PmAdd { cpu_per_numa: 22 + (x % 23), mem_per_numa: 64 },
+                4 => ClusterDelta::PmDrain { pm: PmId(x % n) },
+                5 | 6 => {
+                    // Observe first now and then, so the engine is live
+                    // for some of the steps and rewinds that follow.
+                    if x % 2 == 0 {
+                        let _ = env.observe();
+                    }
+                    let _ = env.step(Action { vm: VmId(x % m), pm: PmId(y % n) });
+                    continue;
+                }
+                7 => {
+                    env.commit();
+                    committed = env.state().clone();
+                    continue;
+                }
+                _ => {
+                    rewinds_to(&mut env, &committed)?;
+                    continue;
+                }
+            };
+            // A delta rewinds the episode, then (on success) moves the
+            // episode start with it.
+            let _ = env.apply_delta(&delta);
+            committed = env.state().clone();
+        }
+        rewinds_to(&mut env, &committed)?;
+    }
+
     /// The fast stage-2 mask agrees with `migration_legal` per (vm, pm),
     /// including pinning and anti-affinity, after arbitrary migrations.
     #[test]

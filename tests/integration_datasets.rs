@@ -79,3 +79,58 @@ fn mixed_objectives_monotone_in_lambda_weights() {
     let (a, b, mid) = (at(0.0), at(1.0), at(0.5));
     assert!(mid >= a.min(b) - 1e-12 && mid <= a.max(b) + 1e-12);
 }
+
+/// A dataset file is outside input: a mapping that names a PM, NUMA node
+/// or VM that does not exist, a zero-capacity PM, or a split naming a
+/// mapping that does not exist, is refused with an `Err` (the CLI prints
+/// "bad dataset"), never a panic.
+#[test]
+fn bad_dataset_files_are_errors_not_panics() {
+    use serde_json::Value;
+    use vmr_sim::types::NumaPlacement;
+
+    let ds = Dataset::generate(&ClusterConfig::tiny(), 2, 4).unwrap();
+    let pms = ds.mappings[0].num_pms() as u64;
+    let wire = serde_json::to_value(&ds).unwrap();
+    // `mappings[0].<field>[idx]` of the dataset document.
+    fn entry<'a>(v: &'a mut Value, field: &str, idx: usize) -> &'a mut Value {
+        let mapping =
+            &mut v.as_object_mut().unwrap().get_mut("mappings").unwrap().as_array_mut().unwrap()[0];
+        &mut mapping.as_object_mut().unwrap().get_mut(field).unwrap().as_array_mut().unwrap()[idx]
+    }
+    fn set(v: &mut Value, field: &str, idx: usize, key: &str, val: Value) {
+        entry(v, field, idx).as_object_mut().unwrap().insert(key.to_string(), val);
+    }
+
+    let mut pm_past_end = wire.clone();
+    set(&mut pm_past_end, "placements", 0, "pm", serde_json::json!(pms + 3));
+    let mut numa_past_end = wire.clone();
+    let numa = serde_json::to_value(NumaPlacement::Single(7)).unwrap();
+    let single =
+        ds.mappings[0].vms().iter().position(|v| v.numa == vmr_sim::types::NumaPolicy::Single);
+    set(&mut numa_past_end, "placements", single.unwrap(), "numa", numa);
+    let mut unknown_vm = wire.clone();
+    *entry(&mut unknown_vm, "vms_on_pm", 0) = serde_json::json!([u32::MAX]);
+    let mut zero_pm = wire.clone();
+    let numas = entry(&mut zero_pm, "pms", 0).as_object_mut().unwrap().get_mut("numas").unwrap();
+    numas.as_array_mut().unwrap()[1]
+        .as_object_mut()
+        .unwrap()
+        .insert("cpu_total".into(), serde_json::json!(0));
+
+    let mut split_past_end = wire.clone();
+    let train = split_past_end.as_object_mut().unwrap().get_mut("train").unwrap();
+    train.as_array_mut().unwrap().push(serde_json::json!(ds.mappings.len()));
+
+    for (what, tampered) in [
+        ("placement on a PM past the end", &pm_past_end),
+        ("placement on a NUMA node past the end", &numa_past_end),
+        ("reverse index naming an unknown VM", &unknown_vm),
+        ("zero-capacity NUMA node", &zero_pm),
+        ("a split naming a mapping past the end", &split_past_end),
+    ] {
+        let json = serde_json::to_string(tampered).unwrap();
+        assert!(Dataset::from_json(&json).is_err(), "{what} must be refused");
+    }
+    Dataset::from_json(&serde_json::to_string(&wire).unwrap()).expect("untampered file loads");
+}
