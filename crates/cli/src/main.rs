@@ -249,6 +249,9 @@ fn cmd_gen(args: &Args) -> Result<(), String> {
     let name = args.get("preset", "small");
     let cfg = preset_config(&name).ok_or_else(|| format!("unknown preset {name:?}"))?;
     let count: usize = args.num("count", 8)?;
+    if count == 0 {
+        return Err("--count must be at least 1".to_string());
+    }
     let seed: u64 = args.num("seed", 0)?;
     let out = args.get("out", "dataset.json");
     eprintln!("generating {count} mappings of preset '{}'...", cfg.name);

@@ -79,3 +79,17 @@ fn gen_train_eval_pipeline() {
         );
     }
 }
+
+/// An empty dataset is a usage error, refused before anything is
+/// generated or written; it used to panic indexing the first mapping.
+#[test]
+fn gen_refuses_count_zero() {
+    let ds = tmp("count-zero-ds.json");
+    let _ = std::fs::remove_file(&ds);
+    let out = vmr(&["gen", "--preset", "tiny", "--count", "0", "--out", ds.to_str().unwrap()]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("error: --count must be at least 1"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(!ds.exists(), "nothing is written for an empty dataset");
+}

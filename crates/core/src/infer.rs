@@ -140,6 +140,45 @@ mod tests {
         assert_eq!(handle.agent32().mode, handle.agent().mode);
     }
 
+    /// `ckpt` as a file with `name`'s data cut to `keep` values.
+    fn cut_checkpoint(ckpt: &Checkpoint, name: &str, keep: usize) -> std::path::PathBuf {
+        let mut json = serde_json::to_value(ckpt).unwrap();
+        let tensors = json.as_object_mut().unwrap().get_mut("tensors").unwrap();
+        let tensor = tensors.as_object_mut().unwrap().get_mut(name).expect("parameter exists");
+        let data = tensor.as_object_mut().unwrap().get_mut("data").unwrap();
+        data.as_array_mut().unwrap().truncate(keep);
+        let path = std::env::temp_dir().join(format!(
+            "vmr_cut_ckpt_{}_{}.json",
+            std::process::id(),
+            name.replace('.', "_")
+        ));
+        std::fs::write(&path, serde_json::to_string(&json).unwrap()).unwrap();
+        path
+    }
+
+    /// A checkpoint whose tensor data does not fill its shape is refused
+    /// when it is read: half of a cross-attention key weight cut used to
+    /// pass `restore` (which compares rows and cols only) and panic in
+    /// the first forward's kernels; one bias value cut was served
+    /// silently.
+    #[test]
+    fn load_refuses_a_checkpoint_with_cut_tensor_data() {
+        let ckpt = tiny_checkpoint(ExtractorKind::SparseAttention);
+        let half_weight = ckpt.tensors["block0.cross.wk.w"].len() / 2;
+        let bias_but_one = ckpt.tensors["block0.cross.wk.b"].len() - 1;
+        for (name, keep) in
+            [("block0.cross.wk.w", half_weight), ("block0.cross.wk.b", bias_but_one)]
+        {
+            let path = cut_checkpoint(&ckpt, name, keep);
+            let err = SharedAgent::load(&path).unwrap_err();
+            std::fs::remove_file(&path).unwrap();
+            assert!(
+                err.contains("cannot load") && err.contains(&format!("holds {keep} values")),
+                "{name}: {err}"
+            );
+        }
+    }
+
     #[test]
     fn load_reports_missing_file() {
         let err = load_checkpoint_agent("/nonexistent/agent.json").unwrap_err();

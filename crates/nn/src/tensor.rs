@@ -9,7 +9,7 @@
 //! ([`Tensor::from_f64`]).
 
 use rand::Rng;
-use serde::__private::{Error, Map, Value};
+use serde::__private::{Error, Value};
 use serde::{Deserialize, Serialize};
 
 use crate::scalar::Scalar;
@@ -26,26 +26,39 @@ pub struct Tensor<S = f64> {
 // takes no generic types): the derive's object, `rows`/`cols`/`data` in
 // that order, so checkpoints stay byte-identical.
 impl Serialize for Tensor {
-    fn __serialize(&self) -> Value {
-        let mut m = Map::new();
-        m.insert("rows".to_string(), self.rows.__serialize());
-        m.insert("cols".to_string(), self.cols.__serialize());
-        m.insert("data".to_string(), self.data.__serialize());
-        Value::Object(m)
+    fn __write_json(&self, out: &mut String) {
+        out.push_str("{\"rows\":");
+        self.rows.__write_json(out);
+        out.push_str(",\"cols\":");
+        self.cols.__write_json(out);
+        out.push_str(",\"data\":");
+        self.data.__write_json(out);
+        out.push('}');
     }
 }
 
+/// A stored tensor is outside input (a checkpoint file): it is refused
+/// here unless it holds exactly `rows × cols` finite values, so a shape
+/// check on `rows` and `cols` afterwards covers the whole tensor.
 impl Deserialize for Tensor {
     fn __deserialize(v: &Value) -> Result<Self, Error> {
         let m = v.as_object().ok_or_else(|| Error::custom("expected object for Tensor"))?;
         let field = |name: &str| {
             m.get(name).ok_or_else(|| Error::custom(format!("missing field `{name}` in Tensor")))
         };
-        Ok(Tensor {
-            rows: usize::__deserialize(field("rows")?)?,
-            cols: usize::__deserialize(field("cols")?)?,
-            data: Vec::__deserialize(field("data")?)?,
-        })
+        let rows = usize::__deserialize(field("rows")?)?;
+        let cols = usize::__deserialize(field("cols")?)?;
+        let data: Vec<f64> = Vec::__deserialize(field("data")?)?;
+        if rows.checked_mul(cols) != Some(data.len()) {
+            return Err(Error::custom(format!(
+                "Tensor of {rows} x {cols} holds {} values",
+                data.len()
+            )));
+        }
+        if let Some(i) = data.iter().position(|x| !x.is_finite()) {
+            return Err(Error::custom(format!("Tensor value {i} is not finite")));
+        }
+        Ok(Tensor { rows, cols, data })
     }
 }
 
@@ -393,6 +406,24 @@ mod tests {
         assert_eq!(serde_json::to_string(&b).unwrap(), json);
         let missing = serde_json::from_str::<Tensor>(r#"{"rows":2,"cols":2}"#).unwrap_err();
         assert!(missing.to_string().contains("missing field `data`"), "{missing}");
+    }
+
+    #[test]
+    fn deserialize_refuses_data_that_does_not_fill_the_shape_or_is_not_finite() {
+        for (json, why) in [
+            (r#"{"rows":2,"cols":2,"data":[1.0,2.0,3.0]}"#, "holds 3 values"),
+            (r#"{"rows":1,"cols":2,"data":[1.0,2.0,3.0]}"#, "holds 3 values"),
+            (r#"{"rows":0,"cols":2,"data":[1.0]}"#, "holds 1 values"),
+            (r#"{"rows":4294967296,"cols":4294967296,"data":[]}"#, "holds 0 values"),
+            (r#"{"rows":1,"cols":2,"data":[1.0,1e999]}"#, "value 1 is not finite"),
+            (r#"{"rows":1,"cols":2,"data":[-1e999,0.0]}"#, "value 0 is not finite"),
+            (r#"{"rows":1,"cols":1,"data":[null]}"#, "expected number"),
+        ] {
+            let err = serde_json::from_str::<Tensor>(json).unwrap_err().to_string();
+            assert!(err.contains(why), "{json}: {err}");
+        }
+        let empty: Tensor = serde_json::from_str(r#"{"rows":0,"cols":3,"data":[]}"#).unwrap();
+        assert_eq!((empty.rows(), empty.cols(), empty.len()), (0, 3, 0));
     }
 
     #[test]

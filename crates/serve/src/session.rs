@@ -161,11 +161,16 @@ impl Session {
         Ok(())
     }
 
-    /// Captures the committed state for offline storage.
+    /// Captures the committed state for offline storage, in canonical
+    /// bytes: the copy's reverse index is sorted (the live one is left in
+    /// its history order), so a session and its recovered twin snapshot
+    /// identically however many read-only plans either served.
     pub fn snapshot(&mut self, version: u64) -> SessionSnapshot {
         self.env.rewind();
+        let mut state = self.env.state().clone();
+        state.sort_reverse_index();
         SessionSnapshot {
-            state: self.env.state().clone(),
+            state,
             constraints: self.env.constraints().clone(),
             mnl: self.default_mnl,
             version,
@@ -200,7 +205,7 @@ mod tests {
     use super::*;
     use crate::policies::HaPolicy;
     use std::time::Duration;
-    use vmr_sim::types::{NumaPolicy, VmId};
+    use vmr_sim::types::{NumaPolicy, PmId, VmId};
 
     fn session() -> Session {
         Session::from_preset("t", &preset_config("tiny").unwrap(), 3, 6).unwrap()
@@ -278,6 +283,38 @@ mod tests {
         let mut bad = snap;
         bad.constraints = ConstraintSet::new(1);
         assert!(s.restore(bad).is_err());
+    }
+
+    /// Read-only plans permute the live reverse index (migrate/undo), but
+    /// never a snapshot's bytes: the session snapshots exactly like a twin
+    /// recovered from the snapshot it had before serving them, after the
+    /// same delta, and its live index keeps its order.
+    #[test]
+    fn snapshot_bytes_do_not_depend_on_served_plans() {
+        let mut s = Session::from_preset("t", &preset_config("small").unwrap(), 3, 6).unwrap();
+        let before = serde_json::to_string(&s.snapshot(0)).unwrap();
+        for seed in 0..4 {
+            s.plan(&HaPolicy, &PlanRequest { seed, ..req(6) }, false).unwrap();
+        }
+        let live = |s: &mut Session| {
+            let state = s.env_mut().state();
+            (0..state.num_pms() as u32).map(|p| state.vms_on(PmId(p)).to_vec()).collect::<Vec<_>>()
+        };
+        let permuted = live(&mut s);
+        assert!(
+            permuted.iter().any(|vms| !vms.is_sorted()),
+            "the plans must permute some PM's reverse index"
+        );
+        let delta = ClusterDelta::VmDelete { vm: VmId(1) };
+        s.apply_delta(&delta).unwrap();
+        let permuted = live(&mut s);
+        let mut twin = Session::from_snapshot("t", serde_json::from_str(&before).unwrap()).unwrap();
+        twin.apply_delta(&delta).unwrap();
+        let snap = serde_json::to_string(&s.snapshot(1)).unwrap();
+        assert_eq!(snap, serde_json::to_string(&twin.snapshot(1)).unwrap());
+        assert_eq!(live(&mut s), permuted, "a snapshot must not reorder the live index");
+        let recovered = Session::from_snapshot("t", serde_json::from_str(&snap).unwrap());
+        assert_eq!(snap, serde_json::to_string(&recovered.unwrap().snapshot(1)).unwrap());
     }
 
     #[test]

@@ -120,6 +120,12 @@ fn crash_and_recover(
     out
 }
 
+/// A session's committed state in the canonical bytes a snapshot file
+/// holds.
+fn snapshot_bytes(session: &mut Session) -> String {
+    serde_json::to_string(&session.snapshot(0)).expect("snapshot encodes")
+}
+
 /// The never-crashed twin: a fresh session that applies exactly the
 /// first `k` acknowledged mutations.
 fn twin_after(seed: u64, k: usize, bodies: &[WalBody]) -> Session {
@@ -274,7 +280,12 @@ proptest! {
         prop_assert!(matches!(rec.note, RecoveryNote::Clean), "{:?}", rec.note);
         prop_assert_eq!(rec.lsn, bodies.len() as u64);
         let mut twin = twin_after(seed, bodies.len(), &bodies);
-        prop_assert_eq!(rec.session.env_mut().state(), twin.env_mut().state());
+        // Snapshots are canonical (each PM's reverse index in ascending
+        // VM id), so a session recovered from one lists a PM's VMs in
+        // another order than the twin's history left: the state is
+        // compared as the twin's snapshot bytes, as a compaction writes
+        // them.
+        prop_assert_eq!(snapshot_bytes(&mut rec.session), snapshot_bytes(&mut twin));
         prop_assert!(rec.session.env_mut().observe() == twin.env_mut().observe());
         let _ = fs::remove_dir_all(&dir);
     }

@@ -145,6 +145,17 @@ impl ClusterState {
         vms
     }
 
+    /// Puts every PM's reverse index in ascending VM id: the order the
+    /// one cluster rule builds, so two states with the same placements
+    /// serialize to the same bytes whatever migrate/undo history
+    /// permuted their indexes. For stored copies (a snapshot); a live
+    /// state keeps its history order.
+    pub fn sort_reverse_index(&mut self) {
+        for vms in &mut self.vms_on_pm {
+            vms.sort_unstable();
+        }
+    }
+
     /// Checks a VM id, returning the VM or an error.
     pub fn check_vm(&self, id: VmId) -> SimResult<&Vm> {
         self.vms.get(id.0 as usize).ok_or(SimError::UnknownVm(id))

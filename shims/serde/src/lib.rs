@@ -2,12 +2,14 @@
 //!
 //! The real serde abstracts over data formats; this workspace only ever
 //! serializes to and from JSON, so the shim collapses the data model to
-//! a JSON value tree ([`__private::Value`], re-exported by the
-//! `serde_json` shim). [`Serialize`] and [`Deserialize`] convert to and
-//! from that tree, and the derive macros (re-exported from the
-//! `serde_derive` shim) generate those conversions for structs and
-//! enums following serde's default conventions: structs are objects,
-//! newtypes are transparent, enums are externally tagged.
+//! JSON itself. [`Serialize`] appends compact JSON text to a `String` in
+//! one pass; [`Deserialize`] reads from a JSON value tree
+//! ([`__private::Value`], re-exported by the `serde_json` shim, whose
+//! parser builds it). The derive macros (re-exported from the
+//! `serde_derive` shim) generate both for structs and enums following
+//! serde's default conventions: structs are objects with fields in
+//! declaration order, newtypes are transparent, enums are externally
+//! tagged.
 
 #![forbid(unsafe_code)]
 
@@ -22,14 +24,15 @@ pub mod __private {
     pub use crate::value::{Error, Map, Number, Value};
 }
 
-use crate::value::{Error, Map, Number, Value};
+use crate::value::{write_escaped, Error, Map, Number, Value};
 use std::collections::{BTreeMap, HashMap};
+use std::fmt::Write;
 
-/// Conversion into the JSON value tree.
+/// Conversion into compact JSON text.
 pub trait Serialize {
-    /// Serializes `self` into a [`Value`].
+    /// Appends `self` to `out` as compact JSON.
     #[doc(hidden)]
-    fn __serialize(&self) -> Value;
+    fn __write_json(&self, out: &mut String);
 }
 
 /// Conversion from the JSON value tree.
@@ -40,14 +43,50 @@ pub trait Deserialize: Sized {
 }
 
 impl<T: Serialize + ?Sized> Serialize for &T {
-    fn __serialize(&self) -> Value {
-        (**self).__serialize()
+    fn __write_json(&self, out: &mut String) {
+        (**self).__write_json(out)
     }
 }
 
+/// Appends `items` as a JSON array.
+fn write_seq<'a, T: Serialize + 'a>(out: &mut String, items: impl IntoIterator<Item = &'a T>) {
+    out.push('[');
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        item.__write_json(out);
+    }
+    out.push(']');
+}
+
+/// Appends `entries` as a JSON object, in the order given.
+fn write_object<'a, V: Serialize + 'a>(
+    out: &mut String,
+    entries: impl IntoIterator<Item = (&'a String, &'a V)>,
+) {
+    out.push('{');
+    for (i, (k, v)) in entries.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_escaped(out, k);
+        out.push(':');
+        v.__write_json(out);
+    }
+    out.push('}');
+}
+
 impl Serialize for Value {
-    fn __serialize(&self) -> Value {
-        self.clone()
+    fn __write_json(&self, out: &mut String) {
+        match self {
+            Value::Null => out.push_str("null"),
+            Value::Bool(b) => b.__write_json(out),
+            Value::Number(n) => n.__write_json(out),
+            Value::String(s) => write_escaped(out, s),
+            Value::Array(a) => write_seq(out, a),
+            Value::Object(m) => write_object(out, m),
+        }
     }
 }
 
@@ -57,9 +96,15 @@ impl Deserialize for Value {
     }
 }
 
+impl Serialize for Number {
+    fn __write_json(&self, out: &mut String) {
+        let _ = write!(out, "{self}");
+    }
+}
+
 impl Serialize for bool {
-    fn __serialize(&self) -> Value {
-        Value::Bool(*self)
+    fn __write_json(&self, out: &mut String) {
+        out.push_str(if *self { "true" } else { "false" });
     }
 }
 
@@ -69,38 +114,17 @@ impl Deserialize for bool {
     }
 }
 
-macro_rules! ser_de_uint {
-    ($($t:ty),*) => {$(
-        impl Serialize for $t {
-            fn __serialize(&self) -> Value {
-                Value::Number(Number::from(*self as u64))
-            }
-        }
-        impl Deserialize for $t {
-            fn __deserialize(v: &Value) -> Result<Self, Error> {
-                let n = v
-                    .as_u64()
-                    .ok_or_else(|| Error::custom(concat!("expected ", stringify!($t))))?;
-                <$t>::try_from(n)
-                    .map_err(|_| Error::custom(concat!("out of range for ", stringify!($t))))
-            }
-        }
-    )*};
-}
-
-ser_de_uint!(u8, u16, u32, u64, usize);
-
 macro_rules! ser_de_int {
-    ($($t:ty),*) => {$(
+    ($as:ident; $($t:ty),*) => {$(
         impl Serialize for $t {
-            fn __serialize(&self) -> Value {
-                Value::Number(Number::from(*self as i64))
+            fn __write_json(&self, out: &mut String) {
+                let _ = write!(out, "{self}");
             }
         }
         impl Deserialize for $t {
             fn __deserialize(v: &Value) -> Result<Self, Error> {
                 let n = v
-                    .as_i64()
+                    .$as()
                     .ok_or_else(|| Error::custom(concat!("expected ", stringify!($t))))?;
                 <$t>::try_from(n)
                     .map_err(|_| Error::custom(concat!("out of range for ", stringify!($t))))
@@ -109,11 +133,12 @@ macro_rules! ser_de_int {
     )*};
 }
 
-ser_de_int!(i8, i16, i32, i64, isize);
+ser_de_int!(as_u64; u8, u16, u32, u64, usize);
+ser_de_int!(as_i64; i8, i16, i32, i64, isize);
 
 impl Serialize for f64 {
-    fn __serialize(&self) -> Value {
-        Value::Number(Number::from(*self))
+    fn __write_json(&self, out: &mut String) {
+        Number::from(*self).__write_json(out)
     }
 }
 
@@ -124,8 +149,8 @@ impl Deserialize for f64 {
 }
 
 impl Serialize for f32 {
-    fn __serialize(&self) -> Value {
-        Value::Number(Number::from(*self as f64))
+    fn __write_json(&self, out: &mut String) {
+        Number::from(*self as f64).__write_json(out)
     }
 }
 
@@ -136,8 +161,8 @@ impl Deserialize for f32 {
 }
 
 impl Serialize for String {
-    fn __serialize(&self) -> Value {
-        Value::String(self.clone())
+    fn __write_json(&self, out: &mut String) {
+        write_escaped(out, self)
     }
 }
 
@@ -148,22 +173,22 @@ impl Deserialize for String {
 }
 
 impl Serialize for str {
-    fn __serialize(&self) -> Value {
-        Value::String(self.to_string())
+    fn __write_json(&self, out: &mut String) {
+        write_escaped(out, self)
     }
 }
 
 impl Serialize for char {
-    fn __serialize(&self) -> Value {
-        Value::String(self.to_string())
+    fn __write_json(&self, out: &mut String) {
+        write_escaped(out, self.encode_utf8(&mut [0; 4]))
     }
 }
 
 impl<T: Serialize> Serialize for Option<T> {
-    fn __serialize(&self) -> Value {
+    fn __write_json(&self, out: &mut String) {
         match self {
-            Some(x) => x.__serialize(),
-            None => Value::Null,
+            Some(x) => x.__write_json(out),
+            None => out.push_str("null"),
         }
     }
 }
@@ -179,8 +204,8 @@ impl<T: Deserialize> Deserialize for Option<T> {
 }
 
 impl<T: Serialize> Serialize for Vec<T> {
-    fn __serialize(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::__serialize).collect())
+    fn __write_json(&self, out: &mut String) {
+        write_seq(out, self)
     }
 }
 
@@ -195,14 +220,14 @@ impl<T: Deserialize> Deserialize for Vec<T> {
 }
 
 impl<T: Serialize> Serialize for [T] {
-    fn __serialize(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::__serialize).collect())
+    fn __write_json(&self, out: &mut String) {
+        write_seq(out, self)
     }
 }
 
 impl<T: Serialize, const N: usize> Serialize for [T; N] {
-    fn __serialize(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::__serialize).collect())
+    fn __write_json(&self, out: &mut String) {
+        write_seq(out, self)
     }
 }
 
@@ -217,8 +242,8 @@ impl<T: Deserialize, const N: usize> Deserialize for [T; N] {
 }
 
 impl<T: Serialize> Serialize for Box<T> {
-    fn __serialize(&self) -> Value {
-        (**self).__serialize()
+    fn __write_json(&self, out: &mut String) {
+        (**self).__write_json(out)
     }
 }
 
@@ -229,8 +254,12 @@ impl<T: Deserialize> Deserialize for Box<T> {
 }
 
 impl<A: Serialize, B: Serialize> Serialize for (A, B) {
-    fn __serialize(&self) -> Value {
-        Value::Array(vec![self.0.__serialize(), self.1.__serialize()])
+    fn __write_json(&self, out: &mut String) {
+        out.push('[');
+        self.0.__write_json(out);
+        out.push(',');
+        self.1.__write_json(out);
+        out.push(']');
     }
 }
 
@@ -245,8 +274,14 @@ impl<A: Deserialize, B: Deserialize> Deserialize for (A, B) {
 }
 
 impl<A: Serialize, B: Serialize, C: Serialize> Serialize for (A, B, C) {
-    fn __serialize(&self) -> Value {
-        Value::Array(vec![self.0.__serialize(), self.1.__serialize(), self.2.__serialize()])
+    fn __write_json(&self, out: &mut String) {
+        out.push('[');
+        self.0.__write_json(out);
+        out.push(',');
+        self.1.__write_json(out);
+        out.push(',');
+        self.2.__write_json(out);
+        out.push(']');
     }
 }
 
@@ -261,15 +296,11 @@ impl<A: Deserialize, B: Deserialize, C: Deserialize> Deserialize for (A, B, C) {
 }
 
 impl<V: Serialize> Serialize for HashMap<String, V> {
-    fn __serialize(&self) -> Value {
-        // Sort keys so output is deterministic across runs.
-        let mut keys: Vec<&String> = self.keys().collect();
-        keys.sort();
-        let mut m = Map::new();
-        for k in keys {
-            m.insert(k.clone(), self[k].__serialize());
-        }
-        Value::Object(m)
+    fn __write_json(&self, out: &mut String) {
+        // Sorted keys, so output is deterministic across runs.
+        let mut entries: Vec<(&String, &V)> = self.iter().collect();
+        entries.sort_unstable_by_key(|&(k, _)| k);
+        write_object(out, entries)
     }
 }
 
@@ -281,12 +312,8 @@ impl<V: Deserialize> Deserialize for HashMap<String, V> {
 }
 
 impl<V: Serialize> Serialize for BTreeMap<String, V> {
-    fn __serialize(&self) -> Value {
-        let mut m = Map::new();
-        for (k, val) in self {
-            m.insert(k.clone(), val.__serialize());
-        }
-        Value::Object(m)
+    fn __write_json(&self, out: &mut String) {
+        write_object(out, self)
     }
 }
 
@@ -298,8 +325,8 @@ impl<V: Deserialize> Deserialize for BTreeMap<String, V> {
 }
 
 impl Serialize for Map<String, Value> {
-    fn __serialize(&self) -> Value {
-        Value::Object(self.clone())
+    fn __write_json(&self, out: &mut String) {
+        write_object(out, self)
     }
 }
 

@@ -4,7 +4,7 @@
 //! and [`crate::Deserialize`] traits can mention it without a circular
 //! dependency; `serde_json` re-exports everything publicly.
 
-use std::fmt;
+use std::fmt::{self, Write};
 
 /// Any JSON value, mirroring `serde_json::Value`.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -165,10 +165,7 @@ impl Value {
                 out.push_str(&"  ".repeat(indent));
                 out.push('}');
             }
-            other => {
-                use fmt::Write;
-                let _ = write!(out, "{other}");
-            }
+            other => crate::Serialize::__write_json(other, out),
         }
     }
 }
@@ -192,61 +189,43 @@ impl std::ops::Index<usize> for Value {
     }
 }
 
-fn write_escaped(out: &mut String, s: &str) {
+/// Appends `s` as a JSON string literal: `"`, `\` and the control
+/// characters escaped, everything else (non-ASCII included) copied as is,
+/// one run of plain bytes at a time.
+pub(crate) fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0C}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+    let mut plain = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let esc = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0x08 => "\\b",
+            0x0C => "\\f",
+            0..=0x1F => "",
+            _ => continue,
+        };
+        // Every byte that ends a run is ASCII, so `i` is a char boundary.
+        out.push_str(&s[plain..i]);
+        if esc.is_empty() {
+            let _ = write!(out, "\\u{b:04x}");
+        } else {
+            out.push_str(esc);
         }
+        plain = i + 1;
     }
+    out.push_str(&s[plain..]);
     out.push('"');
 }
 
 impl fmt::Display for Value {
-    /// Compact JSON rendering.
+    /// Compact JSON rendering (what [`crate::Serialize`] writes).
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Value::Null => f.write_str("null"),
-            Value::Bool(b) => write!(f, "{b}"),
-            Value::Number(n) => write!(f, "{n}"),
-            Value::String(s) => {
-                let mut buf = String::new();
-                write_escaped(&mut buf, s);
-                f.write_str(&buf)
-            }
-            Value::Array(a) => {
-                f.write_str("[")?;
-                for (i, v) in a.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write!(f, "{v}")?;
-                }
-                f.write_str("]")
-            }
-            Value::Object(m) => {
-                f.write_str("{")?;
-                for (i, (k, v)) in m.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    let mut buf = String::new();
-                    write_escaped(&mut buf, k);
-                    write!(f, "{buf}:{v}")?;
-                }
-                f.write_str("}")
-            }
-        }
+        let mut out = String::new();
+        crate::Serialize::__write_json(self, &mut out);
+        f.write_str(&out)
     }
 }
 

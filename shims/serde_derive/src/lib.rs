@@ -1,11 +1,12 @@
 //! Offline stand-in for `serde_derive`.
 //!
 //! The real serde derives target the full serde data model; this shim
-//! targets the workspace's shim `serde`, whose data model *is* a JSON
-//! value tree. The macros therefore generate `__serialize` /
-//! `__deserialize` impls that build or destructure
-//! `serde::__private::Value` directly, written without `syn`/`quote`
-//! (also unavailable offline) via a small hand-rolled token parser.
+//! targets the workspace's shim `serde`, whose data model *is* JSON. The
+//! macros therefore generate a `__write_json` impl that appends compact
+//! JSON text in one pass (fields in declaration order), and a
+//! `__deserialize` impl that destructures `serde::__private::Value`,
+//! written without `syn`/`quote` (also unavailable offline) via a small
+//! hand-rolled token parser.
 //!
 //! Supported shapes — exactly what the workspace derives on:
 //! named-field structs, tuple structs (newtype included), and enums
@@ -209,72 +210,80 @@ fn parse_variants(body: TokenStream) -> Vec<Variant> {
 // ---------------------------------------------------------------- codegen
 
 const V: &str = "::serde::__private::Value";
-const MAP: &str = "::serde::__private::Map";
 const ERR: &str = "::serde::__private::Error";
 const SER: &str = "::serde::Serialize";
 const DE: &str = "::serde::Deserialize";
 
+/// A statement appending the literal `text` to the output (`text` holds
+/// only JSON punctuation and Rust identifiers, never `"#`).
+fn push(text: &str) -> String {
+    format!("__out.push_str(r#\"{text}\"#);\n")
+}
+
+/// Statements appending `items` — each a `"key":` prefix (empty in an
+/// array) and a reference to the value — between `open` and `close`,
+/// separated by commas.
+fn write_list(open: &str, close: &str, items: Vec<(String, String)>) -> String {
+    if items.is_empty() {
+        return push(&format!("{open}{close}"));
+    }
+    let mut b = String::new();
+    for (k, (key, value)) in items.iter().enumerate() {
+        let sep = if k == 0 { open } else { "," };
+        b.push_str(&push(&format!("{sep}{key}")));
+        b.push_str(&format!("{SER}::__write_json({value}, __out);\n"));
+    }
+    b + &push(close)
+}
+
+/// Statements appending a JSON object of `fields`, in declaration order;
+/// `value(f)` is the reference to field `f`.
+fn write_fields(fields: &[String], value: impl Fn(&str) -> String) -> String {
+    write_list("{", "}", fields.iter().map(|f| (format!("\"{f}\":"), value(f))).collect())
+}
+
+/// Statements appending positional `values`: the bare value when there
+/// is one (serde's newtype convention), else an array.
+fn write_tuple(values: Vec<String>) -> String {
+    match values.as_slice() {
+        [one] => format!("{SER}::__write_json({one}, __out);\n"),
+        _ => write_list("[", "]", values.into_iter().map(|v| (String::new(), v)).collect()),
+    }
+}
+
 fn gen_serialize(shape: &Shape) -> String {
     let (name, body) = match shape {
         Shape::NamedStruct { name, fields } => {
-            let mut b = format!("let mut __m = {MAP}::new();\n");
-            for f in fields {
-                b.push_str(&format!(
-                    "__m.insert(\"{f}\".to_string(), {SER}::__serialize(&self.{f}));\n"
-                ));
-            }
-            b.push_str(&format!("{V}::Object(__m)"));
-            (name, b)
+            (name, write_fields(fields, |f| format!("&self.{f}")))
         }
         Shape::TupleStruct { name, arity } => {
-            let b = match arity {
-                0 => format!("{V}::Array(::std::vec::Vec::new())"),
-                1 => format!("{SER}::__serialize(&self.0)"),
-                n => {
-                    let elems: Vec<String> =
-                        (0..*n).map(|k| format!("{SER}::__serialize(&self.{k})")).collect();
-                    format!("{V}::Array(vec![{}])", elems.join(", "))
-                }
-            };
-            (name, b)
+            (name, write_tuple((0..*arity).map(|k| format!("&self.{k}")).collect()))
         }
         Shape::Enum { name, variants } => {
             let mut arms = String::new();
             for v in variants {
                 let vn = &v.name;
+                let tag = push(&format!("{{\"{vn}\":"));
                 match &v.kind {
-                    VariantKind::Unit => arms
-                        .push_str(&format!("{name}::{vn} => {V}::String(\"{vn}\".to_string()),\n")),
+                    VariantKind::Unit => arms.push_str(&format!(
+                        "{name}::{vn} => {{\n{}}}\n",
+                        push(&format!("\"{vn}\""))
+                    )),
                     VariantKind::Tuple(n) => {
                         let binds: Vec<String> = (0..*n).map(|k| format!("__f{k}")).collect();
-                        let inner = if *n == 1 {
-                            format!("{SER}::__serialize(__f0)")
-                        } else {
-                            let elems: Vec<String> =
-                                binds.iter().map(|b| format!("{SER}::__serialize({b})")).collect();
-                            format!("{V}::Array(vec![{}])", elems.join(", "))
-                        };
                         arms.push_str(&format!(
-                            "{name}::{vn}({}) => {{\n\
-                             let mut __m = {MAP}::new();\n\
-                             __m.insert(\"{vn}\".to_string(), {inner});\n\
-                             {V}::Object(__m)\n}}\n",
-                            binds.join(", ")
+                            "{name}::{vn}({}) => {{\n{tag}{}{}}}\n",
+                            binds.join(", "),
+                            write_tuple(binds.clone()),
+                            push("}")
                         ));
                     }
                     VariantKind::Struct(fields) => {
-                        let mut inner = format!("let mut __fm = {MAP}::new();\n");
-                        for f in fields {
-                            inner.push_str(&format!(
-                                "__fm.insert(\"{f}\".to_string(), {SER}::__serialize({f}));\n"
-                            ));
-                        }
                         arms.push_str(&format!(
-                            "{name}::{vn} {{ {} }} => {{\n{inner}\
-                             let mut __m = {MAP}::new();\n\
-                             __m.insert(\"{vn}\".to_string(), {V}::Object(__fm));\n\
-                             {V}::Object(__m)\n}}\n",
-                            fields.join(", ")
+                            "{name}::{vn} {{ {} }} => {{\n{tag}{}{}}}\n",
+                            fields.join(", "),
+                            write_fields(fields, str::to_string),
+                            push("}")
                         ));
                     }
                 }
@@ -285,7 +294,7 @@ fn gen_serialize(shape: &Shape) -> String {
     format!(
         "#[automatically_derived]\n\
          impl {SER} for {name} {{\n\
-         fn __serialize(&self) -> {V} {{\n{body}\n}}\n}}\n"
+         fn __write_json(&self, __out: &mut ::std::string::String) {{\n{body}}}\n}}\n"
     )
 }
 

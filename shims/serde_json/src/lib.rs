@@ -16,9 +16,11 @@ use serde::{Deserialize, Serialize};
 /// Result alias matching `serde_json::Result`.
 pub type Result<T> = std::result::Result<T, Error>;
 
-/// Converts any serializable value into a [`Value`] tree.
+/// Converts any serializable value into a [`Value`] tree, by parsing the
+/// text [`to_string`] writes (so a non-finite float becomes
+/// [`Value::Null`], which is what it is written as).
 pub fn to_value<T: Serialize>(value: T) -> Result<Value> {
-    Ok(value.__serialize())
+    from_str(&to_string(&value)?)
 }
 
 /// Reconstructs a deserializable type from a [`Value`] tree.
@@ -26,19 +28,21 @@ pub fn from_value<T: Deserialize>(value: &Value) -> Result<T> {
     T::__deserialize(value)
 }
 
-/// Serializes to compact JSON text.
-pub fn to_string<T: Serialize>(value: &T) -> Result<String> {
-    Ok(value.__serialize().to_string())
+/// Serializes to compact JSON text, in one pass.
+pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String> {
+    let mut out = String::new();
+    value.__write_json(&mut out);
+    Ok(out)
 }
 
 /// Serializes to two-space-indented JSON text.
-pub fn to_string_pretty<T: Serialize>(value: &T) -> Result<String> {
-    Ok(value.__serialize().pretty())
+pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String> {
+    Ok(to_value(value)?.pretty())
 }
 
 /// Parses JSON text into any deserializable type.
 pub fn from_str<T: Deserialize>(s: &str) -> Result<T> {
-    let mut p = Parser { bytes: s.as_bytes(), pos: 0 };
+    let mut p = Parser { text: s, bytes: s.as_bytes(), pos: 0 };
     p.skip_ws();
     let v = p.parse_value()?;
     p.skip_ws();
@@ -76,6 +80,7 @@ macro_rules! json {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -191,57 +196,49 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run of plain bytes up to the next `"` or `\` in
+            // one step: both are ASCII, so the run ends on a char
+            // boundary of the (already valid UTF-8) input.
+            let rest = &self.bytes[self.pos..];
+            let run = rest.iter().position(|&b| b == b'"' || b == b'\\').unwrap_or(rest.len());
+            out.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run;
             let b = self.peek().ok_or_else(|| Error::custom("unterminated string"))?;
             self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let esc = self.peek().ok_or_else(|| Error::custom("unterminated escape"))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{08}'),
-                        b'f' => out.push('\u{0C}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or_else(|| Error::custom("truncated \\u escape"))?;
-                            self.pos += 4;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex)
-                                    .map_err(|_| Error::custom("bad \\u escape"))?,
-                                16,
-                            )
-                            .map_err(|_| Error::custom("bad \\u escape"))?;
-                            // Surrogate pairs: only BMP escapes are
-                            // produced by this workspace's writer.
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| Error::custom("invalid \\u codepoint"))?,
-                            );
-                        }
-                        other => {
-                            return Err(Error::custom(format!(
-                                "unknown escape `\\{}`",
-                                other as char
-                            )))
-                        }
-                    }
+            if b == b'"' {
+                return Ok(out);
+            }
+            let esc = self.peek().ok_or_else(|| Error::custom("unterminated escape"))?;
+            self.pos += 1;
+            match esc {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'b' => out.push('\u{08}'),
+                b'f' => out.push('\u{0C}'),
+                b'n' => out.push('\n'),
+                b'r' => out.push('\r'),
+                b't' => out.push('\t'),
+                b'u' => {
+                    let hex = self
+                        .bytes
+                        .get(self.pos..self.pos + 4)
+                        .ok_or_else(|| Error::custom("truncated \\u escape"))?;
+                    self.pos += 4;
+                    let code = u32::from_str_radix(
+                        std::str::from_utf8(hex).map_err(|_| Error::custom("bad \\u escape"))?,
+                        16,
+                    )
+                    .map_err(|_| Error::custom("bad \\u escape"))?;
+                    // Surrogate pairs: only BMP escapes are produced by
+                    // this workspace's writer.
+                    out.push(
+                        char::from_u32(code)
+                            .ok_or_else(|| Error::custom("invalid \\u codepoint"))?,
+                    );
                 }
-                _ => {
-                    // Re-decode the UTF-8 sequence starting here.
-                    let start = self.pos - 1;
-                    let s = std::str::from_utf8(&self.bytes[start..])
-                        .map_err(|e| Error::custom(format!("invalid UTF-8 in string: {e}")))?;
-                    let c = s.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos = start + c.len_utf8();
+                other => {
+                    return Err(Error::custom(format!("unknown escape `\\{}`", other as char)))
                 }
             }
         }

@@ -134,3 +134,28 @@ fn bad_dataset_files_are_errors_not_panics() {
     }
     Dataset::from_json(&serde_json::to_string(&wire).unwrap()).expect("untampered file loads");
 }
+
+/// Parsing is linear in the input. A 4-mapping Medium dataset (≈ 775 KB)
+/// parses in ≈ 25 ms on a 2-vCPU KVM guest (fastest of three); the bound
+/// is 20× that. The parser this replaced re-validated the whole rest of
+/// the input as UTF-8 for every plain string byte and took ≈ 6 s here.
+#[test]
+fn a_medium_dataset_parses_in_linear_time() {
+    let json = Dataset::generate(&ClusterConfig::medium(), 4, 1).unwrap().to_json();
+    assert!(json.len() > 700_000, "{} bytes", json.len());
+    let fastest = (0..3)
+        .map(|_| {
+            let t = std::time::Instant::now();
+            let v: serde_json::Value = serde_json::from_str(&json).unwrap();
+            let elapsed = t.elapsed();
+            drop(v);
+            elapsed
+        })
+        .min()
+        .unwrap();
+    assert!(
+        fastest < std::time::Duration::from_millis(500),
+        "parsing {} bytes took {fastest:?}",
+        json.len()
+    );
+}
