@@ -10,7 +10,7 @@
 /// Scope configuration for all lints.
 #[derive(Debug, Clone)]
 pub struct Config {
-    /// D001: plan-producing modules where raw `vms_on`/HashMap
+    /// D001: plan-producing modules where raw HashMap/HashSet
     /// iteration order can leak into emitted plans, and the optimizer,
     /// where it leaks into the trained weights those plans come from.
     pub d001_paths: Vec<String>,

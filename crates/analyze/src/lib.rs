@@ -12,7 +12,7 @@
 //!
 //! | ID | Invariant |
 //! |------|-----------|
-//! | D001 | plan determinism: no raw `vms_on`/HashMap iteration in plan-producing modules |
+//! | D001 | plan determinism: no raw HashMap/HashSet iteration in plan-producing modules |
 //! | P001 | panic safety: no `unwrap`/`expect`/panicking macros/unchecked indexing in serve request paths |
 //! | A001 | atomics audit: `Relaxed` only in the audited allow-list; `SeqCst` flagged in hot paths |
 //! | F001 | precision boundary: narrowing `as f32` only inside the `Scalar` impl |
@@ -45,7 +45,7 @@ use std::path::Path;
 /// Stable lint catalog: (id, one-line description). `--list` prints
 /// this; ARCHITECTURE.md's "Static analysis" section is the long form.
 pub const CATALOG: &[(&str, &str)] = &[
-    ("D001", "determinism: raw vms_on/HashMap iteration in plan-producing modules"),
+    ("D001", "determinism: raw HashMap/HashSet iteration in plan-producing modules"),
     ("P001", "panic-safety: unwrap/expect/panics/unchecked indexing in serve request paths"),
     ("A001", "atomics: Relaxed outside allow-list; SeqCst in hot paths"),
     ("F001", "precision: narrowing `as f32` outside the `Scalar` impl"),

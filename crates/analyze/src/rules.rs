@@ -82,11 +82,10 @@ pub fn run_all(ctx: &Ctx) -> Vec<Raw> {
     out
 }
 
-/// D001 — determinism: raw `vms_on` reverse-index access and raw
-/// HashMap iteration in plan-producing modules. The `vms_on` per-PM
-/// lists are permuted by migrate/undo swap-remove, so any plan-shaping
-/// walk must go through `vms_on_sorted` (canonical ascending id). This
-/// is the exact bug class PR 5 fixed twice.
+/// D001 — determinism: raw HashMap/HashSet iteration in plan-producing
+/// modules, whose order is per process. (The per-PM reverse index needs
+/// no clause: `ClusterState` keeps it in ascending id after every
+/// mutation.)
 fn d001(ctx: &Ctx, out: &mut Vec<Raw>) {
     if !in_scope(ctx.path, &ctx.cfg.d001_paths) {
         return;
@@ -123,15 +122,6 @@ fn d001(ctx: &Ctx, out: &mut Vec<Raw>) {
             continue;
         }
         let t = ctx.text(i);
-        if t == "vms_on" {
-            out.push(Raw {
-                lint: "D001",
-                line: ctx.tok(i).line,
-                message: "raw `vms_on` access in a plan-producing module; iteration order is \
-                          permuted by migrate/undo — use `vms_on_sorted` (canonical ascending id)"
-                    .to_string(),
-            });
-        }
         // `map.iter()` / `.keys()` / `.values()` on a known hash
         // container: iteration order is unspecified.
         if map_vars.contains(&t)

@@ -3,7 +3,7 @@
 //! A finding can be acknowledged in place with a waiver comment:
 //!
 //! ```text
-//! state.vms_on(dest).iter().any(p) // vmr-analyze: allow(D001) reason="order-insensitive membership test"
+//! seen.iter().any(p) // vmr-analyze: allow(D001) reason="order-insensitive membership test"
 //! ```
 //!
 //! or on its own line, applying to the next line of code:

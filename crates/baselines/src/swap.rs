@@ -217,10 +217,10 @@ fn swap_candidates(
     });
     let mut out = Vec::with_capacity(limit);
     for pm_idx in pm_order {
-        // Ascending-id order within each PM: `out` is truncated at
-        // `limit`, so which VMs make the candidate set would otherwise
-        // depend on the reverse index's migration-history order.
-        for &vm in &state.vms_on_sorted(PmId(pm_idx as u32)) {
+        // Ascending-id order within each PM (the reverse index's): `out`
+        // is truncated at `limit`, so the order decides which VMs make the
+        // candidate set.
+        for &vm in state.vms_on(PmId(pm_idx as u32)) {
             if constraints.is_pinned(vm) {
                 continue;
             }
@@ -234,24 +234,20 @@ fn swap_candidates(
 }
 
 /// Whether swapping `a` and `b` would violate anti-affinity on either
-/// destination (the departing partner is excluded from the check).
+/// destination. The departing partner is excluded from the check: a
+/// conflicting pair ends up apart.
 fn violates_affinity_after_swap(
     state: &ClusterState,
     constraints: &ConstraintSet,
     a: VmId,
     b: VmId,
 ) -> bool {
-    // `a` and `b` must not conflict with each other's co-residents; the
-    // partner itself leaves, so a conflict with exactly the partner is
-    // acceptable only if they don't conflict pairwise (a joins b's old
-    // PM after b left, and vice versa) — but a↔b conflicting pairwise is
-    // fine since they end up on different PMs.
     let pm_a = state.placement(a).pm;
     let pm_b = state.placement(b).pm;
     let conflict = |vm: VmId, dest: PmId, leaving: VmId| {
         let mine = constraints.conflicts_of(vm);
         state
-            .vms_on(dest) // vmr-analyze: allow(D001) reason="order-insensitive membership test; `any` over an unordered set"
+            .vms_on(dest)
             .iter()
             .any(|&other| other != vm && other != leaving && mine.contains(&other))
     };

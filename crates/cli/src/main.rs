@@ -152,7 +152,8 @@ cost, simulate and request --op plan:
   {planners} — and agent, given a checkpoint
   (--agent CKPT offline, `serve --agent CKPT` served). fleet shards the
   cluster and plans each shard with the agent, or with HA without one;
-  auto picks ha / agent / mcts by --budget-ms.
+  auto picks ha / agent / mcts by --budget-ms, never serving a plan
+  worse than ha's.
 planner flags (solve, cost, simulate):
   [--mnl N] [--seed N] [--budget-ms N] [--agent CKPT] [--precision f64|f32]
   [--fleet  (shard-parallel over any PLANNER)] [--shards N] [--workers N]",

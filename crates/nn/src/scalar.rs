@@ -172,18 +172,19 @@ impl Scalar for f64 {
         // conversion, so the surrounding loops stay auto-vectorizable.
         let mantissa = f64::to_bits(t) & ((1u64 << 52) - 1);
         let exp2k = f64::from_bits((mantissa - ((1u64 << 51) - 1023)) << 52);
-        // Degree-10 Taylor of exp(r) on |r| ≤ ln2/2 (tail ≤ 3e-13 relative).
-        let p = 1.0
-            + r * (1.0
-                + r * (0.5
-                    + r * (1.0 / 6.0
-                        + r * (1.0 / 24.0
-                            + r * (1.0 / 120.0
-                                + r * (1.0 / 720.0
-                                    + r * (1.0 / 5040.0
-                                        + r * (1.0 / 40320.0
-                                            + r * (1.0 / 362_880.0
-                                                + r * (1.0 / 3_628_800.0))))))))));
+        // Degree-10 Taylor of exp(r) on |r| ≤ ln2/2 (tail ≤ 3e-13 relative),
+        // in Horner form, innermost coefficient first.
+        let p = 1.0 / 3_628_800.0;
+        let p = 1.0 / 362_880.0 + r * p;
+        let p = 1.0 / 40320.0 + r * p;
+        let p = 1.0 / 5040.0 + r * p;
+        let p = 1.0 / 720.0 + r * p;
+        let p = 1.0 / 120.0 + r * p;
+        let p = 1.0 / 24.0 + r * p;
+        let p = 1.0 / 6.0 + r * p;
+        let p = 0.5 + r * p;
+        let p = 1.0 + r * p;
+        let p = 1.0 + r * p;
         p * exp2k
     }
 
@@ -258,13 +259,15 @@ impl Scalar for f32 {
         let mantissa = f32::to_bits(t) & ((1u32 << 23) - 1);
         let exp2k = f32::from_bits((mantissa - ((1u32 << 22) - 127)) << 23);
         // Degree-7 Taylor of exp(r) on |r| ≤ ln2/2 (tail ≈ 5e-9 relative,
-        // far below f32 epsilon).
-        let p = 1.0
-            + r * (1.0
-                + r * (0.5
-                    + r * (1.0 / 6.0
-                        + r * (1.0 / 24.0
-                            + r * (1.0 / 120.0 + r * (1.0 / 720.0 + r * (1.0 / 5040.0)))))));
+        // far below f32 epsilon), in Horner form, innermost coefficient first.
+        let p = 1.0 / 5040.0;
+        let p = 1.0 / 720.0 + r * p;
+        let p = 1.0 / 120.0 + r * p;
+        let p = 1.0 / 24.0 + r * p;
+        let p = 1.0 / 6.0 + r * p;
+        let p = 0.5 + r * p;
+        let p = 1.0 + r * p;
+        let p = 1.0 + r * p;
         p * exp2k
     }
 

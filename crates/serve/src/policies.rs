@@ -17,7 +17,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -383,6 +383,43 @@ impl PlanPolicy for FleetPolicy {
     }
 }
 
+/// `auto` past HA: HA's plan is the floor. HA plans first (milliseconds),
+/// the policy `auto` escalated to (`agent` or `mcts`) plans in the budget
+/// left, and of the two plans, both at the request's MNL, the one whose
+/// replay reaches the lower objective is served (HA's only when strictly
+/// lower). So a client that offers more time never gets a worse plan.
+struct HaFloor {
+    over: Arc<dyn PlanPolicy>,
+}
+
+impl PlanPolicy for HaFloor {
+    fn name(&self) -> &'static str {
+        "auto"
+    }
+
+    fn plan(&self, env: &mut ReschedEnv, req: &PlanRequest) -> SimResult<Vec<Action>> {
+        let start = Instant::now();
+        let floor = HaPolicy.plan(env, req)?;
+        let left = PlanRequest { budget: req.budget.saturating_sub(start.elapsed()), ..*req };
+        let plan = self.over.plan(env, &left)?;
+        if objective_after(env, &floor)? < objective_after(env, &plan)? {
+            Ok(floor)
+        } else {
+            Ok(plan)
+        }
+    }
+}
+
+/// The objective `plan` takes the environment's episode start to; the
+/// environment is left rewound.
+fn objective_after(env: &mut ReschedEnv, plan: &[Action]) -> SimResult<f64> {
+    env.rewind();
+    let replayed = plan.iter().try_for_each(|&action| env.step(action).map(drop));
+    let value = env.objective_value();
+    env.rewind();
+    replayed.map(|()| value)
+}
+
 /// Latency budget below which `auto` refuses anything slower than HA.
 const AUTO_HA_BUDGET: Duration = Duration::from_millis(10);
 /// Latency budget above which `auto` escalates from the agent to search.
@@ -427,9 +464,10 @@ impl PolicyRegistry {
 
     /// Resolves a request's policy. `auto` picks by latency budget:
     /// microsecond budgets get HA, interactive budgets get the agent
-    /// (when a checkpoint is loaded), generous budgets get MCTS.
+    /// (when a checkpoint is loaded), generous budgets get MCTS; past HA,
+    /// with HA's plan as the floor ([`HaFloor`], named `auto`).
     pub fn resolve(&self, name: &str, budget: Duration) -> Option<Arc<dyn PlanPolicy>> {
-        let effective = match name {
+        let over = match name {
             "auto" => {
                 if budget < AUTO_HA_BUDGET || (!self.has_agent && budget < AUTO_SEARCH_BUDGET) {
                     "ha"
@@ -439,9 +477,13 @@ impl PolicyRegistry {
                     "mcts"
                 }
             }
-            other => other,
+            other => return self.by_name.get(other).cloned(),
         };
-        self.by_name.get(effective).cloned()
+        let policy = self.by_name.get(over).cloned()?;
+        if over == "ha" {
+            return Some(policy);
+        }
+        Some(Arc::new(HaFloor { over: policy }))
     }
 }
 
@@ -456,10 +498,38 @@ mod tests {
         assert!(reg.resolve("agent", Duration::from_millis(1)).is_none());
         assert!(reg.resolve("nonsense", Duration::from_millis(1)).is_none());
         // auto degrades to HA when no checkpoint is loaded and the budget
-        // is tight, and escalates to MCTS when generous.
+        // is tight, and escalates to MCTS, over HA's floor, when generous.
         assert_eq!(reg.resolve("auto", Duration::from_millis(1)).unwrap().name(), "ha");
         assert_eq!(reg.resolve("auto", Duration::from_millis(500)).unwrap().name(), "ha");
-        assert_eq!(reg.resolve("auto", Duration::from_secs(10)).unwrap().name(), "mcts");
+        assert_eq!(reg.resolve("auto", Duration::from_secs(10)).unwrap().name(), "auto");
+    }
+
+    /// Offering `auto` more time never buys a plan worse than HA's: at a
+    /// search budget MCTS alone ends well above HA on this cluster, and
+    /// `auto` serves HA's plan instead.
+    #[test]
+    fn auto_never_serves_a_plan_worse_than_ha() {
+        use crate::session::{preset_config, Session};
+        let reg = PolicyRegistry::standard(None);
+        let mut session =
+            Session::from_preset("s", &preset_config("small").unwrap(), 1, 10).unwrap();
+        let req = PlanRequest {
+            mnl: 10,
+            seed: 0,
+            budget: AUTO_SEARCH_BUDGET,
+            shards: 0,
+            workers: 0,
+            precision: PrecisionConfig::Exact64,
+        };
+        let auto = reg.resolve("auto", req.budget).unwrap();
+        let served = session.plan(auto.as_ref(), &req, false).unwrap();
+        let ha = session.plan(&HaPolicy, &req, false).unwrap();
+        assert!(
+            served.objective_after <= ha.objective_after,
+            "auto {} vs ha {}",
+            served.objective_after,
+            ha.objective_after
+        );
     }
 
     #[test]
@@ -516,13 +586,12 @@ mod tests {
             assert_eq!(fleet.plan(&mut mk_env(), &req).unwrap(), plan1, "workers={workers}");
         }
         // Repeated requests through a *session* must also be identical:
-        // every request's validation replay permutes the state's
-        // `vms_on` reverse indexes — exactly the hidden order the
-        // refinement pass's equal-gain tie-breaking once leaked (the
-        // first and second identical wire request served different
-        // final refinement moves). This instance (small_train seed 4,
-        // request seed 0) reproduced that divergence before the
-        // canonical candidate ordering in `refine_cross_shard`.
+        // every request replays its plan on the session's one cluster and
+        // rewinds it. When the reverse index kept its migration-history
+        // order, the refinement pass's equal-gain tie-breaking leaked that
+        // order (the first and second identical wire request served
+        // different final refinement moves); this instance (small_train
+        // seed 4, request seed 0) reproduced that divergence.
         use crate::session::Session;
         let tie_state = generate_mapping(&ClusterConfig::small_train(), 4).unwrap();
         let tn = tie_state.num_vms();
@@ -546,13 +615,13 @@ mod tests {
 
     #[test]
     fn fleet_agent_plans_are_invariant_across_workers_and_repeat_calls() {
-        // Regression for the extraction-order bug: `vms_on` reverse
-        // indexes are permuted by migrate/undo cycles, and an extraction
-        // that iterated them leaked that hidden state into sub-VM ids —
-        // the agent (order-sensitive featurization) then returned
-        // *different plans for identical repeated requests* on a rewound
-        // session env. Plans must be identical across worker counts AND
-        // across repeated calls on the same session.
+        // Regression for the extraction-order bug: an extraction that
+        // followed a reverse index in migration-history order leaked that
+        // order into sub-VM ids — the agent (order-sensitive
+        // featurization) then returned *different plans for identical
+        // repeated requests* on a rewound session env. Plans must be
+        // identical across worker counts AND across repeated calls on the
+        // same session.
         use rand::rngs::StdRng;
         use rand::SeedableRng;
         use vmr_core::config::{ActionMode, ExtractorKind, ModelConfig};
@@ -625,8 +694,27 @@ mod tests {
         let model =
             Vmr2lModel::new(ModelConfig::default(), ExtractorKind::SparseAttention, &mut rng);
         let handle = SharedAgent::new(Vmr2lAgent::new(model, ActionMode::TwoStage));
+        use crate::session::{preset_config, Session};
         let reg = PolicyRegistry::standard(Some(handle));
-        assert_eq!(reg.resolve("auto", Duration::from_millis(100)).unwrap().name(), "agent");
+        let auto = reg.resolve("auto", Duration::from_millis(100)).unwrap();
+        assert_eq!(auto.name(), "auto");
         assert_eq!(reg.resolve("auto", Duration::from_millis(1)).unwrap().name(), "ha");
+        // Past HA the agent plans, over HA's floor: the served plan is the
+        // agent's unless HA's replay ends strictly lower.
+        let mut session = Session::from_preset("s", &preset_config("tiny").unwrap(), 5, 6).unwrap();
+        let req = PlanRequest {
+            mnl: 5,
+            seed: 8,
+            budget: Duration::from_millis(100),
+            shards: 0,
+            workers: 0,
+            precision: PrecisionConfig::Exact64,
+        };
+        let served = session.plan(auto.as_ref(), &req, false).unwrap();
+        let agent = reg.resolve("agent", req.budget).unwrap();
+        let agent = session.plan(agent.as_ref(), &req, false).unwrap();
+        let ha = session.plan(&HaPolicy, &req, false).unwrap();
+        let want = if ha.objective_after < agent.objective_after { ha } else { agent };
+        assert_eq!(served.plan, want.plan);
     }
 }

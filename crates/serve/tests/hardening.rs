@@ -248,7 +248,19 @@ fn restore_validates_snapshots_like_the_delta_path() {
     // still restores.
     let stats = client.stats("res").unwrap();
     assert_eq!(stats.session.unwrap().objective, objective, "state must be untouched");
-    client.restore("res", good).expect("valid snapshot restores");
+    client.restore("res", good.clone()).expect("valid snapshot restores");
+
+    // A stored reverse index in another order (snapshots written in
+    // migration-history order hold one) is no fault: it restores, and
+    // comes back ascending — the canonical snapshot again.
+    let mut permuted = wire.clone();
+    let index = state_array(&mut permuted, "vms_on_pm");
+    index.iter_mut().filter_map(serde_json::Value::as_array_mut).for_each(|vms| vms.reverse());
+    assert_ne!(permuted, wire, "some PM must host two VMs");
+    client.restore("res", serde_json::from_value(&permuted).unwrap()).expect("permuted restores");
+    let back = client.snapshot("res").unwrap().snapshot;
+    assert!((0..pms as u32).all(|p| back.state.vms_on(vmr_sim::PmId(p)).is_sorted()));
+    assert_eq!(back.state, good.state);
     handle.shutdown();
 }
 

@@ -280,11 +280,8 @@ proptest! {
         prop_assert!(matches!(rec.note, RecoveryNote::Clean), "{:?}", rec.note);
         prop_assert_eq!(rec.lsn, bodies.len() as u64);
         let mut twin = twin_after(seed, bodies.len(), &bodies);
-        // Snapshots are canonical (each PM's reverse index in ascending
-        // VM id), so a session recovered from one lists a PM's VMs in
-        // another order than the twin's history left: the state is
-        // compared as the twin's snapshot bytes, as a compaction writes
-        // them.
+        // The recovered session is compared with the twin by the bytes
+        // a compaction writes: cluster, constraints and MNL.
         prop_assert_eq!(snapshot_bytes(&mut rec.session), snapshot_bytes(&mut twin));
         prop_assert!(rec.session.env_mut().observe() == twin.env_mut().observe());
         let _ = fs::remove_dir_all(&dir);

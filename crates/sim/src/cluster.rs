@@ -19,12 +19,15 @@ use crate::types::{NumaPlacement, NumaPolicy, PmId, VmId};
 ///   NUMA nodes of a single PM (Eq. 4 & 6 of the paper).
 /// * Per-NUMA `cpu_used`/`mem_used` equal the sum of demands of the VMs
 ///   placed there ([`ClusterState::audit`] verifies this from scratch).
+/// * Each PM's reverse index lists the VMs placed on it in ascending id,
+///   after every mutation: the state is a function of its placements, so
+///   an undone migration leaves a state `==` to the one before it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ClusterState {
     pms: Vec<Pm>,
     vms: Vec<Vm>,
     placements: Vec<Placement>,
-    /// Reverse index: VMs hosted by each PM (unordered).
+    /// Reverse index: VMs hosted by each PM, in ascending id.
     vms_on_pm: Vec<Vec<VmId>>,
 }
 
@@ -123,37 +126,11 @@ impl ClusterState {
         &self.placements
     }
 
-    /// The VMs currently hosted on a PM (unordered).
-    ///
-    /// The per-PM list is a reverse index maintained by
-    /// swap-remove+push, so its order is an artifact of migration
-    /// history. Plan-producing code must use [`Self::vms_on_sorted`]
-    /// instead so emitted plans don't depend on that history; the
-    /// `vmr-analyze` D001 lint enforces this.
+    /// The VMs currently hosted on a PM, in ascending id: a function of
+    /// the placements alone, whatever migrations and undos led to them.
     #[inline]
     pub fn vms_on(&self, pm: PmId) -> &[VmId] {
         &self.vms_on_pm[pm.0 as usize]
-    }
-
-    /// The VMs currently hosted on a PM in canonical ascending-id
-    /// order. This is the iteration order plan-producing code must use:
-    /// it is a pure function of the placement set, independent of the
-    /// migrate/undo history that permutes the raw reverse index.
-    pub fn vms_on_sorted(&self, pm: PmId) -> Vec<VmId> {
-        let mut vms = self.vms_on_pm[pm.0 as usize].clone();
-        vms.sort_unstable();
-        vms
-    }
-
-    /// Puts every PM's reverse index in ascending VM id: the order the
-    /// one cluster rule builds, so two states with the same placements
-    /// serialize to the same bytes whatever migrate/undo history
-    /// permuted their indexes. For stored copies (a snapshot); a live
-    /// state keeps its history order.
-    pub fn sort_reverse_index(&mut self) {
-        for vms in &mut self.vms_on_pm {
-            vms.sort_unstable();
-        }
     }
 
     /// Checks a VM id, returning the VM or an error.
@@ -239,10 +216,8 @@ impl ClusterState {
         let to = Placement { pm, numa };
         self.placements[vm.0 as usize] = to;
         if from.pm != pm {
-            let src = &mut self.vms_on_pm[from.pm.0 as usize];
-            let pos = src.iter().position(|&x| x == vm).expect("reverse index corrupt");
-            src.swap_remove(pos);
-            self.vms_on_pm[pm.0 as usize].push(vm);
+            unhost(&mut self.vms_on_pm[from.pm.0 as usize], vm);
+            host(&mut self.vms_on_pm[pm.0 as usize], vm);
         }
         Ok(MigrationRecord { vm, from, to })
     }
@@ -266,12 +241,8 @@ impl ClusterState {
 
     /// Reverts a migration produced by [`ClusterState::migrate`] /
     /// [`ClusterState::migrate_exact`]. Records must be undone in LIFO
-    /// order relative to other mutations touching the same machines.
-    ///
-    /// Placements and resource accounting are restored exactly; the
-    /// internal reverse index (`vms_on`) is an unordered set and its
-    /// iteration order may differ from the original, so full-structure
-    /// `==` on [`ClusterState`] is not guaranteed after undo.
+    /// order relative to other mutations touching the same machines; the
+    /// state after the undo is `==` to the state before the migration.
     pub fn undo(&mut self, rec: &MigrationRecord) -> SimResult<()> {
         // The inverse move; capacity is guaranteed because we just vacated it,
         // but migrate_exact re-checks anyway for safety.
@@ -294,10 +265,8 @@ impl ClusterState {
         self.pms[rec.b.from.pm.0 as usize] = pm_b;
         for m in [rec.a, rec.b] {
             self.placements[m.vm.0 as usize] = m.to;
-            let src = &mut self.vms_on_pm[m.from.pm.0 as usize];
-            let pos = src.iter().position(|&x| x == m.vm).expect("reverse index corrupt");
-            src.swap_remove(pos);
-            self.vms_on_pm[m.to.pm.0 as usize].push(m.vm);
+            unhost(&mut self.vms_on_pm[m.from.pm.0 as usize], m.vm);
+            host(&mut self.vms_on_pm[m.to.pm.0 as usize], m.vm);
         }
         Ok(rec)
     }
@@ -343,30 +312,6 @@ impl ClusterState {
         Ok((rec, pm_a, pm_b))
     }
 
-    /// Reverts a swap produced by [`ClusterState::swap`]. Subject to the
-    /// same LIFO discipline as [`ClusterState::undo`].
-    pub fn undo_swap(&mut self, rec: &SwapRecord) -> SimResult<()> {
-        // Swapping the same pair back restores both placements; use the
-        // exact original NUMA placements rather than best-fit to return
-        // to the precise prior state.
-        let (a, b) = (rec.a, rec.b);
-        let va = *self.check_vm(a.vm)?;
-        let vb = *self.check_vm(b.vm)?;
-        self.pms[a.to.pm.0 as usize].release_vm(&va, a.to.numa);
-        self.pms[b.to.pm.0 as usize].release_vm(&vb, b.to.numa);
-        self.pms[a.from.pm.0 as usize].alloc_vm(&va, a.from.numa);
-        self.pms[b.from.pm.0 as usize].alloc_vm(&vb, b.from.numa);
-        self.placements[a.vm.0 as usize] = a.from;
-        self.placements[b.vm.0 as usize] = b.from;
-        for (vm, from, to) in [(a.vm, a.to.pm, a.from.pm), (b.vm, b.to.pm, b.from.pm)] {
-            let src = &mut self.vms_on_pm[from.0 as usize];
-            let pos = src.iter().position(|&x| x == vm).expect("reverse index corrupt");
-            src.swap_remove(pos);
-            self.vms_on_pm[to.0 as usize].push(vm);
-        }
-        Ok(())
-    }
-
     /// Appends a new VM at an explicit placement (an online *create*
     /// delta). The new VM takes the next dense id. Fails without mutating
     /// state if the placement shape is illegal or lacks capacity.
@@ -387,6 +332,7 @@ impl ClusterState {
         pm.alloc_vm(&vm, placement.numa);
         self.vms.push(vm);
         self.placements.push(placement);
+        // The largest id so far: its place in the ascending index is last.
         self.vms_on_pm[pm_idx].push(id);
         Ok(id)
     }
@@ -394,9 +340,10 @@ impl ClusterState {
     /// Removes a VM (an online *delete* delta), freeing its resources.
     ///
     /// VM ids stay dense: unless the removed VM was the last one, the
-    /// last VM is renumbered into the freed slot (swap-remove). The
-    /// returned [`VmRemoval`] reports that renumbering so callers with
-    /// external id maps (sessions, constraint sets) can follow it.
+    /// last VM is renumbered into the freed slot (swap-remove) and moves
+    /// to its new id's place in its host's reverse index. The returned
+    /// [`VmRemoval`] reports that renumbering so callers with external id
+    /// maps (sessions, constraint sets) can follow it.
     pub fn remove_vm(&mut self, vm: VmId) -> SimResult<VmRemoval> {
         self.check_vm(vm)?;
         let idx = vm.0 as usize;
@@ -404,18 +351,15 @@ impl ClusterState {
         let removed = self.vms[idx];
         let placement = self.placements[idx];
         self.pms[placement.pm.0 as usize].release_vm(&removed, placement.numa);
-        let host_list = &mut self.vms_on_pm[placement.pm.0 as usize];
-        let pos = host_list.iter().position(|&x| x == vm).expect("reverse index corrupt");
-        host_list.swap_remove(pos);
+        unhost(&mut self.vms_on_pm[placement.pm.0 as usize], vm);
         self.vms.swap_remove(idx);
         self.placements.swap_remove(idx);
         let renumbered = if idx != last {
             let moved_old = VmId(last as u32);
             self.vms[idx].id = vm;
             let moved_host = &mut self.vms_on_pm[self.placements[idx].pm.0 as usize];
-            let pos =
-                moved_host.iter().position(|&x| x == moved_old).expect("reverse index corrupt");
-            moved_host[pos] = vm;
+            unhost(moved_host, moved_old);
+            host(moved_host, vm);
             Some(moved_old)
         } else {
             None
@@ -498,13 +442,16 @@ impl ClusterState {
         used as f64 / total as f64
     }
 
-    /// Validates a stored state, trusted or not (a deserialized snapshot
-    /// or dataset): the one cluster rule that [`Self::new`] applies must
-    /// accept its machines, VMs and placements, and the usage and reverse
-    /// index that rule computes must equal the stored ones (each PM's
-    /// reverse index as a set). Never panics, whatever the fields hold.
-    /// O(M log M + N).
-    pub fn audit(&self) -> SimResult<()> {
+    /// The one load step for a stored state, trusted or not (a
+    /// deserialized snapshot or dataset): the one cluster rule that
+    /// [`Self::new`] applies must accept its machines, VMs and
+    /// placements, the stored usage must equal the usage that rule
+    /// computes, and each PM's stored reverse index must list exactly the
+    /// VMs placed on it, in any order (a state stored before the index
+    /// was kept ascending holds its migration history's order). Returns
+    /// the state as the rule builds it, index ascending. Never panics,
+    /// whatever the fields hold. O(N + M).
+    pub fn load(self) -> SimResult<Self> {
         let (pms, vms_on_pm) = derive(self.pms.clone(), &self.vms, &self.placements)?;
         if let Some((pm, _)) = pms.iter().zip(&self.pms).find(|(fresh, stored)| fresh != stored) {
             return Err(SimError::InvalidMapping(format!(
@@ -519,18 +466,52 @@ impl ClusterState {
                 vms_on_pm.len()
             )));
         }
-        let mut stored = Vec::new();
-        for (idx, (expect, hosted)) in vms_on_pm.iter().zip(&self.vms_on_pm).enumerate() {
-            stored.clone_from(hosted);
-            stored.sort_unstable();
-            if &stored != expect {
+        // A permutation check without a sort: each PM lists as many VMs
+        // as are placed on it, and every entry is a VM placed there,
+        // named once in the whole index.
+        let mut named = vec![false; self.vms.len()];
+        for (idx, (expect, stored)) in vms_on_pm.iter().zip(&self.vms_on_pm).enumerate() {
+            let mut placed_here = |vm: &VmId| match named.get_mut(vm.0 as usize) {
+                Some(seen) if !*seen && self.placements[vm.0 as usize].pm.0 as usize == idx => {
+                    *seen = true;
+                    true
+                }
+                _ => false,
+            };
+            if stored.len() != expect.len() || !stored.iter().all(&mut placed_here) {
                 return Err(SimError::InvalidMapping(format!(
                     "reverse index of PM {idx} disagrees with the placements"
                 )));
             }
         }
-        Ok(())
+        Ok(ClusterState { pms, vms: self.vms, placements: self.placements, vms_on_pm })
     }
+
+    /// Checks that a state is exactly what the one cluster rule builds
+    /// from its own placements: [`Self::load`] accepts it and gives it
+    /// back unchanged, every reverse index ascending. Never panics.
+    /// O(N + M).
+    pub fn audit(&self) -> SimResult<()> {
+        let built = self.clone().load()?;
+        match built.vms_on_pm.iter().zip(&self.vms_on_pm).position(|(a, b)| a != b) {
+            None => Ok(()),
+            Some(idx) => Err(SimError::InvalidMapping(format!(
+                "reverse index of PM {idx} is not in ascending order"
+            ))),
+        }
+    }
+}
+
+/// Drops `vm` from a PM's ascending reverse index.
+fn unhost(hosted: &mut Vec<VmId>, vm: VmId) {
+    let pos = hosted.binary_search(&vm).expect("reverse index corrupt");
+    hosted.remove(pos);
+}
+
+/// Puts `vm` into a PM's ascending reverse index, at its place.
+fn host(hosted: &mut Vec<VmId>, vm: VmId) {
+    let pos = hosted.binary_search(&vm).expect_err("reverse index corrupt");
+    hosted.insert(pos, vm);
 }
 
 /// The one cluster rule behind [`ClusterState::new`] and
@@ -674,7 +655,25 @@ mod tests {
             let mut c = small_cluster();
             f(&mut c);
             assert!(c.audit().is_err(), "corruption {i} must be rejected");
+            assert!(c.load().is_err(), "corruption {i} must not load");
         }
+    }
+
+    /// A stored index in another order (a state written before the index
+    /// was kept ascending) loads, and comes out ascending; `audit` holds a
+    /// state to that order.
+    #[test]
+    fn load_puts_a_permuted_index_in_ascending_order() {
+        let canonical = small_cluster();
+        let mut stored = canonical.clone();
+        stored.vms_on_pm[0].reverse();
+        assert_eq!(stored.vms_on_pm[0], vec![VmId(1), VmId(0)]);
+        assert!(stored.audit().is_err(), "a live index out of order is a fault");
+        assert_eq!(stored.load().unwrap(), canonical);
+        // A permutation only: a VM named twice is refused.
+        let mut twice = canonical.clone();
+        twice.vms_on_pm[0] = vec![VmId(0), VmId(0)];
+        assert!(twice.load().is_err());
     }
 
     #[test]
@@ -757,11 +756,10 @@ mod tests {
         let rec = c.migrate(VmId(1), PmId(1), 16).unwrap();
         assert_ne!(c, before);
         c.audit().unwrap();
+        // VM 1 lands after VM 2 on PM 1 in id order, whatever order it came in.
+        assert_eq!(c.vms_on(PmId(1)), &[VmId(1), VmId(2)]);
         c.undo(&rec).unwrap();
-        c.audit().unwrap();
-        assert_eq!(c.placement(VmId(1)), before.placement(VmId(1)));
-        assert_eq!(c.pm(PmId(0)), before.pm(PmId(0)));
-        assert_eq!(c.pm(PmId(1)), before.pm(PmId(1)));
+        assert_eq!(c, before);
     }
 
     #[test]
@@ -776,20 +774,15 @@ mod tests {
     }
 
     #[test]
-    fn swap_exchanges_hosts_and_undo_restores() {
+    fn swap_exchanges_hosts() {
         let mut c = small_cluster();
-        let before = c.clone();
         let rec = c.swap(VmId(0), VmId(2), 16).unwrap();
+        assert_eq!((rec.a.to.pm, rec.b.to.pm), (PmId(1), PmId(0)));
         assert_eq!(c.placement(VmId(0)).pm, PmId(1));
         assert_eq!(c.placement(VmId(2)).pm, PmId(0));
-        assert!(c.vms_on(PmId(1)).contains(&VmId(0)));
-        assert!(c.vms_on(PmId(0)).contains(&VmId(2)));
+        assert_eq!(c.vms_on(PmId(0)), &[VmId(1), VmId(2)]);
+        assert_eq!(c.vms_on(PmId(1)), &[VmId(0)]);
         c.audit().unwrap();
-        c.undo_swap(&rec).unwrap();
-        c.audit().unwrap();
-        assert_eq!(c.placements(), before.placements());
-        assert_eq!(c.pm(PmId(0)), before.pm(PmId(0)));
-        assert_eq!(c.pm(PmId(1)), before.pm(PmId(1)));
     }
 
     /// The §8 motivation: a swap can be legal when neither individual
@@ -810,11 +803,9 @@ mod tests {
         assert!(c.migrate(VmId(0), PmId(1), 16).is_err());
         assert!(c.migrate(VmId(2), PmId(0), 16).is_err());
         // But the atomic exchange is.
-        let rec = c.swap(VmId(0), VmId(2), 16).unwrap();
+        c.swap(VmId(0), VmId(2), 16).unwrap();
         assert_eq!(c.placement(VmId(0)).pm, PmId(1));
         assert_eq!(c.placement(VmId(2)).pm, PmId(0));
-        c.audit().unwrap();
-        c.undo_swap(&rec).unwrap();
         c.audit().unwrap();
     }
 
@@ -940,7 +931,8 @@ mod tests {
         assert_eq!(c.num_vms(), 2);
         assert_eq!(c.vm(VmId(0)).cpu, 64, "renumbered VM keeps its record");
         assert_eq!(c.placement(VmId(0)).pm, PmId(1));
-        assert!(c.vms_on(PmId(1)).contains(&VmId(0)));
+        assert_eq!(c.vms_on(PmId(0)), &[VmId(1)]);
+        assert_eq!(c.vms_on(PmId(1)), &[VmId(0)]);
         c.audit().unwrap();
         // Removing the (new) last VM renumbers nothing.
         let out = c.remove_vm(VmId(1)).unwrap();

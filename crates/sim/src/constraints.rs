@@ -154,7 +154,8 @@ impl ConstraintSet {
         total as f64 / (n as f64 * (n as f64 - 1.0))
     }
 
-    /// Returns the first conflicting VM already hosted on `pm`, if any.
+    /// Returns the smallest-id conflicting VM already hosted on `pm`, if
+    /// any.
     /// When migrating, the VM's own presence on the PM is ignored.
     pub fn conflict_on_pm(&self, state: &ClusterState, vm: VmId, pm: PmId) -> Option<VmId> {
         let mine = self.conflicts_of(vm);

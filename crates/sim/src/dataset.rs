@@ -397,14 +397,13 @@ impl Dataset {
         serde_json::to_string(self).expect("dataset serialization cannot fail")
     }
 
-    /// Deserializes from JSON, auditing every mapping (the file is
-    /// outside input: a bad one is an `Err`, never a panic).
+    /// Deserializes from JSON, loading every mapping through
+    /// [`ClusterState::load`] (the file is outside input: a bad one is an
+    /// `Err`, never a panic).
     pub fn from_json(json: &str) -> SimResult<Self> {
-        let ds: Dataset = serde_json::from_str(json)
+        let mut ds: Dataset = serde_json::from_str(json)
             .map_err(|e| SimError::InvalidMapping(format!("bad dataset JSON: {e}")))?;
-        for m in &ds.mappings {
-            m.audit()?;
-        }
+        ds.mappings = ds.mappings.into_iter().map(ClusterState::load).collect::<SimResult<_>>()?;
         let n = ds.mappings.len();
         if let Some(&i) = [&ds.train, &ds.val, &ds.test].into_iter().flatten().find(|&&i| i >= n) {
             return Err(SimError::InvalidMapping(format!("split names mapping {i} of {n}")));

@@ -171,13 +171,12 @@ impl ReschedEnv {
     /// repair, so the observation engine stays valid and the cost is
     /// O(steps · touched entities), never an O(cluster) rebuild — a
     /// daemon answers many plan requests against the same live state.
-    /// The reverse index may come back in another order; nothing that
-    /// plans or featurizes reads that order (D001).
+    /// The rewound cluster is `==` to the one the episode started from.
     pub fn rewind(&mut self) {
         while let Some(rec) = self.history.pop() {
             self.state.undo(&rec).expect("episode history is invertible");
             if let Some(engine) = &mut self.engine {
-                engine.note_undo(&self.state, &rec);
+                engine.note_migration(&self.state, &rec);
             }
         }
         self.steps_taken = 0;
@@ -263,7 +262,7 @@ impl ReschedEnv {
     fn drain_pm(&mut self, pm: PmId) -> SimResult<DeltaOutcome> {
         self.state.check_pm(pm)?;
         let frag = self.objective.frag_cores();
-        let mut victims: Vec<VmId> = self.state.vms_on_sorted(pm);
+        let mut victims: Vec<VmId> = self.state.vms_on(pm).to_vec();
         victims.sort_by_key(|&v| (std::cmp::Reverse(self.state.vm(v).cpu), v.0));
         let mut applied: Vec<MigrationRecord> = Vec::new();
         for vm in victims {
@@ -286,7 +285,7 @@ impl ReschedEnv {
                 for rec in applied.iter().rev() {
                     self.state.undo(rec).expect("drain rollback is invertible");
                     if let Some(engine) = &mut self.engine {
-                        engine.note_undo(&self.state, rec);
+                        engine.note_migration(&self.state, rec);
                     }
                 }
                 return Err(SimError::NoFeasiblePlacement(vm));

@@ -187,11 +187,10 @@ impl InterferenceModel {
         if total == 0.0 {
             return 0.0;
         }
-        // Canonical order matters even for a reduction: f64 addition is
-        // not associative, so summing in reverse-index order would make
-        // the score depend on migration history.
+        // Summed in ascending VM id (the reverse index's order): f64
+        // addition is not associative, so the order is part of the score.
         let demand: f64 = state
-            .vms_on_sorted(pm)
+            .vms_on(pm)
             .iter()
             .map(|&v| state.vm(v).cpu as f64 * self.util_of(profiles.usage(v)))
             .sum();
@@ -233,7 +232,7 @@ impl InterferenceModel {
             }
             let total = state.pm(pm).cpu_total() as f64;
             let demand = self.pm_demand(state, profiles, pm);
-            for &v in &state.vms_on_sorted(pm) {
+            for &v in state.vms_on(pm) {
                 let without =
                     demand - state.vm(v).cpu as f64 * self.util_of(profiles.usage(v)) / total;
                 let residual = (without - self.threshold).max(0.0);

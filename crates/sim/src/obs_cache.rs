@@ -9,7 +9,7 @@
 //! probing.
 //!
 //! [`ObsEngine`] keeps the *raw* (un-normalized) PM/VM feature matrices
-//! alive across `migrate`/`swap`/undo and repairs only what a migration
+//! alive across `migrate`/undo and repairs only what a migration
 //! dirties:
 //!
 //! * **Dirty rows** — the two endpoint PMs plus the VMs hosted on them,
@@ -29,7 +29,7 @@
 //! (`prop_obs_engine.rs`) asserts this equivalence under arbitrary
 //! migrate/swap/undo sequences.
 
-use crate::cluster::{ClusterState, MigrationRecord, SwapRecord};
+use crate::cluster::{ClusterState, MigrationRecord};
 use crate::obs::{fill_pm_row, fill_vm_row, Observation, PM_FEAT, VM_FEAT};
 use crate::types::{PmId, VmId};
 
@@ -225,25 +225,10 @@ impl ObsEngine {
         }
     }
 
-    /// Repairs the engine after a migration was applied to `state`
-    /// (`state` must already reflect the move).
+    /// Repairs the engine after `rec` was applied to `state`, or undone
+    /// (`state` must already reflect it): either way its two endpoints.
     pub fn note_migration(&mut self, state: &ClusterState, rec: &MigrationRecord) {
         self.refresh_pms(state, rec.from.pm, rec.to.pm);
-    }
-
-    /// Repairs the engine after an undo of `rec` (same endpoints).
-    pub fn note_undo(&mut self, state: &ClusterState, rec: &MigrationRecord) {
-        self.refresh_pms(state, rec.from.pm, rec.to.pm);
-    }
-
-    /// Repairs the engine after a swap was applied to `state`.
-    pub fn note_swap(&mut self, state: &ClusterState, rec: &SwapRecord) {
-        self.refresh_pms(state, rec.a.from.pm, rec.a.to.pm);
-    }
-
-    /// Repairs the engine after a swap was undone.
-    pub fn note_swap_undo(&mut self, state: &ClusterState, rec: &SwapRecord) {
-        self.refresh_pms(state, rec.a.from.pm, rec.a.to.pm);
     }
 
     /// Core repair: recomputes the rows of `pm_a`/`pm_b` and of every VM
@@ -530,12 +515,12 @@ mod tests {
         e.note_migration(&s, &rec);
         assert_eq!(e.observation(&s), &Observation::extract(&s, 16));
         s.undo(&rec).unwrap();
-        e.note_undo(&s, &rec);
+        e.note_migration(&s, &rec);
         assert_eq!(e.observation(&s), &Observation::extract(&s, 16));
     }
 
     #[test]
-    fn swap_and_undo_stay_in_sync() {
+    fn swap_stays_in_sync() {
         let mut s = state(5);
         let mut e = ObsEngine::new(&s, 16);
         let mut pair = None;
@@ -552,10 +537,7 @@ mod tests {
             }
         }
         let rec = pair.expect("a legal swap exists");
-        e.note_swap(&s, &rec);
-        assert_eq!(e.observation(&s), &Observation::extract(&s, 16));
-        s.undo_swap(&rec).unwrap();
-        e.note_swap_undo(&s, &rec);
+        e.refresh_pms(&s, rec.a.from.pm, rec.a.to.pm);
         assert_eq!(e.observation(&s), &Observation::extract(&s, 16));
     }
 

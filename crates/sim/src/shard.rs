@@ -51,14 +51,10 @@ pub struct SubCluster {
 /// Returns `None` if reconstruction fails (cannot happen for consistent
 /// inputs; defensive).
 ///
-/// VM sub-ids are assigned in **ascending global VM id** order, not the
-/// `vms_on` reverse-index order: that index is permuted by every
-/// migrate/undo cycle (swap-remove + push), so extracting through it
-/// would leak hidden state into the subproblem — two extractions of the
-/// same logical cluster could order VMs differently, and an
-/// order-sensitive planner (the agent's featurization, bnb tie-breaks)
-/// would then return different plans for identical inputs, breaking the
-/// fleet planner's determinism guarantee.
+/// VM sub-ids are assigned in **ascending global VM id** order, so a
+/// sub-cluster, and every order-sensitive planner run on it (the agent's
+/// featurization, bnb tie-breaks), is a function of the placements and
+/// of `pm_subset` alone.
 pub fn extract_subcluster(
     state: &ClusterState,
     constraints: &ConstraintSet,
@@ -455,14 +451,10 @@ fn refine_cross_shard(
         scored.truncate(REFINE_SOURCES);
         let mut best: Option<(f64, Action)> = None;
         for &(_, src) in &scored {
-            // Canonical ascending-id candidate order: the `vms_on`
-            // reverse index is permuted by migration history, and with
-            // strict-improvement tie-breaking the first of two
-            // equal-gain candidates wins — iterating the raw index
-            // would leak that hidden order into the chosen plan (same
-            // bug class as the extraction ordering above).
-            let hosted: Vec<VmId> = state.vms_on_sorted(PmId(src));
-            for vm in hosted {
+            // Ascending-id candidate order (the reverse index's): with
+            // strict-improvement tie-breaking the first of two equal-gain
+            // candidates wins.
+            for &vm in state.vms_on(PmId(src)) {
                 if constraints.is_pinned(vm) {
                     continue;
                 }
@@ -536,27 +528,26 @@ mod tests {
 
     #[test]
     fn extraction_is_invariant_to_reverse_index_order() {
-        // A migrate/undo cycle restores placements exactly but permutes
-        // the `vms_on` reverse index (swap-remove + push). Extraction
-        // must not see that hidden state: same logical cluster, same
+        // A migrate/undo cycle restores the cluster exactly, and so the
         // subcluster — byte for byte — or fleet plans would differ
         // between two calls on a rewound serving environment.
         let mut s = state();
         let cs = ConstraintSet::new(s.num_vms());
         let pristine = extract_subcluster(&s, &cs, &[0, 1, 2, 3, 4, 5]).unwrap();
-        let mut permuted = false;
+        let mut cycled = false;
         'outer: for v in 0..s.num_vms() as u32 {
             for p in 0..s.num_pms() as u32 {
                 if s.placement(VmId(v)).pm != PmId(p) {
                     if let Ok(rec) = s.migrate(VmId(v), PmId(p), 16) {
                         s.undo(&rec).unwrap();
-                        permuted = true;
+                        cycled = true;
                         break 'outer;
                     }
                 }
             }
         }
-        assert!(permuted, "need at least one legal migrate/undo cycle");
+        assert!(cycled, "need at least one legal migrate/undo cycle");
+        assert_eq!(s, state());
         let again = extract_subcluster(&s, &cs, &[0, 1, 2, 3, 4, 5]).unwrap();
         assert_eq!(pristine.vm_map, again.vm_map);
         assert_eq!(pristine.state.placements(), again.state.placements());

@@ -1,18 +1,19 @@
 //! Property-based tests of the cluster substrate: under arbitrary legal
 //! migration sequences, resource accounting stays exact, undo restores
-//! state, the dense reward telescopes to the global fragment drop, and
-//! every placement decision follows the one best-fit rule.
+//! state, the state is a function of its placements, the dense reward
+//! telescopes to the global fragment drop, and every placement decision
+//! follows the one best-fit rule.
 
 use std::time::Instant;
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use vmr_sim::cluster::ClusterState;
+use vmr_sim::cluster::{ClusterState, MigrationRecord};
 use vmr_sim::constraints::ConstraintSet;
 use vmr_sim::dataset::{generate_mapping, ClusterConfig, PmGroup};
 use vmr_sim::dynamics::DynamicCluster;
-use vmr_sim::env::{Action, ReschedEnv};
+use vmr_sim::env::{Action, ClusterDelta, ReschedEnv};
 use vmr_sim::machine::{placement_fits, Placement, Pm, Vm};
 use vmr_sim::objective::Objective;
 use vmr_sim::scheduler::{best_fit, choose_placement, VmsPolicy};
@@ -86,6 +87,21 @@ fn brute_best_fit(pm: &Pm, vm: &Vm, frag_cores: u32) -> Option<(u32, NumaPlaceme
         }
     }
     best
+}
+
+/// The one-order invariant: every PM's reverse index is strictly
+/// ascending, and the state is `==` to the one the one cluster rule
+/// builds from its own PMs, VMs and placements.
+fn is_canonical(state: &ClusterState) -> Result<(), TestCaseError> {
+    for pm in 0..state.num_pms() as u32 {
+        let hosted = state.vms_on(PmId(pm));
+        prop_assert!(hosted.windows(2).all(|w| w[0] < w[1]), "PM {}: {:?}", pm, hosted);
+    }
+    let built =
+        ClusterState::new(state.pms().to_vec(), state.vms().to_vec(), state.placements().to_vec())
+            .expect("a live state passes the one cluster rule");
+    prop_assert_eq!(&built, state);
+    Ok(())
 }
 
 proptest! {
@@ -301,10 +317,75 @@ proptest! {
         let before = state.clone();
         if let Ok(rec) = state.migrate(vm, pm, 16) {
             state.undo(&rec).expect("undo");
-            // The reverse index is an unordered set; compare semantics.
-            prop_assert_eq!(state.placements(), before.placements());
-            prop_assert_eq!(state.pms(), before.pms());
-            state.audit().expect("invariants");
+            prop_assert_eq!(&state, &before);
+        }
+    }
+
+    /// A cluster's state is a function of its placements. After every op
+    /// of a random sequence of migrations, undos, swaps, VM adds, removes
+    /// (renumbering the last VM) and resizes and PM adds on a cluster, and
+    /// of steps, drains, commits and rewinds on an environment's cluster,
+    /// both are canonical (`is_canonical`).
+    #[test]
+    fn the_reverse_index_is_a_function_of_the_placements(
+        seed in 0u64..20,
+        ops in prop::collection::vec((0u8..12, 0u32..60, 0u32..60), 1..40),
+    ) {
+        let mut state = cluster(seed);
+        let mut env =
+            ReschedEnv::unconstrained(cluster(seed + 20), Objective::default(), 8).expect("env");
+        let mut undo: Vec<MigrationRecord> = Vec::new();
+        for (kind, x, y) in ops {
+            let (m, n) = (state.num_vms() as u32, state.num_pms() as u32);
+            match kind {
+                0 | 1 if m > 0 => {
+                    if let Ok(rec) = state.migrate(VmId(x % m), PmId(y % n), 16) {
+                        undo.push(rec);
+                    }
+                }
+                2 => {
+                    if let Some(rec) = undo.pop() {
+                        state.undo(&rec).expect("LIFO undo");
+                    }
+                }
+                // The ops below may take the room an undo needs, or
+                // renumber a VM: the undo log starts over after them.
+                3 if m > 0 => {
+                    let _ = state.swap(VmId(x % m), VmId(y % m), 16);
+                    undo.clear();
+                }
+                4 => {
+                    let pl = Placement { pm: PmId(x % n), numa: NumaPlacement::Single((y % 2) as u8) };
+                    let _ = state.add_vm(1 + y % 8, 1 + y % 16, NumaPolicy::Single, pl);
+                    undo.clear();
+                }
+                5 if m > 1 => {
+                    let out = state.remove_vm(VmId(x % m)).expect("id in range");
+                    prop_assert_eq!(out.renumbered.is_some(), x % m != m - 1);
+                    undo.clear();
+                }
+                6 if m > 0 => {
+                    let _ = state.resize_vm(VmId(x % m), 1 + y % 12, 1 + y % 24);
+                    undo.clear();
+                }
+                7 => {
+                    state.add_pm(22 + x % 23, 64).expect("a valid PM");
+                    undo.clear();
+                }
+                8 | 9 => {
+                    let (em, en) = (env.state().num_vms() as u32, env.state().num_pms() as u32);
+                    let _ = env.step(Action { vm: VmId(x % em), pm: PmId(y % en) });
+                }
+                10 => {
+                    let pm = PmId(x % env.state().num_pms() as u32);
+                    let _ = env.apply_delta(&ClusterDelta::PmDrain { pm });
+                }
+                11 if x % 2 == 0 => env.commit(),
+                11 => env.rewind(),
+                _ => {}
+            }
+            is_canonical(&state)?;
+            is_canonical(env.state())?;
         }
     }
 
@@ -359,9 +440,10 @@ proptest! {
         }
     }
 
-    /// Undo after a successful swap restores the exact prior state.
+    /// A successful swap exchanges exactly the two VMs' hosts: every
+    /// other placement stays, and the state stays canonical.
     #[test]
-    fn swap_undo_is_exact_inverse(
+    fn swap_exchanges_exactly_the_two_hosts(
         seed in 0u64..20,
         x in 0u32..60,
         y in 0u32..60,
@@ -373,10 +455,11 @@ proptest! {
         if let Ok(rec) = state.swap(a, b, 16) {
             prop_assert_eq!(state.placement(a).pm, before.placement(b).pm);
             prop_assert_eq!(state.placement(b).pm, before.placement(a).pm);
-            state.undo_swap(&rec).expect("undo swap");
-            prop_assert_eq!(state.placements(), before.placements());
-            prop_assert_eq!(state.pms(), before.pms());
-            state.audit().expect("invariants");
+            prop_assert_eq!((rec.a.to, rec.b.to), (state.placement(a), state.placement(b)));
+            for k in (0..n_vms).map(VmId).filter(|&v| v != a && v != b) {
+                prop_assert_eq!(state.placement(k), before.placement(k));
+            }
+            is_canonical(&state)?;
         }
     }
 

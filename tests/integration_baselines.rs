@@ -214,7 +214,7 @@ fn heuristic_plans_reproduce_the_migrate_undo_capture() {
     let free = ha_solve(&tiny, &ConstraintSet::new(tiny.num_vms()), Objective::default(), 50);
     let mut conflicted = ConstraintSet::new(tiny.num_vms());
     for a in &free.plan {
-        conflicted.add_conflict(a.vm, tiny.vms_on_sorted(a.pm)[0]).unwrap();
+        conflicted.add_conflict(a.vm, tiny.vms_on(a.pm)[0]).unwrap();
     }
     let tiny_case = ha_case(&ClusterConfig::tiny(), 2, Some(conflicted), Objective::default());
     assert_ne!(tiny_case["plan"], plan_json(&free.plan, free.objective)["plan"]);
@@ -293,7 +293,7 @@ fn search_plans(s: &ClusterState, cs: &ConstraintSet, obj: Objective, mnl: usize
 fn binding_conflicts(s: &ClusterState, free: &Value) -> ConstraintSet {
     let mut cs = ConstraintSet::new(s.num_vms());
     let mut conflict = |vm: u32, pm: u32, partner: Option<u32>| {
-        let others = s.vms_on_sorted(PmId(pm));
+        let others = s.vms_on(PmId(pm));
         if let Some(o) = others.iter().find(|o| o.0 != vm && Some(o.0) != partner) {
             cs.add_conflict(VmId(vm), *o).unwrap();
         }
