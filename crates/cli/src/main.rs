@@ -1009,6 +1009,8 @@ fn render_top(
         snap.gauge("nn_par_cores").unwrap_or(0),
     );
     println!("{}", row_classes_line(par("nn_rows_distinct"), par("nn_rows_total")));
+    let arena = snap.gauge("nn_arena_high_water_bytes").unwrap_or(0);
+    println!("forward arena: {:.1} MiB high water", arena as f64 / (1024.0 * 1024.0));
     let tier = |name: &str| snap.gauge(name).unwrap_or(-1);
     println!("{}", simd_tier_line(tier("nn_simd_tier"), tier("nn_simd_tier_cpu")));
     println!();

@@ -135,6 +135,7 @@ fn serve_and_request_round_trip() {
     assert!(out.status.success(), "top: {}", String::from_utf8_lossy(&out.stderr));
     assert!(frame.contains("attention lanes:"), "{frame}");
     assert!(frame.contains("row classes: 0 of 0 (100 %)"), "{frame}");
+    assert!(frame.contains("forward arena: 0.0 MiB high water"), "{frame}");
     // The daemon is this build on this host, so its tier line is ours.
     let tier = format!(
         "simd tier: {} (compiled) / {} (cpu)",

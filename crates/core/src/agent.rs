@@ -451,8 +451,12 @@ impl<P: ActPolicy> Vmr2lAgent<P> {
                         vm_mask[vm_idx] = false;
                         continue;
                     }
+                    // One arena frame per attempt: stage 2 leaves the
+                    // arena as stage 1 left it.
+                    let attempt = ctx.frame();
                     let pm_logits = policy.stage2_fwd(ctx, s1, feats, vm_idx);
                     masked_softmax_bool_row(ctx.value(pm_logits).row_slice(0), pm_mask, pm_probs);
+                    ctx.keep(attempt, []);
                     let Some((pm_idx, pm_lp)) = pick(pm_probs, opts.pm_quantile, opts.greedy, rng)
                     else {
                         return Ok(None);

@@ -58,11 +58,11 @@ impl FeatureTensors {
     /// environment's cached [`Observation`] and refills instead of
     /// rebuilding.
     pub fn refill_from(&mut self, obs: &Observation) {
-        self.pm.reshape_reuse(obs.num_pms, PM_FEAT);
+        self.pm.reuse_as(obs.num_pms, PM_FEAT);
         for (dst, &src) in self.pm.data_mut().iter_mut().zip(&obs.pm_feats) {
             *dst = src as f64;
         }
-        self.vm.reshape_reuse(obs.num_vms, VM_FEAT);
+        self.vm.reuse_as(obs.num_vms, VM_FEAT);
         for (dst, &src) in self.vm.data_mut().iter_mut().zip(&obs.vm_feats) {
             *dst = src as f64;
         }

@@ -168,6 +168,8 @@ impl<S: Scalar> SparseBlock<S> {
     /// attention stage runs the fused head; the cross stage returns its
     /// projected queries and keys, from which
     /// [`MultiHeadAttention::probs_rows`] recomputes probability rows.
+    /// Each stage ends the block's arena frame, so the arena holds one
+    /// stage's temporaries and the live embeddings at a time.
     pub fn fwd(
         &self,
         ctx: &mut FwdCtx<S>,
@@ -175,13 +177,16 @@ impl<S: Scalar> SparseBlock<S> {
         vm: FVar,
         tree: Option<&TreeGroups>,
     ) -> (FVar, FVar, QueryKeys) {
+        let frame = ctx.frame();
         let (pm_l, vm_l) = match (&self.local, tree) {
             (Some(local), Some(tree)) => {
                 let (n, u) = (ctx.value(pm).rows(), ctx.value(vm).rows());
                 let combined = ctx.vcat(pm, vm);
                 let att = local.fwd_tree(ctx, combined, tree);
                 let res = ctx.add(combined, att);
-                (ctx.rows_range(res, 0, n), ctx.rows_range(res, n, u))
+                let (pm_l, vm_l) = (ctx.rows_range(res, 0, n), ctx.rows_range(res, n, u));
+                let [pm_l, vm_l] = ctx.keep(frame, [pm_l, vm_l]);
+                (pm_l, vm_l)
             }
             _ => (pm, vm),
         };
@@ -189,11 +194,14 @@ impl<S: Scalar> SparseBlock<S> {
         let pm_s = ctx.add(pm_l, pm_att);
         let vm_att = self.vm_self.fwd_self_classes(ctx, vm_l);
         let vm_s = ctx.add(vm_l, vm_att);
+        let [pm_s, vm_s] = ctx.keep(frame, [pm_s, vm_s]);
         let (cross_out, cross) = self.cross.fwd_keys(ctx, vm_s, pm_s, None);
         let vm_c = ctx.add(vm_s, cross_out);
+        let [pm_s, vm_c, q, k] = ctx.keep(frame, [pm_s, vm_c, cross.q, cross.k]);
         let pm_out = self.pm_ff.fwd(ctx, pm_s);
         let vm_out = self.vm_ff.fwd(ctx, vm_c);
-        (pm_out, vm_out, cross)
+        let [pm_out, vm_out, q, k] = ctx.keep(frame, [pm_out, vm_out, q, k]);
+        (pm_out, vm_out, QueryKeys { q, k })
     }
 }
 
@@ -275,8 +283,10 @@ impl<S: Scalar> PmActor<S> {
 
     /// Tape-free forward (in f64 bit-identical to [`PmActor::forward`];
     /// the row ↔ column transposes are pure reshapes in row-major layout).
+    /// Ends its own arena frame: only the logits stay.
     pub fn fwd(&self, ctx: &mut FwdCtx<S>, pm_embs: FVar, selected: FVar, score_row: FVar) -> FVar {
         let n = ctx.value(pm_embs).rows();
+        let frame = ctx.frame();
         let enc = self.enc.fwd(ctx, selected);
         ctx.relu_assign(enc);
         let (att, _) = self.att.fwd(ctx, pm_embs, enc, None, false);
@@ -285,7 +295,9 @@ impl<S: Scalar> PmActor<S> {
         let score_col = ctx.reshape(score_row, n, 1);
         let with_score = ctx.hcat(dec, score_col);
         let logits = self.out.fwd(ctx, with_score); // N × 1
-        ctx.reshape(logits, 1, n)
+        let logits = ctx.reshape(logits, 1, n);
+        let [logits] = ctx.keep(frame, [logits]);
+        logits
     }
 }
 
@@ -444,15 +456,20 @@ impl<S: Scalar> Vmr2lModel<S> {
         // class, and give every VM its row back after the last block.
         let n = ctx.value(pm_emb).rows();
         ctx.find_row_classes(vm_emb, n, tree);
+        // One arena frame per block: a block's inputs and the previous
+        // block's cross queries and keys are released when it ends.
+        let frame = ctx.frame();
         let mut pm = pm_emb;
         let mut vm = ctx.class_rows(vm_emb);
         let mut cross = None;
         for block in &self.blocks {
             let (p, v, c) = block.fwd(ctx, pm, vm, tree);
+            let [p, v, q, k] = ctx.keep(frame, [p, v, c.q, c.k]);
             pm = p;
             vm = v;
-            cross = Some(c);
+            cross = Some(QueryKeys { q, k });
         }
+        let cross = cross.expect("at least one block");
         let vm = ctx.expand_rows(vm);
         let m = ctx.value(vm).rows();
         let vm_logits_col = self.vm_head.fwd(ctx, vm); // M × 1
@@ -461,13 +478,9 @@ impl<S: Scalar> Vmr2lModel<S> {
         let vm_pool = ctx.mean_rows(vm);
         let pooled = ctx.hcat(pm_pool, vm_pool);
         let value = self.critic.fwd(ctx, pooled);
-        Stage1Fwd {
-            vm_logits,
-            pm_embs: pm,
-            vm_embs: vm,
-            cross: cross.expect("at least one block"),
-            value,
-        }
+        let [vm_logits, pm, vm, q, k, value] =
+            ctx.keep(frame, [vm_logits, pm, vm, cross.q, cross.k, value]);
+        Stage1Fwd { vm_logits, pm_embs: pm, vm_embs: vm, cross: QueryKeys { q, k }, value }
     }
 
     /// The last block's head-averaged cross-attention probabilities of
@@ -675,6 +688,27 @@ mod tests {
         let v64 = ctx.value(s64.value).get(0, 0);
         let v32 = ctx32.value(s32.value).get(0, 0);
         assert!((f64::from(v32) - v64).abs() < 1e-3, "value f32 {v32} vs f64 {v64}");
+    }
+
+    #[test]
+    fn arena_high_water_does_not_grow_with_blocks() {
+        use crate::features::TreeIndex;
+        let f = feats(7);
+        let mut tree = TreeIndex::default();
+        tree.rebuild(&f);
+        let slots = |blocks: usize| {
+            let cfg = ModelConfig { d_model: 16, heads: 2, blocks, d_ff: 32, critic_hidden: 16 };
+            let m =
+                Vmr2lModel::new(cfg, ExtractorKind::SparseAttention, &mut StdRng::seed_from_u64(0));
+            let mut ctx = FwdCtx::new();
+            let s1 = m.stage1_fwd(&mut ctx, &f, Some(&tree.groups));
+            m.stage2_fwd(&mut ctx, &s1, 0);
+            ctx.high_water()
+        };
+        // Each block ends its frames: a decision step holds one stage's
+        // temporaries at a time, however deep the stack.
+        let (two, four) = (slots(2), slots(4));
+        assert_eq!(two, four, "the arena grew from {two} to {four} slots with two more blocks");
     }
 
     #[test]

@@ -8,6 +8,16 @@
 //! **zero heap allocations** (enforced by `tests/alloc_free.rs` with a
 //! counting allocator).
 //!
+//! The arena is a stack of frames: a layer marks the top
+//! ([`FwdCtx::frame`]), runs its ops, and ends the frame with
+//! [`FwdCtx::keep`], which releases every slot above the mark except the
+//! survivors it names and moves those down to the mark by swapping slot
+//! buffers (no data is copied). So a forward holds one stage's
+//! temporaries at a time, and the number of slots — and the arena's
+//! size — follows the deepest stage, not the number of ops in a step.
+//! A reused slot is a view of its buffer ([`Tensor::reuse_as`]): it is
+//! not refilled, because every op fully overwrites its output.
+//!
 //! In f64 (the default) outputs are bit-identical to the `Graph` path by
 //! construction: both engines call the same kernels, and where this
 //! engine takes a shortcut (the transpose-free `A·Bᵀ` score kernel,
@@ -19,6 +29,8 @@
 //! [`FwdCtx::input`], and its contract against f64 is the tolerance gate
 //! described in [`crate::kernels`], not bit-identity.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+
 use crate::classes::{same_bits, RowClasses};
 use crate::kernels::{self, TreeScratch};
 use crate::par::{self, AttnScratch};
@@ -26,9 +38,27 @@ use crate::scalar::Scalar;
 use crate::tensor::Tensor;
 
 /// Handle to an arena slot. Only valid for the [`FwdCtx`] that issued it,
-/// until the next [`FwdCtx::reset`].
+/// until the next [`FwdCtx::reset`], or until a [`FwdCtx::keep`] of a
+/// frame below it releases or moves its slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FVar(usize);
+
+/// A mark of the arena top ([`FwdCtx::frame`]): the slots issued after it
+/// are one stage's temporaries, ended by [`FwdCtx::keep`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Frame(usize);
+
+/// Largest [`FwdCtx::reserved`] of any arena of the process, in bytes,
+/// taken at every [`FwdCtx::reset`] (once per forward, so the ordering
+/// costs nothing).
+static HIGH_WATER_BYTES: AtomicUsize = AtomicUsize::new(0);
+
+/// The process-wide arena high-water mark, as published by `serve`'s
+/// `metrics` op (`nn_arena_high_water_bytes`): the most bytes one
+/// forward arena had reserved when it was next rewound.
+pub fn arena_high_water_bytes() -> usize {
+    HIGH_WATER_BYTES.load(Ordering::Acquire)
+}
 
 /// Tree topology for block-sparse local attention, in CSR form: group `g`
 /// owns `members[starts[g]..starts[g + 1]]`, each a row index into the
@@ -67,6 +97,10 @@ impl TreeGroups {
 #[derive(Debug, Default)]
 pub struct FwdCtx<S = f64> {
     slots: Vec<Tensor<S>>,
+    /// Where each slot's buffer was made: [`FwdCtx::keep`] moves buffers,
+    /// [`FwdCtx::reset`] puts them back, so every forward of one op
+    /// sequence sees the same buffer at the same op.
+    home: Vec<usize>,
     cursor: usize,
     /// Tree-stage scratch: one tree's gathered rows and its key map.
     tree: TreeScratch<S>,
@@ -83,10 +117,22 @@ impl<S: Scalar> FwdCtx<S> {
         FwdCtx::default()
     }
 
-    /// Rewinds the arena; existing slot buffers are kept for reuse. The
-    /// row classes of the last forward are forgotten with the slots they
-    /// described.
+    /// Rewinds the arena; existing slot buffers are kept for reuse, each
+    /// moved back to the slot it was made for, so the next forward of the
+    /// same ops meets every buffer where this one did and neither grows
+    /// nor refills one. The row classes of the last forward are forgotten
+    /// with the slots they described. Records the arena's size in the
+    /// process-wide [`arena_high_water_bytes`].
     pub fn reset(&mut self) {
+        let bytes = self.reserved() * std::mem::size_of::<S>();
+        HIGH_WATER_BYTES.fetch_max(bytes, Ordering::AcqRel);
+        for i in 0..self.slots.len() {
+            while self.home[i] != i {
+                let j = self.home[i];
+                self.slots.swap(i, j);
+                self.home.swap(i, j);
+            }
+        }
         self.cursor = 0;
         self.classes.clear();
     }
@@ -96,8 +142,65 @@ impl<S: Scalar> FwdCtx<S> {
         self.cursor
     }
 
+    /// The most slots live at once since the context was made: the
+    /// deepest stage of any forward, not its op count.
+    pub fn high_water(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// Elements the slot buffers have been filled to, summed: each
+    /// buffer's longest shape so far. It grows exactly when a slot is
+    /// zero-filled past its buffer's length (steady-state checks).
+    pub fn filled(&self) -> usize {
+        self.slots.iter().map(Tensor::filled).sum()
+    }
+
+    /// Marks the arena top: the slots issued from here on are the
+    /// temporaries of one stage, until [`FwdCtx::keep`] ends it.
+    pub fn frame(&self) -> Frame {
+        Frame(self.cursor)
+    }
+
+    /// Ends `frame`: releases every slot issued since it except
+    /// `survivors`, which move down to the mark in arena order, and
+    /// returns their new handles (in argument order). Survivors issued
+    /// before the frame stay where they are. Moving swaps slot buffers,
+    /// so no data is copied and the survivors keep their bits; the slots
+    /// below the frame are not touched.
+    ///
+    /// # Panics
+    /// Panics if a survivor is at or above the cursor (a released or
+    /// never-issued slot) or named twice, or if `frame` is above the
+    /// cursor.
+    pub fn keep<const N: usize>(&mut self, frame: Frame, survivors: [FVar; N]) -> [FVar; N] {
+        assert!(frame.0 <= self.cursor, "frame {} above the arena top {}", frame.0, self.cursor);
+        let mut order: [usize; N] = std::array::from_fn(|i| i);
+        order.sort_unstable_by_key(|&i| survivors[i].0);
+        assert!(
+            order.windows(2).all(|w| survivors[w[0]] != survivors[w[1]]),
+            "a survivor is named twice"
+        );
+        let mut kept = survivors;
+        let mut top = frame.0;
+        for i in order {
+            let s = survivors[i].0;
+            assert!(s < self.cursor, "slot {s} is not live (arena top {})", self.cursor);
+            if s >= frame.0 {
+                // Ascending and distinct: `top <= s`, and every slot
+                // between them is a released one.
+                self.slots.swap(top, s);
+                self.home.swap(top, s);
+                kept[i] = FVar(top);
+                top += 1;
+            }
+        }
+        self.cursor = top;
+        kept
+    }
+
     /// Allocates (or reuses) a slot shaped `rows × cols`. Contents are
-    /// unspecified; every op fully overwrites its output.
+    /// unspecified; every op fully overwrites its output, so a reused
+    /// buffer is not refilled ([`Tensor::reuse_as`]).
     ///
     /// While rows are shared by class, a slot with one row per class —
     /// or, in the tree stage, the rows before the classified ones and
@@ -108,13 +211,14 @@ impl<S: Scalar> FwdCtx<S> {
     pub fn alloc(&mut self, rows: usize, cols: usize) -> FVar {
         if self.cursor == self.slots.len() {
             self.slots.push(Tensor::zeros(0, 0));
+            self.home.push(self.cursor);
         }
         let slot = &mut self.slots[self.cursor];
         let c = &self.classes;
         if c.shared() && (rows == c.distinct() || rows == c.first() + c.distinct()) {
             slot.reserve_total((rows - c.distinct() + c.total()) * cols);
         }
-        slot.reshape_reuse(rows, cols);
+        slot.reuse_as(rows, cols);
         let v = FVar(self.cursor);
         self.cursor += 1;
         v
@@ -556,6 +660,89 @@ pub(crate) mod tests {
     #[test]
     fn write_cols_assembles_heads() {
         write_cols_assembles_heads_in::<f64>();
+    }
+
+    /// A context holding `rows` one-row slots, slot `i` filled with
+    /// `[i, i + 0.5]`.
+    fn numbered(rows: usize) -> (FwdCtx, Vec<FVar>) {
+        let mut ctx = FwdCtx::new();
+        let vars = (0..rows).map(|i| ctx.input_row(&[i as f64, i as f64 + 0.5])).collect();
+        (ctx, vars)
+    }
+
+    #[test]
+    fn keep_moves_survivors_down_in_arena_order() {
+        let (mut ctx, v) = numbered(2);
+        let below: Vec<Tensor> = v.iter().map(|&x| ctx.value(x).clone()).collect();
+        let frame = ctx.frame();
+        let t: Vec<FVar> = (0..5).map(|i| ctx.full(1, 3, 10.0 + i as f64)).collect();
+        let wide = ctx.alloc(2, 4);
+        ctx.value_mut(wide).data_mut().copy_from_slice(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]);
+        // Named out of arena order, one from below the frame.
+        let [w, a, b, low] = ctx.keep(frame, [wide, t[1], t[3], v[0]]);
+        assert_eq!(ctx.live(), 5, "two below the frame and three survivors");
+        assert_eq!((a, b, w), (FVar(2), FVar(3), FVar(4)), "survivors keep their arena order");
+        assert_eq!(low, v[0]);
+        assert_eq!(ctx.value(a).data(), &[11.0; 3]);
+        assert_eq!(ctx.value(b).data(), &[13.0; 3]);
+        assert_eq!(ctx.value(w).data(), &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]);
+        assert_eq!((ctx.value(w).rows(), ctx.value(w).cols()), (2, 4));
+        for (&x, t) in v.iter().zip(&below) {
+            assert_eq!(ctx.value(x), t, "slots below the frame are untouched");
+        }
+        // Released slots are reissued: the arena grows no further.
+        let slots = ctx.high_water();
+        let again = ctx.frame();
+        for _ in 0..2 {
+            ctx.alloc(1, 1);
+        }
+        ctx.keep(again, []);
+        assert_eq!((ctx.live(), ctx.high_water()), (5, slots));
+    }
+
+    #[test]
+    fn keep_of_nothing_releases_the_frame() {
+        let (mut ctx, _) = numbered(3);
+        let frame = ctx.frame();
+        let x = ctx.full(2, 2, 1.0);
+        ctx.relu_assign(x);
+        assert_eq!(ctx.keep(frame, []), []);
+        assert_eq!(ctx.live(), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "is not live")]
+    fn keep_refuses_a_released_handle() {
+        let (mut ctx, _) = numbered(1);
+        let frame = ctx.frame();
+        let x = ctx.full(1, 1, 1.0);
+        ctx.keep(frame, []);
+        ctx.keep(frame, [x]);
+    }
+
+    #[test]
+    #[should_panic(expected = "named twice")]
+    fn keep_refuses_a_survivor_named_twice() {
+        let (mut ctx, _) = numbered(1);
+        let frame = ctx.frame();
+        let x = ctx.full(1, 1, 1.0);
+        ctx.keep(frame, [x, x]);
+    }
+
+    #[test]
+    #[should_panic(expected = "is not live")]
+    fn keep_refuses_a_handle_at_the_cursor() {
+        let (mut ctx, _) = numbered(2);
+        let frame = ctx.frame();
+        ctx.keep(frame, [FVar(2)]);
+    }
+
+    #[test]
+    fn reset_records_the_arena_high_water_mark() {
+        let mut ctx = FwdCtx::<f64>::new();
+        ctx.full(64, 64, 1.0);
+        ctx.reset();
+        assert!(arena_high_water_bytes() >= 64 * 64 * 8);
     }
 
     #[test]

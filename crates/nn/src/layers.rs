@@ -216,7 +216,9 @@ impl<S: Scalar> Mlp<S> {
     }
 
     /// Tape-free forward (in f64 bit-identical to [`Mlp::forward`]).
+    /// Ends its own arena frame: only the output stays.
     pub fn fwd(&self, ctx: &mut FwdCtx<S>, x: FVar) -> FVar {
+        let frame = ctx.frame();
         let n = self.layers.len();
         let mut h = x;
         for (i, l) in self.layers.iter().enumerate() {
@@ -225,6 +227,7 @@ impl<S: Scalar> Mlp<S> {
                 ctx.relu_assign(h);
             }
         }
+        let [h] = ctx.keep(frame, [h]);
         h
     }
 }
@@ -368,7 +371,8 @@ impl<S: Scalar> MultiHeadAttention<S> {
     /// from the projected queries and keys. Goes with ROADMAP 1(b): its
     /// callers are the benchmark's probes and the tests, while the model
     /// keeps the [`QueryKeys`] of [`Self::fwd_keys`] and asks for the
-    /// probability rows it reads.
+    /// probability rows it reads. Ends its own arena frame: only the
+    /// output (and the probabilities) stay.
     pub fn fwd(
         &self,
         ctx: &mut FwdCtx<S>,
@@ -377,16 +381,23 @@ impl<S: Scalar> MultiHeadAttention<S> {
         mask: Option<&Tensor<S>>,
         want_probs: bool,
     ) -> (FVar, Option<FVar>) {
+        let frame = ctx.frame();
         let (out, qk) = self.fwd_keys(ctx, query, keys_values, mask);
-        let rows = 0..ctx.value(query).rows();
-        (out, want_probs.then(|| self.probs_rows(ctx, qk, rows, mask)))
+        if !want_probs {
+            let [out] = ctx.keep(frame, [out]);
+            return (out, None);
+        }
+        let probs = self.probs_rows(ctx, qk, 0..ctx.value(query).rows(), mask);
+        let [out, probs] = ctx.keep(frame, [out, probs]);
+        (out, Some(probs))
     }
 
     /// Tape-free forward that returns the output and the projected
     /// queries and keys, which the forward computes anyway. Unmasked
     /// heads of width ≤ 16 run the fused key-major kernel and never
     /// materialize a score or probability matrix; the others run the
-    /// unfused score → softmax → weighted-sum chain.
+    /// unfused score → softmax → weighted-sum chain. Ends its own arena
+    /// frame: the output, queries and keys stay.
     pub fn fwd_keys(
         &self,
         ctx: &mut FwdCtx<S>,
@@ -404,17 +415,21 @@ impl<S: Scalar> MultiHeadAttention<S> {
     /// bit-identical to the row [`Self::fwd`] computes for any member of
     /// the class on the expanded sequence.
     pub fn fwd_self_classes(&self, ctx: &mut FwdCtx<S>, reps: FVar) -> FVar {
-        if self.d_model / self.heads <= 16 {
-            return self.fwd_heads(ctx, reps, reps, None, true).0;
-        }
-        // No fused head at this width: share the queries only.
-        let all = ctx.expand_rows(reps);
-        self.fwd_heads(ctx, reps, all, None, false).0
+        let frame = ctx.frame();
+        let out = if self.d_model / self.heads <= 16 {
+            self.fwd_heads(ctx, reps, reps, None, true).0
+        } else {
+            // No fused head at this width: share the queries only.
+            let all = ctx.expand_rows(reps);
+            self.fwd_heads(ctx, reps, all, None, false).0
+        };
+        let [out] = ctx.keep(frame, [out]);
+        out
     }
 
     /// The heads behind [`Self::fwd_keys`]; with `keys_by_class` the rows
     /// of `keys_values` are class representatives (fused unmasked path
-    /// only).
+    /// only). One arena frame per head and one per call.
     fn fwd_heads(
         &self,
         ctx: &mut FwdCtx<S>,
@@ -426,11 +441,13 @@ impl<S: Scalar> MultiHeadAttention<S> {
         let nq = ctx.value(query).rows();
         let dh = self.d_model / self.heads;
         let scale = self.score_scale();
+        let frame = ctx.frame();
         let q_all = self.wq.fwd(ctx, query);
         let k_all = self.wk.fwd(ctx, keys_values);
         let v_all = self.wv.fwd(ctx, keys_values);
         let concat = ctx.alloc(nq, self.d_model);
         for h in 0..self.heads {
+            let head = ctx.frame();
             let q = ctx.slice_cols(q_all, h * dh, dh);
             let k = ctx.slice_cols(k_all, h * dh, dh);
             let v = ctx.slice_cols(v_all, h * dh, dh);
@@ -450,8 +467,11 @@ impl<S: Scalar> MultiHeadAttention<S> {
                 }
             };
             ctx.write_cols(concat, out, h * dh);
+            ctx.keep(head, []);
         }
-        (self.wo.fwd(ctx, concat), QueryKeys { q: q_all, k: k_all })
+        let out = self.wo.fwd(ctx, concat);
+        let [out, q, k] = ctx.keep(frame, [out, q_all, k_all]);
+        (out, QueryKeys { q, k })
     }
 
     /// The head-averaged probabilities of the query rows `rows` of `qk`
@@ -460,7 +480,8 @@ impl<S: Scalar> MultiHeadAttention<S> {
     /// `masked_softmax` → `add_assign`, then one `scale_assign(1 / heads)`:
     /// the ops of [`MultiHeadAttention::forward`] in its order, each
     /// row-local, so in f64 a row is bit-identical to the same row of the
-    /// Graph's map whichever other rows are asked for.
+    /// Graph's map whichever other rows are asked for. One arena frame
+    /// per head and one per call: only the average stays.
     pub fn probs_rows(
         &self,
         ctx: &mut FwdCtx<S>,
@@ -470,20 +491,26 @@ impl<S: Scalar> MultiHeadAttention<S> {
     ) -> FVar {
         let dh = self.d_model / self.heads;
         let scale = self.score_scale();
+        let frame = ctx.frame();
         let q_rows = ctx.rows_range(qk.q, rows.start, rows.len());
         let mut avg = None;
         for h in 0..self.heads {
+            let head = ctx.frame();
             let q = ctx.slice_cols(q_rows, h * dh, dh);
             let k = ctx.slice_cols(qk.k, h * dh, dh);
             let scores = ctx.matmul_nt_scaled(q, k, scale);
             let probs = ctx.masked_softmax(scores, mask);
             match avg {
-                Some(acc) => ctx.add_assign(acc, probs),
-                None => avg = Some(probs),
+                Some(acc) => {
+                    ctx.add_assign(acc, probs);
+                    ctx.keep(head, []);
+                }
+                None => avg = Some(ctx.keep(head, [probs])[0]),
             }
         }
         let avg = avg.expect("at least one head");
         ctx.scale_assign(avg, S::ONE / S::from_usize(self.heads));
+        let [avg] = ctx.keep(frame, [avg]);
         avg
     }
 
@@ -495,14 +522,18 @@ impl<S: Scalar> MultiHeadAttention<S> {
     /// discards them). After a row-class search of `ctx`, `x` holds the
     /// rows before the classified ones and then one row per class, and
     /// each output row is the row every member of its class gets on the
-    /// expanded sequence ([`FwdCtx::tree_attention`]).
+    /// expanded sequence ([`FwdCtx::tree_attention`]). Ends its own
+    /// arena frame: only the output stays.
     pub fn fwd_tree(&self, ctx: &mut FwdCtx<S>, x: FVar, groups: &TreeGroups) -> FVar {
         let scale = self.score_scale();
+        let frame = ctx.frame();
         let q_all = self.wq.fwd(ctx, x);
         let k_all = self.wk.fwd(ctx, x);
         let v_all = self.wv.fwd(ctx, x);
         let concat = ctx.tree_attention(q_all, k_all, v_all, self.heads, scale, groups);
-        self.wo.fwd(ctx, concat)
+        let out = self.wo.fwd(ctx, concat);
+        let [out] = ctx.keep(frame, [out]);
+        out
     }
 }
 
@@ -565,13 +596,17 @@ impl<S: Scalar> FeedForward<S> {
     }
 
     /// Tape-free forward (in f64 bit-identical to
-    /// [`FeedForward::forward`]).
+    /// [`FeedForward::forward`]). Ends its own arena frame: only the
+    /// output stays.
     pub fn fwd(&self, ctx: &mut FwdCtx<S>, x: FVar) -> FVar {
+        let frame = ctx.frame();
         let h = self.lin1.fwd(ctx, x);
         ctx.relu_assign(h);
         let h = self.lin2.fwd(ctx, h);
         let res = ctx.add(x, h);
-        self.norm.fwd(ctx, res)
+        let out = self.norm.fwd(ctx, res);
+        let [out] = ctx.keep(frame, [out]);
+        out
     }
 }
 

@@ -15,11 +15,46 @@ use serde::{Deserialize, Serialize};
 use crate::scalar::Scalar;
 
 /// Row-major dense matrix.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// The buffer may be longer than `rows × cols`: an arena slot reused for
+/// a smaller shape ([`Tensor::reuse_as`]) keeps its longest length, so a
+/// later, larger shape is zero-filled only past that. Everything that
+/// reads the tensor — [`Tensor::data`], [`Tensor::len`], `==`, `clone`,
+/// `Debug` and serialization — sees the `rows × cols` prefix only.
 pub struct Tensor<S = f64> {
     rows: usize,
     cols: usize,
     data: Vec<S>,
+}
+
+impl<S> Tensor<S> {
+    /// The `rows × cols` prefix of the buffer: the tensor's elements.
+    #[inline]
+    fn view(&self) -> &[S] {
+        &self.data[..self.rows * self.cols]
+    }
+}
+
+impl<S: Clone> Clone for Tensor<S> {
+    fn clone(&self) -> Self {
+        Tensor { rows: self.rows, cols: self.cols, data: self.view().to_vec() }
+    }
+}
+
+impl<S: PartialEq> PartialEq for Tensor<S> {
+    fn eq(&self, other: &Self) -> bool {
+        (self.rows, self.cols) == (other.rows, other.cols) && self.view() == other.view()
+    }
+}
+
+impl<S: std::fmt::Debug> std::fmt::Debug for Tensor<S> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Tensor")
+            .field("rows", &self.rows)
+            .field("cols", &self.cols)
+            .field("data", &self.view())
+            .finish()
+    }
 }
 
 // Hand-written for the one serialized instantiation (the derive shim
@@ -32,7 +67,7 @@ impl Serialize for Tensor {
         out.push_str(",\"cols\":");
         self.cols.__write_json(out);
         out.push_str(",\"data\":");
-        self.data.__write_json(out);
+        self.data().__write_json(out);
         out.push('}');
     }
 }
@@ -104,7 +139,7 @@ impl<S: Scalar> Tensor<S> {
         Tensor {
             rows: t.rows,
             cols: t.cols,
-            data: t.data.iter().map(|&v| S::from_f64(v)).collect(),
+            data: t.data().iter().map(|&v| S::from_f64(v)).collect(),
         }
     }
 
@@ -113,7 +148,7 @@ impl<S: Scalar> Tensor<S> {
         Tensor {
             rows: self.rows,
             cols: self.cols,
-            data: self.data.iter().map(|&v| v.to_f64()).collect(),
+            data: self.data().iter().map(|&v| v.to_f64()).collect(),
         }
     }
 
@@ -132,12 +167,18 @@ impl<S: Scalar> Tensor<S> {
     /// Total element count.
     #[inline]
     pub fn len(&self) -> usize {
-        self.data.len()
+        self.rows * self.cols
     }
 
     /// Elements the backing buffer has reserved (arena-growth checks).
     pub(crate) fn capacity(&self) -> usize {
         self.data.capacity()
+    }
+
+    /// Elements the backing buffer has been filled to: its longest
+    /// `rows × cols` so far (arena zero-fill checks).
+    pub(crate) fn filled(&self) -> usize {
+        self.data.len()
     }
 
     /// Grows the backing buffer to hold at least `elems` elements, to
@@ -149,19 +190,19 @@ impl<S: Scalar> Tensor<S> {
     /// True when the tensor has no elements.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
+        self.len() == 0
     }
 
     /// Raw row-major data.
     #[inline]
     pub fn data(&self) -> &[S] {
-        &self.data
+        self.view()
     }
 
     /// Mutable raw data.
     #[inline]
     pub fn data_mut(&mut self) -> &mut [S] {
-        &mut self.data
+        &mut self.data[..self.rows * self.cols]
     }
 
     /// Element accessor.
@@ -218,30 +259,37 @@ impl<S: Scalar> Tensor<S> {
         out
     }
 
-    /// Reshapes in place to `rows × cols`, reusing the existing buffer.
-    /// New elements (if the tensor grows) are zero; no allocation happens
-    /// while `rows * cols` fits the buffer's capacity. The prior contents
-    /// are *not* meaningful afterwards — this is the arena-reuse primitive
-    /// behind [`crate::infer::FwdCtx`].
-    pub fn reshape_reuse(&mut self, rows: usize, cols: usize) {
+    /// Makes this tensor a `rows × cols` view of its own buffer — the
+    /// arena-reuse primitive behind [`crate::infer::FwdCtx`]. The buffer
+    /// keeps its longest length: only elements past it are written
+    /// (zero) and, past the capacity, allocated. The contents are *not*
+    /// meaningful afterwards; every user overwrites them.
+    pub fn reuse_as(&mut self, rows: usize, cols: usize) {
+        let n = rows * cols;
+        if n > self.data.len() {
+            self.data.resize(n, S::ZERO);
+        }
         self.rows = rows;
         self.cols = cols;
-        self.data.resize(rows * cols, S::ZERO);
     }
 
     /// Overwrites this tensor with the shape of an f64 tensor and its
     /// contents cast to this element type (the arena input path: features
     /// stay f64 upstream).
     pub fn copy_from_f64(&mut self, src: &Tensor) {
-        self.rows = src.rows;
-        self.cols = src.cols;
-        self.data.clear();
-        self.data.extend(src.data.iter().map(|&v| S::from_f64(v)));
+        self.reuse_as(src.rows, src.cols);
+        for (d, &s) in self.data_mut().iter_mut().zip(src.data()) {
+            *d = S::from_f64(s);
+        }
     }
 
     /// Elementwise map.
     pub fn map(&self, f: impl Fn(S) -> S) -> Tensor<S> {
-        Tensor { rows: self.rows, cols: self.cols, data: self.data.iter().map(|&v| f(v)).collect() }
+        Tensor {
+            rows: self.rows,
+            cols: self.cols,
+            data: self.data().iter().map(|&v| f(v)).collect(),
+        }
     }
 
     /// Elementwise binary zip.
@@ -254,7 +302,7 @@ impl<S: Scalar> Tensor<S> {
         Tensor {
             rows: self.rows,
             cols: self.cols,
-            data: self.data.iter().zip(other.data.iter()).map(|(&a, &b)| f(a, b)).collect(),
+            data: self.data().iter().zip(other.data()).map(|(&a, &b)| f(a, b)).collect(),
         }
     }
 
@@ -262,19 +310,19 @@ impl<S: Scalar> Tensor<S> {
     pub fn axpy(&mut self, alpha: S, other: &Tensor<S>) {
         assert_eq!(self.rows, other.rows, "axpy row mismatch");
         assert_eq!(self.cols, other.cols, "axpy col mismatch");
-        for (a, &b) in self.data.iter_mut().zip(other.data.iter()) {
+        for (a, &b) in self.data_mut().iter_mut().zip(other.data()) {
             *a += alpha * b;
         }
     }
 
     /// Sum of all elements.
     pub fn sum(&self) -> S {
-        self.data.iter().sum()
+        self.data().iter().sum()
     }
 
     /// Frobenius norm.
     pub fn norm(&self) -> S {
-        self.data.iter().map(|&v| v * v).sum::<S>().sqrt()
+        self.data().iter().map(|&v| v * v).sum::<S>().sqrt()
     }
 
     /// Concatenates two tensors horizontally (same row count).
@@ -292,8 +340,9 @@ impl<S: Scalar> Tensor<S> {
     /// Vertically stacks two tensors (same column count).
     pub fn vcat(&self, other: &Tensor<S>) -> Tensor<S> {
         assert_eq!(self.cols, other.cols, "vcat col mismatch");
-        let mut data = self.data.clone();
-        data.extend_from_slice(&other.data);
+        let mut data = Vec::with_capacity(self.len() + other.len());
+        data.extend_from_slice(self.data());
+        data.extend_from_slice(other.data());
         Tensor { rows: self.rows + other.rows, cols: self.cols, data }
     }
 
@@ -435,13 +484,40 @@ mod tests {
     }
 
     #[test]
-    fn reshape_reuse_keeps_capacity() {
+    fn reuse_as_keeps_capacity() {
         let mut t = Tensor::<f32>::zeros(4, 4);
         let cap = t.data.capacity();
-        t.reshape_reuse(2, 3);
+        t.reuse_as(2, 3);
         assert_eq!((t.rows(), t.cols(), t.len()), (2, 3, 6));
-        t.reshape_reuse(4, 4);
+        t.reuse_as(4, 4);
         assert_eq!(t.data.capacity(), cap, "shrinking then growing must not reallocate");
+    }
+
+    #[test]
+    fn reuse_as_refills_nothing_below_the_longest_length() {
+        let mut t = Tensor::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
+        t.reuse_as(1, 2);
+        assert_eq!(t.filled(), 6, "a shorter view keeps the buffer's length");
+        assert_eq!(t.data(), &[1.0, 2.0], "the view is the prefix, not refilled");
+        t.reuse_as(3, 1);
+        assert_eq!(t.data(), &[1.0, 2.0, 3.0], "growing within the length writes nothing");
+        t.reuse_as(2, 4);
+        assert_eq!(t.filled(), 8);
+        assert_eq!(&t.data()[6..], &[0.0, 0.0], "only elements past the length are zeroed");
+    }
+
+    #[test]
+    fn a_view_reads_as_its_prefix() {
+        let mut t = Tensor::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
+        t.reuse_as(2, 1);
+        let fresh = Tensor::from_vec(2, 1, vec![1.0, 2.0]);
+        assert_eq!(t, fresh);
+        assert_eq!(t.len(), 2);
+        assert_eq!(t.clone().filled(), 2, "a clone holds the view only");
+        assert_eq!(format!("{t:?}"), format!("{fresh:?}"));
+        assert_eq!(serde_json::to_string(&t).unwrap(), r#"{"rows":2,"cols":1,"data":[1.0,2.0]}"#);
+        assert_eq!(t.sum(), 3.0);
+        assert_eq!(t.vcat(&fresh).data(), &[1.0, 2.0, 1.0, 2.0]);
     }
 
     #[test]

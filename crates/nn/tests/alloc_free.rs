@@ -118,10 +118,39 @@ fn run<S: Scalar>() {
     assert!(sink == warm * S::from_usize(8), "repeat passes must reproduce the warm result");
     println!("alloc_free<{ty}>: ok (0 allocations across 8 steady-state forwards)");
 
+    a_third_step_neither_grows_nor_fills::<S>(&embed, &local, &dense, &ff, &x0, &tree);
     masked_attention_does_not_allocate::<S>(&mut rng);
     lanes_do_not_grow_the_arena::<S>(&mut rng);
     class_counts_do_not_grow_the_arena::<S>(&mut rng);
     head_tile_follows_attended_keys::<S>(&mut rng);
+}
+
+/// Frames move slot buffers within a step; a reset puts them back. So
+/// on a fresh arena, the third of three identical steps meets every
+/// buffer at the shape it had: nothing grows, allocates or is zero-filled.
+fn a_third_step_neither_grows_nor_fills<S: Scalar>(
+    embed: &Mlp<S>,
+    local: &MultiHeadAttention<S>,
+    dense: &MultiHeadAttention<S>,
+    ff: &FeedForward<S>,
+    x0: &Tensor,
+    tree: &TreeGroups,
+) {
+    let mut ctx = FwdCtx::<S>::new();
+    let step = |ctx: &mut FwdCtx<S>| forward(ctx, embed, local, dense, ff, x0, tree);
+    let warm = step(&mut ctx);
+    assert!(step(&mut ctx) == warm, "a second step must reproduce the first");
+    let (reserved, filled) = (ctx.reserved(), ctx.filled());
+    let before = ALLOCS.load(Ordering::SeqCst);
+    assert!(step(&mut ctx) == warm, "a third step must reproduce the first");
+    let ty = std::any::type_name::<S>();
+    assert_eq!(ALLOCS.load(Ordering::SeqCst), before, "a third {ty} step allocated");
+    assert_eq!(ctx.reserved(), reserved, "a third {ty} step grew a slot buffer");
+    assert_eq!(ctx.filled(), filled, "a third {ty} step zero-filled a slot buffer");
+    println!(
+        "alloc_free<{ty}>: ok (third step: {} slots, {filled} elements filled, none refilled)",
+        ctx.high_water()
+    );
 }
 
 /// One call of [`head_tile_follows_attended_keys`]: the key → class map,

@@ -1139,6 +1139,9 @@ fn op_metrics(shared: &Shared, p: MetricsParams) -> OpResult {
     let rows = vmr_nn::classes::stats();
     extra.push_counter("nn_rows_total", rows.rows_total);
     extra.push_counter("nn_rows_distinct", rows.rows_distinct);
+    // The largest forward arena of the process: with frames it follows
+    // the cluster and the deepest stage, never the plan's step count.
+    extra.push_gauge("nn_arena_high_water_bytes", vmr_nn::infer::arena_high_water_bytes() as i64);
     snapshot.merge(extra);
     let prometheus = p.prometheus.then(|| snapshot.to_prometheus());
     Ok(Reply::Metrics(MetricsReply { snapshot, prometheus }))

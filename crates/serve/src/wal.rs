@@ -108,6 +108,24 @@ pub struct SnapshotFile {
     pub snapshot: SessionSnapshot,
 }
 
+/// A [`SnapshotFile`] over a borrowed state, serialized to the same bytes
+/// (hand-written: the derive shim takes no lifetimes), so compaction
+/// writes the file without copying the state first.
+struct SnapshotFileRef<'a> {
+    lsn: u64,
+    snapshot: &'a SessionSnapshot,
+}
+
+impl Serialize for SnapshotFileRef<'_> {
+    fn __write_json(&self, out: &mut String) {
+        out.push_str("{\"lsn\":");
+        self.lsn.__write_json(out);
+        out.push_str(",\"snapshot\":");
+        self.snapshot.__write_json(out);
+        out.push('}');
+    }
+}
+
 // ---------------------------------------------------------------------------
 // CRC32 (IEEE 802.3, reflected) — table-driven, built at compile time.
 // ---------------------------------------------------------------------------
@@ -630,7 +648,7 @@ impl SessionLog {
     /// On any failure the previous writer (if any) stays active and the
     /// previous files stay authoritative.
     fn write_snapshot_and_reset(&mut self, snapshot: &SessionSnapshot) -> io::Result<()> {
-        let file = SnapshotFile { lsn: self.appended_lsn, snapshot: snapshot.clone() };
+        let file = SnapshotFileRef { lsn: self.appended_lsn, snapshot };
         let body = serde_json::to_string(&file)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("{e:?}")))?;
         let tmp = self.dir.join("snapshot.json.tmp");
@@ -699,6 +717,21 @@ mod tests {
             bytes.extend(encode_record(&WalRecord { lsn: (i + 1) as u64, body: body(i) }).unwrap());
         }
         bytes
+    }
+
+    #[test]
+    fn the_snapshot_file_is_written_from_the_borrowed_state_byte_for_byte() {
+        let state = vmr_sim::dataset::generate_mapping(&vmr_sim::dataset::ClusterConfig::tiny(), 3)
+            .expect("tiny mapping");
+        let constraints = vmr_sim::constraints::ConstraintSet::new(state.num_vms());
+        let snapshot = SessionSnapshot { state, constraints, mnl: 6, version: 7 };
+        let dir = std::env::temp_dir().join(format!("vmr_wal_snapshot_ref_{}", std::process::id()));
+        let cfg = DurabilityConfig::new(&dir);
+        SessionLog::install(dir.clone(), &cfg, &snapshot, 42).expect("install");
+        let written = fs::read_to_string(dir.join(SNAPSHOT_FILE)).expect("snapshot file");
+        let owned = SnapshotFile { lsn: 42, snapshot: snapshot.clone() };
+        assert_eq!(written, serde_json::to_string(&owned).unwrap());
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -260,6 +260,12 @@ fn metrics_op_exports_row_class_counters() {
     // performance story of a plan.
     assert!(distinct > 0 && distinct < total, "{distinct} distinct of {total}");
 
+    // The arena high-water mark is taken at every reset: an agent plan
+    // of two steps rewinds its arena at least twice.
+    let snap = client.metrics(false).unwrap().snapshot;
+    let arena = snap.gauge("nn_arena_high_water_bytes").expect("the arena high water is exported");
+    assert!(arena > 0, "an agent plan must leave an arena high-water mark, read {arena}");
+
     // Beside them, which SIMD tier computed those rows: what the build
     // enabled, and a CPU that offers at least that (the daemon started).
     let snap = client.metrics(false).unwrap().snapshot;
