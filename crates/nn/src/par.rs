@@ -38,9 +38,11 @@ use crate::kernels::L1_TILE;
 /// elements (`m·n`) runs on the calling thread alone. Starting and
 /// joining one scoped thread costs 60–75 µs on the two-core reference
 /// host; a fused head at the cutover (512 × 512, head width 12, one
-/// lane) costs ~1.8 ms in f64 (~1.0 ms in f32), so
-/// a lane is worth a few percent of the smallest call that takes one and
-/// under 1 % of the Medium VM self-attention (`m·n` ≈ 4 M) it exists for.
+/// lane) costs ~1.8 ms in f64 (~1.0 ms in f32). With row classes, a
+/// Medium f64 plan's laned head call takes ≈ 2.1 ms, not the 23–35 ms
+/// the whole VM self-attention head once took: the helper starts
+/// 59–79 µs late and the scope returns 30–150 µs after its last row, so
+/// a lane loses 0.18–0.23 ms, about a tenth of the call.
 /// Small sessions (250² ≈ 62 k) and ~150-PM fleet shards (≈ 400² = 160 k)
 /// stay below it; Medium VM self-attention and VM→PM cross attention
 /// (2000 × 280 = 560 k) are above.

@@ -14,6 +14,7 @@
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
+use serde::__private::{Error, Value};
 use serde::{Deserialize, Serialize};
 
 use crate::cluster::ClusterState;
@@ -37,18 +38,31 @@ pub struct VmMixEntry {
 }
 
 /// A weighted mixture of VM flavors, used by arrival processes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Every mix, a deserialized one included, is built by [`VmMix::new`].
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct VmMix {
     entries: Vec<VmMixEntry>,
 }
 
+impl Deserialize for VmMix {
+    fn __deserialize(v: &Value) -> Result<Self, Error> {
+        let entries = v
+            .as_object()
+            .and_then(|m| m.get("entries"))
+            .ok_or_else(|| Error::custom("expected a VmMix object with `entries`"))?;
+        VmMix::new(Vec::__deserialize(entries)?).map_err(|e| Error::custom(e.to_string()))
+    }
+}
+
 impl VmMix {
-    /// Builds a mix, rejecting empty or non-positive-weight inputs.
+    /// Builds a mix, rejecting empty inputs, weights that are not finite
+    /// and positive, and flavors [`Vm::check_spec`] refuses.
     pub fn new(entries: Vec<VmMixEntry>) -> SimResult<Self> {
         if entries.is_empty() {
             return Err(SimError::InvalidMapping("empty VM mix".into()));
         }
-        if entries.iter().any(|e| e.weight <= 0.0) {
+        if entries.iter().any(|e| !(e.weight.is_finite() && e.weight > 0.0)) {
             return Err(SimError::InvalidMapping("VM mix entries need positive weight".into()));
         }
         for e in &entries {
@@ -459,6 +473,31 @@ mod tests {
             weight: 1.0
         }])
         .is_err());
+    }
+
+    /// A mix read from JSON passes the rules [`VmMix::new`] enforces: an
+    /// empty mix, a zero-CPU flavor or a negative weight is an `Err`, not
+    /// a mix that panics in `sample`.
+    #[test]
+    fn a_deserialized_mix_is_checked() {
+        let entry = |cpu: u32, weight: f64| {
+            format!(r#"{{"cpu":{cpu},"mem":8,"numa":"Single","weight":{weight}}}"#)
+        };
+        for (what, json) in [
+            ("empty", r#"{"entries":[]}"#.to_string()),
+            ("zero CPU", format!(r#"{{"entries":[{}]}}"#, entry(0, 1.0))),
+            ("negative weight", format!(r#"{{"entries":[{},{}]}}"#, entry(4, 1.0), entry(2, -0.5))),
+            ("no entries", "{}".to_string()),
+        ] {
+            assert!(serde_json::from_str::<VmMix>(&json).is_err(), "{what} mix must be refused");
+        }
+        let mix = VmMix::standard();
+        let back: VmMix = serde_json::from_str(&serde_json::to_string(&mix).unwrap()).unwrap();
+        assert_eq!(back, mix);
+        let config = ClusterConfig::medium();
+        let back: ClusterConfig =
+            serde_json::from_str(&serde_json::to_string(&config).unwrap()).unwrap();
+        assert_eq!(back, config);
     }
 
     #[test]

@@ -7,6 +7,12 @@
 //! the VM exited or the destination no longer fits). [`DynamicCluster`]
 //! models exactly that process, and [`staleness_experiment`] measures the
 //! achieved fragment rate as a function of solver latency.
+//!
+//! It is also the generator of every dataset cluster, so it places an
+//! arrival over PM *shapes*, not PMs (see `Shapes`).
+
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -16,9 +22,223 @@ use crate::dataset::VmMix;
 use crate::env::Action;
 use crate::error::{SimError, SimResult};
 use crate::machine::{Placement, Pm, Vm};
-use crate::scheduler::{best_fit, best_fit_on, choose_placement, schedule_vm, VmsPolicy};
+use crate::scheduler::{best_fit, best_fit_on, choose_placement, draw_slot, fitting, VmsPolicy};
 use crate::trace::DiurnalModel;
-use crate::types::{NumaPlacement, NumaPolicy, PmId, VmId};
+use crate::types::{NumaPlacement, NumaPolicy, PmId, VmId, NUMA_PER_PM};
+
+/// A PM's free-resource shape: each NUMA node's total and used CPU and
+/// memory, two to a word.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Shape([u64; 2 * NUMA_PER_PM]);
+
+fn shape(pm: &Pm) -> Shape {
+    let pair = |a: u32, b: u32| u64::from(a) << 32 | u64::from(b);
+    let [n0, n1] = pm.numas;
+    Shape([
+        pair(n0.cpu_total, n0.mem_total),
+        pair(n0.cpu_used, n0.mem_used),
+        pair(n1.cpu_total, n1.mem_total),
+        pair(n1.cpu_used, n1.mem_used),
+    ])
+}
+
+impl Hash for Shape {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.0.iter().for_each(|&word| state.write_u64(word));
+    }
+}
+
+/// The shape index's hasher: FxHash's rotate-xor-multiply over the
+/// shape's four words. With std's SipHash (or a `BTreeMap`) the index
+/// cost more than a small fleet's scan. Shapes can come from a dataset
+/// file, but colliding ones only bring a placement back to O(PMs), what
+/// the scan always cost.
+#[derive(Default)]
+struct ShapeHasher(u64);
+
+impl ShapeHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for ShapeHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.add(b.into()));
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.add(word);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// The PMs of a [`DynamicCluster`] grouped by [`Shape`]. Built by the
+/// cluster's first placement decision, then kept current through every
+/// allocation and release.
+///
+/// PMs of one shape have the same fits and the same fragments, so a
+/// group's lowest-id PM dominates the group under every deterministic
+/// [`VmsPolicy`]: best fit keeps the smallest (fragment, id), first fit
+/// the first feasible PM in id order, worst fit the largest (free CPU,
+/// reverse id). A placement decision therefore sees one representative
+/// per shape, in ascending id (`reps`), and picks the same
+/// (PM, placement) as a scan over every PM. The random policy weighs a
+/// shape by its size (`Shapes::random_slot`).
+#[derive(Debug, Clone, Default)]
+struct Shapes {
+    /// Each shape's group, a slot of `groups`.
+    index: HashMap<Shape, usize, BuildHasherDefault<ShapeHasher>>,
+    /// Each group's size and lowest PM id; an emptied group is a free slot.
+    groups: Vec<Group>,
+    /// The free slots of `groups`.
+    free: Vec<usize>,
+    /// The group of each PM.
+    group_of: Vec<usize>,
+    /// Each group's lowest-id PM, in ascending id: its representative.
+    reps: Vec<Pm>,
+}
+
+#[cfg(test)]
+impl Shapes {
+    /// Panics unless this index is the one a fresh build over `pms`
+    /// gives: the same representatives, every PM filed under its own
+    /// shape, in a group of the same size and lowest id.
+    fn assert_fresh(&self, pms: &[Pm]) {
+        let fresh = Shapes::new(pms);
+        assert_eq!(self.reps, fresh.reps);
+        assert_eq!(self.index.len(), fresh.index.len());
+        for (id, pm) in pms.iter().enumerate() {
+            let g = self.group_of[id];
+            assert_eq!(self.index.get(&shape(pm)), Some(&g), "PM {id} under another shape");
+            let (mine, theirs) = (self.groups[g], fresh.groups[fresh.group_of[id]]);
+            assert_eq!((mine.len, mine.rep), (theirs.len, theirs.rep), "PM {id}'s group");
+        }
+    }
+}
+
+/// One shape's PMs: how many, and the lowest id.
+#[derive(Debug, Clone, Copy)]
+struct Group {
+    len: usize,
+    rep: u32,
+}
+
+impl Shapes {
+    fn new(pms: &[Pm]) -> Self {
+        let mut shapes = Shapes { group_of: vec![0; pms.len()], ..Shapes::default() };
+        for pm in pms {
+            if shapes.join(pm).0 {
+                shapes.reps.push(pm.clone());
+            }
+        }
+        shapes
+    }
+
+    /// [`VmsPolicy::Random`] over shapes: the draw [`choose_placement`]
+    /// makes over every PM ([`draw_slot`]), with each PM's slot count
+    /// taken from its shape's representative. `slots` is the caller's
+    /// buffer for the per-group counts, so a redeploy reuses one.
+    fn random_slot<R: Rng + ?Sized>(
+        &self,
+        pms: &[Pm],
+        vm: &Vm,
+        slots: &mut Vec<usize>,
+        rng: &mut R,
+    ) -> Option<(PmId, NumaPlacement)> {
+        slots.clear();
+        slots.resize(self.groups.len(), 0);
+        let mut total = 0;
+        for rep in &self.reps {
+            let g = self.group_of[rep.id.0 as usize];
+            slots[g] = fitting(rep, vm).count();
+            total += slots[g] * self.groups[g].len;
+        }
+        draw_slot(pms, vm, total, |pm| slots[self.group_of[pm.id.0 as usize]], rng)
+    }
+
+    fn rep_at(&self, id: PmId) -> Result<usize, usize> {
+        self.reps.binary_search_by_key(&id, |p| p.id)
+    }
+
+    /// `pms[id]` changed from shape `old`: it moves to its new shape's
+    /// group, and the representatives of both groups follow.
+    fn moved(&mut self, pms: &[Pm], id: PmId, old: &Shape) {
+        let pm = &pms[id.0 as usize];
+        let (was_rep, next) = self.leave(id, old);
+        let (is_rep, displaced) = self.join(pm);
+        match (was_rep, is_rep) {
+            (true, true) => {
+                let at = self.rep_at(id).expect("a group's rep is listed");
+                self.reps[at] = pm.clone();
+            }
+            (true, false) => {
+                let at = self.rep_at(id).expect("a group's rep is listed");
+                self.reps.remove(at);
+            }
+            (false, true) => {
+                let at = self.rep_at(id).expect_err("one rep per PM");
+                self.reps.insert(at, pm.clone());
+            }
+            (false, false) => {}
+        }
+        if let Some(next) = next {
+            let at = self.rep_at(PmId(next)).expect_err("one rep per PM");
+            self.reps.insert(at, pms[next as usize].clone());
+        }
+        if let Some(displaced) = displaced {
+            let at = self.rep_at(PmId(displaced)).expect("a group's rep is listed");
+            self.reps.remove(at);
+        }
+    }
+
+    /// Takes `id` out of the group of shape `old`. Returns whether it was
+    /// the group's representative, and then the next one.
+    fn leave(&mut self, id: PmId, old: &Shape) -> (bool, Option<u32>) {
+        let g = self.group_of[id.0 as usize];
+        let group = &mut self.groups[g];
+        group.len -= 1;
+        if group.len == 0 {
+            self.index.remove(old);
+            self.free.push(g);
+            return (true, None);
+        }
+        if group.rep != id.0 {
+            return (false, None);
+        }
+        // The others all have higher ids: the next in id order takes over.
+        let after = &self.group_of[id.0 as usize + 1..];
+        let next = id.0 + 1 + after.iter().position(|&h| h == g).expect("a member is left") as u32;
+        group.rep = next;
+        (true, Some(next))
+    }
+
+    /// Puts `pm` into the group of its shape. Returns whether it is now
+    /// the group's representative, and then the one it displaced.
+    fn join(&mut self, pm: &Pm) -> (bool, Option<u32>) {
+        let id = pm.id.0;
+        let g = *self.index.entry(shape(pm)).or_insert_with(|| {
+            self.free.pop().unwrap_or_else(|| {
+                self.groups.push(Group { len: 0, rep: id });
+                self.groups.len() - 1
+            })
+        });
+        self.group_of[id as usize] = g;
+        let group = &mut self.groups[g];
+        group.len += 1;
+        if group.len == 1 {
+            group.rep = id;
+            (true, None)
+        } else if id < group.rep {
+            (true, Some(std::mem::replace(&mut group.rep, id)))
+        } else {
+            (false, None)
+        }
+    }
+}
 
 /// A cluster whose VM population changes over time.
 ///
@@ -32,6 +252,16 @@ pub struct DynamicCluster {
     /// `None` = the VM exited (or the slot was never filled).
     vms: Vec<Option<(Vm, Placement)>>,
     alive: usize,
+    /// Total CPU allocated, kept with every allocation and release.
+    used_cpu: u64,
+    /// Built by the first placement decision, so a cluster that only
+    /// sees exits and planned moves (a replayed plan) never hashes a PM.
+    shapes: Option<Shapes>,
+}
+
+/// CPU allocated on one PM.
+fn allocated_cpu(pm: &Pm) -> u64 {
+    u64::from(pm.cpu_total() - pm.free_cpu())
 }
 
 impl DynamicCluster {
@@ -44,20 +274,18 @@ impl DynamicCluster {
                 numa.mem_used = 0;
             }
         }
-        DynamicCluster { pms, vms: Vec::new(), alive: 0 }
+        Self::build(pms, Vec::new())
     }
 
     /// Seeds a dynamic cluster from a static snapshot.
     pub fn from_state(state: &ClusterState) -> Self {
-        let pms = state.pms().to_vec();
-        let vms = state
-            .vms()
-            .iter()
-            .zip(state.placements())
-            .map(|(vm, pl)| Some((*vm, *pl)))
-            .collect::<Vec<_>>();
-        let alive = vms.len();
-        DynamicCluster { pms, vms, alive }
+        let vms = state.vms().iter().zip(state.placements()).map(|(vm, pl)| Some((*vm, *pl)));
+        Self::build(state.pms().to_vec(), vms.collect())
+    }
+
+    fn build(pms: Vec<Pm>, vms: Vec<Option<(Vm, Placement)>>) -> Self {
+        let used_cpu = pms.iter().map(allocated_cpu).sum();
+        DynamicCluster { alive: vms.len(), pms, vms, used_cpu, shapes: None }
     }
 
     /// Number of alive VMs.
@@ -67,7 +295,7 @@ impl DynamicCluster {
 
     /// Total CPU currently allocated.
     pub fn used_cpu(&self) -> u64 {
-        self.pms.iter().map(|p| p.numas.iter().map(|n| n.cpu_used as u64).sum::<u64>()).sum()
+        self.used_cpu
     }
 
     /// Whether a VM id refers to an alive VM.
@@ -82,14 +310,25 @@ impl DynamicCluster {
         fragment_ratio(frag, free)
     }
 
+    /// The one mutation of a PM: `change` allocates or releases on it,
+    /// and the used-CPU count and the shape groups follow.
+    fn update(&mut self, pm: PmId, change: impl FnOnce(&mut Pm)) {
+        let host = &mut self.pms[pm.0 as usize];
+        let old = shape(host);
+        self.used_cpu -= allocated_cpu(host);
+        change(host);
+        self.used_cpu += allocated_cpu(host);
+        if let Some(shapes) = &mut self.shapes {
+            shapes.moved(&self.pms, pm, &old);
+        }
+    }
+
     /// Places a new VM with best-fit (the production VMS algorithm: choose
     /// the feasible PM/NUMA minimizing the resulting 16-core fragment).
     /// Returns the new VM's id, or [`SimError::NoFeasiblePlacement`] if
     /// nothing fits (production rejects the request).
     pub fn best_fit_arrival(&mut self, cpu: u32, mem: u32, numa: NumaPolicy) -> SimResult<VmId> {
-        self.admit(cpu, mem, numa, |pms, vm| {
-            best_fit(pms, vm, 16).ok_or(SimError::NoFeasiblePlacement(vm.id))
-        })
+        self.admit(cpu, mem, numa, |_, shapes, vm| best_fit(&shapes.reps, vm, 16))
     }
 
     /// Places a new VM under an arbitrary [`VmsPolicy`]. Returns the new
@@ -102,7 +341,11 @@ impl DynamicCluster {
         policy: VmsPolicy,
         rng: &mut R,
     ) -> SimResult<VmId> {
-        self.admit(cpu, mem, numa, |pms, vm| schedule_vm(pms, vm, policy, 16, rng))
+        // The deterministic policies see one representative per shape.
+        self.admit(cpu, mem, numa, |pms, shapes, vm| match policy {
+            VmsPolicy::Random => shapes.random_slot(pms, vm, &mut Vec::new(), rng),
+            _ => choose_placement(&shapes.reps, vm, policy, 16, rng),
+        })
     }
 
     /// Admits a new VM that passes [`Vm::check_spec`] where `place` puts
@@ -112,13 +355,14 @@ impl DynamicCluster {
         cpu: u32,
         mem: u32,
         numa: NumaPolicy,
-        place: impl FnOnce(&[Pm], &Vm) -> SimResult<(PmId, NumaPlacement)>,
+        place: impl FnOnce(&[Pm], &Shapes, &Vm) -> Option<(PmId, NumaPlacement)>,
     ) -> SimResult<VmId> {
         Vm::check_spec(cpu, mem, numa)?;
         let id = VmId(self.vms.len() as u32);
         let vm = Vm { id, cpu, mem, numa };
-        let (pm, pl) = place(&self.pms, &vm)?;
-        self.pms[pm.0 as usize].alloc_vm(&vm, pl);
+        let shapes = self.shapes.get_or_insert_with(|| Shapes::new(&self.pms));
+        let (pm, pl) = place(&self.pms, shapes, &vm).ok_or(SimError::NoFeasiblePlacement(id))?;
+        self.update(pm, |host| host.alloc_vm(&vm, pl));
         self.vms.push(Some((vm, Placement { pm, numa: pl })));
         self.alive += 1;
         Ok(id)
@@ -128,7 +372,7 @@ impl DynamicCluster {
     pub fn exit(&mut self, vm: VmId) -> SimResult<()> {
         let slot = self.vms.get_mut(vm.0 as usize).ok_or(SimError::UnknownVm(vm))?;
         let (v, pl) = slot.take().ok_or(SimError::UnknownVm(vm))?;
-        self.pms[pl.pm.0 as usize].release_vm(&v, pl.numa);
+        self.update(pl.pm, |host| host.release_vm(&v, pl.numa));
         self.alive -= 1;
         Ok(())
     }
@@ -159,15 +403,18 @@ impl DynamicCluster {
     pub fn random_redeploy<R: Rng + ?Sized>(&mut self, frac: f64, rng: &mut R) {
         let ids: Vec<usize> =
             self.vms.iter().enumerate().filter_map(|(i, s)| s.as_ref().map(|_| i)).collect();
+        let mut slots = Vec::new();
         for &idx in &ids {
             if rng.gen::<f64>() >= frac {
                 continue;
             }
             let (vm, old_pl) = self.vms[idx].expect("listed alive");
-            self.pms[old_pl.pm.0 as usize].release_vm(&vm, old_pl.numa);
-            let (pm, pl) = choose_placement(&self.pms, &vm, VmsPolicy::Random, 16, rng)
+            self.update(old_pl.pm, |host| host.release_vm(&vm, old_pl.numa));
+            let shapes = self.shapes.get_or_insert_with(|| Shapes::new(&self.pms));
+            let (pm, pl) = shapes
+                .random_slot(&self.pms, &vm, &mut slots, rng)
                 .unwrap_or((old_pl.pm, old_pl.numa)); // put it back
-            self.pms[pm.0 as usize].alloc_vm(&vm, pl);
+            self.update(pm, |host| host.alloc_vm(&vm, pl));
             self.vms[idx] = Some((vm, Placement { pm, numa: pl }));
         }
     }
@@ -188,8 +435,8 @@ impl DynamicCluster {
         let Some(pl) = best_fit_on(&self.pms[action.pm.0 as usize], &vm, None, 16) else {
             return false;
         };
-        self.pms[old_pl.pm.0 as usize].release_vm(&vm, old_pl.numa);
-        self.pms[action.pm.0 as usize].alloc_vm(&vm, pl);
+        self.update(old_pl.pm, |host| host.release_vm(&vm, old_pl.numa));
+        self.update(action.pm, |host| host.alloc_vm(&vm, pl));
         self.vms[action.vm.0 as usize] = Some((vm, Placement { pm: action.pm, numa: pl }));
         true
     }
@@ -288,6 +535,44 @@ mod tests {
     use super::*;
     use crate::dataset::{generate_mapping, ClusterConfig};
     use crate::machine::placement_fits;
+
+    /// After every kind of change, on a fleet of few shapes (tiny) and
+    /// one whose PMs mostly end with a shape of their own
+    /// (Multi-Resource), the incrementally kept shape index is the one a
+    /// fresh build gives. A fill of best-fit arrivals comes first.
+    #[test]
+    fn the_shape_index_follows_every_change() {
+        for cfg in [ClusterConfig::tiny(), ClusterConfig::multi_resource()] {
+            let mut d = DynamicCluster::from_pms(cfg.build_pms());
+            let mut rng = StdRng::seed_from_u64(9);
+            let mix = VmMix::standard();
+            for step in 0..600 {
+                let f = mix.sample(&mut rng);
+                match if step < 300 { 2 } else { step % 6 } {
+                    0 | 1 => {
+                        d.exit_random(&mut rng);
+                    }
+                    2 => {
+                        let _ = d.best_fit_arrival(f.cpu, f.mem, f.numa);
+                    }
+                    3 => {
+                        let policy = VmsPolicy::ALL[step / 6 % 4];
+                        let _ = d.arrival_with_policy(f.cpu, f.mem, f.numa, policy, &mut rng);
+                    }
+                    4 => d.random_redeploy(0.02, &mut rng),
+                    _ => {
+                        let vm = VmId(rng.gen_range(0..d.vms.len() as u32));
+                        let pm = PmId(rng.gen_range(0..d.pms.len() as u32));
+                        d.try_apply(Action { vm, pm });
+                    }
+                }
+                if let Some(shapes) = &d.shapes {
+                    shapes.assert_fresh(&d.pms);
+                }
+            }
+            assert!(d.shapes.is_some(), "{}: the first arrival builds the index", cfg.name);
+        }
+    }
 
     fn snapshot() -> ClusterState {
         generate_mapping(&ClusterConfig::tiny(), 77).unwrap()
@@ -413,6 +698,13 @@ mod tests {
                 }
             }
             assert!(placed > 0, "{}: tiny cluster should admit small VMs", policy.name());
+            let next = VmId(d.vms.len() as u32);
+            assert_eq!(
+                d.arrival_with_policy(400, 8, NumaPolicy::Single, policy, &mut rng),
+                Err(SimError::NoFeasiblePlacement(next)),
+                "{}: a VM no PM can host is refused with the typed error",
+                policy.name()
+            );
             d.freeze().unwrap().audit().unwrap();
         }
     }

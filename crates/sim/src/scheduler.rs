@@ -10,12 +10,13 @@
 //! quantify how the *initial* placement policy shapes fragmentation.
 //!
 //! All policies are pure functions over a PM slice: callers (the dynamic
-//! cluster, dataset generation) own the mutation.
+//! cluster, dataset generation) own the mutation. The dynamic cluster
+//! passes one representative per PM shape, which decides as every PM
+//! would (`dynamics`' `Shapes`); the env's `VmCreate` passes every PM.
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::error::{SimError, SimResult};
 use crate::machine::{placement_fits, Pm, Vm};
 use crate::types::{NumaPlacement, PmId};
 
@@ -96,8 +97,8 @@ pub(crate) fn best_fit_on(
 /// this is the inner loop of dataset generation (so of every session
 /// set-up) and of every `vm_create` delta, and the iterator form was the
 /// one piece of scalar code the x86-64-v3 build made slower (filling a
-/// Large cluster: 52 ms on SSE2, 70 ms on v3; this loop is 23 ms on
-/// either).
+/// Large cluster over every PM: 52 ms on SSE2, 70 ms on v3; this loop
+/// was 23 ms on either).
 pub fn best_fit(pms: &[Pm], vm: &Vm, frag_cores: u32) -> Option<(PmId, NumaPlacement)> {
     let mut best: Option<(u32, PmId, NumaPlacement)> = None;
     for pm in pms {
@@ -125,14 +126,7 @@ pub fn choose_placement<R: Rng + ?Sized>(
     frag_cores: u32,
     rng: &mut R,
 ) -> Option<(PmId, NumaPlacement)> {
-    let feasible = || {
-        pms.iter().flat_map(|pm| {
-            vm.candidate_placements()
-                .iter()
-                .filter(move |&&pl| placement_fits(pm, vm, pl))
-                .map(move |&pl| (pm, pl))
-        })
-    };
+    let feasible = || pms.iter().flat_map(|pm| fitting(pm, vm).map(move |pl| (pm, pl)));
     match policy {
         VmsPolicy::FirstFit => feasible().next().map(|(pm, pl)| (pm.id, pl)),
         VmsPolicy::BestFit => best_fit(pms, vm, frag_cores),
@@ -143,29 +137,41 @@ pub fn choose_placement<R: Rng + ?Sized>(
             .max_by_key(|(pm, _)| (pm.free_cpu(), std::cmp::Reverse(pm.id)))
             .map(|(pm, pl)| (pm.id, pl)),
         VmsPolicy::Random => {
-            let slots: Vec<(PmId, NumaPlacement)> =
-                feasible().map(|(pm, pl)| (pm.id, pl)).collect();
-            if slots.is_empty() {
-                None
-            } else {
-                Some(slots[rng.gen_range(0..slots.len())])
-            }
+            let slots_on = |pm: &Pm| fitting(pm, vm).count();
+            draw_slot(pms, vm, pms.iter().map(slots_on).sum(), slots_on, rng)
         }
     }
 }
 
-/// Fallible form of [`choose_placement`]: an admission decision that
-/// reports "nothing fits" as a typed [`SimError::NoFeasiblePlacement`]
-/// instead of `None`, so daemon-facing callers (cluster deltas, drain)
-/// can propagate a structured error rather than panic or silently drop.
-pub fn schedule_vm<R: Rng + ?Sized>(
+/// The placements of `vm` that fit on `pm`, in candidate order.
+pub(crate) fn fitting<'a>(pm: &'a Pm, vm: &'a Vm) -> impl Iterator<Item = NumaPlacement> + 'a {
+    vm.candidate_placements().iter().copied().filter(move |&pl| placement_fits(pm, vm, pl))
+}
+
+/// The random policy's one draw: uniform over the feasible
+/// (PM, placement) slots of `pms` in (PM id, placement) order. `total`
+/// is their count and `slots_on(pm)` the count on one PM. It draws one
+/// `gen_range(0..total)`, only when `total > 0`, and walks the PMs to
+/// that slot: the draw a list of every slot would make, without the list.
+pub(crate) fn draw_slot<R: Rng + ?Sized>(
     pms: &[Pm],
     vm: &Vm,
-    policy: VmsPolicy,
-    frag_cores: u32,
+    total: usize,
+    slots_on: impl Fn(&Pm) -> usize,
     rng: &mut R,
-) -> SimResult<(PmId, NumaPlacement)> {
-    choose_placement(pms, vm, policy, frag_cores, rng).ok_or(SimError::NoFeasiblePlacement(vm.id))
+) -> Option<(PmId, NumaPlacement)> {
+    if total == 0 {
+        return None;
+    }
+    let mut k = rng.gen_range(0..total);
+    for pm in pms {
+        let slots = slots_on(pm);
+        if k < slots {
+            return fitting(pm, vm).nth(k).map(|pl| (pm.id, pl));
+        }
+        k -= slots;
+    }
+    unreachable!("k is below the slot count")
 }
 
 #[cfg(test)]
@@ -204,8 +210,7 @@ mod tests {
         let v = vm(4, 8, NumaPolicy::Single);
         let mut rng = StdRng::seed_from_u64(1);
         for policy in VmsPolicy::ALL {
-            let scheduled = schedule_vm(&pms, &v, policy, 16, &mut rng);
-            let (pm_id, pl) = scheduled.unwrap();
+            let (pm_id, pl) = choose_placement(&pms, &v, policy, 16, &mut rng).unwrap();
             assert!(placement_fits(&pms[pm_id.0 as usize], &v, pl));
         }
     }
@@ -280,12 +285,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         for policy in VmsPolicy::ALL {
             assert!(choose_placement(&pms, &v, policy, 16, &mut rng).is_none());
-            assert_eq!(
-                schedule_vm(&pms, &v, policy, 16, &mut rng),
-                Err(crate::error::SimError::NoFeasiblePlacement(v.id)),
-                "{}: a full cluster must yield the typed error",
-                policy.name()
-            );
         }
     }
 }

@@ -1,8 +1,9 @@
 //! Property-based tests of the cluster substrate: under arbitrary legal
 //! migration sequences, resource accounting stays exact, undo restores
 //! state, the state is a function of its placements, the dense reward
-//! telescopes to the global fragment drop, and every placement decision
-//! follows the one best-fit rule.
+//! telescopes to the global fragment drop, every placement decision
+//! follows the one best-fit rule, and placing over PM shapes decides as a
+//! scan over every PM does.
 
 use std::time::Instant;
 
@@ -87,6 +88,77 @@ fn brute_best_fit(pm: &Pm, vm: &Vm, frag_cores: u32) -> Option<(u32, NumaPlaceme
         }
     }
     best
+}
+
+/// Takes `vm`'s allocation at `pl` off a detached PM by hand.
+fn vacate(pm: &mut Pm, vm: &Vm, pl: NumaPlacement) {
+    for (j, node) in pm.numas.iter_mut().enumerate() {
+        if pl.uses_numa(j) {
+            node.cpu_used -= vm.cpu_per_numa();
+            node.mem_used -= vm.mem_per_numa();
+        }
+    }
+}
+
+/// The random VMS policy as a list of every feasible (PM, placement)
+/// slot in id order and one `gen_range` index into it.
+fn listed_random_slot(pms: &[Pm], vm: &Vm, rng: &mut StdRng) -> Option<(PmId, NumaPlacement)> {
+    let slots: Vec<(PmId, NumaPlacement)> = pms
+        .iter()
+        .flat_map(|pm| {
+            vm.candidate_placements()
+                .iter()
+                .filter(|&&pl| placement_fits(pm, vm, pl))
+                .map(|&pl| (pm.id, pl))
+        })
+        .collect();
+    (!slots.is_empty()).then(|| slots[rng.gen_range(0..slots.len())])
+}
+
+/// A dynamic cluster that scans every PM for every decision: the
+/// deterministic policies through `choose_placement` over all PMs, the
+/// random one through [`listed_random_slot`].
+struct FullScan {
+    pms: Vec<Pm>,
+    vms: Vec<Option<(Vm, Placement)>>,
+}
+
+impl FullScan {
+    fn place(&self, vm: &Vm, policy: VmsPolicy, rng: &mut StdRng) -> Option<(PmId, NumaPlacement)> {
+        match policy {
+            VmsPolicy::Random => listed_random_slot(&self.pms, vm, rng),
+            _ => choose_placement(&self.pms, vm, policy, 16, rng),
+        }
+    }
+
+    fn arrive(&mut self, vm: Vm, policy: VmsPolicy, rng: &mut StdRng) {
+        if let Some((pm, numa)) = self.place(&vm, policy, rng) {
+            occupy(&mut self.pms[pm.0 as usize], &vm, numa);
+            self.vms.push(Some((vm, Placement { pm, numa })));
+        }
+    }
+
+    fn exit(&mut self, idx: usize) {
+        let (vm, pl) = self.vms[idx].take().expect("alive");
+        vacate(&mut self.pms[pl.pm.0 as usize], &vm, pl.numa);
+    }
+
+    fn redeploy(&mut self, frac: f64, rng: &mut StdRng) {
+        for idx in 0..self.vms.len() {
+            let Some((vm, old)) = self.vms[idx] else { continue };
+            if rng.gen::<f64>() >= frac {
+                continue;
+            }
+            vacate(&mut self.pms[old.pm.0 as usize], &vm, old.numa);
+            let (pm, numa) = listed_random_slot(&self.pms, &vm, rng).unwrap_or((old.pm, old.numa));
+            occupy(&mut self.pms[pm.0 as usize], &vm, numa);
+            self.vms[idx] = Some((vm, Placement { pm, numa }));
+        }
+    }
+
+    fn placements(&self) -> Vec<Placement> {
+        self.vms.iter().flatten().map(|&(_, pl)| pl).collect()
+    }
 }
 
 /// The one-order invariant: every PM's reverse index is strictly
@@ -276,6 +348,68 @@ proptest! {
             prop_assert_eq!(chosen, brute);
             prop_assert_eq!(best_fit(state.pms(), &vm, frag_cores), brute);
             prop_assert_eq!(rng.gen::<u64>(), StdRng::seed_from_u64(7).gen::<u64>());
+        }
+    }
+
+    /// Placement over PM shapes picks what a scan over every PM picks.
+    /// On an arbitrary fleet whose PMs repeat a few capacities (so
+    /// shapes repeat, and part of the fleet starts empty), under any mix
+    /// of single- and double-NUMA arrivals with every VMS policy, exits
+    /// and random redeploys, `DynamicCluster` makes the same decisions as
+    /// a cluster that scans every PM: each arrival lands on the same
+    /// (PM, placement) or is refused alike, the random policy draws the
+    /// same slot from the same RNG state, and the RNGs stay in step.
+    /// `choose_placement`'s counted random draw is also the listed one.
+    #[test]
+    fn placement_over_shapes_is_the_full_scan(
+        kinds in prop::collection::vec(0usize..3, 1..16),
+        proposals in prop::collection::vec(((1u32..24, 1u32..64), prop::bool::ANY, 0usize..16, 0u8..2), 0..24),
+        ops in prop::collection::vec((0u8..8, (1u32..24, 1u32..64), prop::bool::ANY, 0usize..4), 1..40),
+        seed in 0u64..1_000,
+    ) {
+        let caps: PmCaps = kinds.iter().map(|&k| [(44, 128), (64, 182), (12, 24)][k]).collect();
+        let state = arbitrary_cluster(&caps, &proposals);
+        let mut shapes = DynamicCluster::from_state(&state);
+        let mut scan = FullScan {
+            pms: state.pms().to_vec(),
+            vms: state.vms().iter().zip(state.placements()).map(|(&v, &pl)| Some((v, pl))).collect(),
+        };
+        let (mut rng_shapes, mut rng_scan) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+        for (op, (cpu, mem), double, policy) in ops {
+            let (cpu, mem, numa) =
+                if double { (2 * cpu, 2 * mem, NumaPolicy::Double) } else { (cpu, mem, NumaPolicy::Single) };
+            match op {
+                0 => {
+                    let alive = shapes.alive_ids();
+                    if let Some(&id) = alive.get(cpu as usize % alive.len().max(1)) {
+                        shapes.exit(id).expect("alive");
+                        scan.exit(id.0 as usize);
+                    }
+                }
+                1 => {
+                    shapes.random_redeploy(0.3, &mut rng_shapes);
+                    scan.redeploy(0.3, &mut rng_scan);
+                }
+                _ => {
+                    let policy = VmsPolicy::ALL[policy];
+                    let vm = Vm { id: VmId(scan.vms.len() as u32), cpu, mem, numa };
+                    let (mut counted, mut listed) = (rng_scan.clone(), rng_scan.clone());
+                    prop_assert_eq!(
+                        choose_placement(&scan.pms, &vm, VmsPolicy::Random, 16, &mut counted),
+                        listed_random_slot(&scan.pms, &vm, &mut listed)
+                    );
+                    prop_assert_eq!(counted, listed);
+                    let admitted = shapes.arrival_with_policy(cpu, mem, numa, policy, &mut rng_shapes);
+                    scan.arrive(vm, policy, &mut rng_scan);
+                    prop_assert_eq!(admitted.is_ok(), scan.vms.len() > vm.id.0 as usize, "{}", policy.name());
+                }
+            }
+            let frozen = shapes.freeze().expect("freeze");
+            prop_assert_eq!(frozen.pms(), &scan.pms[..]);
+            prop_assert_eq!(frozen.placements(), &scan.placements()[..]);
+            prop_assert_eq!(&rng_shapes, &rng_scan);
+            let used: u64 = scan.pms.iter().map(|p| u64::from(p.cpu_total() - p.free_cpu())).sum();
+            prop_assert_eq!(shapes.used_cpu(), used);
         }
     }
 

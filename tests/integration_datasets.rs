@@ -159,3 +159,65 @@ fn a_medium_dataset_parses_in_linear_time() {
         json.len()
     );
 }
+
+/// FNV-1a of a generated cluster's JSON: the cluster, byte for byte.
+fn cluster_hash(state: &vmr_sim::cluster::ClusterState) -> serde_json::Value {
+    let json = serde_json::to_string(state).unwrap();
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for b in json.bytes() {
+        hash = (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    serde_json::json!(format!("{hash:#018x}"))
+}
+
+/// Cluster generation is pinned byte for byte.
+/// `tests/golden/generated_clusters.json` was captured from the commit
+/// before `DynamicCluster` placed arrivals over PM shapes (every
+/// placement was a scan over all PMs then) and is never regenerated:
+/// `generate_mapping` on five presets, and `populate` (Ext. 3's fill)
+/// under the other three VMS policies, must reproduce it.
+#[test]
+fn generated_clusters_reproduce_the_full_scan_capture() {
+    use rand::SeedableRng;
+    use serde_json::{Map, Value};
+    use vmr_sim::dataset::populate;
+    use vmr_sim::scheduler::VmsPolicy;
+
+    let golden: Value = serde_json::from_str(include_str!("golden/generated_clusters.json"))
+        .expect("golden file parses");
+    let (mut generated, mut populated) = (Map::new(), Map::new());
+    for (name, config, seeds) in [
+        ("tiny", ClusterConfig::tiny(), &[1u64, 2, 3, 4, 5, 0xC1_0575][..]),
+        ("small", ClusterConfig::small_train(), &[1, 2, 3, 0xC1_0575]),
+        ("medium", ClusterConfig::medium(), &[1, 2, 0xC1_0575]),
+        ("multi", ClusterConfig::multi_resource(), &[1, 2, 0xC1_0575]),
+        ("large", ClusterConfig::large(), &[1, 0xC1_0575]),
+    ] {
+        for &seed in seeds {
+            let state = generate_mapping(&config, seed).unwrap();
+            generated.insert(format!("{name}/{seed}"), cluster_hash(&state));
+        }
+        if matches!(name, "tiny" | "small" | "medium") {
+            for policy in [VmsPolicy::FirstFit, VmsPolicy::WorstFit, VmsPolicy::Random] {
+                for seed in [1u64, 2] {
+                    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+                    let state = populate(&config, policy, &mut rng).freeze().unwrap();
+                    populated
+                        .insert(format!("{name}/{}/{seed}", policy.name()), cluster_hash(&state));
+                }
+            }
+        }
+    }
+    let actual = serde_json::json!({
+        "generate_mapping": Value::Object(generated),
+        "populate": Value::Object(populated),
+    });
+    for section in ["generate_mapping", "populate"] {
+        assert_eq!(
+            actual[section],
+            golden[section],
+            "{section} differs from the full-scan capture; this build generated:\n{}",
+            serde_json::to_string_pretty(&actual).unwrap()
+        );
+    }
+}
