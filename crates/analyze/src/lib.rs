@@ -18,6 +18,7 @@
 //! | F001 | precision boundary: narrowing `as f32` only inside the `Scalar` impl |
 //! | L001 | lock discipline: no file I/O lexically inside a held session-lock scope |
 //! | H001 | hygiene: crate roots carry `#![forbid(unsafe_code)]` |
+//! | T001 | tombstones: a spelling a commit deleted does not come back (rows in [`config::TOMBSTONES`]) |
 //! | W001 | waiver hygiene: malformed `vmr-analyze:` comment |
 //! | W002 | waiver hygiene: stale waiver matching no finding |
 //!
@@ -51,6 +52,7 @@ pub const CATALOG: &[(&str, &str)] = &[
     ("F001", "precision: narrowing `as f32` outside the `Scalar` impl"),
     ("L001", "locks: file I/O inside a held session-lock scope"),
     ("H001", "hygiene: crate root missing #![forbid(unsafe_code)]"),
+    ("T001", "tombstones: a deleted spelling is back (rows in config::TOMBSTONES)"),
     ("W001", "waivers: malformed vmr-analyze comment"),
     ("W002", "waivers: stale waiver matching no finding"),
 ];

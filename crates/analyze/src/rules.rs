@@ -64,22 +64,174 @@ impl<'a> Ctx<'a> {
     }
 }
 
-/// Runs every rule over one file. Files under a `tests/` directory are
-/// test code wholesale: the production-invariant lints skip them (they
-/// are still walked for waiver hygiene and lexer coverage).
+/// Is the file under a `tests/` directory, i.e. test code wholesale?
+fn is_test_file(path: &str) -> bool {
+    path.starts_with("tests/") || path.contains("/tests/")
+}
+
+/// Runs every rule over one file. T001 runs on every walked file; the
+/// production-invariant lints skip `tests/` files, which are test code
+/// wholesale, and the vendored `shims/`.
 pub fn run_all(ctx: &Ctx) -> Vec<Raw> {
     let mut out = Vec::new();
-    if ctx.path.starts_with("tests/") || ctx.path.contains("/tests/") {
-        return out;
+    t001(ctx, &mut out);
+    if !is_test_file(ctx.path) && !ctx.path.starts_with("shims/") {
+        d001(ctx, &mut out);
+        p001(ctx, &mut out);
+        a001(ctx, &mut out);
+        f001(ctx, &mut out);
+        l001(ctx, &mut out);
+        h001(ctx, &mut out);
     }
-    d001(ctx, &mut out);
-    p001(ctx, &mut out);
-    a001(ctx, &mut out);
-    f001(ctx, &mut out);
-    l001(ctx, &mut out);
-    h001(ctx, &mut out);
     out.sort_by_key(|r| (r.line, r.lint));
     out
+}
+
+/// One piece of a T001 pattern (syntax on
+/// [`Tombstone::pattern`](crate::config::Tombstone::pattern)).
+enum Piece<'p> {
+    /// An identifier or number; the flags say whether a prefix / a
+    /// suffix may precede / follow the text.
+    Word { text: &'p str, any_before: bool, any_after: bool },
+    /// A string literal containing the text.
+    Str(&'p str),
+    /// One punctuation byte.
+    Punct(&'p str),
+    /// Any tokens to the end of the line or the next `;`, whichever
+    /// comes last.
+    Gap,
+}
+
+fn pieces(pattern: &str) -> Vec<Piece<'_>> {
+    let mut out = Vec::new();
+    let mut rest = pattern.trim_start();
+    while !rest.is_empty() {
+        if let Some(quoted) = rest.strip_prefix('"') {
+            let end = quoted.find('"').unwrap_or(quoted.len());
+            out.push(Piece::Str(&quoted[..end]));
+            rest = quoted.get(end + 1..).unwrap_or("").trim_start();
+            continue;
+        }
+        let end = rest.find(' ').unwrap_or(rest.len());
+        let word = &rest[..end];
+        rest = rest[end..].trim_start();
+        let text = word.trim_matches('*');
+        if word == "..." {
+            out.push(Piece::Gap);
+        } else if !text.is_empty() && text.bytes().all(|b| b == b'_' || b.is_ascii_alphanumeric()) {
+            let any_before = word.starts_with('*');
+            let any_after = word.ends_with('*');
+            out.push(Piece::Word { text, any_before, any_after });
+        } else {
+            out.extend((0..word.len()).map(|k| Piece::Punct(&word[k..k + 1])));
+        }
+    }
+    out
+}
+
+/// Matches `pieces` from significant token `i` on, pushing the index of
+/// every token a non-gap piece matched onto `hit`.
+fn match_from(ctx: &Ctx, pieces: &[Piece], i: usize, hit: &mut Vec<usize>) -> bool {
+    let Some((first, rest)) = pieces.split_first() else {
+        return true;
+    };
+    let ok = match *first {
+        Piece::Gap => return match_after_gap(ctx, rest, i, hit),
+        _ if i >= ctx.scope.sig.len() => false,
+        Piece::Word { text, any_before, any_after } => {
+            let txt = ctx.text(i);
+            matches!(ctx.tok(i).kind, TokenKind::Ident | TokenKind::NumLit)
+                && match (any_before, any_after) {
+                    (false, false) => txt == text,
+                    (true, false) => txt.ends_with(text),
+                    (false, true) => txt.starts_with(text),
+                    (true, true) => txt.contains(text),
+                }
+        }
+        Piece::Str(text) => ctx.tok(i).kind == TokenKind::StrLit && ctx.text(i).contains(text),
+        Piece::Punct(p) => ctx.is_punct(i, p),
+    };
+    ok && {
+        hit.push(i);
+        match_from(ctx, rest, i + 1, hit)
+    }
+}
+
+/// A gap, then `rest`: the gap skips tokens on the line of the last
+/// matched token, and past it up to the first `;`.
+fn match_after_gap(ctx: &Ctx, rest: &[Piece], i: usize, hit: &mut Vec<usize>) -> bool {
+    let Some(line) = hit.last().map(|&j| ctx.tok(j).line) else {
+        return false;
+    };
+    let mut crossed_semi = false;
+    for j in i..=ctx.scope.sig.len() {
+        let mark = hit.len();
+        if match_from(ctx, rest, j, hit) {
+            return true;
+        }
+        hit.truncate(mark);
+        if j == ctx.scope.sig.len() || (crossed_semi && ctx.tok(j).line != line) {
+            return false;
+        }
+        crossed_semi |= ctx.is_punct(j, ";");
+    }
+    false
+}
+
+/// T001 — tombstones: a spelling a commit deleted must not come back
+/// (one row of [`crate::config::TOMBSTONES`] each). The rows are matched
+/// over significant tokens, so a name in a comment is not a match; a
+/// row that expects matches checks them as a multiset per file.
+fn t001(ctx: &Ctx, out: &mut Vec<Raw>) {
+    let test_file = is_test_file(ctx.path);
+    for row in ctx.cfg.tombstones.iter().filter(|t| in_scope(ctx.path, t.scope)) {
+        let pieces = pieces(row.pattern);
+        // A file without the pattern's longest word cannot match it.
+        let longest = pieces
+            .iter()
+            .filter_map(|p| match p {
+                Piece::Word { text, .. } | Piece::Str(text) => Some(*text),
+                _ => None,
+            })
+            .max_by_key(|t| t.len());
+        if row.expect.is_empty() && longest.is_some_and(|w| !ctx.src.contains(w)) {
+            continue;
+        }
+        let mut left = row.expect.to_vec();
+        let mut hit = Vec::new();
+        for i in 0..ctx.scope.sig.len() {
+            hit.clear();
+            if (row.tests_exempt && (test_file || ctx.is_test(i)))
+                || !match_from(ctx, &pieces, i, &mut hit)
+            {
+                continue;
+            }
+            let text = hit.iter().map(|&j| ctx.text(j)).collect::<Vec<_>>().join(" ");
+            if let Some(k) = left.iter().position(|e| *e == text) {
+                left.swap_remove(k);
+                continue;
+            }
+            let only = match row.expect {
+                [] => String::new(),
+                kept => format!(" (only {} stays)", kept.join(", ")),
+            };
+            out.push(Raw {
+                lint: "T001",
+                line: ctx.tok(i).line,
+                message: format!("`{text}` was deleted in {}{only}; {}", row.commit, row.reason),
+            });
+        }
+        for e in left {
+            out.push(Raw {
+                lint: "T001",
+                line: 1,
+                message: format!(
+                    "`{e}` must stay in this file ({}: {}); if it moved, move its T001 row too",
+                    row.commit, row.reason
+                ),
+            });
+        }
+    }
 }
 
 /// D001 — determinism: raw HashMap/HashSet iteration in plan-producing

@@ -1,12 +1,13 @@
 //! Workspace file discovery.
 //!
-//! Walks `crates/*/src/**` and `crates/*/tests/**` plus the top-level
-//! `tests/*.rs` integration suites, in sorted order so reports are
-//! stable across filesystems. The `shims/` crates are
-//! vendored stand-ins for crates.io and are not held to workspace
-//! invariants; `crates/analyze/fixtures/` holds deliberately-bad lint
-//! fixtures (not cargo targets) and is likewise excluded — the fixture
-//! tests feed them to the engine under synthetic paths instead.
+//! Walks `crates/*/src/**` and `crates/*/tests/**`, the top-level
+//! `tests/*.rs` integration suites and `shims/*/src/**`, in sorted order
+//! so reports are stable across filesystems. The `shims/` crates are
+//! vendored stand-ins for crates.io: only T001 sees them (a deleted
+//! encoder must not come back there either); every other lint skips
+//! them. `crates/analyze/fixtures/` holds deliberately-bad lint
+//! fixtures (not cargo targets) and is excluded — the fixture tests
+//! feed them to the engine under synthetic paths instead.
 
 use std::io;
 use std::path::{Path, PathBuf};
@@ -42,15 +43,16 @@ fn collect(root: &Path, dir: &Path, out: &mut Vec<SourceFile>) -> io::Result<()>
 /// All lintable files in the workspace rooted at `root`.
 pub fn workspace_files(root: &Path) -> io::Result<Vec<SourceFile>> {
     let mut out = Vec::new();
-    let crates = root.join("crates");
-    if crates.is_dir() {
-        for entry in std::fs::read_dir(&crates)? {
+    for (parent, dirs) in [("crates", &["src", "tests"][..]), ("shims", &["src"][..])] {
+        let parent = root.join(parent);
+        if !parent.is_dir() {
+            continue;
+        }
+        for entry in std::fs::read_dir(&parent)? {
             let krate = entry?.path();
-            if !krate.is_dir() {
-                continue;
+            for dir in dirs {
+                collect(root, &krate.join(dir), &mut out)?;
             }
-            collect(root, &krate.join("src"), &mut out)?;
-            collect(root, &krate.join("tests"), &mut out)?;
         }
     }
     // Top-level integration tests (non-recursive by convention, but a
@@ -71,10 +73,8 @@ mod tests {
         let files = workspace_files(&root).unwrap();
         assert!(files.iter().any(|f| f.rel == "crates/analyze/src/walk.rs"));
         assert!(files.iter().any(|f| f.rel.starts_with("tests/")));
-        assert!(
-            !files.iter().any(|f| f.rel.contains("fixtures/") || f.rel.starts_with("shims/")),
-            "fixtures and shims must not be walked"
-        );
+        assert!(files.iter().any(|f| f.rel == "shims/serde_derive/src/lib.rs"));
+        assert!(!files.iter().any(|f| f.rel.contains("fixtures/")), "fixtures must not be walked");
         let mut sorted = files.iter().map(|f| f.rel.clone()).collect::<Vec<_>>();
         sorted.sort();
         assert_eq!(sorted, files.iter().map(|f| f.rel.clone()).collect::<Vec<_>>());

@@ -150,9 +150,9 @@ fn every_workspace_file_roundtrips() {
 
 #[test]
 fn shim_sources_roundtrip_too() {
-    // The shims are outside the analyzer's walk (vendored stand-ins are
-    // not held to workspace invariants) but they are real Rust with
-    // heavy macro_rules content — ideal lexer fodder.
+    // Every shim file, not only the `src/` trees the analyzer walks for
+    // T001: real Rust with heavy macro_rules content — ideal lexer
+    // fodder.
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("..").join("..").join("shims");
     let mut stack = vec![root];
     let mut seen = 0usize;

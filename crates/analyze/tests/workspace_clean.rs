@@ -1,6 +1,6 @@
-//! The gate CI enforces: the real workspace has zero unwaived findings
-//! (new debt must be waived in place with a reason, not silently
-//! accrued).
+//! The gate CI and tier-1 enforce: the real workspace has zero unwaived
+//! findings (new debt must be waived in place with a reason, not
+//! silently accrued), and no T001 tombstone matches.
 
 use vmr_analyze::config::Config;
 use vmr_analyze::{analyze_workspace, CATALOG};

@@ -383,3 +383,15 @@ fn solve_prints_the_intermediate_host_of_a_twice_moved_vm() {
     let moved_on = steps.iter().any(|&(vm, from, _)| from != state.placement(VmId(vm)).pm.0);
     assert!(moved_on, "the pinned plan no longer moves a VM twice: {steps:?}");
 }
+
+#[test]
+fn manifest_reaches_no_planner_crate() {
+    // A planner is a PlanPolicy: the CLI resolves a name through the
+    // daemon's PolicyRegistry and plans through Session::plan, so it
+    // needs neither planner crate. Depending on one again is the first
+    // step back to a private method table.
+    let manifest = include_str!("../Cargo.toml");
+    for krate in ["vmr-baselines", "vmr-solver"] {
+        assert!(!manifest.contains(krate), "crates/cli/Cargo.toml names {krate}");
+    }
+}

@@ -20,9 +20,6 @@
 //!   precision is listed in [`scalar`] and nowhere else,
 //! * [`optim::Adam`] — Adam with bias correction, global-norm clipping,
 //!   and prefix freezing (top-layer fine-tuning),
-//! * [`lora::LoraLinear`] and [`adapter::Adapter`] — low-rank and
-//!   bottleneck adapters for parameter-efficient fine-tuning (the
-//!   paper's §7 adaptation paths),
 //! * [`checkpoint::Checkpoint`] — named-parameter snapshots,
 //! * [`classes::RowClasses`] — the distinct VM rows of a forward step,
 //!   so the dense stages run once per distinct row (exactly),
@@ -57,7 +54,6 @@
 #![deny(unreachable_pub)]
 #![warn(missing_docs)]
 
-pub mod adapter;
 pub mod checkpoint;
 pub mod classes;
 pub mod graph;
@@ -66,21 +62,18 @@ pub mod infer32;
 pub mod kernels;
 pub mod layers;
 pub mod layers_f32;
-pub mod lora;
 pub mod optim;
 pub mod par;
 pub mod scalar;
 pub mod tensor;
 pub mod tier;
 
-pub use adapter::Adapter;
 pub use checkpoint::Checkpoint;
 pub use graph::{Graph, Var, MASK_OFF};
 pub use infer::{FVar, FwdCtx, TreeGroups};
 pub use layers::{
     AttentionOut, FeedForward, LayerNorm, Linear, Mlp, Module, MultiHeadAttention, QueryKeys,
 };
-pub use lora::LoraLinear;
 pub use optim::{Adam, AdamConfig};
 pub use scalar::Scalar;
 pub use tensor::Tensor;

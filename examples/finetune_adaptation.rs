@@ -1,12 +1,11 @@
 //! Adapting a trained agent to a shifted workload (§7 of the paper):
 //! pretrain on a low-utilization cluster, then adapt to high utilization
 //! with top-layer fine-tuning (frozen extractor) and compare against
-//! zero-shot deployment. Also demonstrates the LoRA adapter primitive
-//! from `vmr-nn` on its own.
+//! zero-shot deployment.
 //!
 //! Run with:
 //! ```text
-//! cargo run --release -p vmr-core --example finetune_adaptation
+//! cargo run --release -p vmr-e2e --example finetune_adaptation
 //! ```
 
 use rand::rngs::StdRng;
@@ -16,8 +15,6 @@ use vmr_core::config::{ActionMode, ExtractorKind, ModelConfig};
 use vmr_core::eval::greedy_eval;
 use vmr_core::model::Vmr2lModel;
 use vmr_core::train::{TrainConfig, Trainer};
-use vmr_nn::layers::{Linear, Module};
-use vmr_nn::lora::LoraLinear;
 use vmr_rl::ppo::PpoConfig;
 use vmr_sim::cluster::ClusterState;
 use vmr_sim::constraints::ConstraintSet;
@@ -81,23 +78,4 @@ fn main() {
         .expect("finetune");
     let tuned = tuner.into_agent();
     println!("top-layer fine-tuned FR on high workload: {:.4}", eval_fr(&tuned, &high_eval));
-
-    // 3. The LoRA primitive itself: wrap a pretrained layer, fine-tune a
-    //    rank-2 residual with the base frozen, then merge for deployment.
-    let mut r = StdRng::seed_from_u64(2);
-    let base = Linear::new("head", 16, 4, &mut r);
-    let base_params = base.num_params();
-    let lora = LoraLinear::wrap(base, 2, 8.0, &mut r);
-    println!(
-        "\nLoRA adapter: base {} params frozen, {} trainable adapter params ({}% of base)",
-        base_params,
-        lora.num_params() - base_params,
-        100 * (lora.num_params() - base_params) / base_params
-    );
-    let merged = lora.merge();
-    println!(
-        "merged deployment layer: {}x{} (zero runtime overhead)",
-        merged.d_in(),
-        merged.d_out()
-    );
 }
