@@ -87,7 +87,8 @@ pub struct Tombstone {
     pub expect: &'static [&'static str],
     /// What replaced the spelling.
     pub reason: &'static str,
-    /// The commit that deleted it.
+    /// The commit that deleted it; a row added with its deletion names
+    /// the parent its fixture is cut from.
     pub commit: &'static str,
 }
 
@@ -139,6 +140,11 @@ const REVERSE_INDEX: &str = "one reverse-index order: ClusterState keeps every v
     ascending VM id after every mutation";
 const ENCODER: &str = "one encoder: serde::Serialize appends compact JSON to a String in one \
     pass; no Value tree is built before the text";
+const LEGALITY: &str = "one legality rule: ConstraintSet's per-VM destination rule judges every \
+    move, capacity by dest_capacity_ok and conflicts by each partner's host in the placement \
+    table; the vms_on scan lives on only as the proptest's reference";
+const ALLOCATION: &str = "one checked allocation: Pm::alloc_vm checks and allocates in one call, \
+    Pm::release_vm refuses a release larger than a node's usage (Numa::release)";
 const ARENA: &str = "one arena discipline: a reused slot is a view of a buffer that keeps its \
     longest length (Tensor::reuse_as), zero-filled only past it";
 
@@ -262,6 +268,12 @@ pub const TOMBSTONES: &[Tombstone] = &[
     // dd160b6: one arena discipline.
     gone("*reshape_reuse*", CRATES, ARENA, "dd160b6"),
     gone("*data . resize ( rows * cols*", CRATES, ARENA, "dd160b6"),
+    // Deleted by the child of 05426e4: one legality rule, one checked
+    // allocation.
+    gone("fn check_fits", CRATES_AND_TESTS, ALLOCATION, "05426e4"),
+    gone("*saturating_sub", &["crates/sim/src/machine.rs"], ALLOCATION, "05426e4"),
+    gone("fn conflict_on_pm", CRATES_AND_TESTS, LEGALITY, "05426e4"),
+    gone("vms_on (", &["crates/sim/src/constraints.rs"], LEGALITY, "05426e4"),
 ];
 
 fn v(items: &[&str]) -> Vec<String> {

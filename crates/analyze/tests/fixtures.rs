@@ -176,6 +176,7 @@ fn t001_fixture(commit: &str) -> &'static str {
         "0a13680" => include_str!("../fixtures/t001_0a13680.rs"),
         "a320dd1" => include_str!("../fixtures/t001_a320dd1.rs"),
         "dd160b6" => include_str!("../fixtures/t001_dd160b6.rs"),
+        "05426e4" => include_str!("../fixtures/t001_05426e4.rs"),
         other => panic!("no T001 fixture for commit {other}"),
     }
 }
@@ -234,6 +235,7 @@ fn t001_deleted_names_are_flagged_in_code_only() {
         ("pub fn vms_on_sorted(&self) {}", "crates/sim/src/cluster.rs", true),
         ("fn __serialize(&self) -> Value;", "shims/serde/src/lib.rs", true),
         ("t.reshape_reuse(2, 3);", "crates/nn/src/tensor.rs", true),
+        ("let c = state.vms_on(pm);", "crates/sim/src/constraints.rs", true),
     ];
     for (name, path, covers_tests) in names {
         let code = format!("fn scratch() {{\n    {name}\n}}\n");

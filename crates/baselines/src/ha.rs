@@ -74,7 +74,7 @@ fn best_removal_candidate(
         }
         let pl = state.placement(vm);
         let mut host = state.pm(pl.pm).clone();
-        host.release_vm(state.vm(vm), pl.numa);
+        host.release_vm(state.vm(vm), pl.numa).expect("a VM's host holds its allocation");
         let gain = objective.pm_score(state, pl.pm) - objective.score_pm(&host);
         let candidate_better = best.is_none_or(|(_, bg)| gain > bg);
         if candidate_better && constraints.has_legal_destination(state, vm) {

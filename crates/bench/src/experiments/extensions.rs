@@ -154,7 +154,7 @@ pub(super) fn ext03_scheduler_policies(ctx: &Ctx) -> SimResult<Report> {
         let mut frs = Vec::with_capacity(trials);
         let mut placed = 0.0;
         for t in 0..trials {
-            let cluster = populate(&cfg, policy, &mut StdRng::seed_from_u64(ctx.seed + t as u64));
+            let cluster = populate(&cfg, policy, &mut StdRng::seed_from_u64(ctx.seed + t as u64))?;
             frs.push(cluster.fragment_rate(16));
             placed += cluster.alive_count() as f64;
         }

@@ -180,10 +180,12 @@ fn run_episode<P: Policy>(
         let (reward, done) = match env.step(decision.action) {
             Ok(out) => (out.reward, out.done),
             Err(SimError::EpisodeDone | SimError::MnlExhausted) => break,
+            // The two-stage masks are the legality rule: an action they
+            // allow that the step refuses is a bug, not a penalty.
+            Err(illegal) if agent.mode == ActionMode::TwoStage => return Err(illegal),
             Err(_illegal) => {
                 // Penalty-mode illegal action: fixed negative reward,
                 // no state change; the attempt still consumes budget.
-                debug_assert!(agent.mode != ActionMode::TwoStage);
                 (cfg.penalty_reward, attempts >= cfg.mnl)
             }
         };

@@ -6,9 +6,10 @@
 //!
 //! The bound is what is left today (≈ 0.1 f32, ≈ 0.4 f64 per step):
 //! amortized growth of `ReschedEnv::step`'s `history` and of the
-//! cluster's per-PM reverse index. `migration_legal` and `migrate` share
-//! one allocation-free best-fit rule, so a step builds no placement list
-//! (they built two, ≈ 2 per step); it is the number "no allocation on the
+//! cluster's per-PM reverse index. `migrate` runs the allocation-free
+//! best-fit rule and `migration_legal` the allocation-free destination
+//! rule, so a step builds no placement list (they built two, ≈ 2 per
+//! step); it is the number "no allocation on the
 //! request path" (ROADMAP) drives to 0. A decision step that clones its
 //! features or builds a fresh arena (≈ 19 per step before the embed
 //! rendezvous was deleted) fails it, and so does a step that allocates

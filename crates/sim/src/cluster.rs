@@ -8,7 +8,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::error::{SimError, SimResult};
-use crate::machine::{check_fits, placement_fits, Placement, Pm, Vm};
+use crate::machine::{Placement, Pm, Vm};
 use crate::scheduler::best_fit_on;
 use crate::types::{NumaPlacement, NumaPolicy, PmId, VmId};
 
@@ -145,11 +145,10 @@ impl ClusterState {
 
     /// Picks the best-fit NUMA placement for `vm` on `pm`: the one
     /// best-fit rule (`best_fit_on`) against `pm` with the VM's own
-    /// allocation released when `pm` is its host, never the no-op placement. Mirrors the production best-fit
-    /// rule the paper describes for VMS. `Ok(None)` when no non-no-op
-    /// placement fits. Behind [`Self::migrate`], [`Self::pms_after_move`]
-    /// and the capacity clause of
-    /// [`crate::constraints::ConstraintSet::migration_legal`].
+    /// allocation released when `pm` is its host, never the no-op
+    /// placement. Mirrors the production best-fit rule the paper
+    /// describes for VMS. `Ok(None)` when no non-no-op placement fits.
+    /// Behind [`Self::migrate`] and [`Self::pms_after_move`].
     pub fn best_fit_placement(
         &self,
         vm: VmId,
@@ -163,7 +162,7 @@ impl ClusterState {
             return Ok(best_fit_on(dest, v, None, frag_cores));
         }
         let mut host = dest.clone();
-        host.release_vm(v, current.numa);
+        host.release_vm(v, current.numa)?;
         Ok(best_fit_on(&host, v, Some(current.numa), frag_cores))
     }
 
@@ -172,17 +171,23 @@ impl ClusterState {
     /// candidate is scored, not applied. For a same-PM NUMA flip both are
     /// the flipped PM. `None` exactly when `migrate` would return `Err`.
     pub fn pms_after_move(&self, vm: VmId, pm: PmId, frag_cores: u32) -> Option<(Pm, Pm)> {
-        let pl = self.best_fit_placement(vm, pm, frag_cores).ok()??;
+        let numa = self.best_fit_placement(vm, pm, frag_cores).ok()??;
+        self.moved_pms(vm, Placement { pm, numa }).ok()
+    }
+
+    /// The source and destination PMs after `vm` moves to `to`, computed
+    /// on copies (a refusal changes nothing); both the one PM if same-PM.
+    fn moved_pms(&self, vm: VmId, to: Placement) -> SimResult<(Pm, Pm)> {
         let (v, from) = (&self.vms[vm.0 as usize], self.placements[vm.0 as usize]);
         let mut src = self.pms[from.pm.0 as usize].clone();
-        src.release_vm(v, from.numa);
-        if from.pm == pm {
-            src.alloc_vm(v, pl);
-            return Some((src.clone(), src));
+        src.release_vm(v, from.numa)?;
+        if from.pm == to.pm {
+            src.alloc_vm(v, to.numa)?;
+            return Ok((src.clone(), src));
         }
-        let mut dest = self.pms[pm.0 as usize].clone();
-        dest.alloc_vm(v, pl);
-        Some((src, dest))
+        let mut dest = self.pms[to.pm.0 as usize].clone();
+        dest.alloc_vm(v, to.numa)?;
+        Ok((src, dest))
     }
 
     /// Migrates `vm` onto `pm` with an explicit NUMA placement.
@@ -197,23 +202,14 @@ impl ClusterState {
     ) -> SimResult<MigrationRecord> {
         let v = *self.check_vm(vm)?;
         self.check_pm(pm)?;
-        let from = self.placements[vm.0 as usize];
-        if from.pm == pm && from.numa == numa {
+        let (from, to) = (self.placements[vm.0 as usize], Placement { pm, numa });
+        if from == to {
             return Err(SimError::NoOpMigration(vm));
         }
         v.check_shape(numa)?;
-        if from.pm == pm {
-            // A NUMA flip competes only with the rest of its own host.
-            let mut host = self.pm(pm).clone();
-            host.release_vm(&v, from.numa);
-            check_fits(&host, &v, numa)?;
-        } else {
-            check_fits(self.pm(pm), &v, numa)?;
-        }
-        // Commit: release from source, allocate on destination.
-        self.pms[from.pm.0 as usize].release_vm(&v, from.numa);
-        self.pms[pm.0 as usize].alloc_vm(&v, numa);
-        let to = Placement { pm, numa };
+        let (src, dest) = self.moved_pms(vm, to)?;
+        self.pms[from.pm.0 as usize] = src;
+        self.pms[pm.0 as usize] = dest;
         self.placements[vm.0 as usize] = to;
         if from.pm != pm {
             unhost(&mut self.vms_on_pm[from.pm.0 as usize], vm);
@@ -228,14 +224,7 @@ impl ClusterState {
     pub fn migrate(&mut self, vm: VmId, pm: PmId, frag_cores: u32) -> SimResult<MigrationRecord> {
         match self.best_fit_placement(vm, pm, frag_cores)? {
             Some(pl) => self.migrate_exact(vm, pm, pl),
-            None => {
-                let from = self.placements[vm.0 as usize];
-                if from.pm == pm {
-                    Err(SimError::NoOpMigration(vm))
-                } else {
-                    Err(SimError::InsufficientResources { pm, numa: 0 })
-                }
-            }
+            None => Err(no_fit(vm, self.placements[vm.0 as usize], pm)),
         }
     }
 
@@ -293,16 +282,16 @@ impl ClusterState {
         }
         let mut pm_a = self.pm(pla.pm).clone();
         let mut pm_b = self.pm(plb.pm).clone();
-        pm_a.release_vm(&va, pla.numa);
-        pm_b.release_vm(&vb, plb.numa);
+        pm_a.release_vm(&va, pla.numa)?;
+        pm_b.release_vm(&vb, plb.numa)?;
         let Some(new_a) = best_fit_on(&pm_b, &va, None, frag_cores) else {
             return Err(SimError::InsufficientResources { pm: plb.pm, numa: 0 });
         };
         let Some(new_b) = best_fit_on(&pm_a, &vb, None, frag_cores) else {
             return Err(SimError::InsufficientResources { pm: pla.pm, numa: 0 });
         };
-        pm_b.alloc_vm(&va, new_a);
-        pm_a.alloc_vm(&vb, new_b);
+        pm_b.alloc_vm(&va, new_a)?;
+        pm_a.alloc_vm(&vb, new_b)?;
         let to_a = Placement { pm: plb.pm, numa: new_a };
         let to_b = Placement { pm: pla.pm, numa: new_b };
         let rec = SwapRecord {
@@ -328,8 +317,7 @@ impl ClusterState {
         vm.check_shape(placement.numa)?;
         let pm_idx = placement.pm.0 as usize;
         let pm = self.pms.get_mut(pm_idx).ok_or(SimError::UnknownPm(placement.pm))?;
-        check_fits(pm, &vm, placement.numa)?;
-        pm.alloc_vm(&vm, placement.numa);
+        pm.alloc_vm(&vm, placement.numa)?;
         self.vms.push(vm);
         self.placements.push(placement);
         // The largest id so far: its place in the ascending index is last.
@@ -350,7 +338,7 @@ impl ClusterState {
         let last = self.vms.len() - 1;
         let removed = self.vms[idx];
         let placement = self.placements[idx];
-        self.pms[placement.pm.0 as usize].release_vm(&removed, placement.numa);
+        self.pms[placement.pm.0 as usize].release_vm(&removed, placement.numa)?;
         unhost(&mut self.vms_on_pm[placement.pm.0 as usize], vm);
         self.vms.swap_remove(idx);
         self.placements.swap_remove(idx);
@@ -375,13 +363,10 @@ impl ClusterState {
         Vm::check_spec(cpu, mem, old.numa)?;
         let pl = self.placements[vm.0 as usize];
         let new = Vm { id: vm, cpu, mem, numa: old.numa };
-        let pm = &mut self.pms[pl.pm.0 as usize];
-        pm.release_vm(&old, pl.numa);
-        if let Err(e) = check_fits(pm, &new, pl.numa) {
-            pm.alloc_vm(&old, pl.numa); // roll back
-            return Err(e);
-        }
-        pm.alloc_vm(&new, pl.numa);
+        let mut host = self.pms[pl.pm.0 as usize].clone();
+        host.release_vm(&old, pl.numa)?;
+        host.alloc_vm(&new, pl.numa)?;
+        self.pms[pl.pm.0 as usize] = host;
         self.vms[vm.0 as usize] = new;
         Ok(())
     }
@@ -502,6 +487,16 @@ impl ClusterState {
     }
 }
 
+/// The refusal of a move no non-no-op placement admits, for `migrate` and
+/// `migration_legal`: a no-op on the VM's host, short capacity elsewhere.
+pub(crate) fn no_fit(vm: VmId, from: Placement, pm: PmId) -> SimError {
+    if from.pm == pm {
+        SimError::NoOpMigration(vm)
+    } else {
+        SimError::InsufficientResources { pm, numa: 0 }
+    }
+}
+
 /// Drops `vm` from a PM's ascending reverse index.
 fn unhost(hosted: &mut Vec<VmId>, vm: VmId) {
     let pos = hosted.binary_search(&vm).expect("reverse index corrupt");
@@ -556,13 +551,12 @@ fn derive(
         Vm::check_spec(vm.cpu, vm.mem, vm.numa)?;
         vm.check_shape(pl.numa)?;
         let pm = pms.get_mut(pl.pm.0 as usize).ok_or(SimError::UnknownPm(pl.pm))?;
-        if !placement_fits(pm, vm, pl.numa) {
-            return Err(SimError::InvalidMapping(format!(
+        pm.alloc_vm(vm, pl.numa).map_err(|_| {
+            SimError::InvalidMapping(format!(
                 "VM {} overflows PM {} at {:?}",
                 vm.id.0, pl.pm.0, pl.numa
-            )));
-        }
-        pm.alloc_vm(vm, pl.numa);
+            ))
+        })?;
         vms_on_pm[pl.pm.0 as usize].push(vm.id);
     }
     Ok((pms, vms_on_pm))

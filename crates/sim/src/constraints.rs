@@ -8,10 +8,10 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::cluster::ClusterState;
+use crate::cluster::{no_fit, ClusterState};
 use crate::error::{SimError, SimResult};
 use crate::machine::{Placement, Pm};
-use crate::types::{NumaPlacement, PmId, VmId, DEFAULT_FRAGMENT_CORES};
+use crate::types::{NumaPlacement, PmId, VmId};
 
 /// Hard constraints layered on top of raw capacity.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
@@ -154,37 +154,21 @@ impl ConstraintSet {
         total as f64 / (n as f64 * (n as f64 - 1.0))
     }
 
-    /// Returns the smallest-id conflicting VM already hosted on `pm`, if
-    /// any.
-    /// When migrating, the VM's own presence on the PM is ignored.
-    pub fn conflict_on_pm(&self, state: &ClusterState, vm: VmId, pm: PmId) -> Option<VmId> {
-        let mine = self.conflicts_of(vm);
-        if mine.is_empty() {
-            return None;
-        }
-        state.vms_on(pm).iter().copied().find(|other| *other != vm && mine.contains(other))
-    }
-
-    /// Full legality check for migrating `vm` to `pm`: capacity (some NUMA
-    /// placement fits), anti-affinity, pinning, and not a no-op.
+    /// Full legality check for migrating `vm` to `pm`: the one destination
+    /// rule on one PM. A pinned VM is a `NumaPolicyViolation`, a capacity
+    /// refusal the one [`ClusterState::migrate`] returns, and a conflict
+    /// names the partner with the smallest id.
     pub fn migration_legal(&self, state: &ClusterState, vm: VmId, pm: PmId) -> SimResult<()> {
-        let v = state.check_vm(vm)?;
-        state.check_pm(pm)?;
-        if self.is_pinned(vm) {
-            return Err(SimError::NumaPolicyViolation(vm)); // pinned: no legal placement
+        state.check_vm(vm)?;
+        let dest = state.check_pm(pm)?;
+        let rule = Destinations::of(self, state, vm).ok_or(SimError::NumaPolicyViolation(vm))?;
+        if !rule.dest_capacity_ok(dest) {
+            return Err(no_fit(vm, rule.cur, pm));
         }
-        // Whether some non-no-op placement fits does not depend on the
-        // fragment granularity the best-fit rule ranks them by.
-        if state.best_fit_placement(vm, pm, DEFAULT_FRAGMENT_CORES)?.is_none() {
-            if state.placement(vm).pm == pm {
-                return Err(SimError::NoOpMigration(vm));
-            }
-            return Err(SimError::InsufficientResources { pm, numa: 0 });
+        match rule.partner_on(pm) {
+            Some(conflicting) => Err(SimError::AntiAffinityViolation { vm, conflicting }),
+            None => Ok(()),
         }
-        if let Some(conflicting) = self.conflict_on_pm(state, vm, pm) {
-            return Err(SimError::AntiAffinityViolation { vm: v.id, conflicting });
-        }
-        Ok(())
     }
 
     /// Stage-2 mask: `mask[i] == true` iff PM `i` can legally receive `vm`.
@@ -196,51 +180,28 @@ impl ConstraintSet {
         mask
     }
 
-    /// Allocation-free stage-2 mask into a caller-owned buffer.
-    ///
-    /// Produces exactly the same mask as checking
-    /// [`ConstraintSet::migration_legal`] per PM (the proptest suite
-    /// asserts this), but in one tight O(N) capacity sweep plus an
-    /// O(conflicts) pass that marks the host PM of each conflicting VM
-    /// directly via the placement table — instead of the old per-PM scan
-    /// over every hosted VM's conflict list.
+    /// Allocation-free stage-2 mask into a caller-owned buffer: the one
+    /// destination rule mapped over the PMs, capacity per PM and conflicts
+    /// once per partner, marking its host: O(N + conflicts).
     pub fn pm_mask_into(&self, state: &ClusterState, vm: VmId, out: &mut Vec<bool>) {
         out.clear();
-        let n = state.num_pms();
-        if state.check_vm(vm).is_err() || self.is_pinned(vm) {
-            out.resize(n, false);
+        let Some(rule) = Destinations::of(self, state, vm) else {
+            out.resize(state.num_pms(), false);
             return;
-        }
-        let v = state.vm(vm);
-        let (cpu, mem) = (v.cpu_per_numa(), v.mem_per_numa());
-        let cur = state.placement(vm);
-        out.extend(state.pms().iter().map(|p| dest_capacity_ok(p, cpu, mem, cur)));
-        for &other in self.conflicts_of(vm) {
-            // A conflicting id outside the cluster is hosted nowhere.
-            if other != vm {
-                if let Some(pl) = state.placements().get(other.0 as usize) {
-                    out[pl.pm.0 as usize] = false;
-                }
-            }
+        };
+        out.extend(state.pms().iter().map(|p| rule.dest_capacity_ok(p)));
+        for (_, host) in rule.partner_hosts() {
+            out[host.0 as usize] = false;
         }
     }
 
-    /// Whether `vm` has at least one legal destination PM. Equivalent to
-    /// `pm_mask(..).iter().any(..)` but allocation-free and early-exiting
-    /// at the first legal PM.
+    /// Whether `vm` has at least one legal destination PM: the one
+    /// destination rule, stopping at the first PM it allows. Equivalent
+    /// to `pm_mask(..).iter().any(..)` but allocation-free.
     pub fn has_legal_destination(&self, state: &ClusterState, vm: VmId) -> bool {
-        if state.check_vm(vm).is_err() || self.is_pinned(vm) {
-            return false;
-        }
-        let v = state.vm(vm);
-        let (cpu, mem) = (v.cpu_per_numa(), v.mem_per_numa());
-        let cur = state.placement(vm);
-        let conflicts = self.conflicts_of(vm);
-        let blocked = |pm: PmId| {
-            !conflicts.is_empty()
-                && state.vms_on(pm).iter().any(|&o| o != vm && conflicts.contains(&o))
-        };
-        state.pms().iter().any(|p| dest_capacity_ok(p, cpu, mem, cur) && !blocked(p.id))
+        Destinations::of(self, state, vm).is_some_and(|rule| {
+            state.pms().iter().any(|p| rule.dest_capacity_ok(p) && rule.partner_on(p.id).is_none())
+        })
     }
 
     /// Stage-1 mask: `mask[k] == true` iff VM `k` is eligible for migration
@@ -263,42 +224,69 @@ impl ConstraintSet {
         out: &mut Vec<bool>,
     ) {
         out.clear();
-        out.extend((0..state.num_vms()).map(|k| {
-            let vm = VmId(k as u32);
-            if self.is_pinned(vm) {
-                return false;
-            }
-            if !require_destination {
-                return true;
-            }
-            self.has_legal_destination(state, vm)
+        out.extend((0..state.num_vms()).map(|k| match VmId(k as u32) {
+            vm if require_destination => self.has_legal_destination(state, vm),
+            vm => !self.is_pinned(vm),
         }));
     }
 }
 
-/// Capacity-only destination legality shared by [`ConstraintSet::pm_mask_into`]
-/// and [`ConstraintSet::has_legal_destination`]: whether a VM demanding
-/// `cpu`/`mem` per NUMA, currently placed at `cur`, has some non-no-op
-/// placement on `p`. Agrees with the capacity clause of
-/// [`ConstraintSet::migration_legal`] (the best-fit rule's same-PM release
-/// and no-op skip):
-///
-/// * Single-NUMA VM — fits wherever either NUMA has room; on its own PM
-///   only the *other* NUMA counts (its current slot is a no-op, and
-///   releasing its own allocation never helps the other NUMA).
-/// * Double-NUMA VM — needs room on both NUMAs; its own PM is always a
-///   no-op.
-#[inline]
-fn dest_capacity_ok(p: &Pm, cpu: u32, mem: u32, cur: Placement) -> bool {
-    match cur.numa {
-        NumaPlacement::Single(j) => {
-            if p.id == cur.pm {
-                p.numas[1 - j as usize].fits(cpu, mem)
-            } else {
-                p.numas.iter().any(|numa| numa.fits(cpu, mem))
+/// The one destination rule for one VM, behind every legality question
+/// above: a PM admits the VM when some non-no-op placement fits and no
+/// conflict partner is hosted there.
+struct Destinations<'a> {
+    vm: VmId,
+    demand: (u32, u32),
+    cur: Placement,
+    partners: &'a [VmId],
+    placements: &'a [Placement],
+}
+
+impl<'a> Destinations<'a> {
+    /// The rule for `vm`; `None` (no PM admits it) when unknown or pinned.
+    fn of(cs: &'a ConstraintSet, state: &'a ClusterState, vm: VmId) -> Option<Self> {
+        let v = state.check_vm(vm).ok().filter(|_| !cs.is_pinned(vm))?;
+        Some(Destinations {
+            vm,
+            demand: (v.cpu_per_numa(), v.mem_per_numa()),
+            cur: state.placement(vm),
+            partners: cs.conflicts_of(vm),
+            placements: state.placements(),
+        })
+    }
+
+    /// The capacity clause: whether some non-no-op placement fits on
+    /// `p`, exactly when [`ClusterState::best_fit_placement`] finds one
+    /// (it releases the VM on its own host and skips the no-op):
+    ///
+    /// * Single-NUMA VM — fits wherever either NUMA has room; on its own
+    ///   PM only the *other* NUMA counts (its current slot is a no-op,
+    ///   and releasing its own allocation never helps the other NUMA).
+    /// * Double-NUMA VM — needs room on both NUMAs; its own PM is always
+    ///   a no-op.
+    #[inline]
+    fn dest_capacity_ok(&self, p: &Pm) -> bool {
+        let ((cpu, mem), cur) = (self.demand, self.cur);
+        match cur.numa {
+            NumaPlacement::Single(j) if p.id == cur.pm => p.numas[1 - j as usize].fits(cpu, mem),
+            NumaPlacement::Single(_) => p.numas.iter().any(|numa| numa.fits(cpu, mem)),
+            NumaPlacement::Double => {
+                p.id != cur.pm && p.numas.iter().all(|numa| numa.fits(cpu, mem))
             }
         }
-        NumaPlacement::Double => p.id != cur.pm && p.numas.iter().all(|numa| numa.fits(cpu, mem)),
+    }
+
+    /// The conflict clause: each partner and its host, from the placement
+    /// table in O(conflicts); a partner outside the cluster is hosted nowhere.
+    fn partner_hosts(&self) -> impl Iterator<Item = (VmId, PmId)> + '_ {
+        let hosted = move |&other: &VmId| Some((other, self.placements.get(other.0 as usize)?.pm));
+        self.partners.iter().filter(move |&&other| other != self.vm).filter_map(hosted)
+    }
+
+    /// The conflict partner with the smallest id hosted on `pm`, if any.
+    #[inline]
+    fn partner_on(&self, pm: PmId) -> Option<VmId> {
+        self.partner_hosts().filter(|&(_, host)| host == pm).map(|(other, _)| other).min()
     }
 }
 

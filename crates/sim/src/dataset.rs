@@ -310,24 +310,27 @@ impl ClusterConfig {
 /// fill the configuration's PMs to its target utilization (until 64
 /// arrivals in a row are refused), then `churn_cycles` times exit a
 /// random VM and admit up to four replacements while below target.
-/// Refused arrivals are part of the process being modelled. Best fit
-/// draws nothing from `rng`, so under it only the flavors and exits do.
+/// Arrivals nothing fits are part of the process; any other refusal is
+/// returned. Best fit draws nothing from `rng`, so only flavors and exits do.
 pub fn populate<R: Rng + ?Sized>(
     config: &ClusterConfig,
     policy: VmsPolicy,
     rng: &mut R,
-) -> DynamicCluster {
+) -> SimResult<DynamicCluster> {
     let mut cluster = DynamicCluster::from_pms(config.build_pms());
     let total_cpu: u64 =
         config.pm_groups.iter().map(|g| (g.count as u64) * 2 * g.cpu_per_numa as u64).sum();
     let target_used = (total_cpu as f64 * config.target_util) as u64;
     let arrive = |cluster: &mut DynamicCluster, rng: &mut R| {
         let flavor = config.vm_mix.sample(rng);
-        cluster.arrival_with_policy(flavor.cpu, flavor.mem, flavor.numa, policy, rng).is_ok()
+        match cluster.arrival_with_policy(flavor.cpu, flavor.mem, flavor.numa, policy, rng) {
+            Err(SimError::NoFeasiblePlacement(_)) => Ok(false),
+            placed => placed.map(|_| true),
+        }
     };
     let mut consecutive_failures = 0usize;
     while cluster.used_cpu() < target_used && consecutive_failures < 64 {
-        if arrive(&mut cluster, rng) {
+        if arrive(&mut cluster, rng)? {
             consecutive_failures = 0;
         } else {
             consecutive_failures += 1;
@@ -337,12 +340,12 @@ pub fn populate<R: Rng + ?Sized>(
         if cluster.exit_random(rng).is_some() {
             let mut attempts = 0;
             while cluster.used_cpu() < target_used && attempts < 4 {
-                arrive(&mut cluster, rng);
+                arrive(&mut cluster, rng)?;
                 attempts += 1;
             }
         }
     }
-    cluster
+    Ok(cluster)
 }
 
 /// Generates one mapping (cluster snapshot) from a configuration.
@@ -352,10 +355,10 @@ pub fn populate<R: Rng + ?Sized>(
 /// result is built, and so validated, by [`ClusterState::new`].
 pub fn generate_mapping(config: &ClusterConfig, seed: u64) -> SimResult<ClusterState> {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut dyn_cluster = populate(config, VmsPolicy::BestFit, &mut rng);
+    let mut dyn_cluster = populate(config, VmsPolicy::BestFit, &mut rng)?;
     // Phase 3: anonymization shuffle — redeploy a fraction of VMs onto
     // uniformly random feasible PMs.
-    dyn_cluster.random_redeploy(config.shuffle_frac, &mut rng);
+    dyn_cluster.random_redeploy(config.shuffle_frac, &mut rng)?;
     dyn_cluster.freeze()
 }
 

@@ -310,17 +310,17 @@ impl DynamicCluster {
         fragment_ratio(frag, free)
     }
 
-    /// The one mutation of a PM: `change` allocates or releases on it,
-    /// and the used-CPU count and the shape groups follow.
-    fn update(&mut self, pm: PmId, change: impl FnOnce(&mut Pm)) {
+    /// The one mutation of a PM: `change` allocates or releases on it, and
+    /// the used-CPU count and the shape groups follow; a refusal is passed on.
+    fn update(&mut self, pm: PmId, change: impl FnOnce(&mut Pm) -> SimResult<()>) -> SimResult<()> {
         let host = &mut self.pms[pm.0 as usize];
-        let old = shape(host);
-        self.used_cpu -= allocated_cpu(host);
-        change(host);
-        self.used_cpu += allocated_cpu(host);
+        let (old, old_cpu) = (shape(host), allocated_cpu(host));
+        change(host)?;
+        self.used_cpu = self.used_cpu - old_cpu + allocated_cpu(host);
         if let Some(shapes) = &mut self.shapes {
             shapes.moved(&self.pms, pm, &old);
         }
+        Ok(())
     }
 
     /// Places a new VM with best-fit (the production VMS algorithm: choose
@@ -362,7 +362,7 @@ impl DynamicCluster {
         let vm = Vm { id, cpu, mem, numa };
         let shapes = self.shapes.get_or_insert_with(|| Shapes::new(&self.pms));
         let (pm, pl) = place(&self.pms, shapes, &vm).ok_or(SimError::NoFeasiblePlacement(id))?;
-        self.update(pm, |host| host.alloc_vm(&vm, pl));
+        self.update(pm, |host| host.alloc_vm(&vm, pl))?;
         self.vms.push(Some((vm, Placement { pm, numa: pl })));
         self.alive += 1;
         Ok(id)
@@ -370,9 +370,10 @@ impl DynamicCluster {
 
     /// Removes a specific VM, freeing its resources.
     pub fn exit(&mut self, vm: VmId) -> SimResult<()> {
-        let slot = self.vms.get_mut(vm.0 as usize).ok_or(SimError::UnknownVm(vm))?;
-        let (v, pl) = slot.take().ok_or(SimError::UnknownVm(vm))?;
-        self.update(pl.pm, |host| host.release_vm(&v, pl.numa));
+        let (v, pl) =
+            self.vms.get(vm.0 as usize).copied().flatten().ok_or(SimError::UnknownVm(vm))?;
+        self.update(pl.pm, |host| host.release_vm(&v, pl.numa))?;
+        self.vms[vm.0 as usize] = None;
         self.alive -= 1;
         Ok(())
     }
@@ -387,20 +388,20 @@ impl DynamicCluster {
             let idx = rng.gen_range(0..self.vms.len());
             if self.vms[idx].is_some() {
                 let id = VmId(idx as u32);
-                self.exit(id).expect("slot checked alive");
+                self.exit(id).expect("an alive VM exits");
                 return Some(id);
             }
         }
         // Fall back to a scan (pathological occupancy).
         let idx = self.vms.iter().position(|s| s.is_some())?;
         let id = VmId(idx as u32);
-        self.exit(id).expect("slot checked alive");
+        self.exit(id).expect("an alive VM exits");
         Some(id)
     }
 
     /// Redeploys `frac` of alive VMs onto uniformly random feasible PMs
-    /// (the dataset anonymization step).
-    pub fn random_redeploy<R: Rng + ?Sized>(&mut self, frac: f64, rng: &mut R) {
+    /// (the dataset anonymization step); a refusal is returned.
+    pub fn random_redeploy<R: Rng + ?Sized>(&mut self, frac: f64, rng: &mut R) -> SimResult<()> {
         let ids: Vec<usize> =
             self.vms.iter().enumerate().filter_map(|(i, s)| s.as_ref().map(|_| i)).collect();
         let mut slots = Vec::new();
@@ -409,14 +410,15 @@ impl DynamicCluster {
                 continue;
             }
             let (vm, old_pl) = self.vms[idx].expect("listed alive");
-            self.update(old_pl.pm, |host| host.release_vm(&vm, old_pl.numa));
+            self.update(old_pl.pm, |host| host.release_vm(&vm, old_pl.numa))?;
             let shapes = self.shapes.get_or_insert_with(|| Shapes::new(&self.pms));
             let (pm, pl) = shapes
                 .random_slot(&self.pms, &vm, &mut slots, rng)
                 .unwrap_or((old_pl.pm, old_pl.numa)); // put it back
-            self.update(pm, |host| host.alloc_vm(&vm, pl));
+            self.update(pm, |host| host.alloc_vm(&vm, pl))?;
             self.vms[idx] = Some((vm, Placement { pm, numa: pl }));
         }
+        Ok(())
     }
 
     /// Attempts to apply one planned migration against the *current*
@@ -435,8 +437,12 @@ impl DynamicCluster {
         let Some(pl) = best_fit_on(&self.pms[action.pm.0 as usize], &vm, None, 16) else {
             return false;
         };
-        self.update(old_pl.pm, |host| host.release_vm(&vm, old_pl.numa));
-        self.update(action.pm, |host| host.alloc_vm(&vm, pl));
+        // Allocating first drops a refused move with nothing changed.
+        if self.update(action.pm, |host| host.alloc_vm(&vm, pl)).is_err() {
+            return false;
+        }
+        self.update(old_pl.pm, |host| host.release_vm(&vm, old_pl.numa))
+            .expect("an alive VM's host holds its allocation");
         self.vms[action.vm.0 as usize] = Some((vm, Placement { pm: action.pm, numa: pl }));
         true
     }
@@ -559,7 +565,7 @@ mod tests {
                         let policy = VmsPolicy::ALL[step / 6 % 4];
                         let _ = d.arrival_with_policy(f.cpu, f.mem, f.numa, policy, &mut rng);
                     }
-                    4 => d.random_redeploy(0.02, &mut rng),
+                    4 => d.random_redeploy(0.02, &mut rng).expect("redeploy"),
                     _ => {
                         let vm = VmId(rng.gen_range(0..d.vms.len() as u32));
                         let pm = PmId(rng.gen_range(0..d.pms.len() as u32));

@@ -219,7 +219,7 @@ impl ReschedEnv {
                     .ok_or(SimError::NoFeasiblePlacement(probe.id))?;
                 let id = self.state.add_vm(cpu, mem, numa, Placement { pm, numa: pl })?;
                 let grown = self.constraints.push_vm();
-                debug_assert_eq!(id, grown);
+                assert_eq!(id, grown, "the constraint set covers exactly the cluster's VMs");
                 if let Some(engine) = &mut self.engine {
                     engine.note_vm_added(&self.state);
                 }

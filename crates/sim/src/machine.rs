@@ -13,8 +13,8 @@ use crate::types::{NumaPlacement, NumaPolicy, PmId, VmId, NUMA_PER_PM};
 /// One NUMA node: capacity and current usage.
 ///
 /// Invariant: `cpu_used <= cpu_total` and `mem_used <= mem_total`. The
-/// mutation methods preserve this; [`Numa::try_alloc`] refuses allocations
-/// that would break it.
+/// mutation methods preserve this: [`Numa::try_alloc`] and
+/// [`Numa::release`] refuse what would break it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Numa {
     /// Total CPU cores provided by this NUMA node (`U_{i,j}`).
@@ -49,14 +49,12 @@ impl Numa {
     /// cannot serve an additional X-core (per-NUMA) request.
     #[inline]
     pub fn cpu_fragment(&self, x: u32) -> u32 {
-        debug_assert!(x > 0, "fragment granularity must be positive");
         self.free_cpu() % x
     }
 
     /// X-GiB memory fragment of this node: `free_mem % X`.
     #[inline]
     pub fn mem_fragment(&self, x: u32) -> u32 {
-        debug_assert!(x > 0, "fragment granularity must be positive");
         self.free_mem() % x
     }
 
@@ -77,15 +75,16 @@ impl Numa {
         true
     }
 
-    /// Releases a previous allocation.
-    ///
-    /// # Panics
-    /// Panics in debug builds if the release exceeds current usage, which
-    /// would indicate corrupted bookkeeping (a bug, not a caller error).
-    pub fn release(&mut self, cpu: u32, mem: u32) {
-        debug_assert!(self.cpu_used >= cpu && self.mem_used >= mem, "release exceeds usage");
-        self.cpu_used = self.cpu_used.saturating_sub(cpu);
-        self.mem_used = self.mem_used.saturating_sub(mem);
+    /// Releases a previous allocation; returns `false`, changing
+    /// nothing, when it exceeds the node's usage (corrupt bookkeeping).
+    #[must_use]
+    pub fn release(&mut self, cpu: u32, mem: u32) -> bool {
+        if self.cpu_used < cpu || self.mem_used < mem {
+            return false;
+        }
+        self.cpu_used -= cpu;
+        self.mem_used -= mem;
+        true
     }
 }
 
@@ -134,9 +133,10 @@ impl Pm {
     /// Fragment for *double-NUMA* X-core flavors: such a flavor needs `X/2`
     /// cores on **each** NUMA simultaneously, so the usable cores are
     /// `2·(X/2)·min_j(free_j / (X/2))` and the rest of the free cores are
-    /// fragments.
+    /// fragments. Panics unless `x` is even and positive (an odd `x`
+    /// would count more usable cores than are free).
     pub fn cpu_fragment_double(&self, x: u32) -> u32 {
-        debug_assert!(x >= 2 && x.is_multiple_of(2), "double-NUMA flavor needs an even core count");
+        assert!(x >= 2 && x.is_multiple_of(2), "double-NUMA flavor needs an even core count");
         let half = x / 2;
         let pairs = self.numas.iter().map(|n| n.free_cpu() / half).min().unwrap_or(0);
         let free: u32 = self.numas.iter().map(Numa::free_cpu).sum();
@@ -167,33 +167,46 @@ impl Pm {
         self.numas.iter().map(|n| n.mem_total).sum()
     }
 
-    /// Releases `vm`'s allocation at `numa`.
-    pub fn release_vm(&mut self, vm: &Vm, numa: NumaPlacement) {
-        match numa {
-            NumaPlacement::Single(j) => {
-                self.numas[j as usize].release(vm.cpu_per_numa(), vm.mem_per_numa())
-            }
-            NumaPlacement::Double => {
-                for n in &mut self.numas {
-                    n.release(vm.cpu_per_numa(), vm.mem_per_numa());
-                }
-            }
+    /// Releases `vm`'s allocation at `numa`, all or nothing: a release a
+    /// node cannot give back ([`Numa::release`]) leaves the PM as it was.
+    #[inline]
+    pub fn release_vm(&mut self, vm: &Vm, numa: NumaPlacement) -> SimResult<()> {
+        if self.on_nodes(numa, |node| node.release(vm.cpu_per_numa(), vm.mem_per_numa())) {
+            return Ok(());
         }
+        let (vm, pm) = (vm.id.0, self.id.0);
+        Err(SimError::InvalidMapping(format!("VM {vm} releases more than PM {pm} holds")))
     }
 
-    /// Allocates `vm` at `numa`; the caller has checked [`placement_fits`].
-    /// The one allocation: nothing else in the simulator calls
-    /// [`Numa::try_alloc`].
-    pub(crate) fn alloc_vm(&mut self, vm: &Vm, numa: NumaPlacement) {
-        let ok = match numa {
-            NumaPlacement::Single(j) => {
-                self.numas[j as usize].try_alloc(vm.cpu_per_numa(), vm.mem_per_numa())
-            }
+    /// Allocates `vm` at `numa`, all or nothing: the one allocation (the
+    /// only caller of [`Numa::try_alloc`]). A placement that does not fit
+    /// or match the VM's policy leaves the PM as it was and is refused
+    /// with `InsufficientResources` naming the (first) node it asks for.
+    #[inline]
+    pub(crate) fn alloc_vm(&mut self, vm: &Vm, numa: NumaPlacement) -> SimResult<()> {
+        let (cpu, mem) = (vm.cpu_per_numa(), vm.mem_per_numa());
+        if vm.check_shape(numa).is_ok() && self.on_nodes(numa, |node| node.try_alloc(cpu, mem)) {
+            return Ok(());
+        }
+        let numa = if let NumaPlacement::Single(j) = numa { j as usize } else { 0 };
+        Err(SimError::InsufficientResources { pm: self.id, numa })
+    }
+
+    /// Applies `change` to each node `numa` occupies, all or nothing:
+    /// whether every node accepted it.
+    #[inline]
+    fn on_nodes(&mut self, numa: NumaPlacement, change: impl Fn(&mut Numa) -> bool) -> bool {
+        match numa {
+            NumaPlacement::Single(j) => change(&mut self.numas[j as usize]),
             NumaPlacement::Double => {
-                self.numas.iter_mut().all(|n| n.try_alloc(vm.cpu_per_numa(), vm.mem_per_numa()))
+                let [mut a, mut b] = self.numas;
+                let both = change(&mut a) && change(&mut b);
+                if both {
+                    self.numas = [a, b];
+                }
+                both
             }
-        };
-        debug_assert!(ok, "alloc_vm called without a prior capacity check");
+        }
     }
 }
 
@@ -236,6 +249,7 @@ impl Vm {
 
     /// The one placement-shape rule (Eq. 4 + Eq. 6): a single-NUMA VM
     /// sits on one existing NUMA node, a double-NUMA VM on both.
+    #[inline]
     pub fn check_shape(&self, numa: NumaPlacement) -> SimResult<()> {
         match (self.numa, numa) {
             (NumaPolicy::Single, NumaPlacement::Single(j)) if (j as usize) < NUMA_PER_PM => Ok(()),
@@ -293,20 +307,6 @@ pub fn placement_fits(pm: &Pm, vm: &Vm, placement: NumaPlacement) -> bool {
     }
 }
 
-/// [`placement_fits`] as the one error a refused placement reports:
-/// [`SimError::InsufficientResources`] naming `pm` and the (first) NUMA
-/// node the placement asks for.
-pub(crate) fn check_fits(pm: &Pm, vm: &Vm, numa: NumaPlacement) -> SimResult<()> {
-    if placement_fits(pm, vm, numa) {
-        return Ok(());
-    }
-    let numa = match numa {
-        NumaPlacement::Single(j) => j as usize,
-        NumaPlacement::Double => 0,
-    };
-    Err(SimError::InsufficientResources { pm: pm.id, numa })
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct _AssertSend;
 
@@ -324,7 +324,9 @@ mod tests {
         assert!(n.try_alloc(16, 32));
         assert_eq!(n.free_cpu(), 28);
         assert_eq!(n.free_mem(), 96);
-        n.release(16, 32);
+        assert!(!n.release(17, 32) && !n.release(16, 33), "over-release");
+        assert_eq!((n.free_cpu(), n.free_mem()), (28, 96), "a refused release changes nothing");
+        assert!(n.release(16, 32));
         assert_eq!(n.free_cpu(), 44);
         assert_eq!(n.free_mem(), 128);
     }
@@ -386,6 +388,16 @@ mod tests {
         let double = Vm { id: VmId(1), cpu: 64, mem: 128, numa: NumaPolicy::Double };
         assert!(p.numas[1].try_alloc(20, 0)); // leaves 24 < 32 on NUMA 1
         assert!(!placement_fits(&p, &double, NumaPlacement::Double));
+        // Allocating it is refused whole: NUMA 0 had room and is untouched.
+        let before = p.clone();
+        let refused = Err(SimError::InsufficientResources { pm: PmId(0), numa: 0 });
+        assert_eq!(p.alloc_vm(&double, NumaPlacement::Double), refused);
+        assert_eq!(p, before);
+        // Releasing 21 cores per node is refused whole: NUMA 1 holds 20.
+        assert!(p.numas[0].try_alloc(30, 0));
+        let before = p.clone();
+        assert!(p.release_vm(&Vm { cpu: 42, mem: 0, ..double }, NumaPlacement::Double).is_err());
+        assert_eq!(p, before);
     }
 
     #[test]

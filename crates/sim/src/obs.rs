@@ -115,7 +115,8 @@ impl Observation {
 /// Writes the *raw* (un-normalized) feature row of PM `i` into `out`
 /// (length [`PM_FEAT`]). Shared by the full extraction above and the
 /// incremental [`crate::obs_cache::ObsEngine`], so both produce
-/// bit-identical values by construction.
+/// bit-identical values by construction. Its and [`fill_vm_row`]'s length
+/// checks are debug-only: a short buffer panics at its first write anyway.
 pub(crate) fn fill_pm_row(state: &ClusterState, i: usize, frag_cores: u32, out: &mut [f32]) {
     debug_assert_eq!(out.len(), PM_FEAT);
     let pm = state.pm(PmId(i as u32));

@@ -27,7 +27,9 @@
 //! the same `fill_*_row` code paths, f32 min/max is order-independent, and
 //! the normalization formula is shared. A tier-1 proptest
 //! (`prop_obs_engine.rs`) asserts this equivalence under arbitrary
-//! migrate/swap/undo sequences.
+//! migrate/swap/undo sequences. Its buffer-length `debug_assert`s stay
+//! debug-only: they guard the call order of its one caller, `ReschedEnv`,
+//! not the cluster, which the engine only reads; that proptest checks it.
 
 use crate::cluster::{ClusterState, MigrationRecord};
 use crate::obs::{fill_pm_row, fill_vm_row, Observation, PM_FEAT, VM_FEAT};

@@ -15,6 +15,7 @@ use vmr_sim::constraints::ConstraintSet;
 use vmr_sim::dataset::{generate_mapping, ClusterConfig, PmGroup};
 use vmr_sim::dynamics::DynamicCluster;
 use vmr_sim::env::{Action, ClusterDelta, ReschedEnv};
+use vmr_sim::error::SimError;
 use vmr_sim::machine::{placement_fits, Placement, Pm, Vm};
 use vmr_sim::objective::Objective;
 use vmr_sim::scheduler::{best_fit, choose_placement, VmsPolicy};
@@ -387,7 +388,7 @@ proptest! {
                     }
                 }
                 1 => {
-                    shapes.random_redeploy(0.3, &mut rng_shapes);
+                    shapes.random_redeploy(0.3, &mut rng_shapes).expect("redeploy");
                     scan.redeploy(0.3, &mut rng_scan);
                 }
                 _ => {
@@ -684,23 +685,68 @@ proptest! {
         prop_assert!(sched.total_downtime_ms >= 0.0);
     }
 
-    /// The stage-2 PM mask agrees with actual migration legality for
-    /// every (vm, pm) pair, including under anti-affinity.
+    /// One legality rule, checked against a brute force kept here: for
+    /// every (vm, pm) of an arbitrary cluster under pins and conflicts,
+    /// unknown ids included, `migration_legal` returns exactly the
+    /// reference's answer — error variant and payload, the smallest-id
+    /// conflicting partner included — where the reference is an unknown
+    /// id, the pin, `migrate` on a clone, then a scan of the
+    /// destination's `vms_on` for a partner; `pm_mask_into` is `Ok` of
+    /// it per PM, `has_legal_destination` and `vm_mask_into(.., true)`
+    /// its `any` over PMs, and `vm_mask_into(.., false)` the pin.
     #[test]
-    fn masks_agree_with_legality(seed in 0u64..10, conflict_pairs in prop::collection::vec((0u32..40, 0u32..40), 0..6)) {
-        let state = cluster(seed);
-        let mut cs = ConstraintSet::new(state.num_vms());
+    fn masks_agree_with_legality(
+        caps in prop::collection::vec((4u32..48, 8u32..128), 1..5),
+        proposals in prop::collection::vec(((1u32..24, 1u32..64), prop::bool::ANY, 0usize..4, 0u8..2), 0..24),
+        conflicts in prop::collection::vec((0u32..24, 0u32..24), 0..12),
+        pins in prop::collection::vec(0u32..24, 0..3),
+    ) {
+        let state = arbitrary_cluster(&caps, &proposals);
         let n_vms = state.num_vms() as u32;
-        for (a, b) in conflict_pairs {
-            cs.add_conflict(VmId(a % n_vms), VmId(b % n_vms)).expect("in range");
+        let pairs: Vec<(VmId, VmId)> =
+            conflicts.iter().filter(|_| n_vms > 0).map(|&(a, b)| (VmId(a % n_vms), VmId(b % n_vms))).collect();
+        let pinned: Vec<VmId> = pins.iter().filter(|_| n_vms > 0).map(|&p| VmId(p % n_vms)).collect();
+        let mut cs = ConstraintSet::new(state.num_vms());
+        for &(a, b) in &pairs {
+            cs.add_conflict(a, b).expect("in range");
         }
-        for k in (0..state.num_vms()).step_by(7) {
-            let vm = VmId(k as u32);
-            let mask = cs.pm_mask(&state, vm);
-            for (i, &ok) in mask.iter().enumerate() {
-                let legal = cs.migration_legal(&state, vm, PmId(i as u32)).is_ok();
-                prop_assert_eq!(ok, legal, "mask mismatch at vm {} pm {}", k, i);
+        for &p in &pinned {
+            cs.pin(p).expect("in range");
+        }
+        let partners = |a: VmId, b: VmId| a != b && (pairs.contains(&(a, b)) || pairs.contains(&(b, a)));
+        let reference = |vm: VmId, pm: PmId| -> Result<(), SimError> {
+            state.check_vm(vm)?;
+            state.check_pm(pm)?;
+            if pinned.contains(&vm) {
+                return Err(SimError::NumaPolicyViolation(vm));
+            }
+            state.clone().migrate(vm, pm, 16)?;
+            match state.vms_on(pm).iter().copied().find(|&other| partners(vm, other)) {
+                Some(conflicting) => Err(SimError::AntiAffinityViolation { vm, conflicting }),
+                None => Ok(()),
+            }
+        };
+        let mut mask = Vec::new();
+        let mut any = Vec::new();
+        for k in 0..=n_vms {
+            let vm = VmId(k);
+            let expect: Vec<_> = (0..=state.num_pms() as u32).map(|i| reference(vm, PmId(i))).collect();
+            for (i, want) in expect.iter().enumerate() {
+                prop_assert_eq!(&cs.migration_legal(&state, vm, PmId(i as u32)), want, "vm {} pm {}", k, i);
+            }
+            cs.pm_mask_into(&state, vm, &mut mask);
+            let legal: Vec<bool> = expect[..state.num_pms()].iter().map(Result::is_ok).collect();
+            prop_assert_eq!(&mask, &legal, "pm mask of vm {}", k);
+            let has = legal.contains(&true);
+            prop_assert_eq!(cs.has_legal_destination(&state, vm), has, "vm {}", k);
+            if k < n_vms {
+                any.push(has);
             }
         }
+        cs.vm_mask_into(&state, true, &mut mask);
+        prop_assert_eq!(&mask, &any);
+        cs.vm_mask_into(&state, false, &mut mask);
+        let free: Vec<bool> = (0..n_vms).map(|k| !pinned.contains(&VmId(k))).collect();
+        prop_assert_eq!(&mask, &free);
     }
 }

@@ -5,7 +5,7 @@
 //!
 //! Run with:
 //! ```text
-//! cargo run --release -p vmr-core --example affinity_constraints
+//! cargo run --release -p vmr-e2e --example affinity_constraints
 //! ```
 
 use rand::rngs::StdRng;

@@ -4,7 +4,7 @@
 //!
 //! Run with:
 //! ```text
-//! cargo run --release -p vmr-core --example migration_planner
+//! cargo run --release -p vmr-e2e --example migration_planner
 //! ```
 
 use std::time::Duration;

@@ -3,7 +3,7 @@
 //!
 //! Run with:
 //! ```text
-//! cargo run --release -p vmr-core --example quickstart
+//! cargo run --release -p vmr-e2e --example quickstart
 //! ```
 
 use rand::rngs::StdRng;

@@ -4,7 +4,7 @@
 //!
 //! Run with:
 //! ```text
-//! cargo run --release -p vmr-core --example workload_generalization
+//! cargo run --release -p vmr-e2e --example workload_generalization
 //! ```
 
 use rand::rngs::StdRng;

@@ -201,7 +201,7 @@ fn generated_clusters_reproduce_the_full_scan_capture() {
             for policy in [VmsPolicy::FirstFit, VmsPolicy::WorstFit, VmsPolicy::Random] {
                 for seed in [1u64, 2] {
                     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-                    let state = populate(&config, policy, &mut rng).freeze().unwrap();
+                    let state = populate(&config, policy, &mut rng).unwrap().freeze().unwrap();
                     populated
                         .insert(format!("{name}/{}/{seed}", policy.name()), cluster_hash(&state));
                 }
